@@ -74,11 +74,11 @@ def build_product_automaton(
         return v * n_states + q
 
     transitions: Dict[int, Dict[int, List[int]]] = {}
-    start_states = {key(source, q) for q in eps_close(set(cq.initial))}
+    # ``initial_closure``, not ``eps_close(initial)``: an ε-eliminated
+    # query has an empty ``eps`` and its closure lives only there.
+    start_states = {key(source, q) for q in cq.initial_closure}
     seen: Set[int] = set(start_states)
-    stack: List[Tuple[int, int]] = [
-        (source, q) for q in eps_close(set(cq.initial))
-    ]
+    stack: List[Tuple[int, int]] = [(source, q) for q in cq.initial_closure]
     n_transitions = 0
     while stack:
         v, q = stack.pop()

@@ -25,7 +25,11 @@ not recurse — see the paper; completeness is preserved because the
 direct target state always ends up in the certificate set.)
 
 Complexity: O(|E| × |Δ|) plus O(|V| × |Δ_ε|) for ε-handling, i.e.
-O(|D| × |A|) overall.
+O(|D| × |A|) overall — with |A| the *compiled* automaton, which keeps
+only co-accessible states (:mod:`repro.core.compile`): the traversal
+never creates a product node ``(u, p)`` from which no accepting run
+can continue, so every ``dist`` slot written and every ``B`` entry
+logged belongs to a state that can still reach ``F``.
 
 Packed annotation layout (primary form)
 ---------------------------------------
@@ -34,8 +38,10 @@ The BFS carries ``L`` as one flat per-(vertex, state) integer array
 (``dist[v·|Q| + p]``, ``-1`` = unreached) and logs every ``B`` entry as
 an append-only ``(key, TgtIdx, predecessor)`` triple; on return the log
 is radix-packed into a :class:`~repro.datastructures.packed.PackedBack`
-— entries grouped by product node, ``TgtIdx``-ascending within a node
-(exactly Lemma 11's order), append order preserved within a cell.
+(:meth:`~repro.datastructures.packed.PackedBack.from_entries`: bucket
+by ``TgtIdx``, then a stable scatter by key — linear, no comparison
+sort) — entries grouped by product node, ``TgtIdx``-ascending within a
+node (exactly Lemma 11's order), append order preserved within a cell.
 **These arrays are the annotation's primary representation**: ``Trim``,
 ``ResumableTrim``, both enumerators, ``NextOutput`` and the counting DP
 read them directly, with no dict-of-dicts ever materialized on the hot
@@ -67,9 +73,9 @@ a frontier pair ``(v, q)`` by iterating only the labels in
 ``labels(Δ(q)) ∩ labels(Out(v))`` and, per such label ``a``, only the
 edges of ``Out_a(v)`` — served in O(1) per label by the graph's
 label-indexed CSR adjacency (:attr:`repro.graph.database.Graph.out_csr`)
-and the query's dense transition layout
-(:attr:`repro.core.compile.CompiledQuery.delta_dense`).  The per-pair
-cost drops from O(OutDeg(v) × |Lbl|) dict probes to
+and a per-state list of moves ``(CSR bucket base of a, Δ(q, a))`` that
+each call resolves once from the compiled transition table.  The
+per-pair cost drops from O(OutDeg(v) × |Lbl|) dict probes to
 O(Σ_{a ∈ labels(q)} |Out_a(v)|).  The pre-index traversal is retained
 verbatim as :func:`annotate_reference`; the equivalence property tests
 in ``tests/core/test_adjacency_equivalence.py`` and
@@ -327,11 +333,14 @@ def annotate(
     ti_arr = graph.tgt_idx_array
     indptr, csr_edges = graph.out_csr
     out_labels = graph.out_labels_array
-    firing = cq.firing_labels
-    firing_sets = cq.firing_sets
-    dense = cq.delta_dense
-    n_labels = cq.label_count
     final = cq.final
+    # Per state, its moves ``(a·|V|, Δ(q, a))`` in ascending label
+    # order — the CSR bucket base and the successor tuple, resolved
+    # once per call instead of once per frontier pair.
+    moves_by_label = [
+        {a: (a * n, row[a]) for a in sorted(row)} for row in cq.delta
+    ]
+    moves = [tuple(by_label.values()) for by_label in moves_by_label]
 
     # L, flattened: dist[v * |Q| + p], -1 = unreached.
     dist = array("q", [-1]) * (n * n_states)
@@ -375,23 +384,18 @@ def annotate(
         level += 1
         current, next_pairs = next_pairs, []
         for v, q in current:
-            fire = firing[q]
+            steps = moves[q]
             mine = out_labels[v]
-            if not fire or not mine:
-                continue
-            if len(fire) > len(mine):
+            if len(steps) > len(mine):
                 # Intersect from the cheaper side.
-                fset = firing_sets[q]
-                fire = [a for a in mine if a in fset]
-            q_base = q * n_labels
-            for a in fire:
-                b = a * n + v
+                by_label = moves_by_label[q]
+                steps = [by_label[a] for a in mine if a in by_label]
+            for a_base, targets in steps:
+                b = a_base + v
                 start, end = indptr[b], indptr[b + 1]
                 if start == end:
                     continue
-                targets = dense[q_base + a]
-                for j in range(start, end):
-                    e = csr_edges[j]
+                for e in csr_edges[start:end]:
                     u = tgt_arr[e]
                     u_base = u * n_states
                     ti = ti_arr[e]

@@ -10,10 +10,29 @@ transition table by label *id*.  This step also:
 * expands :data:`~repro.automata.nfa.ANY` wildcards over the database's
   concrete alphabet;
 * ε-closes the transition relation (``Δ'(q, a) = closure(Δ(q, a))``,
-  start states = ``closure(I)``), unless ``eliminate_epsilon=False``.
+  start states = ``closure(I)``), unless ``eliminate_epsilon=False``;
+* keeps only the **co-accessible** states — those from which a final
+  state is still reachable over the resulting ``Δ ∪ Δ_ε`` (one backward
+  reachability from ``F``, O(|A|)).  Every other state is deleted from
+  all target tuples, from ``eps`` and from ``initial_closure``, and its
+  own row is cleared.  After ε-closure a Thompson automaton is mostly
+  such states: everything that had only ε-moves can be entered but
+  never left, so ``(a|b)* c (a|b|c)*`` compiles to 20 states of which
+  7 survive.  A removed state lies on no accepting run, so the product
+  nodes it would have spawned carry no answer: walk sets, enumeration
+  order and run counts (multiplicities) are unchanged, only the part
+  of ``D × A`` that ``Annotate`` walks, logs and packs shrinks.  State
+  **ids are not renumbered** — ``n_states``, ``final`` and
+  ``automaton`` stay as given — so two compilations of the same NFA
+  (the engine's ε-closed query and its ``remove_epsilon`` count
+  automaton) keep addressing the same states.  Which states survive
+  depends only on the database's label *set* (through the dropped
+  transitions), the same thing a cached plan is already evicted on.
 
 Compilation is O(|A|·|Q| + wildcard expansion); it never touches the
 database, preserving the O(|D| × |A|) preprocessing bound.
+:meth:`CompiledQuery.size` — the |A| of that bound — counts all
+``n_states`` ids but only the transitions that survive.
 
 A note on ε-handling (deviation from the paper's Section 5.1).  The
 paper eliminates ε on the fly inside ``Annotate`` via ``PossiblyVisit``
@@ -46,11 +65,12 @@ class CompiledQuery:
 
     * ``n_states`` — |Q|;
     * ``initial`` — I (as given);
-    * ``initial_closure`` — ε-closure of I, the states a run may start
-      in;
+    * ``initial_closure`` — the co-accessible part of the ε-closure of
+      I: the states an accepting run may start in;
     * ``final`` — F;
-    * ``delta`` — per-state dict: label id → tuple of successor states;
-    * ``eps`` — per-state tuple of ε-successors;
+    * ``delta`` — per-state dict: label id → non-empty tuple of
+      (co-accessible) successor states; ``{}`` for a removed state;
+    * ``eps`` — per-state tuple of (co-accessible) ε-successors;
     * ``delta_size`` — |Δ| after compilation (counts expanded wildcard
       transitions and ε-transitions).
 
@@ -140,6 +160,9 @@ def compile_query(
 
     With ``eliminate_epsilon=True`` (the default) the compiled ``delta``
     is ε-closed and ``eps`` is empty — see the module docstring for why.
+    Either way only co-accessible states keep transitions (same
+    docstring); a query none of whose accepting paths survives the
+    database's label set compiles to an empty ``initial_closure``.
     Raises :class:`~repro.exceptions.QueryError` when the automaton has
     no states or no initial state (such queries match nothing and are
     almost always caller bugs).
@@ -186,17 +209,37 @@ def compile_query(
                 d[a] = closed
         eps_lists = [[] for _ in range(n)]
 
+    # Co-accessible trim: one backward reachability from F over
+    # Δ ∪ Δ_ε, O(|A|).  Ids are kept.
+    preds: List[List[int]] = [[] for _ in range(n)]
+    for q in range(n):
+        for targets in delta_sets[q].values():
+            for p in targets:
+                preds[p].append(q)
+        for p in eps_lists[q]:
+            preds[p].append(q)
+    live = set(automaton.final)
+    stack = list(live)
+    while stack:
+        for q in preds[stack.pop()]:
+            if q not in live:
+                live.add(q)
+                stack.append(q)
+
+    # A dead state has no live successor (it would be live), so
+    # filtering the targets also empties its own row.
     delta: Tuple[Dict[int, Tuple[int, ...]], ...] = tuple(
-        {a: tuple(sorted(ts)) for a, ts in d.items()} for d in delta_sets
+        {a: tuple(sorted(kept)) for a, ts in d.items() if (kept := ts & live)}
+        for d in delta_sets
     )
-    eps = tuple(tuple(es) for es in eps_lists)
+    eps = tuple(tuple(p for p in es if p in live) for es in eps_lists)
 
     return CompiledQuery(
         graph=graph,
         automaton=automaton,
         n_states=n,
         initial=tuple(sorted(automaton.initial)),
-        initial_closure=automaton.eps_closure(automaton.initial),
+        initial_closure=automaton.eps_closure(automaton.initial) & live,
         final=automaton.final,
         delta=delta,
         eps=eps,

@@ -13,10 +13,14 @@ predecessor state)`` pair per witnessing transition, grouped by the
 flattened product node ``key = u·|Q| + p`` (ascending) and, within a
 key, by ascending ``TgtIdx``; entries of the same ``(key, TgtIdx)``
 cell keep their BFS/Dijkstra append order.  Built from the traversal's
-append-only entry log by a two-pass stable counting sort (LSD radix on
-``TgtIdx`` then ``key``), O(|entries| + |V|·|Q| + max-InDeg) — no
-comparison sort anywhere.  Remark 17's entry count is simply
-``len(ent_pred)``, an O(1) read.
+append-only entry log by a stable LSD radix — deal the entries into one
+bucket per ``TgtIdx`` (counting entries per key on the way), then
+scatter the buckets, in ``TgtIdx`` order, to each key's fill cursor —
+with the prefix sum over the key space and the list of non-empty keys
+read off the per-key counts by ``accumulate`` / ``compress``:
+O(|entries| + |V|·|Q| + max-InDeg), two interpreted passes over the
+entries, no comparison sort over entries or keys anywhere.  Remark 17's
+entry count is simply ``len(ent_pred)``, an O(1) read.
 
 :class:`PackedCells` — the ``Trim`` product (paper, Figure 2 lines
 34-41) in the same spirit: one record per *non-empty cell* — the queue
@@ -41,7 +45,7 @@ annotation *combined*.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Dict, List, Optional, Tuple
 
 #: Legacy mapping forms (kept for the compatibility views).
@@ -93,11 +97,17 @@ class PackedBack:
     ) -> "PackedBack":
         """Pack a traversal's append-order entry log.
 
-        Two stable counting-sort passes (LSD radix): first by
-        ``TgtIdx``, then by key — so the result is grouped by key with
-        ``TgtIdx`` ascending inside each key and append order preserved
-        inside each cell.  The input arrays are consumed (reused as the
-        output storage of the second pass).
+        A stable LSD radix in two interpreted passes.  Pass 1 deals the
+        ``(key, predecessor)`` pairs into one append-order bucket per
+        ``TgtIdx`` and counts entries per key on the way (when every
+        ``TgtIdx`` is 0 the log is its own single bucket and only the
+        counting remains).  Pass 2 reads the buckets in ``TgtIdx``
+        order and drops each pair at its key's fill cursor — so the
+        result is grouped by key with ``TgtIdx`` ascending inside each
+        key and append order preserved inside each cell.  The prefix
+        sum over the dense key space and ``nonempty_keys`` come from
+        the counts in one C-level sweep each (``accumulate`` /
+        ``compress``).  The input arrays are not modified.
         """
         m = len(ent_key)
         n_keys = n * n_states
@@ -105,42 +115,36 @@ class PackedBack:
             key_indptr = array("q", bytes(8 * (n_keys + 1)))
             return cls(n, n_states, key_indptr, array("q"), array("q"), [])
 
-        # Pass 1 — stable counting sort by TgtIdx.
+        # Pass 1 — bucket by TgtIdx, count by key.
+        counts = [0] * n_keys
         max_ti = max(ent_ti)
-        offsets = list(accumulate(
-            _bucket_counts(ent_ti, max_ti + 1), initial=0
-        ))
-        by_ti_key = array("q", ent_key)
-        by_ti_ti = array("q", ent_ti)
-        by_ti_pred = array("q", ent_pred)
-        for i in range(m):
-            t = ent_ti[i]
-            pos = offsets[t]
-            offsets[t] = pos + 1
-            by_ti_key[pos] = ent_key[i]
-            by_ti_ti[pos] = t
-            by_ti_pred[pos] = ent_pred[i]
+        if max_ti:
+            keys_by_ti = [array("q") for _ in range(max_ti + 1)]
+            preds_by_ti = [array("q") for _ in range(max_ti + 1)]
+            for t, k, q in zip(ent_ti, ent_key, ent_pred):
+                keys_by_ti[t].append(k)
+                preds_by_ti[t].append(q)
+                counts[k] += 1
+        else:
+            for k in ent_key:
+                counts[k] += 1
+            keys_by_ti = [ent_key]
+            preds_by_ti = [ent_pred]
 
-        # Pass 2 — stable counting sort by key.  Only touched keys are
-        # counted in Python; the prefix sum over the full (dense) key
-        # space runs in C via itertools.accumulate.
-        counts = array("q", bytes(8 * n_keys))
-        seen = set()
-        seen_add = seen.add
-        for k in by_ti_key:
-            counts[k] += 1
-            seen_add(k)
         key_indptr = array("q", accumulate(counts, initial=0))
+        nonempty_keys = list(compress(range(n_keys), counts))
+
+        # Pass 2 — stable scatter by key, one TgtIdx bucket at a time.
         fill = key_indptr[:n_keys]
-        out_ti = ent_ti  # reuse — every slot is overwritten below
-        out_pred = ent_pred
-        for i in range(m):
-            k = by_ti_key[i]
-            pos = fill[k]
-            fill[k] = pos + 1
-            out_ti[pos] = by_ti_ti[i]
-            out_pred[pos] = by_ti_pred[i]
-        return cls(n, n_states, key_indptr, out_ti, out_pred, sorted(seen))
+        out_ti = array("q", bytes(8 * m))
+        out_pred = array("q", bytes(8 * m))
+        for t, (keys, preds) in enumerate(zip(keys_by_ti, preds_by_ti)):
+            for k, q in zip(keys, preds):
+                pos = fill[k]
+                fill[k] = pos + 1
+                out_ti[pos] = t
+                out_pred[pos] = q
+        return cls(n, n_states, key_indptr, out_ti, out_pred, nonempty_keys)
 
     @classmethod
     def from_maps(cls, n: int, n_states: int, B: List[BackMap]) -> "PackedBack":
@@ -202,13 +206,6 @@ class PackedBack:
                 i = j
             B[k // n_states][k % n_states] = cells
         return B
-
-
-def _bucket_counts(values: array, size: int) -> array:
-    counts = array("q", bytes(8 * size))
-    for v in values:
-        counts[v] += 1
-    return counts
 
 
 class PackedCells:

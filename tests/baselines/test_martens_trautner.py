@@ -80,6 +80,29 @@ class TestEnumeration:
         assert len(walks) == 1 and walks[0].length == 0
 
 
+    def test_default_compiled_thompson_query(self):
+        """Regression: an ε-eliminated Thompson query keeps its start
+        states in ``initial_closure`` only (``eps`` is empty), and the
+        product used to be seeded from ``eps_close(initial)`` — so the
+        default ``compile_query`` yielded no walk at all."""
+        from repro.automata import regex_to_nfa
+        from repro.graph.generators import chain
+
+        graph = chain(4, ("a", "b"), parallel=2)
+        nfa = regex_to_nfa("(a|b)*")
+        assert nfa.has_epsilon
+        s, t = graph.resolve_vertex("v0"), graph.resolve_vertex("v4")
+        closed = compile_query(graph, nfa)
+        raw = compile_query(graph, nfa, eliminate_epsilon=False)
+        assert not closed.has_eps and raw.has_eps
+        got = sorted(w.edges for w in martens_trautner_walks(closed, s, t))
+        assert len(got) == 2 ** 4
+        assert got == sorted(
+            w.edges for w in martens_trautner_walks(raw, s, t)
+        )
+        assert got == oracle_answer_set(graph, nfa, s, t)
+
+
 class TestProperties:
     @given(small_instances())
     @settings(max_examples=60, deadline=None)

@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.automata import ANY, EPSILON, NFA, thompson_nfa
+from repro.api import Database
+from repro.automata import ANY, EPSILON, NFA, regex_to_nfa, thompson_nfa
 from repro.automata.regex_parser import parse_rpq
+from repro.core.annotate import annotate
 from repro.core.compile import compile_query
+from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
+from repro.graph.generators import chain, random_multilabel
+from repro.live import LiveGraph
 from repro.workloads.fraud import example9_automaton, example9_graph
 
 
@@ -81,7 +86,13 @@ class TestEpsilonElimination:
         nfa.set_final(2)
         cq = compile_query(graph, nfa)
         assert not cq.has_eps
-        assert set(cq.delta[0][graph.label_id("h")]) == {1, 2}
+        # The closure reaches {1, 2}; state 1 had only its ε-move, so
+        # after elimination no final state is reachable from it and the
+        # co-accessible trim drops it from the target tuple.
+        assert cq.delta[0][graph.label_id("h")] == (2,)
+        raw = compile_query(graph, nfa, eliminate_epsilon=False)
+        assert raw.delta[0][graph.label_id("h")] == (1,)
+        assert raw.eps[1] == (2,)
 
     def test_initial_closure(self, graph):
         nfa = NFA(2)
@@ -90,7 +101,12 @@ class TestEpsilonElimination:
         nfa.set_initial(0)
         nfa.set_final(1)
         cq = compile_query(graph, nfa)
-        assert cq.initial_closure == frozenset({0, 1})
+        # closure(I) = {0, 1}; state 0 had only its ε-move, so a run of
+        # the ε-eliminated automaton starting there never accepts.
+        assert cq.initial_closure == frozenset({1})
+        assert cq.initial == (0,)
+        raw = compile_query(graph, nfa, eliminate_epsilon=False)
+        assert raw.initial_closure == frozenset({0, 1})
 
     def test_epsilon_cycle(self, graph):
         nfa = NFA(2)
@@ -111,3 +127,125 @@ class TestEpsilonElimination:
     def test_thompson_query_compiles_eps_free_by_default(self, graph):
         cq = compile_query(graph, thompson_nfa(parse_rpq("h* s (h | s)*")))
         assert not cq.has_eps
+
+
+def _co_accessible(cq):
+    """States with a path to a final state over the compiled Δ ∪ Δ_ε."""
+    live = set(cq.final)
+    changed = True
+    while changed:
+        changed = False
+        for q in range(cq.n_states):
+            if q in live:
+                continue
+            successors = {p for ts in cq.delta[q].values() for p in ts}
+            successors.update(cq.eps[q])
+            if successors & live:
+                live.add(q)
+                changed = True
+    return live
+
+
+THOMPSON_EPS_QUERIES = [
+    "(a|b)*",
+    "(a|b)* c (a|b|c)*",
+    "a b* c",
+    "(a|b|c|d)+",
+    "(a b | c)* d?",
+    "a* b* c*",
+]
+
+
+class TestCoAccessibleTrim:
+    @pytest.mark.parametrize("expression", THOMPSON_EPS_QUERIES)
+    @pytest.mark.parametrize("eliminate", [True, False])
+    def test_every_remaining_state_is_co_accessible(self, expression, eliminate):
+        g = random_multilabel(30, 90, alphabet=("a", "b", "c"), seed=3)
+        nfa = regex_to_nfa(expression)  # "d" is absent from the graph.
+        cq = compile_query(g, nfa, eliminate_epsilon=eliminate)
+        live = _co_accessible(cq)
+        mentioned = set(cq.initial_closure)
+        for q in range(cq.n_states):
+            if cq.delta[q] or cq.eps[q]:
+                mentioned.add(q)
+            mentioned.update(p for ts in cq.delta[q].values() for p in ts)
+            mentioned.update(cq.eps[q])
+        assert mentioned <= live
+        # No row holds an emptied target tuple.
+        assert all(ts for d in cq.delta for ts in d.values())
+        # The derived layouts describe the trimmed table.
+        for q in range(cq.n_states):
+            assert cq.firing_labels[q] == tuple(sorted(cq.delta[q]))
+        # Ids are kept: |Q|, F and the source automaton are untouched.
+        assert cq.n_states == nfa.n_states
+        assert cq.final == nfa.final
+        assert cq.automaton is nfa
+
+    def test_trim_shrinks_the_thompson_automaton(self):
+        g = random_multilabel(30, 90, alphabet=("a", "b", "c"), seed=3)
+        cq = compile_query(g, regex_to_nfa("(a|b)* c (a|b|c)*"))
+        used = {q for q in range(cq.n_states) if cq.delta[q]} | cq.final
+        assert cq.n_states == 20
+        assert len(used) == 7
+
+    def test_missing_label_empties_the_query(self):
+        """Every accepting path needs ``d``, which no edge carries: no
+        state is co-accessible except the finals, nothing can start."""
+        g = chain(5, ("a", "b"), parallel=2)
+        cq = compile_query(g, regex_to_nfa("(a|b)* d (a|b)*"))
+        assert cq.initial_closure == frozenset()
+        # What is left lies behind the missing ``d``: co-accessible,
+        # but no run can get there.
+        assert all(g.label_name(a) in "ab" for d in cq.delta for a in d)
+        s, t = g.resolve_vertex("v0"), g.resolve_vertex("v5")
+        for saturate in (False, True):
+            ann = annotate(cq, s, t, saturate=saturate)
+            assert ann.lam is None
+            assert ann.annotation_entries() == 0
+            assert ann.target_info(t) == (None, frozenset())
+
+    @pytest.mark.parametrize("expression", THOMPSON_EPS_QUERIES)
+    def test_state_ids_unchanged_tracked_matches_recompute(self, expression):
+        """``tracked`` rolls the trimmed annotation's certificate states
+        through the separately compiled ε-free count automaton; that
+        only works while both compilations keep the NFA's state ids."""
+        g = random_multilabel(
+            12, 60, alphabet=("a", "b", "c", "d"), max_labels_per_edge=3, seed=5
+        )
+        nfa = regex_to_nfa(expression)
+        assert nfa.has_epsilon
+        checked = 0
+        for s in range(4):
+            for t in range(g.vertex_count):
+                engine = DistinctShortestWalks(g, nfa, s, t)
+                if engine.lam is None:
+                    continue
+                tracked = [
+                    (w.edges, c) for w, c in engine.enumerate_with_multiplicity("tracked")
+                ]
+                recomputed = [
+                    (w.edges, c) for w, c in engine.enumerate_with_multiplicity("recompute")
+                ]
+                assert tracked == recomputed
+                assert all(c >= 1 for _, c in tracked)
+                checked += 1
+        assert checked
+
+    def test_first_edge_of_missing_label_revives_the_query(self):
+        """The trim depends on the graph's label *set*; a batch that
+        introduces the label evicts the plan (``new_labels``)."""
+        db = Database(LiveGraph(chain(4, ("a",))))
+
+        def run():
+            return db.query("a* d").from_("v0").to("v4").run()
+
+        assert run().lam is None
+        assert run().stats["cached"]["plan"]
+        receipt = db.mutate(
+            [{"op": "add_edge", "src": "v3", "tgt": "v4", "labels": ["d"]}]
+        )
+        assert receipt.evicted_plans == 1
+        fresh = run()
+        assert fresh.stats["cached"]["plan"] is False
+        assert fresh.lam == 4
+        assert [len(row.walk.edges) for row in fresh] == [4]

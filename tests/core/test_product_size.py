@@ -1,0 +1,67 @@
+"""Timing-free guard on the size of the product ``Annotate`` walks.
+
+``compile_query`` keeps only co-accessible states, so the BFS never
+creates a product node no accepting run passes through.  These counts
+are exact and machine-independent; they move only when the compiled
+automaton (or what ``Annotate`` logs per product edge) changes.
+"""
+
+from repro.automata import regex_to_nfa
+from repro.core.annotate import annotate
+from repro.core.compile import compile_query
+from repro.core.enumerate import enumerate_walks
+from repro.core.trim import trim
+from repro.graph.generators import chain
+from repro.workloads.worstcase import diamond_chain
+
+
+def test_chain_product_has_no_dead_nodes():
+    """``(a|b)*`` (Thompson, 8 states) keeps 3 live states: the ``a``
+    and ``b`` sources and the final state.  Per hop: 2 parallel edges
+    × 2 firing (state, label) pairs × 3 live targets = 12 entries, and
+    3 states × 2 in-edges = 6 Trim cells.  Untrimmed: 24 and 14."""
+    hops = 50
+    graph = chain(hops, ("a", "b"), parallel=2)
+    cq = compile_query(graph, regex_to_nfa("(a|b)*"))
+    source = graph.resolve_vertex("v0")
+    target = graph.resolve_vertex(f"v{hops}")
+    for saturate in (False, True):
+        annotation = annotate(cq, source, target, saturate=saturate)
+        assert annotation.annotation_entries() == 12 * hops
+        assert trim(graph, annotation).total_items() == 6 * hops
+        assert annotation.target_info(target)[0] == hops
+
+
+def test_diamond_walks_and_order_unchanged():
+    """2^10 walks, in the order the untrimmable one-state automaton of
+    :func:`diamond_chain` produces them — which is the order Lemma 11
+    fixes: lexicographic in ``TgtIdx``, read from the target back."""
+    k = 10
+    graph, one_state, source_name, target_name = diamond_chain(k)
+    source = graph.resolve_vertex(source_name)
+    target = graph.resolve_vertex(target_name)
+
+    def walks(nfa):
+        cq = compile_query(graph, nfa)
+        annotation = annotate(cq, source, target)
+        assert annotation.lam == k
+        return [
+            walk.edges
+            for walk in enumerate_walks(
+                graph,
+                trim(graph, annotation),
+                annotation.lam,
+                target,
+                annotation.target_states,
+            )
+        ]
+
+    thompson = regex_to_nfa("a*")
+    assert thompson.has_epsilon
+    got = walks(thompson)
+    assert len(got) == len(set(got)) == 2 ** k
+    assert got == walks(one_state)
+    backward_tgt_idx = [
+        tuple(graph.tgt_idx(e) for e in reversed(edges)) for edges in got
+    ]
+    assert backward_tgt_idx == sorted(backward_tgt_idx)

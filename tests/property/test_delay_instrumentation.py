@@ -1,6 +1,6 @@
 """Step-counted delay validation on the adversarial workload families.
 
-``tests/properties/test_delay_bound.py`` counts queue operations on the
+``tests/property/test_delay_bound.py`` counts queue operations on the
 classic instances (diamond chains, duplicate bombs, high in-degree);
 here the same Theorem 2 bound — work between two consecutive outputs is
 O(λ·|A|) — is enforced on the *label-heavy* adversaries from
