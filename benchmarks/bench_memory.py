@@ -1,8 +1,8 @@
 """EXP-MEM — Remark 17: memory stays O(|E| × |Δ|) during enumeration.
 
-We count the entries actually stored by the annotation, the trimmed
-queues and the resumable index, and compare them to the |E| × |Δ|
-bound; we also verify that a full enumeration leaves the structure
+We count the entries actually stored by the annotation and the trimmed
+queues (``ResumableTrim`` reads the same cells and stores nothing
+more), and compare them to the |E| × |Δ| bound; we also verify that a full enumeration leaves the structure
 sizes unchanged (the algorithm never grows its state as it emits
 answers — the pitfall Remark 17 warns about).
 """

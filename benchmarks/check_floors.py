@@ -1,31 +1,28 @@
 """Perf-regression guard over the committed ``BENCH_*.json`` floors.
 
 Each tracked benchmark suite commits a JSON record at the repo root
-(``BENCH_annotate.json`` — EXP-ADJ, ``BENCH_service.json`` —
-EXP-SERVICE, ``BENCH_mutations.json`` — EXP-LIVE,
-``BENCH_pipeline.json`` — EXP-PIPE, ``BENCH_wal.json`` — EXP-WAL,
-``BENCH_semantics.json`` — EXP-SEM, ``BENCH_serve.json`` — EXP-CONC,
-``BENCH_obs.json`` — EXP-OBS) whose ``speedup_target`` field is the
-suite's acceptance floor (ADJ ≥3×, SERVICE ≥2×, LIVE ≥5×, PIPE ≥2×,
-WAL ≥0.5× — i.e. group-commit durability within 2× of no WAL — SEM
-≥1.5× — any-walk beats the full shortest pipeline — CONC ≥2× — the
-multi-process serving tier beats the single-process service at 4
-workers — and OBS ≥0.95× — full instrumentation within 5% of
-disabled; PIPE additionally carries ``memory_target`` ≥2×).
+(``BENCH_service.json`` — EXP-SERVICE, ``BENCH_mutations.json`` —
+EXP-LIVE, ``BENCH_wal.json`` — EXP-WAL, ``BENCH_semantics.json`` —
+EXP-SEM, ``BENCH_serve.json`` — EXP-CONC, ``BENCH_obs.json`` —
+EXP-OBS) whose ``speedup_target`` field is the suite's acceptance
+floor (SERVICE ≥2×, LIVE ≥5×, WAL ≥0.5× — i.e. group-commit
+durability within 2× of no WAL — SEM ≥1.5× — any-walk beats the full
+shortest pipeline — CONC ≥2× — the multi-process serving tier beats
+the single-process service at 4 workers — and OBS ≥0.95× — full
+instrumentation within 5% of disabled).
 
 This script compares a **fresh re-run** of those suites (their
 ``BENCH_*_JSON`` env hooks pointed at ``--fresh-dir``) against the
 committed floors and fails when any *asserted* row drops below its
 floor.  A committed row is "asserted" when its own recorded value
-clears the floor — contrast rows the suites deliberately ship below
-the bar (e.g. EXP-ADJ's ``transport/no_bus``) are not held to it.
+clears the floor — contrast rows a suite deliberately ships below
+the bar are not held to it.
 
 Shared CI runners are noisy, so the bench-smoke job applies a
 ``--slack`` factor to the wall-clock floors (a fresh speedup may be as
 low as ``floor × slack`` before the job fails): the guard then catches
-integer-factor regressions — a packed path silently falling back to
-dicts, an index build re-running per query — without flaking on
-scheduler jitter.  Memory ratios are deterministic and get no slack.
+integer-factor regressions — a cache that stopped hitting, an index
+build re-running per query — without flaking on scheduler jitter.
 
 Usage::
 
@@ -42,12 +39,10 @@ import sys
 from typing import List
 
 #: Committed file → experiment name (documentation; the files carry
-#: their floors in-band as ``speedup_target`` / ``memory_target``).
+#: their floors in-band as ``speedup_target``).
 TRACKED = {
-    "BENCH_annotate.json": "EXP-ADJ",
     "BENCH_service.json": "EXP-SERVICE",
     "BENCH_mutations.json": "EXP-LIVE",
-    "BENCH_pipeline.json": "EXP-PIPE",
     "BENCH_wal.json": "EXP-WAL",
     "BENCH_semantics.json": "EXP-SEM",
     "BENCH_serve.json": "EXP-CONC",
@@ -70,7 +65,6 @@ def check_file(committed_path: str, fresh_path: str, slack: float) -> List[str]:
     failures: List[str] = []
 
     floor = committed.get("speedup_target")
-    memory_floor = committed.get("memory_target")
     fresh_rows = {row["workload"]: row for row in fresh.get("rows", [])}
 
     for row in committed.get("rows", []):
@@ -86,17 +80,6 @@ def check_file(committed_path: str, fresh_path: str, slack: float) -> List[str]:
                     f"{name}: {workload!r} speedup {got.get('speedup')}x "
                     f"below floor {floor}x (slack-adjusted bar {bar:.2f}x; "
                     f"committed {row.get('speedup')}x)"
-                )
-        if (
-            memory_floor is not None
-            and row.get("memory_ratio", 0.0) >= memory_floor
-        ):
-            if got.get("memory_ratio", 0.0) < memory_floor:
-                failures.append(
-                    f"{name}: {workload!r} memory ratio "
-                    f"{got.get('memory_ratio')}x below the deterministic "
-                    f"floor {memory_floor}x "
-                    f"(committed {row.get('memory_ratio')}x)"
                 )
     return failures
 

@@ -96,7 +96,7 @@ def memoryless_mode() -> None:
     print(f"  successor:  {successor.describe()}")
     assert successor.edges == walks[10].edges
     print("No cursor state was kept between the two calls — the")
-    print("ResumableTrim skip-index reconstructs it in O(λ × |A|).")
+    print("guided descent over the ResumableTrim cells reconstructs it.")
 
 
 if __name__ == "__main__":

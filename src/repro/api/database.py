@@ -54,7 +54,6 @@ from repro.automata.ops import remove_epsilon
 from repro.core.anywalk import any_walk_search
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
-from repro.core.enumerate import enumerate_walks_recursive
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import (
     fallback_walks,
@@ -74,7 +73,7 @@ from repro.query.plan import QueryPlan, analyze
 from repro.query.rpq import RPQ
 from repro.service.cache import LRUCache
 
-_CONCRETE_MODES = ("iterative", "recursive", "memoryless")
+_CONCRETE_MODES = ("iterative", "memoryless")
 
 #: Shared per-graph databases backing the classic one-shot entry
 #: points (``RPQ.shortest_walks`` and friends): repeat interactive
@@ -163,11 +162,9 @@ class _Bucket:
     mt: MultiTargetShortestWalks
     lam: int
     states: Any  # FrozenSet[int] — the target's start-state certificate.
-    #: Restricted-semantics extras (trails/simple only): the
-    #: unrestricted walk λ (``lam`` is then rλ) and the execution
-    #: regime — ``"filter"`` (λ-walk stream + predicate) or
-    #: ``"fallback"`` (guided product-DFS at rλ > λ).
-    walk_lam: Optional[int] = None
+    #: Restricted semantics (trails/simple) only — ``lam`` is then rλ:
+    #: the execution regime, ``"filter"`` (λ-walk stream + predicate)
+    #: or ``"fallback"`` (guided product-DFS at rλ > λ).
     rkind: Optional[str] = None
 
 
@@ -940,15 +937,8 @@ class Database:
 
     # -- execution -----------------------------------------------------------
 
-    def _resolve_mode(self, mode: str, cheapest: bool) -> str:
-        resolved = self.default_mode if mode == "auto" else mode
-        if cheapest and resolved == "recursive":
-            raise QueryError(
-                "cheapest semantics does not support mode='recursive' "
-                "(the recursive enumerator is length-budgeted only); "
-                "use 'auto', 'iterative' or 'memoryless'"
-            )
-        return resolved
+    def _resolve_mode(self, mode: str) -> str:
+        return self.default_mode if mode == "auto" else mode
 
     def _run(self, q: Query) -> ResultSet:
         # The deadline is anchored *before* preprocessing: a request
@@ -1023,7 +1013,7 @@ class Database:
             )
             return rows, lam, stats
 
-        mode = self._resolve_mode(q._mode, cheapest)
+        mode = self._resolve_mode(q._mode)
         buckets, lam = self._buckets(
             q, handle, plan, shape, cheapest, cached, timings, restriction
         )
@@ -1106,7 +1096,7 @@ class Database:
                         graph, restriction, source_id, walks
                     )
         else:
-            mode = self._resolve_mode(q._mode, cheapest)
+            mode = self._resolve_mode(q._mode)
             t0 = time.perf_counter()
             mt, ann_hit = self._annotation_for(
                 handle, q._construction, q._expression, plan,
@@ -1122,10 +1112,10 @@ class Database:
                 obs_trace.add_span(
                     "annotate", timings["annotate"], cached=True
                 )
-            lam, states = mt.annotation.target_info(target_id)
+            lam, _ = mt.annotation.target_info(target_id)
             if lam is None:
                 return iter(()), None
-            walk_lam, rkind = lam, None
+            rkind = None
             if restricted:
                 info = restricted_lam(
                     graph, plan.compiled, source_id, target_id, lam,
@@ -1145,10 +1135,7 @@ class Database:
                     resume,
                 )
             else:
-                walks = self._bucket_walks(
-                    graph, mt, target, target_id, walk_lam, states, mode,
-                    resume,
-                )
+                walks = self._bucket_walks(mt, target, mode, resume)
                 if rkind == "filter":
                     walks = restricted_filter(
                         graph, restriction, source_id, walks
@@ -1338,9 +1325,9 @@ class Database:
         Returns ``(buckets, lam)`` where ``lam`` is the global answer
         length for ``many_to_one`` (the virtual super-source λ) and
         ``None`` for the per-bucket shapes.  Under a trails/simple
-        restriction every bucket carries rλ in ``lam`` (with the walk
-        λ in ``walk_lam``); buckets whose pair admits *no* restricted
-        walk vanish from the stream, and the ``many_to_one`` /
+        restriction every bucket carries rλ in ``lam``; buckets whose
+        pair admits *no* restricted walk vanish from the stream, and
+        the ``many_to_one`` /
         ``many_to_all`` minima are taken over rλ — the walk-λ
         pre-filter would be unsound there, since the source with the
         shortest walk need not have the shortest trail.
@@ -1367,7 +1354,7 @@ class Database:
             lam_t, states = mt.annotation.target_info(target_id)
             if lam_t is None:
                 return None
-            walk_lam = rkind = None
+            rkind = None
             if restricted:
                 info = restricted_lam(
                     graph, plan.compiled, source_id, target_id, lam_t,
@@ -1378,7 +1365,6 @@ class Database:
                 )
                 if info is None:
                     return None
-                walk_lam = lam_t
                 lam_t, rkind = info
             return _Bucket(
                 source_input=source_input,
@@ -1389,7 +1375,6 @@ class Database:
                 mt=mt,
                 lam=lam_t,
                 states=states,
-                walk_lam=walk_lam,
                 rkind=rkind,
             )
 
@@ -1568,9 +1553,7 @@ class Database:
                     )
                 else:
                     walks = self._bucket_walks(
-                        graph, b.mt, b.target_name, b.target_id,
-                        b.walk_lam if b.rkind is not None else b.lam,
-                        b.states, mode, resume,
+                        b.mt, b.target_name, mode, resume
                     )
                     if b.rkind == "filter":
                         walks = restricted_filter(
@@ -1590,30 +1573,21 @@ class Database:
 
     def _bucket_walks(
         self,
-        graph: Graph,
         mt: MultiTargetShortestWalks,
         target_input: Hashable,
-        target_id: int,
-        lam_t: int,
-        states: Any,
         mode: str,
         resume: Optional[Tuple[int, ...]],
     ) -> Iterator[Walk]:
         """One bucket's walk stream in the requested engine mode.
 
-        Memoryless seeks in O(λ) via ``NextOutput``; the eager modes
-        replay the prefix (same DFS order, so tokens are portable
+        Memoryless seeks in O(λ) via ``NextOutput``; the eager mode
+        replays the prefix (same DFS order, so tokens are portable
         across modes).
         """
         if mode == "memoryless":
             return mt.walks_to(
                 target_input, memoryless=True, resume_after=resume
             )
-        if mode == "recursive":
-            iterator = enumerate_walks_recursive(
-                graph, mt.trimmed.snapshot(), lam_t, target_id, states
-            )
-            return _skip_past_cursor(iterator, resume)
         iterator = mt.walks_to(target_input, snapshot=True)
         return _skip_past_cursor(iterator, resume)
 
@@ -1764,7 +1738,7 @@ class Database:
                 )
             route = "cold single-pair engine (annotation cache disabled)"
         else:
-            resolved = self._resolve_mode(q._mode, cheapest)
+            resolved = self._resolve_mode(q._mode)
             route = "cached multi-target annotation"
         if q._restriction in ("trails", "simple"):
             route += (

@@ -31,13 +31,10 @@ can be forked freely::
     pair = base.to("Bob").limit(10)
     fan  = base.to_all()
 
-**Mode × semantics support.**  ``shortest`` supports every mode
-(``auto``, ``iterative``, ``recursive``, ``memoryless``); ``cheapest``
-supports ``auto``, ``iterative`` and ``memoryless`` — the recursive
-enumerator is length-budgeted only and rejects cost budgets.  With
-caching enabled (the default), ``auto`` resolves to the database's
-``default_mode`` (``memoryless`` — concurrency-safe, O(λ) cursor
-seek); with the annotation cache disabled, a pair-shaped ``shortest``
+**Modes.**  ``shortest`` and ``cheapest`` both support every mode
+(``auto``, ``iterative``, ``memoryless``).  With caching enabled (the
+default), ``auto`` resolves to the database's ``default_mode``
+(``memoryless`` — concurrency-safe, O(λ) cursor seek); with the annotation cache disabled, a pair-shaped ``shortest``
 query falls back to the cold single-pair engine, whose own ``auto``
 includes the paper's simple-setting fast path.
 """
@@ -67,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.query.plan import QueryPlan
     from repro.query.rpq import RPQ
 
-_MODES = ("auto", "iterative", "recursive", "memoryless")
+_MODES = ("auto", "iterative", "memoryless")
 _CONSTRUCTIONS = ("thompson", "glushkov")
 _SEMANTICS = ("shortest", "cheapest")
 _RESTRICTIONS = ("walks", "trails", "simple", "any")
@@ -301,7 +298,7 @@ class Query:
         Accepts the :class:`~repro.api.rows.Cursor` object, its
         ``to_dict()`` payload, or (for pair queries) a bare edge-id
         list — the batch service's token.  Seeking is O(λ) in
-        memoryless mode and O(position) in the eager modes.
+        memoryless mode and O(position) in the eager mode.
         """
         q = self._clone()
         q._cursor = (

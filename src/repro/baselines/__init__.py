@@ -11,8 +11,14 @@
 * :mod:`repro.baselines.untrimmed` — the factor-``d`` ablation of
   Section 3.2: ``Enumerate`` reading the raw ``B`` maps with no
   ``Trim`` step;
+* :mod:`repro.baselines.paper_pipeline` — Figure 2 transcribed on the
+  paper's own structures (dict ``L``/``B``, restartable queues, skip
+  arrays, recursive ``Enumerate``): the content and order oracle for
+  the packed pipeline of :mod:`repro.core`;
 * :mod:`repro.baselines.oracle` — exhaustive ground truth used only by
   the test suite.
+
+:mod:`repro.core` and the tiers above it never import this package.
 """
 
 from repro.baselines.all_shortest_words import all_shortest_words
@@ -23,6 +29,12 @@ from repro.baselines.martens_trautner import (
 )
 from repro.baselines.naive import NaiveStats, naive_enumerate
 from repro.baselines.oracle import oracle_answer_set, oracle_lam
+from repro.baselines.paper_pipeline import (
+    annotate_reference,
+    cheapest_annotate_reference,
+    enumerate_walks_recursive,
+    recursive_walks,
+)
 from repro.baselines.untrimmed import UntrimmedStats, enumerate_untrimmed
 
 __all__ = [
@@ -30,10 +42,14 @@ __all__ = [
     "ProductAutomaton",
     "UntrimmedStats",
     "all_shortest_words",
+    "annotate_reference",
     "build_product_automaton",
+    "cheapest_annotate_reference",
     "enumerate_untrimmed",
+    "enumerate_walks_recursive",
     "martens_trautner_walks",
     "naive_enumerate",
     "oracle_answer_set",
     "oracle_lam",
+    "recursive_walks",
 ]

@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("target", nargs="?", help="target vertex name")
     query.add_argument(
         "--mode",
-        choices=["iterative", "recursive", "memoryless", "auto"],
+        choices=["iterative", "memoryless", "auto"],
         default="auto",
         help="enumeration engine (default: auto)",
     )
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--mode",
-        choices=["iterative", "recursive", "memoryless"],
+        choices=["iterative", "memoryless"],
         default="memoryless",
         help="service default mode for requests that do not set one",
     )
@@ -756,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--mode",
-        choices=["iterative", "recursive", "memoryless"],
+        choices=["iterative", "memoryless"],
         default="memoryless",
         help="worker default mode for requests that do not set one",
     )

@@ -18,12 +18,8 @@ Module map (mirrors Figure 2 of the paper):
   queries on single-labeled data.
 """
 
-from repro.core.annotate import Annotation, annotate, annotate_reference
-from repro.core.cheapest import (
-    DistinctCheapestWalks,
-    cheapest_annotate,
-    cheapest_annotate_reference,
-)
+from repro.core.annotate import Annotation, annotate
+from repro.core.cheapest import DistinctCheapestWalks, cheapest_annotate
 from repro.core.compile import CompiledQuery, compile_query
 from repro.core.count import (
     count_distinct_shortest,
@@ -31,12 +27,12 @@ from repro.core.count import (
     count_total_multiplicity,
 )
 from repro.core.engine import DistinctShortestWalks, distinct_shortest_walks
-from repro.core.enumerate import enumerate_walks, enumerate_walks_recursive
+from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless, next_output
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.multiplicity import count_accepting_runs
 from repro.core.simple import SimpleShortestWalks, simple_eligible
-from repro.core.trim import ResumableAnnotation, TrimmedAnnotation, resumable_trim, trim
+from repro.core.trim import TrimmedAnnotation, resumable_trim, trim
 from repro.core.walks import Walk
 
 __all__ = [
@@ -45,14 +41,11 @@ __all__ = [
     "DistinctCheapestWalks",
     "DistinctShortestWalks",
     "MultiTargetShortestWalks",
-    "ResumableAnnotation",
     "SimpleShortestWalks",
     "TrimmedAnnotation",
     "Walk",
     "annotate",
-    "annotate_reference",
     "cheapest_annotate",
-    "cheapest_annotate_reference",
     "compile_query",
     "count_accepting_runs",
     "count_distinct_shortest",
@@ -61,7 +54,6 @@ __all__ = [
     "distinct_shortest_walks",
     "enumerate_memoryless",
     "enumerate_walks",
-    "enumerate_walks_recursive",
     "next_output",
     "resumable_trim",
     "simple_eligible",

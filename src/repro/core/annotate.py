@@ -31,8 +31,8 @@ never creates a product node ``(u, p)`` from which no accepting run
 can continue, so every ``dist`` slot written and every ``B`` entry
 logged belongs to a state that can still reach ``F``.
 
-Packed annotation layout (primary form)
----------------------------------------
+Packed annotation layout
+------------------------
 
 The BFS carries ``L`` as one flat per-(vertex, state) integer array
 (``dist[v·|Q| + p]``, ``-1`` = unreached) and logs every ``B`` entry as
@@ -42,27 +42,18 @@ is radix-packed into a :class:`~repro.datastructures.packed.PackedBack`
 by ``TgtIdx``, then a stable scatter by key — linear, no comparison
 sort) — entries grouped by product node, ``TgtIdx``-ascending within a
 node (exactly Lemma 11's order), append order preserved within a cell.
-**These arrays are the annotation's primary representation**: ``Trim``,
-``ResumableTrim``, both enumerators, ``NextOutput`` and the counting DP
-read them directly, with no dict-of-dicts ever materialized on the hot
-path (Remark 17's entry count is the packed array length, an O(1)
-read).
+**These arrays are the only representation of** ``L`` **and** ``B``:
+``Trim``, ``ResumableTrim``, the enumerator, ``NextOutput`` and the
+counting DP read them directly (Remark 17's entry count is the packed
+array length, an O(1) read).
 
-The documented mapping contract is preserved as *compatibility views*:
-:attr:`Annotation.L` and :attr:`Annotation.B` lazily materialize the
-historical ``L[u][p]`` / ``B[u][p][i]`` dicts on first access, with
-the same cells and the same witness multisets (duplicates included, in
-the traversal's own append order) as an in-place dict build of the
-same traversal.  Within-cell *order* is traversal-specific, not part
-of the contract: the label-indexed scan and the edge-major reference
-discover a BFS level in different orders, so two frontier pairs of the
-same vertex may append their witnesses to a shared cell in either
-order — unobservable downstream, because ``Trim`` sorts and dedups the
-certificates of every cell it keeps.  The reference traversals
-(:func:`annotate_reference`,
-:func:`~repro.core.cheapest.cheapest_annotate_reference`) still build
-dicts natively; such annotations carry no packed form and downstream
-consumers transparently fall back to the mapping views.
+:attr:`Annotation.L` and :attr:`Annotation.B` are read-only views
+*derived from* the arrays — the paper's ``L[u][p]`` / ``B[u][p][i]``
+maps, each cell's witnesses in the traversal's append order with
+duplicates kept — for inspection and the Figure-3 checks; nothing
+builds an annotation from them.  Within-cell *order* is
+traversal-specific and unobservable downstream, because ``Trim`` sorts
+and dedups the certificates of every cell it keeps.
 
 Label-indexed traversal
 -----------------------
@@ -76,11 +67,7 @@ label-indexed CSR adjacency (:attr:`repro.graph.database.Graph.out_csr`)
 and a per-state list of moves ``(CSR bucket base of a, Δ(q, a))`` that
 each call resolves once from the compiled transition table.  The
 per-pair cost drops from O(OutDeg(v) × |Lbl|) dict probes to
-O(Σ_{a ∈ labels(q)} |Out_a(v)|).  The pre-index traversal is retained
-verbatim as :func:`annotate_reference`; the equivalence property tests
-in ``tests/core/test_adjacency_equivalence.py`` and
-``tests/core/test_packed_equivalence.py`` hold the two to identical
-annotation contents.
+O(Σ_{a ∈ labels(q)} |Out_a(v)|).
 """
 
 from __future__ import annotations
@@ -96,7 +83,6 @@ __all__ = [
     "BackMap",
     "LengthMap",
     "annotate",
-    "annotate_reference",
 ]
 
 
@@ -107,19 +93,15 @@ class Annotation:
     exists.  For saturated runs (multi-target), per-target values are
     derived with :meth:`target_info`.
 
-    The interior is either *packed* (``dist`` + ``packed``, the primary
-    form produced by :func:`annotate` and
-    :func:`~repro.core.cheapest.cheapest_annotate`) or *mapping-based*
-    (``L`` + ``B`` dicts, produced by the reference traversals); the
-    :attr:`L` / :attr:`B` properties serve the documented mapping
-    contract either way, materializing lazily from the packed arrays
-    when needed.
+    The interior is the flat ``dist`` array plus the ``packed`` entry
+    store (module docstring); :attr:`L` / :attr:`B` are read-only
+    mapping views derived from them on first access.
     """
 
     __slots__ = (
         "source", "target", "lam", "target_states", "saturated", "steps",
         "final", "initial_closure", "n", "n_states", "dist", "packed",
-        "_L", "_B", "_entries", "_cells",
+        "_L", "_B", "_cells",
     )
 
     def __init__(
@@ -128,16 +110,12 @@ class Annotation:
         target: Optional[int],
         lam: Optional[int],
         target_states: FrozenSet[int],
-        L: Optional[List[LengthMap]] = None,
-        B: Optional[List[BackMap]] = None,
+        dist: array,
+        packed: PackedBack,
         saturated: bool = False,
         steps: int = 0,
         final: FrozenSet[int] = frozenset(),
         initial_closure: FrozenSet[int] = frozenset(),
-        dist: Optional[array] = None,
-        packed: Optional[PackedBack] = None,
-        n: Optional[int] = None,
-        n_states: Optional[int] = None,
     ) -> None:
         self.source = source
         self.target = target
@@ -147,76 +125,48 @@ class Annotation:
         self.steps = steps
         self.final = final
         self.initial_closure = initial_closure
-        self._L = L
-        self._B = B
         self.dist = dist
         self.packed = packed
-        if n is None:
-            n = len(L) if L is not None else 0
-        self.n = n
-        if n_states is None:
-            n_states = packed.n_states if packed is not None else 0
-        self.n_states = n_states
-        self._entries: Optional[int] = None
+        self.n = packed.n
+        self.n_states = packed.n_states
+        self._L: Optional[List[LengthMap]] = None
+        self._B: Optional[List[BackMap]] = None
         self._cells: Optional[PackedCells] = None
 
     def __repr__(self) -> str:
-        form = "packed" if self.packed is not None else "maps"
         return (
             f"Annotation(source={self.source}, target={self.target}, "
-            f"lam={self.lam}, |V|={self.n}, form={form})"
+            f"lam={self.lam}, |V|={self.n})"
         )
 
-    # -- the documented mapping views -----------------------------------
+    # -- the paper's mapping views ---------------------------------------
 
     @property
     def L(self) -> List[LengthMap]:
-        """Per-vertex ``L`` maps (compatibility view; lazy)."""
+        """Per-vertex ``L`` maps (read-only view; lazy)."""
         if self._L is None:
-            assert self.dist is not None
             self._L = _unflatten(self.dist, self.n, self.n_states)
         return self._L
 
     @property
     def B(self) -> List[BackMap]:
-        """Per-vertex ``B`` maps (compatibility view; lazy)."""
+        """Per-vertex ``B`` maps (read-only view; lazy)."""
         if self._B is None:
-            assert self.packed is not None
             self._B = self.packed.to_maps()
         return self._B
 
     # -- packed accessors ------------------------------------------------
 
-    @property
-    def vertex_count(self) -> int:
-        """Number of vertices this annotation was built over."""
-        return self.n if self._L is None else len(self._L)
-
-    def packed_back(self) -> PackedBack:
-        """The packed ``B`` store, building it from the mapping form
-        when this annotation was produced by a reference traversal."""
-        if self.packed is None:
-            L = self._L or []
-            B = self._B or []
-            n = len(B)
-            n_states = self.n_states or 1 + max(
-                (p for row in L for p in row), default=-1
-            )
-            self.packed = PackedBack.from_maps(n, n_states, B)
-            self.n = n
-            self.n_states = n_states
-        return self.packed
-
     def packed_cells(self, graph) -> PackedCells:
         """The shared ``Trim`` cell structure (built once, cached).
 
         Both :func:`~repro.core.trim.trim` and
-        :func:`~repro.core.trim.resumable_trim` wrap this one object,
-        so the O(entries) slicing pass runs at most once per
-        annotation.
+        :func:`~repro.core.trim.resumable_trim` return views of this
+        one object, so the O(entries) slicing pass runs at most once
+        per annotation.
         """
         if self._cells is None:
-            self._cells = PackedCells(graph, self.packed_back())
+            self._cells = PackedCells(graph, self.packed)
         return self._cells
 
     def target_info(self, t: int) -> Tuple[Optional[int], FrozenSet[int]]:
@@ -235,19 +185,15 @@ class Annotation:
         fire on, else the entry would have been evicted), so the
         answer is the usual "no matching walk".
         """
-        if not 0 <= t < self.vertex_count:
+        if not 0 <= t < self.n:
             return None, frozenset()
         if t == self.source and (self.initial_closure & self.final):
             return 0, frozenset(self.initial_closure & self.final)
         dist = self.dist
-        if dist is not None:
-            base = t * self.n_states
-            reached = [
-                (dist[base + f], f) for f in self.final if dist[base + f] >= 0
-            ]
-        else:
-            row = self.L[t]
-            reached = [(row[f], f) for f in self.final if f in row]
+        base = t * self.n_states
+        reached = [
+            (dist[base + f], f) for f in self.final if dist[base + f] >= 0
+        ]
         if not reached:
             return None, frozenset()
         lam_t = min(level for level, _ in reached)
@@ -257,27 +203,17 @@ class Annotation:
         """Total number of predecessor entries stored in ``B``.
 
         Used by the memory experiment (EXP-MEM) to check Remark 17's
-        O(|E| × |Δ|) bound.  O(1) on packed annotations (the count *is*
-        the packed array length); computed once and cached on
-        mapping-based ones.
+        O(|E| × |Δ|) bound.  O(1): the count *is* the packed array
+        length.
         """
-        if self.packed is not None:
-            return len(self.packed)
-        if self._entries is None:
-            self._entries = sum(
-                len(preds)
-                for vertex_map in (self._B or [])
-                for cells in vertex_map.values()
-                for preds in cells.values()
-            )
-        return self._entries
+        return len(self.packed)
 
 
 def _unflatten(flat: array, n: int, n_states: int) -> List[LengthMap]:
     """Convert the flat per-(vertex, state) array back to ``L`` dicts.
 
     ``-1`` marks unreached pairs; O(|V| × |Q|), only ever run for the
-    compatibility view.
+    :attr:`Annotation.L` view.
     """
     L: List[LengthMap] = []
     pos = 0
@@ -308,21 +244,16 @@ def annotate(
     pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))`` through the
     graph's CSR adjacency, recording ``B`` entries into the append-only
     packed log (no per-entry dict or list allocation).
-    :func:`annotate_reference` is the retained edge-major original;
-    both produce identical annotation contents.
 
-    Queries compiled with ``eliminate_epsilon=False`` take the packed
+    Queries compiled with ``eliminate_epsilon=False`` take the
     **edge-major** traversal (:func:`_annotate_eps_packed`): Section
     5.1's ``PossiblyVisit`` propagates witnesses through ε-closures
     only at *first* discovery, so its output depends on the edge visit
-    order — the ε path therefore replicates
-    :func:`annotate_reference`'s scan order exactly (``Out(v)`` in
-    edge order, the edge's labels in label order, an explicit
-    ε-closure stack) while recording into the packed entry log, so the
-    compatibility ``B`` view is bit-identical to the reference's
-    dicts.  The ε-eliminated default (the only mode the engine uses)
-    has no such order sensitivity and uses the label-indexed CSR scan
-    below.
+    order — the ε path therefore scans in the paper's order (``Out(v)``
+    in edge order, the edge's labels in label order, an explicit
+    ε-closure stack).  The ε-eliminated default (the only mode the
+    engine uses) has no such order sensitivity and uses the
+    label-indexed CSR scan below.
     """
     if cq.has_eps:
         return _annotate_eps_packed(cq, source, target, saturate)
@@ -374,8 +305,6 @@ def annotate(
             initial_closure=cq.initial_closure,
             dist=dist,
             packed=PackedBack.from_entries(n, n_states, ent_key, ent_ti, ent_pred),
-            n=n,
-            n_states=n_states,
         )
 
     stop = False
@@ -437,8 +366,6 @@ def annotate(
             initial_closure=cq.initial_closure,
             dist=dist,
             packed=packed,
-            n=n,
-            n_states=n_states,
         )
 
     return Annotation(
@@ -452,8 +379,6 @@ def annotate(
         initial_closure=cq.initial_closure,
         dist=dist,
         packed=packed,
-        n=n,
-        n_states=n_states,
     )
 
 
@@ -465,11 +390,11 @@ def _annotate_eps_packed(
 ) -> Annotation:
     """The packed ε-aware ``Annotate``: edge-major with ``PossiblyVisit``.
 
-    Mirrors :func:`annotate_reference`'s traversal order exactly (see
-    :func:`annotate`'s docstring for why the order is load-bearing
-    under ε) but carries ``L`` as the flat ``dist`` array and logs
-    ``B`` entries into the append-only packed log, so ε-queries get
-    the same packed downstream pipeline as ε-free ones.
+    Scans in the paper's order (see :func:`annotate`'s docstring for
+    why the order is load-bearing under ε), carrying ``L`` as the flat
+    ``dist`` array and logging ``B`` entries into the append-only
+    packed log, so ε-queries get the same downstream pipeline as
+    ε-free ones.
     """
     graph = cq.graph
     n = graph.vertex_count
@@ -515,8 +440,6 @@ def _annotate_eps_packed(
             packed=PackedBack.from_entries(
                 n, n_states, ent_key, ent_ti, ent_pred
             ),
-            n=n,
-            n_states=n_states,
         )
 
     # λ = 0 edge case: the trivial walk ⟨s⟩ matches iff ε ∈ L(A).
@@ -595,149 +518,3 @@ def _annotate_eps_packed(
         return result(None, frozenset(), False, level)
 
     return result(None, frozenset(), True, level)
-
-
-def annotate_reference(
-    cq: CompiledQuery,
-    source: int,
-    target: Optional[int] = None,
-    saturate: bool = False,
-) -> Annotation:
-    """The pre-index ``Annotate``: edge-major scan of ``Out(v)``.
-
-    Retained as the correctness oracle for :func:`annotate` (the
-    equivalence property tests run both on random instances) and as
-    the baseline of ``benchmarks/bench_adjacency.py``.  Semantics are
-    identical; per frontier pair it costs O(OutDeg(v) × |Lbl|) dict
-    probes instead of the CSR traversal's output-sensitive bound, and
-    it builds the mapping form natively (no packed arrays).
-    """
-    graph = cq.graph
-    n = graph.vertex_count
-    out = graph.out_array
-    tgt_arr = graph.tgt_array
-    ti_arr = graph.tgt_idx_array
-    labels_arr = graph.label_array
-    delta = cq.delta
-    eps = cq.eps
-    has_eps = cq.has_eps
-    final = cq.final
-
-    L: List[LengthMap] = [{} for _ in range(n)]
-    B: List[BackMap] = [{} for _ in range(n)]
-
-    next_pairs: List[Tuple[int, int]] = []
-    source_map = L[source]
-    for p in sorted(cq.initial_closure):
-        source_map[p] = 0
-        next_pairs.append((source, p))
-
-    # λ = 0 edge case: the trivial walk ⟨s⟩ matches iff ε ∈ L(A).
-    if (
-        target is not None
-        and target == source
-        and (cq.initial_closure & final)
-        and not saturate
-    ):
-        return Annotation(
-            source=source,
-            target=target,
-            lam=0,
-            L=L,
-            B=B,
-            target_states=frozenset(cq.initial_closure & final),
-            final=final,
-            initial_closure=cq.initial_closure,
-            n_states=cq.n_states,
-        )
-
-    stop = False
-    level = 0
-    while next_pairs and not stop:
-        level += 1
-        current, next_pairs = next_pairs, []
-        for v, q in current:
-            dq = delta[q]
-            for e in out[v]:
-                u = tgt_arr[e]
-                level_map = L[u]
-                back_map = B[u]
-                ti = ti_arr[e]
-                for a in labels_arr[e]:
-                    targets = dq.get(a)
-                    if not targets:
-                        continue
-                    for p in targets:
-                        known = level_map.get(p)
-                        if known is None:
-                            # First time state p is reached at vertex u.
-                            level_map[p] = level
-                            next_pairs.append((u, p))
-                            if u == target and p in final and not saturate:
-                                stop = True
-                            back_map.setdefault(p, {}).setdefault(
-                                ti, []
-                            ).append(q)
-                            if has_eps and eps[p]:
-                                # PossiblyVisit: ε-closure with the same
-                                # predecessor q and edge e.
-                                stack = list(eps[p])
-                                while stack:
-                                    r = stack.pop()
-                                    known_r = level_map.get(r)
-                                    if known_r is None:
-                                        level_map[r] = level
-                                        next_pairs.append((u, r))
-                                        if (
-                                            u == target
-                                            and r in final
-                                            and not saturate
-                                        ):
-                                            stop = True
-                                        back_map.setdefault(r, {}).setdefault(
-                                            ti, []
-                                        ).append(q)
-                                        stack.extend(eps[r])
-                                    elif known_r == level:
-                                        back_map[r].setdefault(ti, []).append(
-                                            q
-                                        )
-                        elif known == level:
-                            # Another walk of the same (minimal) length
-                            # reaches p at u: record the extra witness.
-                            back_map[p].setdefault(ti, []).append(q)
-
-    if target is not None and not saturate:
-        if stop:
-            lam: Optional[int] = level
-            target_states = frozenset(
-                f for f in final if L[target].get(f) == level
-            )
-        else:
-            lam, target_states = None, frozenset()
-        return Annotation(
-            source=source,
-            target=target,
-            lam=lam,
-            L=L,
-            B=B,
-            target_states=target_states,
-            steps=level,
-            final=final,
-            initial_closure=cq.initial_closure,
-            n_states=cq.n_states,
-        )
-
-    return Annotation(
-        source=source,
-        target=target,
-        lam=None,
-        L=L,
-        B=B,
-        target_states=frozenset(),
-        saturated=True,
-        steps=level,
-        final=final,
-        initial_closure=cq.initial_closure,
-        n_states=cq.n_states,
-    )

@@ -19,25 +19,27 @@ rounding would corrupt the leaf test ``budget == 0``).
 Like the BFS :func:`repro.core.annotate.annotate`, the settle loop is
 label-indexed: a popped product node ``(v, q)`` relaxes only the labels
 in ``labels(Δ(q)) ∩ labels(Out(v))`` via the graph's CSR adjacency and
-the query's dense transition layout, with ``L`` carried as a flat
-per-(vertex, state) cost array during the traversal — and kept flat in
-the returned annotation (the packed primary form; see
-:mod:`repro.core.annotate`).  ``B`` is built as maps during the
-traversal (improvements *discard* previously recorded witnesses, which
-an append-only log cannot express) and packed once on return, so
-``Trim``/``Enumerate`` run on the same packed arrays as the BFS
-pipeline.  The pre-index edge-major loop is retained as
-:func:`cheapest_annotate_reference` for the equivalence tests and the
-adjacency benchmark.
+the query's dense transition layout, with ``L`` carried as the flat
+per-(vertex, state) cost array of :mod:`repro.core.annotate`.  ``B``
+is logged the same way as in the BFS — one append-only ``(key, TgtIdx,
+predecessor)`` triple per relaxation that does not lose — plus the
+relaxation's cost: an improvement *supersedes* the witnesses logged
+for the costlier estimate, so on return one linear pass keeps the
+triples whose cost equals the settled ``dist[key]`` and
+:meth:`~repro.datastructures.packed.PackedBack.from_entries` packs
+them.  ``Trim``/``Enumerate`` then run on the same arrays as the BFS
+pipeline.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from itertools import compress
+from operator import eq
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.core.annotate import Annotation, BackMap, LengthMap
+from repro.core.annotate import Annotation
 from repro.core.compile import CompiledQuery, compile_query
 from repro.datastructures.packed import PackedBack
 from repro.core.enumerate import enumerate_walks
@@ -107,9 +109,9 @@ def cheapest_annotate(
     """Dijkstra-flavoured ``Annotate``: ``L`` maps hold minimal *costs*.
 
     ``B`` keeps, per ``(u, p, TgtIdx(e))``, the predecessor states of
-    *cost-minimal* walks ending with ``e`` — entries recorded for a
-    previously-better estimate are discarded on improvement, so Lemma
-    10's characterization carries over with "length" read as "cost".
+    *cost-minimal* walks ending with ``e`` — entries logged for a
+    costlier estimate are dropped once the node settles, so Lemma 10's
+    characterization carries over with "length" read as "cost".
 
     ``heap`` selects the priority queue: ``"binary"`` (lazy-deletion
     ``heapq``, the pragmatic default) or ``"pairing"`` (decrease-key
@@ -141,7 +143,15 @@ def cheapest_annotate(
 
     # L, flattened: dist[v * |Q| + p], -1 = unreached.
     dist = array("q", [-1]) * (n * n_states)
-    B: List[BackMap] = [{} for _ in range(n)]
+    # The B entry log, as in ``annotate``, plus each entry's cost.
+    ent_key = array("q")
+    ent_ti = array("q")
+    ent_pred = array("q")
+    ent_cost = array("q")
+    key_append = ent_key.append
+    ti_append = ent_ti.append
+    pred_append = ent_pred.append
+    cost_append = ent_cost.append
     settled = bytearray(n * n_states)
 
     queue = _PairingQueue() if heap == "pairing" else _LazyBinaryQueue()
@@ -159,13 +169,16 @@ def cheapest_annotate(
         idx = u * n_states + p
         known = dist[idx]
         if known < 0 or cost < known:
+            # Better estimate: the witnesses logged so far belong to
+            # costlier walks and fail the final cost filter.
             dist[idx] = cost
-            # Better estimate: all previously recorded witnesses
-            # belonged to costlier walks — discard them.
-            B[u][p] = {ti: [via_q]}
             queue.update(cost, u, p)
-        elif cost == known:
-            B[u].setdefault(p, {}).setdefault(ti, []).append(via_q)
+        elif cost != known:
+            return
+        key_append(idx)
+        ti_append(ti)
+        pred_append(via_q)
+        cost_append(cost)
 
     steps = 0
     while queue and lam != 0:
@@ -218,12 +231,15 @@ def cheapest_annotate(
                                     seen.add(r2)
                                     stack.append(r2)
 
-    # Pack the settled B maps: the Dijkstra traversal discards and
-    # re-records witnesses on improvement, so it builds maps natively
-    # and packs once at the end (the packed arrays are what Trim and
-    # the enumerators read; the maps stay on as the compatibility
-    # view, sharing the recorded predecessor order).
-    packed = PackedBack.from_maps(n, n_states, B)
+    # Keep the witnesses of cost-minimal walks: one C-level sweep.
+    keep = list(map(eq, ent_cost, map(dist.__getitem__, ent_key)))
+    packed = PackedBack.from_entries(
+        n,
+        n_states,
+        array("q", compress(ent_key, keep)),
+        array("q", compress(ent_ti, keep)),
+        array("q", compress(ent_pred, keep)),
+    )
     if target is not None and not saturate:
         if lam == 0:
             target_states: FrozenSet[int] = frozenset(
@@ -240,21 +256,17 @@ def cheapest_annotate(
             source=source,
             target=target,
             lam=lam,
-            B=B,
             target_states=target_states,
             steps=steps,
             final=final,
             initial_closure=cq.initial_closure,
             dist=dist,
             packed=packed,
-            n=n,
-            n_states=n_states,
         )
     return Annotation(
         source=source,
         target=target,
         lam=None,
-        B=B,
         target_states=frozenset(),
         saturated=True,
         steps=steps,
@@ -262,141 +274,6 @@ def cheapest_annotate(
         initial_closure=cq.initial_closure,
         dist=dist,
         packed=packed,
-        n=n,
-        n_states=n_states,
-    )
-
-
-def cheapest_annotate_reference(
-    cq: CompiledQuery,
-    source: int,
-    target: Optional[int] = None,
-    saturate: bool = False,
-    heap: str = "binary",
-) -> Annotation:
-    """The pre-index Dijkstra ``Annotate``: edge-major ``Out(v)`` scan.
-
-    Retained as the correctness oracle for :func:`cheapest_annotate`
-    (equivalence property tests) and as the baseline of
-    ``benchmarks/bench_adjacency.py``; semantics are identical.
-    """
-    if heap not in _HEAPS:
-        raise QueryError(f"unknown heap {heap!r}; expected one of {_HEAPS}")
-    graph = cq.graph
-    for e in graph.edges():
-        if graph.cost(e) <= 0:
-            raise CostError(f"edge {e} has non-positive cost {graph.cost(e)}")
-
-    n = graph.vertex_count
-    out = graph.out_array
-    tgt_arr = graph.tgt_array
-    ti_arr = graph.tgt_idx_array
-    labels_arr = graph.label_array
-    cost_arr = graph.cost_array
-    delta = cq.delta
-    eps = cq.eps
-    has_eps = cq.has_eps
-    final = cq.final
-
-    L: List[LengthMap] = [{} for _ in range(n)]
-    B: List[BackMap] = [{} for _ in range(n)]
-    settled: List[set] = [set() for _ in range(n)]
-
-    queue = _PairingQueue() if heap == "pairing" else _LazyBinaryQueue()
-    for p in sorted(cq.initial_closure):
-        L[source][p] = 0
-        queue.update(0, source, p)
-
-    lam: Optional[int] = None
-    if target is not None and target == source and (cq.initial_closure & final):
-        lam = 0  # Trivial walk ⟨s⟩ of cost 0.
-
-    def reach(u: int, p: int, via_q: int, ti: int, cost: int) -> None:
-        """Relax (u, p) at ``cost`` with witness (via_q, edge at ti)."""
-        known = L[u].get(p)
-        if known is None or cost < known:
-            L[u][p] = cost
-            # Better estimate: all previously recorded witnesses
-            # belonged to costlier walks — discard them.
-            B[u][p] = {ti: [via_q]}
-            queue.update(cost, u, p)
-        elif cost == known:
-            B[u].setdefault(p, {}).setdefault(ti, []).append(via_q)
-
-    steps = 0
-    while queue and lam != 0:
-        cost, v, q = queue.pop()
-        if q in settled[v] or L[v].get(q) != cost:
-            continue  # Stale heap entry.
-        if lam is not None and cost > lam and not saturate:
-            break  # Everything at distance ≤ λ is settled.
-        settled[v].add(q)
-        steps += 1
-        if target is not None and v == target and q in final and lam is None:
-            lam = cost
-            if not saturate:
-                # Keep draining entries of cost ≤ λ so that equal-cost
-                # witnesses into the target are all recorded.
-                continue
-        dq = delta[q]
-        for e in out[v]:
-            u = tgt_arr[e]
-            new_cost = cost + cost_arr[e]
-            if lam is not None and new_cost > lam and not saturate:
-                continue
-            ti = ti_arr[e]
-            for a in labels_arr[e]:
-                targets = dq.get(a)
-                if not targets:
-                    continue
-                for p in targets:
-                    reach(u, p, q, ti, new_cost)
-                    if has_eps and eps[p]:
-                        stack = list(eps[p])
-                        seen = set(eps[p])
-                        while stack:
-                            r = stack.pop()
-                            reach(u, r, q, ti, new_cost)
-                            for r2 in eps[r]:
-                                if r2 not in seen:
-                                    seen.add(r2)
-                                    stack.append(r2)
-
-    if target is not None and not saturate:
-        if lam == 0:
-            target_states: FrozenSet[int] = frozenset(
-                cq.initial_closure & final
-            )
-        elif lam is not None:
-            target_states = frozenset(
-                f for f in final if L[target].get(f) == lam
-            )
-        else:
-            target_states = frozenset()
-        return Annotation(
-            source=source,
-            target=target,
-            lam=lam,
-            L=L,
-            B=B,
-            target_states=target_states,
-            steps=steps,
-            final=final,
-            initial_closure=cq.initial_closure,
-            n_states=cq.n_states,
-        )
-    return Annotation(
-        source=source,
-        target=target,
-        lam=None,
-        L=L,
-        B=B,
-        target_states=frozenset(),
-        saturated=True,
-        steps=steps,
-        final=final,
-        initial_closure=cq.initial_closure,
-        n_states=cq.n_states,
     )
 
 

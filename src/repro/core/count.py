@@ -78,63 +78,38 @@ def count_distinct_shortest(
 
     src_arr = graph.src_array
 
-    if annotation.packed is not None:
-        # Packed path: child edges and certificates read straight off
-        # the shared Trim cell arrays (cached on the annotation), no
-        # dict-of-dicts materialization.
-        cells = annotation.packed_cells(graph)
-        n_states = cells.n_states
-        key_indptr = cells.key_indptr
-        cell_ti = cells.cell_ti
-        cell_edge = cells.cell_edge
-        cert = cells.cert
+    # Child edges and certificates are read straight off the shared
+    # Trim cell arrays (cached on the annotation).
+    cells = annotation.packed_cells(graph)
+    n_states = cells.n_states
+    key_indptr = cells.key_indptr
+    cell_ti = cells.cell_ti
+    cell_edge = cells.cell_edge
+    cert = cells.cert
 
-        def children(u: int, states: Tuple[int, ...], remaining: int):
-            """Child node keys, via the packed cells of ``states``."""
-            by_cell: Dict[int, set] = {}
-            edge_at: Dict[int, int] = {}
-            base = u * n_states
-            for p in states:
-                k = base + p
-                for c in range(key_indptr[k], key_indptr[k + 1]):
-                    ti = cell_ti[c]
-                    bucket = by_cell.get(ti)
-                    if bucket is None:
-                        by_cell[ti] = set(cert(c))
-                        edge_at[ti] = cell_edge[c]
-                    else:
-                        bucket.update(cert(c))
-            return [
-                (
-                    src_arr[edge_at[ti]],
-                    tuple(sorted(merged)),
-                    remaining - cost_of(edge_at[ti]),
-                )
-                for ti, merged in by_cell.items()
-            ]
-    else:
-        B = annotation.B
-        in_array = graph.in_array
-
-        def children(u: int, states: Tuple[int, ...], remaining: int):
-            """Child node keys, via the non-empty B cells of ``states``."""
-            by_cell: Dict[int, set] = {}
-            per_state = B[u]
-            for p in states:
-                cells = per_state.get(p)
-                if cells is None:
-                    continue
-                for i, preds in cells.items():
-                    if preds:
-                        by_cell.setdefault(i, set()).update(preds)
-            in_list = in_array[u]
-            result: List[_NodeKey] = []
-            for i, merged in by_cell.items():
-                e = in_list[i]
-                result.append(
-                    (src_arr[e], tuple(sorted(merged)), remaining - cost_of(e))
-                )
-            return result
+    def children(u: int, states: Tuple[int, ...], remaining: int):
+        """Child node keys, via the packed cells of ``states``."""
+        by_cell: Dict[int, set] = {}
+        edge_at: Dict[int, int] = {}
+        base = u * n_states
+        for p in states:
+            k = base + p
+            for c in range(key_indptr[k], key_indptr[k + 1]):
+                ti = cell_ti[c]
+                bucket = by_cell.get(ti)
+                if bucket is None:
+                    by_cell[ti] = set(cert(c))
+                    edge_at[ti] = cell_edge[c]
+                else:
+                    bucket.update(cert(c))
+        return [
+            (
+                src_arr[edge_at[ti]],
+                tuple(sorted(merged)),
+                remaining - cost_of(edge_at[ti]),
+            )
+            for ti, merged in by_cell.items()
+        ]
 
     memo: Dict[_NodeKey, int] = {}
     root: _NodeKey = (target, tuple(sorted(start_states)), budget)

@@ -7,7 +7,6 @@
 and exposes the knobs used throughout the test and benchmark suites:
 
 * ``mode="iterative"`` (default) — explicit-stack DFS, Theorem 2;
-* ``mode="recursive"`` — the paper's pseudocode verbatim (depth λ);
 * ``mode="memoryless"`` — ``NextOutput`` over ``ResumableTrim``,
   Theorem 18;
 * ``mode="auto"`` — linear-time detection of the "simpler setting"
@@ -28,22 +27,17 @@ from repro.automata.ops import remove_epsilon
 from repro.core._query_input import QueryLike, as_nfa
 from repro.core.annotate import Annotation, annotate
 from repro.core.compile import CompiledQuery, compile_query
-from repro.core.enumerate import enumerate_walks, enumerate_walks_recursive
+from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
 from repro.core.multiplicity import count_accepting_runs
 from repro.core.simple import SimpleShortestWalks, simple_eligible
-from repro.core.trim import (
-    ResumableAnnotation,
-    TrimmedAnnotation,
-    resumable_trim,
-    trim,
-)
+from repro.core.trim import TrimmedAnnotation, resumable_trim, trim
 from repro.core.walks import Walk
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
 from repro.obs.trace import add_span
 
-_MODES = ("iterative", "recursive", "memoryless", "auto")
+_MODES = ("iterative", "memoryless", "auto")
 
 
 class DistinctShortestWalks:
@@ -102,7 +96,6 @@ class DistinctShortestWalks:
         self._cq: Optional[CompiledQuery] = None
         self._annotation: Optional[Annotation] = None
         self._trimmed: Optional[TrimmedAnnotation] = None
-        self._resumable: Optional[ResumableAnnotation] = None
         self._simple: Optional[SimpleShortestWalks] = None
         self._count_cq: Optional[CompiledQuery] = None
 
@@ -119,9 +112,8 @@ class DistinctShortestWalks:
         """Run the preprocessing phase once; later calls are no-ops.
 
         Records wall-clock timings per phase in :attr:`timings`
-        (``compile``, ``annotate``, ``trim``, ``total``).  On the
-        packed pipeline (the default), ``trim`` and the memoryless
-        mode's ``resumable_trim`` wrap one shared
+        (``compile``, ``annotate``, ``trim``, ``total``).  ``trim``
+        and the memoryless mode's ``resumable_trim`` share one
         :meth:`~repro.core.annotate.Annotation.packed_cells` build, so
         the two together cost a single O(entries) pass.
         """
@@ -146,16 +138,12 @@ class DistinctShortestWalks:
         t2 = time.perf_counter()
         self._trimmed = trim(self.graph, self._annotation)
         t3 = time.perf_counter()
-        if self.mode == "memoryless":
-            self._resumable = resumable_trim(self.graph, self._annotation)
-        t4 = time.perf_counter()
         self.timings.update(
             {
                 "compile": t1 - t0,
                 "annotate": t2 - t1,
                 "trim": t3 - t2,
-                "resumable_trim": t4 - t3,
-                "total": t4 - started,
+                "total": t3 - started,
             }
         )
         # Phase spans from the timings already measured (no-ops with
@@ -215,17 +203,10 @@ class DistinctShortestWalks:
             return self._simple.enumerate()
         assert self._annotation is not None
         ann = self._annotation
-        if self.mode == "recursive":
-            assert self._trimmed is not None
-            return enumerate_walks_recursive(
-                self.graph, self._trimmed, ann.lam, self.target,
-                ann.target_states,
-            )
         if self.mode == "memoryless":
-            assert self._resumable is not None
             return enumerate_memoryless(
-                self.graph, self._resumable, ann.lam, self.target,
-                ann.target_states,
+                self.graph, resumable_trim(self.graph, ann), ann.lam,
+                self.target, ann.target_states,
             )
         assert self._trimmed is not None
         return enumerate_walks(
@@ -329,9 +310,9 @@ class DistinctShortestWalks:
     def structure_sizes(self) -> Dict[str, int]:
         """Entry counts of the precomputed structures (Remark 17).
 
-        All three counts are O(1) reads on the packed pipeline: the
-        annotation count is the packed entry-array length, the trimmed
-        and resumable counts the shared cell-array length.
+        Both counts are O(1) reads: the annotation count is the packed
+        entry-array length, the trimmed count the shared cell-array
+        length (``ResumableTrim`` stores nothing beyond those cells).
         """
         self.preprocess()
         if self._annotation is None:
@@ -341,8 +322,6 @@ class DistinctShortestWalks:
         }
         if self._trimmed is not None:
             sizes["trimmed_items"] = self._trimmed.total_items()
-        if self._resumable is not None:
-            sizes["resumable_items"] = self._resumable.total_items()
         return sizes
 
 

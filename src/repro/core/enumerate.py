@@ -8,25 +8,17 @@ ordered by ``TgtIdx(e)``.  Each node carries a certificate set ``S(w)``
 run; Lemma 15 shows ``S(e · w)`` is the union of the predecessor lists
 found for ``e`` at the heads of the queues ``C_u[p]``, ``p ∈ S(w)``.
 
-Two implementations are provided:
-
-* :func:`enumerate_walks` — an **iterative** DFS with an explicit
-  stack.  This is the default: the recursion depth of the paper's
-  formulation is λ, which would hit Python's recursion limit on long
-  walks.  Frames carry a *remaining budget* instead of a depth, which
-  lets the same code serve the Distinct Cheapest Walks extension
-  (budget = remaining cost, leaf ⇔ budget 0); with unit costs it is
-  exactly the paper's algorithm.  On packed trimmed annotations (the
-  default) the DFS runs directly over the flat cell arrays: queue
-  heads are integer cursor reads, cursor restarts are integer stores,
-  and child certificates come from the per-cell cached tuples — the
-  common single-queue-head case unions nothing and allocates nothing.
-  The unit-cost loop is specialized (no per-edge cost callback); the
-  callback fires only in cheapest mode.
-* :func:`enumerate_walks_recursive` — a **faithful transcription** of
-  the paper's pseudocode (recursive, cons-list walk, unit lengths),
-  kept for auditability and cross-checked by the test suite for
-  identical output order.  It runs over the compatibility queue view.
+:func:`enumerate_walks` is an **iterative** DFS with an explicit stack:
+the recursion depth of the paper's formulation is λ, which would hit
+Python's recursion limit on long walks.  Frames carry a *remaining
+budget* instead of a depth, which lets the same code serve the Distinct
+Cheapest Walks extension (budget = remaining cost, leaf ⇔ budget 0);
+with unit costs it is exactly the paper's algorithm.  The DFS runs
+directly over the flat cell arrays: queue heads are integer cursor
+reads, cursor restarts are integer stores, and child certificates come
+from the per-cell cached tuples — the common single-queue-head case
+unions nothing and allocates nothing.  The per-edge cost callback
+fires only in cheapest mode.
 
 Delay: between two consecutive outputs the DFS traverses at most 2λ
 tree edges, each costing O(|Q| + Σ_p |X_p|) = O(|A|) — hence the
@@ -36,11 +28,10 @@ abandoned generators restore the shared queue cursors.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.trim import TrimmedAnnotation
 from repro.core.walks import Walk
-from repro.datastructures.cons_list import ConsList, nil
 from repro.graph.database import Graph
 
 #: Edge-cost callback; unit costs reproduce the paper's setting.
@@ -66,113 +57,21 @@ def enumerate_walks(
     start_states:
         ``S(⟨t⟩)`` — the final states reached at the target at level λ.
     cost_of:
-        per-edge cost; ``None`` (the default) selects the specialized
-        unit-cost loop (the paper's setting, no per-edge callback).
+        per-edge cost; ``None`` (the default) is the paper's unit-cost
+        setting, with no per-edge callback.
 
-    Dispatches to the packed-array DFS when ``trimmed`` carries packed
-    cells whose compatibility queues have not been materialized;
-    otherwise (mapping-built structures, instrumentation proxies) the
-    original queue-object DFS runs.  Both produce the identical output
-    sequence.
+    Queue state is ``trimmed``'s per-node cursor array over the flat
+    cell arrays of the shared
+    :class:`~repro.datastructures.packed.PackedCells`.  Certificates
+    are the per-cell cached tuples — already sorted and deduplicated —
+    merged only when ``emin`` sits at more than one state's head.
     """
     if budget is None or not start_states:
         return
     if budget == 0:
         yield Walk(graph, (), start=target)
         return
-    if trimmed.cells is not None and trimmed._queues is None:
-        yield from _enumerate_packed(
-            graph, trimmed, budget, target, start_states, cost_of
-        )
-        return
 
-    unit = cost_of is None
-    trimmed.acquire()
-    queues = trimmed.queues
-    ti_arr = graph.tgt_idx_array
-    src_arr = graph.src_array
-
-    chosen: List[int] = []  # Edges from the target side, innermost last.
-    # Frame: (vertex, certificate states, remaining budget).
-    stack: List[Tuple[int, Tuple[int, ...], int]] = [
-        (target, tuple(sorted(start_states)), budget)
-    ]
-    try:
-        while stack:
-            u, states, remaining = stack[-1]
-            if remaining == 0:
-                # Leaf of T: ⟨chosen⟩ reversed is an answer (Remark 13).
-                edges = tuple(reversed(chosen))
-                yield Walk.from_edges_unchecked(graph, edges, src_arr[edges[0]])
-                stack.pop()
-                chosen.pop()
-                continue
-
-            per_state = queues[u]
-            # Lines 48-53: the minimal not-yet-consumed child edge can
-            # only sit at a queue head, because queues are TgtIdx-sorted.
-            emin = -1
-            emin_ti = -1
-            for p in states:
-                queue = per_state.get(p)
-                if queue is not None and not queue.exhausted:
-                    e = queue.peek()[0]
-                    e_ti = ti_arr[e]
-                    if emin < 0 or e_ti < emin_ti:
-                        emin, emin_ti = e, e_ti
-
-            if emin < 0:
-                # Lines 54-57: all queues exhausted — restart and return.
-                for p in states:
-                    queue = per_state.get(p)
-                    if queue is not None:
-                        queue.restart()
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-
-            # Lines 58-65: collect every occurrence of emin at the heads,
-            # union the predecessor lists into the child certificate.
-            child_states = set()
-            for p in states:
-                queue = per_state.get(p)
-                if queue is not None and not queue.exhausted:
-                    e, preds = queue.peek()
-                    if e == emin:
-                        child_states.update(preds)
-                        queue.advance()
-
-            chosen.append(emin)
-            stack.append(
-                (
-                    src_arr[emin],
-                    tuple(sorted(child_states)),
-                    remaining - 1 if unit else remaining - cost_of(emin),
-                )
-            )
-    finally:
-        # A closed/abandoned generator must not leave cursors dirty:
-        # the trimmed structure is shared by subsequent enumerations.
-        trimmed.restart_all()
-
-
-def _enumerate_packed(
-    graph: Graph,
-    trimmed: TrimmedAnnotation,
-    budget: int,
-    target: int,
-    start_states: FrozenSet[int],
-    cost_of: Optional[CostFn],
-) -> Iterator[Walk]:
-    """The packed-array DFS behind :func:`enumerate_walks`.
-
-    Same traversal, same output order; queue state is the per-node
-    cursor array and the flat cell arrays of the shared
-    :class:`~repro.datastructures.packed.PackedCells`.  Certificates
-    are the per-cell cached tuples — already sorted and deduplicated —
-    merged only when ``emin`` sits at more than one state's head.
-    """
     cells = trimmed.cells
     n_states = cells.n_states
     key_indptr = cells.key_indptr
@@ -261,81 +160,5 @@ def _enumerate_packed(
                     remaining - 1 if unit else remaining - cost_of(emin),
                 )
             )
-    finally:
-        trimmed.restart_all()
-
-
-def enumerate_walks_recursive(
-    graph: Graph,
-    trimmed: TrimmedAnnotation,
-    lam: Optional[int],
-    target: int,
-    start_states: FrozenSet[int],
-) -> Iterator[Walk]:
-    """Faithful recursive transcription of the paper's ``Enumerate``.
-
-    Uses a cons-list for the walk under construction (O(1) prepend and
-    copy, per Section 2.1) and recursion of depth λ.  Intended for
-    reference and testing; prefer :func:`enumerate_walks` in
-    applications (no recursion-depth limit, cheapest-walk support).
-    Runs over the queue-object view (materialized on demand from a
-    packed trimmed annotation).
-    """
-    if lam is None or not start_states:
-        return
-    if lam == 0:
-        yield Walk(graph, (), start=target)
-        return
-
-    queues = trimmed.queues
-    ti_arr = graph.tgt_idx_array
-    src_arr = graph.src_array
-
-    def recurse(
-        level: int, walk: ConsList, states: Iterable[int]
-    ) -> Iterator[Walk]:
-        # Line 43: u ← Src(w); the walk stores edges, whose first
-        # element's source is the current vertex (or t for the root).
-        first = next(iter(walk), None)
-        u = target if first is None else src_arr[first]
-        if level == 0:
-            # Line 45: output w.
-            yield Walk(graph, tuple(walk))
-            return
-        per_state = queues[u]
-        while True:
-            # Lines 48-53.
-            emin = -1
-            emin_ti = -1
-            for p in states:
-                queue = per_state.get(p)
-                if queue is not None and not queue.exhausted:
-                    e = queue.peek()[0]
-                    if emin < 0 or ti_arr[e] < emin_ti:
-                        emin, emin_ti = e, ti_arr[e]
-            if emin < 0:
-                # Lines 54-57.
-                for p in states:
-                    queue = per_state.get(p)
-                    if queue is not None:
-                        queue.restart()
-                return
-            # Lines 58-65.
-            child_states = set()
-            for p in states:
-                queue = per_state.get(p)
-                if queue is not None and not queue.exhausted:
-                    e, preds = queue.peek()
-                    if e == emin:
-                        child_states.update(preds)
-                        queue.advance()
-            # Line 66: Enumerate(C, ℓ-1, e·w, S′).
-            yield from recurse(
-                level - 1, walk.prepend(emin), tuple(sorted(child_states))
-            )
-
-    trimmed.acquire()
-    try:
-        yield from recurse(lam, nil, tuple(sorted(start_states)))
     finally:
         trimmed.restart_all()

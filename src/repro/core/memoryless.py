@@ -4,33 +4,31 @@ A *memoryless* enumeration algorithm computes the (i+1)-th output from
 the i-th output and the (read-only) precomputed structures alone; no
 cursor state survives between outputs.  The paper obtains this by
 replacing the queues ``C_u[p]`` with skip-indexed arrays
-(``ResumableTrim``) that can be *seeked* in O(1): given the previous
-output ``w``, a guided descent re-positions local integer cursors along
+(``ResumableTrim``) that can be *seeked*: given the previous output
+``w``, a guided descent re-positions local integer cursors along
 ``w``'s path in the backward-search tree, then the ordinary DFS resumes
 and produces exactly the next leaf.
 
 The output sequence is identical to
-:func:`repro.core.enumerate.enumerate_walks`; the delay remains
-O(λ × |A|) (Theorem 18) because seeking is O(1) per (frame, state).
-
-On the packed :class:`~repro.core.trim.ResumableAnnotation` (the
-default), the shared structure is the annotation's flat cell arrays:
-a frame cursor is an absolute cell position, seeking is a binary
-search over the node's (tiny, ``TgtIdx``-ascending) cell span, and
-certificates come from the per-cell cached tuples.  Nothing is ever
-written to the shared arrays, so any number of concurrent
-enumerations may run — the property the batched query service's
-annotation cache relies on.  The legacy
-:class:`~repro.datastructures.ResumableIndex` object view is used
-automatically whenever it has been materialized (e.g. by the
-step-counting instrumentation tests).
+:func:`repro.core.enumerate.enumerate_walks`.  The shared structure is
+the annotation's flat cell arrays
+(:class:`~repro.datastructures.packed.PackedCells`): a frame cursor is
+an absolute cell position, certificates come from the per-cell cached
+tuples, and a seek is a binary search over the node's
+``TgtIdx``-ascending cell span.  **The paper's O(1) seek (one skip
+pointer per in-edge position) is O(log InDeg) here**: the cells store
+only non-empty positions, so the delay is O(λ × |A| × log max-InDeg)
+in the worst case — a span has at most ``InDeg(u)`` cells and in
+practice a handful.  Nothing is ever written to the shared arrays, so
+any number of concurrent enumerations may run — the property the
+batched query service's annotation cache relies on.
 
 Key cursor invariant (matching the eager enumerator): when the DFS has
 descended into edge ``e`` from a frame at vertex ``u``, every queue of
 that frame is positioned at its first non-empty cell with
 ``TgtIdx > TgtIdx(e)`` — queues consume cells in globally increasing
 ``TgtIdx`` order, so the guided descent can restore all cursors with a
-single ``after(TgtIdx(e))`` per state.
+single seek past ``TgtIdx(e)`` per state.
 """
 
 from __future__ import annotations
@@ -38,15 +36,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.trim import ResumableAnnotation
 from repro.core.walks import Walk
+from repro.datastructures.packed import PackedCells
 from repro.graph.database import Graph
 
 CostFn = Callable[[int], int]
-
-
-def _unit_cost(_e: int) -> int:
-    return 1
 
 
 class _Frame:
@@ -58,7 +52,7 @@ class _Frame:
         self,
         vertex: int,
         states: Tuple[int, ...],
-        cursors: Dict[int, Optional[int]],
+        cursors: Dict[int, int],
         via_edge: Optional[int],
         remaining: int,
     ) -> None:
@@ -69,19 +63,9 @@ class _Frame:
         self.remaining = remaining
 
 
-def _fresh_cursors(
-    resumable: ResumableAnnotation, vertex: int, states: Tuple[int, ...]
-) -> Dict[int, Optional[int]]:
-    cursors: Dict[int, Optional[int]] = {}
-    for p in states:
-        index = resumable.for_state(vertex, p)
-        cursors[p] = None if index is None else index.first()
-    return cursors
-
-
 def next_output(
     graph: Graph,
-    resumable: ResumableAnnotation,
+    cells: PackedCells,
     budget: Optional[int],
     target: int,
     start_states: FrozenSet[int],
@@ -93,124 +77,17 @@ def next_output(
     ``previous_edges`` is the edge sequence of the previously returned
     walk (source → target order); ``None`` requests the first output.
     Returns ``None`` when the enumeration is finished.  The shared
-    ``resumable`` structure is never mutated.
+    ``cells`` (:func:`~repro.core.trim.resumable_trim`) are never
+    mutated: frame cursors are absolute cell positions local to this
+    call (a cursor at its node's span end ⇔ that queue is exhausted),
+    and the guided descent re-positions them with one binary search
+    per (frame, state) over the node's ``TgtIdx`` span.
     """
     if budget is None or not start_states:
         return None
     if budget == 0:
         # Single trivial answer ⟨t⟩; it has no successor.
         return None if previous_edges is not None else Walk(graph, (), start=target)
-    if resumable.cells is not None and resumable._index is None:
-        return _next_output_packed(
-            graph, resumable, budget, target, start_states,
-            previous_edges, cost_of,
-        )
-    if cost_of is None:
-        cost_of = _unit_cost
-
-    ti_arr = graph.tgt_idx_array
-    src_arr = graph.src_array
-    in_arr = graph.in_array
-
-    root_states = tuple(sorted(start_states))
-    frames: List[_Frame] = [
-        _Frame(target, root_states, {}, None, budget)
-    ]
-
-    if previous_edges is None:
-        # First call: fresh cursors at the root, then plain DFS below.
-        frames[0].cursors = _fresh_cursors(resumable, target, root_states)
-    else:
-        # Guided descent along the previous output (read from the
-        # target side, since T is a backward-search tree).
-        for e in reversed(list(previous_edges)):
-            frame = frames[-1]
-            u = frame.vertex
-            cell = ti_arr[e]
-            child_states_set = set()
-            cursors: Dict[int, Optional[int]] = {}
-            for p in frame.states:
-                index = resumable.for_state(u, p)
-                if index is None:
-                    cursors[p] = None
-                    continue
-                payload = index.payload(cell)
-                if payload is not None:
-                    child_states_set.update(payload)
-                # Invariant: after descending into e, this frame's
-                # cursors all sit strictly past TgtIdx(e).
-                cursors[p] = index.after(cell)
-            frame.cursors = cursors
-            frames.append(
-                _Frame(
-                    src_arr[e],
-                    tuple(sorted(child_states_set)),
-                    {},
-                    e,
-                    frame.remaining - cost_of(e),
-                )
-            )
-        # The guided leaf *is* the previous output: skip it.
-        frames.pop()
-
-    # Ordinary DFS, resumed from the reconstructed stack.
-    while frames:
-        frame = frames[-1]
-        if frame.remaining == 0:
-            edges = tuple(
-                f.via_edge for f in reversed(frames) if f.via_edge is not None
-            )
-            return Walk.from_edges_unchecked(graph, edges, src_arr[edges[0]])
-        u = frame.vertex
-        emin_cell = -1
-        for p in frame.states:
-            cell = frame.cursors.get(p)
-            if cell is not None and (emin_cell < 0 or cell < emin_cell):
-                emin_cell = cell
-        if emin_cell < 0:
-            frames.pop()
-            continue
-        emin = in_arr[u][emin_cell]
-        child_states_set = set()
-        for p in frame.states:
-            if frame.cursors.get(p) == emin_cell:
-                index = resumable.for_state(u, p)
-                payload = index.payload(emin_cell)
-                if payload is not None:
-                    child_states_set.update(payload)
-                frame.cursors[p] = index.after(emin_cell)
-        child_states = tuple(sorted(child_states_set))
-        child_vertex = src_arr[emin]
-        frames.append(
-            _Frame(
-                child_vertex,
-                child_states,
-                _fresh_cursors(resumable, child_vertex, child_states),
-                emin,
-                frame.remaining - cost_of(emin),
-            )
-        )
-    return None
-
-
-def _next_output_packed(
-    graph: Graph,
-    resumable: ResumableAnnotation,
-    budget: int,
-    target: int,
-    start_states: FrozenSet[int],
-    previous_edges: Optional[Sequence[int]],
-    cost_of: Optional[CostFn],
-) -> Optional[Walk]:
-    """``NextOutput`` over the packed cell arrays.
-
-    Frame cursors are absolute cell positions into the shared arrays
-    (``cursors[p]`` past the node's span end ⇔ the legacy ``None``);
-    the guided descent's ``payload`` + ``after`` pair becomes one
-    binary search per (frame, state) over the node's ``TgtIdx`` span.
-    The shared structure is read-only, exactly like the legacy form.
-    """
-    cells = resumable.cells
     n_states = cells.n_states
     key_indptr = cells.key_indptr
     cell_ti = cells.cell_ti
@@ -323,7 +200,7 @@ def _next_output_packed(
 
 def enumerate_memoryless(
     graph: Graph,
-    resumable: ResumableAnnotation,
+    cells: PackedCells,
     budget: Optional[int],
     target: int,
     start_states: FrozenSet[int],
@@ -347,10 +224,10 @@ def enumerate_memoryless(
         return
     previous = tuple(resume_after) if resume_after is not None else None
     walk = next_output(
-        graph, resumable, budget, target, start_states, previous, cost_of
+        graph, cells, budget, target, start_states, previous, cost_of
     )
     while walk is not None:
         yield walk
         walk = next_output(
-            graph, resumable, budget, target, start_states, walk.edges, cost_of
+            graph, cells, budget, target, start_states, walk.edges, cost_of
         )

@@ -13,31 +13,22 @@ most from the label-indexed traversal (every frontier pair pays the
 intersection cost, none is cut short by an early stop) — and from the
 packed annotation layout: per-target λ/certificate reads go straight
 to the flat ``dist`` array (no ``L`` dict materialization over |V|
-targets), and the eager :attr:`trimmed` and read-only
-:attr:`resumable` structures wrap the *same* packed cell arrays, so a
-saturated annotation cached by the query service serves every target
-and both engine families from one O(entries) build.  The
-``reference`` flag switches to the retained pre-index traversals —
-useful for A/B measurements and the equivalence tests, not for
-production use.
+targets), and the eager :attr:`trimmed` cursors and the memoryless
+enumeration read the *same* packed cell arrays, so a saturated
+annotation cached by the query service serves every target and both
+engine families from one O(entries) build.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.annotate import Annotation, annotate, annotate_reference
-from repro.core.cheapest import cheapest_annotate, cheapest_annotate_reference
+from repro.core.annotate import Annotation, annotate
+from repro.core.cheapest import cheapest_annotate
 from repro.core.compile import CompiledQuery, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
-from repro.core.trim import (
-    ResumableAnnotation,
-    TrimmedAnnotation,
-    resumable_trim,
-    trim,
-)
+from repro.core.trim import TrimmedAnnotation, resumable_trim, trim
 from repro.core.walks import Walk
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
@@ -64,7 +55,6 @@ class MultiTargetShortestWalks:
         query,
         source: Hashable,
         cheapest: bool = False,
-        reference: bool = False,
         compiled: Optional[CompiledQuery] = None,
     ) -> None:
         """``compiled`` injects a pre-built
@@ -76,7 +66,6 @@ class MultiTargetShortestWalks:
         self.graph = graph
         self.source = graph.resolve_vertex(source)
         self.cheapest = cheapest
-        self.reference = reference
         self.automaton = as_nfa(query)
         if compiled is not None:
             if compiled.graph is not graph:
@@ -92,22 +81,11 @@ class MultiTargetShortestWalks:
             self._cq = compile_query(graph, self.automaton)
         self._annotation: Optional[Annotation] = None
         self._trimmed: Optional[TrimmedAnnotation] = None
-        self._resumable: Optional[ResumableAnnotation] = None
-        # Build-once guard for the lazily derived resumable structure —
-        # it may be requested concurrently by the service's thread pool.
-        self._resumable_lock = threading.Lock()
 
     def preprocess(self) -> "MultiTargetShortestWalks":
         """Saturating annotate + trim; idempotent."""
         if self._annotation is None:
-            if self.reference:
-                annotate_fn = (
-                    cheapest_annotate_reference
-                    if self.cheapest
-                    else annotate_reference
-                )
-            else:
-                annotate_fn = cheapest_annotate if self.cheapest else annotate
+            annotate_fn = cheapest_annotate if self.cheapest else annotate
             with _span("annotate", cached=False, saturate=True):
                 self._annotation = annotate_fn(
                     self._cq, self.source, None, saturate=True
@@ -132,25 +110,6 @@ class MultiTargetShortestWalks:
         self.preprocess()
         assert self._trimmed is not None
         return self._trimmed
-
-    @property
-    def resumable(self) -> ResumableAnnotation:
-        """The read-only ``ResumableTrim`` form, built once on demand.
-
-        Unlike :attr:`trimmed` it is never mutated, so any number of
-        concurrent enumerations (one per target, or several pages of
-        the same target) may share it — this is the structure the
-        batched query service caches per ``(query, source)``.
-        """
-        self.preprocess()
-        if self._resumable is None:
-            with self._resumable_lock:
-                if self._resumable is None:
-                    assert self._annotation is not None
-                    self._resumable = resumable_trim(
-                        self.graph, self._annotation
-                    )
-        return self._resumable
 
     # -- target inspection ---------------------------------------------------
 
@@ -198,7 +157,7 @@ class MultiTargetShortestWalks:
           :meth:`~repro.core.trim.TrimmedAnnotation.snapshot`, safe to
           run concurrently with other enumerations;
         * ``memoryless=True`` — ``NextOutput`` over the shared
-          read-only :attr:`resumable` structure; also concurrent-safe,
+          read-only ``ResumableTrim`` cells; also concurrent-safe,
           and ``resume_after`` (a previous output's edge sequence)
           restarts the enumeration right after that walk in O(λ)
           instead of re-walking the prefix of the output sequence.
@@ -220,7 +179,7 @@ class MultiTargetShortestWalks:
         if memoryless:
             return enumerate_memoryless(
                 self.graph,
-                self.resumable,
+                resumable_trim(self.graph, self._annotation),
                 lam_t,
                 t,
                 states,

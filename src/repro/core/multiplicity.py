@@ -78,9 +78,10 @@ def enumerate_with_runs(
 ) -> Iterator[Tuple[Walk, int]]:
     """Enumerate ``(walk, multiplicity)`` with *tracked* run counts.
 
-    Same DFS as :func:`repro.core.enumerate.enumerate_walks`, with one
-    extra per-frame map ``M``: ``M[q]`` is the number of accepting
-    (word, run) pairs of the suffix walk assembled so far that start in
+    Same DFS and output order as
+    :func:`repro.core.enumerate.enumerate_walks`, with one extra
+    per-frame map ``M``: ``M[q]`` is the number of accepting (word,
+    run) pairs of the suffix walk assembled so far that start in
     state ``q``.  At the root, ``M[f] = 1`` for the reached final
     states; prepending edge ``e`` rolls the map backwards through
     ``Δ`` restricted to ``Lbl(e)``; at a leaf, the multiplicity is the
@@ -101,112 +102,7 @@ def enumerate_with_runs(
     if lam == 0:
         yield Walk(graph, (), start=target), len(initial & set(cq.final))
         return
-    if trimmed.cells is not None and trimmed._queues is None:
-        yield from _enumerate_with_runs_packed(
-            graph, trimmed, cq, lam, target, start_states, initial
-        )
-        return
 
-    trimmed.acquire()
-    queues = trimmed.queues
-    ti_arr = graph.tgt_idx_array
-    src_arr = graph.src_array
-    labels_arr = graph.label_array
-    delta = cq.delta
-
-    root_runs: Dict[int, int] = {f: 1 for f in start_states}
-    chosen: List[int] = []
-    # Frame: (vertex, certificate states, remaining, suffix-run map).
-    stack: List[Tuple[int, Tuple[int, ...], int, Dict[int, int]]] = [
-        (target, tuple(sorted(start_states)), lam, root_runs)
-    ]
-    try:
-        while stack:
-            u, states, remaining, runs = stack[-1]
-            if remaining == 0:
-                multiplicity = sum(
-                    c for q, c in runs.items() if q in initial
-                )
-                edges = tuple(reversed(chosen))
-                yield Walk.from_edges_unchecked(
-                    graph, edges, src_arr[edges[0]]
-                ), multiplicity
-                stack.pop()
-                chosen.pop()
-                continue
-
-            per_state = queues[u]
-            emin = -1
-            emin_ti = -1
-            for p in states:
-                queue = per_state.get(p)
-                if queue is not None and not queue.exhausted:
-                    e = queue.peek()[0]
-                    e_ti = ti_arr[e]
-                    if emin < 0 or e_ti < emin_ti:
-                        emin, emin_ti = e, e_ti
-            if emin < 0:
-                for p in states:
-                    queue = per_state.get(p)
-                    if queue is not None:
-                        queue.restart()
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-
-            child_states = set()
-            for p in states:
-                queue = per_state.get(p)
-                if queue is not None and not queue.exhausted:
-                    e, preds = queue.peek()
-                    if e == emin:
-                        child_states.update(preds)
-                        queue.advance()
-
-            # Roll the run map backwards across emin: a run of the new
-            # suffix starting in q picks a label a and a transition
-            # into some p, then continues as a run from p.
-            child_runs: Dict[int, int] = {}
-            edge_labels = labels_arr[emin]
-            for q in child_states:
-                dq = delta[q]
-                total = 0
-                for a in edge_labels:
-                    for p in dq.get(a, ()):
-                        total += runs.get(p, 0)
-                if total:
-                    child_runs[q] = total
-
-            chosen.append(emin)
-            stack.append(
-                (
-                    src_arr[emin],
-                    tuple(sorted(child_states)),
-                    remaining - 1,
-                    child_runs,
-                )
-            )
-    finally:
-        trimmed.restart_all()
-
-
-def _enumerate_with_runs_packed(
-    graph: Graph,
-    trimmed: TrimmedAnnotation,
-    cq: CompiledQuery,
-    lam: int,
-    target: int,
-    start_states: FrozenSet[int],
-    initial: set,
-) -> Iterator[Tuple[Walk, int]]:
-    """The packed-array twin of :func:`enumerate_with_runs`.
-
-    Identical DFS and output order over the packed trimmed cells (see
-    :func:`repro.core.enumerate._enumerate_packed`), with the same
-    per-frame suffix-run map ``M`` rolled backwards across each chosen
-    edge.
-    """
     cells = trimmed.cells
     n_states = cells.n_states
     key_indptr = cells.key_indptr

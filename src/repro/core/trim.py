@@ -8,107 +8,60 @@ lets ``Enumerate`` find the next child edge by looking only at queue
 heads, keeping the delay independent of the database's in-degrees.
 
 ``ResumableTrim`` instead produces, per ``(u, p)``, a read-only
-skip-indexed structure supporting O(1)-ish "first non-empty cell ≥ i"
-queries.  This is the structure that makes the *memoryless*
-enumeration of Theorem 18 possible: cursors become plain integers
-local to each call and the shared structure is never mutated.
+structure supporting "first non-empty cell ≥ i" queries.  This is the
+structure that makes the *memoryless* enumeration of Theorem 18
+possible: cursors become plain integers local to each call and the
+shared structure is never mutated.
 
-Packed layout (primary form)
-----------------------------
-
-On packed annotations (the default — see :mod:`repro.core.annotate`),
-both structures are thin wrappers around one shared
-:class:`~repro.datastructures.packed.PackedCells`: the annotation's
-entry store is already grouped per product node in ascending
-``TgtIdx`` order, so building the queues is a single O(entries)
-pointer-slicing pass — **no ``sorted()`` call, no per-cell tuple
-freezing**.  :class:`TrimmedAnnotation` adds only a per-node cursor
-array (restart = one C-level slice assignment);
-:class:`ResumableAnnotation` adds nothing (the memoryless cursors live
-in the caller's frames) and the two share the cells, so ``Trim`` +
-``ResumableTrim`` together cost one pass.  The historical object forms
-— ``queues[u][p]`` of :class:`RestartableQueue` items and
-``index[u][p]`` of :class:`ResumableIndex` — remain available as
-lazily materialized compatibility views (tests and external consumers
-use them; enumeration falls back to them automatically whenever they
-have been touched, so instrumentation proxies keep working).
-
-Annotations built by the reference traversals carry mapping-form
-``B`` only; for those the original dict-driven builds are retained
-below (``_trim_maps`` / ``_resumable_trim_maps``), still
-O(|E| × |Q| log) ⊆ O(|D| × |A|).
+Both are one :class:`~repro.datastructures.packed.PackedCells`: the
+annotation's entry store is already grouped per product node in
+ascending ``TgtIdx`` order, so building the queues is a single
+O(entries) pointer-slicing pass — no ``sorted()`` call, no per-cell
+tuple freezing — cached on the annotation.
+:class:`TrimmedAnnotation` adds a per-node cursor array (restart = one
+C-level slice assignment); ``ResumableTrim`` adds nothing (the
+memoryless cursors live in the caller's frames, and a seek is a binary
+search over a node's cell span), so :func:`resumable_trim` returns the
+cells themselves and the two steps together cost one pass.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
 
 from repro.core.annotate import Annotation
 from repro.datastructures.packed import PackedCells
-from repro.datastructures.resumable_index import ResumableIndex
-from repro.datastructures.restartable_queue import RestartableQueue
 from repro.graph.database import Graph
-
-#: Queue elements: (edge id, tuple of predecessor states).
-QueueItem = Tuple[int, Tuple[int, ...]]
 
 
 class TrimmedAnnotation:
     """The family of queues ``C_u[p]`` produced by ``Trim``.
 
-    On the packed form, queue heads/cursors are served straight off the
-    shared :class:`~repro.datastructures.packed.PackedCells` arrays
-    plus this instance's cursor array; :attr:`queues` materializes the
-    historical ``{p: RestartableQueue}`` per-vertex dicts on first
-    access (states without entries have no queue — equivalent to the
-    paper's empty queues).
+    Queue contents are the shared
+    :class:`~repro.datastructures.packed.PackedCells` arrays (states
+    without entries have an empty cell span — the paper's empty
+    queues); this instance adds the queue cursors,
+    ``cursor[u·|Q| + p]`` = current cell of ``C_u[p]``.
 
-    The queue cursors are *shared mutable state*: two enumerations
-    running over the same trimmed annotation at the same time would
-    corrupt each other.  Enumerators therefore :meth:`acquire` the
-    structure while active (released — and restarted — when the
-    iterator finishes or is closed); a second concurrent acquisition
-    raises :class:`~repro.exceptions.EnumerationStateError`.  The
-    read-only :class:`ResumableAnnotation` has no such restriction.
+    The cursors are *shared mutable state*: two enumerations running
+    over the same trimmed annotation at the same time would corrupt
+    each other.  Enumerators therefore :meth:`acquire` the structure
+    while active (released — and restarted — when the iterator
+    finishes or is closed); a second concurrent acquisition raises
+    :class:`~repro.exceptions.EnumerationStateError`.  Concurrent
+    enumerations each take a :meth:`snapshot`, or run memoryless over
+    the read-only cells.
     """
 
-    __slots__ = ("_queues", "cells", "cursor", "_cursor0", "_active")
+    __slots__ = ("cells", "cursor", "_cursor0", "_active")
 
-    def __init__(
-        self,
-        queues: Optional[List[Dict[int, RestartableQueue]]] = None,
-        cells: Optional[PackedCells] = None,
-    ) -> None:
-        self._queues = queues
+    def __init__(self, cells: PackedCells) -> None:
         self.cells = cells
-        if cells is not None:
-            n_keys = cells.n * cells.n_states
-            # cursor[k] = current cell of product node k; restart
-            # re-copies the starts in one C-level slice assignment.
-            self._cursor0 = cells.key_indptr[:n_keys]
-            self.cursor = array("q", self._cursor0)
-        else:
-            self._cursor0 = None
-            self.cursor = None
+        # Restart re-copies the span starts in one C-level slice
+        # assignment.
+        self._cursor0 = cells.key_indptr[:cells.n * cells.n_states]
+        self.cursor = array("q", self._cursor0)
         self._active = False
-
-    @property
-    def queues(self) -> List[Dict[int, RestartableQueue]]:
-        """Per-vertex ``{p: RestartableQueue}`` compatibility view.
-
-        Materialized lazily from the packed cells (queue item lists are
-        themselves lazy — zero-copy until a queue is actually read).
-        Once touched, enumeration runs over these objects, so proxies
-        installed by instrumentation tests observe every cursor op.
-        """
-        if self._queues is None:
-            self._queues = _materialize_queues(self.cells)
-        return self._queues
-
-    def queue(self, u: int, p: int) -> Optional[RestartableQueue]:
-        """``C_u[p]``, or ``None`` when it is empty."""
-        return self.queues[u].get(p)
 
     def acquire(self) -> None:
         """Mark an enumeration as running over this structure.
@@ -131,222 +84,39 @@ class TrimmedAnnotation:
         """Reset every queue cursor and release the structure — used
         when an enumeration finishes or is abandoned mid-way, so the
         shared structure is never left dirty."""
-        if self.cursor is not None:
-            self.cursor[:] = self._cursor0
-        if self._queues is not None:
-            for per_vertex in self._queues:
-                for queue in per_vertex.values():
-                    queue.restart()
+        self.cursor[:] = self._cursor0
         self._active = False
 
     def total_items(self) -> int:
         """Number of stored (e, X) pairs — for the memory experiment.
 
-        O(1) on the packed form (the cell count)."""
-        if self.cells is not None:
-            return len(self.cells)
-        return sum(
-            len(queue) for per_vertex in self._queues
-            for queue in per_vertex.values()
-        )
+        O(1): the cell count."""
+        return len(self.cells)
 
     def snapshot(self) -> "TrimmedAnnotation":
-        """An independent cursor set over the *same* queue contents.
+        """An independent cursor set over the *same* queue contents:
+        one cursor-array copy sharing the immutable cells.
 
-        On the packed form this is one cursor-array copy sharing the
-        immutable cells; on the legacy form every queue is
-        :meth:`~repro.datastructures.RestartableQueue.fork`-ed — O(1)
-        per non-empty ``(u, p)`` pair, sharing the immutable ``(e, X)``
-        items.  Two enumerations may then run concurrently, one per
-        snapshot, without tripping the :meth:`acquire` guard or
-        corrupting each other's cursors; this is how the batched query
-        service serves the eager modes from one cached ``Trim`` product
-        while the memoryless mode shares the read-only
-        :class:`ResumableAnnotation` directly.
+        Two enumerations may then run concurrently, one per snapshot,
+        without tripping the :meth:`acquire` guard or corrupting each
+        other's cursors; this is how the batched query service serves
+        the eager mode from one cached ``Trim`` product while the
+        memoryless mode shares the read-only cells directly.
         """
-        if self.cells is not None:
-            return TrimmedAnnotation(cells=self.cells)
-        return TrimmedAnnotation(
-            [
-                {p: queue.fork() for p, queue in per_vertex.items()}
-                for per_vertex in self._queues
-            ]
-        )
-
-
-def _materialize_queues(
-    cells: PackedCells,
-) -> List[Dict[int, RestartableQueue]]:
-    """Legacy ``queues[u][p]`` view of packed cells.
-
-    Item lists reproduce the dict-driven build exactly — ``TgtIdx``
-    ascending, predecessor tuples in raw append order with duplicates —
-    via lazily-materializing queue shells
-    (:meth:`RestartableQueue.from_factory`), so untouched queues stay
-    zero-copy.
-    """
-    queues: List[Dict[int, RestartableQueue]] = [
-        {} for _ in range(cells.n)
-    ]
-    key_indptr = cells.key_indptr
-    n_states = cells.n_states
-
-    def make_factory(lo: int, hi: int):
-        def build() -> List[QueueItem]:
-            return [
-                (cells.cell_edge[c], cells.raw_preds(c))
-                for c in range(lo, hi)
-            ]
-
-        return build
-
-    for k in cells.back.nonempty_keys:
-        lo, hi = key_indptr[k], key_indptr[k + 1]
-        if lo == hi:
-            continue
-        queues[k // n_states][k % n_states] = RestartableQueue.from_factory(
-            make_factory(lo, hi)
-        )
-    return queues
+        return TrimmedAnnotation(self.cells)
 
 
 def trim(graph: Graph, annotation: Annotation) -> TrimmedAnnotation:
-    """Build the ``C`` queues from an annotation.
-
-    Packed annotations: wrap the shared
+    """Build the ``C`` queues from an annotation: a fresh cursor array
+    over the shared
     :meth:`~repro.core.annotate.Annotation.packed_cells` structure (one
-    O(entries) slicing pass, cached on the annotation).  Mapping-based
-    annotations (reference traversals): the original dict-driven build.
-    """
-    if annotation.packed is not None:
-        return TrimmedAnnotation(cells=annotation.packed_cells(graph))
-    return _trim_maps(graph, annotation)
+    O(entries) slicing pass, cached on the annotation)."""
+    return TrimmedAnnotation(annotation.packed_cells(graph))
 
 
-def _trim_maps(graph: Graph, annotation: Annotation) -> TrimmedAnnotation:
-    """The dict-driven ``Trim`` — retained for mapping-form annotations.
-
-    For every vertex ``u`` and state ``p``, enqueue the pairs
-    ``(e, B_u[p][TgtIdx(e)])`` for non-empty cells, in increasing
-    ``TgtIdx`` order (Lemma 11).  Predecessor lists are frozen to
-    tuples: the enumeration phase must never mutate them.
-    """
-    in_array = graph.in_array
-    queues: List[Dict[int, RestartableQueue]] = []
-    # Iterate the annotation's own vertex range, not the graph's: on a
-    # live graph a cached annotation may predate later-added vertices
-    # (which it provably cannot reach — see Annotation.target_info).
-    B = annotation.B
-    for u in range(len(B)):
-        in_list = in_array[u]
-        per_state: Dict[int, RestartableQueue] = {}
-        for p, cells in B[u].items():
-            # Iterating positions in sorted order is equivalent to the
-            # paper's In(u) scan and O(k log k) for k non-empty cells
-            # (the paper's scan is O(InDeg(u)); both are within the
-            # O(|E| × |Q|) total budget).
-            items: List[QueueItem] = [
-                (in_list[i], tuple(cells[i])) for i in sorted(cells)
-            ]
-            if items:
-                per_state[p] = RestartableQueue(items)
-        queues.append(per_state)
-    return TrimmedAnnotation(queues)
-
-
-class ResumableAnnotation:
-    """The read-only skip-indexed form of ``C`` (paper lines 67-76).
-
-    On the packed form this shares the annotation's
-    :class:`~repro.datastructures.packed.PackedCells` (within-key
-    binary search replaces the per-cell skip pointers — O(log cells)
-    per seek on typically tiny spans, and the delay instrumentation
-    still counts one step per seek).  The historical ``index[u][p]``
-    view of :class:`ResumableIndex` objects — ``index[u][p]`` over the
-    cells ``0 .. InDeg(u)-1``, payload of cell ``i`` the (non-empty)
-    tuple of predecessor states ``B_u[p][i]``, missing states meaning
-    "all cells empty" — materializes lazily on first access.
-    """
-
-    __slots__ = ("_index", "cells")
-
-    def __init__(
-        self,
-        index: Optional[List[Dict[int, ResumableIndex]]] = None,
-        cells: Optional[PackedCells] = None,
-    ) -> None:
-        self._index = index
-        self.cells = cells
-
-    @property
-    def index(self) -> List[Dict[int, ResumableIndex]]:
-        """Per-vertex ``{p: ResumableIndex}`` compatibility view."""
-        if self._index is None:
-            self._index = _materialize_index(self.cells)
-        return self._index
-
-    def for_state(self, u: int, p: int) -> Optional[ResumableIndex]:
-        """The skip index of ``(u, p)``, or ``None`` when empty."""
-        return self.index[u].get(p)
-
-    def total_items(self) -> int:
-        """Number of stored cells — for the memory experiment."""
-        if self.cells is not None:
-            return len(self.cells)
-        return sum(
-            len(idx) for per_vertex in self._index
-            for idx in per_vertex.values()
-        )
-
-
-def _materialize_index(cells: PackedCells) -> List[Dict[int, ResumableIndex]]:
-    """Legacy ``index[u][p]`` view of packed cells (raw payloads)."""
-    index: List[Dict[int, ResumableIndex]] = [{} for _ in range(cells.n)]
-    key_indptr = cells.key_indptr
-    cell_ti = cells.cell_ti
-    n_states = cells.n_states
-    in_degree = cells.graph.in_degree
-    for k in cells.back.nonempty_keys:
-        lo, hi = key_indptr[k], key_indptr[k + 1]
-        if lo == hi:
-            continue
-        u = k // n_states
-        index[u][k % n_states] = ResumableIndex.from_sorted(
-            in_degree(u),
-            [cell_ti[c] for c in range(lo, hi)],
-            [cells.raw_preds(c) for c in range(lo, hi)],
-        )
-    return index
-
-
-def resumable_trim(graph: Graph, annotation: Annotation) -> ResumableAnnotation:
-    """Build the ``ResumableTrim`` structure from an annotation.
-
-    Packed annotations share the one
-    :meth:`~repro.core.annotate.Annotation.packed_cells` build with
-    :func:`trim`; mapping-based ones use the original dict-driven pass.
-    """
-    if annotation.packed is not None:
-        return ResumableAnnotation(cells=annotation.packed_cells(graph))
-    return _resumable_trim_maps(graph, annotation)
-
-
-def _resumable_trim_maps(
-    graph: Graph, annotation: Annotation
-) -> ResumableAnnotation:
-    """The dict-driven ``ResumableTrim`` — for mapping-form annotations."""
-    index: List[Dict[int, ResumableIndex]] = []
-    # Same vertex-range note as in :func:`_trim_maps` — ``ResumableTrim``
-    # is built lazily, possibly epochs after the annotation, so the
-    # graph may meanwhile have grown vertices the annotation cannot
-    # reach.
-    B = annotation.B
-    for u in range(len(B)):
-        in_degree = graph.in_degree(u)
-        per_state: Dict[int, ResumableIndex] = {}
-        for p, cells in B[u].items():
-            payloads = {i: tuple(preds) for i, preds in cells.items() if preds}
-            if payloads:
-                per_state[p] = ResumableIndex(in_degree, payloads)
-        index.append(per_state)
-    return ResumableAnnotation(index)
+def resumable_trim(graph: Graph, annotation: Annotation) -> PackedCells:
+    """``ResumableTrim``: the read-only structure ``NextOutput`` seeks
+    in — the annotation's shared
+    :meth:`~repro.core.annotate.Annotation.packed_cells`, the same
+    build :func:`trim` wraps."""
+    return annotation.packed_cells(graph)

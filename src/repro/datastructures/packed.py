@@ -2,11 +2,10 @@
 
 The paper's ``B_u[p]`` maps (Lemma 10(2)) are conceptually a sparse
 three-dimensional table ``(vertex, state, TgtIdx) → [predecessor
-states]``.  The original implementation stored them as a
-dict-of-dicts-of-lists; this module packs the same data into four flat
-integer arrays, the layout the rest of the pipeline (``Trim``,
-``Enumerate``, ``NextOutput``, the counting DP) reads without any
-per-cell allocation:
+states]``.  This module packs that table into four flat integer
+arrays, the layout the rest of the pipeline (``Trim``, ``Enumerate``,
+``NextOutput``, the counting DP) reads without any per-cell
+allocation:
 
 :class:`PackedBack` — the raw predecessor entries, one ``(TgtIdx,
 predecessor state)`` pair per witnessing transition, grouped by the
@@ -35,11 +34,9 @@ a first-``k`` enumeration touches only the cells along its walks.
 
 One :class:`PackedCells` instance is shared by the eager
 :class:`~repro.core.trim.TrimmedAnnotation` (which adds a per-key
-cursor array), the read-only
-:class:`~repro.core.trim.ResumableAnnotation` (which adds nothing —
-the memoryless cursors live in the caller's frames) and the counting
-DP, so ``Trim`` and ``ResumableTrim`` cost O(entries) once per
-annotation *combined*.
+cursor array), ``NextOutput`` (which adds nothing — the memoryless
+cursors live in the caller's frames) and the counting DP, so ``Trim``
+and ``ResumableTrim`` cost O(entries) once per annotation *combined*.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from array import array
 from itertools import accumulate, compress
 from typing import Dict, List, Optional, Tuple
 
-#: Legacy mapping forms (kept for the compatibility views).
+#: The paper's mapping forms, as served by the read-only ``L``/``B`` views.
 LengthMap = Dict[int, int]
 BackMap = Dict[int, Dict[int, List[int]]]
 
@@ -146,45 +143,13 @@ class PackedBack:
                 out_pred[pos] = q
         return cls(n, n_states, key_indptr, out_ti, out_pred, nonempty_keys)
 
-    @classmethod
-    def from_maps(cls, n: int, n_states: int, B: List[BackMap]) -> "PackedBack":
-        """Pack a legacy dict-of-dicts ``B`` (the reference traversals
-        and the Dijkstra variant build these).  Deterministic: keys
-        ascending, cells in ``TgtIdx`` order, predecessor lists kept in
-        their recorded order."""
-        ent_key = array("q")
-        ent_ti = array("q")
-        ent_pred = array("q")
-        counts = array("q", bytes(8 * (n * n_states)))
-        nonempty: List[int] = []
-        for u in range(min(n, len(B))):
-            base = u * n_states
-            per_state = B[u]
-            for p in sorted(per_state):
-                cells = per_state[p]
-                k = base + p
-                total = 0
-                for ti in sorted(cells):
-                    preds = cells[ti]
-                    for q in preds:
-                        ent_key.append(k)
-                        ent_ti.append(ti)
-                        ent_pred.append(q)
-                    total += len(preds)
-                if total:
-                    counts[k] = total
-                    nonempty.append(k)
-        key_indptr = array("q", accumulate(counts, initial=0))
-        return cls(n, n_states, key_indptr, ent_ti, ent_pred, nonempty)
-
-    # -- compatibility ---------------------------------------------------
+    # -- inspection ------------------------------------------------------
 
     def to_maps(self) -> List[BackMap]:
-        """Materialize the documented ``B[u][p][i]`` dict-of-dicts view.
+        """Materialize the paper's ``B[u][p][i]`` dict-of-dicts view.
 
-        Cell lists reproduce the traversal's append order (including
-        duplicates), so the view is indistinguishable from the maps the
-        pre-packed implementation built in place.
+        Cell lists keep the traversal's append order, duplicates
+        included.  Read-only inspection: nothing packs these maps back.
         """
         B: List[BackMap] = [{} for _ in range(self.n)]
         key_indptr = self.key_indptr
@@ -297,8 +262,13 @@ class PackedCells:
             self.certs[c] = t
         return t
 
-    def raw_preds(self, c: int) -> Tuple[int, ...]:
-        """Cell ``c``'s predecessor list in append order, duplicates
-        kept — the payload the legacy mapping views expose."""
-        indptr = self.cell_pred_indptr
-        return tuple(self.back.ent_pred[indptr[c]:indptr[c + 1]])
+    def items(self, u: int, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
+        """The queue ``C_u[p]`` of Lemma 11 as ``(edge, predecessors)``
+        pairs, ``TgtIdx``-ascending, predecessors in append order with
+        duplicates kept; ``[]`` for an empty queue.  Inspection only."""
+        k = u * self.n_states + p
+        indptr, preds = self.cell_pred_indptr, self.back.ent_pred
+        return [
+            (self.cell_edge[c], tuple(preds[indptr[c]:indptr[c + 1]]))
+            for c in range(self.key_indptr[k], self.key_indptr[k + 1])
+        ]

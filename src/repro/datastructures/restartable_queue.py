@@ -34,43 +34,17 @@ class RestartableQueue(Generic[T]):
     1
     """
 
-    __slots__ = ("_items", "_pos", "_factory")
+    __slots__ = ("_items", "_pos")
 
     def __init__(self, items: Optional[List[T]] = None) -> None:
-        self._items: Optional[List[T]] = (
-            list(items) if items is not None else []
-        )
+        self._items: List[T] = list(items) if items is not None else []
         self._pos = 0
-        self._factory = None
-
-    @classmethod
-    def from_factory(cls, factory) -> "RestartableQueue[T]":
-        """A queue whose item list is built lazily by ``factory()``.
-
-        The zero-copy packed-slice constructor: :func:`repro.core.trim`
-        materializes its compatibility queues this way, so a queue that
-        is never read never copies its ``(e, X)`` payloads out of the
-        packed annotation arrays.  Construction is O(1); the first
-        cursor/read operation pays the one-time materialization.
-        """
-        queue: "RestartableQueue[T]" = cls.__new__(cls)
-        queue._items = None
-        queue._pos = 0
-        queue._factory = factory
-        return queue
-
-    def _materialized(self) -> List[T]:
-        items = self._items
-        if items is None:
-            items = self._items = self._factory()
-            self._factory = None
-        return items
 
     # -- writing --------------------------------------------------------
 
     def enqueue(self, item: T) -> None:
         """Add ``item`` at the end of the queue. Amortized O(1)."""
-        self._materialized().append(item)
+        self._items.append(item)
 
     def fork(self) -> "RestartableQueue[T]":
         """A new queue *sharing* this queue's elements, cursor at 0.
@@ -83,9 +57,8 @@ class RestartableQueue(Generic[T]):
         forked: "RestartableQueue[T]" = RestartableQueue.__new__(
             RestartableQueue
         )
-        forked._items = self._materialized()
+        forked._items = self._items
         forked._pos = 0
-        forked._factory = None
         return forked
 
     # -- the read cursor -------------------------------------------------
@@ -93,10 +66,7 @@ class RestartableQueue(Generic[T]):
     @property
     def exhausted(self) -> bool:
         """True when the cursor has moved past the last element."""
-        items = self._items
-        if items is None:
-            items = self._materialized()
-        return self._pos >= len(items)
+        return self._pos >= len(self._items)
 
     def peek(self) -> T:
         """Return the element under the cursor without moving it.
@@ -105,17 +75,11 @@ class RestartableQueue(Generic[T]):
         are expected to check :attr:`exhausted` first, as the paper's
         pseudocode does ("if C_u[p] is not empty").
         """
-        items = self._items
-        if items is None:
-            items = self._materialized()
-        return items[self._pos]
+        return self._items[self._pos]
 
     def advance(self) -> None:
         """Move the cursor one element forward. O(1)."""
-        items = self._items
-        if items is None:
-            items = self._materialized()
-        if self._pos < len(items):
+        if self._pos < len(self._items):
             self._pos += 1
 
     def restart(self) -> None:
@@ -126,11 +90,11 @@ class RestartableQueue(Generic[T]):
 
     def __len__(self) -> int:
         """Total number of enqueued elements (independent of cursor)."""
-        return len(self._materialized())
+        return len(self._items)
 
     def remaining(self) -> int:
         """Number of elements from the cursor to the end."""
-        return len(self._materialized()) - self._pos
+        return len(self._items) - self._pos
 
     @property
     def position(self) -> int:
@@ -139,7 +103,7 @@ class RestartableQueue(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         """Iterate over *all* elements, ignoring the cursor."""
-        return iter(self._materialized())
+        return iter(self._items)
 
     def __repr__(self) -> str:
-        return f"RestartableQueue({self._materialized()!r}, pos={self._pos})"
+        return f"RestartableQueue({self._items!r}, pos={self._pos})"

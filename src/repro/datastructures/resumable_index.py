@@ -61,24 +61,6 @@ class ResumableIndex(Generic[P]):
             nxt[i] = following
         return nxt
 
-    @classmethod
-    def from_sorted(
-        cls, size: int, indices: List[int], payloads: List[P]
-    ) -> "ResumableIndex[P]":
-        """Build from parallel (ascending, in-range) index/payload lists.
-
-        The packed-slice constructor used by
-        :mod:`repro.core.trim`'s compatibility views: the caller's cell
-        indices are already validated and sorted (they come straight
-        off the packed annotation arrays), so the per-key dict copy and
-        range checks of ``__init__`` are skipped.
-        """
-        idx: "ResumableIndex[P]" = cls.__new__(cls)
-        idx._size = size
-        idx._payloads = dict(zip(indices, payloads))
-        idx._next = cls._build_next(size, set(indices))
-        return idx
-
     # -- queries ----------------------------------------------------------
 
     @property

@@ -14,11 +14,9 @@ same graph object share the per-graph plan/annotation caches
 quirks are gone: every enumeration method accepts ``mode`` and
 defaults to ``"auto"``.
 
-**Mode × semantics.**  ``shortest`` (and its multiplicity variant)
-supports ``auto`` / ``iterative`` / ``recursive`` / ``memoryless``;
-``cheapest`` supports ``auto`` / ``iterative`` / ``memoryless`` (the
-recursive enumerator is length-budgeted only).  ``"auto"`` resolves
-to the façade's cached memoryless execution.
+**Modes.**  ``shortest`` (and its multiplicity variant) and
+``cheapest`` support ``auto`` / ``iterative`` / ``memoryless``.
+``"auto"`` resolves to the façade's cached memoryless execution.
 
 Prefer the façade directly for anything beyond a one-shot call::
 
@@ -149,9 +147,7 @@ class RPQ:
     ) -> Iterator[Walk]:
         """Enumerate distinct cheapest matching walks (edge costs).
 
-        Historically accepted no ``mode``; now ``auto`` /
-        ``iterative`` / ``memoryless`` (``recursive`` is rejected —
-        the recursive enumerator cannot track cost budgets).
+        ``mode`` is ``auto`` / ``iterative`` / ``memoryless``.
         """
         return (
             self.query(graph).cheapest().from_(source).to(target)

@@ -48,18 +48,19 @@ not occupy capacity until LRU eviction.
    under ``Graph._lazy_lock``), so concurrent first use is safe —
    and registration pre-warms them off the request path;
 3. the **memoryless** mode (the service default) enumerates over the
-   read-only :class:`~repro.core.trim.ResumableAnnotation`, which is
-   never mutated — any number of requests share one cached instance;
-4. the **eager** modes (``iterative``/``recursive``) get a private
-   cursor :meth:`~repro.core.trim.TrimmedAnnotation.snapshot` (O(1)
-   per non-empty queue, items shared), so they never contend on the
-   shared trimmed annotation's cursors.
+   annotation's read-only
+   :class:`~repro.datastructures.packed.PackedCells`, which are never
+   mutated — any number of requests share one cached instance;
+4. the **eager** mode (``iterative``) gets a private cursor
+   :meth:`~repro.core.trim.TrimmedAnnotation.snapshot` (one cursor-array
+   copy, cells shared), so it never contends on the shared trimmed
+   annotation's cursors.
 
 **Pagination.**  ``limit``/``offset`` plus a resume ``cursor`` (the
 previous page's ``next_cursor`` — the last walk's edge ids).  In
 memoryless mode the cursor seeks in O(λ) via the paper's ``NextOutput``
 (Theorem 18: the next output is computed from the previous output
-alone); the eager modes replay the prefix.  Output order is identical
+alone); the eager mode replays the prefix.  Output order is identical
 across the general modes, so cursors are mode-portable.
 
 **Budgets.**  ``timeout_ms`` is checked between outputs; by Theorem 2

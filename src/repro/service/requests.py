@@ -52,7 +52,7 @@ from typing import (
 
 from repro.exceptions import ReproError
 
-_MODES = ("auto", "iterative", "recursive", "memoryless")
+_MODES = ("auto", "iterative", "memoryless")
 _CONSTRUCTIONS = ("thompson", "glushkov")
 _SEMANTICS = ("walks", "trails", "simple", "any")
 

@@ -78,7 +78,7 @@ class QueryService:
         slow_ms: float = 0.0,
         slowlog_capacity: int = 64,
     ) -> None:
-        if default_mode not in ("iterative", "recursive", "memoryless"):
+        if default_mode not in ("iterative", "memoryless"):
             raise ServiceError(
                 f"default_mode must be a concrete engine mode, "
                 f"got {default_mode!r}"
@@ -357,8 +357,8 @@ class QueryService:
         Cached preprocessing products are shared across the pool:
         plans and saturated annotations are built single-flight, the
         memoryless enumerations run concurrently over the read-only
-        resumable structures, and the eager modes enumerate over
-        private cursor snapshots.
+        trim cells, and the eager mode enumerates over private
+        cursor snapshots.
 
         Mutation requests are **barriers**: the queries before one run
         (and finish) first, then the mutation applies alone, then the

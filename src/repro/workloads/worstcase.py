@@ -15,8 +15,9 @@
 * :func:`label_soup` — a diamond chain drowned in labels the query
   never fires on: the instance that separates the label-indexed
   product-BFS (cost ∝ matching labels only) from the edge-major scan
-  (cost ∝ OutDeg(v) × |Lbl(e)|) in EXP-ADJ
-  (``benchmarks/bench_adjacency.py``).
+  (cost ∝ OutDeg(v) × |Lbl(e)|) — the EXP-ADJ tables of
+  ``EXPERIMENTS.md`` — and a step-counted delay adversary
+  (``tests/property/test_delay_instrumentation.py``).
 """
 
 from __future__ import annotations

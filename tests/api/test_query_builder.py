@@ -79,7 +79,7 @@ class TestBuilderSemantics:
 class TestModesAndSemantics:
     def test_every_shortest_mode_agrees(self, db, graph):
         expected = _engine_edges(graph, QUERY, "Alix", "Bob")
-        for mode in ("auto", "iterative", "recursive", "memoryless"):
+        for mode in ("auto", "iterative", "memoryless"):
             rows = db.query(QUERY).from_("Alix").to("Bob").mode(mode).run()
             assert [r.walk.edges for r in rows] == expected, mode
 
@@ -102,11 +102,16 @@ class TestModesAndSemantics:
             assert sorted(r.walk.edges for r in rows) == expected, mode
             assert all(r.cost == 2 for r in rows), mode
 
-    def test_cheapest_rejects_recursive(self, db):
-        with pytest.raises(QueryError, match="recursive"):
-            db.query(QUERY).cheapest().from_("Alix").to("Bob").mode(
-                "recursive"
-            ).run()
+    def test_recursive_mode_rejected_at_validation(self, db):
+        """``recursive`` is the order oracle of ``repro.baselines``, not
+        a mode: refused by ``Query.mode`` itself, shortest or cheapest,
+        before anything runs."""
+        pair = db.query(QUERY).from_("Alix").to("Bob")
+        for query in (pair, pair.cheapest()):
+            with pytest.raises(QueryError, match="unknown mode 'recursive'"):
+                query.mode("recursive")
+        with pytest.raises(QueryError, match="concrete engine mode"):
+            Database(example9_graph(), default_mode="recursive")
 
     def test_multiplicity_rows(self, db):
         rows = (

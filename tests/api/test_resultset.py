@@ -47,9 +47,11 @@ class TestPairCursors:
         first = query.mode("memoryless").limit(2).run()
         head = _edges(first)
         token = first.next_cursor
-        for mode in ("iterative", "recursive", "memoryless"):
+        for mode in ("iterative", "memoryless"):
             rest = query.mode(mode).cursor(token).run()
             assert head + _edges(rest) == _edges(query.run()), mode
+        with pytest.raises(QueryError, match="unknown mode"):
+            query.mode("recursive")
 
     def test_cursor_accepts_equivalent_encodings(self, db):
         query = db.query(QUERY).from_("Alix").to("Bob")

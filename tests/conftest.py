@@ -8,6 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.automata.nfa import NFA
+from repro.baselines.paper_pipeline import recursive_walks
+from repro.core.engine import DistinctShortestWalks
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
 from repro.workloads.fraud import example9_automaton, example9_graph
@@ -155,3 +157,17 @@ def regex_asts(draw, max_depth: int = 3):
 def edge_sets(walks) -> List[Tuple[int, ...]]:
     """Edge tuples of an iterable of walks, in enumeration order."""
     return [w.edges for w in walks]
+
+
+def mode_walks(graph, query, source, target, mode):
+    """One engine-tier leg of a mode comparison, in enumeration order.
+
+    ``"recursive"`` — the paper's pseudocode verbatim — is not an engine
+    mode: that leg is the oracle pipeline of
+    :mod:`repro.baselines.paper_pipeline`.
+    """
+    if mode == "recursive":
+        return recursive_walks(graph, query, source, target)
+    return DistinctShortestWalks(
+        graph, query, source, target, mode=mode
+    ).enumerate()

@@ -1,10 +1,10 @@
 """Equivalence of the label-indexed and reference annotations.
 
 The indexed ``annotate`` / ``cheapest_annotate`` must produce the same
-:class:`~repro.core.annotate.Annotation` contents — ``L``, ``B`` (as a
-multiset per cell: entry order within a cell is unspecified), ``lam``
-and ``target_states`` — as the retained ``*_reference`` traversals, on
-random graphs × random automata, in both the target-stopped and the
+annotation contents — ``L``, ``B`` (as a multiset per cell: entry order
+within a cell is unspecified), ``lam`` and ``target_states`` — as the
+``*_reference`` traversals of :mod:`repro.baselines.paper_pipeline`,
+on random graphs × random automata, in both the target-stopped and the
 saturating mode.
 
 One documented exception: with the **pairing heap** in target mode,
@@ -21,11 +21,18 @@ heap pops ties in deterministic ``(cost, v, q)`` order, so it is exact.
 
 from __future__ import annotations
 
+from array import array
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.annotate import annotate, annotate_reference
-from repro.core.cheapest import cheapest_annotate, cheapest_annotate_reference
+from repro.baselines.paper_pipeline import (
+    annotate_reference,
+    cheapest_annotate_reference,
+    packed_from_maps,
+)
+from repro.core.annotate import Annotation, annotate
+from repro.core.cheapest import cheapest_annotate
 from repro.core.compile import compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
@@ -162,6 +169,18 @@ class TestCheapestEquivalence:
         # Beyond-λ entries are unreachable: the answers must agree.
         cost_arr = graph.cost_array
 
+        def packed(ref):
+            """The oracle's maps, packed for the production Trim."""
+            n, n_states = graph.vertex_count, cq.n_states
+            dist = array("q", [-1]) * (n * n_states)
+            for v, row in enumerate(ref.L):
+                for p, d in row.items():
+                    dist[v * n_states + p] = d
+            return Annotation(
+                ref.source, ref.target, ref.lam, ref.target_states, dist,
+                packed_from_maps(n, n_states, ref.B),
+            )
+
         def answers(ann):
             return sorted(
                 w.edges
@@ -175,18 +194,22 @@ class TestCheapestEquivalence:
                 )
             )
 
-        assert answers(got) == answers(want)
+        assert answers(got) == answers(packed(want))
 
 
 class TestReferenceIsRetained:
-    """The reference traversals stay importable from the package root
-    (they are the documented baseline of bench_adjacency)."""
+    """The reference traversals stay importable from
+    ``repro.baselines`` — and only from there."""
 
     def test_exports(self):
-        from repro.core import (  # noqa: F401
+        import repro.core
+        from repro.baselines import (  # noqa: F401
             annotate_reference,
             cheapest_annotate_reference,
         )
+
+        assert not hasattr(repro.core, "annotate_reference")
+        assert not hasattr(repro.core, "cheapest_annotate_reference")
 
     def test_engine_uses_indexed_annotate(self):
         import repro.core.engine as engine_mod

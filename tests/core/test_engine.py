@@ -7,7 +7,7 @@ from repro.core.engine import DistinctShortestWalks, distinct_shortest_walks
 from repro.exceptions import QueryError
 from repro.workloads.fraud import example9_automaton, example9_graph
 
-from tests.conftest import small_instances
+from tests.conftest import mode_walks, small_instances
 
 
 @pytest.fixture
@@ -26,16 +26,17 @@ class TestModes:
         ]
         got = [
             w.edges
-            for w in DistinctShortestWalks(
-                graph, example9_automaton(), "Alix", "Bob", mode=mode
-            ).enumerate()
+            for w in mode_walks(
+                graph, example9_automaton(), "Alix", "Bob", mode
+            )
         ]
         assert got == reference
 
-    def test_unknown_mode_rejected(self, graph):
-        with pytest.raises(QueryError):
+    @pytest.mark.parametrize("mode", ["warp", "recursive"])
+    def test_unknown_mode_rejected(self, graph, mode):
+        with pytest.raises(QueryError, match="unknown mode"):
             DistinctShortestWalks(
-                graph, example9_automaton(), "Alix", "Bob", mode="warp"
+                graph, example9_automaton(), "Alix", "Bob", mode=mode
             )
 
     def test_auto_mode_on_multilabel_uses_general(self, graph):
@@ -196,12 +197,7 @@ class TestProperties:
     def test_all_modes_same_sequence(self, instance):
         graph, nfa, s, t = instance
         sequences = [
-            [
-                w.edges
-                for w in DistinctShortestWalks(
-                    graph, nfa, s, t, mode=mode
-                ).enumerate()
-            ]
+            [w.edges for w in mode_walks(graph, nfa, s, t, mode)]
             for mode in ("iterative", "recursive", "memoryless")
         ]
         assert sequences[0] == sequences[1] == sequences[2]

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 
 from repro.baselines.oracle import oracle_answer_set
+from repro.baselines.paper_pipeline import enumerate_walks_recursive, trim_maps
 from repro.core.annotate import annotate
 from repro.core.compile import compile_query
-from repro.core.enumerate import enumerate_walks, enumerate_walks_recursive
+from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
 from repro.workloads.fraud import (
     EXAMPLE9_EDGE_IDS,
@@ -57,7 +58,7 @@ class TestExample9:
             w.edges
             for w in enumerate_walks_recursive(
                 graph,
-                trimmed,
+                trim_maps(graph, ann),
                 ann.lam,
                 graph.vertex_id("Bob"),
                 ann.target_states,
@@ -140,7 +141,7 @@ class TestProperties:
         recursive = [
             w.edges
             for w in enumerate_walks_recursive(
-                graph, trimmed, ann.lam, t, ann.target_states
+                graph, trim_maps(graph, ann), ann.lam, t, ann.target_states
             )
         ]
         assert iterative == recursive

@@ -10,6 +10,7 @@ of corrupting results.  The memoryless mode is read-only and exempt.
 import pytest
 
 from repro.core.engine import DistinctShortestWalks
+from repro.core.enumerate import enumerate_walks
 from repro.exceptions import EnumerationStateError
 from repro.workloads.fraud import example9_automaton, example9_graph
 
@@ -53,14 +54,25 @@ class TestInterleavingGuard:
         assert len(engine.first(2)) == 2
         assert len(engine.first(3)) == 3
 
-    def test_recursive_mode_guarded_too(self):
-        engine = _engine(mode="recursive")
-        first = engine.enumerate()
-        next(first)
-        second = engine.enumerate()
-        with pytest.raises(EnumerationStateError):
-            next(second)
-        first.close()
+    def test_snapshots_interleave_freely(self):
+        """Each ``snapshot()`` owns its cursor array over the shared
+        cells, so two eager enumerations may interleave — one per
+        snapshot — and neither trips the guard nor skips an answer."""
+        engine = _engine()
+        ann, trimmed = engine.annotation, engine.trimmed
+        expected = [w.edges for w in engine.enumerate()]
+
+        def run(structure):
+            return enumerate_walks(
+                engine.graph, structure, ann.lam, engine.target,
+                ann.target_states,
+            )
+
+        first, second = run(trimmed.snapshot()), run(trimmed.snapshot())
+        got_first, got_second = [next(first).edges], [next(second).edges]
+        got_first += [w.edges for w in first]
+        got_second += [w.edges for w in second]
+        assert got_first == got_second == expected
 
     def test_tracked_multiplicity_guarded(self):
         engine = _engine()

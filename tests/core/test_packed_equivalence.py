@@ -1,40 +1,47 @@
-"""Packed pipeline vs the reference (mapping-form) pipeline.
+"""Packed pipeline vs the paper-structure oracle pipeline.
 
-The packed-pipeline refactor keeps ``L``/``B`` in flat CSR-packed
-arrays end-to-end; :func:`annotate_reference` still builds the mapping
-form natively, and every downstream stage retains a mapping-driven
-path.  These property tests pin the two pipelines together:
+:mod:`repro.core` keeps ``L``/``B`` in flat CSR-packed arrays
+end-to-end; :mod:`repro.baselines.paper_pipeline` builds the paper's
+maps, queues and skip arrays natively.  These property tests pin the
+two pipelines together:
 
-* **annotation contents** — the packed annotation's compatibility
-  views (``L``, ``B``, entry counts, ``target_info``) must equal the
-  reference annotation's maps cell-for-cell, with each cell's witness
+* **annotation contents** — the packed annotation's read-only views
+  (``L``, ``B``, entry counts, ``target_info``) must equal the
+  oracle annotation's maps cell-for-cell, with each cell's witness
   *multiset* identical (duplicates included; within-cell order is
   traversal-specific — the label-indexed scan and the edge-major
   reference discover a BFS level in different orders, so frontier
   pairs of the same vertex may append to a shared cell in either
   order, which ``Trim``'s certificate sort makes unobservable);
-* **structure contents** — the packed ``Trim``/``ResumableTrim``
-  compatibility views must match a trim of the reference annotation
-  queue-for-queue and payload-for-payload (witness payloads again as
-  multisets — the queue items and skip-index cells inherit ``B``'s
-  within-cell append order, and every consumer unions them into a
-  certificate set);
-* **enumeration order** — the packed eager DFS, the recursive
-  transcription (which runs over the compatibility queue view), the
-  packed memoryless ``NextOutput`` *and* the full reference pipeline
-  (mapping annotation → dict trim → queue-object DFS) must emit the
-  identical walk sequence, for both the target and the saturated
-  (multi-target) mode.
+* **structure contents** — the packed ``Trim``/``ResumableTrim`` cells
+  (:meth:`PackedCells.items`) must match the oracle's queues and skip
+  arrays queue-for-queue and payload-for-payload (witness payloads
+  again as multisets — the queue items and skip-index cells inherit
+  ``B``'s within-cell append order, and every consumer unions them
+  into a certificate set);
+* **enumeration order** — the packed eager DFS, the packed memoryless
+  ``NextOutput``, the recursive transcription over queues built from
+  the packed annotation's ``B`` view, *and* the full oracle pipeline
+  (map annotation → dict trim → recursive DFS, and → skip arrays →
+  skip-pointer ``NextOutput``) must emit the identical walk sequence,
+  for both the target and the saturated (multi-target) mode.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.core.annotate import annotate, annotate_reference
+from repro.baselines import paper_pipeline as oracle
+from repro.baselines.paper_pipeline import (
+    annotate_reference,
+    enumerate_walks_recursive,
+    resumable_trim_maps,
+    trim_maps,
+)
+from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.count import count_distinct_shortest
-from repro.core.enumerate import enumerate_walks, enumerate_walks_recursive
+from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
 from repro.core.trim import resumable_trim, trim
 
@@ -68,8 +75,6 @@ class TestAnnotationViews:
         for saturate in (False, True):
             packed = annotate(cq, s, t, saturate=saturate)
             ref = annotate_reference(cq, s, t, saturate=saturate)
-            assert packed.packed is not None
-            assert ref.packed is None
             assert packed.lam == ref.lam
             assert packed.target_states == ref.target_states
             assert packed.L == ref.L
@@ -116,19 +121,21 @@ class TestTrimViews:
     @given(small_instances())
     @settings(**_SETTINGS)
     def test_queues_match_reference_trim(self, instance):
-        """Packed trim's queue view == dict trim of the reference."""
+        """Packed trim's cells == dict trim of the oracle annotation."""
         graph, nfa, s, _ = instance
         cq = compile_query(graph, nfa)
         packed_trim = trim(graph, annotate(cq, s, saturate=True))
-        ref_trim = trim(graph, annotate_reference(cq, s, saturate=True))
-        assert packed_trim.cells is not None
-        assert ref_trim.cells is None
-        assert packed_trim.total_items() == ref_trim.total_items()
+        ref_queues = trim_maps(
+            graph, annotate_reference(cq, s, saturate=True)
+        )
+        assert packed_trim.total_items() == sum(
+            len(queue) for per_vertex in ref_queues
+            for queue in per_vertex.values()
+        )
         for u in graph.vertices():
-            assert set(packed_trim.queues[u]) == set(ref_trim.queues[u])
-            for p, ref_queue in ref_trim.queues[u].items():
-                got_items = list(packed_trim.queue(u, p))
-                ref_items = list(ref_queue)
+            for p in range(cq.n_states):
+                got_items = packed_trim.cells.items(u, p)
+                ref_items = list(ref_queues[u].get(p, ()))
                 # Same edges in the same TgtIdx order; witness payloads
                 # as multisets (within-cell order is traversal-specific
                 # — see the module docstring).
@@ -140,36 +147,45 @@ class TestTrimViews:
     def test_resumable_matches_reference(self, instance):
         graph, nfa, s, _ = instance
         cq = compile_query(graph, nfa)
-        packed_res = resumable_trim(graph, annotate(cq, s, saturate=True))
-        ref_res = resumable_trim(
+        cells = resumable_trim(graph, annotate(cq, s, saturate=True))
+        ref_index = resumable_trim_maps(
             graph, annotate_reference(cq, s, saturate=True)
         )
-        assert packed_res.total_items() == ref_res.total_items()
+        assert len(cells) == sum(
+            len(idx) for per_vertex in ref_index
+            for idx in per_vertex.values()
+        )
         for u in graph.vertices():
-            assert set(packed_res.index[u]) == set(ref_res.index[u])
-            for p, ref_idx in ref_res.index[u].items():
-                got = packed_res.for_state(u, p)
-                assert got.non_empty_indices() == ref_idx.non_empty_indices()
-                for i in ref_idx.non_empty_indices():
+            for p in range(cq.n_states):
+                got = cells.items(u, p)
+                ref_idx = ref_index[u].get(p)
+                if ref_idx is None:
+                    assert got == []
+                    continue
+                assert [graph.tgt_idx(e) for e, _ in got] \
+                    == ref_idx.non_empty_indices()
+                for e, preds in got:
                     # Witness multiset per cell; within-cell order is
                     # traversal-specific (see the module docstring).
-                    assert sorted(got.payload(i)) \
-                        == sorted(ref_idx.payload(i))
+                    assert sorted(preds) \
+                        == sorted(ref_idx.payload(graph.tgt_idx(e)))
 
 
 class TestEnumerationOrder:
     @given(small_instances())
     @settings(**_SETTINGS)
     def test_all_pipelines_identical_order(self, instance):
-        """Packed eager / recursive-view / packed memoryless / full
-        reference pipeline: one output sequence."""
+        """Packed eager / packed memoryless / recursive over the ``B``
+        view / full oracle pipeline (both enumerators): one output
+        sequence."""
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
 
         ann = annotate(cq, s, t)
-        trimmed = trim(graph, ann)
         eager = _edges(
-            enumerate_walks(graph, trimmed, ann.lam, t, ann.target_states)
+            enumerate_walks(
+                graph, trim(graph, ann), ann.lam, t, ann.target_states
+            )
         )
         memoryless = _edges(
             enumerate_memoryless(
@@ -177,26 +193,32 @@ class TestEnumerationOrder:
                 ann.target_states,
             )
         )
-        # The recursive transcription materializes the compatibility
-        # queue view on a fresh trim (cursors are shared state).
-        rec_trimmed = trim(graph, ann).snapshot()
+        # The recursive transcription over queues built from the packed
+        # annotation's own B view.
         recursive = _edges(
             enumerate_walks_recursive(
-                graph, rec_trimmed, ann.lam, t, ann.target_states
+                graph, trim_maps(graph, ann), ann.lam, t, ann.target_states
             )
         )
 
         ref_ann = annotate_reference(cq, s, t)
-        ref_trimmed = trim(graph, ref_ann)
         reference = _edges(
-            enumerate_walks(
-                graph, ref_trimmed, ref_ann.lam, t, ref_ann.target_states
+            enumerate_walks_recursive(
+                graph, trim_maps(graph, ref_ann), ref_ann.lam, t,
+                ref_ann.target_states,
+            )
+        )
+        ref_memoryless = _edges(
+            oracle.enumerate_memoryless(
+                graph, resumable_trim_maps(graph, ref_ann), ref_ann.lam, t,
+                ref_ann.target_states,
             )
         )
 
         assert eager == reference
         assert memoryless == reference
         assert recursive == reference
+        assert ref_memoryless == reference
         if ann.lam is not None:
             assert len(reference) == count_distinct_shortest(
                 graph, ann, ann.lam, t, ann.target_states
@@ -206,14 +228,14 @@ class TestEnumerationOrder:
     @settings(**_SETTINGS)
     def test_saturated_order_per_target(self, instance):
         """Multi-target mode: per-target order equality, packed vs
-        reference, eager and memoryless."""
+        oracle, eager and memoryless."""
         graph, nfa, s, _ = instance
         cq = compile_query(graph, nfa)
         ann = annotate(cq, s, saturate=True)
         ref_ann = annotate_reference(cq, s, saturate=True)
         trimmed = trim(graph, ann)
-        ref_trimmed = trim(graph, ref_ann)
-        resumable = resumable_trim(graph, ann)
+        ref_queues = trim_maps(graph, ref_ann)
+        cells = resumable_trim(graph, ann)
         for v in graph.vertices():
             lam_v, states_v = ann.target_info(v)
             assert (lam_v, states_v) == ref_ann.target_info(v)
@@ -221,9 +243,11 @@ class TestEnumerationOrder:
                 enumerate_walks(graph, trimmed, lam_v, v, states_v)
             )
             want = _edges(
-                enumerate_walks(graph, ref_trimmed, lam_v, v, states_v)
+                enumerate_walks_recursive(
+                    graph, ref_queues, lam_v, v, states_v
+                )
             )
             assert got == want
             assert want == _edges(
-                enumerate_memoryless(graph, resumable, lam_v, v, states_v)
+                enumerate_memoryless(graph, cells, lam_v, v, states_v)
             )

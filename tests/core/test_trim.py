@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines.paper_pipeline import resumable_trim_maps, trim_maps
 from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.trim import resumable_trim, trim
@@ -31,21 +32,20 @@ class TestFigure3Queues:
         bob = graph.vertex_id("Bob")
         e7, e8 = EXAMPLE9_EDGE_IDS["e7"], EXAMPLE9_EDGE_IDS["e8"]
         # C_Bob[0] = [(e7, [0])]; C_Bob[1] = [(e8, [1,0,1]), (e7, [1])].
-        q0 = trimmed.queue(bob, 0)
+        q0 = trimmed.cells.items(bob, 0)
         assert [(e, sorted(x)) for e, x in q0] == [(e7, [0])]
-        q1 = trimmed.queue(bob, 1)
+        q1 = trimmed.cells.items(bob, 1)
         assert [e for e, _ in q1] == [e8, e7]
-        assert sorted(list(q1)[0][1]) == [0, 1, 1]
-        assert list(list(q1)[1][1]) == [1]
+        assert sorted(q1[0][1]) == [0, 1, 1]
+        assert list(q1[1][1]) == [1]
 
     def test_C_Cassie(self, trimmed_example):
         graph, _, trimmed = trimmed_example
         cassie = graph.vertex_id("Cassie")
         e1, e3 = EXAMPLE9_EDGE_IDS["e1"], EXAMPLE9_EDGE_IDS["e3"]
-        assert [(e, sorted(x)) for e, x in trimmed.queue(cassie, 0)] == [
-            (e1, [0])
-        ]
-        assert [(e, sorted(x)) for e, x in trimmed.queue(cassie, 1)] == [
+        items = trimmed.cells.items
+        assert [(e, sorted(x)) for e, x in items(cassie, 0)] == [(e1, [0])]
+        assert [(e, sorted(x)) for e, x in items(cassie, 1)] == [
             (e3, [0, 1])
         ]
 
@@ -53,11 +53,12 @@ class TestFigure3Queues:
         graph, _, trimmed = trimmed_example
         eve = graph.vertex_id("Eve")
         e4, e5, e6 = (EXAMPLE9_EDGE_IDS[n] for n in ("e4", "e5", "e6"))
-        assert [(e, sorted(x)) for e, x in trimmed.queue(eve, 0)] == [
+        items = trimmed.cells.items
+        assert [(e, sorted(x)) for e, x in items(eve, 0)] == [
             (e4, [0]),
             (e5, [0]),
         ]
-        assert [(e, sorted(x)) for e, x in trimmed.queue(eve, 1)] == [
+        assert [(e, sorted(x)) for e, x in items(eve, 1)] == [
             (e4, [1]),
             (e6, [0]),
         ]
@@ -65,8 +66,8 @@ class TestFigure3Queues:
     def test_empty_queues_absent(self, trimmed_example):
         graph, _, trimmed = trimmed_example
         alix = graph.vertex_id("Alix")
-        assert trimmed.queue(alix, 0) is None
-        assert trimmed.queue(alix, 1) is None
+        assert trimmed.cells.items(alix, 0) == []
+        assert trimmed.cells.items(alix, 1) == []
 
 
 class TestLemma11Properties:
@@ -77,16 +78,17 @@ class TestLemma11Properties:
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
         ann = annotate(cq, s, saturate=True)
-        trimmed = trim(graph, ann)
+        cells_of = trim(graph, ann).cells.items
         for u in graph.vertices():
-            seen_states = set(trimmed.queues[u])
+            for p in range(cq.n_states):
+                if p not in ann.B[u]:
+                    assert cells_of(u, p) == []
             for p, cells in ann.B[u].items():
                 non_empty = {i: preds for i, preds in cells.items() if preds}
                 if not non_empty:
-                    assert p not in seen_states
+                    assert cells_of(u, p) == []
                     continue
-                queue = trimmed.queue(u, p)
-                items = {e: list(x) for e, x in queue}
+                items = {e: list(x) for e, x in cells_of(u, p)}
                 assert len(items) == len(non_empty)
                 for i, preds in non_empty.items():
                     e = graph.in_edges(u)[i]
@@ -101,39 +103,42 @@ class TestLemma11Properties:
         ann = annotate(cq, s, saturate=True)
         trimmed = trim(graph, ann)
         for u in graph.vertices():
-            for queue in trimmed.queues[u].values():
-                indices = [graph.tgt_idx(e) for e, _ in queue]
+            for p in range(cq.n_states):
+                indices = [
+                    graph.tgt_idx(e) for e, _ in trimmed.cells.items(u, p)
+                ]
                 assert indices == sorted(indices)
                 assert len(set(indices)) == len(indices)
 
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
     def test_resumable_matches_queues(self, instance):
-        """ResumableTrim stores the same cells as Trim."""
+        """ResumableTrim stores the same cells as Trim — one shared
+        structure in production, queue-for-index in the oracle."""
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
         ann = annotate(cq, s, saturate=True)
         trimmed = trim(graph, ann)
-        resumable = resumable_trim(graph, ann)
-        assert trimmed.total_items() == resumable.total_items()
+        assert resumable_trim(graph, ann) is trimmed.cells
+        queues = trim_maps(graph, ann)
+        index = resumable_trim_maps(graph, ann)
         for u in graph.vertices():
-            for p, queue in trimmed.queues[u].items():
-                index = resumable.for_state(u, p)
-                assert index is not None
+            assert set(queues[u]) == set(index[u])
+            for p, queue in queues[u].items():
+                assert list(queue) == trimmed.cells.items(u, p)
                 for e, preds in queue:
                     i = graph.tgt_idx(e)
-                    assert index.payload(i) == tuple(preds)
+                    assert index[u][p].payload(i) == tuple(preds)
 
 
 class TestRestartAll:
     def test_restart_all_resets_cursors(self, trimmed_example):
         graph, _, trimmed = trimmed_example
-        bob = graph.vertex_id("Bob")
-        queue = trimmed.queue(bob, 1)
-        queue.advance()
-        assert queue.position == 1
+        k = graph.vertex_id("Bob") * trimmed.cells.n_states + 1
+        start = trimmed.cursor[k]
+        trimmed.cursor[k] = start + 1
         trimmed.restart_all()
-        assert queue.position == 0
+        assert trimmed.cursor[k] == start
 
     def test_total_items(self, trimmed_example):
         _, ann, trimmed = trimmed_example

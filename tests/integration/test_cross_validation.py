@@ -21,7 +21,7 @@ from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.query import rpq
 
-from tests.conftest import small_instances
+from tests.conftest import mode_walks, small_instances
 
 
 class TestAllAlgorithmsAgree:
@@ -51,10 +51,7 @@ class TestAllAlgorithmsAgree:
         oracle = oracle_answer_set(graph, nfa, s, t)
         for mode in ("iterative", "recursive", "memoryless"):
             got = sorted(
-                w.edges
-                for w in DistinctShortestWalks(
-                    graph, nfa, s, t, mode=mode
-                ).enumerate()
+                w.edges for w in mode_walks(graph, nfa, s, t, mode)
             )
             assert got == oracle, mode
 

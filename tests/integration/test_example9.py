@@ -12,6 +12,8 @@ from repro.workloads.fraud import (
     example9_query,
 )
 
+from tests.conftest import mode_walks
+
 E = EXAMPLE9_EDGE_IDS
 
 
@@ -103,9 +105,9 @@ class TestViaPublicApi:
         results = {
             mode: [
                 w.edges
-                for w in DistinctShortestWalks(
-                    graph, example9_automaton(), "Alix", "Bob", mode=mode
-                ).enumerate()
+                for w in mode_walks(
+                    graph, example9_automaton(), "Alix", "Bob", mode
+                )
             ]
             for mode in ("iterative", "recursive", "memoryless", "auto")
         }

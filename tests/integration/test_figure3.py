@@ -104,15 +104,19 @@ class TestFigure3C:
         v = graph.vertex_id(vertex)
         expected = FIGURE3_C[vertex]
         for state, items in expected.items():
-            queue = trimmed.queue(v, state)
-            assert queue is not None, (vertex, state)
+            queue = trimmed.cells.items(v, state)
+            assert queue, (vertex, state)
             got = [(e, sorted(x)) for e, x in queue]
             want = [(E[name], sorted(preds)) for name, preds in items]
             assert got == want, (vertex, state)
 
     def test_alix_has_no_queues(self, preprocessing):
         graph, _, trimmed = preprocessing
-        assert trimmed.queues[graph.vertex_id("Alix")] == {}
+        alix = graph.vertex_id("Alix")
+        assert all(
+            trimmed.cells.items(alix, p) == []
+            for p in range(trimmed.cells.n_states)
+        )
 
 
 class TestLambda:

@@ -120,9 +120,7 @@ def _run(service, **fields):
 
 
 class TestExecutorSpanShapes:
-    @pytest.mark.parametrize(
-        "mode", ["iterative", "recursive", "memoryless"]
-    )
+    @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
     def test_cold_request_has_all_five_phases(self, service, mode):
         _run(service, mode=mode)
         entry = service.obs.slowlog.entries()[-1]
@@ -140,9 +138,7 @@ class TestExecutorSpanShapes:
         annotate = _span_by_name(spans, "annotate")
         assert annotate["tags"]["cached"] is False
 
-    @pytest.mark.parametrize(
-        "mode", ["iterative", "recursive", "memoryless"]
-    )
+    @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
     def test_warm_request_collapses_to_cached_annotate(self, service, mode):
         _run(service, mode=mode)
         _run(service, mode=mode)
@@ -150,6 +146,16 @@ class TestExecutorSpanShapes:
         spans = entry["spans"]
         assert _span_names(spans) == ["annotate", "enumerate"]
         assert _span_by_name(spans, "annotate")["tags"] == {"cached": True}
+
+    def test_recursive_mode_is_refused_before_any_phase_runs(self, service):
+        request = QueryRequest(
+            "h* s (h | s)*", "Alix", "Bob", mode="recursive"
+        )
+        response = service.execute(request)
+        assert response.status == "error"
+        assert "unknown mode 'recursive'" in response.error
+        entry = service.obs.slowlog.entries()[-1]
+        assert entry["status"] == "error" and entry["spans"] == []
 
     def test_any_walk_has_no_trim_span(self, service):
         _run(service, semantics="any")

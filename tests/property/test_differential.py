@@ -9,8 +9,11 @@ be replayed locally with::
     DIFF_SEED_BASE=<base> PYTHONPATH=src python -m pytest \
         "tests/property/test_differential.py::test_modes_agree[<case>]"
 
-Per case, every engine mode (``iterative``, ``recursive``,
-``memoryless``, ``auto``) is checked against the brute-force oracle
+Per case, every engine mode (``iterative``, ``memoryless``, ``auto``)
+and — as the matrix's fourth column, ``recursive`` — the paper's own
+pipeline (:mod:`repro.baselines.paper_pipeline`: map-building
+``annotate_reference`` → dict ``Trim`` → the recursive ``Enumerate``
+verbatim) is checked against the brute-force oracle
 (:mod:`repro.baselines.oracle` — machinery disjoint from the core
 algorithm) for
 
@@ -25,14 +28,13 @@ paper to produce the same DFS order (children by increasing
 ``TgtIdx``), and ``auto`` joins them whenever it dispatches to the
 general engine (the simple-setting fast path may reorder).
 
-Since the packed-pipeline refactor the engine modes all execute over
-the CSR-packed annotation arrays; every case therefore also replays
-through the retained *mapping-form* pipeline (``annotate_reference`` →
-dict ``Trim`` → queue-object DFS) and must match it in λ **and**
-output order — the packed layout is checked to be behaviorally
-invisible on every random instance.
+The engine modes all execute over the CSR-packed annotation arrays —
+the only storage :mod:`repro.core` has — while the ``recursive`` column
+shares no structure with them (dicts, queue objects, cons-lists), so
+their agreement in λ **and** output order checks the packed layout to
+be behaviorally invisible on every random instance.
 
-On top of the four engine modes, every case runs once more through
+On top of the four columns, every case runs once more through
 the ``repro.api`` **façade** (``Database(graph).query(...)``) — the
 path the service, the ``RPQ`` helpers and the CLI all share now — and
 a second identical façade query must report plan + annotation cache
@@ -64,15 +66,17 @@ from repro.baselines.oracle import (
     random_graph,
     random_regex,
 )
-from repro.core.annotate import annotate_reference
+from repro.baselines.paper_pipeline import (
+    annotate_reference,
+    enumerate_walks_recursive,
+    trim_maps,
+)
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
-from repro.core.enumerate import enumerate_walks
 from repro.core.restricted import restriction_predicate
-from repro.core.trim import trim
 from repro.query import rpq
 
-_MODES = ("iterative", "recursive", "memoryless", "auto")
+_MODES = ("iterative", "memoryless", "auto")
 
 SEED_BASE = int(os.environ.get("DIFF_SEED_BASE", "0"))
 N_CASES = int(os.environ.get("DIFF_CASES", "200"))
@@ -125,13 +129,11 @@ def test_modes_agree(case: int) -> None:
     _runs.append(seed)
 
     outputs = {}
-    for mode in _MODES:
-        engine = DistinctShortestWalks(graph, nfa, source, target, mode=mode)
-        walks = list(engine.enumerate())
-        edges: List[Tuple[int, ...]] = [w.edges for w in walks]
 
+    def check(mode: str, mode_lam, walks) -> None:
+        edges: List[Tuple[int, ...]] = [w.edges for w in walks]
         # λ agreement with the oracle.
-        assert engine.lam == lam, f"{mode} λ mismatch ({context})"
+        assert mode_lam == lam, f"{mode} λ mismatch ({context})"
         # Distinctness: each answer exactly once.
         assert len(set(edges)) == len(edges), (
             f"{mode} emitted duplicates ({context})"
@@ -151,31 +153,33 @@ def test_modes_agree(case: int) -> None:
             )
         outputs[mode] = edges
 
-    # Output-order agreement where the paper guarantees it: the three
-    # general modes share the DFS order…
-    assert outputs["iterative"] == outputs["recursive"], context
-    assert outputs["iterative"] == outputs["memoryless"], context
+    for mode in _MODES:
+        engine = DistinctShortestWalks(graph, nfa, source, target, mode=mode)
+        check(mode, engine.lam, list(engine.enumerate()))
 
-    # The packed column: the engines above all ran on the packed
-    # annotation pipeline (flat L/B arrays end-to-end); replay the case
-    # through the retained mapping-form pipeline (reference annotate →
-    # dict trim → queue-object DFS) and hold both content *and* order
-    # identical.  This is the guard that the packed representation is a
-    # pure layout change.
-    ref_cq = compile_query(graph, nfa)
-    ref_ann = annotate_reference(ref_cq, source, target)
-    ref_trimmed = trim(graph, ref_ann)
-    assert ref_ann.packed is None and ref_trimmed.cells is None, context
-    reference_edges = [
-        w.edges
-        for w in enumerate_walks(
-            graph, ref_trimmed, ref_ann.lam, target, ref_ann.target_states
-        )
-    ]
-    assert ref_ann.lam == lam, f"reference pipeline λ mismatch ({context})"
-    assert reference_edges == outputs["iterative"], (
-        f"packed pipeline order differs from the mapping pipeline ({context})"
+    # The fourth column: the paper's pipeline on the paper's structures
+    # (map-building annotate → dict trim → recursive DFS on queue
+    # objects).  The engines above all ran on the packed arrays; this
+    # column shares none of that code.
+    ref_ann = annotate_reference(compile_query(graph, nfa), source, target)
+    check(
+        "recursive",
+        ref_ann.lam,
+        list(
+            enumerate_walks_recursive(
+                graph, trim_maps(graph, ref_ann), ref_ann.lam, target,
+                ref_ann.target_states,
+            )
+        ),
     )
+
+    # Output-order agreement where the paper guarantees it: the general
+    # modes and the transcription share the DFS order — the guard that
+    # the packed representation is a pure layout change…
+    assert outputs["iterative"] == outputs["recursive"], (
+        f"packed pipeline order differs from the paper pipeline ({context})"
+    )
+    assert outputs["iterative"] == outputs["memoryless"], context
     # …and "auto" joins them unless the fast path (different traversal
     # order, same set — already checked above) was selected.
     auto_engine = DistinctShortestWalks(
@@ -420,7 +424,7 @@ def test_semantics_matrix(case: int) -> None:
     # fallback DFS, and the any-walk witness is a pure function of the
     # instance — so every engine mode must produce identical output.
     for kind, per_mode in order.items():
-        assert per_mode["iterative"] == per_mode["recursive"], (
+        assert per_mode["iterative"] == per_mode["auto"], (
             f"{kind} order ({context})"
         )
         assert per_mode["iterative"] == per_mode["memoryless"], (

@@ -62,11 +62,13 @@ from repro.baselines.oracle import (
     random_graph,
     random_regex_compact,
 )
-from repro.core.annotate import annotate_reference
+from repro.baselines.paper_pipeline import (
+    annotate_reference,
+    enumerate_walks_recursive,
+    trim_maps,
+)
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
-from repro.core.enumerate import enumerate_walks
-from repro.core.trim import trim
 from repro.graph.database import Graph
 from repro.live import (
     AddEdge,
@@ -220,7 +222,7 @@ def test_interleaving(case: int) -> None:
         # annotations (possibly *cached* across earlier mutation
         # batches — exactly the entries fine-grained invalidation chose
         # to keep).  Replay the query cold on the live graph through
-        # the retained mapping-form pipeline and hold raw-edge-id order
+        # the paper-structure oracle pipeline and hold raw-edge-id order
         # identical: a stale-but-kept packed annotation or a packed/
         # dict layout divergence both fail here.
         ref_cq = compile_query(live, nfas[expression])
@@ -230,9 +232,9 @@ def test_interleaving(case: int) -> None:
         assert ref_ann.lam == oracle_lam, f"reference λ ({context})"
         ref_edges = [
             w.edges
-            for w in enumerate_walks(
+            for w in enumerate_walks_recursive(
                 live,
-                trim(live, ref_ann),
+                trim_maps(live, ref_ann),
                 ref_ann.lam,
                 live.resolve_vertex(target),
                 ref_ann.target_states,

@@ -27,7 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import NFA, regex_to_nfa
-from repro.core.annotate import annotate, annotate_reference
+from repro.baselines.paper_pipeline import annotate_reference, packed_from_maps
+from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.datastructures.packed import PackedBack
 from repro.graph.builder import GraphBuilder
@@ -142,7 +143,7 @@ class TestAgainstTheModel:
         _check_layout(ann.packed)
         reference = annotate_reference(cq, 0, saturate=True)
         assert _cells(ann.packed) == _cells(
-            PackedBack.from_maps(ann.n, ann.n_states, reference.B)
+            packed_from_maps(ann.n, ann.n_states, reference.B)
         )
 
 
@@ -151,7 +152,7 @@ class TestAgainstTheReferenceTraversal:
         cq = compile_query(graph, nfa, eliminate_epsilon=eliminate)
         packed = annotate(cq, source, saturate=True).packed
         _check_layout(packed)
-        reference = PackedBack.from_maps(
+        reference = packed_from_maps(
             packed.n,
             packed.n_states,
             annotate_reference(cq, source, saturate=True).B,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from repro.core.engine import DistinctShortestWalks
 from repro.workloads.fraud import example9_automaton, example9_graph
 
-from tests.conftest import small_instances
+from tests.conftest import mode_walks, small_instances
 
 
 def _reversed_tgt_idx(graph, walk):
@@ -56,10 +56,10 @@ class TestEnumerationOrder:
     @settings(max_examples=40, deadline=None)
     def test_all_modes_emit_the_same_sequence(self, instance):
         graph, nfa, s, t = instance
-        sequences = []
-        for mode in ("iterative", "recursive", "memoryless"):
-            engine = DistinctShortestWalks(graph, nfa, s, t, mode=mode)
-            sequences.append([w.edges for w in engine.enumerate()])
+        sequences = [
+            [w.edges for w in mode_walks(graph, nfa, s, t, mode)]
+            for mode in ("iterative", "recursive", "memoryless")
+        ]
         assert sequences[0] == sequences[1] == sequences[2]
 
 

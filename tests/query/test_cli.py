@@ -91,12 +91,19 @@ class TestQueryCommand:
         assert "cheapest matching cost: 2" in out
 
     def test_modes(self, graph_file, capsys):
-        for mode in ("iterative", "recursive", "memoryless"):
+        for mode in ("iterative", "memoryless"):
             code = main(
                 ["query", graph_file, "h* s (h | s)*", "Alix", "Bob",
                  "--mode", mode]
             )
             assert code == 0
+        with pytest.raises(SystemExit) as refused:
+            main(
+                ["query", graph_file, "h* s (h | s)*", "Alix", "Bob",
+                 "--mode", "recursive"]
+            )
+        assert refused.value.code == 2
+        assert "invalid choice: 'recursive'" in capsys.readouterr().err
 
     def test_unknown_vertex(self, graph_file, capsys):
         code = main(["query", graph_file, "h", "Nobody", "Bob"])

@@ -129,6 +129,31 @@ def test_bad_json_line_answers_in_order() -> None:
     asyncio.run(scenario())
 
 
+def test_recursive_mode_is_a_typed_error_over_jsonl() -> None:
+    """``recursive`` is no engine mode: the protocol answers with the
+    typed unknown-mode error and keeps serving the connection."""
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            refused, served = await _tcp_exchange(
+                port,
+                [
+                    {"query": "h h s", "source": "Alix", "target": "Bob",
+                     "mode": "recursive", "id": 1},
+                    {"query": "h h s", "source": "Alix", "target": "Bob",
+                     "mode": "iterative", "id": 2},
+                ],
+            )
+            assert refused["id"] == 1 and refused["status"] == "error"
+            assert "unknown mode 'recursive'" in refused["error"]
+            assert served["id"] == 2 and served["status"] == "ok"
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
 def test_worker_kill_every_inflight_request_answered() -> None:
     """SIGKILL a worker mid-stream: each request is still answered,
     either retried to "ok" on the respawned pool or failed with the

@@ -12,6 +12,7 @@ from repro.service import (
     QueryRequest,
     QueryService,
     RequestError,
+    ServiceError,
     read_requests_jsonl,
 )
 from repro.workloads.fraud import example9_graph
@@ -51,11 +52,21 @@ class TestExecution:
 
     def test_mode_overrides_agree(self, service):
         base = service.execute(QueryRequest(QUERY, "Alix", "Bob"))
-        for mode in ("iterative", "recursive", "memoryless"):
+        for mode in ("iterative", "memoryless"):
             got = service.execute(
                 QueryRequest(QUERY, "Alix", "Bob", mode=mode)
             )
             assert _edges(got) == _edges(base), mode
+
+    def test_recursive_mode_is_a_typed_rejection(self, service):
+        request = QueryRequest(QUERY, "Alix", "Bob", mode="recursive")
+        with pytest.raises(RequestError, match="unknown mode 'recursive'"):
+            request.validate()
+        response = service.execute(request)
+        assert response.status == "error"
+        assert "unknown mode 'recursive'" in response.error
+        with pytest.raises(ServiceError, match="concrete engine mode"):
+            QueryService(default_mode="recursive")
 
     def test_no_matching_walk_is_empty_status(self, service):
         response = service.execute(QueryRequest("h", "Bob", "Alix"))
@@ -158,7 +169,7 @@ class TestPagination:
         assert response.next_cursor is None
 
     def test_out_of_range_cursor_is_error_not_crash(self, service):
-        for mode in ("memoryless", "iterative", "recursive"):
+        for mode in ("memoryless", "iterative"):
             response = service.execute(
                 QueryRequest(QUERY, "Alix", "Bob", cursor=[999999], mode=mode)
             )
@@ -355,9 +366,9 @@ class TestBatchExecutor:
         ]
         responses = service.execute_batch(requests, max_workers=4)
         assert [r.status for r in responses] == [
-            "ok", "ok", "error", "ok",
+            "ok", "error", "error", "ok",
         ]
-        assert _edges(responses[0]) == _edges(responses[1])
+        assert "unknown mode" in responses[1].error
         assert _edges(responses[0]) == _edges(responses[3])
 
     def test_concurrent_first_use_single_flight(self):

@@ -12,9 +12,8 @@ damaged log still holds.  The contract under test:
   valid-frame count);
 * the recovered graph is state-identical (name-wise — edge ids are
   compared too, via the rendered order) to the oracle;
-* all four query modes — iterative, recursive, memoryless enumeration
-  and the DP answer count — agree with an oracle database over the
-  rebuilt graph;
+* the query modes — iterative and memoryless enumeration, and the DP
+  answer count — agree with an oracle database over the rebuilt graph;
 * the log can be **continued** after recovery: reopening truncates the
   torn tail, further batches append cleanly, the warm façade caches
   stay coherent through the mutation (checked against a fresh rebuild
@@ -41,6 +40,7 @@ import pytest
 from repro.api import Database
 from repro.baselines.oracle import random_regex_compact
 from repro.core.engine import DistinctShortestWalks
+from repro.exceptions import QueryError
 from repro.graph.builder import GraphBuilder
 from repro.live import (
     AddEdge,
@@ -171,16 +171,19 @@ def _damage(rng: random.Random, wal_dir: str) -> None:
 
 
 def _query_modes_vs_oracle(db, live, oracle_graph, expr, source, target, ctx):
-    """All four query modes of ``db`` against an oracle rebuild."""
+    """Both query modes of ``db`` and the DP count against an oracle
+    rebuild; ``recursive`` is refused by the recovered database too."""
     oracle_db = Database(oracle_graph)
     want = oracle_db.query(expr).from_(source).to(target).run()
     want_rows = [_rendered_walk(oracle_graph, r.walk.edges) for r in want]
-    for mode in ("iterative", "recursive", "memoryless"):
+    for mode in ("iterative", "memoryless"):
         got = db.query(expr).from_(source).to(target).mode(mode).run()
         assert got.lam == want.lam, f"{mode} λ ({ctx})"
         rows = [_rendered_walk(live, r.walk.edges) for r in got]
         assert rows == want_rows, f"{mode} rows ({ctx})"
-    # Mode four: the engine-level DP answer count on the oracle graph.
+    with pytest.raises(QueryError, match="unknown mode"):
+        db.query(expr).from_(source).to(target).mode("recursive")
+    # The engine-level DP answer count on the oracle graph.
     engine = DistinctShortestWalks(
         oracle_graph, rpq(expr).automaton, source, target, mode="iterative"
     )
