@@ -41,7 +41,7 @@ def test_figure3_annotation_tables(benchmark, print_table):
             b_text = "; ".join(
                 f"i={i}:{sorted(preds)}" for i, preds in sorted(cells.items())
             )
-            queue = trimmed.cells.items(v, q)
+            queue = trimmed.items(v, q)
             c_text = (
                 " ".join(f"({_EDGE_NAMES[e]},{sorted(x)})" for e, x in queue)
                 if queue

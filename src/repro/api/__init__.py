@@ -27,7 +27,7 @@ matrix):
 * **semantics** — ``shortest`` (default) / ``cheapest`` /
   ``count()`` / ``with_multiplicity()``;
 * **execution** — engine ``mode()`` override, ``limit`` / ``offset``
-  / ``cursor`` pagination with O(λ) memoryless seek, ``timeout_ms``
+  / ``cursor`` pagination with one O(λ) seek per page, ``timeout_ms``
   budgets, ``explain()`` and ``stats()``.
 
 Because :class:`Database` wraps the graph registry and the

@@ -53,7 +53,8 @@ from repro.api.rows import Cursor, Row
 from repro.automata.ops import remove_epsilon
 from repro.core.anywalk import any_walk_search
 from repro.core.compile import compile_query
-from repro.core.engine import DistinctShortestWalks
+from repro.core.engine import CONCRETE_MODES, DistinctShortestWalks
+from repro.core.enumerate import skip_past_cursor
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import (
     fallback_walks,
@@ -72,8 +73,6 @@ from repro.obs import trace as obs_trace
 from repro.query.plan import QueryPlan, analyze
 from repro.query.rpq import RPQ
 from repro.service.cache import LRUCache
-
-_CONCRETE_MODES = ("iterative", "memoryless")
 
 #: Shared per-graph databases backing the classic one-shot entry
 #: points (``RPQ.shortest_walks`` and friends): repeat interactive
@@ -189,11 +188,11 @@ class Database:
         name: str = "default",
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "memoryless",
+        default_mode: str = "iterative",
         warm: bool = True,
         obs: Optional["Observability"] = None,
     ) -> None:
-        if default_mode not in _CONCRETE_MODES:
+        if default_mode not in CONCRETE_MODES:
             raise QueryError(
                 f"default_mode must be a concrete engine mode, "
                 f"got {default_mode!r}"
@@ -439,7 +438,7 @@ class Database:
         group_window_ms: float = 50.0,
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "memoryless",
+        default_mode: str = "iterative",
         warm: bool = True,
     ) -> "Database":
         """A database whose ``name`` graph is durable in ``wal_dir``.
@@ -473,7 +472,7 @@ class Database:
         name: str = "default",
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "memoryless",
+        default_mode: str = "iterative",
         warm: bool = True,
     ) -> "Database":
         """Recover ``wal_dir`` into a database **without** a writer.
@@ -745,12 +744,11 @@ class Database:
 
         The returned :class:`~repro.core.multi_target
         .MultiTargetShortestWalks` reuses the cached compiled plan but
-        is an independent instance — unlike the annotation-cache entry
-        the executor shares internally, its default eager
-        ``walks_to`` (which mutates shared cursors) needs no
-        coordination with other callers.  This is the sanctioned
-        accessor for code that wants the saturated structures
-        directly; everything else should go through :meth:`query`.
+        is an independent instance, not the annotation-cache entry the
+        executor shares internally (so it is never evicted under the
+        caller).  This is the sanctioned accessor for code that wants
+        the saturated structures directly; everything else should go
+        through :meth:`query`.
         """
         handle = self._handle(graph_name)
         if isinstance(query, RPQ):
@@ -828,9 +826,8 @@ class Database:
         The cached object carries the CSR-packed annotation arrays and
         the shared trim cells (see :mod:`repro.datastructures.packed`):
         every cache hit serves per-target reads off the flat ``dist``
-        array and enumerations off the packed cells — eager snapshots
-        copy one cursor array, the memoryless mode shares the arrays
-        read-only — with no per-hit dict materialization anywhere.
+        array and enumerations off the read-only packed cells, with no
+        per-hit copy or dict materialization anywhere.
 
         The restriction suffixes the key (same rationale as
         :meth:`_plan_for`): a trails entry and a walks entry of the
@@ -1044,15 +1041,14 @@ class Database:
         if cursor is not None:
             _check_cursor_edges(graph, cursor.edges, target_id)
         resume = cursor.edges if cursor is not None else None
-        restricted = restriction != "walks"
 
+        t0 = time.perf_counter()
         if not cheapest and self._annotation_cache.capacity == 0:
             # Cold per-request execution: the ordinary single-pair
             # engine, early-stopping Annotate and all ("auto" here is
             # the engine's own auto, including fast-path detection).
             # The compiled plan is still injected when the plan cache
-            # has one.  Cursors resume by replaying the prefix.
-            t0 = time.perf_counter()
+            # has one.
             engine = DistinctShortestWalks(
                 graph,
                 plan.rpq.automaton,
@@ -1064,40 +1060,8 @@ class Database:
             lam = engine.lam  # Triggers preprocessing.
             timings["annotate"] = time.perf_counter() - t0
             cached["annotation"] = False
-            if lam is None:
-                return iter(()), None
-            walk_lam, rkind = lam, None
-            if restricted:
-                # enumerate() is re-callable, so the probe's partial
-                # consumption does not disturb the stream built below.
-                info = restricted_lam(
-                    graph, plan.compiled, source_id, target_id, lam,
-                    restriction, engine.enumerate,
-                )
-                if info is None:
-                    return iter(()), None
-                lam, rkind = info
-            _check_cursor_budget(graph, cursor, lam, cheapest)
-            if rkind == "fallback":
-                walks = _skip_past_cursor(
-                    fallback_walks(
-                        graph, plan.compiled, source_id, target_id,
-                        restriction, lam,
-                    ),
-                    resume,
-                )
-            else:
-                walks = _skip_past_cursor(engine.enumerate(), resume)
-                if rkind == "filter":
-                    # rλ == λ: every restricted output is itself an
-                    # unrestricted output, so the underlying resume
-                    # (and the budget check above) stay valid.
-                    walks = restricted_filter(
-                        graph, restriction, source_id, walks
-                    )
+            open_walks = engine.enumerate
         else:
-            mode = self._resolve_mode(q._mode)
-            t0 = time.perf_counter()
             mt, ann_hit = self._annotation_for(
                 handle, q._construction, q._expression, plan,
                 source, source_id, cheapest, restriction,
@@ -1113,34 +1077,29 @@ class Database:
                     "annotate", timings["annotate"], cached=True
                 )
             lam, _ = mt.annotation.target_info(target_id)
-            if lam is None:
-                return iter(()), None
-            rkind = None
-            if restricted:
-                info = restricted_lam(
-                    graph, plan.compiled, source_id, target_id, lam,
-                    restriction,
-                    lambda: mt.walks_to(target, memoryless=True),
-                )
-                if info is None:
-                    return iter(()), None
-                lam, rkind = info
-            _check_cursor_budget(graph, cursor, lam, cheapest)
-            if rkind == "fallback":
-                walks = _skip_past_cursor(
-                    fallback_walks(
-                        graph, plan.compiled, source_id, target_id,
-                        restriction, lam,
-                    ),
-                    resume,
-                )
-            else:
-                walks = self._bucket_walks(mt, target, mode, resume)
-                if rkind == "filter":
-                    walks = restricted_filter(
-                        graph, restriction, source_id, walks
-                    )
+            memoryless = self._resolve_mode(q._mode) == "memoryless"
 
+            def open_walks(resume_after=None):
+                return mt.walks_to(target, memoryless, resume_after)
+
+        if lam is None:
+            return iter(()), None
+        rkind = None
+        if restriction != "walks":
+            # A fresh stream per call, so the probe's partial
+            # consumption does not disturb the one built below.
+            info = restricted_lam(
+                graph, plan.compiled, source_id, target_id, lam,
+                restriction, open_walks,
+            )
+            if info is None:
+                return iter(()), None
+            lam, rkind = info
+        _check_cursor_budget(graph, cursor, lam, cheapest)
+        walks = _walk_stream(
+            graph, plan.compiled, source_id, target_id, restriction, lam,
+            rkind, open_walks, resume,
+        )
         source_name = graph.vertex_name(source_id)
         target_name = graph.vertex_name(target_id)
         rows = _rows_of(
@@ -1196,7 +1155,7 @@ class Database:
                 return iter(()), None
             lam, edges = hit
             _check_cursor_budget(graph, cursor, lam, False)
-            walks = _skip_past_cursor(
+            walks = skip_past_cursor(
                 iter((Walk.from_edges_unchecked(graph, edges, sid),)),
                 cursor.edges if cursor is not None else None,
             )
@@ -1291,7 +1250,7 @@ class Database:
                     resume = cursor.edges
                 else:
                     resume = None
-                walks = _skip_past_cursor(
+                walks = skip_past_cursor(
                     iter((Walk.from_edges_unchecked(graph, edges, s_id),)),
                     resume,
                 )
@@ -1359,9 +1318,7 @@ class Database:
                 info = restricted_lam(
                     graph, plan.compiled, source_id, target_id, lam_t,
                     restriction,
-                    lambda: mt.walks_to(
-                        graph.vertex_name(target_id), memoryless=True
-                    ),
+                    lambda: mt.walks_to(graph.vertex_name(target_id)),
                 )
                 if info is None:
                     return None
@@ -1528,6 +1485,7 @@ class Database:
             if cursor.source is not None:
                 cursor_sid = graph.resolve_vertex(cursor.source)
             _check_cursor_edges(graph, cursor.edges, cursor_tid)
+        memoryless = mode == "memoryless"
 
         def gen() -> Iterator[Tuple[Row, Cursor]]:
             seeking = cursor is not None
@@ -1543,22 +1501,14 @@ class Database:
                     resume = cursor.edges
                 else:
                     resume = None
-                if b.rkind == "fallback":
-                    walks = _skip_past_cursor(
-                        fallback_walks(
-                            graph, plan.compiled, b.source_id,
-                            b.target_id, restriction, b.lam,
-                        ),
-                        resume,
-                    )
-                else:
-                    walks = self._bucket_walks(
-                        b.mt, b.target_name, mode, resume
-                    )
-                    if b.rkind == "filter":
-                        walks = restricted_filter(
-                            graph, restriction, b.source_id, walks
-                        )
+                walks = _walk_stream(
+                    graph, plan.compiled, b.source_id, b.target_id,
+                    restriction, b.lam, b.rkind,
+                    lambda resume_after, b=b: b.mt.walks_to(
+                        b.target_name, memoryless, resume_after
+                    ),
+                    resume,
+                )
                 yield from _rows_of(
                     walks, b.source_name, b.target_name, b.lam, True,
                     count_cq,
@@ -1570,26 +1520,6 @@ class Database:
                 )
 
         return gen()
-
-    def _bucket_walks(
-        self,
-        mt: MultiTargetShortestWalks,
-        target_input: Hashable,
-        mode: str,
-        resume: Optional[Tuple[int, ...]],
-    ) -> Iterator[Walk]:
-        """One bucket's walk stream in the requested engine mode.
-
-        Memoryless seeks in O(λ) via ``NextOutput``; the eager mode
-        replays the prefix (same DFS order, so tokens are portable
-        across modes).
-        """
-        if mode == "memoryless":
-            return mt.walks_to(
-                target_input, memoryless=True, resume_after=resume
-            )
-        iterator = mt.walks_to(target_input, snapshot=True)
-        return _skip_past_cursor(iterator, resume)
 
     # -- non-enumerating terminals -------------------------------------------
 
@@ -1739,6 +1669,10 @@ class Database:
             route = "cold single-pair engine (annotation cache disabled)"
         else:
             resolved = self._resolve_mode(q._mode)
+            resolved += (
+                " (NextOutput seek per row)" if resolved == "memoryless"
+                else " (one DFS, O(λ) seek per resumed page)"
+            )
             route = "cached multi-target annotation"
         if q._restriction in ("trails", "simple"):
             route += (
@@ -1833,30 +1767,38 @@ def _check_cursor_budget(
         )
 
 
-def _skip_past_cursor(
-    iterator: Iterator[Walk], cursor: Optional[Sequence[int]]
+def _walk_stream(
+    graph: Graph,
+    compiled: Any,
+    source_id: int,
+    target_id: int,
+    restriction: str,
+    lam: int,
+    rkind: Optional[str],
+    open_walks: Any,
+    resume: Optional[Tuple[int, ...]],
 ) -> Iterator[Walk]:
-    """Drop outputs up to and including the cursor walk.
+    """One (source, target) pair's walk stream, positioned after
+    ``resume``.
 
-    The eager enumerators cannot seek, so resuming them replays the
-    prefix — O(position) rather than the memoryless mode's O(λ).  The
-    output *order* is identical across the general modes (the paper's
-    DFS order), so a cursor handed out by one mode is valid in
-    another.  A cursor that matches no output (it passed the shape
-    checks but was never an answer of this enumeration) is an error,
-    not a silent empty page claiming exhaustion.
+    ``open_walks(resume_after)`` opens the pair's λ-walk enumeration
+    and seeks.  The filter regime (rλ == λ) rides on it: every
+    restricted output is itself an unrestricted output, so the
+    underlying seek — and the caller's budget check — stay valid.  The
+    fallback DFS (rλ > λ) has no cells under it and resumes by replay.
+    The output *order* is identical across the general modes (the
+    paper's DFS order), so a cursor handed out by one mode is valid in
+    another; one that was never an output is a
+    :class:`~repro.exceptions.QueryError`, not a silent page.
     """
-    if cursor is None:
-        yield from iterator
-        return
-    cursor = tuple(cursor)
-    seen = False
-    for walk in iterator:
-        if seen:
-            yield walk
-        elif walk.edges == cursor:
-            seen = True
-    if not seen:
-        raise QueryError(
-            "cursor does not match any output of this enumeration"
+    if rkind == "fallback":
+        return skip_past_cursor(
+            fallback_walks(
+                graph, compiled, source_id, target_id, restriction, lam
+            ),
+            resume,
         )
+    walks = open_walks(resume)
+    if rkind == "filter":
+        walks = restricted_filter(graph, restriction, source_id, walks)
+    return walks

@@ -34,9 +34,11 @@ can be forked freely::
 **Modes.**  ``shortest`` and ``cheapest`` both support every mode
 (``auto``, ``iterative``, ``memoryless``).  With caching enabled (the
 default), ``auto`` resolves to the database's ``default_mode``
-(``memoryless`` — concurrency-safe, O(λ) cursor seek); with the annotation cache disabled, a pair-shaped ``shortest``
-query falls back to the cold single-pair engine, whose own ``auto``
-includes the paper's simple-setting fast path.
+(``iterative`` — the DFS kept alive between rows; like ``memoryless``
+it is concurrency-safe and resumes a cursor with one O(λ) seek); with
+the annotation cache disabled, a pair-shaped ``shortest`` query falls
+back to the cold single-pair engine, whose own ``auto`` includes the
+paper's simple-setting fast path.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from typing import (
 )
 
 from repro.api.rows import Cursor, Row
+from repro.core.engine import MODES
 from repro.exceptions import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -64,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.query.plan import QueryPlan
     from repro.query.rpq import RPQ
 
-_MODES = ("auto", "iterative", "memoryless")
 _CONSTRUCTIONS = ("thompson", "glushkov")
 _SEMANTICS = ("shortest", "cheapest")
 _RESTRICTIONS = ("walks", "trails", "simple", "any")
@@ -266,9 +268,9 @@ class Query:
 
     def mode(self, mode: str) -> "Query":
         """Engine override; see the module docstring for the matrix."""
-        if mode not in _MODES:
+        if mode not in MODES:
             raise QueryError(
-                f"unknown mode {mode!r}; expected one of {_MODES}"
+                f"unknown mode {mode!r}; expected one of {MODES}"
             )
         q = self._clone()
         q._mode = mode
@@ -297,8 +299,9 @@ class Query:
 
         Accepts the :class:`~repro.api.rows.Cursor` object, its
         ``to_dict()`` payload, or (for pair queries) a bare edge-id
-        list — the batch service's token.  Seeking is O(λ) in
-        memoryless mode and O(position) in the eager mode.
+        list — the batch service's token.  Seeking is O(λ) in the
+        general modes; streams with nothing to seek in (the simple fast
+        path, the restricted fallback, an any-walk witness) replay.
         """
         q = self._clone()
         q._cursor = (

@@ -10,8 +10,7 @@ it degenerates to the service-layer cursor (the last walk's edge ids);
 for the bucketed shapes (``to_all``, ``from_any``, ``all_pairs``) it
 additionally pins the bucket — the (source, target) pair the walk
 belongs to — so a resumed query can seek straight to the right bucket
-and then to the right walk (O(λ) inside the bucket in memoryless
-mode).
+and then to the right walk (one O(λ) seek inside the bucket).
 """
 
 from __future__ import annotations

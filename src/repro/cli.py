@@ -67,7 +67,7 @@ from typing import List, Optional
 
 from repro.api import Database
 from repro.core.compile import compile_query
-from repro.core.engine import DistinctShortestWalks
+from repro.core.engine import CONCRETE_MODES, MODES, DistinctShortestWalks
 from repro.exceptions import ReproError
 from repro.graph.database import Graph
 from repro.graph.io import load_edge_list, load_json
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("target", nargs="?", help="target vertex name")
     query.add_argument(
         "--mode",
-        choices=["iterative", "memoryless", "auto"],
+        choices=MODES,
         default="auto",
         help="enumeration engine (default: auto)",
     )
@@ -604,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--mode",
-        choices=["iterative", "memoryless"],
-        default="memoryless",
+        choices=CONCRETE_MODES,
+        default="iterative",
         help="service default mode for requests that do not set one",
     )
     batch.add_argument(
@@ -756,8 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--mode",
-        choices=["iterative", "memoryless"],
-        default="memoryless",
+        choices=CONCRETE_MODES,
+        default="iterative",
         help="worker default mode for requests that do not set one",
     )
     serve_p.add_argument(

@@ -7,8 +7,10 @@ Module map (mirrors Figure 2 of the paper):
   with Section 5.1's ε-handling built in);
 * :mod:`repro.core.trim` — ``Trim`` (Section 3.2) and ``ResumableTrim``
   (Section 4.2);
-* :mod:`repro.core.enumerate` — ``Enumerate`` (Section 3.3);
-* :mod:`repro.core.memoryless` — ``NextOutput`` (Theorem 18);
+* :mod:`repro.core.enumerate` — ``Enumerate`` (Section 3.3), the one
+  seekable DFS;
+* :mod:`repro.core.memoryless` — ``NextOutput`` (Theorem 18): that DFS
+  re-positioned before every output;
 * :mod:`repro.core.engine` — the ``Main`` orchestration;
 * :mod:`repro.core.cheapest`, :mod:`repro.core.multi_target`,
   :mod:`repro.core.multiplicity` — the Section 5.3 extensions;
@@ -32,7 +34,7 @@ from repro.core.memoryless import enumerate_memoryless, next_output
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.multiplicity import count_accepting_runs
 from repro.core.simple import SimpleShortestWalks, simple_eligible
-from repro.core.trim import TrimmedAnnotation, resumable_trim, trim
+from repro.core.trim import resumable_trim, trim
 from repro.core.walks import Walk
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "DistinctShortestWalks",
     "MultiTargetShortestWalks",
     "SimpleShortestWalks",
-    "TrimmedAnnotation",
     "Walk",
     "annotate",
     "cheapest_annotate",

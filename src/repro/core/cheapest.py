@@ -41,9 +41,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.annotate import Annotation
 from repro.core.compile import CompiledQuery, compile_query
-from repro.datastructures.packed import PackedBack
+from repro.datastructures.packed import PackedBack, PackedCells
 from repro.core.enumerate import enumerate_walks
-from repro.core.trim import TrimmedAnnotation, trim
+from repro.core.trim import trim
 from repro.core.walks import Walk
 from repro.datastructures.pairing_heap import HeapNode, PairingHeap
 from repro.exceptions import CostError, QueryError
@@ -306,7 +306,7 @@ class DistinctCheapestWalks:
         self.heap = heap
         self._cq = compile_query(graph, self.automaton)
         self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[TrimmedAnnotation] = None
+        self._trimmed: Optional[PackedCells] = None
 
     def preprocess(self) -> "DistinctCheapestWalks":
         """Run the Dijkstra annotation and trim; idempotent."""

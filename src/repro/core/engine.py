@@ -6,9 +6,10 @@
 
 and exposes the knobs used throughout the test and benchmark suites:
 
-* ``mode="iterative"`` (default) — explicit-stack DFS, Theorem 2;
-* ``mode="memoryless"`` — ``NextOutput`` over ``ResumableTrim``,
-  Theorem 18;
+* ``mode="iterative"`` (default) — the explicit-stack DFS, Theorem 2,
+  kept alive between outputs and re-positioned by one seek on resume;
+* ``mode="memoryless"`` — the same DFS re-positioned before *every*
+  output (``NextOutput``), Theorem 18;
 * ``mode="auto"`` — linear-time detection of the "simpler setting"
   (single-labeled D + deterministic A) and dispatch to the O(λ)-delay
   fast path when it applies, as the paper suggests.
@@ -21,23 +22,27 @@ construction, preserving Corollary 20's bounds).
 from __future__ import annotations
 
 import time
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.automata.ops import remove_epsilon
 from repro.core._query_input import QueryLike, as_nfa
 from repro.core.annotate import Annotation, annotate
 from repro.core.compile import CompiledQuery, compile_query
-from repro.core.enumerate import enumerate_walks
+from repro.core.enumerate import enumerate_walks, skip_past_cursor
 from repro.core.memoryless import enumerate_memoryless
-from repro.core.multiplicity import count_accepting_runs
+from repro.core.multiplicity import count_accepting_runs, enumerate_with_runs
 from repro.core.simple import SimpleShortestWalks, simple_eligible
-from repro.core.trim import TrimmedAnnotation, resumable_trim, trim
+from repro.core.trim import trim
 from repro.core.walks import Walk
+from repro.datastructures.packed import PackedCells
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
 from repro.obs.trace import add_span
 
-_MODES = ("iterative", "memoryless", "auto")
+#: The engine modes a database or server may default to…
+CONCRETE_MODES = ("iterative", "memoryless")
+#: …and every mode a query may name — the one spelling all tiers import.
+MODES = CONCRETE_MODES + ("auto",)
 
 
 class DistinctShortestWalks:
@@ -68,8 +73,8 @@ class DistinctShortestWalks:
         by :func:`~repro.core.compile.compile_query` for this exact
         ``graph`` and ``query`` automaton (checked by identity: label
         ids and ε-closures are graph- and automaton-specific)."""
-        if mode not in _MODES:
-            raise QueryError(f"unknown mode {mode!r}; expected one of {_MODES}")
+        if mode not in MODES:
+            raise QueryError(f"unknown mode {mode!r}; expected one of {MODES}")
         self.graph = graph
         self.automaton = as_nfa(query)
         # Keep the caller's original vertex designators: resolve_vertex
@@ -95,7 +100,7 @@ class DistinctShortestWalks:
 
         self._cq: Optional[CompiledQuery] = None
         self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[TrimmedAnnotation] = None
+        self._trimmed: Optional[PackedCells] = None
         self._simple: Optional[SimpleShortestWalks] = None
         self._count_cq: Optional[CompiledQuery] = None
 
@@ -112,10 +117,7 @@ class DistinctShortestWalks:
         """Run the preprocessing phase once; later calls are no-ops.
 
         Records wall-clock timings per phase in :attr:`timings`
-        (``compile``, ``annotate``, ``trim``, ``total``).  ``trim``
-        and the memoryless mode's ``resumable_trim`` share one
-        :meth:`~repro.core.annotate.Annotation.packed_cells` build, so
-        the two together cost a single O(entries) pass.
+        (``compile``, ``annotate``, ``trim``, ``total``).
         """
         if self._annotation is not None or self._simple is not None:
             return self
@@ -180,7 +182,7 @@ class DistinctShortestWalks:
         return self._annotation
 
     @property
-    def trimmed(self) -> TrimmedAnnotation:
+    def trimmed(self) -> PackedCells:
         """The trimmed annotation (general modes only) — used by tests."""
         self.preprocess()
         if self._trimmed is None:
@@ -189,29 +191,34 @@ class DistinctShortestWalks:
 
     # -- enumeration -----------------------------------------------------------------
 
-    def enumerate(self) -> Iterator[Walk]:
+    def enumerate(
+        self, resume_after: Optional[Sequence[int]] = None
+    ) -> Iterator[Walk]:
         """Enumerate the answer set ⟦A⟧(D, s, t), each walk once.
 
         General modes emit walks in the paper's DFS order (children by
         increasing ``TgtIdx``); the fast path may use a different
-        order.  The returned iterator shares preprocessing structures —
-        run one enumeration at a time per engine (abandoning an
-        iterator is safe: cursors are restored on close).
+        order.  The preprocessing structures are read-only, so any
+        number of returned iterators may run at once.
+
+        ``resume_after`` (a previous output's edge sequence) continues
+        strictly after that walk: one O(λ) seek in the general modes, a
+        replay of the prefix on the fast path, which has no cells to
+        seek in.  A sequence that was never an output raises
+        :class:`~repro.exceptions.QueryError` on the first ``next()``.
         """
         self.preprocess()
         if self._simple is not None:
-            return self._simple.enumerate()
-        assert self._annotation is not None
+            return skip_past_cursor(self._simple.enumerate(), resume_after)
+        assert self._annotation is not None and self._trimmed is not None
         ann = self._annotation
-        if self.mode == "memoryless":
-            return enumerate_memoryless(
-                self.graph, resumable_trim(self.graph, ann), ann.lam,
-                self.target, ann.target_states,
-            )
-        assert self._trimmed is not None
-        return enumerate_walks(
+        run = (
+            enumerate_memoryless if self.mode == "memoryless"
+            else enumerate_walks
+        )
+        return run(
             self.graph, self._trimmed, ann.lam, self.target,
-            ann.target_states,
+            ann.target_states, resume_after=resume_after,
         )
 
     def __iter__(self) -> Iterator[Walk]:
@@ -248,8 +255,6 @@ class DistinctShortestWalks:
                 automaton = remove_epsilon(automaton)
             self._count_cq = compile_query(self.graph, automaton)
         if method == "tracked" and self._trimmed is not None:
-            from repro.core.multiplicity import enumerate_with_runs
-
             assert self._annotation is not None
             ann = self._annotation
             return enumerate_with_runs(
@@ -311,8 +316,7 @@ class DistinctShortestWalks:
         """Entry counts of the precomputed structures (Remark 17).
 
         Both counts are O(1) reads: the annotation count is the packed
-        entry-array length, the trimmed count the shared cell-array
-        length (``ResumableTrim`` stores nothing beyond those cells).
+        entry-array length, the trimmed count the cell-array length.
         """
         self.preprocess()
         if self._annotation is None:

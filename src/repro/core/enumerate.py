@@ -1,4 +1,5 @@
-"""The ``Enumerate`` phase (paper, Figure 2 lines 42-66).
+"""The ``Enumerate`` phase (paper, Figure 2 lines 42-66) — and the one
+place the cells are walked to produce walks.
 
 ``Enumerate`` performs a depth-first traversal of the backward-search
 tree ``T`` (Definition 12): nodes are suffixes of answers, the root is
@@ -14,42 +15,82 @@ Python's recursion limit on long walks.  Frames carry a *remaining
 budget* instead of a depth, which lets the same code serve the Distinct
 Cheapest Walks extension (budget = remaining cost, leaf ⇔ budget 0);
 with unit costs it is exactly the paper's algorithm.  The DFS runs
-directly over the flat cell arrays: queue heads are integer cursor
-reads, cursor restarts are integer stores, and child certificates come
-from the per-cell cached tuples — the common single-queue-head case
-unions nothing and allocates nothing.  The per-edge cost callback
-fires only in cheapest mode.
+directly over the flat cell arrays of the shared, read-only
+:class:`~repro.datastructures.packed.PackedCells`: queue heads are
+integer cursor reads, and child certificates come from the per-cell
+cached tuples — the common single-queue-head case unions nothing and
+allocates nothing.  The per-edge cost callback fires only in cheapest
+mode.
+
+**Cursors are private to the generator.**  A product node ``(u, p)``
+only ever appears in frames whose remaining budget is ``dist[u, p]``,
+so it sits at one depth of the tree and at most once on any DFS stack:
+entering a frame simply re-initialises its nodes' cursors, whatever an
+earlier sibling subtree left there.  Nothing is written to the cells
+(bar the benign certificate cache), so any number of enumerations —
+interleaved, abandoned mid-way, on other threads — run over one
+``Trim`` product.
+
+**The DFS can be re-positioned** (Theorem 18's ``NextOutput``).  Queues
+are consumed in increasing ``TgtIdx`` order, so once the DFS has
+descended into edge ``e`` from a frame, each of that frame's queues
+stands at its first cell past ``TgtIdx(e)``.  Given a previous output,
+``resume_after`` rebuilds the whole stack by that rule — one binary
+search per (frame, state) over the node's cell span, O(λ × |A| ×
+log InDeg) — and the ordinary DFS continues with the next leaf.  (The
+paper's skip-pointer seek is O(1); the cells store only non-empty
+positions, hence the logarithm.)
 
 Delay: between two consecutive outputs the DFS traverses at most 2λ
 tree edges, each costing O(|Q| + Σ_p |X_p|) = O(|A|) — hence the
-O(λ × |A|) bound of Theorem 2.  No output is ever produced twice, and
-abandoned generators restore the shared queue cursors.
+O(λ × |A|) bound of Theorem 2.  No output is ever produced twice.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.core.trim import TrimmedAnnotation
 from repro.core.walks import Walk
+from repro.datastructures.packed import PackedCells
+from repro.exceptions import QueryError
 from repro.graph.database import Graph
 
 #: Edge-cost callback; unit costs reproduce the paper's setting.
 CostFn = Callable[[int], int]
 
+#: DFS frame: (vertex, certificate states, remaining budget).
+_Frame = Tuple[int, Tuple[int, ...], int]
+
+
+def _not_an_output() -> QueryError:
+    return QueryError("cursor does not match any output of this enumeration")
+
 
 def enumerate_walks(
     graph: Graph,
-    trimmed: TrimmedAnnotation,
+    cells: PackedCells,
     budget: Optional[int],
     target: int,
     start_states: FrozenSet[int],
     cost_of: Optional[CostFn] = None,
+    resume_after: Optional[Sequence[int]] = None,
 ) -> Iterator[Walk]:
     """Enumerate distinct shortest (or cheapest) walks, leftmost-first.
 
     Parameters
     ----------
+    cells:
+        the ``Trim`` product (:func:`~repro.core.trim.trim`); read-only.
     budget:
         λ — the length (or total cost) of the answers.  ``None`` or an
         empty ``start_states`` yields nothing (no matching walk);
@@ -59,20 +100,28 @@ def enumerate_walks(
     cost_of:
         per-edge cost; ``None`` (the default) is the paper's unit-cost
         setting, with no per-edge callback.
+    resume_after:
+        the edge sequence (source → target order) of a previous output:
+        the enumeration continues strictly *after* that walk, in O(λ)
+        seeks instead of a replay of the prefix.  A sequence that is
+        not an output of this enumeration raises
+        :class:`~repro.exceptions.QueryError`.
 
-    Queue state is ``trimmed``'s per-node cursor array over the flat
-    cell arrays of the shared
-    :class:`~repro.datastructures.packed.PackedCells`.  Certificates
-    are the per-cell cached tuples — already sorted and deduplicated —
-    merged only when ``emin`` sits at more than one state's head.
+    Certificates are the per-cell cached tuples — already sorted and
+    deduplicated — merged only when ``emin`` sits at more than one
+    state's head.
     """
     if budget is None or not start_states:
+        if resume_after is not None:
+            raise _not_an_output()
         return
     if budget == 0:
-        yield Walk(graph, (), start=target)
+        if resume_after is None:
+            yield Walk(graph, (), start=target)
+        elif len(resume_after):
+            raise _not_an_output()
         return
 
-    cells = trimmed.cells
     n_states = cells.n_states
     key_indptr = cells.key_indptr
     cell_ti = cells.cell_ti
@@ -80,85 +129,167 @@ def enumerate_walks(
     pred_indptr = cells.cell_pred_indptr
     preds_arr = cells.back.ent_pred
     certs = cells.certs
-    cur = trimmed.cursor
     src_arr = graph.src_array
     unit = cost_of is None
 
-    trimmed.acquire()
+    # cur[u·|Q| + p] = current cell of C_u[p]; written on frame entry.
+    cur: Dict[int, int] = {}
     chosen: List[int] = []
-    # Frame: (vertex, certificate states, remaining budget).
-    stack: List[Tuple[int, Tuple[int, ...], int]] = [
-        (target, tuple(sorted(start_states)), budget)
-    ]
-    try:
-        while stack:
-            u, states, remaining = stack[-1]
-            if remaining == 0:
-                edges = tuple(reversed(chosen))
-                yield Walk.from_edges_unchecked(graph, edges, src_arr[edges[0]])
-                stack.pop()
+    root_states = tuple(sorted(start_states))
+    stack: List[_Frame] = [(target, root_states, budget)]
+    if resume_after is None:
+        base = target * n_states
+        for p in root_states:
+            cur[base + p] = key_indptr[base + p]
+    else:
+        _seek(graph, cells, stack, chosen, cur, resume_after, cost_of)
+
+    while stack:
+        u, states, remaining = stack[-1]
+        if remaining == 0:
+            edges = tuple(reversed(chosen))
+            yield Walk.from_edges_unchecked(graph, edges, src_arr[edges[0]])
+            stack.pop()
+            chosen.pop()
+            continue
+
+        base = u * n_states
+        # Lines 48-53: queue heads are cursor reads; TgtIdx order
+        # within a node makes the head the minimal candidate.
+        emin_c = -1
+        emin_ti = -1
+        for p in states:
+            k = base + p
+            c = cur[k]
+            if c < key_indptr[k + 1]:
+                t = cell_ti[c]
+                if emin_c < 0 or t < emin_ti:
+                    emin_c, emin_ti = c, t
+
+        if emin_c < 0:
+            # Lines 54-57: every queue is exhausted — return.  (The
+            # paper restarts the queues here; re-entry does it instead.)
+            stack.pop()
+            if chosen:
                 chosen.pop()
-                continue
+            continue
 
-            base = u * n_states
-            # Lines 48-53: queue heads are cursor reads; TgtIdx order
-            # within a node makes the head the minimal candidate.
-            emin_c = -1
-            emin_ti = -1
-            for p in states:
+        # Lines 58-65: consume emin at every head carrying it and
+        # union the (cached, sorted) certificates.
+        single: Optional[Tuple[int, ...]] = None
+        merged = None
+        for p in states:
+            k = base + p
+            c = cur[k]
+            if c < key_indptr[k + 1] and cell_ti[c] == emin_ti:
+                cur[k] = c + 1
+                cert = certs[c]
+                if cert is None:
+                    lo, hi = pred_indptr[c], pred_indptr[c + 1]
+                    if hi == lo + 1:
+                        cert = (preds_arr[lo],)
+                    else:
+                        cert = tuple(sorted(set(preds_arr[lo:hi])))
+                    certs[c] = cert
+                if merged is not None:
+                    merged.update(cert)
+                elif single is None:
+                    single = cert
+                elif single != cert:
+                    merged = set(single)
+                    merged.update(cert)
+        child_states = (
+            single if merged is None else tuple(sorted(merged))
+        )
+
+        emin = cell_edge[emin_c]
+        child = src_arr[emin]
+        left = remaining - 1 if unit else remaining - cost_of(emin)
+        if left:
+            base = child * n_states
+            for p in child_states:
                 k = base + p
-                c = cur[k]
-                if c < key_indptr[k + 1]:
-                    t = cell_ti[c]
-                    if emin_c < 0 or t < emin_ti:
-                        emin_c, emin_ti = c, t
+                cur[k] = key_indptr[k]
+        chosen.append(emin)
+        stack.append((child, child_states, left))
 
-            if emin_c < 0:
-                # Lines 54-57: restart this node's cursors and return.
-                for p in states:
-                    k = base + p
-                    cur[k] = key_indptr[k]
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
 
-            # Lines 58-65: consume emin at every head carrying it and
-            # union the (cached, sorted) certificates.
-            single: Optional[Tuple[int, ...]] = None
-            merged = None
-            for p in states:
-                k = base + p
-                c = cur[k]
-                if c < key_indptr[k + 1] and cell_ti[c] == emin_ti:
-                    cur[k] = c + 1
-                    cert = certs[c]
-                    if cert is None:
-                        lo, hi = pred_indptr[c], pred_indptr[c + 1]
-                        if hi == lo + 1:
-                            cert = (preds_arr[lo],)
-                        else:
-                            cert = tuple(sorted(set(preds_arr[lo:hi])))
-                        certs[c] = cert
-                    if merged is not None:
-                        merged.update(cert)
-                    elif single is None:
-                        single = cert
-                    elif single != cert:
-                        merged = set(single)
-                        merged.update(cert)
-            child_states = (
-                single if merged is None else tuple(sorted(merged))
+def _seek(
+    graph: Graph,
+    cells: PackedCells,
+    stack: List[_Frame],
+    chosen: List[int],
+    cur: Dict[int, int],
+    resume_after: Sequence[int],
+    cost_of: Optional[CostFn],
+) -> None:
+    """Guided descent: leave ``stack`` / ``chosen`` / ``cur`` as the DFS
+    had them right after it output ``resume_after``.
+
+    Walks the previous output from the target backwards; per frame and
+    state, one binary search lands the cursor past ``TgtIdx(e)`` and the
+    cell found *at* it contributes its certificate to the child frame.
+    The sequence was an output iff every level finds ``e`` itself under
+    a non-empty certificate and the budget lands on exactly 0.
+    """
+    n_states = cells.n_states
+    key_indptr = cells.key_indptr
+    cell_ti = cells.cell_ti
+    cell_edge = cells.cell_edge
+    cert_of = cells.cert
+    ti_arr = graph.tgt_idx_array
+    src_arr = graph.src_array
+    n_edges = len(ti_arr)
+    for e in reversed(resume_after):
+        if not 0 <= e < n_edges:
+            raise _not_an_output()
+        u, states, remaining = stack[-1]
+        base = u * n_states
+        ti = ti_arr[e]
+        child_states: set = set()
+        for p in states:
+            k = base + p
+            hi = key_indptr[k + 1]
+            c = bisect_left(cell_ti, ti, key_indptr[k], hi)
+            if c < hi and cell_ti[c] == ti:
+                if cell_edge[c] != e:
+                    raise _not_an_output()
+                child_states.update(cert_of(c))
+                c += 1
+            cur[k] = c
+        if not child_states:
+            raise _not_an_output()
+        chosen.append(e)
+        stack.append(
+            (
+                src_arr[e],
+                tuple(sorted(child_states)),
+                remaining - (1 if cost_of is None else cost_of(e)),
             )
+        )
+    # The guided leaf *is* the previous output: skip it.
+    if stack.pop()[2] != 0:
+        raise _not_an_output()
+    chosen.pop()
 
-            emin = cell_edge[emin_c]
-            chosen.append(emin)
-            stack.append(
-                (
-                    src_arr[emin],
-                    child_states,
-                    remaining - 1 if unit else remaining - cost_of(emin),
-                )
-            )
-    finally:
-        trimmed.restart_all()
+
+def skip_past_cursor(
+    walks: Iterator[Walk], resume_after: Optional[Sequence[int]]
+) -> Iterator[Walk]:
+    """``resume_after`` for a stream with no cells to seek in (the
+    simple fast path, the restricted fallback DFS, an any-walk
+    witness): replay it, dropping outputs up to and including that
+    walk — O(position), and the same error when it never shows up."""
+    if resume_after is None:
+        return walks
+    cursor = tuple(resume_after)
+
+    def replay() -> Iterator[Walk]:
+        stream = iter(walks)
+        for walk in stream:
+            if walk.edges == cursor:
+                yield from stream
+                return
+        raise _not_an_output()
+
+    return replay()

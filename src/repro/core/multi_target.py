@@ -13,10 +13,10 @@ most from the label-indexed traversal (every frontier pair pays the
 intersection cost, none is cut short by an early stop) — and from the
 packed annotation layout: per-target λ/certificate reads go straight
 to the flat ``dist`` array (no ``L`` dict materialization over |V|
-targets), and the eager :attr:`trimmed` cursors and the memoryless
-enumeration read the *same* packed cell arrays, so a saturated
-annotation cached by the query service serves every target and both
-engine families from one O(entries) build.
+targets), and every enumeration reads the *same* read-only packed
+cell arrays, so a saturated annotation cached by the query service
+serves every target, mode and concurrent reader from one O(entries)
+build.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from repro.core.cheapest import cheapest_annotate
 from repro.core.compile import CompiledQuery, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
-from repro.core.trim import TrimmedAnnotation, resumable_trim, trim
+from repro.core.trim import trim
 from repro.core.walks import Walk
+from repro.datastructures.packed import PackedCells
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
 from repro.obs.trace import span as _span
@@ -45,8 +46,8 @@ class MultiTargetShortestWalks:
     >>> sorted(mt.reached_target_names())  # doctest: +NORMALIZE_WHITESPACE
     ['Bob', 'Cassie', 'Dan', 'Eve']
 
-    Enumerations towards different targets share the trimmed queues;
-    consume one iterator fully (or close it) before starting the next.
+    Enumerations towards different targets share the read-only trimmed
+    queues and may be interleaved freely.
     """
 
     def __init__(
@@ -80,7 +81,7 @@ class MultiTargetShortestWalks:
         else:
             self._cq = compile_query(graph, self.automaton)
         self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[TrimmedAnnotation] = None
+        self._trimmed: Optional[PackedCells] = None
 
     def preprocess(self) -> "MultiTargetShortestWalks":
         """Saturating annotate + trim; idempotent."""
@@ -104,9 +105,8 @@ class MultiTargetShortestWalks:
         return self._annotation
 
     @property
-    def trimmed(self) -> TrimmedAnnotation:
-        """The shared trimmed annotation (cursors are mutable state —
-        see :meth:`walks_to` for the safe ways to enumerate over it)."""
+    def trimmed(self) -> PackedCells:
+        """The shared, read-only trimmed annotation."""
         self.preprocess()
         assert self._trimmed is not None
         return self._trimmed
@@ -145,55 +145,27 @@ class MultiTargetShortestWalks:
         target: Hashable,
         memoryless: bool = False,
         resume_after: Optional[Sequence[int]] = None,
-        snapshot: bool = False,
     ) -> Iterator[Walk]:
         """Enumerate distinct shortest matching walks to one target.
 
-        Three execution flavours over the one shared preprocessing:
-
-        * default — the eager enumerator on the shared trimmed queues
-          (one active enumeration at a time, as before);
-        * ``snapshot=True`` — the eager enumerator on a private cursor
-          :meth:`~repro.core.trim.TrimmedAnnotation.snapshot`, safe to
-          run concurrently with other enumerations;
-        * ``memoryless=True`` — ``NextOutput`` over the shared
-          read-only ``ResumableTrim`` cells; also concurrent-safe,
-          and ``resume_after`` (a previous output's edge sequence)
-          restarts the enumeration right after that walk in O(λ)
-          instead of re-walking the prefix of the output sequence.
-
-        ``resume_after`` requires ``memoryless=True`` (the eager
-        enumerators have no O(1) seek).
+        One DFS over the one shared preprocessing; any number of these
+        iterators may run at once.  ``resume_after`` (a previous
+        output's edge sequence) restarts the enumeration right after
+        that walk in O(λ) instead of re-walking the prefix of the
+        output sequence.  ``memoryless=True`` runs the Theorem-18
+        artefact instead — one ``NextOutput`` seek per *output* — with
+        the same outputs in the same order.
         """
         self.preprocess()
         assert self._annotation is not None and self._trimmed is not None
-        if resume_after is not None and not memoryless:
-            raise QueryError(
-                "resume_after requires memoryless=True (the eager "
-                "enumerators cannot seek)"
-            )
         t = self.graph.resolve_vertex(target)
         lam_t, states = self._annotation.target_info(t)
         cost_arr = self.graph.cost_array if self.cheapest else None
         cost_of = (lambda e: cost_arr[e]) if cost_arr is not None else None
-        if memoryless:
-            return enumerate_memoryless(
-                self.graph,
-                resumable_trim(self.graph, self._annotation),
-                lam_t,
-                t,
-                states,
-                cost_of=cost_of,
-                resume_after=resume_after,
-            )
-        trimmed = self._trimmed.snapshot() if snapshot else self._trimmed
-        return enumerate_walks(
-            self.graph,
-            trimmed,
-            lam_t,
-            t,
-            states,
-            cost_of=cost_of,
+        run = enumerate_memoryless if memoryless else enumerate_walks
+        return run(
+            self.graph, self._trimmed, lam_t, t, states,
+            cost_of=cost_of, resume_after=resume_after,
         )
 
     def all_walks(

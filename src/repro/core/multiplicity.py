@@ -16,7 +16,11 @@ provides both:
   backward-search tree carries a map ``M[q]`` = number of accepting
   (word, run) pairs of the *suffix* built so far that start in ``q``;
   extending by an edge costs one sweep over the edge's labels and
-  transitions, so the delay bound is again untouched.
+  transitions, so the delay bound is again untouched.  The maps ride
+  on the output stream of the one DFS
+  (:func:`~repro.core.enumerate.enumerate_walks`): consecutive outputs
+  share the path to their lowest common ancestor, so only the edges
+  below it are re-rolled.
 
 For ε-NFAs the notion "number of runs" is ambiguous (ε-cycles admit
 infinitely many runs), so multiplicities are defined — and computed —
@@ -30,8 +34,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.compile import CompiledQuery
-from repro.core.trim import TrimmedAnnotation
+from repro.core.enumerate import enumerate_walks
 from repro.core.walks import Walk
+from repro.datastructures.packed import PackedCells
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
 
@@ -70,7 +75,7 @@ def count_accepting_runs(
 
 def enumerate_with_runs(
     graph: Graph,
-    trimmed: TrimmedAnnotation,
+    cells: PackedCells,
     cq: CompiledQuery,
     lam: Optional[int],
     target: int,
@@ -78,18 +83,22 @@ def enumerate_with_runs(
 ) -> Iterator[Tuple[Walk, int]]:
     """Enumerate ``(walk, multiplicity)`` with *tracked* run counts.
 
-    Same DFS and output order as
-    :func:`repro.core.enumerate.enumerate_walks`, with one extra
-    per-frame map ``M``: ``M[q]`` is the number of accepting (word,
-    run) pairs of the suffix walk assembled so far that start in
-    state ``q``.  At the root, ``M[f] = 1`` for the reached final
-    states; prepending edge ``e`` rolls the map backwards through
-    ``Δ`` restricted to ``Lbl(e)``; at a leaf, the multiplicity is the
-    sum of ``M[q]`` over the initial states.
+    The outputs (and their order) are those of
+    :func:`repro.core.enumerate.enumerate_walks`; beside them this keeps
+    one map per tree node on the current root-to-leaf path:
+    ``runs[i][q]`` is the number of accepting (word, run) pairs of the
+    suffix ``edges[i:]`` that start in state ``q``.  At the root,
+    ``M[f] = 1`` for the reached final states; prepending edge ``e``
+    rolls the map backwards through ``Δ`` restricted to ``Lbl(e)``; at
+    a leaf, the multiplicity is the sum of ``M[q]`` over the initial
+    states.
 
-    Maintaining ``M`` costs one sweep over the edge's firing
-    transitions per tree edge — within the O(λ × |A|) delay bound.
-    ``cq`` must be ε-free, like :func:`count_accepting_runs`.
+    Two consecutive outputs share their suffix up to the lowest common
+    ancestor in the backward-search tree, and the DFS crossed every
+    edge below it to get from one to the other — so re-rolling exactly
+    the edges that changed costs one Δ-sweep per tree edge traversed,
+    within the O(λ × |A|) delay bound.  ``cq`` must be ε-free, like
+    :func:`count_accepting_runs`.
     """
     if cq.has_eps:
         raise QueryError(
@@ -98,94 +107,39 @@ def enumerate_with_runs(
         )
     if lam is None or not start_states:
         return
-    initial = set(cq.initial)
+    initial = cq.initial
     if lam == 0:
-        yield Walk(graph, (), start=target), len(initial & set(cq.final))
+        yield Walk(graph, (), start=target), len(
+            set(initial) & set(cq.final)
+        )
         return
 
-    cells = trimmed.cells
-    n_states = cells.n_states
-    key_indptr = cells.key_indptr
-    cell_ti = cells.cell_ti
-    cell_edge = cells.cell_edge
-    cur = trimmed.cursor
-    cert_of = cells.cert
-    src_arr = graph.src_array
     labels_arr = graph.label_array
-    delta = cq.delta
-
-    trimmed.acquire()
-    root_runs: Dict[int, int] = {f: 1 for f in start_states}
-    chosen: List[int] = []
-    # Frame: (vertex, certificate states, remaining, suffix-run map).
-    stack: List[Tuple[int, Tuple[int, ...], int, Dict[int, int]]] = [
-        (target, tuple(sorted(start_states)), lam, root_runs)
-    ]
-    try:
-        while stack:
-            u, states, remaining, runs = stack[-1]
-            if remaining == 0:
-                multiplicity = sum(
-                    c for q, c in runs.items() if q in initial
-                )
-                edges = tuple(reversed(chosen))
-                yield Walk.from_edges_unchecked(
-                    graph, edges, src_arr[edges[0]]
-                ), multiplicity
-                stack.pop()
-                chosen.pop()
-                continue
-
-            base = u * n_states
-            emin_c = -1
-            emin_ti = -1
-            for p in states:
-                k = base + p
-                c = cur[k]
-                if c < key_indptr[k + 1]:
-                    t = cell_ti[c]
-                    if emin_c < 0 or t < emin_ti:
-                        emin_c, emin_ti = c, t
-            if emin_c < 0:
-                for p in states:
-                    k = base + p
-                    cur[k] = key_indptr[k]
-                stack.pop()
-                if chosen:
-                    chosen.pop()
-                continue
-
-            child_states: set = set()
-            for p in states:
-                k = base + p
-                c = cur[k]
-                if c < key_indptr[k + 1] and cell_ti[c] == emin_ti:
-                    cur[k] = c + 1
-                    child_states.update(cert_of(c))
-            emin = cell_edge[emin_c]
-
-            # Roll the run map backwards across emin: a run of the new
-            # suffix starting in q picks a label a and a transition
-            # into some p, then continues as a run from p.
-            child_runs: Dict[int, int] = {}
-            edge_labels = labels_arr[emin]
-            for q in child_states:
-                dq = delta[q]
+    # Rows that can fire at all (compilation empties the others).
+    rows = [(q, dq) for q, dq in enumerate(cq.delta) if dq]
+    # runs[i] belongs to the suffix edges[i:]; runs[lam] is the root's.
+    runs: List[Dict[int, int]] = [{} for _ in range(lam)]
+    runs.append({f: 1 for f in start_states})
+    previous: Tuple[int, ...] = ()
+    for walk in enumerate_walks(graph, cells, lam, target, start_states):
+        edges = walk.edges
+        changed = lam
+        if previous:
+            while changed and edges[changed - 1] == previous[changed - 1]:
+                changed -= 1
+        for i in range(changed - 1, -1, -1):
+            # A run of the longer suffix starting in q picks a label a
+            # and a transition into some p, then continues from p.
+            after = runs[i + 1]
+            edge_labels = labels_arr[edges[i]]
+            rolled: Dict[int, int] = {}
+            for q, dq in rows:
                 total = 0
                 for a in edge_labels:
                     for p in dq.get(a, ()):
-                        total += runs.get(p, 0)
+                        total += after.get(p, 0)
                 if total:
-                    child_runs[q] = total
-
-            chosen.append(emin)
-            stack.append(
-                (
-                    src_arr[emin],
-                    tuple(sorted(child_states)),
-                    remaining - 1,
-                    child_runs,
-                )
-            )
-    finally:
-        trimmed.restart_all()
+                    rolled[q] = total
+            runs[i] = rolled
+        yield walk, sum(runs[0].get(q, 0) for q in initial)
+        previous = edges

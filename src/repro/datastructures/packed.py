@@ -28,15 +28,15 @@ items ``(e, X)`` of Lemma 11 — as parallel arrays ``cell_ti`` /
 ``TgtIdx`` order.  Because :class:`PackedBack` already stores entries
 in exactly that order, the build is a single O(entries) pointer-slicing
 pass: no ``sorted()``, no tuple freezing.  Certificate tuples (the
-sorted, duplicate-free predecessor sets the enumerators union per tree
+sorted, duplicate-free predecessor sets ``Enumerate`` unions per tree
 edge) are materialized lazily per cell and cached in :attr:`certs` —
 a first-``k`` enumeration touches only the cells along its walks.
 
-One :class:`PackedCells` instance is shared by the eager
-:class:`~repro.core.trim.TrimmedAnnotation` (which adds a per-key
-cursor array), ``NextOutput`` (which adds nothing — the memoryless
-cursors live in the caller's frames) and the counting DP, so ``Trim``
-and ``ResumableTrim`` cost O(entries) once per annotation *combined*.
+One :class:`PackedCells` instance is shared, read-only, by every
+enumeration over its annotation (queue cursors are private to each
+:func:`~repro.core.enumerate.enumerate_walks` generator) and by the
+counting DP, so ``Trim`` and ``ResumableTrim`` cost O(entries) once per
+annotation *combined*.
 """
 
 from __future__ import annotations
@@ -246,6 +246,10 @@ class PackedCells:
     def __len__(self) -> int:
         """Number of stored cells (= Trim queue items), O(1)."""
         return len(self.cell_ti)
+
+    def total_items(self) -> int:
+        """Number of stored (e, X) pairs — for the memory experiment."""
+        return len(self)
 
     def cert(self, c: int) -> Tuple[int, ...]:
         """The certificate tuple of cell ``c`` — sorted, deduplicated,

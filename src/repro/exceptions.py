@@ -107,14 +107,6 @@ class CostError(ReproError):
     """Edge costs were missing, non-positive, or of mixed bad types."""
 
 
-class EnumerationStateError(ReproError):
-    """The shared enumeration structures were used in an invalid way.
-
-    Raised for instance when two enumerations that share one trimmed
-    annotation are interleaved without resetting it.
-    """
-
-
 class ShmError(ReproError):
     """Shared-memory serving-segment failure (repro.serve.shm).
 

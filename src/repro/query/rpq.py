@@ -16,7 +16,7 @@ defaults to ``"auto"``.
 
 **Modes.**  ``shortest`` (and its multiplicity variant) and
 ``cheapest`` support ``auto`` / ``iterative`` / ``memoryless``.
-``"auto"`` resolves to the façade's cached memoryless execution.
+``"auto"`` resolves to the façade's cached ``iterative`` execution.
 
 Prefer the façade directly for anything beyond a one-shot call::
 

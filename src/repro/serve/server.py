@@ -125,7 +125,7 @@ class ServeServer:
         routing: str = "round_robin",
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "memoryless",
+        default_mode: str = "iterative",
         graph_name: str = "default",
         segment_base: Optional[str] = None,
         timeout_grace_s: float = 10.0,

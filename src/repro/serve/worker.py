@@ -121,7 +121,7 @@ def worker_main(
     graph_name: str = "default",
     plan_cache_size: int = 256,
     annotation_cache_size: int = 128,
-    default_mode: str = "memoryless",
+    default_mode: str = "iterative",
     slow_ms: float = 0.0,
 ) -> None:
     """Entry point of one serving worker (runs in the forked child).

@@ -38,7 +38,7 @@ so stale entries can never be hit; they are additionally purged
 eagerly (:meth:`~repro.service.cache.LRUCache.drop_where`) so they do
 not occupy capacity until LRU eviction.
 
-**Thread-safety.**  Safe concurrent execution rests on four guards:
+**Thread-safety.**  Safe concurrent execution rests on three guards:
 
 1. the caches are lock-protected with *single-flight* misses — racing
    threads build a given plan/annotation exactly once
@@ -47,21 +47,19 @@ not occupy capacity until LRU eviction.
    (:meth:`~repro.graph.database.Graph.warm_indexes` double-checks
    under ``Graph._lazy_lock``), so concurrent first use is safe —
    and registration pre-warms them off the request path;
-3. the **memoryless** mode (the service default) enumerates over the
-   annotation's read-only
+3. every enumeration — ``iterative`` (the service default) and
+   ``memoryless`` alike — reads the annotation's
    :class:`~repro.datastructures.packed.PackedCells`, which are never
-   mutated — any number of requests share one cached instance;
-4. the **eager** mode (``iterative``) gets a private cursor
-   :meth:`~repro.core.trim.TrimmedAnnotation.snapshot` (one cursor-array
-   copy, cells shared), so it never contends on the shared trimmed
-   annotation's cursors.
+   mutated, and keeps its queue cursors private to its own generator —
+   any number of requests share one cached instance.
 
 **Pagination.**  ``limit``/``offset`` plus a resume ``cursor`` (the
-previous page's ``next_cursor`` — the last walk's edge ids).  In
-memoryless mode the cursor seeks in O(λ) via the paper's ``NextOutput``
-(Theorem 18: the next output is computed from the previous output
-alone); the eager mode replays the prefix.  Output order is identical
-across the general modes, so cursors are mode-portable.
+previous page's ``next_cursor`` — the last walk's edge ids).  The
+cursor seeks in O(λ) by the guided descent of the paper's
+``NextOutput`` (Theorem 18: the DFS is re-positioned from the previous
+output alone); ``iterative`` does that once per page, ``memoryless``
+once per row.  Output order is identical across the general modes, so
+cursors are mode-portable.
 
 **Budgets.**  ``timeout_ms`` is checked between outputs; by Theorem 2
 the overshoot past the deadline is one delay, O(λ·|A|).  A timed-out

@@ -50,9 +50,9 @@ from typing import (
     Union,
 )
 
+from repro.core.engine import MODES
 from repro.exceptions import ReproError
 
-_MODES = ("auto", "iterative", "memoryless")
 _CONSTRUCTIONS = ("thompson", "glushkov")
 _SEMANTICS = ("walks", "trails", "simple", "any")
 
@@ -87,7 +87,7 @@ class QueryRequest:
     #: ``offset - skipped``.
     offset: int = 0
     #: Resume token from a previous response's ``next_cursor`` — the
-    #: page starts right after that walk (O(λ) seek in memoryless mode).
+    #: page starts right after that walk (one O(λ) seek).
     cursor: Optional[Tuple[int, ...]] = None
     #: Per-request wall-clock budget in milliseconds; ``None`` = none.
     timeout_ms: Optional[float] = None
@@ -99,9 +99,9 @@ class QueryRequest:
             raise RequestError("'query' must be a non-empty string")
         if self.source is None or self.target is None:
             raise RequestError("'source' and 'target' are required")
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise RequestError(
-                f"unknown mode {self.mode!r}; expected one of {_MODES}"
+                f"unknown mode {self.mode!r}; expected one of {MODES}"
             )
         if self.construction not in _CONSTRUCTIONS:
             raise RequestError(

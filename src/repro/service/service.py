@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.engine import CONCRETE_MODES
 from repro.exceptions import InvalidDeltaError, ReproError
 from repro.graph.database import Graph
 from repro.obs import Observability
@@ -69,7 +70,7 @@ class QueryService:
         self,
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "memoryless",
+        default_mode: str = "iterative",
         max_workers: int = 4,
         wal_dir: Optional[str] = None,
         wal_sync: str = "group",
@@ -78,7 +79,7 @@ class QueryService:
         slow_ms: float = 0.0,
         slowlog_capacity: int = 64,
     ) -> None:
-        if default_mode not in ("iterative", "memoryless"):
+        if default_mode not in CONCRETE_MODES:
             raise ServiceError(
                 f"default_mode must be a concrete engine mode, "
                 f"got {default_mode!r}"
@@ -355,10 +356,9 @@ class QueryService:
         """Execute a batch on the thread pool, preserving request order.
 
         Cached preprocessing products are shared across the pool:
-        plans and saturated annotations are built single-flight, the
-        memoryless enumerations run concurrently over the read-only
-        trim cells, and the eager mode enumerates over private
-        cursor snapshots.
+        plans and saturated annotations are built single-flight, and
+        the enumerations run concurrently over the read-only trim
+        cells, each with its own cursors.
 
         Mutation requests are **barriers**: the queries before one run
         (and finish) first, then the mutation applies alone, then the

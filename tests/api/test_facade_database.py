@@ -125,7 +125,7 @@ class TestCaching:
 
     def test_multi_target_accessor_returns_independent_instances(self):
         """Interleaved eager enumerations from two to_all_targets()
-        calls must not contend on shared trimmed cursors."""
+        calls do not disturb each other."""
         from repro.query import rpq
 
         graph = example9_graph()
@@ -136,7 +136,7 @@ class TestCaching:
         it1 = mt1.walks_to("Bob")
         it2 = mt2.walks_to("Eve")
         assert next(it1) is not None
-        assert next(it2) is not None  # Would raise on a shared instance.
+        assert next(it2) is not None
 
     def test_all_pairs_stats_valid_before_drain(self, db):
         cold = db.query("h").all_pairs().run()

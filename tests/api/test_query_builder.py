@@ -218,7 +218,10 @@ class TestExplainAndStats:
         plan = db.query(QUERY).from_("Alix").to("Bob").explain()
         text = plan.explain()
         assert "façade" in text and "'pair'" in text
-        assert "memoryless" in text
+        # No mode given: the resumable generator, and explain says so.
+        assert "'auto' → iterative (one DFS, O(λ) seek" in text
+        forced = db.query(QUERY).from_("Alix").to("Bob").mode("memoryless")
+        assert "→ memoryless (NextOutput" in forced.explain().explain()
 
     def test_explain_cold_fast_path(self):
         b = GraphBuilder()

@@ -1,9 +1,12 @@
 """Cursor/pagination tests for :class:`repro.api.ResultSet`."""
 
+import json
+
 import pytest
 
 from repro.api import Cursor, Database
 from repro.exceptions import QueryError
+from repro.service import QueryService, read_requests_jsonl
 from repro.workloads.fraud import example9_graph
 from repro.workloads.worstcase import diamond_chain
 
@@ -93,13 +96,42 @@ class TestPairCursors:
                 .cursor([999999]).run().all()
             )
 
-    def test_foreign_walk_cursor_rejected(self, db):
-        # A real λ-length walk ending at Bob that is not an answer.
-        with pytest.raises(QueryError, match="cursor"):
-            (
-                db.query(QUERY).from_("Alix").to("Bob")
-                .mode("iterative").cursor([1, 4, 6]).run().all()
+    def test_foreign_walk_cursor_rejected(self):
+        # [1, 4, 6] is a real λ-length walk ending at Bob — it passes
+        # every shape check — that is not an answer: in no mode and at
+        # no tier may it silently resume into a page.
+        foreign = [1, 4, 6]
+        service = QueryService()
+        service.register_graph("default", example9_graph())
+        for mode in ("auto", "iterative", "memoryless"):
+            for cache_size in (128, 0):
+                base = (
+                    Database(example9_graph(), annotation_cache_size=cache_size)
+                    .query(QUERY).from_("Alix").mode(mode)
+                )
+                queries = {
+                    "pair": base.to("Bob").cursor(foreign),
+                    "to_all": base.to_all().cursor(
+                        {"edges": foreign, "target": "Bob"}
+                    ),
+                    "cheapest": base.to("Bob").cheapest().cursor(foreign),
+                }
+                for shape, query in queries.items():
+                    with pytest.raises(
+                        QueryError, match="cursor does not match"
+                    ):
+                        query.run().all()
+                        pytest.fail(f"page served: {mode} {cache_size} {shape}")
+            # The same request as one JSONL line through the service.
+            line = json.dumps(
+                {"query": QUERY, "source": "Alix", "target": "Bob",
+                 "mode": mode, "cursor": foreign}
             )
+            (request,) = read_requests_jsonl([line])
+            response = service.execute(request).to_dict()
+            assert response["status"] == "error", mode
+            assert "cursor does not match" in response["error"], mode
+            assert not response.get("walks"), mode
 
     def test_timeout_returns_partial_resumable_page(self):
         graph, _, s, t = diamond_chain(12, parallel=2)

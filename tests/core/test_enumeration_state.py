@@ -1,18 +1,26 @@
-"""Tests for the shared-cursor interleaving guard.
+"""Interleaving tests for the one enumerator.
 
-The trimmed annotation's queues are shared mutable state; two
-enumerations interleaved over them would skip or repeat answers
-silently.  The enumerators acquire the structure while active and the
-guard raises :class:`~repro.exceptions.EnumerationStateError` instead
-of corrupting results.  The memoryless mode is read-only and exempt.
+The ``Trim`` product is read-only and every
+:func:`~repro.core.enumerate.enumerate_walks` generator owns its queue
+cursors, so what used to need a guard (two enumerations interleaved
+over shared cursors would have skipped or repeated answers) now holds
+by construction: any number of generators over one
+:class:`~repro.datastructures.packed.PackedCells` — interleaved,
+abandoned mid-way, plain beside tracked, on several threads — each
+yield the full sequence.
 """
+
+import sys
+import threading
+from itertools import islice, zip_longest
 
 import pytest
 
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
-from repro.exceptions import EnumerationStateError
+from repro.service import QueryRequest, QueryService
 from repro.workloads.fraud import example9_automaton, example9_graph
+from repro.workloads.worstcase import diamond_chain
 
 
 def _engine(mode: str = "iterative") -> DistinctShortestWalks:
@@ -21,15 +29,51 @@ def _engine(mode: str = "iterative") -> DistinctShortestWalks:
     )
 
 
+def _diamond_engine(k: int = 6) -> DistinctShortestWalks:
+    graph, nfa, s, t = diamond_chain(k, parallel=2)
+    return DistinctShortestWalks(graph, nfa, s, t)
+
+
 class TestInterleavingGuard:
-    def test_interleaved_enumerations_raise(self):
+    def test_interleaved_enumerations_each_yield_the_full_sequence(self):
         engine = _engine()
         first = engine.enumerate()
-        next(first)  # First enumeration is now active.
+        a1 = next(first)  # First enumeration is now mid-flight.
         second = engine.enumerate()
-        with pytest.raises(EnumerationStateError, match="already running"):
-            next(second)
-        first.close()
+        b1 = next(second)
+        assert a1.edges == b1.edges
+        got_first = [a1.edges] + [w.edges for w in first]
+        got_second = [b1.edges] + [w.edges for w in second]
+        assert got_first == got_second and len(got_first) == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_n_generators_over_one_packed_cells(self, n):
+        """Round-robin over ``n`` generators sharing one ``PackedCells``
+        object, each at a different position: none disturbs another's
+        cursors."""
+        engine = _diamond_engine()
+        ann, cells = engine.annotation, engine.trimmed
+        expected = [w.edges for w in engine.enumerate()]
+        assert len(expected) == 2 ** 6
+
+        def run():
+            return enumerate_walks(
+                engine.graph, cells, ann.lam, engine.target,
+                ann.target_states,
+            )
+
+        generators = [run() for _ in range(n)]
+        # Stagger them — generator i starts 5·i outputs ahead — then
+        # advance all of them in lock-step.
+        got = [
+            [w.edges for w in islice(gen, 5 * i)]
+            for i, gen in enumerate(generators)
+        ]
+        for walks in zip_longest(*generators):
+            for seen, walk in zip(got, walks):
+                if walk is not None:
+                    seen.append(walk.edges)
+        assert all(seen == expected for seen in got)
 
     def test_sequential_enumerations_fine(self):
         engine = _engine()
@@ -38,11 +82,20 @@ class TestInterleavingGuard:
         assert a == b and len(a) == 4
 
     def test_closing_releases_the_structure(self):
-        engine = _engine()
-        first = engine.enumerate()
-        next(first)
-        first.close()  # Abandon mid-way: cursors restored, lock freed.
-        assert [w.edges for w in engine.enumerate()] != []
+        """Abandon mid-way, then restart: the abandoned generator left
+        nothing behind, closed or not."""
+        engine = _diamond_engine()
+        expected = [w.edges for w in engine.enumerate()]
+        closed = engine.enumerate()
+        for _ in range(10):
+            next(closed)
+        closed.close()
+        dangling = engine.enumerate()  # Never closed, never finished.
+        for _ in range(23):
+            next(dangling)
+        assert [w.edges for w in engine.enumerate()] == expected
+        # …and the dangling one carries on from where it stood.
+        assert [w.edges for w in dangling] == expected[23:]
 
     def test_exhaustion_releases_the_structure(self):
         engine = _engine()
@@ -54,33 +107,27 @@ class TestInterleavingGuard:
         assert len(engine.first(2)) == 2
         assert len(engine.first(3)) == 3
 
-    def test_snapshots_interleave_freely(self):
-        """Each ``snapshot()`` owns its cursor array over the shared
-        cells, so two eager enumerations may interleave — one per
-        snapshot — and neither trips the guard nor skips an answer."""
+    def test_plain_and_tracked_interleave(self):
+        """The tracked-multiplicity stream rides on the same generator:
+        interleaved with a plain enumeration and with a second tracked
+        one, all three see every answer, with equal multiplicities."""
         engine = _engine()
-        ann, trimmed = engine.annotation, engine.trimmed
         expected = [w.edges for w in engine.enumerate()]
-
-        def run(structure):
-            return enumerate_walks(
-                engine.graph, structure, ann.lam, engine.target,
-                ann.target_states,
-            )
-
-        first, second = run(trimmed.snapshot()), run(trimmed.snapshot())
-        got_first, got_second = [next(first).edges], [next(second).edges]
-        got_first += [w.edges for w in first]
-        got_second += [w.edges for w in second]
-        assert got_first == got_second == expected
-
-    def test_tracked_multiplicity_guarded(self):
-        engine = _engine()
-        first = engine.enumerate_with_multiplicity(method="tracked")
-        next(first)
-        with pytest.raises(EnumerationStateError):
-            next(engine.enumerate_with_multiplicity(method="tracked"))
-        first.close()
+        plain = engine.enumerate()
+        tracked = engine.enumerate_with_multiplicity(method="tracked")
+        other = engine.enumerate_with_multiplicity(method="tracked")
+        got_plain, got_tracked, got_other = [], [], []
+        for _ in expected:
+            got_tracked.append(next(tracked))
+            got_plain.append(next(plain).edges)
+            got_other.append(next(other))
+        assert next(plain, None) is None and next(tracked, None) is None
+        assert got_plain == expected
+        assert [w.edges for w, _ in got_tracked] == expected
+        assert [m for _, m in got_tracked] == [m for _, m in got_other]
+        assert [m for _, m in got_tracked] == [
+            m for _, m in engine.enumerate_with_multiplicity()
+        ]
 
     def test_memoryless_mode_interleaves_freely(self):
         """ResumableTrim is read-only: Theorem 18's whole point."""
@@ -95,3 +142,62 @@ class TestInterleavingGuard:
         rest_first = [w.edges for w in first]
         rest_second = [w.edges for w in second]
         assert rest_second == [a2.edges] + rest_first
+
+
+def test_four_threads_share_one_cached_annotation():
+    """``QueryService(max_workers=4)`` in ``mode="iterative"``: four
+    threads page the same (query, source) — one cached annotation, one
+    ``PackedCells`` — at once, and every one of them reads the full
+    sequence in order."""
+    graph, _, s, t = diamond_chain(9, parallel=2)
+    service = QueryService(max_workers=4)
+    service.register_graph("default", graph)
+    request = QueryRequest("a*", s, t, mode="iterative")
+    expected = [tuple(w["edges"]) for w in service.execute(request).walks]
+    assert len(expected) == 2 ** 9
+
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def page_through(i: int) -> None:
+        got, cursor = [], None
+        barrier.wait(timeout=30)
+        while True:
+            response = service.execute(
+                QueryRequest(
+                    "a*", s, t, mode="iterative", limit=37 + i,
+                    cursor=cursor,
+                )
+            )
+            assert response.status in ("ok", "empty"), response.error
+            got.extend(tuple(w["edges"]) for w in response.walks)
+            cursor = response.next_cursor
+            if cursor is None:
+                break
+        results[i] = got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=page_through, args=(i,))
+            for i in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == expected for got in results)
+    stats = service.stats()["annotation_cache"]
+    assert stats["misses"] == 1 and stats["hits"] >= n_threads
+
+    # The batch executor's own pool, one full read per worker.
+    batch = service.execute_batch([request] * n_threads)
+    assert all(
+        [tuple(w["edges"]) for w in response.walks] == expected
+        for response in batch
+    )

@@ -134,7 +134,7 @@ class TestTrimViews:
         )
         for u in graph.vertices():
             for p in range(cq.n_states):
-                got_items = packed_trim.cells.items(u, p)
+                got_items = packed_trim.items(u, p)
                 ref_items = list(ref_queues[u].get(p, ()))
                 # Same edges in the same TgtIdx order; witness payloads
                 # as multisets (within-cell order is traversal-specific

@@ -32,9 +32,9 @@ class TestFigure3Queues:
         bob = graph.vertex_id("Bob")
         e7, e8 = EXAMPLE9_EDGE_IDS["e7"], EXAMPLE9_EDGE_IDS["e8"]
         # C_Bob[0] = [(e7, [0])]; C_Bob[1] = [(e8, [1,0,1]), (e7, [1])].
-        q0 = trimmed.cells.items(bob, 0)
+        q0 = trimmed.items(bob, 0)
         assert [(e, sorted(x)) for e, x in q0] == [(e7, [0])]
-        q1 = trimmed.cells.items(bob, 1)
+        q1 = trimmed.items(bob, 1)
         assert [e for e, _ in q1] == [e8, e7]
         assert sorted(q1[0][1]) == [0, 1, 1]
         assert list(q1[1][1]) == [1]
@@ -43,7 +43,7 @@ class TestFigure3Queues:
         graph, _, trimmed = trimmed_example
         cassie = graph.vertex_id("Cassie")
         e1, e3 = EXAMPLE9_EDGE_IDS["e1"], EXAMPLE9_EDGE_IDS["e3"]
-        items = trimmed.cells.items
+        items = trimmed.items
         assert [(e, sorted(x)) for e, x in items(cassie, 0)] == [(e1, [0])]
         assert [(e, sorted(x)) for e, x in items(cassie, 1)] == [
             (e3, [0, 1])
@@ -53,7 +53,7 @@ class TestFigure3Queues:
         graph, _, trimmed = trimmed_example
         eve = graph.vertex_id("Eve")
         e4, e5, e6 = (EXAMPLE9_EDGE_IDS[n] for n in ("e4", "e5", "e6"))
-        items = trimmed.cells.items
+        items = trimmed.items
         assert [(e, sorted(x)) for e, x in items(eve, 0)] == [
             (e4, [0]),
             (e5, [0]),
@@ -66,8 +66,8 @@ class TestFigure3Queues:
     def test_empty_queues_absent(self, trimmed_example):
         graph, _, trimmed = trimmed_example
         alix = graph.vertex_id("Alix")
-        assert trimmed.cells.items(alix, 0) == []
-        assert trimmed.cells.items(alix, 1) == []
+        assert trimmed.items(alix, 0) == []
+        assert trimmed.items(alix, 1) == []
 
 
 class TestLemma11Properties:
@@ -78,7 +78,7 @@ class TestLemma11Properties:
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
         ann = annotate(cq, s, saturate=True)
-        cells_of = trim(graph, ann).cells.items
+        cells_of = trim(graph, ann).items
         for u in graph.vertices():
             for p in range(cq.n_states):
                 if p not in ann.B[u]:
@@ -105,7 +105,7 @@ class TestLemma11Properties:
         for u in graph.vertices():
             for p in range(cq.n_states):
                 indices = [
-                    graph.tgt_idx(e) for e, _ in trimmed.cells.items(u, p)
+                    graph.tgt_idx(e) for e, _ in trimmed.items(u, p)
                 ]
                 assert indices == sorted(indices)
                 assert len(set(indices)) == len(indices)
@@ -119,27 +119,19 @@ class TestLemma11Properties:
         cq = compile_query(graph, nfa)
         ann = annotate(cq, s, saturate=True)
         trimmed = trim(graph, ann)
-        assert resumable_trim(graph, ann) is trimmed.cells
+        assert resumable_trim(graph, ann) is trimmed
         queues = trim_maps(graph, ann)
         index = resumable_trim_maps(graph, ann)
         for u in graph.vertices():
             assert set(queues[u]) == set(index[u])
             for p, queue in queues[u].items():
-                assert list(queue) == trimmed.cells.items(u, p)
+                assert list(queue) == trimmed.items(u, p)
                 for e, preds in queue:
                     i = graph.tgt_idx(e)
                     assert index[u][p].payload(i) == tuple(preds)
 
 
 class TestRestartAll:
-    def test_restart_all_resets_cursors(self, trimmed_example):
-        graph, _, trimmed = trimmed_example
-        k = graph.vertex_id("Bob") * trimmed.cells.n_states + 1
-        start = trimmed.cursor[k]
-        trimmed.cursor[k] = start + 1
-        trimmed.restart_all()
-        assert trimmed.cursor[k] == start
-
     def test_total_items(self, trimmed_example):
         _, ann, trimmed = trimmed_example
         # One queue item per non-empty B cell.

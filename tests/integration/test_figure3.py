@@ -104,7 +104,7 @@ class TestFigure3C:
         v = graph.vertex_id(vertex)
         expected = FIGURE3_C[vertex]
         for state, items in expected.items():
-            queue = trimmed.cells.items(v, state)
+            queue = trimmed.items(v, state)
             assert queue, (vertex, state)
             got = [(e, sorted(x)) for e, x in queue]
             want = [(E[name], sorted(preds)) for name, preds in items]
@@ -114,8 +114,8 @@ class TestFigure3C:
         graph, _, trimmed = preprocessing
         alix = graph.vertex_id("Alix")
         assert all(
-            trimmed.cells.items(alix, p) == []
-            for p in range(trimmed.cells.n_states)
+            trimmed.items(alix, p) == []
+            for p in range(trimmed.n_states)
         )
 
 

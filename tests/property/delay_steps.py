@@ -9,18 +9,24 @@ data-structure operations instead of timing, on two implementations:
   every ``C_u[p]`` queue (peek / advance / restart) under the recursive
   ``Enumerate``, and around every skip array (first / seek / after /
   payload) under the skip-pointer ``NextOutput``;
-* ``packed-*`` — the production loops of :mod:`repro.core`, with no
-  hook in ``src/``: a counting ``array`` subclass is swapped into
-  ``TrimmedAnnotation.cursor`` (eager — one step per cursor read or
-  write) and into ``PackedCells.cell_ti`` (memoryless — one step per
-  ``TgtIdx`` probe, binary-search probes included).
+* ``packed-*`` — the one production loop of :mod:`repro.core`, with
+  no hook in ``src/``: a counting ``array`` subclass is swapped into
+  ``PackedCells.cell_ti`` — one step per ``TgtIdx`` read, queue-head
+  reads and binary-search probes alike.  ``packed-eager`` runs the
+  generator start to end, ``packed-memoryless`` re-positions it before
+  every output, and ``packed-resumed`` drops it after output k = 1,
+  middle and last−1 and carries on from a fresh one resumed there — so
+  the gap at each cut is the whole cost from ``resume_after`` to the
+  first row of a resumed page.
 
 Every measure returns ``(λ, |Q|, max steps between outputs, outputs,
 bound)`` where ``bound`` is ``C · λ · (|Q| + 1)`` with one shared small
-constant.  The packed memoryless seek is a binary search over at most
-``InDeg(u)`` cells where the paper's is one skip-pointer read, so that
-measure alone gets ``⌈log₂(max InDeg + 1)⌉`` extra steps per
-(frame, state) seek — λ · |Q| seeks per output.
+constant — there is no k in it, so a resume that replayed the prefix
+(Θ(k·λ) steps) would fail it at k = last−1.  The packed seek is a
+binary search over at most ``InDeg(u)`` cells where the paper's is one
+skip-pointer read, so the two seeking measures get ``⌈log₂(max InDeg +
+1)⌉`` extra steps per (frame, state) seek — λ · |Q| seeks per
+re-positioning.
 """
 
 from __future__ import annotations
@@ -152,22 +158,45 @@ def _oracle_memoryless(graph, cq, s, t, counter):
 
 def _packed_eager(graph, cq, s, t, counter):
     ann = annotate(cq, s, t)
-    trimmed = trim(graph, ann)
-    trimmed.cursor = _counting_array(trimmed.cursor, counter)
+    cells = trim(graph, ann)
+    cells.cell_ti = _counting_array(cells.cell_ti, counter)
     return ann.lam, 0, enumerate_walks(
-        graph, trimmed, ann.lam, t, ann.target_states
+        graph, cells, ann.lam, t, ann.target_states
     )
+
+
+def _seek_allowance(graph, cq, lam) -> int:
+    max_in = max(graph.in_degree(v) for v in graph.vertices())
+    return (lam or 0) * cq.n_states * ceil(log2(max_in + 1))
 
 
 def _packed_memoryless(graph, cq, s, t, counter):
     ann = annotate(cq, s, t)
     cells = resumable_trim(graph, ann)
     cells.cell_ti = _counting_array(cells.cell_ti, counter)
-    max_in = max(graph.in_degree(v) for v in graph.vertices())
-    seek_allowance = (ann.lam or 0) * cq.n_states * ceil(log2(max_in + 1))
-    return ann.lam, seek_allowance, enumerate_memoryless(
+    return ann.lam, _seek_allowance(graph, cq, ann.lam), enumerate_memoryless(
         graph, cells, ann.lam, t, ann.target_states
     )
+
+
+def _packed_resumed(graph, cq, s, t, counter):
+    ann = annotate(cq, s, t)
+    cells = trim(graph, ann)
+    args = (graph, cells, ann.lam, t, ann.target_states)
+    total = sum(1 for _ in enumerate_walks(*args))  # Not counted yet.
+    cells.cell_ti = _counting_array(cells.cell_ti, counter)
+    cuts = {1, total // 2, total - 1} & set(range(1, total))
+
+    def walks() -> Iterator[Walk]:
+        emitted = 0
+        generator = enumerate_walks(*args)
+        while (walk := next(generator, None)) is not None:
+            yield walk
+            emitted += 1
+            if emitted in cuts:
+                generator = enumerate_walks(*args, resume_after=walk.edges)
+
+    return ann.lam, _seek_allowance(graph, cq, ann.lam), walks()
 
 
 MEASURES = {
@@ -175,6 +204,7 @@ MEASURES = {
     "oracle-memoryless": _oracle_memoryless,
     "packed-eager": _packed_eager,
     "packed-memoryless": _packed_memoryless,
+    "packed-resumed": _packed_resumed,
 }
 
 

@@ -7,8 +7,8 @@ O(λ × |A|) queue operations (peek / advance / restart): the DFS crosses
 at most 2λ tree edges and each frame touches each of its ≤ |Q| queues a
 constant number of times.  :mod:`tests.property.delay_steps` counts
 them — on the paper's queue objects and skip arrays (the oracle
-pipeline) and on the cursor / cell arrays the production loops read —
-and we assert the count against ``C · λ · (|Q| + 1)`` with a fixed
+pipeline) and on the cell array the production loop reads — and we
+assert the count against ``C · λ · (|Q| + 1)`` with a fixed
 small constant, on adversarial instances designed to maximize queue
 traffic.
 """

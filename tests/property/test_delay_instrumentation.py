@@ -9,11 +9,12 @@ instances engineered so that per-edge label multiplicity and decoy
 in-edges would blow up the delay of any implementation that leaks
 preprocessing-phase costs into the enumeration phase.
 
-Four instrumentation layers (:mod:`tests.property.delay_steps`): the
-eager DFS and the memoryless ``NextOutput`` (Theorem 18 — the mode the
-query service defaults to), each stepped both on the paper's structures
-(the oracle pipeline's queue and skip-array proxies) and on the packed
-arrays the production loops read (cursor array, ``TgtIdx`` cell array).
+Five instrumentation layers (:mod:`tests.property.delay_steps`): the
+eager DFS and the memoryless ``NextOutput`` (Theorem 18), each stepped
+both on the paper's structures (the oracle pipeline's queue and
+skip-array proxies) and on the packed ``TgtIdx`` cell array the one
+production loop reads — plus that loop dropped and resumed mid-stream,
+the way the query service pages.
 
 All are held to ``C · λ · (|Q| + 1)`` steps between outputs, with one
 shared small constant and no dependence on label counts, in-degrees,

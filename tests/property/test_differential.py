@@ -34,6 +34,13 @@ shares no structure with them (dicts, queue objects, cons-lists), so
 their agreement in λ **and** output order checks the packed layout to
 be behaviorally invisible on every random instance.
 
+The **resumed** column: for every case and each general mode,
+``enumerate(resume_after=w_k)`` — k drawn from a PRNG derived from the
+case seed, plus the last output — must yield exactly the one-shot tail
+``w_{k+1}…``, and a façade cursor produced under one mode must resume
+identically under the other (the cheapest-walk leg repeats that over a
+randomly costed copy of the case's graph).
+
 On top of the four columns, every case runs once more through
 the ``repro.api`` **façade** (``Database(graph).query(...)``) — the
 path the service, the ``RPQ`` helpers and the CLI all share now — and
@@ -74,6 +81,7 @@ from repro.baselines.paper_pipeline import (
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.restricted import restriction_predicate
+from repro.graph.builder import GraphBuilder
 from repro.query import rpq
 
 _MODES = ("iterative", "memoryless", "auto")
@@ -103,6 +111,33 @@ def _draw_case(seed: int):
     source = rng.randrange(graph.vertex_count)
     target = rng.randrange(graph.vertex_count)
     return graph, expression, source, target
+
+
+_GENERAL_MODES = ("iterative", "memoryless")
+
+
+def _resume_points(seed: int, n_outputs: int):
+    """Positions k to resume after: one drawn, plus the last output."""
+    rng = random.Random(seed ^ 0x2E50)
+    return sorted({rng.randrange(n_outputs), n_outputs - 1})
+
+
+def _check_facade_cursor_portability(query, sequence, k, context) -> None:
+    """A page cursor cut after output ``k`` under one general mode
+    resumes to the one-shot tail under the other (and under itself)."""
+    for producer in _GENERAL_MODES:
+        page = query.mode(producer).limit(k + 1).run()
+        assert [row.walk.edges for row in page] == sequence[: k + 1], context
+        token = page.next_cursor
+        if k + 1 == len(sequence):
+            assert token is None, f"cursor past the last output ({context})"
+            continue
+        for consumer in _GENERAL_MODES:
+            rest = query.mode(consumer).cursor(token).run()
+            assert [row.walk.edges for row in rest] == sequence[k + 1:], (
+                f"cursor from {producer} resumed under {consumer} at "
+                f"k={k} ({context})"
+            )
 
 
 @pytest.mark.parametrize("case", range(N_CASES))
@@ -188,11 +223,28 @@ def test_modes_agree(case: int) -> None:
     if not auto_engine.uses_fast_path:
         assert outputs["auto"] == outputs["iterative"], context
 
+    # The resumed column: re-positioning the DFS after output k yields
+    # exactly the one-shot tail, whichever general mode does it.
+    sequence = outputs["iterative"]
+    resume_points = _resume_points(seed, len(sequence)) if sequence else []
+    for k in resume_points:
+        for mode in _GENERAL_MODES:
+            engine = DistinctShortestWalks(
+                graph, nfa, source, target, mode=mode
+            )
+            tail = [w.edges for w in engine.enumerate(resume_after=sequence[k])]
+            assert tail == sequence[k + 1:], (
+                f"{mode} resumed after output {k} differs from the "
+                f"one-shot tail ({context})"
+            )
+
     # The façade column: the cached Database path (what RPQ, the
     # service and the CLI route through) must agree with the engines
     # on λ, the answer set, *and* the general-mode DFS order.
     db = Database(graph)
     query = db.query(expression).from_(source).to(target)
+    for k in resume_points:
+        _check_facade_cursor_portability(query, sequence, k, context)
     result = query.run()
     facade = [row.walk.edges for row in result]
     assert result.lam == lam, f"façade λ mismatch ({context})"
@@ -205,6 +257,40 @@ def test_modes_agree(case: int) -> None:
     assert repeat.stats["cached"] == {"plan": True, "annotation": True}, (
         f"façade repeat missed the caches ({context})"
     )
+
+
+@pytest.mark.parametrize("case", range(N_FACADE_CASES))
+def test_cheapest_resumed_equals_one_shot(case: int) -> None:
+    """The resumed column's cheapest leg: cost budgets instead of
+    lengths, same seek.  Edge ids of the costed copy equal the case
+    graph's, so a failure replays on the same instance."""
+    seed = SEED_BASE + 50_000 + case
+    graph, expression, source, target = _draw_case(seed)
+    rng = random.Random(seed ^ 0xC057)
+    builder = GraphBuilder()
+    builder.add_vertices([graph.vertex_name(v) for v in graph.vertices()])
+    for e in graph.edges():
+        builder.add_edge(
+            graph.vertex_name(graph.src(e)),
+            graph.vertex_name(graph.tgt(e)),
+            graph.label_names_of(e),
+            cost=rng.randint(1, 3),
+        )
+    costed = builder.build()
+    context = f"seed={seed} regex={expression!r} s={source} t={target}"
+
+    query = Database(costed).query(expression).cheapest()
+    query = query.from_(source).to(target)
+    one_shot = {
+        mode: [row.walk.edges for row in query.mode(mode).run()]
+        for mode in _GENERAL_MODES
+    }
+    sequence = one_shot["iterative"]
+    assert one_shot["memoryless"] == sequence, context
+    assert len({sum(costed.cost(e) for e in w) for w in sequence}) <= 1
+    if sequence:
+        for k in _resume_points(seed, len(sequence)):
+            _check_facade_cursor_portability(query, sequence, k, context)
 
 
 def _oracle_pair(graph, nfa, source: int, target: int):

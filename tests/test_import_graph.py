@@ -58,3 +58,45 @@ def test_annotation_is_built_from_packed_arrays_only():
     # dist and packed are required: no default reaches back to them.
     required = [a.arg for a in args.args[: len(args.args) - len(args.defaults)]]
     assert {"dist", "packed"} <= set(required)
+
+
+def test_the_cells_are_walked_in_one_place():
+    """One enumerator: the ``TgtIdx`` column of ``PackedCells`` — what
+    any loop over queue heads must read — is touched only where it is
+    built, in the one DFS and in the counting DP.  ``memoryless.py`` and
+    ``multiplicity.py`` in particular ride on the DFS's output stream."""
+    readers = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "cell_ti"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == [
+        "core/count.py", "core/enumerate.py", "datastructures/packed.py",
+    ]
+
+
+def _names(module: str):
+    """Every class / function name and bare identifier in a module."""
+    tree = ast.parse((SRC / module).read_text())
+    return {
+        getattr(node, "name", None) or getattr(node, "id", None)
+        for node in ast.walk(tree)
+    }
+
+
+def test_no_shared_cursor_structure_or_its_guard():
+    """The shared cursor array, its guard and the flag that copied it
+    are gone, not hidden."""
+    assert "TrimmedAnnotation" not in _names("core/trim.py")
+    assert "EnumerationStateError" not in _names("exceptions.py")
+    tree = ast.parse((SRC / "core" / "multi_target.py").read_text())
+    (walks_to,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "walks_to"
+    ]
+    args = walks_to.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert names == ["self", "target", "memoryless", "resume_after"]
