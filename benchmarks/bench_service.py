@@ -15,8 +15,9 @@ parameterized queries against a slowly changing graph.
 
 Both sides run through the *same* ``QueryService.execute_batch`` code
 path and thread pool; the cold side merely has both caches disabled
-(capacity 0), which drops it to the ordinary single-pair engine per
-request — i.e. exactly what a non-caching server would do.
+(capacity 0): the same engine, re-compiling and re-annotating per
+request (a pair's Annotate stopping at its target, since nothing is
+retained) — i.e. exactly what a non-caching server would do.
 
 When ``BENCH_SERVICE_JSON`` names a file, the measured rows are dumped
 there as JSON — that is how ``BENCH_service.json`` at the repo root is

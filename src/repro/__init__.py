@@ -31,7 +31,7 @@ builder calls on the right for new code):
 ``DistinctShortestWalks(g, q, s, t).enumerate()``      ``db.query(q).from_(s).to(t).run()``
 ``DistinctCheapestWalks(g, q, s, t).enumerate()``      ``db.query(q).cheapest().from_(s).to(t).run()``
 ``MultiTargetShortestWalks(g, q, s).walks_to(t)``      ``db.query(q).from_(s).to_all().run()``
-``SimpleShortestWalks`` (fast path)                    ``mode("auto")`` on a cold ``Database`` (cache size 0)
+``SimpleShortestWalks`` (simple-setting enumerator)    a baseline now: ``repro.baselines.SimpleShortestWalks``
 ``rpq(q).shortest_walks(g, s, t)``                     ``db.query(q).from_(s).to(t).run().walks()``
 ``rpq(q).shortest_walks_with_multiplicity(g, s, t)``   ``….with_multiplicity().run()``
 ``rpq(q).cheapest_walks(g, s, t)``                     ``….cheapest().run()``

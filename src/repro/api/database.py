@@ -13,9 +13,12 @@ One ``Database`` owns
   instances, so *interactive* callers get the same 2.6–3.3× repeat
   speedup the JSONL batch path measured;
 * the **executor** behind :class:`~repro.api.query.Query`'s terminal
-  methods: endpoint-shape resolution (pair / one-to-all / multi-source
-  / all-pairs), per-bucket enumeration in the requested engine mode,
-  cursor seeking, multiplicity annotation and DP counting.
+  methods (DESIGN.md §4): every endpoint shape × semantics is one
+  ordered stream of ``(source, target)`` *cells* — a pair is the
+  one-cell case — produced by one per-source provider under one shape
+  combinator, and one row generator turns cells into rows (cursor
+  seek, budget check, multiplicities).  ``run()``, ``count("dp")`` and
+  ``targets()`` all read that stream.
 
 The batched :class:`~repro.service.QueryService` and the classic
 :class:`~repro.query.rpq.RPQ` convenience methods both delegate here,
@@ -35,10 +38,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -50,10 +56,9 @@ from typing import (
 from repro.api.query import Query
 from repro.api.result import ResultSet
 from repro.api.rows import Cursor, Row
-from repro.automata.ops import remove_epsilon
 from repro.core.anywalk import any_walk_search
-from repro.core.compile import compile_query
-from repro.core.engine import CONCRETE_MODES, DistinctShortestWalks
+from repro.core.compile import compile_epsilon_free, compile_query
+from repro.core.engine import CONCRETE_MODES
 from repro.core.enumerate import skip_past_cursor
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import (
@@ -62,7 +67,6 @@ from repro.core.restricted import (
     restricted_lam,
 )
 from repro.core.multiplicity import count_accepting_runs
-from repro.core.simple import simple_eligible
 from repro.core.walks import Walk
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
@@ -149,22 +153,17 @@ class MutationResult:
         }
 
 
-@dataclass
-class _Bucket:
-    """One (source, target) cell of a shaped result stream."""
-
-    source_input: Hashable  # Original designator (for name-resolving APIs).
-    source_id: int
-    source_name: Hashable
-    target_id: int
-    target_name: Hashable
-    mt: MultiTargetShortestWalks
-    lam: int
-    states: Any  # FrozenSet[int] — the target's start-state certificate.
-    #: Restricted semantics (trails/simple) only — ``lam`` is then rλ:
-    #: the execution regime, ``"filter"`` (λ-walk stream + predicate)
-    #: or ``"fallback"`` (guided product-DFS at rλ > λ).
-    rkind: Optional[str] = None
+#: One ``(source, target)`` cell of a result stream: ``(source_id,
+#: target_id, λ, open, prepared)``.  ``open(resume_after)`` opens the
+#: cell's walk stream positioned after a previous output of it;
+#: ``prepared`` is the source's prepared object where the stream *is*
+#: its enumeration to the target — what the counting DP applies to —
+#: and ``None`` for restricted and any-walk cells.  Under a
+#: trails/simple restriction λ is rλ.
+_Cell = Tuple[
+    int, int, int, Callable[..., Iterator[Walk]],
+    Optional[MultiTargetShortestWalks],
+]
 
 
 class Database:
@@ -174,11 +173,12 @@ class Database:
     ``"default"``); more graphs can be added with :meth:`register` and
     selected per query via :meth:`~repro.api.query.Query.on`.
 
-    ``annotation_cache_size=0`` turns the database cold: pair-shaped
-    shortest queries fall back to the early-stopping single-pair
-    engine (whose ``auto`` mode includes the paper's simple-setting
-    fast path) and nothing is retained between calls — the
-    configuration the service benchmark compares against.
+    ``annotation_cache_size=0`` turns the database cold: nothing is
+    retained between calls — the configuration the service benchmark
+    compares against.  Same engine, same answers; the only thing the
+    executor does with the knowledge is stop a one-target query's
+    annotation at that target instead of saturating a structure nobody
+    can reuse.
     """
 
     def __init__(
@@ -813,15 +813,13 @@ class Database:
     def _annotation_for(
         self,
         handle: _GraphHandle,
-        construction: str,
-        expression: str,
+        q: Query,
         plan: _Plan,
-        source_input: Hashable,
         source_id: int,
-        cheapest: bool,
-        restriction: str = "walks",
+        only: Optional[int],
     ) -> Tuple[MultiTargetShortestWalks, bool]:
-        """The saturated (query, source) annotation, cached.
+        """The prepared (query, source) object, cached — and whether
+        it was a hit.
 
         The cached object carries the CSR-packed annotation arrays and
         the shared trim cells (see :mod:`repro.datastructures.packed`):
@@ -835,15 +833,23 @@ class Database:
         its own label footprint for mutation-time eviction, and a
         cached restricted result can never be served to a different
         semantics.
+
+        ``only`` is the one target the query's shape asks about, if it
+        asks about one.  An entry the cache can retain saturates
+        regardless — the next request may want another target; with
+        the cache off (capacity 0) the build stops at ``only``, since
+        nobody can reuse what lies beyond it.
         """
+        graph = handle.graph
+        cheapest = q._semantics == "cheapest"
         key = (
             handle.name,
             handle.version,
-            construction,
-            expression,
+            q._construction,
+            q._expression,
             source_id,
             cheapest,
-            restriction,
+            q._restriction,
         )
         hit = True
 
@@ -851,16 +857,17 @@ class Database:
             nonlocal hit
             hit = False
             t0 = time.perf_counter()
-            # The caller's original source designator, not the
-            # resolved id: the constructor resolves names itself, and
-            # on graphs with integer vertex *names* an id would
-            # resolve differently.
+            stop = only if self._annotation_cache.capacity == 0 else None
+            # Vertex *names*, not ids: the constructor resolves its
+            # designators itself, and on graphs with integer vertex
+            # names an id would resolve differently.
             mt = MultiTargetShortestWalks(
-                handle.graph,
+                graph,
                 plan.rpq.automaton,
-                source_input,
+                graph.vertex_name(source_id),
                 cheapest=cheapest,
                 compiled=plan.compiled,
+                target=None if stop is None else graph.vertex_name(stop),
             ).preprocess()
             build_s = time.perf_counter() - t0
             with self._build_lock:
@@ -870,14 +877,11 @@ class Database:
         return self._annotation_cache.get_or_create(key, build), hit
 
     def _count_cq(self, plan: _Plan, graph: Graph):
-        cq = plan.count_compiled
-        if cq is None:
-            automaton = plan.rpq.automaton
-            if automaton.has_epsilon:
-                automaton = remove_epsilon(automaton)
-            cq = compile_query(graph, automaton)
-            plan.count_compiled = cq
-        return cq
+        if plan.count_compiled is None:
+            plan.count_compiled = compile_epsilon_free(
+                graph, plan.rpq.automaton
+            )
+        return plan.count_compiled
 
     # -- statistics ----------------------------------------------------------
 
@@ -973,553 +977,221 @@ class Database:
             fallback_cursor=q._cursor,
         )
 
+    def _plan(self, q: Query, handle: _GraphHandle) -> Tuple[_Plan, bool]:
+        """The query's cached plan (and whether it was a hit)."""
+        if q._semantics == "cheapest" and q._restriction != "walks":
+            raise QueryError(
+                "cheapest semantics supports the unrestricted 'walks' "
+                f"form only, not {q._restriction!r} (cost-minimal trails/"
+                "simple paths are a different problem; any-walk is "
+                "length-based)"
+            )
+        return self._plan_for(
+            handle, q._construction, q._expression, q._rpq, q._restriction
+        )
+
     def _prepare(
         self, q: Query, handle: _GraphHandle
     ) -> Tuple[Iterator[Tuple[Row, Cursor]], Optional[int], Dict[str, Any]]:
         shape = q._shape()
         graph = handle.graph
-        cheapest = q._semantics == "cheapest"
-        restriction = q._restriction
-        if cheapest and restriction != "walks":
-            raise QueryError(
-                "cheapest semantics supports the unrestricted 'walks' "
-                f"form only, not {restriction!r} (cost-minimal trails/"
-                "simple paths are a different problem; any-walk is "
-                "length-based)"
+        plan, plan_hit = self._plan(q, handle)
+        stats = _fresh_stats(plan_hit)
+        count_cq = self._count_cq(plan, graph) if q._multiplicity else None
+        pair = shape[0] == "pair"
+        cursor = q._cursor
+        at = None if cursor is None else _cursor_cell(graph, cursor, shape)
+        cells, lam = self._cells(q, handle, plan, shape, stats, at)
+        resume = None
+        # An unmatched pair is empty, cursor or not.
+        if cursor is not None and not (pair and lam is None):
+            resume = cursor.edges
+            cells = _from_cursor(
+                graph, cells, cursor, at, q._semantics == "cheapest"
             )
-        plan, plan_hit = self._plan_for(
-            handle, q._construction, q._expression, q._rpq, restriction
-        )
-        cached: Dict[str, bool] = {"plan": plan_hit}
-        timings: Dict[str, float] = {}
-        stats: Dict[str, Any] = {"cached": cached, "timings": timings}
-        count_cq = (
-            self._count_cq(plan, graph) if q._multiplicity else None
-        )
+            if pair:
+                # A pair is eager: like its restricted_lam, its
+                # cursor's budget check runs inside run(); the other
+                # shapes check cell by cell as the stream is consumed.
+                cells = tuple(cells)
+        return _rows(graph, cells, resume, not pair, count_cq), lam, stats
 
-        if restriction == "any":
-            rows, lam = self._prepare_any(
-                q, handle, plan, shape, count_cq, cached, timings
-            )
-            return rows, lam, stats
-
-        if shape[0] == "pair":
-            rows, lam = self._prepare_pair(
-                q, handle, plan, shape[1], shape[2], cheapest, count_cq,
-                cached, timings, restriction,
-            )
-            return rows, lam, stats
-
-        mode = self._resolve_mode(q._mode)
-        buckets, lam = self._buckets(
-            q, handle, plan, shape, cheapest, cached, timings, restriction
-        )
-        rows = self._bucketed_rows(
-            q, handle, plan, buckets, mode, cheapest, count_cq, restriction
-        )
-        return rows, lam, stats
-
-    # -- pair shape ----------------------------------------------------------
-
-    def _prepare_pair(
+    def _reach(
         self,
         q: Query,
         handle: _GraphHandle,
         plan: _Plan,
-        source: Hashable,
-        target: Hashable,
-        cheapest: bool,
-        count_cq: Any,
-        cached: Dict[str, bool],
-        timings: Dict[str, float],
-        restriction: str = "walks",
-    ) -> Tuple[Iterator[Tuple[Row, Cursor]], Optional[int]]:
+        stats: Dict[str, Any],
+        source_id: int,
+        only: Optional[int],
+    ) -> Tuple[Callable[[], Iterable[int]], Callable[[int], Optional[Tuple]]]:
+        """One source's provider, per semantics: ``(reached, cell)``.
+
+        ``reached()`` lists the targets the source reaches, ascending;
+        ``cell(t)`` is target ``t``'s ``(λ, open, prepared)`` — the tail
+        of a :data:`_Cell` — or ``None`` when the pair has no answer.
+        With ``only`` set, nothing but that target will be asked about.
+
+        * ``walks`` / ``cheapest``: the cached prepared object — λ and
+          the stream are per-target reads of it.
+        * ``trails`` / ``simple``: the same object, then the restricted
+          regime on top (:func:`restricted_lam`; λ becomes rλ).
+        * ``any``: one early-exit product BFS (see
+          :mod:`repro.core.anywalk`) — no annotation-cache entry, the
+          search is cheaper than a saturating build, and the engine
+          mode is irrelevant; a cell's stream is its single witness.
+
+        This is also the one place a request's annotation statistics
+        are written.
+        """
         graph = handle.graph
-        source_id = graph.resolve_vertex(source)
-        target_id = graph.resolve_vertex(target)
-        cursor = q._cursor
-        if cursor is not None:
-            _check_cursor_edges(graph, cursor.edges, target_id)
-        resume = cursor.edges if cursor is not None else None
-
+        compiled = plan.compiled
+        restriction = q._restriction
+        any_walk = restriction == "any"
         t0 = time.perf_counter()
-        if not cheapest and self._annotation_cache.capacity == 0:
-            # Cold per-request execution: the ordinary single-pair
-            # engine, early-stopping Annotate and all ("auto" here is
-            # the engine's own auto, including fast-path detection).
-            # The compiled plan is still injected when the plan cache
-            # has one.
-            engine = DistinctShortestWalks(
-                graph,
-                plan.rpq.automaton,
-                source,
-                target,
-                mode=q._mode,
-                compiled=plan.compiled,
+        if any_walk:
+            hits = any_walk_search(
+                compiled, source_id, None if only is None else (only,)
             )
-            lam = engine.lam  # Triggers preprocessing.
-            timings["annotate"] = time.perf_counter() - t0
-            cached["annotation"] = False
-            open_walks = engine.enumerate
+            hit = False
         else:
-            mt, ann_hit = self._annotation_for(
-                handle, q._construction, q._expression, plan,
-                source, source_id, cheapest, restriction,
+            mt, hit = self._annotation_for(handle, q, plan, source_id, only)
+        # From this query's perspective: build time on a miss,
+        # single-flight wait time when another thread is building.
+        dt = time.perf_counter() - t0
+        timings = stats["timings"]
+        timings["annotate"] = timings.get("annotate", 0.0) + dt
+        stats["cached"]["annotation"] &= hit
+        if any_walk:
+            obs_trace.add_span(
+                "annotate", dt, semantics="any", cached=False
             )
-            # From this query's perspective: build time on a miss,
-            # single-flight wait time when another thread is building.
-            timings["annotate"] = time.perf_counter() - t0
-            cached["annotation"] = ann_hit
-            if ann_hit:
-                # The real annotate/trim spans were traced on the
-                # building thread; a hit still shows the phase, tagged.
-                obs_trace.add_span(
-                    "annotate", timings["annotate"], cached=True
-                )
-            lam, _ = mt.annotation.target_info(target_id)
-            memoryless = self._resolve_mode(q._mode) == "memoryless"
 
-            def open_walks(resume_after=None):
-                return mt.walks_to(target, memoryless, resume_after)
+            def witness(t: int) -> Optional[Tuple]:
+                if t not in hits:
+                    return None
+                lam, edges = hits[t]
+                return lam, lambda resume: skip_past_cursor(
+                    iter((Walk.from_edges_unchecked(graph, edges, source_id),)),
+                    resume,
+                ), None
 
-        if lam is None:
-            return iter(()), None
-        rkind = None
-        if restriction != "walks":
+            return lambda: sorted(hits), witness
+
+        if hit:
+            # The real annotate/trim spans were traced on the building
+            # thread; a hit still shows the phase, tagged.
+            obs_trace.add_span("annotate", dt, cached=True)
+        info = mt.target_info
+        memoryless = self._resolve_mode(q._mode) == "memoryless"
+
+        def cell(t: int) -> Optional[Tuple]:
+            lam, _ = info(t)
+            if lam is None:
+                return None
+            name = graph.vertex_name(t)
+
+            def open_walks(resume=None):
+                return mt.walks_to(name, memoryless, resume)
+
+            if restriction == "walks":
+                return lam, open_walks, mt
             # A fresh stream per call, so the probe's partial
-            # consumption does not disturb the one built below.
-            info = restricted_lam(
-                graph, plan.compiled, source_id, target_id, lam,
-                restriction, open_walks,
+            # consumption does not disturb the ones opened later.
+            found = restricted_lam(
+                graph, compiled, source_id, t, lam, restriction, open_walks
             )
-            if info is None:
-                return iter(()), None
-            lam, rkind = info
-        _check_cursor_budget(graph, cursor, lam, cheapest)
-        walks = _walk_stream(
-            graph, plan.compiled, source_id, target_id, restriction, lam,
-            rkind, open_walks, resume,
-        )
-        source_name = graph.vertex_name(source_id)
-        target_name = graph.vertex_name(target_id)
-        rows = _rows_of(
-            walks, source_name, target_name, lam, False, count_cq
-        )
-        return rows, lam
+            if found is None:
+                return None
+            rlam, regime = found
+            return rlam, partial(
+                _walk_stream, graph, compiled, source_id, t, restriction,
+                rlam, regime, open_walks,
+            ), None
 
-    # -- any-walk shape ------------------------------------------------------
+        return mt.reached_targets, cell
 
-    def _prepare_any(
+    def _cells(
         self,
         q: Query,
         handle: _GraphHandle,
         plan: _Plan,
         shape: Tuple,
-        count_cq: Any,
-        cached: Dict[str, bool],
-        timings: Dict[str, float],
-    ) -> Tuple[Iterator[Tuple[Row, Cursor]], Optional[int]]:
-        """The ``any`` semantics: one witness walk per (source, target).
+        stats: Dict[str, Any],
+        at: Optional[Tuple[Optional[int], int]] = None,
+    ) -> Tuple[Iterator[_Cell], Optional[int]]:
+        """The one shape combinator: ``(cells, λ)``.
 
-        A plain early-exit BFS over the product (see
-        :mod:`repro.core.anywalk`) — no trim/enumerate machinery, no
-        annotation-cache entry (nothing worth retaining: the search is
-        cheaper than a saturating annotation build), and the engine
-        ``mode`` is irrelevant (there is nothing to enumerate).  Shapes
-        mirror the shortest-walk semantics: per-target witnesses for
-        the ``to_all`` forms, the super-source view (one row from the
-        first caller-order source achieving the global minimum) for
-        ``many_to_one``/``many_to_all``.  Pagination still works — a
-        bucket's "stream" is its single witness — and cursors follow
-        the same shape rules as the bucketed executor.
+        ``cells`` is the query's ordered :data:`_Cell` stream and ``λ``
+        its global answer length: the cell's own for a pair, the
+        minimum over the sources for ``many_to_one`` (the virtual
+        super-source's λ), ``None`` for the per-cell shapes.  Every
+        source's provider is built here, eagerly — so the request's
+        cache and timing statistics are valid before the stream is
+        consumed — while the cells themselves (under a restriction:
+        one :func:`restricted_lam` each) are produced lazily, bar a
+        pair's.  A cell whose pair admits no (restricted) walk is not
+        in the stream.  ``at`` is the resuming cursor's cell.
         """
         graph = handle.graph
-        cq = plan.compiled
-        cursor = q._cursor
-        cached["annotation"] = False
         kind = shape[0]
-        t0 = time.perf_counter()
+        if kind == "all_pairs":
+            # Sources before the cursor's cell never contribute to a
+            # resumed stream — skip them without building annotations.
+            first = 0 if at is None or at[0] is None else at[0]
+            sources: Iterable[int] = range(first, graph.vertex_count)
+        elif kind in ("many_to_one", "many_to_all"):
+            # Deduped, keeping caller order.
+            sources = dict.fromkeys(graph.resolve_vertex(s) for s in shape[1])
+        else:
+            sources = (graph.resolve_vertex(shape[1]),)
+        only = (
+            graph.resolve_vertex(shape[2])
+            if kind in ("pair", "many_to_one")
+            else None
+        )
+        reaches = [
+            (s, *self._reach(q, handle, plan, stats, s, only))
+            for s in sources
+        ]
 
         if kind == "pair":
-            sid = graph.resolve_vertex(shape[1])
-            tid = graph.resolve_vertex(shape[2])
-            if cursor is not None:
-                _check_cursor_edges(graph, cursor.edges, tid)
-            hit = any_walk_search(cq, sid, (tid,)).get(tid)
-            timings["annotate"] = time.perf_counter() - t0
-            obs_trace.add_span(
-                "annotate", timings["annotate"],
-                semantics="any", cached=False,
-            )
-            if hit is None:
+            ((s, _, cell),) = reaches
+            found = cell(only)
+            if found is None:
                 return iter(()), None
-            lam, edges = hit
-            _check_cursor_budget(graph, cursor, lam, False)
-            walks = skip_past_cursor(
-                iter((Walk.from_edges_unchecked(graph, edges, sid),)),
-                cursor.edges if cursor is not None else None,
-            )
-            rows = _rows_of(
-                walks, graph.vertex_name(sid), graph.vertex_name(tid),
-                lam, False, count_cq,
-            )
-            return rows, lam
+            return iter(((s, only, *found),)), found[0]
 
-        #: Ordered (source_id, target_id, λ, edges) witness cells.
-        entries: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-        global_lam: Optional[int] = None
-
-        if kind == "one_to_all":
-            sid = graph.resolve_vertex(shape[1])
-            hits = any_walk_search(cq, sid)  # Saturating.
-            entries = [
-                (sid, t, hits[t][0], hits[t][1]) for t in sorted(hits)
+        def minimal(t: int) -> List[_Cell]:
+            """Target ``t``'s cells from the sources attaining its
+            minimal λ (the super-source view; taken over rλ under a
+            restriction, where the source with the shortest walk need
+            not have the shortest trail).  Any-walk keeps one witness:
+            the first such source's."""
+            found = [
+                (s, t, *c)
+                for s, _, cell in reaches
+                if (c := cell(t)) is not None
             ]
-        else:
-            sources: List[int] = []
-            seen_ids = set()
-            if kind == "all_pairs":
-                sources = list(graph.vertices())
-            else:
-                for s in shape[1]:
-                    s_id = graph.resolve_vertex(s)
-                    if s_id not in seen_ids:  # Dedupe, caller order.
-                        seen_ids.add(s_id)
-                        sources.append(s_id)
+            lam = min((c[2] for c in found), default=None)
+            best = [c for c in found if c[2] == lam]
+            return best[:1] if q._restriction == "any" else best
 
-            if kind == "many_to_one":
-                tid = graph.resolve_vertex(shape[2])
-                best: Optional[Tuple[int, int, int, Tuple[int, ...]]] = None
-                for s_id in sources:
-                    hit = any_walk_search(cq, s_id, (tid,)).get(tid)
-                    if hit is not None and (
-                        best is None or hit[0] < best[2]
-                    ):
-                        best = (s_id, tid, hit[0], hit[1])
-                if best is not None:
-                    entries = [best]
-                    global_lam = best[2]
-            else:  # many_to_all / all_pairs: per-source saturation.
-                results = [
-                    (s_id, any_walk_search(cq, s_id)) for s_id in sources
-                ]
-                if kind == "many_to_all":
-                    # Super-source view: per target, the first
-                    # caller-order source achieving the minimal λ.
-                    for t in sorted({t for _, h in results for t in h}):
-                        best = None
-                        for s_id, h in results:
-                            if t in h and (
-                                best is None or h[t][0] < best[2]
-                            ):
-                                best = (s_id, t, h[t][0], h[t][1])
-                        entries.append(best)
-                else:  # all_pairs: every reached pair, source-major.
-                    for s_id, h in results:
-                        entries.extend(
-                            (s_id, t, h[t][0], h[t][1]) for t in sorted(h)
-                        )
-        timings["annotate"] = time.perf_counter() - t0
-        obs_trace.add_span(
-            "annotate", timings["annotate"], semantics="any", cached=False
-        )
-
-        cursor_sid = cursor_tid = None
-        if cursor is not None:
-            if cursor.target is None:
-                raise QueryError(
-                    "a cursor for a multi-bucket query must carry the "
-                    "'target' (and, for multi-source shapes, 'source') "
-                    "of the walk it points at"
-                )
-            cursor_tid = graph.resolve_vertex(cursor.target)
-            if cursor.source is not None:
-                cursor_sid = graph.resolve_vertex(cursor.source)
-            _check_cursor_edges(graph, cursor.edges, cursor_tid)
-
-        def gen() -> Iterator[Tuple[Row, Cursor]]:
-            seeking = cursor is not None
-            for s_id, t_id, lam_t, edges in entries:
-                if seeking:
-                    if t_id != cursor_tid or (
-                        cursor_sid is not None and s_id != cursor_sid
-                    ):
-                        continue
-                    seeking = False
-                    _check_cursor_budget(graph, cursor, lam_t, False)
-                    resume = cursor.edges
-                else:
-                    resume = None
-                walks = skip_past_cursor(
-                    iter((Walk.from_edges_unchecked(graph, edges, s_id),)),
-                    resume,
-                )
-                yield from _rows_of(
-                    walks, graph.vertex_name(s_id),
-                    graph.vertex_name(t_id), lam_t, True, count_cq,
-                )
-            if seeking:
-                raise QueryError(
-                    "cursor does not match any result bucket of this "
-                    "query"
-                )
-
-        return gen(), global_lam
-
-    # -- bucketed shapes -----------------------------------------------------
-
-    def _buckets(
-        self,
-        q: Query,
-        handle: _GraphHandle,
-        plan: _Plan,
-        shape: Tuple,
-        cheapest: bool,
-        cached: Dict[str, bool],
-        timings: Dict[str, float],
-        restriction: str = "walks",
-    ) -> Tuple[Iterator[_Bucket], Optional[int]]:
-        """Resolve a non-pair shape into its ordered bucket stream.
-
-        Returns ``(buckets, lam)`` where ``lam`` is the global answer
-        length for ``many_to_one`` (the virtual super-source λ) and
-        ``None`` for the per-bucket shapes.  Under a trails/simple
-        restriction every bucket carries rλ in ``lam``; buckets whose
-        pair admits *no* restricted walk vanish from the stream, and
-        the ``many_to_one`` /
-        ``many_to_all`` minima are taken over rλ — the walk-λ
-        pre-filter would be unsound there, since the source with the
-        shortest walk need not have the shortest trail.
-        """
-        graph = handle.graph
-        cached["annotation"] = True
-        restricted = restriction != "walks"
-
-        def mt_for(source_input: Hashable, source_id: int):
-            t0 = time.perf_counter()
-            mt, hit = self._annotation_for(
-                handle, q._construction, q._expression, plan,
-                source_input, source_id, cheapest, restriction,
+        if kind == "many_to_one":
+            best = minimal(only)
+            return iter(best), best[0][2] if best else None
+        if kind == "many_to_all":
+            targets = sorted(
+                {t for _, reached, _ in reaches for t in reached()}
             )
-            dt = time.perf_counter() - t0
-            timings["annotate"] = timings.get("annotate", 0.0) + dt
-            if not hit:
-                cached["annotation"] = False
-            else:
-                obs_trace.add_span("annotate", dt, cached=True)
-            return mt
-
-        def bucket(source_input, source_id, mt, target_id) -> Optional[_Bucket]:
-            lam_t, states = mt.annotation.target_info(target_id)
-            if lam_t is None:
-                return None
-            rkind = None
-            if restricted:
-                info = restricted_lam(
-                    graph, plan.compiled, source_id, target_id, lam_t,
-                    restriction,
-                    lambda: mt.walks_to(graph.vertex_name(target_id)),
-                )
-                if info is None:
-                    return None
-                lam_t, rkind = info
-            return _Bucket(
-                source_input=source_input,
-                source_id=source_id,
-                source_name=graph.vertex_name(source_id),
-                target_id=target_id,
-                target_name=graph.vertex_name(target_id),
-                mt=mt,
-                lam=lam_t,
-                states=states,
-                rkind=rkind,
-            )
-
-        kind = shape[0]
-        if kind == "one_to_all":
-            source = shape[1]
-            source_id = graph.resolve_vertex(source)
-            mt = mt_for(source, source_id)
-            buckets = (
-                b
-                for t in mt.reached_targets()
-                if (b := bucket(source, source_id, mt, t)) is not None
-            )
-            return buckets, None
-
-        if kind in ("many_to_one", "many_to_all"):
-            sources: List[Tuple[Hashable, int]] = []
-            seen_ids = set()
-            for s in shape[1]:
-                sid = graph.resolve_vertex(s)
-                if sid not in seen_ids:  # Dedupe, keeping caller order.
-                    seen_ids.add(sid)
-                    sources.append((s, sid))
-            mts = [(s, sid, mt_for(s, sid)) for s, sid in sources]
-
-            if kind == "many_to_one":
-                target_id = graph.resolve_vertex(shape[2])
-                if restricted:
-                    bs = [
-                        b
-                        for s, sid, mt in mts
-                        if (b := bucket(s, sid, mt, target_id)) is not None
-                    ]
-                    if not bs:
-                        return iter(()), None
-                    global_lam = min(b.lam for b in bs)
-                    return (
-                        iter([b for b in bs if b.lam == global_lam]),
-                        global_lam,
-                    )
-                lams = [
-                    mt.annotation.target_info(target_id)[0]
-                    for _, _, mt in mts
-                ]
-                reached = [lam for lam in lams if lam is not None]
-                if not reached:
-                    return iter(()), None
-                global_lam = min(reached)
-                buckets = (
-                    b
-                    for (s, sid, mt), lam_s in zip(mts, lams)
-                    if lam_s == global_lam
-                    if (b := bucket(s, sid, mt, target_id)) is not None
-                )
-                return buckets, global_lam
-
-            # many_to_all: per target, only the sources achieving the
-            # target's global minimum contribute (super-source view).
-            all_targets = sorted(
-                {t for _, _, mt in mts for t in mt.reached_targets()}
-            )
-
-            if restricted:
-
-                def gen_restricted() -> Iterator[_Bucket]:
-                    for t in all_targets:
-                        bs = [
-                            b
-                            for s, sid, mt in mts
-                            if (b := bucket(s, sid, mt, t)) is not None
-                        ]
-                        if not bs:
-                            continue
-                        lam_t = min(b.lam for b in bs)
-                        for b in bs:
-                            if b.lam == lam_t:
-                                yield b
-
-                return gen_restricted(), None
-
-            def gen() -> Iterator[_Bucket]:
-                for t in all_targets:
-                    lams = [
-                        mt.annotation.target_info(t)[0] for _, _, mt in mts
-                    ]
-                    lam_t = min(
-                        (lam for lam in lams if lam is not None),
-                        default=None,
-                    )
-                    if lam_t is None:
-                        continue
-                    for (s, sid, mt), lam_s in zip(mts, lams):
-                        if lam_s == lam_t:
-                            b = bucket(s, sid, mt, t)
-                            if b is not None:
-                                yield b
-
-            return gen(), None
-
-        assert kind == "all_pairs"
-        cursor = q._cursor
-        # Sources strictly before the cursor's bucket never contribute
-        # to a resumed stream — skip them without building annotations.
-        skip_below = -1
-        if cursor is not None and cursor.source is not None:
-            skip_below = graph.resolve_vertex(cursor.source)
-        # Annotations are built eagerly (like the other shapes) so the
-        # result set's cache/timing stats are valid before the stream
-        # is consumed; the per-source structures land in the
-        # annotation cache anyway under the default configuration.
-        source_mts = [
-            (graph.vertex_name(sid), sid)
-            for sid in graph.vertices()
-            if sid >= skip_below
-        ]
-        source_mts = [
-            (name, sid, mt_for(name, sid)) for name, sid in source_mts
-        ]
-
-        def gen_all() -> Iterator[_Bucket]:
-            for name, sid, mt in source_mts:
-                for t in mt.reached_targets():
-                    b = bucket(name, sid, mt, t)
-                    if b is not None:
-                        yield b
-
-        return gen_all(), None
-
-    def _bucketed_rows(
-        self,
-        q: Query,
-        handle: _GraphHandle,
-        plan: _Plan,
-        buckets: Iterator[_Bucket],
-        mode: str,
-        cheapest: bool,
-        count_cq: Any,
-        restriction: str = "walks",
-    ) -> Iterator[Tuple[Row, Cursor]]:
-        graph = handle.graph
-        cursor = q._cursor
-        cursor_sid = cursor_tid = None
-        if cursor is not None:
-            if cursor.target is None:
-                raise QueryError(
-                    "a cursor for a multi-bucket query must carry the "
-                    "'target' (and, for multi-source shapes, 'source') "
-                    "of the walk it points at"
-                )
-            cursor_tid = graph.resolve_vertex(cursor.target)
-            if cursor.source is not None:
-                cursor_sid = graph.resolve_vertex(cursor.source)
-            _check_cursor_edges(graph, cursor.edges, cursor_tid)
-        memoryless = mode == "memoryless"
-
-        def gen() -> Iterator[Tuple[Row, Cursor]]:
-            seeking = cursor is not None
-            for b in buckets:
-                if seeking:
-                    if b.target_id != cursor_tid or (
-                        cursor_sid is not None
-                        and b.source_id != cursor_sid
-                    ):
-                        continue
-                    seeking = False
-                    _check_cursor_budget(graph, cursor, b.lam, cheapest)
-                    resume = cursor.edges
-                else:
-                    resume = None
-                walks = _walk_stream(
-                    graph, plan.compiled, b.source_id, b.target_id,
-                    restriction, b.lam, b.rkind,
-                    lambda resume_after, b=b: b.mt.walks_to(
-                        b.target_name, memoryless, resume_after
-                    ),
-                    resume,
-                )
-                yield from _rows_of(
-                    walks, b.source_name, b.target_name, b.lam, True,
-                    count_cq,
-                )
-            if seeking:
-                raise QueryError(
-                    "cursor does not match any result bucket of this "
-                    "query"
-                )
-
-        return gen()
+            return (c for t in targets for c in minimal(t)), None
+        # one_to_all / all_pairs: every reached pair, source-major.
+        return (
+            (s, t, *c)
+            for s, reached, cell in reaches
+            for t in reached()
+            if (c := cell(t)) is not None
+        ), None
 
     # -- non-enumerating terminals -------------------------------------------
 
@@ -1539,56 +1211,13 @@ class Database:
         base = q.limit(None).offset(0).cursor(None).timeout_ms(None)
         if method == "enumerate":
             return sum(1 for _ in base.run())
-
-        from repro.core.count import count_distinct_shortest
-
         handle = self._handle(base._graph_name)
-        graph = handle.graph
-        shape = base._shape()
-        cheapest = base._semantics == "cheapest"
-        plan, _ = self._plan_for(
-            handle, base._construction, base._expression, base._rpq
+        plan, plan_hit = self._plan(base, handle)
+        cells, _ = self._cells(
+            base, handle, plan, base._shape(), _fresh_stats(plan_hit)
         )
-        cost_arr = graph.cost_array if cheapest else None
-        cost_of = (lambda e: cost_arr[e]) if cost_arr is not None else None
-
-        if (
-            shape[0] == "pair"
-            and not cheapest
-            and self._annotation_cache.capacity == 0
-        ):
-            engine = DistinctShortestWalks(
-                graph, plan.rpq.automaton, shape[1], shape[2],
-                mode=base._mode, compiled=plan.compiled,
-            )
-            return engine.count(method="dp")
-
-        cached: Dict[str, bool] = {}
-        timings: Dict[str, float] = {}
-        if shape[0] == "pair":
-            source_id = graph.resolve_vertex(shape[1])
-            target_id = graph.resolve_vertex(shape[2])
-            mt, _ = self._annotation_for(
-                handle, base._construction, base._expression, plan,
-                shape[1], source_id, cheapest,
-            )
-            lam_t, states = mt.annotation.target_info(target_id)
-            if lam_t is None:
-                return 0
-            return count_distinct_shortest(
-                graph, mt.annotation, lam_t, target_id, states,
-                cost_of=cost_of,
-            )
-        buckets, _ = self._buckets(
-            base, handle, plan, shape, cheapest, cached, timings
-        )
-        return sum(
-            count_distinct_shortest(
-                graph, b.mt.annotation, b.lam, b.target_id, b.states,
-                cost_of=cost_of,
-            )
-            for b in buckets
-        )
+        name = handle.graph.vertex_name
+        return sum(mt.count_to(name(t), "dp") for _, t, _, _, mt in cells)
 
     def _targets(self, q: Query) -> List[Tuple[Hashable, int]]:
         shape = q._shape()
@@ -1598,82 +1227,38 @@ class Database:
                 f"this query's shape is {shape[0]!r}"
             )
         handle = self._handle(q._graph_name)
-        cheapest = q._semantics == "cheapest"
-        restriction = q._restriction
-        if cheapest and restriction != "walks":
-            raise QueryError(
-                "cheapest semantics supports the unrestricted 'walks' "
-                f"form only, not {restriction!r}"
-            )
-        plan, _ = self._plan_for(
-            handle, q._construction, q._expression, q._rpq, restriction
+        plan, plan_hit = self._plan(q, handle)
+        cells, _ = self._cells(
+            q, handle, plan, shape, _fresh_stats(plan_hit)
         )
-        if restriction == "any":
-            # Witness λ per target equals the walk λ — saturating
-            # any-walk searches, minimized over sources for to-all.
-            graph = handle.graph
-            if shape[0] == "one_to_all":
-                sids = [graph.resolve_vertex(shape[1])]
-            else:
-                seen_ids: set = set()
-                sids = []
-                for s in shape[1]:
-                    sid = graph.resolve_vertex(s)
-                    if sid not in seen_ids:
-                        seen_ids.add(sid)
-                        sids.append(sid)
-            best: Dict[int, int] = {}
-            for sid in sids:
-                for t, (lam_t, _) in any_walk_search(
-                    plan.compiled, sid
-                ).items():
-                    if t not in best or lam_t < best[t]:
-                        best[t] = lam_t
-            return [
-                (graph.vertex_name(t), best[t]) for t in sorted(best)
-            ]
-        buckets, _ = self._buckets(
-            q, handle, plan, shape, cheapest, {}, {}, restriction
-        )
-        out: List[Tuple[Hashable, int]] = []
-        for b in buckets:
-            if not out or out[-1][0] != b.target_name:
-                out.append((b.target_name, b.lam))
-        return out
+        # A target's cells are adjacent and share its λ.
+        lam_of = {t: lam for _, t, lam, _, _ in cells}
+        return [
+            (handle.graph.vertex_name(t), lam) for t, lam in lam_of.items()
+        ]
 
     def _explain(self, q: Query) -> QueryPlan:
         handle = self._handle(q._graph_name)
         shape = q._shape()
-        cheapest = q._semantics == "cheapest"
         plan, plan_hit = self._plan_for(
             handle, q._construction, q._expression, q._rpq, q._restriction
         )
         qp = analyze(handle.graph, plan.rpq.automaton)
-        cold_pair = (
-            shape[0] == "pair"
-            and not cheapest
-            and self._annotation_cache.capacity == 0
-        )
         if q._restriction == "any":
             resolved = "early-exit BFS"
             route = "any-walk witness search (annotation cache bypassed)"
-        elif cold_pair:
-            if q._mode == "auto" and simple_eligible(
-                handle.graph, plan.rpq.automaton
-            ):
-                resolved = "auto (simple-setting fast path)"
-            else:
-                resolved = (
-                    "auto (general engine)" if q._mode == "auto" else q._mode
-                )
-            route = "cold single-pair engine (annotation cache disabled)"
         else:
             resolved = self._resolve_mode(q._mode)
             resolved += (
                 " (NextOutput seek per row)" if resolved == "memoryless"
                 else " (one DFS, O(λ) seek per resumed page)"
             )
-            route = "cached multi-target annotation"
+            if self._annotation_cache.capacity:
+                route = "cached multi-target annotation"
+            else:
+                route = "uncached annotation (annotation cache disabled)"
+                if q._target is not None:
+                    route += ", stopped at the target"
         if q._restriction in ("trails", "simple"):
             route += (
                 "; restricted filter over the λ-walk stream, guided "
@@ -1703,28 +1288,91 @@ class Database:
 # -- module helpers ----------------------------------------------------------
 
 
-def _rows_of(
-    walks: Iterator[Walk],
-    source_name: Hashable,
-    target_name: Hashable,
-    lam: int,
+def _fresh_stats(plan_hit: bool) -> Dict[str, Any]:
+    """A request's statistics; :meth:`Database._reach` fills in the
+    annotation side, the result set the ``enumerate`` timing."""
+    return {
+        "cached": {"plan": plan_hit, "annotation": True},
+        "timings": {},
+    }
+
+
+def _rows(
+    graph: Graph,
+    cells: Iterable[_Cell],
+    resume: Optional[Tuple[int, ...]],
     bucketed: bool,
     count_cq: Any,
 ) -> Iterator[Tuple[Row, Cursor]]:
-    for walk in walks:
-        multiplicity = (
-            count_accepting_runs(count_cq, walk.edges)
-            if count_cq is not None
-            else None
+    """The one row generator: every cell's stream, in order, as
+    ``(row, cursor pointing at it)``.  ``resume`` positions the *first*
+    cell's stream after a previous output (see :func:`_from_cursor`);
+    a bucketed shape's cursors name their cell, a pair's are the bare
+    edge list."""
+    for source_id, target_id, lam, open_walks, _ in cells:
+        source = graph.vertex_name(source_id)
+        target = graph.vertex_name(target_id)
+        for walk in open_walks(resume):
+            multiplicity = (
+                count_accepting_runs(count_cq, walk.edges)
+                if count_cq is not None
+                else None
+            )
+            row = Row(
+                source=source,
+                target=target,
+                walk=walk,
+                lam=lam,
+                multiplicity=multiplicity,
+            )
+            yield row, row.cursor(bucketed)
+        resume = None
+
+
+def _cursor_cell(
+    graph: Graph, cursor: Cursor, shape: Tuple
+) -> Tuple[Optional[int], int]:
+    """``(source_id or None, target_id)`` of the cell a cursor points
+    into, its edge list checked against that target.  A pair has one
+    cell and its cursor is the bare edge list; any other shape's cursor
+    names its cell."""
+    if shape[0] == "pair":
+        source_id, target_id = None, graph.resolve_vertex(shape[2])
+    else:
+        if cursor.target is None:
+            raise QueryError(
+                "a cursor for a multi-bucket query must carry the 'target' "
+                "(and, for multi-source shapes, 'source') of the walk it "
+                "points at"
+            )
+        target_id = graph.resolve_vertex(cursor.target)
+        source_id = (
+            None
+            if cursor.source is None
+            else graph.resolve_vertex(cursor.source)
         )
-        row = Row(
-            source=source_name,
-            target=target_name,
-            walk=walk,
-            lam=lam,
-            multiplicity=multiplicity,
-        )
-        yield row, row.cursor(bucketed)
+    _check_cursor_edges(graph, cursor.edges, target_id)
+    return source_id, target_id
+
+
+def _from_cursor(
+    graph: Graph,
+    cells: Iterator[_Cell],
+    cursor: Cursor,
+    at: Tuple[Optional[int], int],
+    cheapest: bool,
+) -> Iterator[_Cell]:
+    """The cell stream from the cursor's own cell on — the
+    cursor-to-cell seek — with the cursor's budget checked against
+    that cell's λ."""
+    source_id, target_id = at
+    for cell in cells:
+        if cell[1] == target_id and source_id in (None, cell[0]):
+            _check_cursor_budget(graph, cursor, cell[2], cheapest)
+            yield cell
+            yield from cells
+            return
+    raise QueryError("cursor does not match any result bucket of this query")
 
 
 def _check_cursor_edges(
@@ -1749,10 +1397,8 @@ def _check_cursor_edges(
 
 
 def _check_cursor_budget(
-    graph: Graph, cursor: Optional[Cursor], lam: int, cheapest: bool
+    graph: Graph, cursor: Cursor, lam: int, cheapest: bool
 ) -> None:
-    if cursor is None:
-        return
     if cheapest:
         cost = sum(graph.cost(e) for e in cursor.edges)
         if cost != lam:
@@ -1773,32 +1419,31 @@ def _walk_stream(
     source_id: int,
     target_id: int,
     restriction: str,
-    lam: int,
-    rkind: Optional[str],
-    open_walks: Any,
+    rlam: int,
+    regime: str,
+    open_walks: Callable[..., Iterator[Walk]],
     resume: Optional[Tuple[int, ...]],
 ) -> Iterator[Walk]:
-    """One (source, target) pair's walk stream, positioned after
-    ``resume``.
+    """One restricted (trails / simple) cell's walk stream, positioned
+    after ``resume``.
 
     ``open_walks(resume_after)`` opens the pair's λ-walk enumeration
     and seeks.  The filter regime (rλ == λ) rides on it: every
     restricted output is itself an unrestricted output, so the
     underlying seek — and the caller's budget check — stay valid.  The
     fallback DFS (rλ > λ) has no cells under it and resumes by replay.
-    The output *order* is identical across the general modes (the
+    The output *order* is identical across the engine modes (the
     paper's DFS order), so a cursor handed out by one mode is valid in
     another; one that was never an output is a
     :class:`~repro.exceptions.QueryError`, not a silent page.
     """
-    if rkind == "fallback":
+    if regime == "fallback":
         return skip_past_cursor(
             fallback_walks(
-                graph, compiled, source_id, target_id, restriction, lam
+                graph, compiled, source_id, target_id, restriction, rlam
             ),
             resume,
         )
-    walks = open_walks(resume)
-    if rkind == "filter":
-        walks = restricted_filter(graph, restriction, source_id, walks)
-    return walks
+    return restricted_filter(
+        graph, restriction, source_id, open_walks(resume)
+    )

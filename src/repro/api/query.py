@@ -32,13 +32,12 @@ can be forked freely::
     fan  = base.to_all()
 
 **Modes.**  ``shortest`` and ``cheapest`` both support every mode
-(``auto``, ``iterative``, ``memoryless``).  With caching enabled (the
-default), ``auto`` resolves to the database's ``default_mode``
-(``iterative`` — the DFS kept alive between rows; like ``memoryless``
-it is concurrency-safe and resumes a cursor with one O(λ) seek); with
-the annotation cache disabled, a pair-shaped ``shortest`` query falls
-back to the cold single-pair engine, whose own ``auto`` includes the
-paper's simple-setting fast path.
+(``auto``, ``iterative``, ``memoryless``).  ``auto`` resolves to the
+database's ``default_mode`` (``iterative`` — the DFS kept alive
+between rows; like ``memoryless`` it is concurrency-safe and resumes a
+cursor with one O(λ) seek), whatever the cache sizes: a database with
+its annotation cache disabled runs the same engine and returns the
+same rows and cursors — it only retains nothing.
 """
 
 from __future__ import annotations
@@ -299,9 +298,9 @@ class Query:
 
         Accepts the :class:`~repro.api.rows.Cursor` object, its
         ``to_dict()`` payload, or (for pair queries) a bare edge-id
-        list — the batch service's token.  Seeking is O(λ) in the
-        general modes; streams with nothing to seek in (the simple fast
-        path, the restricted fallback, an any-walk witness) replay.
+        list — the batch service's token.  Seeking is O(λ); streams
+        with nothing to seek in (the restricted fallback, an any-walk
+        witness) replay.
         """
         q = self._clone()
         q._cursor = (

@@ -15,6 +15,9 @@
   paper's own structures (dict ``L``/``B``, restartable queues, skip
   arrays, recursive ``Enumerate``): the content and order oracle for
   the packed pipeline of :mod:`repro.core`;
+* :mod:`repro.baselines.simple` — the folklore product-BFS enumerator
+  for the "simpler setting" (single-labeled database, deterministic
+  automaton): a cross-check there, and EXP-SIMPLE's comparison row;
 * :mod:`repro.baselines.oracle` — exhaustive ground truth used only by
   the test suite.
 
@@ -35,11 +38,13 @@ from repro.baselines.paper_pipeline import (
     enumerate_walks_recursive,
     recursive_walks,
 )
+from repro.baselines.simple import SimpleShortestWalks
 from repro.baselines.untrimmed import UntrimmedStats, enumerate_untrimmed
 
 __all__ = [
     "NaiveStats",
     "ProductAutomaton",
+    "SimpleShortestWalks",
     "UntrimmedStats",
     "all_shortest_words",
     "annotate_reference",

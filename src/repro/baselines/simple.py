@@ -1,4 +1,4 @@
-"""The folklore fast path for the "simpler setting" (paper, Section 1).
+"""The folklore enumerator for the "simpler setting" (paper, Section 1).
 
 When the database is single-labeled and the query automaton is
 deterministic, every walk has at most one run in ``D × A``, so distinct
@@ -8,9 +8,13 @@ parent edges, and enumerate shortest product paths backwards — no
 duplicate is possible and the delay drops to O(λ) with no certificate
 machinery.
 
-The paper notes that *detecting* this setting takes linear time, so an
-engine can always try the fast path first; see
-:func:`repro.query.plan.analyze`.
+It is kept as a **baseline**: a cross-check for the general engine on
+the inputs it accepts, and EXP-SIMPLE's comparison row.  The bound is
+better, the measured cost is not — the general pipeline walks flat
+``array('q')`` cells where this one chases per-node dict parents — so
+nothing in production dispatches to it.  What production keeps is the
+linear-time *detection* of the setting,
+:func:`repro.query.plan.simple_eligible`.
 
 The product BFS here rides the same label-indexed CSR adjacency as the
 general ``Annotate`` (:attr:`repro.graph.database.Graph.out_csr`): per
@@ -22,27 +26,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-from repro.automata.determinize import is_deterministic
 from repro.automata.nfa import NFA
 from repro.core.compile import CompiledQuery, compile_query
 from repro.core.walks import Walk
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
-
-
-def graph_is_single_labeled(graph: Graph) -> bool:
-    """Linear-time check: does every edge carry exactly one label?"""
-    return all(len(graph.labels(e)) == 1 for e in graph.edges())
-
-
-def simple_eligible(graph: Graph, automaton: NFA) -> bool:
-    """May :class:`SimpleShortestWalks` be used for this input?
-
-    Requires a single-labeled database and a deterministic (hence
-    ε-free, single-initial) automaton.  Both checks are linear, as the
-    paper points out.
-    """
-    return graph_is_single_labeled(graph) and is_deterministic(automaton)
+from repro.query.plan import simple_eligible
 
 
 class SimpleShortestWalks:

@@ -66,8 +66,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import Database
-from repro.core.compile import compile_query
-from repro.core.engine import CONCRETE_MODES, MODES, DistinctShortestWalks
+from repro.core.compile import compile_epsilon_free
+from repro.core.engine import CONCRETE_MODES, MODES
 from repro.exceptions import ReproError
 from repro.graph.database import Graph
 from repro.graph.io import load_edge_list, load_json
@@ -195,22 +195,23 @@ def _query_json(args: argparse.Namespace, db: Database, base) -> int:
 
 
 def _cmd_pattern(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    # A one-shot process cannot reuse an annotation: with the cache
+    # off, the pair's Annotate stops at its target.
+    db = Database(_load_graph(args.graph), annotation_cache_size=0)
     pattern = parse_pattern(args.pattern)
     print(f"compiled RPQ: {pattern.regex}")
-    engine = pattern.engine(graph)
-    if engine.is_empty:
+    result = pattern.query(db).run()
+    if result.lam is None:
         print("no matching walk")
         return 1
-    print(f"λ = {engine.lam}")
-    for walk in _limited(pattern.run(graph), args.limit):
-        print(f"  {walk.describe()}")
+    print(f"λ = {result.lam}")
+    for row in _limited(result, args.limit):
+        print(f"  {row.describe()}")
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     """Answer counts and duplicate-blowup measures, without enumeration."""
-    from repro.automata.ops import remove_epsilon
     from repro.core.count import (
         count_shortest_product_paths,
         count_total_multiplicity,
@@ -218,24 +219,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args.graph)
     query = rpq(args.expression, method=args.construction)
-    engine = DistinctShortestWalks(
-        graph, query.automaton, args.source, args.target
+    answers = (
+        Database(graph, annotation_cache_size=0)  # One-shot, as above.
+        .query(query).from_(args.source).to(args.target).count("dp")
     )
-    if engine.is_empty:
+    if not answers:
         print("no matching walk")
         return 1
-    answers = engine.count(method="dp")
-    print(f"λ = {engine.lam}")
-    print(f"distinct shortest walks: {answers}")
-
-    automaton = query.automaton
-    if automaton.has_epsilon:
-        automaton = remove_epsilon(automaton)
-    cq = compile_query(graph, automaton)
+    cq = compile_epsilon_free(graph, query.automaton)
     source = graph.resolve_vertex(args.source)
     target = graph.resolve_vertex(args.target)
-    _, paths = count_shortest_product_paths(cq, source, target)
+    lam, paths = count_shortest_product_paths(cq, source, target)
     _, mult = count_total_multiplicity(cq, source, target)
+    print(f"λ = {lam}")
+    print(f"distinct shortest walks: {answers}")
     print(f"shortest product paths:  {paths}"
           f"  ({paths / answers:.2f} copies/answer for a naive engine)")
     print(f"total accepting runs:    {mult}")

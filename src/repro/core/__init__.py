@@ -11,13 +11,12 @@ Module map (mirrors Figure 2 of the paper):
   seekable DFS;
 * :mod:`repro.core.memoryless` — ``NextOutput`` (Theorem 18): that DFS
   re-positioned before every output;
-* :mod:`repro.core.engine` — the ``Main`` orchestration;
+* :mod:`repro.core.engine` — the ``Main`` orchestration: the one
+  prepared ``(query, source)`` object and the single-pair driver;
 * :mod:`repro.core.cheapest`, :mod:`repro.core.multi_target`,
   :mod:`repro.core.multiplicity` — the Section 5.3 extensions;
 * :mod:`repro.core.count` — answer counting and duplicate-blowup
-  measures, without enumeration;
-* :mod:`repro.core.simple` — the folklore fast path for deterministic
-  queries on single-labeled data.
+  measures, without enumeration.
 """
 
 from repro.core.annotate import Annotation, annotate
@@ -33,7 +32,6 @@ from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless, next_output
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.multiplicity import count_accepting_runs
-from repro.core.simple import SimpleShortestWalks, simple_eligible
 from repro.core.trim import resumable_trim, trim
 from repro.core.walks import Walk
 
@@ -43,7 +41,6 @@ __all__ = [
     "DistinctCheapestWalks",
     "DistinctShortestWalks",
     "MultiTargetShortestWalks",
-    "SimpleShortestWalks",
     "Walk",
     "annotate",
     "cheapest_annotate",
@@ -57,6 +54,5 @@ __all__ = [
     "enumerate_walks",
     "next_output",
     "resumable_trim",
-    "simple_eligible",
     "trim",
 ]

@@ -191,13 +191,16 @@ class Annotation:
             return 0, frozenset(self.initial_closure & self.final)
         dist = self.dist
         base = t * self.n_states
-        reached = [
-            (dist[base + f], f) for f in self.final if dist[base + f] >= 0
-        ]
-        if not reached:
-            return None, frozenset()
-        lam_t = min(level for level, _ in reached)
-        return lam_t, frozenset(f for level, f in reached if level == lam_t)
+        lam_t = None
+        states = []
+        for f in self.final:
+            level = dist[base + f]
+            if level >= 0:
+                if lam_t is None or level < lam_t:
+                    lam_t, states = level, [f]
+                elif level == lam_t:
+                    states.append(f)
+        return lam_t, frozenset(states)
 
     def annotation_entries(self) -> int:
         """Total number of predecessor entries stored in ``B``.

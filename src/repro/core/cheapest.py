@@ -40,11 +40,10 @@ from operator import eq
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.annotate import Annotation
-from repro.core.compile import CompiledQuery, compile_query
-from repro.datastructures.packed import PackedBack, PackedCells
-from repro.core.enumerate import enumerate_walks
-from repro.core.trim import trim
+from repro.core.compile import CompiledQuery
+from repro.core.engine import PreparedWalks
 from repro.core.walks import Walk
+from repro.datastructures.packed import PackedBack
 from repro.datastructures.pairing_heap import HeapNode, PairingHeap
 from repro.exceptions import CostError, QueryError
 from repro.graph.database import Graph
@@ -277,7 +276,7 @@ def cheapest_annotate(
     )
 
 
-class DistinctCheapestWalks:
+class DistinctCheapestWalks(PreparedWalks):
     """User-facing driver for the Distinct Cheapest Walks extension.
 
     >>> from repro.graph import GraphBuilder
@@ -290,53 +289,31 @@ class DistinctCheapestWalks:
     [2]
     """
 
+    cheapest = True
+
     def __init__(
         self, graph: Graph, query, source, target, heap: str = "binary"
     ) -> None:
-        from repro.core._query_input import as_nfa
-
         if heap not in _HEAPS:
             raise QueryError(
                 f"unknown heap {heap!r}; expected one of {_HEAPS}"
             )
-        self.graph = graph
-        self.source = graph.resolve_vertex(source)
-        self.target = graph.resolve_vertex(target)
-        self.automaton = as_nfa(query)
+        super().__init__(graph, query, source, target)
         self.heap = heap
-        self._cq = compile_query(graph, self.automaton)
-        self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[PackedCells] = None
 
-    def preprocess(self) -> "DistinctCheapestWalks":
-        """Run the Dijkstra annotation and trim; idempotent."""
-        if self._annotation is None:
-            self._annotation = cheapest_annotate(
-                self._cq, self.source, self.target, heap=self.heap
-            )
-            self._trimmed = trim(self.graph, self._annotation)
-        return self
+    def _annotate(self) -> Annotation:
+        return cheapest_annotate(
+            self._cq, self.source, self.target, heap=self.heap
+        )
 
     @property
     def cheapest_cost(self) -> Optional[int]:
         """Minimal matching walk cost (``None`` when no walk matches)."""
-        self.preprocess()
-        assert self._annotation is not None
-        return self._annotation.lam
+        return self.annotation.lam
 
     def enumerate(self) -> Iterator[Walk]:
         """Enumerate all distinct cheapest matching walks."""
-        self.preprocess()
-        assert self._annotation is not None and self._trimmed is not None
-        cost_arr = self.graph.cost_array
-        return enumerate_walks(
-            self.graph,
-            self._trimmed,
-            self._annotation.lam,
-            self.target,
-            self._annotation.target_states,
-            cost_of=lambda e: cost_arr[e],
-        )
+        return self._walks(self.target)
 
     def __iter__(self) -> Iterator[Walk]:
         return self.enumerate()
@@ -347,23 +324,4 @@ class DistinctCheapestWalks:
         ``method="dp"`` counts via the backward-tree dynamic program
         (cost-budgeted), without enumerating.
         """
-        if method == "dp":
-            from repro.core.count import count_distinct_shortest
-
-            self.preprocess()
-            assert self._annotation is not None
-            cost_arr = self.graph.cost_array
-            return count_distinct_shortest(
-                self.graph,
-                self._annotation,
-                self._annotation.lam,
-                self.target,
-                self._annotation.target_states,
-                cost_of=lambda e: cost_arr[e],
-            )
-        if method != "enumerate":
-            raise QueryError(
-                f"unknown count method {method!r}; "
-                "expected 'enumerate' or 'dp'"
-            )
-        return sum(1 for _ in self.enumerate())
+        return self._count(self.target, method)

@@ -54,6 +54,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.automata.nfa import ANY, EPSILON, NFA
+from repro.automata.ops import remove_epsilon
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
 
@@ -244,3 +245,12 @@ def compile_query(
         delta=delta,
         eps=eps,
     )
+
+
+def compile_epsilon_free(graph: Graph, automaton: NFA) -> CompiledQuery:
+    """Compile the ε-*eliminated* automaton — the form run counting
+    (multiplicities, product paths) is defined on; state ids are those
+    of ``automaton``, so certificates carry over."""
+    if automaton.has_epsilon:
+        automaton = remove_epsilon(automaton)
+    return compile_query(graph, automaton)

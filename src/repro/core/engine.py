@@ -1,18 +1,29 @@
 """``Main`` — orchestration of the full algorithm (paper, Figure 2).
 
-:class:`DistinctShortestWalks` wires the phases together::
+:class:`PreparedWalks` is the one prepared ``(query, source)`` object:
+it wires the preprocessing phases together::
 
-    compile → Annotate → Trim → Enumerate
+    compile → Annotate → Trim
 
-and exposes the knobs used throughout the test and benchmark suites:
+from one source — saturating, or stopping at one target — and holds
+every read of the result: per-target λ and certificate, the
+enumeration in either engine mode, the counting DP.  The public
+drivers are views of it: :class:`DistinctShortestWalks` (one pair) and
+:class:`~repro.core.cheapest.DistinctCheapestWalks` stop at their
+target; :class:`~repro.core.multi_target.MultiTargetShortestWalks`
+saturates, and is what the façade caches.
+
+The engine modes:
 
 * ``mode="iterative"`` (default) — the explicit-stack DFS, Theorem 2,
   kept alive between outputs and re-positioned by one seek on resume;
 * ``mode="memoryless"`` — the same DFS re-positioned before *every*
   output (``NextOutput``), Theorem 18;
-* ``mode="auto"`` — linear-time detection of the "simpler setting"
-  (single-labeled D + deterministic A) and dispatch to the O(λ)-delay
-  fast path when it applies, as the paper suggests.
+* ``mode="auto"`` — the tier's default mode: ``iterative`` here.  (The
+  paper's "simpler setting" — single-labeled D, deterministic A — is
+  *detected* by :func:`repro.query.plan.analyze`; the folklore
+  product-BFS enumerator for it is a baseline the general engine
+  outruns, :mod:`repro.baselines.simple`.)
 
 Queries may be given as an :class:`~repro.automata.nfa.NFA`, a regex
 AST, or a regular path query string (compiled with Thompson's
@@ -24,14 +35,17 @@ from __future__ import annotations
 import time
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.automata.ops import remove_epsilon
 from repro.core._query_input import QueryLike, as_nfa
 from repro.core.annotate import Annotation, annotate
-from repro.core.compile import CompiledQuery, compile_query
-from repro.core.enumerate import enumerate_walks, skip_past_cursor
+from repro.core.compile import (
+    CompiledQuery,
+    compile_epsilon_free,
+    compile_query,
+)
+from repro.core.count import count_distinct_shortest
+from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
 from repro.core.multiplicity import count_accepting_runs, enumerate_with_runs
-from repro.core.simple import SimpleShortestWalks, simple_eligible
 from repro.core.trim import trim
 from repro.core.walks import Walk
 from repro.datastructures.packed import PackedCells
@@ -45,7 +59,157 @@ CONCRETE_MODES = ("iterative", "memoryless")
 MODES = CONCRETE_MODES + ("auto",)
 
 
-class DistinctShortestWalks:
+class PreparedWalks:
+    """Annotate + Trim from one source, and every read of the result.
+
+    ``target=None`` saturates the annotation, after which any vertex
+    can be asked about; with a ``target`` the traversal stops at the
+    end of that target's level λ and only that target may be read.
+    The structures are read-only once built, so any number of
+    enumerations — interleaved, abandoned, on other threads — run over
+    one instance.
+    """
+
+    #: Budgets are edge costs (Dijkstra ``Annotate``) instead of lengths.
+    cheapest = False
+
+    def __init__(
+        self,
+        graph: Graph,
+        query: QueryLike,
+        source: Hashable,
+        target: Optional[Hashable] = None,
+        compiled: Optional[CompiledQuery] = None,
+    ) -> None:
+        """``compiled`` injects a pre-built :class:`CompiledQuery` —
+        the plan-cache hook of :mod:`repro.api`: a cached plan skips
+        the compile phase entirely.  It must have been produced by
+        :func:`~repro.core.compile.compile_query` for this exact
+        ``graph`` and ``query`` automaton (checked by identity: label
+        ids and ε-closures are graph- and automaton-specific)."""
+        self.graph = graph
+        self.automaton = as_nfa(query)
+        if compiled is not None:
+            if compiled.graph is not graph:
+                raise QueryError(
+                    "compiled query belongs to a different graph"
+                )
+            if compiled.automaton is not self.automaton:
+                raise QueryError(
+                    "compiled query belongs to a different automaton"
+                )
+        self._cq = compiled
+        self.source = graph.resolve_vertex(source)
+        self.target = None if target is None else graph.resolve_vertex(target)
+        self.timings: Dict[str, float] = {}
+        self._annotation: Optional[Annotation] = None
+        self._trimmed: Optional[PackedCells] = None
+        self._count_cq: Optional[CompiledQuery] = None
+
+    # -- preprocessing -------------------------------------------------------
+
+    def _annotate(self) -> Annotation:
+        return annotate(self._cq, self.source, self.target)
+
+    def preprocess(self):
+        """Run the preprocessing phase once; later calls are no-ops.
+
+        Records wall-clock timings per phase in :attr:`timings`
+        (``compile``, ``annotate``, ``trim``, ``total``) and the same
+        phases as trace spans (no-ops with no active trace); an
+        injected plan was compiled — and traced — by its builder.
+        """
+        if self._annotation is not None:
+            return self
+        t0 = time.perf_counter()
+        if self._cq is None:
+            self._cq = compile_query(self.graph, self.automaton)
+            add_span("compile", time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        annotation = self._annotate()
+        t2 = time.perf_counter()
+        self._trimmed = trim(self.graph, annotation)
+        t3 = time.perf_counter()
+        self._annotation = annotation
+        self.timings.update(
+            compile=t1 - t0, annotate=t2 - t1, trim=t3 - t2, total=t3 - t0
+        )
+        add_span(
+            "annotate", t2 - t1, cached=False, saturate=self.target is None
+        )
+        add_span("trim", t3 - t2)
+        return self
+
+    @property
+    def annotation(self) -> Annotation:
+        """The annotation (preprocesses on first access)."""
+        self.preprocess()
+        return self._annotation
+
+    @property
+    def trimmed(self) -> PackedCells:
+        """The shared, read-only trimmed annotation."""
+        self.preprocess()
+        return self._trimmed
+
+    def structure_sizes(self) -> Dict[str, int]:
+        """Entry counts of the precomputed structures (Remark 17).
+
+        Both counts are O(1) reads: the annotation count is the packed
+        entry-array length, the trimmed count the cell-array length.
+        """
+        return {
+            "annotation_entries": self.annotation.annotation_entries(),
+            "trimmed_items": self.trimmed.total_items(),
+        }
+
+    # -- per-target reads (vertex ids) -----------------------------------------
+
+    def target_info(self, t: int) -> Tuple[Optional[int], frozenset]:
+        """``(λ_t, S_t)`` — :meth:`Annotation.target_info`, refused for
+        a target the traversal did not wait for."""
+        if self._annotation is None:
+            self.preprocess()
+        if self.target is not None and t != self.target:
+            raise QueryError(
+                f"prepared for target {self.graph.vertex_name(self.target)!r}"
+                " only; build without a target to ask about any vertex"
+            )
+        return self._annotation.target_info(t)
+
+    def _walks(
+        self,
+        t: int,
+        memoryless: bool = False,
+        resume_after: Optional[Sequence[int]] = None,
+    ) -> Iterator[Walk]:
+        lam_t, states = self.target_info(t)
+        run = enumerate_memoryless if memoryless else enumerate_walks
+        return run(
+            self.graph, self._trimmed, lam_t, t, states,
+            cost_of=self._cost_of, resume_after=resume_after,
+        )
+
+    @property
+    def _cost_of(self):
+        return self.graph.cost_array.__getitem__ if self.cheapest else None
+
+    def _count(self, t: int, method: str) -> int:
+        if method == "dp":
+            lam_t, states = self.target_info(t)
+            return count_distinct_shortest(
+                self.graph, self._annotation, lam_t, t, states,
+                cost_of=self._cost_of,
+            )
+        if method != "enumerate":
+            raise QueryError(
+                f"unknown count method {method!r}; "
+                "expected 'enumerate' or 'dp'"
+            )
+        return sum(1 for _ in self._walks(t))
+
+
+class DistinctShortestWalks(PreparedWalks):
     """End-to-end driver for the Distinct Shortest Walks problem.
 
     >>> from repro.workloads.fraud import example9_graph
@@ -67,127 +231,22 @@ class DistinctShortestWalks:
         mode: str = "iterative",
         compiled: Optional[CompiledQuery] = None,
     ) -> None:
-        """``compiled`` injects a pre-built :class:`CompiledQuery` —
-        the plan-cache hook of :mod:`repro.service`: a cached plan
-        skips the compile phase entirely.  It must have been produced
-        by :func:`~repro.core.compile.compile_query` for this exact
-        ``graph`` and ``query`` automaton (checked by identity: label
-        ids and ε-closures are graph- and automaton-specific)."""
         if mode not in MODES:
             raise QueryError(f"unknown mode {mode!r}; expected one of {MODES}")
-        self.graph = graph
-        self.automaton = as_nfa(query)
-        # Keep the caller's original vertex designators: resolve_vertex
-        # is not idempotent on graphs whose vertex *names* are ints, so
-        # sub-engines that resolve names themselves must be handed the
-        # originals, never the resolved ids.
-        self._source_input = source
-        self._target_input = target
-        if compiled is not None:
-            if compiled.graph is not graph:
-                raise QueryError(
-                    "compiled query belongs to a different graph"
-                )
-            if compiled.automaton is not self.automaton:
-                raise QueryError(
-                    "compiled query belongs to a different automaton"
-                )
-        self._compiled = compiled
-        self.source = graph.resolve_vertex(source)
-        self.target = graph.resolve_vertex(target)
+        super().__init__(graph, query, source, target, compiled)
         self.mode = mode
-        self.timings: Dict[str, float] = {}
-
-        self._cq: Optional[CompiledQuery] = None
-        self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[PackedCells] = None
-        self._simple: Optional[SimpleShortestWalks] = None
-        self._count_cq: Optional[CompiledQuery] = None
-
-    # -- preprocessing -----------------------------------------------------
-
-    @property
-    def uses_fast_path(self) -> bool:
-        """True when ``mode='auto'`` selected the simple-setting engine."""
-        return self.mode == "auto" and simple_eligible(
-            self.graph, self.automaton
-        )
-
-    def preprocess(self) -> "DistinctShortestWalks":
-        """Run the preprocessing phase once; later calls are no-ops.
-
-        Records wall-clock timings per phase in :attr:`timings`
-        (``compile``, ``annotate``, ``trim``, ``total``).
-        """
-        if self._annotation is not None or self._simple is not None:
-            return self
-        started = time.perf_counter()
-        if self.uses_fast_path:
-            self._simple = SimpleShortestWalks(
-                self.graph, self.automaton,
-                self._source_input, self._target_input,
-            ).preprocess()
-            self.timings["total"] = time.perf_counter() - started
-            return self
-
-        t0 = time.perf_counter()
-        if self._compiled is not None:
-            self._cq = self._compiled
-        else:
-            self._cq = compile_query(self.graph, self.automaton)
-        t1 = time.perf_counter()
-        self._annotation = annotate(self._cq, self.source, self.target)
-        t2 = time.perf_counter()
-        self._trimmed = trim(self.graph, self._annotation)
-        t3 = time.perf_counter()
-        self.timings.update(
-            {
-                "compile": t1 - t0,
-                "annotate": t2 - t1,
-                "trim": t3 - t2,
-                "total": t3 - started,
-            }
-        )
-        # Phase spans from the timings already measured (no-ops with
-        # no active trace); an injected plan was compiled — and traced
-        # — by its builder, so no compile span here in that case.
-        if self._compiled is None:
-            add_span("compile", t1 - t0)
-        add_span("annotate", t2 - t1, cached=False)
-        add_span("trim", t3 - t2)
-        return self
 
     # -- inspection ------------------------------------------------------------
 
     @property
     def lam(self) -> Optional[int]:
         """λ — the answer length; ``None`` when no walk matches."""
-        self.preprocess()
-        if self._simple is not None:
-            return self._simple.lam
-        assert self._annotation is not None
-        return self._annotation.lam
+        return self.annotation.lam
 
     @property
     def is_empty(self) -> bool:
         """True when the answer set is empty."""
         return self.lam is None
-
-    @property
-    def annotation(self) -> Annotation:
-        """The raw annotation (general modes only) — used by tests."""
-        self.preprocess()
-        if self._annotation is None:
-            raise QueryError("fast-path engine exposes no annotation")
-        return self._annotation
-
-    @property
-    def trimmed(self) -> PackedCells:
-        """The trimmed annotation (general modes only) — used by tests."""
-        self.preprocess()
-        if self._trimmed is None:
-            raise QueryError("fast-path engine exposes no trimmed annotation")
-        return self._trimmed
 
     # -- enumeration -----------------------------------------------------------------
 
@@ -196,29 +255,18 @@ class DistinctShortestWalks:
     ) -> Iterator[Walk]:
         """Enumerate the answer set ⟦A⟧(D, s, t), each walk once.
 
-        General modes emit walks in the paper's DFS order (children by
-        increasing ``TgtIdx``); the fast path may use a different
-        order.  The preprocessing structures are read-only, so any
-        number of returned iterators may run at once.
+        Walks come in the paper's DFS order (children by increasing
+        ``TgtIdx``), whatever the mode.  The preprocessing structures
+        are read-only, so any number of returned iterators may run at
+        once.
 
         ``resume_after`` (a previous output's edge sequence) continues
-        strictly after that walk: one O(λ) seek in the general modes, a
-        replay of the prefix on the fast path, which has no cells to
-        seek in.  A sequence that was never an output raises
+        strictly after that walk with one O(λ) seek.  A sequence that
+        was never an output raises
         :class:`~repro.exceptions.QueryError` on the first ``next()``.
         """
-        self.preprocess()
-        if self._simple is not None:
-            return skip_past_cursor(self._simple.enumerate(), resume_after)
-        assert self._annotation is not None and self._trimmed is not None
-        ann = self._annotation
-        run = (
-            enumerate_memoryless if self.mode == "memoryless"
-            else enumerate_walks
-        )
-        return run(
-            self.graph, self._trimmed, ann.lam, self.target,
-            ann.target_states, resume_after=resume_after,
+        return self._walks(
+            self.target, self.mode == "memoryless", resume_after
         )
 
     def __iter__(self) -> Iterator[Walk]:
@@ -239,33 +287,21 @@ class DistinctShortestWalks:
         * ``method="tracked"`` — carry suffix-run counts down the DFS
           ("keep track of the number of times each state has been
           produced along the walk"), one Δ-sweep per tree edge.
-
-        The fast-path engine has no annotation to track over, so
-        ``"tracked"`` falls back to recomputation there.
         """
         if method not in ("recompute", "tracked"):
             raise QueryError(
                 f"unknown multiplicity method {method!r}; "
                 "expected 'recompute' or 'tracked'"
             )
-        self.preprocess()
         if self._count_cq is None:
-            automaton = self.automaton
-            if automaton.has_epsilon:
-                automaton = remove_epsilon(automaton)
-            self._count_cq = compile_query(self.graph, automaton)
-        if method == "tracked" and self._trimmed is not None:
-            assert self._annotation is not None
-            ann = self._annotation
-            return enumerate_with_runs(
-                self.graph,
-                self._trimmed,
-                self._count_cq,
-                ann.lam,
-                self.target,
-                ann.target_states,
-            )
+            self._count_cq = compile_epsilon_free(self.graph, self.automaton)
         count_cq = self._count_cq
+        if method == "tracked":
+            ann = self.annotation
+            return enumerate_with_runs(
+                self.graph, self._trimmed, count_cq,
+                ann.lam, self.target, ann.target_states,
+            )
         return (
             (walk, count_accepting_runs(count_cq, walk.edges))
             for walk in self.enumerate()
@@ -281,24 +317,9 @@ class DistinctShortestWalks:
         enumerating, via the memoized dynamic program of
         :func:`repro.core.count.count_distinct_shortest`; on answer
         sets with many shared suffixes (or astronomically many
-        answers) it is exponentially faster.  The fast-path engine
-        stores no annotation, so ``"dp"`` falls back to enumeration
-        there.
+        answers) it is exponentially faster.
         """
-        if method not in ("enumerate", "dp"):
-            raise QueryError(
-                f"unknown count method {method!r}; "
-                "expected 'enumerate' or 'dp'"
-            )
-        self.preprocess()
-        if method == "dp" and self._annotation is not None:
-            from repro.core.count import count_distinct_shortest
-
-            ann = self._annotation
-            return count_distinct_shortest(
-                self.graph, ann, ann.lam, self.target, ann.target_states
-            )
-        return sum(1 for _ in self.enumerate())
+        return self._count(self.target, method)
 
     def first(self, k: int) -> List[Walk]:
         """The first ``k`` answers in enumeration order."""
@@ -308,25 +329,8 @@ class DistinctShortestWalks:
             result.append(walk)
             if len(result) >= k:
                 break
-        if hasattr(iterator, "close"):
-            iterator.close()
+        iterator.close()
         return result
-
-    def structure_sizes(self) -> Dict[str, int]:
-        """Entry counts of the precomputed structures (Remark 17).
-
-        Both counts are O(1) reads: the annotation count is the packed
-        entry-array length, the trimmed count the cell-array length.
-        """
-        self.preprocess()
-        if self._annotation is None:
-            return {}
-        sizes = {
-            "annotation_entries": self._annotation.annotation_entries(),
-        }
-        if self._trimmed is not None:
-            sizes["trimmed_items"] = self._trimmed.total_items()
-        return sizes
 
 
 def distinct_shortest_walks(

@@ -277,9 +277,9 @@ def skip_past_cursor(
     walks: Iterator[Walk], resume_after: Optional[Sequence[int]]
 ) -> Iterator[Walk]:
     """``resume_after`` for a stream with no cells to seek in (the
-    simple fast path, the restricted fallback DFS, an any-walk
-    witness): replay it, dropping outputs up to and including that
-    walk — O(position), and the same error when it never shows up."""
+    restricted fallback DFS, an any-walk witness): replay it, dropping
+    outputs up to and including that walk — O(position), and the same
+    error when it never shows up."""
     if resume_after is None:
         return walks
     cursor = tuple(resume_after)

@@ -23,20 +23,15 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.annotate import Annotation, annotate
+from repro.core.annotate import Annotation
 from repro.core.cheapest import cheapest_annotate
-from repro.core.compile import CompiledQuery, compile_query
-from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless
-from repro.core.trim import trim
+from repro.core.compile import CompiledQuery
+from repro.core.engine import PreparedWalks
 from repro.core.walks import Walk
-from repro.datastructures.packed import PackedCells
-from repro.exceptions import QueryError
 from repro.graph.database import Graph
-from repro.obs.trace import span as _span
 
 
-class MultiTargetShortestWalks:
+class MultiTargetShortestWalks(PreparedWalks):
     """Shared-preprocessing enumeration towards many targets.
 
     >>> from repro.workloads.fraud import example9_graph, example9_automaton
@@ -57,59 +52,20 @@ class MultiTargetShortestWalks:
         source: Hashable,
         cheapest: bool = False,
         compiled: Optional[CompiledQuery] = None,
+        target: Optional[Hashable] = None,
     ) -> None:
-        """``compiled`` injects a pre-built
-        :class:`~repro.core.compile.CompiledQuery` (the plan-cache hook
-        of :mod:`repro.service`); it must match ``graph`` and the
-        ``query`` automaton by identity."""
-        from repro.core._query_input import as_nfa
-
-        self.graph = graph
-        self.source = graph.resolve_vertex(source)
+        """``compiled`` injects a cached plan (see
+        :class:`~repro.core.engine.PreparedWalks`).  ``target`` stops
+        the traversal at that one target instead of saturating — for a
+        caller that will ask about nothing else and cannot keep the
+        object (the façade with its annotation cache off)."""
+        super().__init__(graph, query, source, target, compiled)
         self.cheapest = cheapest
-        self.automaton = as_nfa(query)
-        if compiled is not None:
-            if compiled.graph is not graph:
-                raise QueryError(
-                    "compiled query belongs to a different graph"
-                )
-            if compiled.automaton is not self.automaton:
-                raise QueryError(
-                    "compiled query belongs to a different automaton"
-                )
-            self._cq = compiled
-        else:
-            self._cq = compile_query(graph, self.automaton)
-        self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[PackedCells] = None
 
-    def preprocess(self) -> "MultiTargetShortestWalks":
-        """Saturating annotate + trim; idempotent."""
-        if self._annotation is None:
-            annotate_fn = cheapest_annotate if self.cheapest else annotate
-            with _span("annotate", cached=False, saturate=True):
-                self._annotation = annotate_fn(
-                    self._cq, self.source, None, saturate=True
-                )
-            with _span("trim"):
-                self._trimmed = trim(self.graph, self._annotation)
-        return self
-
-    # -- structure access ----------------------------------------------------
-
-    @property
-    def annotation(self) -> Annotation:
-        """The saturated annotation (preprocesses on first access)."""
-        self.preprocess()
-        assert self._annotation is not None
-        return self._annotation
-
-    @property
-    def trimmed(self) -> PackedCells:
-        """The shared, read-only trimmed annotation."""
-        self.preprocess()
-        assert self._trimmed is not None
-        return self._trimmed
+    def _annotate(self) -> Annotation:
+        if self.cheapest:
+            return cheapest_annotate(self._cq, self.source, self.target)
+        return super()._annotate()
 
     # -- target inspection ---------------------------------------------------
 
@@ -118,21 +74,13 @@ class MultiTargetShortestWalks:
 
         ``None`` when no matching walk exists.
         """
-        self.preprocess()
-        assert self._annotation is not None
-        t = self.graph.resolve_vertex(target)
-        lam_t, _ = self._annotation.target_info(t)
-        return lam_t
+        return self.target_info(self.graph.resolve_vertex(target))[0]
 
     def reached_targets(self) -> List[int]:
         """Vertex ids reachable by at least one matching walk."""
-        self.preprocess()
-        assert self._annotation is not None
-        return [
-            t
-            for t in self.graph.vertices()
-            if self._annotation.target_info(t)[0] is not None
-        ]
+        info = self.annotation.target_info
+        asked = self.graph.vertices() if self.target is None else (self.target,)
+        return [t for t in asked if info(t)[0] is not None]
 
     def reached_target_names(self) -> List[Hashable]:
         """Vertex names reachable by at least one matching walk."""
@@ -156,17 +104,14 @@ class MultiTargetShortestWalks:
         artefact instead — one ``NextOutput`` seek per *output* — with
         the same outputs in the same order.
         """
-        self.preprocess()
-        assert self._annotation is not None and self._trimmed is not None
-        t = self.graph.resolve_vertex(target)
-        lam_t, states = self._annotation.target_info(t)
-        cost_arr = self.graph.cost_array if self.cheapest else None
-        cost_of = (lambda e: cost_arr[e]) if cost_arr is not None else None
-        run = enumerate_memoryless if memoryless else enumerate_walks
-        return run(
-            self.graph, self._trimmed, lam_t, t, states,
-            cost_of=cost_of, resume_after=resume_after,
+        return self._walks(
+            self.graph.resolve_vertex(target), memoryless, resume_after
         )
+
+    def count_to(self, target: Hashable, method: str = "enumerate") -> int:
+        """Number of distinct shortest matching walks to one target —
+        by enumeration, or (``method="dp"``) by the memoized DP."""
+        return self._count(self.graph.resolve_vertex(target), method)
 
     def all_walks(
         self, targets: Optional[List[Hashable]] = None
@@ -176,7 +121,6 @@ class MultiTargetShortestWalks:
         Targets are processed sequentially, reusing the shared
         preprocessing, which is the point of the extension.
         """
-        self.preprocess()
         target_ids = (
             [self.graph.resolve_vertex(t) for t in targets]
             if targets is not None
@@ -184,5 +128,5 @@ class MultiTargetShortestWalks:
         )
         for t in target_ids:
             name = self.graph.vertex_name(t)
-            for walk in self.walks_to(t):
+            for walk in self._walks(t):
                 yield name, walk

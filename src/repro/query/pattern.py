@@ -33,20 +33,25 @@ segments concatenate; a quantifier applies to its segment's SPEC.
 >>> len(list(one.run(example9_graph())))
 1
 
-Semantics note: ``ANY SHORTEST`` returns one (the enumeration's first)
-shortest matching walk; ``ALL SHORTEST`` returns every one, each
-exactly once — precisely the paper's Distinct Shortest Walks problem.
+Semantics note: ``ANY SHORTEST`` returns one shortest matching walk
+(the any-walk witness search: one product BFS, no enumeration
+machinery); ``ALL SHORTEST`` returns every one, each exactly once —
+precisely the paper's Distinct Shortest Walks problem.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.core.engine import DistinctShortestWalks
 from repro.core.walks import Walk
 from repro.exceptions import PatternSyntaxError
 from repro.graph.database import Graph
 from repro.query.rpq import RPQ
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle guard
+    from repro.api.database import Database
+    from repro.api.query import Query
 
 _MODES = ("all", "any")
 
@@ -80,21 +85,21 @@ class PathPattern:
         """A shortest-walk engine for this pattern on ``graph``."""
         return self.rpq.engine(graph, self.source, self.target, mode=mode)
 
+    def query(self, db: "Database") -> "Query":
+        """This pattern as one façade query on ``db``: the pair shape,
+        under the any-walk semantics for ``ANY SHORTEST``."""
+        query = db.query(self.rpq).from_(self.source).to(self.target)
+        return query.any_walk() if self.mode == "any" else query
+
     def run(self, graph: Graph) -> Iterator[Walk]:
-        """Evaluate the pattern.
+        """Evaluate the pattern on ``graph``'s shared database.
 
         ``ALL SHORTEST`` yields every distinct shortest matching walk;
         ``ANY SHORTEST`` yields at most one.
         """
-        iterator = self.engine(graph).enumerate()
-        if self.mode == "any":
-            for walk in iterator:
-                yield walk
-                break
-            if hasattr(iterator, "close"):
-                iterator.close()
-            return
-        yield from iterator
+        from repro.api.database import Database
+
+        return self.query(Database.for_graph(graph)).run().walks()
 
     def __repr__(self) -> str:
         return (

@@ -639,7 +639,7 @@ class ServeServer:
             pump.add_done_callback(lambda _t: None)
         try:
             transport, protocol = await loop.connect_write_pipe(
-                asyncio.streams.FlowControlMixin, sys.stdout
+                lambda: _WritePipeProtocol(loop), sys.stdout
             )
             writer = asyncio.StreamWriter(transport, protocol, reader, loop)
         except ValueError:
@@ -822,6 +822,28 @@ async def _pump_file(
             reader.feed_eof()
             return
         reader.feed_data(chunk)
+
+
+class _WritePipeProtocol(asyncio.streams.FlowControlMixin):
+    """Write-side protocol for a stdout pipe: the mixin's flow control
+    plus the close waiter ``StreamWriter.wait_closed`` asks its
+    protocol for (the bare mixin raises ``NotImplementedError`` there),
+    resolved when the transport reports the connection lost."""
+
+    def __init__(self, loop) -> None:
+        super().__init__(loop=loop)
+        self._closed = loop.create_future()
+
+    def connection_lost(self, exc) -> None:
+        if not self._closed.done():
+            if exc is None:
+                self._closed.set_result(None)
+            else:
+                self._closed.set_exception(exc)
+        super().connection_lost(exc)
+
+    def _get_close_waiter(self, stream):
+        return self._closed
 
 
 class _BlockingWriter:

@@ -16,7 +16,9 @@ cache serves three needs the plain ``functools.lru_cache`` cannot:
 
 A ``capacity`` of 0 disables storage entirely: every lookup is a miss
 and values are rebuilt per call — that is the "cold" configuration the
-service benchmark compares against.
+service benchmark compares against.  It changes what is *retained*,
+never which algorithm computes it: the façade runs the same engine
+either way.
 """
 
 from __future__ import annotations

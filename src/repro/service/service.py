@@ -18,9 +18,10 @@ In short: requests flow through
   repeat request from that source.
 
 With the annotation cache disabled (capacity 0) the service degrades
-to cold per-request execution through the ordinary single-pair
-:class:`~repro.core.engine.DistinctShortestWalks` pipeline — that is
-the baseline the service benchmark compares against.
+to cold per-request execution — the same engine, every request
+re-annotating (a pair's Annotate stopping at its target, since nothing
+is retained) — which is the baseline the service benchmark compares
+against.
 """
 
 from __future__ import annotations

@@ -223,14 +223,29 @@ class TestExplainAndStats:
         forced = db.query(QUERY).from_("Alix").to("Bob").mode("memoryless")
         assert "→ memoryless (NextOutput" in forced.explain().explain()
 
-    def test_explain_cold_fast_path(self):
+    def test_explain_cold_names_the_same_mode(self):
+        """Capacity 0 selects no other engine: the resolved mode reads
+        as on a cached database, and the route says what the executor
+        does with the knowledge — stop at the pair's target."""
         b = GraphBuilder()
         b.add_edge("a", "b", ["x"])
-        cold = Database(b.build(), annotation_cache_size=0)
-        plan = (
-            cold.query("x", ).from_("a").to("b").explain()
-        )
-        assert "cold single-pair engine" in plan.explain()
+        graph = b.build()
+
+        def facade_line(db, mode):
+            plan = db.query("x").from_("a").to("b").mode(mode).explain()
+            (line,) = [r for r in plan.reasons if "mode " in r]
+            return line
+
+        cold = Database(graph, annotation_cache_size=0)
+        warm = Database(graph)
+        for mode in ("auto", "iterative", "memoryless"):
+            cold_line = facade_line(cold, mode)
+            warm_line = facade_line(warm, mode)
+            assert cold_line.split(", via ")[0] == warm_line.split(", via ")[0]
+            assert "stopped at the target" in cold_line
+            assert "cached multi-target annotation" in warm_line
+        fan = cold.query("x").from_("a").to_all().explain().explain()
+        assert "stopped at the target" not in fan
 
     def test_stats_terminal(self, db):
         stats = db.query(QUERY).from_("Alix").to("Bob").stats()

@@ -191,9 +191,9 @@ class TestRestrictedPagination:
             assert (rlam, sorted(full)) == (5, rset), kind
 
     def test_fallback_pages_on_cold_database(self):
-        # annotation_cache_size=0 routes pairs through the cold
-        # single-pair engine; the restricted probe and fallback stream
-        # must work there too.
+        # annotation_cache_size=0 builds a pair's annotation stopped
+        # at its target; the restricted probe and fallback stream must
+        # work over that too.
         db = Database(fallback_graph(), annotation_cache_size=0)
         query = (
             db.query(FALLBACK_REGEX).from_("v0").to("v1").trails()

@@ -43,20 +43,24 @@ class TestModes:
         engine = DistinctShortestWalks(
             graph, example9_automaton(), "Alix", "Bob", mode="auto"
         )
-        assert not engine.uses_fast_path  # Graph is multi-labeled.
         assert engine.count() == 4
 
-    def test_auto_mode_fast_path(self):
+    def test_auto_mode_is_iterative_in_the_simple_setting(self):
+        """Single-labeled graph × DFA: ``auto`` still means the
+        iterative engine — same sequence, order included."""
         from repro.automata import regex_to_nfa
         from repro.graph.generators import grid
+        from repro.query.plan import simple_eligible
 
-        g = grid(2, 3)
-        # Glushkov of a fixed word is a DFA; Thompson would carry ε and
-        # disqualify the fast path.
-        dfa = regex_to_nfa("r r d", method="glushkov")
-        engine = DistinctShortestWalks(g, dfa, "n0_0", "n1_2", mode="auto")
-        assert engine.uses_fast_path
-        assert engine.lam == 3
+        g = grid(3, 3)
+        dfa = regex_to_nfa("(r | d) (r | d) (r | d) (r | d)", method="glushkov")
+        assert simple_eligible(g, dfa)
+        auto = DistinctShortestWalks(g, dfa, "n0_0", "n2_2", mode="auto")
+        iterative = DistinctShortestWalks(g, dfa, "n0_0", "n2_2")
+        assert auto.lam == iterative.lam == 4
+        sequence = [w.edges for w in auto.enumerate()]
+        assert len(sequence) == 6  # C(4, 2)
+        assert sequence == [w.edges for w in iterative.enumerate()]
 
 
 class TestQueryInputs:
@@ -143,7 +147,7 @@ class TestLifecycle:
         assert sizes["annotation_entries"] > 0
         assert sizes["trimmed_items"] > 0
 
-    def test_fast_path_has_no_annotation(self):
+    def test_auto_mode_exposes_annotation_and_trimmed(self):
         from repro.automata import regex_to_nfa
         from repro.graph.generators import grid
 
@@ -154,17 +158,18 @@ class TestLifecycle:
             "n1_1",
             mode="auto",
         )
-        engine.preprocess()
-        assert engine.uses_fast_path
-        with pytest.raises(QueryError):
-            _ = engine.annotation
+        assert engine.annotation.lam == 2
+        assert engine.trimmed.total_items() > 0
+        assert engine.count("dp") == engine.count() == 1
 
-    def test_fast_path_with_integer_vertex_names(self):
-        """resolve_vertex prefers names over ids, so the fast path must
-        receive the caller's original designators — handing it the
-        already-resolved ids would swap vertices on a graph whose
-        vertex *names* are integers (regression)."""
+    def test_integer_vertex_names(self):
+        """resolve_vertex prefers names over ids, so every engine must
+        be handed the caller's original designators — already-resolved
+        ids would swap vertices on a graph whose vertex *names* are
+        integers (regression; also run against the simple-setting
+        baseline, where it was first seen)."""
         from repro.automata import regex_to_nfa
+        from repro.baselines import SimpleShortestWalks
         from repro.graph.builder import GraphBuilder
 
         builder = GraphBuilder()
@@ -173,12 +178,13 @@ class TestLifecycle:
         builder.add_edge(1, 0, ["a"])
         graph = builder.build()
         nfa = regex_to_nfa("a", method="glushkov")
-        auto = DistinctShortestWalks(graph, nfa, 1, 0, mode="auto")
-        assert auto.uses_fast_path
-        assert auto.lam == 1
-        assert [w.edges for w in auto.enumerate()] == [(0,)]
-        general = DistinctShortestWalks(graph, nfa, 1, 0, mode="iterative")
-        assert general.lam == 1
+        for engine in (
+            SimpleShortestWalks(graph, nfa, 1, 0),
+            DistinctShortestWalks(graph, nfa, 1, 0, mode="auto"),
+            DistinctShortestWalks(graph, nfa, 1, 0, mode="iterative"),
+        ):
+            assert engine.lam == 1
+            assert [w.edges for w in engine.enumerate()] == [(0,)]
 
 
 class TestFunctionalFacade:

@@ -1,4 +1,6 @@
-"""Unit tests for the deterministic single-label fast path."""
+"""Unit tests for the deterministic single-label setting: its
+linear-time detection (production, :mod:`repro.query.plan`) and the
+folklore product-BFS enumerator (a baseline)."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,8 @@ from hypothesis import strategies as st
 
 from repro.automata import NFA, regex_to_nfa
 from repro.core.engine import DistinctShortestWalks
-from repro.core.simple import (
-    SimpleShortestWalks,
-    graph_is_single_labeled,
-    simple_eligible,
-)
+from repro.baselines import SimpleShortestWalks
+from repro.query.plan import graph_is_single_labeled, simple_eligible
 from repro.exceptions import QueryError
 from repro.graph import GraphBuilder
 from repro.graph.generators import chain, grid

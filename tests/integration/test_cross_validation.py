@@ -5,8 +5,10 @@ On random instances, the following must produce the same answer set:
 * the paper's algorithm (iterative / recursive / memoryless modes),
 * the naive product-path baseline,
 * the Martens–Trautner reduction (Theorem 1),
-* the simple-setting fast path (where eligible),
 * the brute-force oracle.
+
+(The simple-setting product-BFS baseline is cross-checked where it is
+eligible in ``tests/core/test_simple.py`` and the differential matrix.)
 """
 
 import random

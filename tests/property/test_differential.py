@@ -25,8 +25,10 @@ algorithm) for
 and the modes are checked against *each other* on output order:
 ``iterative``, ``recursive`` and ``memoryless`` are guaranteed by the
 paper to produce the same DFS order (children by increasing
-``TgtIdx``), and ``auto`` joins them whenever it dispatches to the
-general engine (the simple-setting fast path may reorder).
+``TgtIdx``), and ``auto`` *is* ``iterative`` at the engine tier.  Where
+the input lies in the simple setting (single-labeled, deterministic),
+the folklore product-BFS baseline is compared as a set — it need not
+share the order.
 
 The engine modes all execute over the CSR-packed annotation arrays —
 the only storage :mod:`repro.core` has — while the ``recursive`` column
@@ -73,6 +75,7 @@ from repro.baselines.oracle import (
     random_graph,
     random_regex,
 )
+from repro.baselines.simple import SimpleShortestWalks
 from repro.baselines.paper_pipeline import (
     annotate_reference,
     enumerate_walks_recursive,
@@ -83,6 +86,7 @@ from repro.core.engine import DistinctShortestWalks
 from repro.core.restricted import restriction_predicate
 from repro.graph.builder import GraphBuilder
 from repro.query import rpq
+from repro.query.plan import simple_eligible
 
 _MODES = ("iterative", "memoryless", "auto")
 
@@ -215,13 +219,16 @@ def test_modes_agree(case: int) -> None:
         f"packed pipeline order differs from the paper pipeline ({context})"
     )
     assert outputs["iterative"] == outputs["memoryless"], context
-    # …and "auto" joins them unless the fast path (different traversal
-    # order, same set — already checked above) was selected.
-    auto_engine = DistinctShortestWalks(
-        graph, nfa, source, target, mode="auto"
-    )
-    if not auto_engine.uses_fast_path:
-        assert outputs["auto"] == outputs["iterative"], context
+    # …and "auto" is the iterative engine, on every case.
+    assert outputs["auto"] == outputs["iterative"], context
+    # The folklore product-BFS baseline, where its setting applies:
+    # another traversal order, the same set.
+    if simple_eligible(graph, nfa):
+        baseline = SimpleShortestWalks(graph, nfa, source, target)
+        assert baseline.lam == lam, context
+        assert sorted(w.edges for w in baseline.enumerate()) == expected, (
+            f"simple-setting baseline differs from the oracle ({context})"
+        )
 
     # The resumed column: re-positioning the DFS after output k yields
     # exactly the one-shot tail, whichever general mode does it.

@@ -158,6 +158,39 @@ class TestPatternCommand:
         assert code == 0
         assert out.count("Alix -") == 1  # A single walk.
 
+    def test_one_annotation_per_invocation(
+        self, graph_file, capsys, monkeypatch
+    ):
+        """``repro pattern`` is one façade query: λ and the rows come
+        from the same ``run()`` — one Annotate, stopped at the pair's
+        target (a one-shot process has nobody to saturate for) — and
+        ``ANY SHORTEST`` is the any-walk witness search, no Annotate
+        at all.  (It used to build one engine for λ and a second one
+        for the walks.)"""
+        import repro.core.engine as engine_module
+
+        runs = []
+
+        def counting_annotate(cq, source, target=None, saturate=False):
+            runs.append(target)
+            return annotate(cq, source, target, saturate)
+
+        annotate = engine_module.annotate
+        monkeypatch.setattr(engine_module, "annotate", counting_annotate)
+        assert main(
+            ["pattern", graph_file,
+             "ALL SHORTEST (Alix)-[h* s (h|s)*]->(Bob)"]
+        ) == 0
+        assert len(runs) == 1 and runs[0] is not None
+        assert "λ = 3" in capsys.readouterr().out
+        del runs[:]
+        assert main(
+            ["pattern", graph_file,
+             "ANY SHORTEST (Alix)-[h* s (h|s)*]->(Bob)"]
+        ) == 0
+        assert runs == []
+        assert "λ = 3" in capsys.readouterr().out
+
     def test_no_match(self, graph_file, capsys):
         code = main(["pattern", graph_file, "(Bob)-[h]->(Alix)"])
         assert code == 1

@@ -368,3 +368,75 @@ def test_stdio_serves_with_file_redirects(tmp_path) -> None:
                 break
             time.sleep(0.1)
         assert litter == []
+
+
+def test_stdio_serves_between_two_pipes(tmp_path) -> None:
+    """``--stdio`` with BOTH ends pipes (``echo … | repro serve --stdio
+    | cat``): the asyncio pipe transports on both sides.
+
+    Every response line must arrive, in order; on stdin EOF the process
+    must exit 0 and say nothing on stderr but its final-stats line —
+    closing the write pipe used to end in a ``NotImplementedError``
+    traceback (the bare ``FlowControlMixin`` has no close waiter) and
+    exit status 1.  The server runs in its own session and the whole
+    process group is killed on the way out, pass or fail, so no worker
+    or resource tracker is left behind.
+    """
+    import subprocess
+    import sys
+    import time
+
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(
+        "Alix -> Dan : h, s\nDan -> Eve : h\nEve -> Bob : s\n"
+    )
+    lines = [
+        {"query": "h h s", "source": "Alix", "target": "Bob", "id": 1},
+        {"mutate": [{"op": "add_edge", "src": "Bob", "tgt": "Alix",
+                     "labels": ["h"]}], "id": 2},
+        {"query": "h", "source": "Bob", "target": "Alix", "id": 3},
+        {"query": "(h | s)*", "source": "Alix", "target": "Bob",
+         "limit": 1, "id": 4},
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(graph_path),
+         "--stdio", "--workers", "1"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(
+            "".join(json.dumps(line) + "\n" for line in lines).encode(),
+            timeout=60,
+        )
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+    assert proc.returncode == 0, err.decode()
+    responses = [json.loads(line) for line in out.splitlines() if line]
+    assert [r["id"] for r in responses] == [1, 2, 3, 4]
+    assert responses[0]["status"] == "ok" and responses[0]["lam"] == 3
+    assert responses[1]["result"]["serve_epoch"] == 1
+    assert responses[2]["status"] == "ok" and responses[2]["lam"] == 1
+    assert responses[3]["status"] == "ok" and len(responses[3]["walks"]) == 1
+    # stderr carries the drain-path stats document and nothing else —
+    # in particular no traceback.
+    (final,) = [json.loads(line) for line in err.decode().splitlines()]
+    assert set(final) == {"final_stats"}
+    assert final["final_stats"]["server"]["requests"] == 3
+    if os.path.isdir("/dev/shm"):
+        for _ in range(50):  # unlink races process exit briefly
+            litter = [n for n in os.listdir("/dev/shm")
+                      if n.startswith(f"repro-{proc.pid:x}-")]
+            if not litter:
+                break
+            time.sleep(0.1)
+        assert litter == []
+

@@ -100,3 +100,126 @@ def test_no_shared_cursor_structure_or_its_guard():
     args = walks_to.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     assert names == ["self", "target", "memoryless", "resume_after"]
+
+
+# -- one way to run a query ---------------------------------------------------
+
+API = SRC / "api"
+_SHAPES = ("one_to_all", "many_to_one", "many_to_all", "all_pairs")
+
+
+def _top_level_functions(path: Path):
+    """``(name, node)`` of every module-level function and method."""
+    tree = ast.parse(path.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+
+
+def _calls(tree: ast.AST, name: str):
+    """Call nodes whose callee is ``name`` or ``<anything>.name``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            getattr(node.func, "id", None) == name
+            or getattr(node.func, "attr", None) == name
+        )
+    ]
+
+
+def test_the_facade_builds_no_second_engine():
+    names = _names("api/database.py")
+    assert "DistinctShortestWalks" not in names
+    assert "SimpleShortestWalks" not in names
+    assert "simple_eligible" not in names
+
+
+def test_endpoint_shapes_are_dispatched_in_one_function():
+    """Every shape literal lives in the one combinator — plus the
+    ``targets()`` refusal, which names the two shapes it accepts."""
+    where = {shape: set() for shape in _SHAPES}
+    inside = 0
+    for name, function in _top_level_functions(API / "database.py"):
+        for node in ast.walk(function):
+            if isinstance(node, ast.Constant) and node.value in where:
+                where[node.value].add(name)
+                inside += 1
+    refusal = {"one_to_all", "many_to_all"}
+    for shape, functions in where.items():
+        allowed = {"_cells", "_targets"} if shape in refusal else {"_cells"}
+        assert functions <= allowed, (shape, functions)
+    assert {"many_to_one", "many_to_all", "all_pairs"} <= {
+        shape for shape, functions in where.items() if "_cells" in functions
+    }
+    # …and none hides at module level either.
+    module = ast.parse((API / "database.py").read_text())
+    literals = [
+        node for node in ast.walk(module)
+        if isinstance(node, ast.Constant) and node.value in where
+    ]
+    assert len(literals) == inside
+
+
+def test_one_call_site_per_provider_under_the_facade():
+    for callee in ("any_walk_search", "walks_to"):
+        sites = [
+            f"{path.name}:{call.lineno}"
+            for path in sorted(API.rglob("*.py"))
+            for call in _calls(ast.parse(path.read_text()), callee)
+        ]
+        assert len(sites) == 1, (callee, sites)
+
+
+def test_skip_past_cursor_has_two_callers():
+    """The any-walk witness and the restricted fallback DFS: the two
+    streams with no cells under them."""
+    sites = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for _ in _calls(ast.parse(path.read_text()), "skip_past_cursor")
+    ]
+    assert sites == ["api/database.py", "api/database.py"]
+
+
+def test_the_product_bfs_enumerator_lives_in_baselines_only():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if "baselines" in path.relative_to(SRC).parts:
+            continue
+        tree = ast.parse(path.read_text())
+        defined = any(
+            isinstance(node, ast.ClassDef)
+            and node.name == "SimpleShortestWalks"
+            for node in ast.walk(tree)
+        )
+        imported = any(
+            module.endswith(".SimpleShortestWalks")
+            for module in _imported_modules(tree)
+        )
+        if defined or imported:
+            offenders.append(str(path.relative_to(SRC)))
+    assert offenders == []
+
+
+def test_the_cli_imports_no_engine_class():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    from_engine = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "repro.core.engine"
+        for alias in node.names
+    )
+    assert from_engine == ["CONCRETE_MODES", "MODES"]
+    assert not any(
+        module in ("repro.core.engine", "repro.core.multi_target",
+                   "repro.core.cheapest")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for module in (alias.name for alias in node.names)
+    )
