@@ -827,12 +827,12 @@ class Database:
         array and enumerations off the read-only packed cells, with no
         per-hit copy or dict materialization anywhere.
 
-        The restriction suffixes the key (same rationale as
-        :meth:`_plan_for`): a trails entry and a walks entry of the
-        same (query, source) are separate cache lines, each carrying
-        its own label footprint for mutation-time eviction, and a
-        cached restricted result can never be served to a different
-        semantics.
+        The restriction is *not* in the key (unlike :meth:`_plan_for`,
+        whose plan text differs per semantics): ``walks``, ``trails``
+        and ``simple`` of one (query, source) read the same
+        unrestricted object — :meth:`_reach` applies the restricted
+        regime on top, per request, and stores nothing restricted in
+        it — so they share one cache line, built once and evicted once.
 
         ``only`` is the one target the query's shape asks about, if it
         asks about one.  An entry the cache can retain saturates
@@ -849,7 +849,6 @@ class Database:
             q._expression,
             source_id,
             cheapest,
-            q._restriction,
         )
         hit = True
 

@@ -22,7 +22,7 @@ engine mode with its own ground truth):
   shortest length).
 
 This module also hosts the shared seeded instance generators
-(:func:`random_graph`, :func:`random_regex`,
+(:func:`random_graph`, :func:`costed_copy`, :func:`random_regex`,
 :func:`random_regex_compact`) that every fuzz harness draws from —
 previously copy-pasted per test file.
 """
@@ -248,6 +248,22 @@ def random_graph(
         tgt = rng.randrange(n)
         labels = rng.sample(alphabet, rng.randint(1, max_labels))
         builder.add_edge(f"v{src}", f"v{tgt}", sorted(labels))
+    return builder.build()
+
+
+def costed_copy(graph: Graph, rng: random.Random, max_cost: int = 3) -> Graph:
+    """``graph`` with a seeded cost in ``1..max_cost`` on every edge —
+    same vertices, same edge ids (one draw per edge, in id order), so a
+    cheapest-walk failure replays on the unit-cost instance."""
+    builder = GraphBuilder()
+    builder.add_vertices([graph.vertex_name(v) for v in graph.vertices()])
+    for e in graph.edges():
+        builder.add_edge(
+            graph.vertex_name(graph.src(e)),
+            graph.vertex_name(graph.tgt(e)),
+            graph.label_names_of(e),
+            cost=rng.randint(1, max_cost),
+        )
     return builder.build()
 
 

@@ -450,15 +450,18 @@ def enumerate_walks_recursive(
     lam: Optional[int],
     target: int,
     start_states: FrozenSet[int],
+    cost_of: CostFn = _unit_cost,
 ) -> Iterator[Walk]:
     """Faithful recursive transcription of the paper's ``Enumerate``.
 
     Uses a cons-list for the walk under construction (O(1) prepend and
     copy, per Section 2.1) and recursion of depth λ — the order
     oracle for :func:`repro.core.enumerate.enumerate_walks`, which has
-    no recursion-depth limit and supports cost budgets.  ``queues`` is
-    the output of :func:`trim_maps`; its cursors are restarted when the
-    generator finishes or is closed.
+    no recursion-depth limit.  ``queues`` is the output of
+    :func:`trim_maps`; its cursors are restarted when the generator
+    finishes or is closed.  With ``cost_of`` (and the queues of a
+    :func:`cheapest_annotate_reference`) ``lam`` is a cost budget and
+    a level is the cost still to spend — the cheapest-walk extension.
     """
     if lam is None or not start_states:
         return
@@ -509,7 +512,9 @@ def enumerate_walks_recursive(
                         queue.advance()
             # Line 66: Enumerate(C, ℓ-1, e·w, S′).
             yield from recurse(
-                level - 1, walk.prepend(emin), tuple(sorted(child_states))
+                level - cost_of(emin),
+                walk.prepend(emin),
+                tuple(sorted(child_states)),
             )
 
     try:

@@ -33,6 +33,8 @@ construction, preserving Corollary 20's bounds).
 from __future__ import annotations
 
 import time
+from contextlib import closing
+from itertools import islice
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core._query_input import QueryLike, as_nfa
@@ -322,15 +324,12 @@ class DistinctShortestWalks(PreparedWalks):
         return self._count(self.target, method)
 
     def first(self, k: int) -> List[Walk]:
-        """The first ``k`` answers in enumeration order."""
-        result: List[Walk] = []
-        iterator = self.enumerate()
-        for walk in iterator:
-            result.append(walk)
-            if len(result) >= k:
-                break
-        iterator.close()
-        return result
+        """The first ``k`` answers in enumeration order (all of them
+        when there are fewer); a negative ``k`` is refused."""
+        if k < 0:
+            raise QueryError(f"first() takes a non-negative k, got {k}")
+        with closing(self.enumerate()) as walks:
+            return list(islice(walks, k))
 
 
 def distinct_shortest_walks(

@@ -22,23 +22,36 @@ cached tuples — the common single-queue-head case unions nothing and
 allocates nothing.  The per-edge cost callback fires only in cheapest
 mode.
 
-**Cursors are private to the generator.**  A product node ``(u, p)``
-only ever appears in frames whose remaining budget is ``dist[u, p]``,
-so it sits at one depth of the tree and at most once on any DFS stack:
-entering a frame simply re-initialises its nodes' cursors, whatever an
-earlier sibling subtree left there.  Nothing is written to the cells
-(bar the benign certificate cache), so any number of enumerations —
-interleaved, abandoned mid-way, on other threads — run over one
-``Trim`` product.
+**Two frame forms, one loop.**  A frame whose certificate is one state
+``p`` has as children exactly the cells of ``C_u[p]``, already in
+``TgtIdx`` order (Lemma 11): it carries *(next cell, end cell)*, and a
+descent reads that cell's edge and certificate — no cursor, no
+``TgtIdx``.  A frame with more states merges its queues' heads through
+cursors private to the generator: a product node ``(u, p)`` only ever
+appears in frames whose remaining budget is ``dist[u, p]``, so it sits
+at most once on any DFS stack and entering a frame simply
+re-initialises its nodes' cursors.  A leaf gets no frame — the descent
+that lands on budget 0 outputs at once — and under unit costs a
+one-state frame one hop from the source emits its cell run in a row.
+Nothing is written to the cells (bar the benign certificate cache), so
+any number of enumerations — interleaved, abandoned mid-way, on other
+threads — run over one ``Trim`` product.
+
+**Outputs are snapshots.**  Under unit costs the edge chosen with
+``left`` hops to go is written to slot ``left`` of one λ-slot list,
+which is therefore the walk in source → target order: an output is
+``tuple(buf)``.  A cost budget is not a length, so cheapest mode keeps
+an edge stack (as long as the walk, not as its cost) and reverses it.
 
 **The DFS can be re-positioned** (Theorem 18's ``NextOutput``).  Queues
 are consumed in increasing ``TgtIdx`` order, so once the DFS has
 descended into edge ``e`` from a frame, each of that frame's queues
 stands at its first cell past ``TgtIdx(e)``.  Given a previous output,
-``resume_after`` rebuilds the whole stack by that rule — one binary
-search per (frame, state) over the node's cell span, O(λ × |A| ×
-log InDeg) — and the ordinary DFS continues with the next leaf.  (The
-paper's skip-pointer seek is O(1); the cells store only non-empty
+``resume_after`` rebuilds the whole stack by that rule — as merge
+frames, one binary search per (frame, state) over the node's cell
+span, O(λ × |A| × log InDeg) — and the ordinary DFS continues with the
+next leaf, each frame it enters taking the form its certificate has.
+(The paper's skip-pointer seek is O(1); the cells store only non-empty
 positions, hence the logarithm.)
 
 Delay: between two consecutive outputs the DFS traverses at most 2λ
@@ -68,8 +81,10 @@ from repro.graph.database import Graph
 #: Edge-cost callback; unit costs reproduce the paper's setting.
 CostFn = Callable[[int], int]
 
-#: DFS frame: (vertex, certificate states, remaining budget).
-_Frame = Tuple[int, Tuple[int, ...], int]
+#: DFS frame, in one of two forms: (vertex, -1, remaining budget,
+#: certificate states) merges its states' queues; (next cell, end cell,
+#: remaining budget, None) walks the cell run of a one-state certificate.
+_Frame = Tuple[int, int, int, Optional[Tuple[int, ...]]]
 
 
 def _not_an_output() -> QueryError:
@@ -131,100 +146,138 @@ def enumerate_walks(
     certs = cells.certs
     src_arr = graph.src_array
     unit = cost_of is None
+    new_walk = Walk.__new__
 
-    # cur[u·|Q| + p] = current cell of C_u[p]; written on frame entry.
+    # cur[u·|Q| + p] = current cell of C_u[p]; merge frames only.
     cur: Dict[int, int] = {}
-    chosen: List[int] = []
     root_states = tuple(sorted(start_states))
-    stack: List[_Frame] = [(target, root_states, budget)]
-    if resume_after is None:
+    stack: List[_Frame] = [(target, -1, budget, root_states)]
+    if resume_after is not None:
+        _seek(graph, cells, stack, cur, resume_after, cost_of)
+    elif len(root_states) == 1:
+        k = target * n_states + root_states[0]
+        stack[0] = (key_indptr[k], key_indptr[k + 1], budget, None)
+    else:
         base = target * n_states
         for p in root_states:
             cur[base + p] = key_indptr[base + p]
+    # The walk under construction: ``buf[left]`` under unit costs,
+    # ``chosen[depth]`` in cheapest mode (see the module docstring).
+    if resume_after is not None:
+        buf: List[int] = list(resume_after)
     else:
-        _seek(graph, cells, stack, chosen, cur, resume_after, cost_of)
+        buf = [0] * budget if unit else []
+    chosen = [] if unit else buf[::-1]
 
     while stack:
-        u, states, remaining = stack[-1]
-        if remaining == 0:
-            edges = tuple(reversed(chosen))
-            yield Walk.from_edges_unchecked(graph, edges, src_arr[edges[0]])
-            stack.pop()
-            chosen.pop()
-            continue
+        at, end, remaining, states = stack[-1]
+        if states is None:
+            # One state: the children are the cells at..end, in order.
+            if at == end:
+                stack.pop()
+                continue
+            if unit and remaining == 1:
+                # The last level is a run of outputs; the frame goes
+                # first, so a close() mid-run leaves nothing behind.
+                stack.pop()
+                for c in range(at, end):
+                    buf[0] = emin = cell_edge[c]
+                    walk = new_walk(Walk)
+                    walk._graph = graph
+                    walk._edges = tuple(buf)
+                    walk._start = src_arr[emin]
+                    yield walk
+                continue
+            stack[-1] = (at + 1, end, remaining, None)
+            emin_c = at
+            child_states = certs[at]
+            if child_states is None:
+                child_states = cells.cert(at)
+        else:
+            base = at * n_states
+            # Lines 48-53: queue heads are cursor reads; TgtIdx order
+            # within a node makes the head the minimal candidate.
+            emin_c = -1
+            emin_ti = -1
+            for p in states:
+                k = base + p
+                c = cur[k]
+                if c < key_indptr[k + 1]:
+                    t = cell_ti[c]
+                    if emin_c < 0 or t < emin_ti:
+                        emin_c, emin_ti = c, t
 
-        base = u * n_states
-        # Lines 48-53: queue heads are cursor reads; TgtIdx order
-        # within a node makes the head the minimal candidate.
-        emin_c = -1
-        emin_ti = -1
-        for p in states:
-            k = base + p
-            c = cur[k]
-            if c < key_indptr[k + 1]:
-                t = cell_ti[c]
-                if emin_c < 0 or t < emin_ti:
-                    emin_c, emin_ti = c, t
+            if emin_c < 0:
+                # Lines 54-57: every queue is exhausted — return.  (The
+                # paper restarts the queues here; re-entry does it instead.)
+                stack.pop()
+                continue
 
-        if emin_c < 0:
-            # Lines 54-57: every queue is exhausted — return.  (The
-            # paper restarts the queues here; re-entry does it instead.)
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-
-        # Lines 58-65: consume emin at every head carrying it and
-        # union the (cached, sorted) certificates.
-        single: Optional[Tuple[int, ...]] = None
-        merged = None
-        for p in states:
-            k = base + p
-            c = cur[k]
-            if c < key_indptr[k + 1] and cell_ti[c] == emin_ti:
-                cur[k] = c + 1
-                cert = certs[c]
-                if cert is None:
-                    lo, hi = pred_indptr[c], pred_indptr[c + 1]
-                    if hi == lo + 1:
-                        cert = (preds_arr[lo],)
-                    else:
-                        cert = tuple(sorted(set(preds_arr[lo:hi])))
-                    certs[c] = cert
-                if merged is not None:
-                    merged.update(cert)
-                elif single is None:
-                    single = cert
-                elif single != cert:
-                    merged = set(single)
-                    merged.update(cert)
-        child_states = (
-            single if merged is None else tuple(sorted(merged))
-        )
+            # Lines 58-65: consume emin at every head carrying it and
+            # union the (cached, sorted) certificates.
+            single: Optional[Tuple[int, ...]] = None
+            merged = None
+            for p in states:
+                k = base + p
+                c = cur[k]
+                if c < key_indptr[k + 1] and cell_ti[c] == emin_ti:
+                    cur[k] = c + 1
+                    cert = certs[c]
+                    if cert is None:
+                        lo, hi = pred_indptr[c], pred_indptr[c + 1]
+                        if hi == lo + 1:
+                            cert = (preds_arr[lo],)
+                        else:
+                            cert = tuple(sorted(set(preds_arr[lo:hi])))
+                        certs[c] = cert
+                    if merged is not None:
+                        merged.update(cert)
+                    elif single is None:
+                        single = cert
+                    elif single != cert:
+                        merged = set(single)
+                        merged.update(cert)
+            child_states = (
+                single if merged is None else tuple(sorted(merged))
+            )
 
         emin = cell_edge[emin_c]
         child = src_arr[emin]
-        left = remaining - 1 if unit else remaining - cost_of(emin)
-        if left:
+        if unit:
+            left = remaining - 1
+            buf[left] = emin
+        else:
+            left = remaining - cost_of(emin)
+            chosen[len(stack) - 1:] = (emin,)
+        if not left:
+            # A leaf gets no frame: output at once.
+            walk = new_walk(Walk)
+            walk._graph = graph
+            walk._edges = tuple(buf) if unit else tuple(chosen[::-1])
+            walk._start = child
+            yield walk
+        elif len(child_states) == 1:
+            k = child * n_states + child_states[0]
+            stack.append((key_indptr[k], key_indptr[k + 1], left, None))
+        else:
             base = child * n_states
             for p in child_states:
                 k = base + p
                 cur[k] = key_indptr[k]
-        chosen.append(emin)
-        stack.append((child, child_states, left))
+            stack.append((child, -1, left, child_states))
 
 
 def _seek(
     graph: Graph,
     cells: PackedCells,
     stack: List[_Frame],
-    chosen: List[int],
     cur: Dict[int, int],
     resume_after: Sequence[int],
     cost_of: Optional[CostFn],
 ) -> None:
-    """Guided descent: leave ``stack`` / ``chosen`` / ``cur`` as the DFS
-    had them right after it output ``resume_after``.
+    """Guided descent: leave ``stack`` / ``cur`` as the DFS had them
+    right after it output ``resume_after`` — as merge frames, whose
+    cursors may stand mid-run; frames entered later take their own form.
 
     Walks the previous output from the target backwards; per frame and
     state, one binary search lands the cursor past ``TgtIdx(e)`` and the
@@ -243,7 +296,7 @@ def _seek(
     for e in reversed(resume_after):
         if not 0 <= e < n_edges:
             raise _not_an_output()
-        u, states, remaining = stack[-1]
+        u, _, remaining, states = stack[-1]
         base = u * n_states
         ti = ti_arr[e]
         child_states: set = set()
@@ -259,18 +312,17 @@ def _seek(
             cur[k] = c
         if not child_states:
             raise _not_an_output()
-        chosen.append(e)
         stack.append(
             (
                 src_arr[e],
-                tuple(sorted(child_states)),
+                -1,
                 remaining - (1 if cost_of is None else cost_of(e)),
+                tuple(sorted(child_states)),
             )
         )
-    # The guided leaf *is* the previous output: skip it.
+    # The guided leaf *is* the previous output, and a leaf has no frame.
     if stack.pop()[2] != 0:
         raise _not_an_output()
-    chosen.pop()
 
 
 def skip_past_cursor(

@@ -131,14 +131,21 @@ class TestCacheKeyIsolation:
     def test_distinct_entries_per_semantics(self):
         db = Database(example9_graph())
         pair = db.query(QUERY).from_("Alix").to("Bob")
-        pair.run()
-        pair.trails().run()
-        pair.simple_paths().run()
+        hits = [
+            query.run().stats["cached"]["annotation"]
+            for query in (pair, pair.trails(), pair.simple_paths())
+        ]
         pair.any_walk().run()
-        # One plan entry per semantics; any-walk bypasses the
-        # annotation cache entirely (BFS per request).
+        # One plan entry per semantics (the plan text differs), but one
+        # annotation entry per (query, source): walks, trails and
+        # simple read the same unrestricted object — built once, then
+        # hit twice.  Any-walk bypasses the annotation cache entirely
+        # (BFS per request).
         assert len(db._plan_cache) == 4
-        assert len(db._annotation_cache) == 3
+        assert len(db._annotation_cache) == 1
+        assert hits == [False, True, True]
+        stats = db.cache_stats()["annotation_cache"]
+        assert (stats["misses"], stats["hits"]) == (1, 2)
         restrictions = sorted(key[-1] for key in db._plan_cache._data)
         assert restrictions == ["any", "simple", "trails", "walks"]
 

@@ -39,8 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from repro.api import Database
-from repro.baselines.oracle import random_regex
-from repro.graph.builder import GraphBuilder
+from repro.baselines.oracle import costed_copy, random_regex
 from repro.graph.generators import random_multilabel
 
 SEED_BASE = int(os.environ.get("DIFF_SEED_BASE", "0"))
@@ -63,19 +62,11 @@ def _draw(seed: int):
     graph = random_multilabel(
         n, rng.randint(2 * n, 3 * n), alphabet=_ALPHABET, seed=seed
     )
-    builder = GraphBuilder()
-    builder.add_vertices([graph.vertex_name(v) for v in graph.vertices()])
-    for e in graph.edges():
-        builder.add_edge(
-            graph.vertex_name(graph.src(e)),
-            graph.vertex_name(graph.tgt(e)),
-            graph.label_names_of(e),
-            cost=rng.randint(1, 3),
-        )
+    costed = costed_copy(graph, rng)
     names = [graph.vertex_name(v) for v in graph.vertices()]
     sources = [rng.choice(names) for _ in range(3)]  # Duplicates welcome.
     return (
-        graph, builder.build(), random_regex(rng, alphabet=_ALPHABET), names,
+        graph, costed, random_regex(rng, alphabet=_ALPHABET), names,
         sources, rng.choice(names),
     )
 

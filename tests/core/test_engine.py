@@ -131,6 +131,18 @@ class TestLifecycle:
         # And the engine remains usable afterwards.
         assert engine.count() == 4
 
+    @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
+    def test_first_k_is_a_prefix_for_every_k(self, graph, mode):
+        engine = DistinctShortestWalks(
+            graph, example9_automaton(), "Alix", "Bob", mode=mode
+        )
+        answers = [w.edges for w in engine.enumerate()]
+        assert engine.first(0) == []
+        for k in range(len(answers) + 2):
+            assert [w.edges for w in engine.first(k)] == answers[:k]
+        with pytest.raises(QueryError, match="non-negative"):
+            engine.first(-1)
+
     def test_repeated_enumerations(self, graph):
         engine = DistinctShortestWalks(
             graph, example9_automaton(), "Alix", "Bob"

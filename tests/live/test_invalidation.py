@@ -68,6 +68,20 @@ class TestAnnotationInvalidation:
         assert fresh.lam == 1  # And sees the new edge.
         assert _run(db, "s s", "A", "D").stats["cached"]["annotation"]
 
+    def test_one_entry_per_pair_whatever_the_semantics(self) -> None:
+        """walks / trails / simple of one (query, source) share one
+        annotation entry, so a batch on a queried label evicts once."""
+        db = _db()
+        pair = db.query("h+").from_("A").to("C")
+        for query in (pair, pair.trails(), pair.simple_paths()):
+            assert query.run().lam == 2
+        result = db.mutate(
+            [{"op": "add_edge", "src": "A", "tgt": "C", "labels": ["h"]}]
+        )
+        assert result.evicted_annotations == 1
+        for query in (pair, pair.trails(), pair.simple_paths()):
+            assert query.run().lam == 1  # All three see the new edge.
+
     def test_remove_edge_evicts_by_its_labels(self) -> None:
         db = _db()
         assert _run(db, "h+", "A", "C").lam == 2

@@ -11,13 +11,17 @@ data-structure operations instead of timing, on two implementations:
   payload) under the skip-pointer ``NextOutput``;
 * ``packed-*`` — the one production loop of :mod:`repro.core`, with
   no hook in ``src/``: a counting ``array`` subclass is swapped into
-  ``PackedCells.cell_ti`` — one step per ``TgtIdx`` read, queue-head
-  reads and binary-search probes alike.  ``packed-eager`` runs the
-  generator start to end, ``packed-memoryless`` re-positions it before
-  every output, and ``packed-resumed`` drops it after output k = 1,
-  middle and last−1 and carries on from a fresh one resumed there — so
-  the gap at each cut is the whole cost from ``resume_after`` to the
-  first row of a resumed page.
+  ``PackedCells.cell_ti`` and ``PackedCells.cell_edge`` — one step per
+  ``TgtIdx`` read (queue-head reads and binary-search probes alike)
+  and one per cell whose edge is read: a one-state frame walks its
+  cell run without looking at ``cell_ti``.  A slice read costs its
+  length, not one, so no batch of cells can launder the work.
+  ``packed-eager`` runs the generator start to end,
+  ``packed-memoryless`` re-positions it before every output, and
+  ``packed-resumed`` drops it after output k = 1, middle and last−1 and
+  carries on from a fresh one resumed there — so the gap at each cut is
+  the whole cost from ``resume_after`` to the first row of a resumed
+  page.
 
 Every measure returns ``(λ, |Q|, max steps between outputs, outputs,
 bound)`` where ``bound`` is ``C · λ · (|Q| + 1)`` with one shared small
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from math import ceil, log2
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.baselines import paper_pipeline as oracle
 from repro.core.annotate import annotate
@@ -101,11 +105,13 @@ class _CountingIndex:
 
 class _CountingArray(array):
     """``array('q')`` counting every element read and write — including
-    the probes ``bisect`` makes through the sequence protocol."""
+    the probes ``bisect`` makes through the sequence protocol; a slice
+    read counts once per element it returns."""
 
     def __getitem__(self, i):
-        self.counter["steps"] += 1
-        return array.__getitem__(self, i)
+        item = array.__getitem__(self, i)
+        self.counter["steps"] += len(item) if isinstance(i, slice) else 1
+        return item
 
     def __setitem__(self, i, value) -> None:
         self.counter["steps"] += 1
@@ -116,6 +122,17 @@ def _counting_array(source: array, counter: Dict[str, int]) -> _CountingArray:
     counted = _CountingArray("q", source)
     counted.counter = counter
     return counted
+
+
+def count_cell_reads(
+    cells, counter: Dict[str, int], edge_counter: Optional[Dict[str, int]] = None
+) -> None:
+    """Swap the counting proxies into both cell columns the DFS reads;
+    ``edge_counter`` counts the ``cell_edge`` reads apart."""
+    cells.cell_ti = _counting_array(cells.cell_ti, counter)
+    cells.cell_edge = _counting_array(
+        cells.cell_edge, counter if edge_counter is None else edge_counter
+    )
 
 
 def _max_steps_between_outputs(
@@ -159,7 +176,7 @@ def _oracle_memoryless(graph, cq, s, t, counter):
 def _packed_eager(graph, cq, s, t, counter):
     ann = annotate(cq, s, t)
     cells = trim(graph, ann)
-    cells.cell_ti = _counting_array(cells.cell_ti, counter)
+    count_cell_reads(cells, counter)
     return ann.lam, 0, enumerate_walks(
         graph, cells, ann.lam, t, ann.target_states
     )
@@ -173,7 +190,7 @@ def _seek_allowance(graph, cq, lam) -> int:
 def _packed_memoryless(graph, cq, s, t, counter):
     ann = annotate(cq, s, t)
     cells = resumable_trim(graph, ann)
-    cells.cell_ti = _counting_array(cells.cell_ti, counter)
+    count_cell_reads(cells, counter)
     return ann.lam, _seek_allowance(graph, cq, ann.lam), enumerate_memoryless(
         graph, cells, ann.lam, t, ann.target_states
     )
@@ -184,7 +201,7 @@ def _packed_resumed(graph, cq, s, t, counter):
     cells = trim(graph, ann)
     args = (graph, cells, ann.lam, t, ann.target_states)
     total = sum(1 for _ in enumerate_walks(*args))  # Not counted yet.
-    cells.cell_ti = _counting_array(cells.cell_ti, counter)
+    count_cell_reads(cells, counter)
     cuts = {1, total // 2, total - 1} & set(range(1, total))
 
     def walks() -> Iterator[Walk]:

@@ -7,19 +7,31 @@ O(λ × |A|) queue operations (peek / advance / restart): the DFS crosses
 at most 2λ tree edges and each frame touches each of its ≤ |Q| queues a
 constant number of times.  :mod:`tests.property.delay_steps` counts
 them — on the paper's queue objects and skip arrays (the oracle
-pipeline) and on the cell array the production loop reads — and we
-assert the count against ``C · λ · (|Q| + 1)`` with a fixed
+pipeline) and on the two cell columns the production loop reads — and
+we assert the count against ``C · λ · (|Q| + 1)`` with a fixed
 small constant, on adversarial instances designed to maximize queue
-traffic.
+traffic.  The exact read counts of the loop's two frame forms are
+pinned beside the bounds.
 """
 
 import pytest
 from hypothesis import given, settings
 
+from repro.automata import regex_to_nfa
+from repro.core.annotate import annotate
+from repro.core.compile import compile_query
+from repro.core.enumerate import enumerate_walks
+from repro.core.trim import trim
+from repro.graph.generators import chain
 from repro.workloads.worstcase import diamond_chain, duplicate_bomb, wide_nfa
 
 from tests.conftest import small_instances
-from tests.property.delay_steps import CONSTANT, MEASURES, measure
+from tests.property.delay_steps import (
+    CONSTANT,
+    MEASURES,
+    count_cell_reads,
+    measure,
+)
 
 
 @pytest.mark.parametrize("flavor", sorted(MEASURES))
@@ -30,6 +42,17 @@ class TestOperationBound:
             flavor, graph, nfa, graph.vertex_id(s), graph.vertex_id(t)
         )
         assert outputs == 2 ** 10
+        assert max_gap <= bound
+
+    def test_wide_last_level(self, flavor):
+        """64 live cells one hop from the source, bound 12·2·2 = 48: a
+        last-level run must reach its first output without a pass over
+        the run (a copy of it, say) — in-degree is not in the bound."""
+        graph, nfa, s, t = diamond_chain(2, parallel=64)
+        lam, _, max_gap, outputs, bound = measure(
+            flavor, graph, nfa, graph.vertex_id(s), graph.vertex_id(t)
+        )
+        assert outputs == 64 ** 2
         assert max_gap <= bound
 
     def test_duplicate_bomb(self, flavor):
@@ -86,3 +109,37 @@ class TestOperationBound:
         if lam in (None, 0) or outputs == 0:
             return
         assert max_gap <= bound
+
+
+def _column_reads(graph, nfa, s, t):
+    """``(outputs, cell_ti reads, cell_edge reads)`` of one full eager
+    run — the two columns counted apart."""
+    cq = compile_query(graph, nfa)
+    s, t = graph.vertex_id(s), graph.vertex_id(t)
+    ann = annotate(cq, s, t)
+    cells = trim(graph, ann)
+    ti, edge = {"steps": 0}, {"steps": 0}
+    count_cell_reads(cells, ti, edge)
+    outputs = sum(
+        1 for _ in enumerate_walks(graph, cells, ann.lam, t, ann.target_states)
+    )
+    return outputs, ti["steps"], edge["steps"]
+
+
+class TestExactReadCounts:
+    """What each frame form reads, as numbers that repeat exactly."""
+
+    def test_one_state_frames_never_read_tgt_idx(self):
+        """``a*`` has one state: every frame walks its cell run, so the
+        ``TgtIdx`` column is never read (4 092 reads with a merge per
+        frame) and ``cell_edge`` once per tree edge: 2¹¹ − 2."""
+        assert _column_reads(*diamond_chain(10)) == (1024, 0, 2046)
+
+    def test_two_state_frames_merge_as_before(self):
+        """Thompson's ``(a|b)*`` leaves a two-state certificate at every
+        hop: below the root every frame merges, with the reads the
+        merge has always made — 500 with a merging root, less the 4 of
+        the root frame, whose certificate is the one final state."""
+        graph = chain(6, ("a", "b"), parallel=2)
+        reads = _column_reads(graph, regex_to_nfa("(a|b)*"), "v0", "v6")
+        assert reads == (64, 500 - 4, 126)

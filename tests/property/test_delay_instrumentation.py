@@ -12,9 +12,9 @@ preprocessing-phase costs into the enumeration phase.
 Five instrumentation layers (:mod:`tests.property.delay_steps`): the
 eager DFS and the memoryless ``NextOutput`` (Theorem 18), each stepped
 both on the paper's structures (the oracle pipeline's queue and
-skip-array proxies) and on the packed ``TgtIdx`` cell array the one
-production loop reads — plus that loop dropped and resumed mid-stream,
-the way the query service pages.
+skip-array proxies) and on the two packed cell columns (``TgtIdx`` and
+edge) the one production loop reads — plus that loop dropped and
+resumed mid-stream, the way the query service pages.
 
 All are held to ``C · λ · (|Q| + 1)`` steps between outputs, with one
 shared small constant and no dependence on label counts, in-degrees,

@@ -68,6 +68,7 @@ import pytest
 
 from repro.api import Database
 from repro.baselines.oracle import (
+    costed_copy,
     oracle_answer_set,
     oracle_lam,
     oracle_restricted_set,
@@ -84,7 +85,6 @@ from repro.baselines.paper_pipeline import (
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.restricted import restriction_predicate
-from repro.graph.builder import GraphBuilder
 from repro.query import rpq
 from repro.query.plan import simple_eligible
 
@@ -273,17 +273,7 @@ def test_cheapest_resumed_equals_one_shot(case: int) -> None:
     graph's, so a failure replays on the same instance."""
     seed = SEED_BASE + 50_000 + case
     graph, expression, source, target = _draw_case(seed)
-    rng = random.Random(seed ^ 0xC057)
-    builder = GraphBuilder()
-    builder.add_vertices([graph.vertex_name(v) for v in graph.vertices()])
-    for e in graph.edges():
-        builder.add_edge(
-            graph.vertex_name(graph.src(e)),
-            graph.vertex_name(graph.tgt(e)),
-            graph.label_names_of(e),
-            cost=rng.randint(1, 3),
-        )
-    costed = builder.build()
+    costed = costed_copy(graph, random.Random(seed ^ 0xC057))
     context = f"seed={seed} regex={expression!r} s={source} t={target}"
 
     query = Database(costed).query(expression).cheapest()

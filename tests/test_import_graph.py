@@ -60,22 +60,60 @@ def test_annotation_is_built_from_packed_arrays_only():
     assert {"dist", "packed"} <= set(required)
 
 
-def test_the_cells_are_walked_in_one_place():
-    """One enumerator: the ``TgtIdx`` column of ``PackedCells`` — what
-    any loop over queue heads must read — is touched only where it is
-    built, in the one DFS and in the counting DP.  ``memoryless.py`` and
-    ``multiplicity.py`` in particular ride on the DFS's output stream."""
-    readers = sorted(
+def _attribute_readers(attr: str):
+    """Source files (relative to the package) naming ``<x>.attr``."""
+    return sorted(
         str(path.relative_to(SRC))
         for path in SRC.rglob("*.py")
         if any(
-            isinstance(node, ast.Attribute) and node.attr == "cell_ti"
+            isinstance(node, ast.Attribute) and node.attr == attr
             for node in ast.walk(ast.parse(path.read_text()))
         )
     )
-    assert readers == [
-        "core/count.py", "core/enumerate.py", "datastructures/packed.py",
+
+
+def test_the_cells_are_walked_in_one_place():
+    """One enumerator: the ``TgtIdx`` column of ``PackedCells`` — what
+    any loop over queue heads must read — and the edge column a
+    one-state frame walks instead are touched only where they are
+    built, in the one DFS and in the counting DP.  ``memoryless.py`` and
+    ``multiplicity.py`` in particular ride on the DFS's output stream."""
+    for column in ("cell_ti", "cell_edge"):
+        assert _attribute_readers(column) == [
+            "core/count.py", "core/enumerate.py", "datastructures/packed.py",
+        ], column
+
+
+def test_the_dfs_is_one_generator():
+    """Both frame forms live in one loop of one generator: no second
+    enumerator for the one-state case, no fallback beside it."""
+    tree = ast.parse((SRC / "core" / "enumerate.py").read_text())
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     ]
+
+    def own_nodes(function):
+        """The function's body without its nested functions' bodies."""
+        pending = [function]
+        while pending:
+            for node in ast.iter_child_nodes(pending.pop()):
+                if not isinstance(node, ast.FunctionDef):
+                    yield node
+                    pending.append(node)
+
+    generators = [
+        function.name for function in functions
+        if any(
+            isinstance(node, (ast.Yield, ast.YieldFrom))
+            for node in own_nodes(function)
+        )
+    ]
+    # ``replay`` is skip_past_cursor's cell-free replay of a foreign
+    # stream; it walks no cells (see the test above).
+    assert sorted(generators) == ["enumerate_walks", "replay"]
+    (dfs,) = [f for f in functions if f.name == "enumerate_walks"]
+    loops = [n for n in own_nodes(dfs) if isinstance(n, ast.While)]
+    assert len(loops) == 1
 
 
 def _names(module: str):
