@@ -23,7 +23,7 @@ from repro.baselines.martens_trautner import martens_trautner_walks
 from repro.baselines.naive import NaiveStats, naive_enumerate
 from repro.baselines.simple import SimpleShortestWalks
 from repro.bench import measure_delays
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.generators import grid
 from repro.workloads.worstcase import diamond_chain, duplicate_bomb
@@ -35,7 +35,7 @@ def test_naive_duplicate_blowup(benchmark, print_table):
     rows = []
     for k, m in ((4, 3), (6, 3), (8, 3)):
         graph, nfa, s, t = duplicate_bomb(k, m)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         sid, tid = graph.vertex_id(s), graph.vertex_id(t)
 
         started = time.perf_counter()
@@ -104,7 +104,7 @@ def test_martens_trautner_delay_grows_with_database(benchmark, print_table):
         nfa.add_transition(0, "a", 0)
         nfa.set_initial(0)
         nfa.set_final(0)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         s, t = graph.vertex_id("v0"), graph.vertex_id(f"v{k}")
 
         engine = DistinctShortestWalks(graph, nfa, s, t)
@@ -190,7 +190,7 @@ def test_simple_fast_path_constant_factor(benchmark, print_table):
 def test_algorithms_on_diamond_chain(benchmark, algorithm):
     """pytest-benchmark head-to-head on 256 answers."""
     graph, nfa, s, t = diamond_chain(8, parallel=2)
-    cq = compile_query(graph, nfa)
+    cq = compile_epsilon_free(graph, nfa)
     sid, tid = graph.vertex_id(s), graph.vertex_id(t)
 
     if algorithm == "ours":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free
 from repro.core.count import (
     count_shortest_product_paths,
     count_total_multiplicity,
@@ -67,7 +67,7 @@ def test_blowup_measures(benchmark, print_table):
     ratios = []
     for k, m in ((6, 2), (6, 3), (10, 3), (14, 3)):
         graph, nfa, s, t = duplicate_bomb(k, m)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         si, ti = graph.vertex_id(s), graph.vertex_id(t)
         lam, paths = count_shortest_product_paths(cq, si, ti)
         _, mult = count_total_multiplicity(cq, si, ti)

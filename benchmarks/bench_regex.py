@@ -5,7 +5,9 @@ closes); Glushkov yields |R|+1 states but up to O(|R|²) transitions.
 On union-heavy expressions the Glushkov transition count grows
 quadratically while Thompson's stays linear — we measure both the
 automaton sizes and the end-to-end pipeline, and assert identical
-answers.
+answers.  The pipeline columns show what the engine's compile left of
+each construction (co-accessible states → states after the same-past
+merge): the merge is where Thompson's ε-closure copies go.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.automata import glushkov_nfa, thompson_nfa
 from repro.automata.regex_ast import ast_size
 from repro.automata.regex_parser import parse_rpq
 from repro.bench import loglog_slope, time_call
+from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.generators import random_multilabel
 
@@ -73,10 +76,14 @@ def test_end_to_end_same_answers(benchmark, print_table):
         expression = _union_heavy(k)
         results = {}
         timings = {}
+        states = {}
         for method in ("thompson", "glushkov"):
             from repro.automata import regex_to_nfa
 
             nfa = regex_to_nfa(expression, method=method)
+            states[method] = "{} → {}".format(
+                *compile_query(graph, nfa).live_states
+            )
 
             def run():
                 engine = DistinctShortestWalks(graph, nfa, "src", "dst")
@@ -90,13 +97,15 @@ def test_end_to_end_same_answers(benchmark, print_table):
                 k,
                 len(results["thompson"]),
                 f"{timings['thompson'] * 1e3:.1f} ms",
+                states["thompson"],
                 f"{timings['glushkov'] * 1e3:.1f} ms",
+                states["glushkov"],
             ]
         )
     benchmark.pedantic(run, rounds=2, iterations=1)
     print_table(
         "EXP-C20 (b): end-to-end pipeline, Thompson vs Glushkov",
-        ["k", "answers", "thompson", "glushkov"],
+        ["k", "answers", "thompson", "states", "glushkov", "states"],
         rows,
     )
 

@@ -796,8 +796,14 @@ class Database:
                     if prebuilt is not None
                     else RPQ(expression, method=construction)
                 )
-            with obs_trace.span("compile"):
+            with obs_trace.span("compile") as compile_span:
                 cq = compile_query(handle.graph, rpq_obj.automaton)
+                co_accessible, merged = cq.live_states
+                compile_span.tag(
+                    states=cq.n_states,
+                    co_accessible=co_accessible,
+                    merged=merged,
+                )
             build_s = time.perf_counter() - t0
             with self._build_lock:
                 self._plan_build_s += build_s
@@ -1243,6 +1249,8 @@ class Database:
             handle, q._construction, q._expression, q._rpq, q._restriction
         )
         qp = analyze(handle.graph, plan.rpq.automaton)
+        cq = plan.compiled
+        qp.compiled = (cq.n_states, *cq.live_states, cq.delta_size)
         if q._restriction == "any":
             resolved = "early-exit BFS"
             route = "any-walk witness search (annotation cache bypassed)"

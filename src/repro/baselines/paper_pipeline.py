@@ -50,7 +50,7 @@ from typing import (
 
 from repro.core._query_input import QueryLike, as_nfa
 from repro.core.cheapest import _HEAPS, _LazyBinaryQueue, _PairingQueue
-from repro.core.compile import CompiledQuery, compile_query
+from repro.core.compile import CompiledQuery, compile_epsilon_free
 from repro.core.walks import Walk
 from repro.datastructures.cons_list import ConsList, nil
 from repro.datastructures.packed import BackMap, LengthMap, PackedBack
@@ -718,8 +718,9 @@ def recursive_walks(
 ) -> Iterator[Walk]:
     """``annotate_reference`` → ``trim_maps`` →
     ``enumerate_walks_recursive`` for one query, with the engine's
-    input conventions (regex / AST / NFA; vertex names)."""
-    cq = compile_query(graph, as_nfa(query))
+    input conventions (regex / AST / NFA; vertex names) — on the
+    automaton as written, not on the engine's same-past quotient."""
+    cq = compile_epsilon_free(graph, as_nfa(query))
     t = graph.resolve_vertex(target)
     ann = annotate_reference(cq, graph.resolve_vertex(source), t)
     return enumerate_walks_recursive(

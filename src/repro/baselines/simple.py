@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.automata.nfa import NFA
-from repro.core.compile import CompiledQuery, compile_query
+from repro.core.compile import CompiledQuery, compile_epsilon_free
 from repro.core.walks import Walk
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
@@ -53,7 +53,10 @@ class SimpleShortestWalks:
         self.graph = graph
         self.source = graph.resolve_vertex(source)
         self.target = graph.resolve_vertex(target)
-        self._cq: CompiledQuery = compile_query(graph, automaton)
+        # As written: the query compile's merge may union the rows of
+        # two unreachable states, and ``preprocess`` unpacks exactly one
+        # successor per (state, label).
+        self._cq: CompiledQuery = compile_epsilon_free(graph, automaton)
         self._lam: Optional[int] = None
         self._parents: Dict[int, List[Tuple[int, int]]] = {}
         self._final_keys: List[int] = []

@@ -26,10 +26,12 @@ direct target state always ends up in the certificate set.)
 
 Complexity: O(|E| × |Δ|) plus O(|V| × |Δ_ε|) for ε-handling, i.e.
 O(|D| × |A|) overall — with |A| the *compiled* automaton, which keeps
-only co-accessible states (:mod:`repro.core.compile`): the traversal
-never creates a product node ``(u, p)`` from which no accepting run
-can continue, so every ``dist`` slot written and every ``B`` entry
-logged belongs to a state that can still reach ``F``.
+only co-accessible states and one state per class of same-past states
+(:mod:`repro.core.compile`): the traversal never creates a product
+node ``(u, p)`` from which no accepting run can continue, nor two
+nodes at one vertex that exactly the same walks reach, so every
+``dist`` slot written and every ``B`` entry logged belongs to a state
+that can still reach ``F`` and that no other state duplicates.
 
 Packed annotation layout
 ------------------------

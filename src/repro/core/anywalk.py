@@ -17,7 +17,13 @@ Determinism: the frontier is processed in insertion order and each
 vertex's out-edges in ascending edge-id order, and a ``(vertex,
 state)`` pair's parent pointer is fixed at first discovery — so the
 witness returned for a target is a pure function of the instance, and
-repeated queries (or pagination re-runs) see the same walk.
+repeated queries (or pagination re-runs) see the same walk.  The
+instance includes the *compiled* states: which shortest walk is found
+first depends on which product nodes exist and in what order the state
+tuples list them, so a compile-time transformation (the same-past
+merge of :mod:`repro.core.compile`) may change the witness — never its
+length, never its validity — and it was never promised to be the walk
+``ALL SHORTEST`` enumerates first.
 
 ε-transitions are supported directly (``PossiblyVisit`` style: an
 ε-successor inherits its ancestor's parent pointer), so the fast path

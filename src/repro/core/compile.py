@@ -28,11 +28,28 @@ transition table by label *id*.  This step also:
   automaton) keep addressing the same states.  Which states survive
   depends only on the database's label *set* (through the dropped
   transitions), the same thing a cached plan is already evicted on.
+* merges the states with the **same past** (:func:`compile_query` with
+  ε eliminated, nothing else): the coarsest partition whose classes are
+  both-or-neither in ``initial_closure`` and entered by the same set of
+  *(label, class of predecessor)* — a backward bisimulation.  Such
+  states are reached by exactly the same words, so one of them holding
+  the union of their rows accepts no new word and loses none: language,
+  λ, walk sets and enumeration order (``TgtIdx``-lexicographic from the
+  target, a property of the graph) are unchanged.  After ε-closure the
+  states of one closure are entered alike: the 7 states above are 2
+  classes, ``(a|b)*`` is one.  A class keeps one member's id (a final
+  member if any, else the smallest); the rest are deleted the way a dead
+  state is.  Run counts are *not* preserved — they belong to the
+  automaton as written — so :func:`compile_epsilon_free` does not merge,
+  nor does a compile that keeps ε.  The refinement signs again only the
+  successors of states that changed class, the largest part of a split
+  keeping the class id: O(|Δ| log |Q|) signatures.
 
 Compilation is O(|A|·|Q| + wildcard expansion); it never touches the
 database, preserving the O(|D| × |A|) preprocessing bound.
-:meth:`CompiledQuery.size` — the |A| of that bound — counts all
-``n_states`` ids but only the transitions that survive.
+:meth:`CompiledQuery.size` — that bound's |A| — counts all ``n_states``
+ids but only the surviving transitions: across a change to what survives
+compare ``annotate.busy_ms`` / ``annotate.entries``, not ``ns_per_da``.
 
 A note on ε-handling (deviation from the paper's Section 5.1).  The
 paper eliminates ε on the fly inside ``Annotate`` via ``PossiblyVisit``
@@ -51,6 +68,7 @@ factor |Q| in the worst case.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.automata.nfa import ANY, EPSILON, NFA
@@ -73,7 +91,9 @@ class CompiledQuery:
       (co-accessible) successor states; ``{}`` for a removed state;
     * ``eps`` — per-state tuple of (co-accessible) ε-successors;
     * ``delta_size`` — |Δ| after compilation (counts expanded wildcard
-      transitions and ε-transitions).
+      transitions and ε-transitions);
+    * ``live_states`` — (co-accessible states, those the merge left);
+      for ``explain`` and the compile span, no traversal reads it.
 
     Three derived layouts feed the label-indexed product-BFS (see
     :attr:`repro.graph.database.Graph.out_csr`):
@@ -99,6 +119,7 @@ class CompiledQuery:
         "eps",
         "has_eps",
         "delta_size",
+        "live_states",
         "label_count",
         "firing_labels",
         "firing_sets",
@@ -115,6 +136,7 @@ class CompiledQuery:
         final: FrozenSet[int],
         delta: Tuple[Dict[int, Tuple[int, ...]], ...],
         eps: Tuple[Tuple[int, ...], ...],
+        live_states: Tuple[int, int],
     ) -> None:
         self.graph = graph
         self.automaton = automaton
@@ -124,6 +146,7 @@ class CompiledQuery:
         self.final = final
         self.delta = delta
         self.eps = eps
+        self.live_states = live_states
         self.has_eps = any(eps)
         self.delta_size = sum(
             len(ts) for d in delta for ts in d.values()
@@ -154,20 +177,49 @@ class CompiledQuery:
         )
 
 
-def compile_query(
-    graph: Graph, automaton: NFA, eliminate_epsilon: bool = True
-) -> CompiledQuery:
-    """Compile ``automaton`` for execution against ``graph``.
+def _past(entering, cls) -> FrozenSet[Tuple[int, int]]:
+    """The (label, class of predecessor) pairs entering a state."""
+    return frozenset([(a, cls[q]) for a, q in entering])
 
-    With ``eliminate_epsilon=True`` (the default) the compiled ``delta``
-    is ε-closed and ``eps`` is empty — see the module docstring for why.
-    Either way only co-accessible states keep transitions (same
-    docstring); a query none of whose accepting paths survives the
-    database's label set compiles to an empty ``initial_closure``.
-    Raises :class:`~repro.exceptions.QueryError` when the automaton has
-    no states or no initial state (such queries match nothing and are
-    almost always caller bugs).
-    """
+
+def _same_past_classes(live, initial, entering, rows) -> List[set]:
+    """The multi-state classes of the coarsest backward bisimulation of
+    ``live`` (module docstring); ``rows[q]``: label → live successors."""
+    members = {True: live & initial, False: live - initial}
+    cls: Dict[int, int] = {q: c for c, qs in members.items() for q in qs}
+    past = dict.fromkeys(members)  # c → the signature its members had last
+    fresh, dirty = count(2), set(live)
+    while dirty:
+        signed: Dict[int, Dict[object, List[int]]] = {}
+        for q in dirty:
+            if len(members[c := cls[q]]) > 1:  # a singleton cannot split
+                parts = signed.setdefault(c, {})
+                parts.setdefault(_past(entering[q], cls), []).append(q)
+        dirty = set()
+        for c, parts in signed.items():
+            # ``rest`` members were not signed: they still have ``old``.
+            block, old = members[c], past[c]
+            rest = len(block) - sum(map(len, parts.values()))
+            stay = max(parts, key=lambda s: len(parts[s]))
+            if rest + len(parts.get(old, ())) >= len(parts[stay]):
+                stay = old
+            elif rest:
+                parts.setdefault(old, []).extend(block.difference(*parts.values()))
+            past[c] = stay
+            for s, qs in parts.items():
+                if s != stay:
+                    block.difference_update(qs)
+                    new = next(fresh)
+                    members[new], past[new] = set(qs), s
+                    for q in qs:
+                        cls[q] = new
+                        dirty.update(*rows[q].values())
+    return [block for block in members.values() if len(block) > 1]
+
+
+def _compile(
+    graph: Graph, automaton: NFA, eliminate_epsilon: bool, merge: bool
+) -> CompiledQuery:
     if automaton.n_states == 0 or not automaton.initial:
         raise QueryError("query automaton has no initial state")
 
@@ -227,6 +279,25 @@ def compile_query(
                 live.add(q)
                 stack.append(q)
 
+    initial_closure = automaton.eps_closure(automaton.initial)
+    co_accessible = len(live)
+    if merge:
+        # Same-past quotient: the representative takes its class's rows,
+        # the other members leave the way a dead state does.
+        entering: Dict[int, List[Tuple[int, int]]] = {p: [] for p in live}
+        for q in live:
+            for a, targets in delta_sets[q].items():
+                targets &= live
+                for p in targets:
+                    entering[p].append((a, q))
+        for block in _same_past_classes(live, initial_closure, entering, delta_sets):
+            rep = min(block & automaton.final or block)
+            for q in block - {rep}:
+                for a, targets in delta_sets[q].items():
+                    delta_sets[rep].setdefault(a, set()).update(targets)
+                delta_sets[q] = {}
+                live.discard(q)
+
     # A dead state has no live successor (it would be live), so
     # filtering the targets also empties its own row.
     delta: Tuple[Dict[int, Tuple[int, ...]], ...] = tuple(
@@ -240,17 +311,36 @@ def compile_query(
         automaton=automaton,
         n_states=n,
         initial=tuple(sorted(automaton.initial)),
-        initial_closure=automaton.eps_closure(automaton.initial) & live,
+        initial_closure=initial_closure & live,
         final=automaton.final,
         delta=delta,
         eps=eps,
+        live_states=(co_accessible, len(live)),
     )
 
 
+def compile_query(
+    graph: Graph, automaton: NFA, eliminate_epsilon: bool = True
+) -> CompiledQuery:
+    """Compile ``automaton`` for execution against ``graph``.
+
+    With ``eliminate_epsilon=True`` (the default) the compiled ``delta``
+    is ε-closed, ``eps`` is empty and same-past states are merged — see
+    the module docstring for why.  Either way only co-accessible states
+    keep transitions (same docstring); a query none of whose accepting
+    paths survives the database's label set compiles to an empty
+    ``initial_closure``.  Raises :class:`~repro.exceptions.QueryError`
+    when the automaton has no states or no initial state (such queries
+    match nothing and are almost always caller bugs).
+    """
+    return _compile(graph, automaton, eliminate_epsilon, eliminate_epsilon)
+
+
 def compile_epsilon_free(graph: Graph, automaton: NFA) -> CompiledQuery:
-    """Compile the ε-*eliminated* automaton — the form run counting
-    (multiplicities, product paths) is defined on; state ids are those
-    of ``automaton``, so certificates carry over."""
+    """Compile the automaton **as written** — ε-eliminated,
+    co-accessible, *not* merged: the form run counting (multiplicities,
+    product paths) is defined on, and what the oracles and the paper's
+    |A| sweeps run.  State ids are those of ``automaton``."""
     if automaton.has_epsilon:
         automaton = remove_epsilon(automaton)
-    return compile_query(graph, automaton)
+    return _compile(graph, automaton, True, False)

@@ -86,9 +86,11 @@ class PreparedWalks:
         """``compiled`` injects a pre-built :class:`CompiledQuery` —
         the plan-cache hook of :mod:`repro.api`: a cached plan skips
         the compile phase entirely.  It must have been produced by
-        :func:`~repro.core.compile.compile_query` for this exact
-        ``graph`` and ``query`` automaton (checked by identity: label
-        ids and ε-closures are graph- and automaton-specific)."""
+        :func:`~repro.core.compile.compile_query` — or, for an oracle
+        or a paper table that wants the automaton as written, by
+        :func:`~repro.core.compile.compile_epsilon_free` — for this
+        exact ``graph`` and ``query`` automaton (checked by identity:
+        label ids and ε-closures are graph- and automaton-specific)."""
         self.graph = graph
         self.automaton = as_nfa(query)
         if compiled is not None:

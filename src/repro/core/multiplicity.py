@@ -88,10 +88,14 @@ def enumerate_with_runs(
     one map per tree node on the current root-to-leaf path:
     ``runs[i][q]`` is the number of accepting (word, run) pairs of the
     suffix ``edges[i:]`` that start in state ``q``.  At the root,
-    ``M[f] = 1`` for the reached final states; prepending edge ``e``
-    rolls the map backwards through ``Δ`` restricted to ``Lbl(e)``; at
-    a leaf, the multiplicity is the sum of ``M[q]`` over the initial
-    states.
+    ``M[f] = 1`` for every final state of ``cq`` — the count automaton,
+    *not* the certificate ``start_states``, which names states of the
+    query compile: that one merges same-past states
+    (:mod:`repro.core.compile`), so two final states the count
+    automaton tells apart are one state there, and a run ending in
+    the other would go uncounted.  Prepending edge ``e`` rolls the map
+    backwards through ``Δ`` restricted to ``Lbl(e)``; at a leaf, the
+    multiplicity is the sum of ``M[q]`` over the initial states.
 
     Two consecutive outputs share their suffix up to the lowest common
     ancestor in the backward-search tree, and the DFS crossed every
@@ -119,7 +123,7 @@ def enumerate_with_runs(
     rows = [(q, dq) for q, dq in enumerate(cq.delta) if dq]
     # runs[i] belongs to the suffix edges[i:]; runs[lam] is the root's.
     runs: List[Dict[int, int]] = [{} for _ in range(lam)]
-    runs.append({f: 1 for f in start_states})
+    runs.append(dict.fromkeys(cq.final, 1))
     previous: Tuple[int, ...] = ()
     for walk in enumerate_walks(graph, cells, lam, target, start_states):
         edges = walk.edges

@@ -14,7 +14,7 @@ outruns, see :mod:`repro.baselines.simple`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 from repro.automata.determinize import is_deterministic
 from repro.automata.nfa import NFA
@@ -49,6 +49,10 @@ class QueryPlan:
     reasons: List[str] = field(default_factory=list)
     graph_size: int = 0
     automaton_size: int = 0
+    #: What the engine runs, where a compile is at hand (the façade's
+    #: ``explain``): states as written, co-accessible, left by the
+    #: same-past merge, and the compiled |Δ|.
+    compiled: Tuple[int, ...] = ()
 
     def explain(self) -> str:
         """Multi-line human-readable account of the decision."""
@@ -61,6 +65,11 @@ class QueryPlan:
             f"ε-transitions: {self.has_epsilon}, "
             f"unambiguous: {self.unambiguous}",
         ]
+        if self.compiled:
+            lines.append(
+                "compiled: {} states as written, {} co-accessible, {} after "
+                "the same-past merge, |Δ| {}".format(*self.compiled)
+            )
         lines.extend(f"- {reason}" for reason in self.reasons)
         return "\n".join(lines)
 

@@ -223,6 +223,20 @@ class TestExplainAndStats:
         forced = db.query(QUERY).from_("Alix").to("Bob").mode("memoryless")
         assert "→ memoryless (NextOutput" in forced.explain().explain()
 
+    def test_explain_says_what_was_compiled(self):
+        """``automaton: size 20`` is Thompson's ``(a|b)*`` as built; the
+        engine runs one state of it, and the next line says so."""
+        b = GraphBuilder()
+        b.add_edge("u", "v", ["a", "b"])
+        query = Database(b.build()).query("(a|b)*").from_("u").to("v")
+        lines = query.explain().explain().splitlines()
+        (at,) = [i for i, x in enumerate(lines) if x.startswith("automaton: ")]
+        assert lines[at].startswith("automaton: size 20,")
+        assert lines[at + 1] == (
+            "compiled: 8 states as written, 3 co-accessible, "
+            "1 after the same-past merge, |Δ| 2"
+        )
+
     def test_explain_cold_names_the_same_mode(self):
         """Capacity 0 selects no other engine: the resolved mode reads
         as on a cached database, and the route says what the executor

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.baselines.naive import NaiveStats, naive_enumerate
 from repro.baselines.oracle import oracle_answer_set
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.workloads.fraud import example9_automaton, example9_graph
 from repro.workloads.worstcase import duplicate_bomb
@@ -16,7 +16,7 @@ from tests.conftest import small_instances
 class TestExample9:
     def test_same_answer_set_as_engine(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         s, t = graph.vertex_id("Alix"), graph.vertex_id("Bob")
         naive = sorted(w.edges for w in naive_enumerate(cq, s, t))
         engine = sorted(
@@ -29,7 +29,7 @@ class TestExample9:
 
     def test_duplicate_accounting(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         s, t = graph.vertex_id("Alix"), graph.vertex_id("Bob")
         stats = NaiveStats()
         outputs = list(naive_enumerate(cq, s, t, stats))
@@ -43,7 +43,7 @@ class TestDuplicateBomb:
     def test_exponential_paths_single_output(self):
         """m^k product paths collapse to one walk (EXP-NAIVE)."""
         graph, nfa, s, t = duplicate_bomb(5, 3)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         stats = NaiveStats()
         outputs = list(
             naive_enumerate(
@@ -56,7 +56,7 @@ class TestDuplicateBomb:
 
     def test_cap_raises(self):
         graph, nfa, s, t = duplicate_bomb(6, 3)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         with pytest.raises(RuntimeError, match="exceeded"):
             list(
                 naive_enumerate(
@@ -71,7 +71,7 @@ class TestDuplicateBomb:
 class TestEdgeCases:
     def test_no_matching_walk(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         stats = NaiveStats()
         out = list(
             naive_enumerate(
@@ -89,7 +89,7 @@ class TestEdgeCases:
         nfa.add_transition(0, "h", 0)
         nfa.set_initial(0)
         nfa.set_final(0)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         alix = graph.vertex_id("Alix")
         stats = NaiveStats()
         out = list(naive_enumerate(cq, alix, alix, stats))
@@ -112,7 +112,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, instance):
         graph, nfa, s, t = instance
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         got = sorted(w.edges for w in naive_enumerate(cq, s, t))
         assert got == oracle_answer_set(graph, nfa, s, t)
 
@@ -120,7 +120,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_stats_invariants(self, instance):
         graph, nfa, s, t = instance
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         stats = NaiveStats()
         outputs = list(naive_enumerate(cq, s, t, stats))
         assert stats.outputs == len(outputs)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from repro.baselines.untrimmed import UntrimmedStats, enumerate_untrimmed
 from repro.core.annotate import annotate
 from repro.core.cheapest import DistinctCheapestWalks, cheapest_annotate
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.builder import GraphBuilder
 from repro.workloads.fraud import example9_automaton, example9_graph
@@ -88,7 +88,7 @@ class TestDecoyScaling:
 class TestEdgeCases:
     def test_no_matching_walk(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         bob, alix = graph.vertex_id("Bob"), graph.vertex_id("Alix")
         ann = annotate(cq, bob, alix)
         out = list(
@@ -104,7 +104,7 @@ class TestEdgeCases:
         nfa.add_transition(0, "h", 0)
         nfa.set_initial(0)
         nfa.set_final(0)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         alix = graph.vertex_id("Alix")
         ann = annotate(cq, alix, alix)
         out = list(
@@ -135,7 +135,7 @@ class TestCheapestVariant:
         cheap = DistinctCheapestWalks(graph, nfa, "a", "c")
         expected = sorted(w.edges for w in cheap.enumerate())
 
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         a, c = graph.vertex_id("a"), graph.vertex_id("c")
         ann = cheapest_annotate(cq, a, c)
         cost_arr = graph.cost_array

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from repro.automata.nfa import NFA
 from repro.baselines.paper_pipeline import recursive_walks
+from repro.core.annotate import annotate
+from repro.core.cheapest import cheapest_annotate
 from repro.core.engine import DistinctShortestWalks
+from repro.core.enumerate import enumerate_walks
+from repro.core.trim import trim
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
 from repro.workloads.fraud import example9_automaton, example9_graph
@@ -171,3 +175,22 @@ def mode_walks(graph, query, source, target, mode):
     return DistinctShortestWalks(
         graph, query, source, target, mode=mode
     ).enumerate()
+
+
+def packed_walks(cq, source, target, cheapest=False):
+    """``(λ, walk sequence)`` of annotate → trim → enumerate over an
+    already compiled query — one leg of the *merged == as-written*
+    columns, which run it over ``compile_query`` and over
+    ``compile_epsilon_free`` and want the two equal (``cheapest``:
+    Dijkstra budgets over the graph's edge costs)."""
+    graph = cq.graph
+    if cheapest:
+        ann = cheapest_annotate(cq, source, target)
+        cost_of = graph.cost_array.__getitem__
+    else:
+        ann, cost_of = annotate(cq, source, target), None
+    walks = enumerate_walks(
+        graph, trim(graph, ann), ann.lam, target, ann.target_states,
+        cost_of=cost_of,
+    )
+    return ann.lam, [w.edges for w in walks]

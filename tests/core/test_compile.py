@@ -6,7 +6,7 @@ from repro.api import Database
 from repro.automata import ANY, EPSILON, NFA, regex_to_nfa, thompson_nfa
 from repro.automata.regex_parser import parse_rpq
 from repro.core.annotate import annotate
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
 from repro.graph.generators import chain, random_multilabel
@@ -115,8 +115,14 @@ class TestEpsilonElimination:
         nfa.add_transition(0, "h", 0)
         nfa.set_initial(0)
         nfa.set_final(1)
+        h = graph.label_id("h")
+        as_written = compile_epsilon_free(graph, nfa)
+        assert set(as_written.delta[0][h]) == {0, 1}
+        # Both states are initial and entered by ``0 -h->`` only: one
+        # class, kept under the final member's id.
         cq = compile_query(graph, nfa)
-        assert set(cq.delta[0][graph.label_id("h")]) == {0, 1}
+        assert cq.delta == ({}, {h: (1,)})
+        assert cq.initial_closure == frozenset({1})
 
     def test_opt_out(self, graph):
         nfa = thompson_nfa(parse_rpq("h s"))
@@ -182,11 +188,17 @@ class TestCoAccessibleTrim:
         assert cq.automaton is nfa
 
     def test_trim_shrinks_the_thompson_automaton(self):
+        """20 states as built, 7 co-accessible as written, 2 once the
+        states before ``c`` and the states after it are each one."""
         g = random_multilabel(30, 90, alphabet=("a", "b", "c"), seed=3)
-        cq = compile_query(g, regex_to_nfa("(a|b)* c (a|b|c)*"))
-        used = {q for q in range(cq.n_states) if cq.delta[q]} | cq.final
-        assert cq.n_states == 20
-        assert len(used) == 7
+        nfa = regex_to_nfa("(a|b)* c (a|b|c)*")
+        for compiled, size in (
+            (compile_epsilon_free(g, nfa), 7),
+            (compile_query(g, nfa), 2),
+        ):
+            used = {q for q in range(20) if compiled.delta[q]} | compiled.final
+            assert compiled.n_states == 20
+            assert len(used) == size
 
     def test_missing_label_empties_the_query(self):
         """Every accepting path needs ``d``, which no edge carries: no

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.baselines.naive import NaiveStats, naive_enumerate
 from repro.core.cheapest import DistinctCheapestWalks
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.count import (
     count_distinct_shortest,
     count_shortest_product_paths,
@@ -38,7 +38,7 @@ class TestExample9:
 
     def test_product_paths_match_naive(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         s, t = graph.vertex_id("Alix"), graph.vertex_id("Bob")
         stats = NaiveStats()
         list(naive_enumerate(cq, s, t, stats))
@@ -53,7 +53,7 @@ class TestExample9:
         per_walk = sum(
             mult for _, mult in engine.enumerate_with_multiplicity()
         )
-        cq = compile_query(example9_graph(), example9_automaton())
+        cq = compile_epsilon_free(example9_graph(), example9_automaton())
         graph = cq.graph
         lam, total = count_total_multiplicity(
             cq, graph.vertex_id("Alix"), graph.vertex_id("Bob")
@@ -74,7 +74,7 @@ class TestAstronomicalCounts:
 
     def test_duplicate_bomb_blowup_ratio(self):
         graph, nfa, s, t = duplicate_bomb(30, 3)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         si, ti = graph.vertex_id(s), graph.vertex_id(t)
         lam, paths = count_shortest_product_paths(cq, si, ti)
         assert lam == 30
@@ -90,7 +90,7 @@ class TestEdgeCases:
             graph, example9_automaton(), "Bob", "Alix"
         )
         assert engine.count(method="dp") == 0
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         bob, alix = graph.vertex_id("Bob"), graph.vertex_id("Alix")
         assert count_shortest_product_paths(cq, bob, alix) == (None, 0)
         assert count_total_multiplicity(cq, bob, alix) == (None, 0)
@@ -105,7 +105,7 @@ class TestEdgeCases:
         nfa.set_final(0)
         engine = DistinctShortestWalks(graph, nfa, "Alix", "Alix")
         assert engine.count(method="dp") == 1
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         alix = graph.vertex_id("Alix")
         assert count_shortest_product_paths(cq, alix, alix) == (0, 1)
         assert count_total_multiplicity(cq, alix, alix) == (0, 1)
@@ -167,7 +167,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_product_paths_match_naive_counters(self, instance):
         graph, nfa, s, t = instance
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         stats = NaiveStats()
         outputs = list(naive_enumerate(cq, s, t, stats))
         lam, paths = count_shortest_product_paths(cq, s, t)
@@ -184,7 +184,7 @@ class TestProperties:
         per_walk = sum(
             mult for _, mult in engine.enumerate_with_multiplicity()
         )
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         _, total = count_total_multiplicity(cq, s, t)
         assert total == per_walk
 
@@ -195,7 +195,7 @@ class TestProperties:
         graph, nfa, s, t = instance
         engine = DistinctShortestWalks(graph, nfa, s, t)
         distinct = engine.count(method="dp")
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         lam, paths = count_shortest_product_paths(cq, s, t)
         _, total = count_total_multiplicity(cq, s, t)
         if lam == 0:

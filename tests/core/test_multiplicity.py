@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.multiplicity import count_accepting_runs
 from repro.exceptions import QueryError
@@ -26,25 +26,25 @@ class TestExample9:
 
     def test_w4_has_three_runs(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         # w4 = ⟨e2, e4, e8⟩ carries shh, hhs, shs — three runs.
         assert count_accepting_runs(cq, _edges("e2", "e4", "e8")) == 3
 
     def test_w1_w2_w3(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         assert count_accepting_runs(cq, _edges("e1", "e5", "e8")) == 1
         assert count_accepting_runs(cq, _edges("e1", "e6", "e8")) == 2
         assert count_accepting_runs(cq, _edges("e2", "e3", "e7")) == 2
 
     def test_non_matching_walk_has_zero(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         assert count_accepting_runs(cq, _edges("e1", "e7")) == 0
 
     def test_empty_walk(self):
         graph = example9_graph()
-        cq = compile_query(graph, example9_automaton())
+        cq = compile_epsilon_free(graph, example9_automaton())
         assert count_accepting_runs(cq, ()) == 0  # ε ∉ L.
 
     def test_engine_integration(self):
@@ -103,7 +103,7 @@ class TestAmbiguousCounting:
         nfa.add_transition(2, "a", 3)
         nfa.set_initial(0)
         nfa.set_final(3)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         assert count_accepting_runs(cq, (0, 1)) == 2
 
     def test_labels_multiply_runs(self):
@@ -119,7 +119,7 @@ class TestAmbiguousCounting:
         nfa.add_transition(0, "b", 1)
         nfa.set_initial(0)
         nfa.set_final(1)
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
         assert count_accepting_runs(cq, (0,)) == 2
 
 
@@ -224,3 +224,104 @@ class TestTrackedRuns:
             for w, m in engine.enumerate_with_multiplicity(method="tracked")
         ]
         assert tracked == recomputed
+
+
+def _brute_force_runs(graph, nfa, edges):
+    """(word, run) pairs accepting the walk, one transition at a time —
+    no compile, no DP.  ``nfa`` must be ε-free."""
+    transitions = list(nfa.transitions())
+
+    def runs_from(state, i):
+        if i == len(edges):
+            return int(state in nfa.final)
+        labels = graph.label_names_of(edges[i])
+        return sum(
+            runs_from(p, i + 1)
+            for q, label, p in transitions
+            if q == state and label in labels
+        )
+
+    return sum(runs_from(q, 0) for q in nfa.initial)
+
+
+class TestAcrossTheMerge:
+    """The query compile merges same-past states; run counts belong to
+    the automaton as written and must not notice (a tracked count
+    seeded from the merged certificate answers 1 on the first case)."""
+
+    CASES = {
+        # Two final states entered by the very same transition.
+        "same-past finals": ("a | a", 2),
+        # Glushkov's complete 3-position loop: wide_nfa(3) as a regex.
+        "complete loop": ("(a | a | a)*", 3 ** 4),
+    }
+
+    @staticmethod
+    def _instance(name):
+        from repro.automata import regex_to_nfa
+        from repro.graph.generators import chain
+        from repro.workloads.worstcase import diamond_chain
+
+        expression, runs = TestAcrossTheMerge.CASES[name]
+        nfa = regex_to_nfa(expression, method="glushkov")
+        assert not nfa.has_epsilon
+        if name == "same-past finals":
+            return chain(1, ("a",)), nfa, "v0", "v1", expression, runs
+        graph, _, s, t = diamond_chain(4)
+        return graph, nfa, s, t, expression, runs
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_engine_tracked_recompute_and_brute_force_agree(self, name):
+        graph, nfa, s, t, _, runs = self._instance(name)
+        merged = compile_query(graph, nfa).live_states
+        assert merged[1] < merged[0]  # The merge does bite here.
+        engine = DistinctShortestWalks(graph, nfa, s, t)
+        recomputed = list(engine.enumerate_with_multiplicity("recompute"))
+        tracked = list(engine.enumerate_with_multiplicity("tracked"))
+        assert [(w.edges, m) for w, m in tracked] == [
+            (w.edges, m) for w, m in recomputed
+        ]
+        assert tracked
+        for walk, multiplicity in tracked:
+            assert multiplicity == runs
+            assert multiplicity == _brute_force_runs(graph, nfa, walk.edges)
+        assert engine.count("dp") == engine.count("enumerate") == len(tracked)
+
+    def test_wide_nfa_on_the_diamond_chain(self):
+        from repro.workloads.worstcase import diamond_chain, wide_nfa
+
+        graph, _, s, t = diamond_chain(4)
+        nfa = wide_nfa(3, ("a",))
+        engine = DistinctShortestWalks(graph, nfa, s, t)
+        tracked = list(engine.enumerate_with_multiplicity("tracked"))
+        assert len(tracked) == engine.count("dp") == 2 ** 4
+        assert [m for _, m in tracked] == [
+            m for _, m in engine.enumerate_with_multiplicity("recompute")
+        ]
+        for walk, multiplicity in tracked:
+            assert multiplicity == 3 ** 4
+            assert multiplicity == _brute_force_runs(graph, nfa, walk.edges)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_facade_and_jsonl_request(self, name):
+        from repro.api import Database
+        from repro.service import QueryRequest, QueryService
+
+        graph, nfa, s, t, expression, runs = self._instance(name)
+        query = Database(graph).query(expression).construction("glushkov")
+        query = query.from_(s).to(t)
+        rows = query.with_multiplicity().run().all()
+        assert rows and all(row.multiplicity == runs for row in rows)
+        assert query.count("dp") == query.count("enumerate") == len(rows)
+        # The JSONL protocol carries no multiplicities: the request
+        # must simply not notice the merge.
+        service = QueryService()
+        service.register_graph("g", graph)
+        response = service.execute(QueryRequest.from_dict({
+            "query": expression, "construction": "glushkov",
+            "source": s, "target": t, "graph": "g",
+        }))
+        assert response.status == "ok", response.error
+        assert [tuple(w["edges"]) for w in response.walks] == [
+            row.walk.edges for row in rows
+        ]

@@ -1,14 +1,16 @@
 """Timing-free guard on the size of the product ``Annotate`` walks.
 
-``compile_query`` keeps only co-accessible states, so the BFS never
-creates a product node no accepting run passes through.  These counts
+Both compiles keep only co-accessible states, so the BFS never creates
+a product node no accepting run passes through; ``compile_query`` also
+merges the states with the same past, so it creates one node where the
+automaton as written spells a class out several times.  These counts
 are exact and machine-independent; they move only when the compiled
 automaton (or what ``Annotate`` logs per product edge) changes.
 """
 
 from repro.automata import regex_to_nfa
 from repro.core.annotate import annotate
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
 from repro.graph.generators import chain
@@ -16,20 +18,26 @@ from repro.workloads.worstcase import diamond_chain
 
 
 def test_chain_product_has_no_dead_nodes():
-    """``(a|b)*`` (Thompson, 8 states) keeps 3 live states: the ``a``
-    and ``b`` sources and the final state.  Per hop: 2 parallel edges
-    × 2 firing (state, label) pairs × 3 live targets = 12 entries, and
-    3 states × 2 in-edges = 6 Trim cells.  Untrimmed: 24 and 14."""
+    """``(a|b)*`` (Thompson, 8 states) keeps 3 live states as written:
+    the ``a`` and ``b`` sources and the final state.  Per hop: 2
+    parallel edges × 2 firing (state, label) pairs × 3 live targets =
+    12 entries, and 3 states × 2 in-edges = 6 Trim cells.  Untrimmed:
+    24 and 14.  The three have one past, so the query compile runs one
+    state: 2 edges × 2 labels × 1 target = 4 entries, 2 cells."""
     hops = 50
     graph = chain(hops, ("a", "b"), parallel=2)
-    cq = compile_query(graph, regex_to_nfa("(a|b)*"))
+    nfa = regex_to_nfa("(a|b)*")
     source = graph.resolve_vertex("v0")
     target = graph.resolve_vertex(f"v{hops}")
-    for saturate in (False, True):
-        annotation = annotate(cq, source, target, saturate=saturate)
-        assert annotation.annotation_entries() == 12 * hops
-        assert trim(graph, annotation).total_items() == 6 * hops
-        assert annotation.target_info(target)[0] == hops
+    for cq, entries, cells in (
+        (compile_epsilon_free(graph, nfa), 12, 6),
+        (compile_query(graph, nfa), 4, 2),
+    ):
+        for saturate in (False, True):
+            annotation = annotate(cq, source, target, saturate=saturate)
+            assert annotation.annotation_entries() == entries * hops
+            assert trim(graph, annotation).total_items() == cells * hops
+            assert annotation.target_info(target)[0] == hops
 
 
 def test_diamond_walks_and_order_unchanged():

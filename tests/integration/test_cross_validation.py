@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.baselines.martens_trautner import martens_trautner_walks
 from repro.baselines.naive import naive_enumerate
 from repro.baselines.oracle import oracle_answer_set
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free
 from repro.core.engine import DistinctShortestWalks
 from repro.query import rpq
 
@@ -31,7 +31,7 @@ class TestAllAlgorithmsAgree:
     @settings(max_examples=80, deadline=None)
     def test_engine_vs_all_baselines(self, instance):
         graph, nfa, s, t = instance
-        cq = compile_query(graph, nfa)
+        cq = compile_epsilon_free(graph, nfa)
 
         oracle = oracle_answer_set(graph, nfa, s, t)
         engine = sorted(

@@ -138,6 +138,15 @@ class TestExecutorSpanShapes:
         annotate = _span_by_name(spans, "annotate")
         assert annotate["tags"]["cached"] is False
 
+    def test_compile_span_says_what_was_compiled(self, service):
+        """Thompson's ``h* s (h | s)*``: 14 states as built, 5 of them
+        co-accessible, 2 classes of same-past states."""
+        _run(service)
+        spans = service.obs.slowlog.entries()[-1]["spans"]
+        assert _span_by_name(spans, "compile")["tags"] == {
+            "states": 14, "co_accessible": 5, "merged": 2,
+        }
+
     @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
     def test_warm_request_collapses_to_cached_annotate(self, service, mode):
         _run(service, mode=mode)

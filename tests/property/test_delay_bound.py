@@ -17,7 +17,7 @@ pinned beside the bounds.
 import pytest
 from hypothesis import given, settings
 
-from repro.automata import regex_to_nfa
+from repro.automata import NFA, regex_to_nfa
 from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.enumerate import enumerate_walks
@@ -136,10 +136,31 @@ class TestExactReadCounts:
         assert _column_reads(*diamond_chain(10)) == (1024, 0, 2046)
 
     def test_two_state_frames_merge_as_before(self):
-        """Thompson's ``(a|b)*`` leaves a two-state certificate at every
-        hop: below the root every frame merges, with the reads the
-        merge has always made — 500 with a merging root, less the 4 of
-        the root frame, whose certificate is the one final state."""
+        """``(a|b)* a (a|b)*`` written with its two states: the loop
+        state and the state after the ``a`` have different pasts (the
+        compile merges nothing) and share every vertex, so below the
+        root every frame merges a two-state certificate, with the reads
+        the merge has always made — 500 with a merging root, less the 4
+        of the root frame, whose certificate is the one final state."""
+        nfa = NFA(2)
+        for label in "ab":
+            nfa.add_transition(0, label, 0)
+            nfa.add_transition(1, label, 1)
+        nfa.add_transition(0, "a", 1)
+        nfa.set_initial(0)
+        nfa.set_final(1)
+        graph = chain(6, ("a", "b"), parallel=2)
+        assert _column_reads(graph, nfa, "v0", "v6") == (64, 500 - 4, 126)
+        # Thompson's 6 co-accessible states of the same expression merge
+        # down to those two (1 224 reads on the automaton as written).
+        thompson = regex_to_nfa("(a|b)* a (a|b)*")
+        assert compile_query(graph, thompson).live_states == (6, 2)
+        assert _column_reads(graph, thompson, "v0", "v6") == (64, 496, 126)
+
+    def test_thompson_star_frames_are_singletons_now(self):
+        """Thompson's ``(a|b)*`` used to leave the certificate {4, 6}
+        at every hop (496 ``TgtIdx`` reads here); its three live states
+        have one past, so every frame is a one-state frame."""
         graph = chain(6, ("a", "b"), parallel=2)
         reads = _column_reads(graph, regex_to_nfa("(a|b)*"), "v0", "v6")
-        assert reads == (64, 500 - 4, 126)
+        assert reads == (64, 0, 126)

@@ -36,6 +36,12 @@ shares no structure with them (dicts, queue objects, cons-lists), so
 their agreement in λ **and** output order checks the packed layout to
 be behaviorally invisible on every random instance.
 
+The **merged == as-written** column: the engines run the same-past
+quotient ``compile_query`` emits; the packed pipeline run cold over
+``compile_epsilon_free`` — the automaton as written, which is also what
+the ``recursive`` column compiles — must give the same λ and the same
+walk *sequence* (the cheapest-walk leg repeats it on the costed copy).
+
 The **resumed** column: for every case and each general mode,
 ``enumerate(resume_after=w_k)`` — k drawn from a PRNG derived from the
 case seed, plus the last output — must yield exactly the one-shot tail
@@ -82,11 +88,13 @@ from repro.baselines.paper_pipeline import (
     enumerate_walks_recursive,
     trim_maps,
 )
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.restricted import restriction_predicate
 from repro.query import rpq
 from repro.query.plan import simple_eligible
+
+from tests.conftest import packed_walks
 
 _MODES = ("iterative", "memoryless", "auto")
 
@@ -198,9 +206,10 @@ def test_modes_agree(case: int) -> None:
 
     # The fourth column: the paper's pipeline on the paper's structures
     # (map-building annotate → dict trim → recursive DFS on queue
-    # objects).  The engines above all ran on the packed arrays; this
-    # column shares none of that code.
-    ref_ann = annotate_reference(compile_query(graph, nfa), source, target)
+    # objects) and on the automaton as written.  The engines above all
+    # ran on the packed arrays; this column shares none of that code.
+    written = compile_epsilon_free(graph, nfa)
+    ref_ann = annotate_reference(written, source, target)
     check(
         "recursive",
         ref_ann.lam,
@@ -221,6 +230,12 @@ def test_modes_agree(case: int) -> None:
     assert outputs["iterative"] == outputs["memoryless"], context
     # …and "auto" is the iterative engine, on every case.
     assert outputs["auto"] == outputs["iterative"], context
+    # Merged == as-written: the one packed pipeline over both compiles.
+    assert (
+        packed_walks(written, source, target)
+        == packed_walks(compile_query(graph, nfa), source, target)
+        == (lam, outputs["iterative"])
+    ), f"merged compile differs from the automaton as written ({context})"
     # The folklore product-BFS baseline, where its setting applies:
     # another traversal order, the same set.
     if simple_eligible(graph, nfa):
@@ -285,6 +300,14 @@ def test_cheapest_resumed_equals_one_shot(case: int) -> None:
     sequence = one_shot["iterative"]
     assert one_shot["memoryless"] == sequence, context
     assert len({sum(costed.cost(e) for e in w) for w in sequence}) <= 1
+    # Merged == as-written under Dijkstra budgets.
+    nfa = rpq(expression).automaton
+    merged = packed_walks(compile_query(costed, nfa), source, target, True)
+    written = compile_epsilon_free(costed, nfa)
+    assert merged[1] == sequence, context
+    assert merged == packed_walks(written, source, target, True), (
+        f"merged compile differs from the automaton as written ({context})"
+    )
     if sequence:
         for k in _resume_points(seed, len(sequence)):
             _check_facade_cursor_portability(query, sequence, k, context)

@@ -28,6 +28,11 @@ Per query step, the façade's answers on the live graph are checked in
   mapping-form pipeline on the same live graph, raw edge id for raw
   edge id: stale-but-kept packed cache entries and packed/dict layout
   divergences both fail here;
+* **merged == as-written column** — the façade runs the same-past
+  quotient ``compile_query`` emits; the packed pipeline run cold on the
+  live graph over ``compile_epsilon_free`` (the automaton as written)
+  must give the same λ and the same raw-edge-id sequence, after every
+  mutation prefix;
 * **semantics column** — the same query under ``trails`` / ``simple``
   (vs :func:`repro.baselines.oracle.oracle_restricted_set` on the
   rebuilt graph) and ``any`` (witness validity + λ): cached
@@ -67,7 +72,7 @@ from repro.baselines.paper_pipeline import (
     enumerate_walks_recursive,
     trim_maps,
 )
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.database import Graph
 from repro.live import (
@@ -78,6 +83,8 @@ from repro.live import (
     SetEdgeLabels,
 )
 from repro.query import rpq
+
+from tests.conftest import packed_walks
 
 _ALPHABET = ("a", "b", "c")
 _EXTRA_LABELS = ("n0", "n1")  # Drawn occasionally: label-universe growth.
@@ -242,6 +249,14 @@ def test_interleaving(case: int) -> None:
         ]
         assert ref_edges == per_mode["iterative"], (
             f"packed cached pipeline differs from mapping replay ({context})"
+        )
+
+        # Merged == as-written, on the mutated overlay.
+        written = compile_epsilon_free(live, nfas[expression])
+        assert packed_walks(
+            written, live.resolve_vertex(source), live.resolve_vertex(target)
+        ) == (oracle_lam, per_mode["iterative"]), (
+            f"merged compile differs from the automaton as written ({context})"
         )
 
         # The semantics column: restricted and any-walk answers must

