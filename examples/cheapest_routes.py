@@ -72,8 +72,7 @@ def main() -> None:
         print(f"  {walk.describe()}")
 
     # At scale: the same policies over a generated 200-city network
-    # (ring of train/bus legs + flight hubs).  The decrease-key pairing
-    # heap is a drop-in alternative to the default binary heap.
+    # (ring of train/bus legs + flight hubs).
     from repro.workloads.transport import (
         TRANSPORT_QUERIES,
         antipodal_pair,
@@ -84,9 +83,7 @@ def main() -> None:
     src, tgt = antipodal_pair(big)
     print(f"\ngenerated network: {big} — {src} → {tgt}")
     for name, expr in sorted(TRANSPORT_QUERIES.items()):
-        engine = DistinctCheapestWalks(
-            big, rpq(expr).automaton, src, tgt, heap="pairing"
-        )
+        engine = DistinctCheapestWalks(big, rpq(expr).automaton, src, tgt)
         count = engine.count(method="dp")
         print(
             f"  {name:<15} cheapest {str(engine.cheapest_cost):>5}, "

@@ -14,7 +14,14 @@
 * :mod:`repro.baselines.paper_pipeline` — Figure 2 transcribed on the
   paper's own structures (dict ``L``/``B``, restartable queues, skip
   arrays, recursive ``Enumerate``): the content and order oracle for
-  the packed pipeline of :mod:`repro.core`;
+  the packed pipeline of :mod:`repro.core`, and the only home of
+  Section 5.1's ε-native ``PossiblyVisit`` and of the pairing-heap arm
+  of the Dijkstra ``Annotate``;
+* :mod:`repro.baselines.cons_list`,
+  :mod:`repro.baselines.restartable_queue`,
+  :mod:`repro.baselines.resumable_index`,
+  :mod:`repro.baselines.pairing_heap` — the paper's Section 2.1
+  containers and the decrease-key heap that transcription runs on;
 * :mod:`repro.baselines.simple` — the folklore product-BFS enumerator
   for the "simpler setting" (single-labeled database, deterministic
   automaton): a cross-check there, and EXP-SIMPLE's comparison row;

@@ -4,13 +4,22 @@ Figure 2 states Annotate / Trim / Enumerate over per-vertex maps
 ``L_u``, ``B_u`` and queues ``C_u[p]``; Section 4.2 states
 ``ResumableTrim`` / ``NextOutput`` over skip-pointer arrays.  This
 module is that formulation, transcribed: dict-of-dicts ``L``/``B``
-built in place, :class:`~repro.datastructures.RestartableQueue` queues,
-:class:`~repro.datastructures.ResumableIndex` skip arrays, the
-recursive ``Enumerate`` on a cons-list.  :mod:`repro.core` stores the
-same data as flat packed arrays and shares no traversal, trim or
-enumeration code with this file (only the Dijkstra priority-queue
-adapters are imported); the test suite holds the two to identical annotation contents, walk sets
-and enumeration order, and step-counts the paper's delay bound on the
+built in place,
+:class:`~repro.baselines.restartable_queue.RestartableQueue` queues,
+:class:`~repro.baselines.resumable_index.ResumableIndex` skip arrays,
+the recursive ``Enumerate`` on a
+:class:`~repro.baselines.cons_list.ConsList`.  It is also the only
+home of what the paper states and production does not run: Section
+5.1's ε-native ``PossiblyVisit`` (run it on a
+``compile_query(..., eliminate_epsilon=False)``; it drops answers, see
+``tests/core/test_epsilon.py``) and both priority queues of the
+Dijkstra ``Annotate`` (``heap="binary"`` / ``"pairing"``, EXP-ABL-HEAP).
+:mod:`repro.core` stores the same data as flat packed arrays, accepts
+ε-free compiles only and has one queue; **nothing is shared** — no
+traversal, trim, enumeration, queue or container code, only the public
+input types (``CompiledQuery``, ``Walk``, ``PackedBack``).  The test
+suite holds the two to identical annotation contents, walk sets and
+enumeration order, and step-counts the paper's delay bound on the
 structures below.
 
 Stages (each consumes the previous one's plain output):
@@ -32,6 +41,7 @@ Nothing outside ``repro.baselines``, ``tests/``, ``benchmarks/`` and
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -48,18 +58,20 @@ from typing import (
     Tuple,
 )
 
-from repro.core._query_input import QueryLike, as_nfa
-from repro.core.cheapest import _HEAPS, _LazyBinaryQueue, _PairingQueue
+from repro.automata import NFA, regex_to_nfa
+from repro.baselines.cons_list import ConsList, nil
+from repro.baselines.pairing_heap import HeapNode, PairingHeap
+from repro.baselines.restartable_queue import RestartableQueue
+from repro.baselines.resumable_index import ResumableIndex
 from repro.core.compile import CompiledQuery, compile_epsilon_free
 from repro.core.walks import Walk
-from repro.datastructures.cons_list import ConsList, nil
 from repro.datastructures.packed import BackMap, LengthMap, PackedBack
-from repro.datastructures.restartable_queue import RestartableQueue
-from repro.datastructures.resumable_index import ResumableIndex
 from repro.exceptions import CostError, QueryError
 from repro.graph.database import Graph
 
 CostFn = Callable[[int], int]
+
+_HEAPS = ("binary", "pairing")
 
 #: Queue elements: (edge id, tuple of predecessor states).
 QueueItem = Tuple[int, Tuple[int, ...]]
@@ -262,6 +274,53 @@ def annotate_reference(
     )
 
 
+class _LazyBinaryQueue:
+    """``heapq`` with duplicate entries; the caller skips stale pops."""
+
+    __slots__ = ("_heap",)
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[int, int, int]] = []
+
+    def update(self, cost: int, v: int, q: int) -> None:
+        heapq.heappush(self._heap, (cost, v, q))
+
+    def pop(self) -> Tuple[int, int, int]:
+        return heapq.heappop(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+class _PairingQueue:
+    """Pairing heap with one live node per ``(v, q)`` (decrease-key).
+
+    No stale entries are ever popped, matching the Fredman–Tarjan
+    accounting the paper cites for the Dijkstra variant.
+    """
+
+    __slots__ = ("_heap", "_handles")
+
+    def __init__(self) -> None:
+        self._heap: PairingHeap[int, Tuple[int, int]] = PairingHeap()
+        self._handles: Dict[Tuple[int, int], HeapNode] = {}
+
+    def update(self, cost: int, v: int, q: int) -> None:
+        node = self._handles.get((v, q))
+        if node is None:
+            self._handles[(v, q)] = self._heap.push(cost, (v, q))
+        elif cost < node.key:
+            self._heap.decrease_key(node, cost)
+
+    def pop(self) -> Tuple[int, int, int]:
+        cost, (v, q) = self._heap.pop()
+        del self._handles[(v, q)]
+        return cost, v, q
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
 def cheapest_annotate_reference(
     cq: CompiledQuery,
     source: int,
@@ -275,6 +334,12 @@ def cheapest_annotate_reference(
     The correctness oracle for
     :func:`repro.core.cheapest.cheapest_annotate` (equivalence property
     tests); semantics are identical.
+
+    ``heap`` selects the priority queue: ``"binary"`` (lazy-deletion
+    ``heapq``, what production runs) or ``"pairing"`` (decrease-key
+    pairing heap, one live entry per product node — the structure the
+    paper's Fredman–Tarjan citation presumes).  Both produce the same
+    annotation content; EXP-ABL-HEAP times one against the other.
     """
     if heap not in _HEAPS:
         raise QueryError(f"unknown heap {heap!r}; expected one of {_HEAPS}")
@@ -714,13 +779,14 @@ def packed_from_maps(n: int, n_states: int, B: List[BackMap]) -> PackedBack:
 
 
 def recursive_walks(
-    graph: Graph, query: QueryLike, source: Hashable, target: Hashable
+    graph: Graph, query, source: Hashable, target: Hashable
 ) -> Iterator[Walk]:
     """``annotate_reference`` → ``trim_maps`` →
     ``enumerate_walks_recursive`` for one query, with the engine's
     input conventions (regex / AST / NFA; vertex names) — on the
     automaton as written, not on the engine's same-past quotient."""
-    cq = compile_epsilon_free(graph, as_nfa(query))
+    nfa = query if isinstance(query, NFA) else regex_to_nfa(query)
+    cq = compile_epsilon_free(graph, nfa)
     t = graph.resolve_vertex(target)
     ann = annotate_reference(cq, graph.resolve_vertex(source), t)
     return enumerate_walks_recursive(

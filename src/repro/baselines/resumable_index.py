@@ -3,7 +3,7 @@
 The memoryless variant of the algorithm (Theorem 18) must position a
 read cursor at "the first non-empty cell with index ≥ i" in O(1),
 without the mutable cursors of
-:class:`~repro.datastructures.restartable_queue.RestartableQueue`.
+:class:`~repro.baselines.restartable_queue.RestartableQueue`.
 
 The paper achieves this by storing, with every cell, a pointer to the
 next non-empty cell.  :class:`ResumableIndex` packages that idea: it is

@@ -2,9 +2,10 @@
 
 Module map (mirrors Figure 2 of the paper):
 
-* :mod:`repro.core.compile` — align an NFA with a database's label ids;
-* :mod:`repro.core.annotate` — the ``Annotate`` BFS (Section 3.1,
-  with Section 5.1's ε-handling built in);
+* :mod:`repro.core.compile` — align an NFA with a database's label
+  ids and close its ε-transitions; every traversal below accepts
+  ε-free compiles only (``CompiledQuery.require_epsilon_free``);
+* :mod:`repro.core.annotate` — the ``Annotate`` BFS (Section 3.1);
 * :mod:`repro.core.trim` — ``Trim`` (Section 3.2) and ``ResumableTrim``
   (Section 4.2);
 * :mod:`repro.core.enumerate` — ``Enumerate`` (Section 3.3), the one

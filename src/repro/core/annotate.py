@@ -17,15 +17,13 @@ target is reached in a final state — that level is λ.  With
 ``saturate=True`` it instead runs until no new ``(vertex, state)`` pair
 exists, which is the one-source-to-many-targets mode of Section 5.3.
 
-ε-transitions are eliminated on the fly, following Section 5.1's
-``PossiblyVisit``: whenever a state ``p`` is newly reached at ``u``,
-its ε-successors are reached too, with the *same* predecessor state and
-edge.  (The "already reached at this level" branch deliberately does
-not recurse — see the paper; completeness is preserved because the
-direct target state always ends up in the certificate set.)
+ε-transitions are closed at compile time
+(:mod:`repro.core.compile`); a compile that kept them is refused.
+Section 5.1's on-the-fly ``PossiblyVisit`` is transcribed, with the
+answers it drops, in :mod:`repro.baselines.paper_pipeline`.
 
-Complexity: O(|E| × |Δ|) plus O(|V| × |Δ_ε|) for ε-handling, i.e.
-O(|D| × |A|) overall — with |A| the *compiled* automaton, which keeps
+Complexity: O(|E| × |Δ|), i.e. O(|D| × |A|) — with |A| the *compiled*
+automaton, which keeps
 only co-accessible states and one state per class of same-past states
 (:mod:`repro.core.compile`): the traversal never creates a product
 node ``(u, p)`` from which no accepting run can continue, nor two
@@ -249,19 +247,8 @@ def annotate(
     pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))`` through the
     graph's CSR adjacency, recording ``B`` entries into the append-only
     packed log (no per-entry dict or list allocation).
-
-    Queries compiled with ``eliminate_epsilon=False`` take the
-    **edge-major** traversal (:func:`_annotate_eps_packed`): Section
-    5.1's ``PossiblyVisit`` propagates witnesses through ε-closures
-    only at *first* discovery, so its output depends on the edge visit
-    order — the ε path therefore scans in the paper's order (``Out(v)``
-    in edge order, the edge's labels in label order, an explicit
-    ε-closure stack).  The ε-eliminated default (the only mode the
-    engine uses) has no such order sensitivity and uses the
-    label-indexed CSR scan below.
     """
-    if cq.has_eps:
-        return _annotate_eps_packed(cq, source, target, saturate)
+    cq.require_epsilon_free()
     graph = cq.graph
     n = graph.vertex_count
     n_states = cq.n_states
@@ -385,141 +372,3 @@ def annotate(
         dist=dist,
         packed=packed,
     )
-
-
-def _annotate_eps_packed(
-    cq: CompiledQuery,
-    source: int,
-    target: Optional[int] = None,
-    saturate: bool = False,
-) -> Annotation:
-    """The packed ε-aware ``Annotate``: edge-major with ``PossiblyVisit``.
-
-    Scans in the paper's order (see :func:`annotate`'s docstring for
-    why the order is load-bearing under ε), carrying ``L`` as the flat
-    ``dist`` array and logging ``B`` entries into the append-only
-    packed log, so ε-queries get the same downstream pipeline as
-    ε-free ones.
-    """
-    graph = cq.graph
-    n = graph.vertex_count
-    n_states = cq.n_states
-    out = graph.out_array
-    tgt_arr = graph.tgt_array
-    ti_arr = graph.tgt_idx_array
-    labels_arr = graph.label_array
-    delta = cq.delta
-    eps = cq.eps
-    final = cq.final
-
-    dist = array("q", [-1]) * (n * n_states)
-    ent_key = array("q")
-    ent_ti = array("q")
-    ent_pred = array("q")
-    key_append = ent_key.append
-    ti_append = ent_ti.append
-    pred_append = ent_pred.append
-
-    next_pairs: List[Tuple[int, int]] = []
-    source_base = source * n_states
-    for p in sorted(cq.initial_closure):
-        dist[source_base + p] = 0
-        next_pairs.append((source, p))
-
-    def result(
-        lam: Optional[int],
-        target_states: FrozenSet[int],
-        saturated: bool,
-        steps: int,
-    ) -> Annotation:
-        return Annotation(
-            source=source,
-            target=target,
-            lam=lam,
-            target_states=target_states,
-            saturated=saturated,
-            steps=steps,
-            final=final,
-            initial_closure=cq.initial_closure,
-            dist=dist,
-            packed=PackedBack.from_entries(
-                n, n_states, ent_key, ent_ti, ent_pred
-            ),
-        )
-
-    # λ = 0 edge case: the trivial walk ⟨s⟩ matches iff ε ∈ L(A).
-    if (
-        target is not None
-        and target == source
-        and (cq.initial_closure & final)
-        and not saturate
-    ):
-        return result(0, frozenset(cq.initial_closure & final), False, 0)
-
-    stop = False
-    level = 0
-    while next_pairs and not stop:
-        level += 1
-        current, next_pairs = next_pairs, []
-        for v, q in current:
-            dq = delta[q]
-            for e in out[v]:
-                u = tgt_arr[e]
-                u_base = u * n_states
-                ti = ti_arr[e]
-                for a in labels_arr[e]:
-                    targets = dq.get(a)
-                    if not targets:
-                        continue
-                    for p in targets:
-                        known = dist[u_base + p]
-                        if known < 0:
-                            # First time state p is reached at vertex u.
-                            dist[u_base + p] = level
-                            next_pairs.append((u, p))
-                            if u == target and p in final and not saturate:
-                                stop = True
-                            key_append(u_base + p)
-                            ti_append(ti)
-                            pred_append(q)
-                            if eps[p]:
-                                # PossiblyVisit: ε-closure with the same
-                                # predecessor q and edge e.
-                                stack = list(eps[p])
-                                while stack:
-                                    r = stack.pop()
-                                    known_r = dist[u_base + r]
-                                    if known_r < 0:
-                                        dist[u_base + r] = level
-                                        next_pairs.append((u, r))
-                                        if (
-                                            u == target
-                                            and r in final
-                                            and not saturate
-                                        ):
-                                            stop = True
-                                        key_append(u_base + r)
-                                        ti_append(ti)
-                                        pred_append(q)
-                                        stack.extend(eps[r])
-                                    elif known_r == level:
-                                        key_append(u_base + r)
-                                        ti_append(ti)
-                                        pred_append(q)
-                        elif known == level:
-                            # Another walk of the same (minimal) length
-                            # reaches p at u: record the extra witness.
-                            key_append(u_base + p)
-                            ti_append(ti)
-                            pred_append(q)
-
-    if target is not None and not saturate:
-        if stop:
-            t_base = target * n_states
-            target_states = frozenset(
-                f for f in final if dist[t_base + f] == level
-            )
-            return result(level, target_states, False, level)
-        return result(None, frozenset(), False, level)
-
-    return result(None, frozenset(), True, level)

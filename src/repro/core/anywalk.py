@@ -25,10 +25,6 @@ merge of :mod:`repro.core.compile`) may change the witness — never its
 length, never its validity — and it was never promised to be the walk
 ``ALL SHORTEST`` enumerates first.
 
-ε-transitions are supported directly (``PossiblyVisit`` style: an
-ε-successor inherits its ancestor's parent pointer), so the fast path
-covers queries compiled with ``eliminate_epsilon=False`` too.
-
 The witness walk is shortest among *walks* — the any-walk λ equals the
 plain-walks λ.  Remark 17's distinct-walk count does not apply here:
 the answer is one walk, not an answer set (see
@@ -75,13 +71,12 @@ def any_walk_search(
     (only those targets appear in the result); with ``targets=None``
     it saturates and reports every vertex reachable in a final state.
     """
+    cq.require_epsilon_free()
     graph = cq.graph
     out = graph.out_array
     tgt_arr = graph.tgt_array
     labels_arr = graph.label_array
     delta = cq.delta
-    eps = cq.eps
-    has_eps = cq.has_eps
     final = cq.final
     wanted: Optional[Set[int]] = None if targets is None else set(targets)
 
@@ -124,16 +119,6 @@ def any_walk_search(
                         parent[(u, p)] = (v, q, e)
                         frontier.append((u, p))
                         record(u, p, level)
-                        if has_eps and eps[p]:
-                            stack = list(eps[p])
-                            while stack:
-                                r = stack.pop()
-                                if (u, r) in parent:
-                                    continue
-                                parent[(u, r)] = (v, q, e)
-                                frontier.append((u, r))
-                                record(u, r, level)
-                                stack.extend(eps[r])
 
     return {
         t: (lam_t, _reconstruct(parent, t, p) if lam_t else ())

@@ -33,69 +33,18 @@ pipeline.
 
 from __future__ import annotations
 
-import heapq
 from array import array
+from heapq import heappop, heappush
 from itertools import compress
 from operator import eq
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.annotate import Annotation
 from repro.core.compile import CompiledQuery
 from repro.core.engine import PreparedWalks
 from repro.core.walks import Walk
 from repro.datastructures.packed import PackedBack
-from repro.datastructures.pairing_heap import HeapNode, PairingHeap
-from repro.exceptions import CostError, QueryError
-from repro.graph.database import Graph
-
-_HEAPS = ("binary", "pairing")
-
-
-class _LazyBinaryQueue:
-    """``heapq`` with duplicate entries; the caller skips stale pops."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, int]] = []
-
-    def update(self, cost: int, v: int, q: int) -> None:
-        heapq.heappush(self._heap, (cost, v, q))
-
-    def pop(self) -> Tuple[int, int, int]:
-        return heapq.heappop(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
-class _PairingQueue:
-    """Pairing heap with one live node per ``(v, q)`` (decrease-key).
-
-    No stale entries are ever popped, matching the Fredman–Tarjan
-    accounting the paper cites for the Dijkstra variant.
-    """
-
-    __slots__ = ("_heap", "_handles")
-
-    def __init__(self) -> None:
-        self._heap: PairingHeap[int, Tuple[int, int]] = PairingHeap()
-        self._handles: Dict[Tuple[int, int], HeapNode] = {}
-
-    def update(self, cost: int, v: int, q: int) -> None:
-        node = self._handles.get((v, q))
-        if node is None:
-            self._handles[(v, q)] = self._heap.push(cost, (v, q))
-        elif cost < node.key:
-            self._heap.decrease_key(node, cost)
-
-    def pop(self) -> Tuple[int, int, int]:
-        cost, (v, q) = self._heap.pop()
-        del self._handles[(v, q)]
-        return cost, v, q
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+from repro.exceptions import CostError
 
 
 def cheapest_annotate(
@@ -103,7 +52,6 @@ def cheapest_annotate(
     source: int,
     target: Optional[int] = None,
     saturate: bool = False,
-    heap: str = "binary",
 ) -> Annotation:
     """Dijkstra-flavoured ``Annotate``: ``L`` maps hold minimal *costs*.
 
@@ -112,14 +60,13 @@ def cheapest_annotate(
     costlier estimate are dropped once the node settles, so Lemma 10's
     characterization carries over with "length" read as "cost".
 
-    ``heap`` selects the priority queue: ``"binary"`` (lazy-deletion
-    ``heapq``, the pragmatic default) or ``"pairing"`` (decrease-key
-    pairing heap, one live entry per product node — the structure the
-    paper's Fredman–Tarjan citation presumes).  Both produce the same
-    annotation content.
+    The priority queue is a lazy-deletion ``heapq``: an improvement
+    pushes a second entry and the stale one is skipped when popped.
+    (The decrease-key pairing heap the paper's Fredman–Tarjan citation
+    presumes is EXP-ABL-HEAP's other arm, on
+    :func:`repro.baselines.paper_pipeline.cheapest_annotate_reference`.)
     """
-    if heap not in _HEAPS:
-        raise QueryError(f"unknown heap {heap!r}; expected one of {_HEAPS}")
+    cq.require_epsilon_free()
     graph = cq.graph
     cost_arr = graph.cost_array
     if cost_arr and min(cost_arr) <= 0:
@@ -136,8 +83,6 @@ def cheapest_annotate(
     firing_sets = cq.firing_sets
     dense = cq.delta_dense
     n_labels = cq.label_count
-    eps = cq.eps
-    has_eps = cq.has_eps
     final = cq.final
 
     # L, flattened: dist[v * |Q| + p], -1 = unreached.
@@ -153,11 +98,11 @@ def cheapest_annotate(
     cost_append = ent_cost.append
     settled = bytearray(n * n_states)
 
-    queue = _PairingQueue() if heap == "pairing" else _LazyBinaryQueue()
+    queue: List[Tuple[int, int, int]] = []
     source_base = source * n_states
     for p in sorted(cq.initial_closure):
         dist[source_base + p] = 0
-        queue.update(0, source, p)
+        heappush(queue, (0, source, p))
 
     lam: Optional[int] = None
     if target is not None and target == source and (cq.initial_closure & final):
@@ -171,7 +116,7 @@ def cheapest_annotate(
             # Better estimate: the witnesses logged so far belong to
             # costlier walks and fail the final cost filter.
             dist[idx] = cost
-            queue.update(cost, u, p)
+            heappush(queue, (cost, u, p))
         elif cost != known:
             return
         key_append(idx)
@@ -181,7 +126,7 @@ def cheapest_annotate(
 
     steps = 0
     while queue and lam != 0:
-        cost, v, q = queue.pop()
+        cost, v, q = heappop(queue)
         vq = v * n_states + q
         if settled[vq] or dist[vq] != cost:
             continue  # Stale heap entry.
@@ -219,16 +164,6 @@ def cheapest_annotate(
                 ti = ti_arr[e]
                 for p in targets:
                     reach(u, p, q, ti, new_cost)
-                    if has_eps and eps[p]:
-                        stack = list(eps[p])
-                        seen = set(eps[p])
-                        while stack:
-                            r = stack.pop()
-                            reach(u, r, q, ti, new_cost)
-                            for r2 in eps[r]:
-                                if r2 not in seen:
-                                    seen.add(r2)
-                                    stack.append(r2)
 
     # Keep the witnesses of cost-minimal walks: one C-level sweep.
     keep = list(map(eq, ent_cost, map(dist.__getitem__, ent_key)))
@@ -291,20 +226,8 @@ class DistinctCheapestWalks(PreparedWalks):
 
     cheapest = True
 
-    def __init__(
-        self, graph: Graph, query, source, target, heap: str = "binary"
-    ) -> None:
-        if heap not in _HEAPS:
-            raise QueryError(
-                f"unknown heap {heap!r}; expected one of {_HEAPS}"
-            )
-        super().__init__(graph, query, source, target)
-        self.heap = heap
-
     def _annotate(self) -> Annotation:
-        return cheapest_annotate(
-            self._cq, self.source, self.target, heap=self.heap
-        )
+        return cheapest_annotate(self._cq, self.source, self.target)
 
     @property
     def cheapest_cost(self) -> Optional[int]:

@@ -63,7 +63,10 @@ answers (``tests/core/test_epsilon.py`` contains the regression).  We
 therefore ε-close the relation here, at query-compile time: this is
 equivalent to running the ε-free algorithm on the ε-eliminated
 automaton, costs nothing per database, and inflates |Δ| by at most a
-factor |Q| in the worst case.
+factor |Q| in the worst case.  ``eliminate_epsilon=False`` keeps the raw
+ε tables for the oracles (``repro.baselines``: the transcribed
+``PossiblyVisit``, the Martens–Trautner reduction); :mod:`repro.core`
+refuses such a compile (:meth:`CompiledQuery.require_epsilon_free`).
 """
 
 from __future__ import annotations
@@ -169,6 +172,20 @@ class CompiledQuery:
     def size(self) -> int:
         """The compiled ``|A| = |Q| + |Δ|`` (alphabet shared with D)."""
         return self.n_states + self.delta_size
+
+    def require_epsilon_free(self) -> None:
+        """Refuse a compile that kept ε: every :mod:`repro.core`
+        function handed a compiled query calls this first.  Section
+        5.1's ε-native traversal loses answers (module docstring), so
+        it runs only as the oracle's transcription,
+        :func:`repro.baselines.paper_pipeline.annotate_reference`."""
+        if self.has_eps:
+            raise QueryError(
+                "repro.core runs ε-free compiles only; compile with "
+                "compile_query(graph, automaton) (ε is closed at compile "
+                "time) — compile_query(..., eliminate_epsilon=False) is "
+                "for the oracles in repro.baselines"
+            )
 
     def __repr__(self) -> str:
         return (
@@ -326,7 +343,9 @@ def compile_query(
 
     With ``eliminate_epsilon=True`` (the default) the compiled ``delta``
     is ε-closed, ``eps`` is empty and same-past states are merged — see
-    the module docstring for why.  Either way only co-accessible states
+    the module docstring for why.  ``eliminate_epsilon=False`` keeps the
+    raw ε tables, which only the oracles traverse (every function of
+    :mod:`repro.core` refuses them).  Either way only co-accessible states
     keep transitions (same docstring); a query none of whose accepting
     paths survives the database's label set compiles to an empty
     ``initial_closure``.  Raises :class:`~repro.exceptions.QueryError`

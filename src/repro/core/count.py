@@ -38,7 +38,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.annotate import Annotation
 from repro.core.compile import CompiledQuery
-from repro.exceptions import QueryError
 
 #: Edge-cost callback; unit costs reproduce the paper's setting.
 CostFn = Callable[[int], int]
@@ -151,8 +150,7 @@ def count_shortest_product_paths(
     The ratio ``product_paths / count_distinct_shortest`` is the mean
     number of copies per answer that the naive baseline visits.
     """
-    if cq.has_eps:
-        raise QueryError("product-path counting expects an ε-free query")
+    cq.require_epsilon_free()
     graph = cq.graph
     out = graph.out_array
     tgt_arr = graph.tgt_array
@@ -223,8 +221,7 @@ def count_total_multiplicity(
     :func:`repro.core.multiplicity.count_accepting_runs` which it
     aggregates.  Returns ``(None, 0)`` when no walk matches.
     """
-    if cq.has_eps:
-        raise QueryError("multiplicity counting expects an ε-free query")
+    cq.require_epsilon_free()
     lam, _ = count_shortest_product_paths(cq, source, target)
     if lam is None:
         return None, 0

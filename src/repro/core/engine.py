@@ -90,10 +90,12 @@ class PreparedWalks:
         or a paper table that wants the automaton as written, by
         :func:`~repro.core.compile.compile_epsilon_free` — for this
         exact ``graph`` and ``query`` automaton (checked by identity:
-        label ids and ε-closures are graph- and automaton-specific)."""
+        label ids and ε-closures are graph- and automaton-specific),
+        with ε eliminated (the default)."""
         self.graph = graph
         self.automaton = as_nfa(query)
         if compiled is not None:
+            compiled.require_epsilon_free()
             if compiled.graph is not graph:
                 raise QueryError(
                     "compiled query belongs to a different graph"

@@ -37,7 +37,6 @@ from repro.core.compile import CompiledQuery
 from repro.core.enumerate import enumerate_walks
 from repro.core.walks import Walk
 from repro.datastructures.packed import PackedCells
-from repro.exceptions import QueryError
 from repro.graph.database import Graph
 
 
@@ -50,11 +49,7 @@ def count_accepting_runs(
     prefix ending in state ``q``; each edge multiplies by the number of
     labels that fire each transition.  O(λ × |Δ|).
     """
-    if cq.has_eps:
-        raise QueryError(
-            "multiplicities are defined on ε-free queries; "
-            "eliminate ε-transitions first (the engine does this for you)"
-        )
+    cq.require_epsilon_free()
     labels_arr = cq.graph.label_array
     delta = cq.delta
 
@@ -104,11 +99,7 @@ def enumerate_with_runs(
     within the O(λ × |A|) delay bound.  ``cq`` must be ε-free, like
     :func:`count_accepting_runs`.
     """
-    if cq.has_eps:
-        raise QueryError(
-            "multiplicities are defined on ε-free queries; "
-            "eliminate ε-transitions first (the engine does this for you)"
-        )
+    cq.require_epsilon_free()
     if lam is None or not start_states:
         return
     initial = cq.initial

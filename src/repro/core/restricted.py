@@ -90,15 +90,6 @@ def _step(
     for a in cq.graph.label_array[e]:
         for q in states:
             successors.update(delta[q].get(a, ()))
-    if cq.has_eps and successors:
-        eps = cq.eps
-        stack = list(successors)
-        while stack:
-            p = stack.pop()
-            for r in eps[p]:
-                if r not in successors:
-                    successors.add(r)
-                    stack.append(r)
     return frozenset(successors)
 
 
@@ -176,6 +167,7 @@ def restricted_lam(
     length-λ distinct shortest walks; it is only consumed until the
     first surviving output.
     """
+    cq.require_epsilon_free()
     if walk_lam is None:
         return None
     pred = restriction_predicate(kind, graph)
@@ -209,5 +201,8 @@ def fallback_walks(
     rlam: int,
 ) -> Iterator[Walk]:
     """The fallback regime's stream: all restricted answers at ``rλ``."""
-    for edges in _walks_at_depth(graph, cq, source, target, kind, rlam):
-        yield Walk.from_edges_unchecked(graph, edges, source)
+    cq.require_epsilon_free()
+    return (
+        Walk.from_edges_unchecked(graph, edges, source)
+        for edges in _walks_at_depth(graph, cq, source, target, kind, rlam)
+    )

@@ -7,16 +7,18 @@ within a cell is unspecified), ``lam`` and ``target_states`` — as the
 on random graphs × random automata, in both the target-stopped and the
 saturating mode.
 
-One documented exception: with the **pairing heap** in target mode,
-``L``/``B`` entries for product pairs *beyond* λ may differ.  Once λ is
-known, relaxations of cost > λ are pruned, and whether a tied pop (cost
-= λ) happens before or after the target's pop depends on heap insertion
-order — which legitimately differs between the edge-major and
-label-major relaxation sequences.  Entries beyond λ are dead weight the
-enumeration can never reach (the budget hits zero first), so the test
-compares the two annotations restricted to entries of cost ≤ λ and
-additionally checks the enumerated walk sets match exactly.  The binary
-heap pops ties in deterministic ``(cost, v, q)`` order, so it is exact.
+Production has one priority queue (lazy-deletion ``heapq``); the
+reference keeps both arms (``heap="binary"`` / ``"pairing"``) and each
+is held to the production annotation.  One documented exception: against
+the **pairing heap** in target mode, ``L``/``B`` entries for product
+pairs *beyond* λ may differ.  Once λ is known, relaxations of cost > λ
+are pruned, and whether a tied pop (cost = λ) happens before or after
+the target's pop depends on heap insertion order.  Entries beyond λ are
+dead weight the enumeration can never reach (the budget hits zero
+first), so the test compares the two annotations restricted to entries
+of cost ≤ λ and additionally checks the enumerated walk sets match
+exactly.  The binary heap pops ties in deterministic ``(cost, v, q)``
+order, so it is exact.
 """
 
 from __future__ import annotations
@@ -123,18 +125,6 @@ class TestAnnotateEquivalence:
             annotate_reference(cq, s, saturate=True),
         )
 
-    @given(small_instances(allow_epsilon=True))
-    @settings(**_SETTINGS)
-    def test_epsilon_queries_delegate(self, instance):
-        """With explicit ε (eliminate_epsilon=False) the indexed entry
-        point must behave exactly like the reference — PossiblyVisit's
-        output is visit-order-sensitive, so the fast path defers."""
-        graph, nfa, s, t = instance
-        cq = compile_query(graph, nfa, eliminate_epsilon=False)
-        assert_same_annotation(
-            annotate(cq, s, t), annotate_reference(cq, s, t)
-        )
-
 
 class TestCheapestEquivalence:
     @given(costed_instances())
@@ -143,7 +133,7 @@ class TestCheapestEquivalence:
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
         assert_same_annotation(
-            cheapest_annotate(cq, s, t, heap="binary"),
+            cheapest_annotate(cq, s, t),
             cheapest_annotate_reference(cq, s, t, heap="binary"),
         )
 
@@ -154,7 +144,7 @@ class TestCheapestEquivalence:
         cq = compile_query(graph, nfa)
         for heap in ("binary", "pairing"):
             assert_same_annotation(
-                cheapest_annotate(cq, s, saturate=True, heap=heap),
+                cheapest_annotate(cq, s, saturate=True),
                 cheapest_annotate_reference(cq, s, saturate=True, heap=heap),
             )
 
@@ -163,7 +153,7 @@ class TestCheapestEquivalence:
     def test_target_mode_pairing_up_to_lam(self, instance):
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
-        got = cheapest_annotate(cq, s, t, heap="pairing")
+        got = cheapest_annotate(cq, s, t)
         want = cheapest_annotate_reference(cq, s, t, heap="pairing")
         assert_same_up_to_lam(got, want)
         # Beyond-λ entries are unreachable: the answers must agree.

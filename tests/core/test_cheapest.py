@@ -5,6 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata import NFA, regex_to_nfa
+from repro.baselines.paper_pipeline import (
+    cheapest_annotate_reference,
+    enumerate_walks_recursive,
+    trim_maps,
+)
 from repro.core.cheapest import DistinctCheapestWalks, cheapest_annotate
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
@@ -224,6 +229,10 @@ class TestCheapestAnnotate:
 
 
 class TestHeapSelection:
+    """Production has one queue (lazy-deletion ``heapq``); the pairing
+    arm lives on the oracle, ``cheapest_annotate_reference(heap=…)``,
+    and is held to the production annotation here."""
+
     def _random_cost_instance(self, seed, n=8, m=20):
         import random
 
@@ -246,11 +255,19 @@ class TestHeapSelection:
         """Both priority queues yield the same answers and λ."""
         graph = self._random_cost_instance(seed)
         nfa = _accept_all_nfa(("a", "b"))
-        binary = DistinctCheapestWalks(graph, nfa, "v0", "v1", heap="binary")
-        pairing = DistinctCheapestWalks(graph, nfa, "v0", "v1", heap="pairing")
-        assert binary.cheapest_cost == pairing.cheapest_cost
+        binary = DistinctCheapestWalks(graph, nfa, "v0", "v1")
+        t = graph.vertex_id("v1")
+        pairing = cheapest_annotate_reference(
+            compile_query(graph, nfa), graph.vertex_id("v0"), t,
+            heap="pairing",
+        )
+        assert binary.cheapest_cost == pairing.lam
         assert [w.edges for w in binary.enumerate()] == [
-            w.edges for w in pairing.enumerate()
+            w.edges
+            for w in enumerate_walks_recursive(
+                graph, trim_maps(graph, pairing), pairing.lam, t,
+                pairing.target_states, cost_of=graph.cost,
+            )
         ]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -265,8 +282,8 @@ class TestHeapSelection:
         graph = self._random_cost_instance(seed, n=6, m=15)
         nfa = _accept_all_nfa(("a", "b"))
         cq = compile_query(graph, nfa)
-        ann_b = cheapest_annotate(cq, 0, 1, heap="binary")
-        ann_p = cheapest_annotate(cq, 0, 1, heap="pairing")
+        ann_b = cheapest_annotate(cq, 0, 1)
+        ann_p = cheapest_annotate_reference(cq, 0, 1, heap="pairing")
         assert ann_b.lam == ann_p.lam
         if ann_b.lam is None:
             return
@@ -290,7 +307,8 @@ class TestHeapSelection:
 
         builder = GraphBuilder()
         builder.add_edge("a", "b", ["x"], cost=1)
+        graph = builder.build()
         with pytest.raises(QueryError, match="heap"):
-            DistinctCheapestWalks(
-                builder.build(), regex_to_nfa("x"), "a", "b", heap="fib"
+            cheapest_annotate_reference(
+                compile_query(graph, regex_to_nfa("x")), 0, 1, heap="fib"
             )

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.baselines.naive import NaiveStats, naive_enumerate
 from repro.core.cheapest import DistinctCheapestWalks
-from repro.core.compile import compile_epsilon_free, compile_query
+from repro.core.compile import compile_epsilon_free
 from repro.core.count import (
     count_distinct_shortest,
     count_shortest_product_paths,
@@ -116,18 +116,6 @@ class TestEdgeCases:
         )
         with pytest.raises(QueryError, match="count method"):
             engine.count(method="bogus")
-
-    def test_epsilon_query_rejected_by_counters(self):
-        from repro.automata import regex_to_nfa
-
-        graph = example9_graph()
-        cq = compile_query(
-            graph, regex_to_nfa("h s"), eliminate_epsilon=False
-        )
-        with pytest.raises(QueryError):
-            count_shortest_product_paths(cq, 0, 1)
-        with pytest.raises(QueryError):
-            count_total_multiplicity(cq, 0, 1)
 
 
 class TestCheapestCount:

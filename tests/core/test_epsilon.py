@@ -6,19 +6,41 @@ The paper's Section 5.1 eliminates ε on the fly inside ``Annotate``
 propagated to ε-successors only on *first visits* of the direct target
 state; the test
 :func:`TestPossiblyVisitCounterexample.test_literal_transcription_drops_answers`
-documents the instance where that loses answers, and the remaining
-tests pin the behaviour of the fix (ε-closed compiled transitions).
+documents the instance where that loses answers — on the oracle's
+transcription, the only ε-native traversal left — and the remaining
+tests pin the behaviour of the fix: ε-closed compiled transitions, and
+every :mod:`repro.core` entry point refusing a compile that kept ε.
 """
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import Database
 from repro.automata import EPSILON, NFA, regex_to_nfa, remove_epsilon
 from repro.baselines.oracle import oracle_answer_set
+from repro.baselines.paper_pipeline import (
+    annotate_reference,
+    enumerate_walks_recursive,
+    trim_maps,
+)
+from repro.core.annotate import annotate
+from repro.core.anywalk import any_walk_search
+from repro.core.cheapest import cheapest_annotate
+from repro.core.compile import compile_query
+from repro.core.count import (
+    count_shortest_product_paths,
+    count_total_multiplicity,
+)
 from repro.core.engine import DistinctShortestWalks
+from repro.core.multiplicity import count_accepting_runs, enumerate_with_runs
+from repro.core.restricted import fallback_walks, restricted_lam
+from repro.exceptions import QueryError
+from repro.graph import GraphBuilder
+from repro.service import QueryRequest, QueryService
 from repro.workloads.fraud import example9_graph
 
 from tests.conftest import small_graphs, small_nfas
-from hypothesis import strategies as st
 
 
 class TestThompsonQueries:
@@ -58,8 +80,6 @@ class TestPossiblyVisitCounterexample:
 
     @staticmethod
     def _instance():
-        from repro.graph import GraphBuilder
-
         b = GraphBuilder()
         # Two parallel length-2 routes x -> m1/m2 -> y.
         b.add_edge("x", "m1", ["a"])
@@ -81,23 +101,44 @@ class TestPossiblyVisitCounterexample:
         engine = DistinctShortestWalks(graph, nfa, "x", "y")
         assert engine.count() == 2
 
-    def test_literal_transcription_drops_answers(self):
-        """Direct demonstration: run Annotate on the *raw* ε tables
-        (eliminate_epsilon=False), i.e. the paper's PossiblyVisit, and
-        observe the missing predecessor entry."""
-        from repro.core.annotate import annotate
-        from repro.core.compile import compile_query
-        from repro.core.enumerate import enumerate_walks
-        from repro.core.trim import trim
+    def test_every_tier_finds_both(self):
+        """The string tiers reach the same failure mode with ``a b c?``:
+        no edge carries ``c``, so Thompson's final state is entered by
+        ε only — and the literal transcription finds one walk."""
+        graph, _ = self._instance()
+        nfa = regex_to_nfa("a b c?")
+        kept = compile_query(graph, nfa, eliminate_epsilon=False)
+        ann = annotate_reference(kept, 0, 3)
+        assert len(ann.B[3][min(nfa.final)]) == 1
+        assert DistinctShortestWalks(graph, nfa, "x", "y").count() == 2
+        rows = Database(graph).query("a b c?").from_("x").to("y").run().all()
+        assert len(rows) == 2
+        service = QueryService()
+        service.register_graph("g", graph)
+        response = service.execute(QueryRequest("a b c?", "x", "y"))
+        assert len(response.walks) == 2
 
+    def test_injected_epsilon_kept_compile_is_refused(self):
+        """It used to run the literal transcription below and return
+        one of the two answers without a word."""
+        graph, nfa = self._instance()
+        kept = compile_query(graph, nfa, eliminate_epsilon=False)
+        with pytest.raises(QueryError, match="ε-free"):
+            DistinctShortestWalks(graph, nfa, "x", "y", compiled=kept)
+
+    def test_literal_transcription_drops_answers(self):
+        """Direct demonstration: run the oracle's Annotate on the *raw*
+        ε tables (eliminate_epsilon=False), i.e. the paper's
+        PossiblyVisit, and observe the missing predecessor entry."""
         graph, nfa = self._instance()
         cq = compile_query(graph, nfa, eliminate_epsilon=False)
         assert cq.has_eps
         s, t = graph.vertex_id("x"), graph.vertex_id("y")
-        ann = annotate(cq, s, t)
-        trimmed = trim(graph, ann)
+        ann = annotate_reference(cq, s, t)
         walks = list(
-            enumerate_walks(graph, trimmed, ann.lam, t, ann.target_states)
+            enumerate_walks_recursive(
+                graph, trim_maps(graph, ann), ann.lam, t, ann.target_states
+            )
         )
         # The literal transcription loses one of the two answers: state
         # 3 (the only final state) has a B entry for just one of the
@@ -105,6 +146,41 @@ class TestPossiblyVisitCounterexample:
         assert len(walks) == 1
         b_final = ann.B[t].get(3, {})
         assert len(b_final) == 1  # One cell instead of two.
+
+
+#: Every ``repro.core`` function that is handed a compiled query, as a
+#: call on ``(graph, ε-kept cq)`` with source x = 0 and target y = 3
+#: (a generator is drained: it checks on its first ``next``).
+_CORE_ENTRY_POINTS = {
+    "annotate": lambda g, cq: annotate(cq, 0, 3),
+    "cheapest_annotate": lambda g, cq: cheapest_annotate(cq, 0, 3),
+    "any_walk_search": lambda g, cq: any_walk_search(cq, 0, [3]),
+    "restricted_lam": lambda g, cq: restricted_lam(
+        g, cq, 0, 3, 2, "trails", lambda: iter(())
+    ),
+    "fallback_walks": lambda g, cq: fallback_walks(g, cq, 0, 3, "trails", 2),
+    "count_shortest_product_paths": lambda g, cq: (
+        count_shortest_product_paths(cq, 0, 3)
+    ),
+    "count_total_multiplicity": lambda g, cq: (
+        count_total_multiplicity(cq, 0, 3)
+    ),
+    "count_accepting_runs": lambda g, cq: count_accepting_runs(cq, (0, 2)),
+    "enumerate_with_runs": lambda g, cq: list(
+        enumerate_with_runs(g, None, cq, 2, 3, frozenset({3}))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORE_ENTRY_POINTS))
+def test_core_refuses_an_epsilon_kept_compile(name):
+    """One traversal family: no core function runs on raw ε tables —
+    it raises instead of returning a short answer set."""
+    graph, nfa = TestPossiblyVisitCounterexample._instance()
+    assert graph.vertex_id("x") == 0 and graph.vertex_id("y") == 3
+    kept = compile_query(graph, nfa, eliminate_epsilon=False)
+    with pytest.raises(QueryError, match="ε-free"):
+        _CORE_ENTRY_POINTS[name](graph, kept)
 
 
 class TestEpsilonEdgeCases:

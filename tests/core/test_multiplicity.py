@@ -75,16 +75,6 @@ class TestExample9:
         }
         assert all(m >= 1 for m in multiplicities.values())
 
-    def test_eps_compiled_query_rejected(self):
-        from repro.automata import regex_to_nfa
-
-        graph = example9_graph()
-        cq = compile_query(
-            graph, regex_to_nfa("h s"), eliminate_epsilon=False
-        )
-        with pytest.raises(QueryError):
-            count_accepting_runs(cq, ())
-
 
 class TestAmbiguousCounting:
     def test_runs_multiply_across_states(self):

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.datastructures import ConsList, cons, nil
+from repro.baselines.cons_list import ConsList, cons, nil
 
 
 class TestBasics:

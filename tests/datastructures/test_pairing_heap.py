@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datastructures.pairing_heap import PairingHeap
+from repro.baselines.pairing_heap import PairingHeap
 
 
 class TestBasics:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.datastructures import RestartableQueue
+from repro.baselines.restartable_queue import RestartableQueue
 
 
 class TestBasics:

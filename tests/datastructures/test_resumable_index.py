@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.datastructures import ResumableIndex
+from repro.baselines.resumable_index import ResumableIndex
 
 
 class TestBasics:

@@ -21,7 +21,13 @@ import networkx as nx
 import pytest
 
 from repro.automata.nfa import NFA
+from repro.baselines.paper_pipeline import (
+    cheapest_annotate_reference,
+    enumerate_walks_recursive,
+    trim_maps,
+)
 from repro.core.cheapest import DistinctCheapestWalks
+from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.builder import GraphBuilder
 
@@ -105,16 +111,28 @@ class TestWeightedCosts:
 
     @pytest.mark.parametrize("heap", ["binary", "pairing"])
     def test_both_heaps_match_nx(self, heap):
+        """Both arms live on the oracle; each is held to networkx and
+        to the production engine (which has the binary queue only)."""
         graph, nxg = _random_simple_digraph(4242, n=12, density=0.3)
-        engine = DistinctCheapestWalks(
-            graph, _accept_all(), 0, 11, heap=heap
+        nfa = _accept_all()
+        ann = cheapest_annotate_reference(
+            compile_query(graph, nfa), 0, 11, heap=heap
         )
-        ours = _node_paths(engine.enumerate())
+        walks = list(
+            enumerate_walks_recursive(
+                graph, trim_maps(graph, ann), ann.lam, 11,
+                ann.target_states, cost_of=graph.cost,
+            )
+        )
+        engine = DistinctCheapestWalks(graph, nfa, 0, 11)
+        assert [w.edges for w in walks] == [
+            w.edges for w in engine.enumerate()
+        ]
         reference = sorted(
             tuple(p)
             for p in nx.all_shortest_paths(nxg, 0, 11, weight="weight")
         )
-        assert ours == reference
+        assert _node_paths(walks) == reference
 
 
 class TestMultiTarget:

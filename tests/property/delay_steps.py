@@ -40,13 +40,13 @@ from math import ceil, log2
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.baselines import paper_pipeline as oracle
+from repro.baselines.restartable_queue import RestartableQueue
 from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless
 from repro.core.trim import resumable_trim, trim
 from repro.core.walks import Walk
-from repro.datastructures.restartable_queue import RestartableQueue
 
 #: Steps allowed between consecutive outputs per unit of λ·(|Q|+1).
 CONSTANT = 12

@@ -148,8 +148,8 @@ class TestAgainstTheModel:
 
 
 class TestAgainstTheReferenceTraversal:
-    def _compare(self, graph, nfa, source, eliminate=True):
-        cq = compile_query(graph, nfa, eliminate_epsilon=eliminate)
+    def _compare(self, graph, nfa, source):
+        cq = compile_query(graph, nfa)
         packed = annotate(cq, source, saturate=True).packed
         _check_layout(packed)
         reference = packed_from_maps(
@@ -173,11 +173,9 @@ class TestAgainstTheReferenceTraversal:
     @given(small_instances(allow_epsilon=True))
     @settings(max_examples=60, deadline=None)
     def test_small_epsilon_instances(self, instance):
-        """Both compilations of an ε-NFA: the closed one (CSR scan)
-        and the raw one (edge-major ``PossiblyVisit`` traversal)."""
+        """ε-NFAs, closed at compile time."""
         graph, nfa, s, _ = instance
-        self._compare(graph, nfa, s, eliminate=True)
-        self._compare(graph, nfa, s, eliminate=False)
+        self._compare(graph, nfa, s)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_regex_workloads(self, seed):

@@ -5,7 +5,9 @@ production pipeline against — among them the paper's own dict / queue /
 skip-array pipeline (``paper_pipeline``).  Production code must not
 depend on its oracles, and nothing may build an annotation from dict
 ``L``/``B`` maps: both are checked on the AST, so a lazy or
-function-local import is caught as well.
+function-local import is caught as well.  The converse holds too: what
+no production entry point reaches — what only the oracles use — does
+not live in a production package.
 """
 
 import ast
@@ -41,6 +43,98 @@ def test_no_production_package_imports_the_oracles():
     assert offenders == []
 
 
+# -- the converse: production holds only what an entry point reaches ----------
+
+ENTRY_POINTS = (
+    "repro.api", "repro.service", "repro.serve", "repro.cli", "repro.__main__",
+)
+
+_BENCH = "benchmark harness shipped inside the library; leaves with ROADMAP item 7"
+_DATA = (
+    "data generators and worked examples that examples/, the docs and the "
+    "frozen spine (benchmarks/spine/workloads.py) import by these paths"
+)
+
+#: Production modules no entry point reaches, each with the reason it
+#: may stay.  The list only shrinks: an entry that is reached, or whose
+#: module is gone, fails the test below just as an unlisted module does.
+UNREACHED = {
+    "repro.bench": _BENCH,
+    "repro.bench.experiments": _BENCH,
+    "repro.bench.harness": _BENCH,
+    "repro.bench.reporting": _BENCH,
+    "repro.graph.generators": _DATA,
+    "repro.workloads": _DATA,
+    "repro.workloads.fraud": _DATA,
+    "repro.workloads.queries": _DATA,
+    "repro.workloads.social": _DATA,
+    "repro.workloads.transport": _DATA,
+    "repro.workloads.worstcase": _DATA,
+    "repro.core.deltas": (
+        "Section 6 delta encoder; ROADMAP item 6(b) decides whether it "
+        "becomes native to the DFS or joins the oracles"
+    ),
+}
+
+
+def _modules():
+    """``{dotted name: path}`` of every module under ``src/repro``."""
+    modules = {}
+    for path in SRC.rglob("*.py"):
+        parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _is_oracle(module: str) -> bool:
+    return module.startswith("repro.baselines")
+
+
+def test_production_holds_only_what_an_entry_point_reaches():
+    """Walk the imports the way Python executes them: importing
+    ``a.b.c`` runs ``a/__init__``, ``a/b/__init__`` and ``a/b/c``."""
+    modules = _modules()
+    reached, pending = set(), list(ENTRY_POINTS)
+    while pending:
+        name = pending.pop()
+        # A trailing part that is no module is a name imported from one.
+        while name and name not in reached:
+            if name in modules:
+                reached.add(name)
+                pending += _imported_modules(
+                    ast.parse(modules[name].read_text())
+                )
+            name = name.rpartition(".")[0]
+    unreached = {
+        m for m in modules if m not in reached and not _is_oracle(m)
+    }
+    assert unreached == set(UNREACHED)
+    assert all(UNREACHED.values())
+
+
+def test_what_only_the_oracles_import_lives_with_the_oracles():
+    """A package ``__init__`` re-exporting a module is not a use of it
+    (that is how the paper's containers sat in ``repro.datastructures``
+    with ``paper_pipeline`` their sole importer): every production
+    module an oracle imports is also imported by production code
+    proper."""
+    modules = _modules()
+    used_by_production, used_by_oracles = set(), set()
+    for name, path in modules.items():
+        imported = set(_imported_modules(ast.parse(path.read_text())))
+        if _is_oracle(name):
+            used_by_oracles |= imported
+        elif path.name != "__init__.py":
+            used_by_production |= imported
+    orphans = sorted(
+        m for m in used_by_oracles - used_by_production
+        if m in modules and not _is_oracle(m)
+    )
+    assert orphans == []
+
+
 def test_annotation_is_built_from_packed_arrays_only():
     tree = ast.parse((SRC / "core" / "annotate.py").read_text())
     (annotation,) = [
@@ -70,6 +164,18 @@ def _attribute_readers(attr: str):
             for node in ast.walk(ast.parse(path.read_text()))
         )
     )
+
+
+def test_raw_epsilon_tables_are_read_at_compile_time_only():
+    """One traversal family: production builds the ε tables
+    (``compile_query(..., eliminate_epsilon=False)`` serves the oracles)
+    and refuses to traverse them — the one check is a method of the
+    compiled query.  No ``has_eps`` branch, no ε stack, outside it."""
+    for attr in ("eps", "has_eps"):
+        assert [
+            f for f in _attribute_readers(attr)
+            if not f.startswith("baselines/")
+        ] == ["core/compile.py"], attr
 
 
 def test_the_cells_are_walked_in_one_place():
