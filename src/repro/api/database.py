@@ -7,8 +7,9 @@ One ``Database`` owns
   scheme the batch service introduced, now shared with it);
 * the **plan cache** (query text → parsed RPQ + graph-aligned
   :class:`~repro.core.compile.CompiledQuery`) and the **annotation
-  cache** ((query, source) → saturated
-  :class:`~repro.core.multi_target.MultiTargetShortestWalks`) — both
+  cache** ((query, source) →
+  :class:`~repro.core.multi_target.MultiTargetShortestWalks`, built to
+  the asked target's BFS level and deepened on demand) — both
   thread-safe, single-flight :class:`~repro.service.cache.LRUCache`
   instances, so *interactive* callers get the same 2.6–3.3× repeat
   speedup the JSONL batch path measured;
@@ -175,10 +176,12 @@ class Database:
 
     ``annotation_cache_size=0`` turns the database cold: nothing is
     retained between calls — the configuration the service benchmark
-    compares against.  Same engine, same answers; the only thing the
-    executor does with the knowledge is stop a one-target query's
-    annotation at that target instead of saturating a structure nobody
-    can reuse.
+    compares against.  It only means "retain nothing": same engine,
+    same builds, same answers.  (A one-target query's annotation stops
+    at that target's level whatever the capacity; the Dijkstra
+    ``cheapest`` build, which cannot deepen, is the one place the
+    capacity matters — saturated when it can be retained, stopped at
+    the target when it cannot.)
     """
 
     def __init__(
@@ -229,6 +232,7 @@ class Database:
         self._build_lock = threading.Lock()
         self._plan_build_s = 0.0
         self._annotation_build_s = 0.0
+        self._annotation_deepens = 0
         if graph is not None:
             self.register(name, graph, warm=warm)
 
@@ -747,7 +751,7 @@ class Database:
         is an independent instance, not the annotation-cache entry the
         executor shares internally (so it is never evicted under the
         caller).  This is the sanctioned accessor for code that wants
-        the saturated structures directly; everything else should go
+        the multi-target structures directly; everything else should go
         through :meth:`query`.
         """
         handle = self._handle(graph_name)
@@ -841,10 +845,11 @@ class Database:
         it — so they share one cache line, built once and evicted once.
 
         ``only`` is the one target the query's shape asks about, if it
-        asks about one.  An entry the cache can retain saturates
-        regardless — the next request may want another target; with
-        the cache off (capacity 0) the build stops at ``only``, since
-        nobody can reuse what lies beyond it.
+        asks about one.  A miss builds the entry's BFS to ``only``'s
+        level (to exhaustion when there is none); a hit that stands
+        short of what the request reads is deepened by :meth:`_reach`.
+        Dijkstra cannot deepen: its entry saturates when the cache can
+        retain it and stops at ``only`` when it cannot (capacity 0).
         """
         graph = handle.graph
         cheapest = q._semantics == "cheapest"
@@ -862,7 +867,11 @@ class Database:
             nonlocal hit
             hit = False
             t0 = time.perf_counter()
-            stop = only if self._annotation_cache.capacity == 0 else None
+            stop = (
+                only
+                if cheapest and self._annotation_cache.capacity == 0
+                else None
+            )
             # Vertex *names*, not ids: the constructor resolves its
             # designators itself, and on graphs with integer vertex
             # names an id would resolve differently.
@@ -873,13 +882,18 @@ class Database:
                 cheapest=cheapest,
                 compiled=plan.compiled,
                 target=None if stop is None else graph.vertex_name(stop),
-            ).preprocess()
-            build_s = time.perf_counter() - t0
-            with self._build_lock:
-                self._annotation_build_s += build_s
+            ).preprocess(only)
+            self._count_annotation_build(time.perf_counter() - t0)
             return mt
 
         return self._annotation_cache.get_or_create(key, build), hit
+
+    def _count_annotation_build(
+        self, seconds: float, deepen: bool = False
+    ) -> None:
+        with self._build_lock:
+            self._annotation_build_s += seconds
+            self._annotation_deepens += deepen
 
     def _count_cq(self, plan: _Plan, graph: Graph):
         if plan.count_compiled is None:
@@ -891,7 +905,10 @@ class Database:
     # -- statistics ----------------------------------------------------------
 
     def cache_stats(self) -> Dict[str, Any]:
-        """Hit/miss/eviction counters and sizes of both caches."""
+        """Hit/miss/eviction counters and sizes of both caches, and how
+        many annotation-cache hits had to deepen their entry."""
+        with self._build_lock:
+            deepens = self._annotation_deepens
         return {
             "plan_cache": {
                 "capacity": self._plan_cache.capacity,
@@ -902,6 +919,7 @@ class Database:
                 "capacity": self._annotation_cache.capacity,
                 "entries": len(self._annotation_cache),
                 **self._annotation_cache.stats.as_dict(),
+                "deepens": deepens,
             },
         }
 
@@ -924,10 +942,15 @@ class Database:
             counters[f"cache.{label}.evictions"] = stats["evictions"]
             gauges[f"cache.{label}.entries"] = len(cache)
             gauges[f"cache.{label}.capacity"] = cache.capacity
+        with self._build_lock:
+            counters["cache.annotation_cache.deepens"] = (
+                self._annotation_deepens
+            )
         return {"counters": counters, "gauges": gauges}
 
     def build_seconds(self) -> Tuple[float, float]:
-        """Cumulative (plan, annotation) cache-miss build time."""
+        """Cumulative (plan, annotation) build time: cache misses, and
+        the deepens of annotation-cache hits."""
         with self._build_lock:
             return self._plan_build_s, self._annotation_build_s
 
@@ -1038,12 +1061,14 @@ class Database:
         With ``only`` set, nothing but that target will be asked about.
 
         * ``walks`` / ``cheapest``: the cached prepared object — λ and
-          the stream are per-target reads of it.
+          the stream are per-target reads of it, settled here (a hit
+          built for a nearer target deepens: to ``only``'s level, or
+          to exhaustion for the shapes that read every target).
         * ``trails`` / ``simple``: the same object, then the restricted
           regime on top (:func:`restricted_lam`; λ becomes rλ).
         * ``any``: one early-exit product BFS (see
           :mod:`repro.core.anywalk`) — no annotation-cache entry, the
-          search is cheaper than a saturating build, and the engine
+          search skips the entry log, the pack and Trim, and the engine
           mode is irrelevant; a cell's stream is its single witness.
 
         This is also the one place a request's annotation statistics
@@ -1061,8 +1086,15 @@ class Database:
             hit = False
         else:
             mt, hit = self._annotation_for(handle, q, plan, source_id, only)
+            t1 = time.perf_counter()
+            deepened = hit and mt.settle(only)
+            if deepened:
+                self._count_annotation_build(
+                    time.perf_counter() - t1, deepen=True
+                )
         # From this query's perspective: build time on a miss,
-        # single-flight wait time when another thread is building.
+        # single-flight wait time when another thread is building,
+        # deepen time on a hit that had to go further.
         dt = time.perf_counter() - t0
         timings = stats["timings"]
         timings["annotate"] = timings.get("annotate", 0.0) + dt
@@ -1083,7 +1115,11 @@ class Database:
 
             return lambda: sorted(hits), witness
 
-        if hit:
+        if deepened:
+            obs_trace.add_span(
+                "annotate", dt, cached=True, deepened=True, **mt.extent()
+            )
+        elif hit:
             # The real annotate/trim spans were traced on the building
             # thread; a hit still shows the phase, tagged.
             obs_trace.add_span("annotate", dt, cached=True)
@@ -1260,12 +1296,16 @@ class Database:
                 " (NextOutput seek per row)" if resolved == "memoryless"
                 else " (one DFS, O(λ) seek per resumed page)"
             )
-            if self._annotation_cache.capacity:
-                route = "cached multi-target annotation"
+            if q._semantics == "cheapest":
+                route = (
+                    "cached multi-target Dijkstra annotation, saturated "
+                    "(stopped at the target when the cache retains nothing)"
+                )
             else:
-                route = "uncached annotation (annotation cache disabled)"
-                if q._target is not None:
-                    route += ", stopped at the target"
+                route = (
+                    "cached multi-target annotation, built to the asked "
+                    "target's level and deepened on demand"
+                )
         if q._restriction in ("trails", "simple"):
             route += (
                 "; restricted filter over the λ-walk stream, guided "

@@ -104,8 +104,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return _query_json(args, db, base)
 
     if args.all_targets:
-        # One preprocessing for every target: targets() and the pair
-        # queries below all share the cached saturated annotation.
+        # One preprocessing for every target: targets() runs the cached
+        # annotation to exhaustion and the pair queries below share it.
         reached = base.from_(args.source).to_all().targets()
         if not reached:
             print("no matching walk to any target")

@@ -17,6 +17,22 @@ target is reached in a final state — that level is λ.  With
 ``saturate=True`` it instead runs until no new ``(vertex, state)`` pair
 exists, which is the one-source-to-many-targets mode of Section 5.3.
 
+Stopping and resuming
+---------------------
+
+Every ``B`` entry of a product node ``(u, p)`` is logged while the BFS
+expands level ``dist[u·|Q| + p]``, so once levels ``0…ℓ`` are done
+every node at distance ≤ ℓ holds all of its entries.  A target ``t`` is
+*settled* once it is reached in a final state within the levels done,
+or once the BFS is exhausted: from then on its λ, its start
+certificate and every cell its enumeration reads are final.  The stop
+rule is that test — O(|F|) per level boundary, never per reached pair.
+:class:`AnnotateBFS` holds the state between boundaries (``dist``, the
+frontier, the entry log), so a traversal stopped at one target resumes
+toward another exactly as the one-shot run would have continued:
+:func:`annotate` runs it once, and a cached multi-target entry
+(:mod:`repro.core.multi_target`) keeps it and deepens on demand.
+
 ε-transitions are closed at compile time
 (:mod:`repro.core.compile`); a compile that kept them is refused.
 Section 5.1's on-the-fly ``PossiblyVisit`` is transcribed, with the
@@ -80,6 +96,7 @@ from repro.datastructures.packed import BackMap, LengthMap, PackedBack, PackedCe
 
 __all__ = [
     "Annotation",
+    "AnnotateBFS",
     "BackMap",
     "LengthMap",
     "annotate",
@@ -91,7 +108,8 @@ class Annotation:
 
     ``lam`` is ``None`` when the target was given but no matching walk
     exists.  For saturated runs (multi-target), per-target values are
-    derived with :meth:`target_info`.
+    derived with :meth:`target_info`; a multi-target annotation of the
+    first ``steps`` levels serves the targets :meth:`settled` in them.
 
     The interior is the flat ``dist`` array plus the ``packed`` entry
     store (module docstring); :attr:`L` / :attr:`B` are read-only
@@ -174,8 +192,9 @@ class Annotation:
 
         ``λ_t`` is the length (cost) of a shortest (cheapest) matching
         walk from the source to ``t``; ``S_t`` the final states reached
-        at that length.  Only meaningful on saturated annotations or
-        for the annotation's own target.
+        at that length.  Only meaningful on saturated annotations, for
+        the annotation's own target, or for a target :meth:`settled`
+        in it.
 
         ``t`` may exceed the vertex range this annotation was built
         over: live graphs (:mod:`repro.live`) grow, and a cached
@@ -201,6 +220,33 @@ class Annotation:
                 elif level == lam_t:
                     states.append(f)
         return lam_t, frozenset(states)
+
+    def settled(self, t: Optional[int]) -> bool:
+        """Whether :meth:`target_info` of ``t`` — and every cell its
+        enumeration reads — is final in this annotation (``t=None``:
+        every target's, i.e. the traversal is exhausted).
+
+        A target reached in a final state within the ``steps`` levels
+        done is settled.  The bound matters for a multi-target entry:
+        it shares ``dist`` with the traversal that deepens it, whose
+        later levels may fill slots beyond ``steps`` while this
+        annotation is being read; a settled target's slots are never
+        rewritten.  A vertex beyond the range built over is settled
+        (unreachable, see :meth:`target_info`).
+        """
+        if self.saturated:
+            return True
+        if t is None:
+            return False
+        if not 0 <= t < self.n:
+            return True
+        dist = self.dist
+        base = t * self.n_states
+        done = self.steps
+        for f in self.final:  # A loop, not any(): this is every read's check.
+            if 0 <= dist[base + f] <= done:
+                return True
+        return False
 
     def annotation_entries(self) -> int:
         """Total number of predecessor entries stored in ``B``.
@@ -231,6 +277,159 @@ def _unflatten(flat: array, n: int, n_states: int) -> List[LengthMap]:
     return L
 
 
+class AnnotateBFS:
+    """The ``Annotate`` BFS between level boundaries: ``dist``, the
+    frontier (``next_pairs`` at distance ``level``) and the append-only
+    ``B`` entry log.
+
+    :meth:`run` expands whole levels until a stop target is settled
+    (module docstring) or the product is exhausted, and may be called
+    again to continue; :meth:`annotation` packs the whole log.  The
+    sequence of levels and log entries is the one-shot traversal's
+    whatever the stops in between.
+
+    Each :meth:`run` re-reads the graph's flat views and CSR bucket
+    bases, so a traversal kept across :class:`~repro.live.LiveGraph`
+    mutations that touch no label the query fires on continues over the
+    current epoch (such mutations cannot add a product edge; a vertex
+    added since the first run is never reached, and the key space stays
+    the one the first run allocated).
+    """
+
+    __slots__ = (
+        "cq", "source", "n", "n_states", "dist", "next_pairs", "level",
+        "ent_key", "ent_ti", "ent_pred",
+    )
+
+    def __init__(self, cq: CompiledQuery, source: int) -> None:
+        cq.require_epsilon_free()
+        self.cq = cq
+        self.source = source
+        self.n = n = cq.graph.vertex_count
+        self.n_states = n_states = cq.n_states
+        # L, flattened: dist[v * |Q| + p], -1 = unreached.
+        self.dist = array("q", [-1]) * (n * n_states)
+        # The B entry log: (key, TgtIdx, predecessor) triples.
+        self.ent_key = array("q")
+        self.ent_ti = array("q")
+        self.ent_pred = array("q")
+        self.next_pairs: List[Tuple[int, int]] = []
+        self.level = 0
+        source_base = source * n_states
+        for p in sorted(cq.initial_closure):
+            self.dist[source_base + p] = 0
+            self.next_pairs.append((source, p))
+
+    def __len__(self) -> int:
+        """Entries logged so far."""
+        return len(self.ent_pred)
+
+    @property
+    def exhausted(self) -> bool:
+        """No product node is left to discover."""
+        return not self.next_pairs
+
+    def run(self, target: Optional[int] = None, entries: int = 0) -> None:
+        """Expand levels until ``target`` is settled and the log holds
+        at least ``entries`` entries; with no ``target``, until the
+        product is exhausted.
+
+        This is the label-indexed traversal (module docstring):
+        frontier pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))``
+        through the graph's CSR adjacency, recording ``B`` entries into
+        the append-only log (no per-entry dict or list allocation).
+        """
+        graph = self.cq.graph
+        n = graph.vertex_count
+        n_states = self.n_states
+        tgt_arr = graph.tgt_array
+        ti_arr = graph.tgt_idx_array
+        indptr, csr_edges = graph.out_csr
+        out_labels = graph.out_labels_array
+        # Per state, its moves ``(a·|V|, Δ(q, a))`` in ascending label
+        # order — the CSR bucket base and the successor tuple, resolved
+        # once per run instead of once per frontier pair.
+        moves_by_label = [
+            {a: (a * n, row[a]) for a in sorted(row)} for row in self.cq.delta
+        ]
+        moves = [tuple(by_label.values()) for by_label in moves_by_label]
+        # The target's final-state slots: the stop test reads these.
+        stop_keys = (
+            () if target is None
+            else [target * n_states + f for f in self.cq.final]
+        )
+
+        dist = self.dist
+        ent_pred = self.ent_pred
+        key_append = self.ent_key.append
+        ti_append = self.ent_ti.append
+        pred_append = ent_pred.append
+        next_pairs = self.next_pairs
+        level = self.level
+        while next_pairs:
+            if (
+                target is not None
+                and len(ent_pred) >= entries
+                and any(dist[k] >= 0 for k in stop_keys)
+            ):
+                break
+            level += 1
+            current, next_pairs = next_pairs, []
+            for v, q in current:
+                steps = moves[q]
+                mine = out_labels[v]
+                if len(steps) > len(mine):
+                    # Intersect from the cheaper side.
+                    by_label = moves_by_label[q]
+                    steps = [by_label[a] for a in mine if a in by_label]
+                for a_base, targets in steps:
+                    b = a_base + v
+                    start, end = indptr[b], indptr[b + 1]
+                    if start == end:
+                        continue
+                    for e in csr_edges[start:end]:
+                        u = tgt_arr[e]
+                        u_base = u * n_states
+                        ti = ti_arr[e]
+                        for p in targets:
+                            known = dist[u_base + p]
+                            if known < 0:
+                                # First time state p is reached at vertex u.
+                                dist[u_base + p] = level
+                                next_pairs.append((u, p))
+                                key_append(u_base + p)
+                                ti_append(ti)
+                                pred_append(q)
+                            elif known == level:
+                                # Another walk of the same (minimal) length
+                                # reaches p at u: record the extra witness.
+                                key_append(u_base + p)
+                                ti_append(ti)
+                                pred_append(q)
+        self.next_pairs = next_pairs
+        self.level = level
+
+    def annotation(self, target: Optional[int], saturated: bool) -> Annotation:
+        """An :class:`Annotation` of the levels done: this traversal's
+        ``dist`` (shared, not copied) and its whole log, packed."""
+        cq = self.cq
+        return Annotation(
+            source=self.source,
+            target=target,
+            lam=None,
+            target_states=frozenset(),
+            saturated=saturated,
+            steps=self.level,
+            final=cq.final,
+            initial_closure=cq.initial_closure,
+            dist=self.dist,
+            packed=PackedBack.from_entries(
+                self.n, self.n_states, self.ent_key, self.ent_ti,
+                self.ent_pred,
+            ),
+        )
+
+
 def annotate(
     cq: CompiledQuery,
     source: int,
@@ -240,135 +439,15 @@ def annotate(
     """Run the ``Annotate`` BFS for query ``cq`` from ``source``.
 
     With a ``target``, stops at the end of level λ (the first level
-    reaching the target in a final state); with ``saturate=True`` (or
-    no target) runs to exhaustion of the reachable product.
-
-    This is the label-indexed traversal (module docstring): frontier
-    pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))`` through the
-    graph's CSR adjacency, recording ``B`` entries into the append-only
-    packed log (no per-entry dict or list allocation).
+    reaching the target in a final state; level 0 when the trivial walk
+    ``⟨s⟩`` matches); with ``saturate=True`` (or no target) runs to
+    exhaustion of the reachable product.  One :class:`AnnotateBFS`
+    run, packed.
     """
-    cq.require_epsilon_free()
-    graph = cq.graph
-    n = graph.vertex_count
-    n_states = cq.n_states
-    tgt_arr = graph.tgt_array
-    ti_arr = graph.tgt_idx_array
-    indptr, csr_edges = graph.out_csr
-    out_labels = graph.out_labels_array
-    final = cq.final
-    # Per state, its moves ``(a·|V|, Δ(q, a))`` in ascending label
-    # order — the CSR bucket base and the successor tuple, resolved
-    # once per call instead of once per frontier pair.
-    moves_by_label = [
-        {a: (a * n, row[a]) for a in sorted(row)} for row in cq.delta
-    ]
-    moves = [tuple(by_label.values()) for by_label in moves_by_label]
-
-    # L, flattened: dist[v * |Q| + p], -1 = unreached.
-    dist = array("q", [-1]) * (n * n_states)
-    # The B entry log: (key, TgtIdx, predecessor) triples, append-only.
-    ent_key = array("q")
-    ent_ti = array("q")
-    ent_pred = array("q")
-    key_append = ent_key.append
-    ti_append = ent_ti.append
-    pred_append = ent_pred.append
-
-    next_pairs: List[Tuple[int, int]] = []
-    source_base = source * n_states
-    for p in sorted(cq.initial_closure):
-        dist[source_base + p] = 0
-        next_pairs.append((source, p))
-
-    # λ = 0 edge case: the trivial walk ⟨s⟩ matches iff ε ∈ L(A).
-    if (
-        target is not None
-        and target == source
-        and (cq.initial_closure & final)
-        and not saturate
-    ):
-        return Annotation(
-            source=source,
-            target=target,
-            lam=0,
-            target_states=frozenset(cq.initial_closure & final),
-            final=final,
-            initial_closure=cq.initial_closure,
-            dist=dist,
-            packed=PackedBack.from_entries(n, n_states, ent_key, ent_ti, ent_pred),
-        )
-
-    stop = False
-    level = 0
-    while next_pairs and not stop:
-        level += 1
-        current, next_pairs = next_pairs, []
-        for v, q in current:
-            steps = moves[q]
-            mine = out_labels[v]
-            if len(steps) > len(mine):
-                # Intersect from the cheaper side.
-                by_label = moves_by_label[q]
-                steps = [by_label[a] for a in mine if a in by_label]
-            for a_base, targets in steps:
-                b = a_base + v
-                start, end = indptr[b], indptr[b + 1]
-                if start == end:
-                    continue
-                for e in csr_edges[start:end]:
-                    u = tgt_arr[e]
-                    u_base = u * n_states
-                    ti = ti_arr[e]
-                    for p in targets:
-                        known = dist[u_base + p]
-                        if known < 0:
-                            # First time state p is reached at vertex u.
-                            dist[u_base + p] = level
-                            next_pairs.append((u, p))
-                            if u == target and p in final and not saturate:
-                                stop = True
-                            key_append(u_base + p)
-                            ti_append(ti)
-                            pred_append(q)
-                        elif known == level:
-                            # Another walk of the same (minimal) length
-                            # reaches p at u: record the extra witness.
-                            key_append(u_base + p)
-                            ti_append(ti)
-                            pred_append(q)
-
-    packed = PackedBack.from_entries(n, n_states, ent_key, ent_ti, ent_pred)
-    if target is not None and not saturate:
-        if stop:
-            lam: Optional[int] = level
-            t_base = target * n_states
-            target_states = frozenset(
-                f for f in final if dist[t_base + f] == level
-            )
-        else:
-            lam, target_states = None, frozenset()
-        return Annotation(
-            source=source,
-            target=target,
-            lam=lam,
-            target_states=target_states,
-            steps=level,
-            final=final,
-            initial_closure=cq.initial_closure,
-            dist=dist,
-            packed=packed,
-        )
-
-    return Annotation(
-        source=source,
-        target=target,
-        lam=None,
-        target_states=frozenset(),
-        saturated=True,
-        steps=level,
-        final=final,
-        initial_closure=cq.initial_closure,
-        dist=dist,
-        packed=packed,
-    )
+    stop = None if saturate else target
+    bfs = AnnotateBFS(cq, source)
+    bfs.run(stop)
+    annotation = bfs.annotation(target, saturated=stop is None)
+    if stop is not None:
+        annotation.lam, annotation.target_states = annotation.target_info(stop)
+    return annotation

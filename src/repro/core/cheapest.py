@@ -226,7 +226,7 @@ class DistinctCheapestWalks(PreparedWalks):
 
     cheapest = True
 
-    def _annotate(self) -> Annotation:
+    def _annotate(self, until: Optional[int]) -> Annotation:
         return cheapest_annotate(self._cq, self.source, self.target)
 
     @property

@@ -5,13 +5,14 @@ it wires the preprocessing phases together::
 
     compile → Annotate → Trim
 
-from one source — saturating, or stopping at one target — and holds
-every read of the result: per-target λ and certificate, the
+from one source — stopped at one target, or serving them all — and
+holds every read of the result: per-target λ and certificate, the
 enumeration in either engine mode, the counting DP.  The public
 drivers are views of it: :class:`DistinctShortestWalks` (one pair) and
 :class:`~repro.core.cheapest.DistinctCheapestWalks` stop at their
 target; :class:`~repro.core.multi_target.MultiTargetShortestWalks`
-saturates, and is what the façade caches.
+serves every target, deepening its BFS on demand, and is what the
+façade caches.
 
 The engine modes:
 
@@ -32,13 +33,14 @@ construction, preserving Corollary 20's bounds).
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import closing
 from itertools import islice
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core._query_input import QueryLike, as_nfa
-from repro.core.annotate import Annotation, annotate
+from repro.core.annotate import AnnotateBFS, Annotation, annotate
 from repro.core.compile import (
     CompiledQuery,
     compile_epsilon_free,
@@ -64,12 +66,24 @@ MODES = CONCRETE_MODES + ("auto",)
 class PreparedWalks:
     """Annotate + Trim from one source, and every read of the result.
 
-    ``target=None`` saturates the annotation, after which any vertex
-    can be asked about; with a ``target`` the traversal stops at the
-    end of that target's level λ and only that target may be read.
-    The structures are read-only once built, so any number of
-    enumerations — interleaved, abandoned, on other threads — run over
-    one instance.
+    With a ``target`` the traversal stops at the end of that target's
+    level λ and only that target may be read.  With ``target=None`` any
+    vertex can be asked about: :meth:`preprocess` runs the BFS to the
+    first target named, or to exhaustion, and a read of a target not
+    yet *settled* (:meth:`Annotation.settled`) deepens it first
+    (:meth:`settle`).
+
+    What readers see is one published :class:`Annotation` with its
+    Trim cells built — a snapshot.  A deepen continues the kept
+    :class:`~repro.core.annotate.AnnotateBFS` under a per-object lock
+    (single flight), re-packs its whole log, builds the cells and then
+    publishes the new snapshot by one reference swap; an enumeration
+    keeps the snapshot it started on, and the settled slots of the
+    ``dist`` array the snapshots share are never rewritten.  So any
+    number of enumerations — interleaved, abandoned, on other threads —
+    run over one instance, deepening or not.  Once the BFS is exhausted
+    the traversal state (frontier and log) is dropped: what is left is
+    exactly a saturating build's annotation and cells.
     """
 
     #: Budgets are edge costs (Dijkstra ``Annotate``) instead of lengths.
@@ -108,17 +122,37 @@ class PreparedWalks:
         self.source = graph.resolve_vertex(source)
         self.target = None if target is None else graph.resolve_vertex(target)
         self.timings: Dict[str, float] = {}
+        #: The published snapshot: an annotation with its cells built.
         self._annotation: Optional[Annotation] = None
-        self._trimmed: Optional[PackedCells] = None
+        #: The kept traversal of a multi-target BFS not yet exhausted.
+        self._bfs: Optional[AnnotateBFS] = None
+        self._lock = threading.Lock()
         self._count_cq: Optional[CompiledQuery] = None
 
     # -- preprocessing -------------------------------------------------------
 
-    def _annotate(self) -> Annotation:
-        return annotate(self._cq, self.source, self.target)
+    def _annotate(self, until: Optional[int]) -> Annotation:
+        if self.target is not None:
+            return annotate(self._cq, self.source, self.target)
+        self._bfs = AnnotateBFS(self._cq, self.source)
+        self._bfs.run(until)
+        return self._snapshot()
 
-    def preprocess(self):
+    def _snapshot(self) -> Annotation:
+        """Pack the kept traversal into an annotation — dropping the
+        traversal once it is exhausted."""
+        bfs = self._bfs
+        annotation = bfs.annotation(None, saturated=bfs.exhausted)
+        if bfs.exhausted:
+            self._bfs = None
+        return annotation
+
+    def preprocess(self, until: Optional[int] = None):
         """Run the preprocessing phase once; later calls are no-ops.
+
+        ``until`` (a vertex id) is the first target an object without
+        a target of its own will be asked about: the BFS stops at that
+        target's level instead of running to exhaustion.
 
         Records wall-clock timings per phase in :attr:`timings`
         (``compile``, ``annotate``, ``trim``, ``total``) and the same
@@ -127,36 +161,74 @@ class PreparedWalks:
         """
         if self._annotation is not None:
             return self
-        t0 = time.perf_counter()
-        if self._cq is None:
-            self._cq = compile_query(self.graph, self.automaton)
-            add_span("compile", time.perf_counter() - t0)
-        t1 = time.perf_counter()
-        annotation = self._annotate()
-        t2 = time.perf_counter()
-        self._trimmed = trim(self.graph, annotation)
-        t3 = time.perf_counter()
-        self._annotation = annotation
+        with self._lock:
+            if self._annotation is not None:
+                return self
+            t0 = time.perf_counter()
+            if self._cq is None:
+                self._cq = compile_query(self.graph, self.automaton)
+                add_span("compile", time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            annotation = self._annotate(until)
+            t2 = time.perf_counter()
+            trim(self.graph, annotation)  # Cached on the annotation.
+            t3 = time.perf_counter()
+            self._annotation = annotation
         self.timings.update(
             compile=t1 - t0, annotate=t2 - t1, trim=t3 - t2, total=t3 - t0
         )
-        add_span(
-            "annotate", t2 - t1, cached=False, saturate=self.target is None
-        )
+        add_span("annotate", t2 - t1, cached=False, **self.extent())
         add_span("trim", t3 - t2)
         return self
 
+    def settle(self, t: Optional[int] = None) -> bool:
+        """Make target ``t``'s reads final — every target's with
+        ``t=None`` — and say whether the traversal had to go deeper.
+
+        Preprocesses toward ``t`` if nothing is built yet (not counted
+        as deepening).  Otherwise, when the published annotation does
+        not settle ``t``, continues the kept BFS under the lock —
+        single flight, re-checked once the lock is held — until ``t``
+        is settled *and* the logged entries have at least doubled, or
+        the BFS is exhausted, then publishes the new snapshot.  The
+        doubling bounds the re-pack work over any request sequence by
+        twice the final entry count, plus O(log entries) passes over
+        the |V|×|Q| key space.  An object stopped at its own target
+        never deepens.
+        """
+        annotation = self._annotation
+        if annotation is None:
+            annotation = self.preprocess(t)._annotation
+        if self.target is not None or annotation.settled(t):
+            return False
+        with self._lock:
+            if self._annotation.settled(t):
+                return False
+            bfs = self._bfs
+            bfs.run(t, max(2 * len(bfs), 1))
+            annotation = self._snapshot()
+            trim(self.graph, annotation)  # Built before publication.
+            self._annotation = annotation
+        return True
+
+    def extent(self) -> Dict[str, object]:
+        """How far the published annotation's traversal went: BFS
+        ``levels`` done (Dijkstra has no levels) and whether it is
+        ``exhausted`` — every target served without deepening."""
+        annotation = self.annotation
+        if self.cheapest:
+            return {"exhausted": annotation.saturated}
+        return {"levels": annotation.steps, "exhausted": annotation.saturated}
+
     @property
     def annotation(self) -> Annotation:
-        """The annotation (preprocesses on first access)."""
-        self.preprocess()
-        return self._annotation
+        """The published annotation (preprocesses on first access)."""
+        return self.preprocess()._annotation
 
     @property
     def trimmed(self) -> PackedCells:
         """The shared, read-only trimmed annotation."""
-        self.preprocess()
-        return self._trimmed
+        return self.annotation.packed_cells(self.graph)
 
     def structure_sizes(self) -> Dict[str, int]:
         """Entry counts of the precomputed structures (Remark 17).
@@ -171,17 +243,22 @@ class PreparedWalks:
 
     # -- per-target reads (vertex ids) -----------------------------------------
 
-    def target_info(self, t: int) -> Tuple[Optional[int], frozenset]:
-        """``(λ_t, S_t)`` — :meth:`Annotation.target_info`, refused for
-        a target the traversal did not wait for."""
-        if self._annotation is None:
-            self.preprocess()
+    def _settled(self, t: Optional[int]) -> Annotation:
+        """A published annotation in which ``t`` is settled (``None``:
+        every target) — refused for a target the traversal did not
+        wait for.  Read it once: a later deepen publishes another."""
         if self.target is not None and t != self.target:
             raise QueryError(
                 f"prepared for target {self.graph.vertex_name(self.target)!r}"
                 " only; build without a target to ask about any vertex"
             )
-        return self._annotation.target_info(t)
+        self.settle(t)
+        return self._annotation
+
+    def target_info(self, t: int) -> Tuple[Optional[int], frozenset]:
+        """``(λ_t, S_t)`` — :meth:`Annotation.target_info`, once ``t``
+        is settled."""
+        return self._settled(t).target_info(t)
 
     def _walks(
         self,
@@ -189,10 +266,11 @@ class PreparedWalks:
         memoryless: bool = False,
         resume_after: Optional[Sequence[int]] = None,
     ) -> Iterator[Walk]:
-        lam_t, states = self.target_info(t)
+        annotation = self._settled(t)
+        lam_t, states = annotation.target_info(t)
         run = enumerate_memoryless if memoryless else enumerate_walks
         return run(
-            self.graph, self._trimmed, lam_t, t, states,
+            self.graph, annotation.packed_cells(self.graph), lam_t, t, states,
             cost_of=self._cost_of, resume_after=resume_after,
         )
 
@@ -202,9 +280,10 @@ class PreparedWalks:
 
     def _count(self, t: int, method: str) -> int:
         if method == "dp":
-            lam_t, states = self.target_info(t)
+            annotation = self._settled(t)
+            lam_t, states = annotation.target_info(t)
             return count_distinct_shortest(
-                self.graph, self._annotation, lam_t, t, states,
+                self.graph, annotation, lam_t, t, states,
                 cost_of=self._cost_of,
             )
         if method != "enumerate":
@@ -305,7 +384,7 @@ class DistinctShortestWalks(PreparedWalks):
         if method == "tracked":
             ann = self.annotation
             return enumerate_with_runs(
-                self.graph, self._trimmed, count_cq,
+                self.graph, self.trimmed, count_cq,
                 ann.lam, self.target, ann.target_states,
             )
         return (

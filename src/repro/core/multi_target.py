@@ -1,22 +1,24 @@
 """One source to many targets (paper, Section 5.3).
 
 Instead of stopping at the first final state reached at a single
-target, ``Annotate`` runs until no new ``(vertex, state)`` pair can be
-discovered — same worst-case cost O(|D| × |A|) since each pair is
-visited at most once.  Afterwards, *any* vertex can serve as a target:
-its λ and start-state certificate are read off the saturated ``L``
-maps, and the ordinary enumeration runs per target over the one shared
-trimmed annotation.
+target, ``Annotate`` keeps going — same worst-case cost O(|D| × |A|)
+since each pair is visited at most once — and *any* vertex can serve as
+a target: its λ and start-state certificate are read off the flat
+``dist`` array, and the ordinary enumeration runs per target over the
+one shared trimmed annotation.
 
-Saturation visits the *entire* reachable product, so it benefits the
-most from the label-indexed traversal (every frontier pair pays the
-intersection cost, none is cut short by an early stop) — and from the
-packed annotation layout: per-target λ/certificate reads go straight
-to the flat ``dist`` array (no ``L`` dict materialization over |V|
-targets), and every enumeration reads the *same* read-only packed
-cell arrays, so a saturated annotation cached by the query service
-serves every target, mode and concurrent reader from one O(entries)
-build.
+The traversal **deepens on demand**.  It runs to the first target it
+is asked about (or to exhaustion when none is named) and keeps its
+frontier; a later target not yet settled in the levels done
+(:meth:`~repro.core.annotate.Annotation.settled`) continues it,
+single-flight, and republishes the annotation and its cells as one
+snapshot (:meth:`~repro.core.engine.PreparedWalks.settle`);
+:meth:`MultiTargetShortestWalks.reached_targets` — every target —
+deepens to exhaustion.  So the cost follows the product the asked
+targets need, and an exhausted entry is exactly a saturating build.
+Every enumeration reads a read-only packed snapshot, so one object
+serves every target, mode and concurrent reader.  The Dijkstra variant
+(``cheapest=True``) does not deepen: it saturates at its first build.
 """
 
 from __future__ import annotations
@@ -55,17 +57,18 @@ class MultiTargetShortestWalks(PreparedWalks):
         target: Optional[Hashable] = None,
     ) -> None:
         """``compiled`` injects a cached plan (see
-        :class:`~repro.core.engine.PreparedWalks`).  ``target`` stops
-        the traversal at that one target instead of saturating — for a
-        caller that will ask about nothing else and cannot keep the
-        object (the façade with its annotation cache off)."""
+        :class:`~repro.core.engine.PreparedWalks`).  ``target`` makes
+        the object serve that one target only — for a Dijkstra caller
+        that will ask about nothing else and cannot keep the object
+        (the façade with its annotation cache off); a BFS object stops
+        at its first target by itself (``preprocess(until=…)``)."""
         super().__init__(graph, query, source, target, compiled)
         self.cheapest = cheapest
 
-    def _annotate(self) -> Annotation:
+    def _annotate(self, until: Optional[int]) -> Annotation:
         if self.cheapest:
             return cheapest_annotate(self._cq, self.source, self.target)
-        return super()._annotate()
+        return super()._annotate(until)
 
     # -- target inspection ---------------------------------------------------
 
@@ -77,8 +80,9 @@ class MultiTargetShortestWalks(PreparedWalks):
         return self.target_info(self.graph.resolve_vertex(target))[0]
 
     def reached_targets(self) -> List[int]:
-        """Vertex ids reachable by at least one matching walk."""
-        info = self.annotation.target_info
+        """Vertex ids reachable by at least one matching walk (the BFS
+        deepens to exhaustion first)."""
+        info = self._settled(self.target).target_info
         asked = self.graph.vertices() if self.target is None else (self.target,)
         return [t for t in asked if info(t)[0] is not None]
 

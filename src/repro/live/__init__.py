@@ -30,7 +30,7 @@ label ids and edge ids are append-only and the ``TgtIdx`` of an
 existing edge never changes: tombstoned edges keep their slot inside
 ``In(v)`` and label edits rewrite the label set in place.  This is
 what makes *fine-grained* cache invalidation sound — a cached
-saturated annotation addresses predecessor cells positionally by
+annotation addresses predecessor cells positionally by
 ``TgtIdx``, so an annotation whose automaton cannot fire on any label
 a batch touched is still byte-for-byte valid afterwards and is **kept
 warm** instead of evicted.  Since the packed-pipeline refactor those
@@ -41,7 +41,9 @@ representation the invariant keeps valid: retained entries stay
 correct positionally with no per-cell re-validation, and vertices
 added after the annotation was built are provably unreachable for it
 (:meth:`~repro.core.annotate.Annotation.target_info` answers "no
-matching walk" beyond the packed vertex range).  :meth:`repro.api.Database.mutate` evicts
+matching walk" beyond the packed vertex range).  A kept entry not yet
+run to exhaustion deepens over the current epoch's views: such a batch
+adds no product edge its BFS could follow.  :meth:`repro.api.Database.mutate` evicts
 only the entries whose label footprint
 (:func:`~repro.live.live_graph.query_label_footprint`) intersects the
 batch's ``touched_labels`` (plans: only ``new_labels`` — compilation

@@ -23,13 +23,14 @@ distinct query text per graph version.
 
     (graph_name, graph_version, construction, query_text, source_id)
 
-Value: a saturated
+Value: a
 :class:`~repro.core.multi_target.MultiTargetShortestWalks` — the
-``Annotate`` run to exhaustion (Section 5.3) plus its ``Trim`` product.
-Because saturation covers *every* target, one entry answers requests
-for any target from that source: λ_t and the start-state certificate
-are read off the cached annotation in O(|F|), and only the
-O(answers·λ·|A|) enumeration itself runs per request.
+``Annotate`` of Section 5.3, run to the first asked target's BFS level
+and deepened on demand (to exhaustion when every target is read), plus
+its ``Trim`` product.  One entry answers requests for any target from
+that source: λ_t and the start-state certificate of a target settled
+in the levels done are read off the cached annotation in O(|F|), and
+only the O(answers·λ·|A|) enumeration itself runs per request.
 
 **Invalidation.**  Graphs are immutable objects; "mutation" is
 re-registering a name via :meth:`QueryService.register_graph`, which

@@ -12,16 +12,16 @@ In short: requests flow through
 * a **plan cache** — regex string → compiled automaton +
   :class:`~repro.core.compile.CompiledQuery` (ε-elimination and the
   dense/firing-label layouts happen once per distinct query text);
-* an **annotation cache** — (query, source) → a saturated
+* an **annotation cache** — (query, source) →
   :class:`~repro.core.multi_target.MultiTargetShortestWalks`, whose
   ``Annotate``/``Trim`` products are shared by every target and every
-  repeat request from that source.
+  repeat request from that source, built to the first asked target's
+  BFS level and deepened on demand.
 
 With the annotation cache disabled (capacity 0) the service degrades
-to cold per-request execution — the same engine, every request
-re-annotating (a pair's Annotate stopping at its target, since nothing
-is retained) — which is the baseline the service benchmark compares
-against.
+to cold per-request execution — the same engine and the same builds,
+every request re-annotating since nothing is retained — which is the
+baseline the service benchmark compares against.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ class QueryService:
         """Execute a batch on the thread pool, preserving request order.
 
         Cached preprocessing products are shared across the pool:
-        plans and saturated annotations are built single-flight, and
+        plans and annotations are built — and deepened — single-flight, and
         the enumerations run concurrently over the read-only trim
         cells, each with its own cursors.
 

@@ -238,28 +238,29 @@ class TestExplainAndStats:
         )
 
     def test_explain_cold_names_the_same_mode(self):
-        """Capacity 0 selects no other engine: the resolved mode reads
-        as on a cached database, and the route says what the executor
-        does with the knowledge — stop at the pair's target."""
+        """Capacity 0 selects no other engine and no other build: the
+        whole façade line — resolved mode and route — reads as on a
+        cached database, for a pair and for a fan-out alike.  Every
+        build stops at the asked target's level and deepens on demand."""
         b = GraphBuilder()
         b.add_edge("a", "b", ["x"])
         graph = b.build()
 
-        def facade_line(db, mode):
-            plan = db.query("x").from_("a").to("b").mode(mode).explain()
+        def facade_line(db, mode, fan=False):
+            query = db.query("x").from_("a")
+            query = query.to_all() if fan else query.to("b")
+            plan = query.mode(mode).explain()
             (line,) = [r for r in plan.reasons if "mode " in r]
             return line
 
         cold = Database(graph, annotation_cache_size=0)
         warm = Database(graph)
         for mode in ("auto", "iterative", "memoryless"):
-            cold_line = facade_line(cold, mode)
-            warm_line = facade_line(warm, mode)
-            assert cold_line.split(", via ")[0] == warm_line.split(", via ")[0]
-            assert "stopped at the target" in cold_line
-            assert "cached multi-target annotation" in warm_line
-        fan = cold.query("x").from_("a").to_all().explain().explain()
-        assert "stopped at the target" not in fan
+            for fan in (False, True):
+                cold_line = facade_line(cold, mode, fan)
+                assert cold_line == facade_line(warm, mode, fan)
+                assert "deepened on demand" in cold_line
+                assert "stopped at the target" not in cold_line
 
     def test_stats_terminal(self, db):
         stats = db.query(QUERY).from_("Alix").to("Bob").stats()

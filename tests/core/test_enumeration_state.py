@@ -7,7 +7,9 @@ over shared cursors would have skipped or repeated answers) now holds
 by construction: any number of generators over one
 :class:`~repro.datastructures.packed.PackedCells` — interleaved,
 abandoned mid-way, plain beside tracked, on several threads — each
-yield the full sequence.
+yield the full sequence; and so do the readers of one cached entry
+while other threads deepen it, each enumeration keeping the snapshot it
+opened on.
 """
 
 import sys
@@ -16,8 +18,11 @@ from itertools import islice, zip_longest
 
 import pytest
 
+from repro.api import Database
+from repro.core.annotate import AnnotateBFS
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
+from repro.graph.builder import GraphBuilder
 from repro.service import QueryRequest, QueryService
 from repro.workloads.fraud import example9_automaton, example9_graph
 from repro.workloads.worstcase import diamond_chain
@@ -201,3 +206,75 @@ def test_four_threads_share_one_cached_annotation():
         [tuple(w["edges"]) for w in response.walks] == expected
         for response in batch
     )
+
+
+def test_four_threads_deepen_one_cached_annotation(monkeypatch):
+    """One cached ``(query, source)`` entry, built for a near target,
+    then read by four threads toward four farther ones at once: each
+    thread's read deepens the entry's BFS if it has to, and gets the
+    one-shot λ and walk sequence.  Deepens are single flight — no two
+    BFS runs overlap, and each one is counted — and an enumeration
+    opened before them finishes, right, on the snapshot it started on.
+    Dead-end teeth on every chain vertex make each BFS level long
+    enough for the threads' deepens to meet."""
+    builder = GraphBuilder()
+    for i in range(14):
+        for _ in range(2):
+            builder.add_edge(f"v{i}", f"v{i + 1}", ["a"])
+        for j in range(1000):
+            builder.add_edge(f"v{i}", f"tooth{i}_{j}", ["a"])
+    graph = builder.build()
+    query = "a*"
+    targets = ["v8", "v10", "v12", "v14"]
+    expected = {}
+    for t in ["v6", *targets]:
+        engine = DistinctShortestWalks(graph, query, "v0", t)
+        expected[t] = engine.lam, [w.edges for w in engine.enumerate()]
+
+    db = Database(graph)
+    early = iter(db.query(query).from_("v0").to("v6").run())
+    head = [next(early).walk.edges]
+
+    active, peaks = [0], []
+    count_lock = threading.Lock()
+    run = AnnotateBFS.run
+
+    def counting_run(bfs, target=None, entries=0):
+        with count_lock:
+            active[0] += 1
+            peaks.append(active[0])
+        try:
+            return run(bfs, target, entries)
+        finally:
+            with count_lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(AnnotateBFS, "run", counting_run)
+    barrier = threading.Barrier(len(targets))
+    results = [None] * len(targets)
+
+    def deepen_and_read(i: int) -> None:
+        barrier.wait(timeout=30)
+        result = db.query(query).from_("v0").to(targets[i]).run()
+        results[i] = result.lam, [row.walk.edges for row in result]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=deepen_and_read, args=(i,))
+            for i in range(len(targets))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[t] for t in targets]
+    stats = db.cache_stats()["annotation_cache"]
+    assert stats["misses"] == 1 and stats["hits"] == len(targets)
+    assert peaks and max(peaks) == 1
+    assert len(peaks) == stats["deepens"] <= len(targets)
+    assert head + [row.walk.edges for row in early] == expected["v6"][1]

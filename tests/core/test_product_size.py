@@ -3,17 +3,21 @@
 Both compiles keep only co-accessible states, so the BFS never creates
 a product node no accepting run passes through; ``compile_query`` also
 merges the states with the same past, so it creates one node where the
-automaton as written spells a class out several times.  These counts
-are exact and machine-independent; they move only when the compiled
-automaton (or what ``Annotate`` logs per product edge) changes.
+automaton as written spells a class out several times.  And a cached
+multi-target entry walks only the BFS levels its requests have needed.
+These counts are exact and machine-independent; they move only when the
+compiled automaton, what ``Annotate`` logs per product edge, or where
+the traversal stops changes.
 """
 
+from repro.api import Database
 from repro.automata import regex_to_nfa
 from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
 from repro.graph.generators import chain
+from repro.workloads.transport import TRANSPORT_QUERIES, transport_network
 from repro.workloads.worstcase import diamond_chain
 
 
@@ -38,6 +42,33 @@ def test_chain_product_has_no_dead_nodes():
             assert annotation.annotation_entries() == entries * hops
             assert trim(graph, annotation).total_items() == cells * hops
             assert annotation.target_info(target)[0] == hops
+
+
+def test_cached_entry_stops_at_the_asked_level():
+    """A cached ``(query, source)`` entry walks only the levels its
+    requests need: ``(train | bus)+`` from ``city5`` reaches ``city8``
+    in 3 hops (16 entries, as the one-shot build stopped there) of a
+    49-level product (196 entries).  A farther target deepens it — the
+    count never drops — and ``to_all()`` saturates it."""
+    graph = transport_network(96, hub_fraction=0.7, seed=1)
+    expression = TRANSPORT_QUERIES["ground_only"]
+    db = Database(graph)
+    query = db.query(expression).from_("city5")
+
+    def cached_entries() -> int:
+        (entry,) = db._annotation_cache._data.values()
+        return entry.annotation.annotation_entries()
+
+    cq = compile_query(graph, regex_to_nfa(expression))
+    source, near = graph.resolve_vertex("city5"), graph.resolve_vertex("city8")
+    assert query.to("city8").run().lam == 3
+    assert cached_entries() == annotate(cq, source, near).annotation_entries()
+    assert cached_entries() == 16
+    assert query.to("city40").run().lam == 35
+    assert cached_entries() >= 16
+    query.to_all().targets()
+    assert cached_entries() == annotate(cq, source, saturate=True).annotation_entries()
+    assert cached_entries() == 196
 
 
 def test_diamond_walks_and_order_unchanged():

@@ -2,8 +2,9 @@
 
 The shape tests pin the tentpole contract: one request decomposes
 into ``parse -> compile -> annotate -> trim -> enumerate`` spans with
-cache-hit/miss tags, a warm request collapses to the post-hoc cached
-``annotate`` plus ``enumerate``, and ``semantics="any"`` has no trim
+cache-hit/miss tags and how far the BFS went, a warm request collapses
+to the post-hoc cached ``annotate`` (tagged ``deepened`` when the entry
+had to go further) plus ``enumerate``, and ``semantics="any"`` has no trim
 stage (the witness engine runs on the untrimmed product).
 """
 
@@ -155,6 +156,37 @@ class TestExecutorSpanShapes:
         spans = entry["spans"]
         assert _span_names(spans) == ["annotate", "enumerate"]
         assert _span_by_name(spans, "annotate")["tags"] == {"cached": True}
+
+    def test_annotate_span_says_how_far_the_bfs_went(self, service):
+        """A cold pair's BFS stops at its target's level (Alix → Dan:
+        λ = 1).  A hit for a farther target deepens the cached entry:
+        its span is tagged, its time accrues into
+        ``annotation_build_s`` and it is counted as a deepen in the
+        cache statistics and the metrics export.  A hit that needs no
+        more levels is the plain cached span."""
+        _run(service, target="Dan")
+        spans = service.obs.slowlog.entries()[-1]["spans"]
+        assert _span_by_name(spans, "annotate")["tags"] == {
+            "cached": False, "levels": 1, "exhausted": False,
+        }
+        built = service.stats()["annotation_build_s"]
+
+        _run(service, target="Bob")
+        spans = service.obs.slowlog.entries()[-1]["spans"]
+        assert _span_names(spans) == ["annotate", "enumerate"]
+        assert _span_by_name(spans, "annotate")["tags"] == {
+            "cached": True, "deepened": True, "levels": 3, "exhausted": False,
+        }
+        stats = service.stats()
+        assert stats["annotation_build_s"] > built
+        assert stats["annotation_cache"]["deepens"] == 1
+        counters = service.obs.registry.snapshot()["counters"]
+        assert counters["cache.annotation_cache.deepens"] == 1
+
+        _run(service, target="Eve")  # λ = 2: settled by the deepen.
+        spans = service.obs.slowlog.entries()[-1]["spans"]
+        assert _span_by_name(spans, "annotate")["tags"] == {"cached": True}
+        assert service.stats()["annotation_cache"]["deepens"] == 1
 
     def test_recursive_mode_is_refused_before_any_phase_runs(self, service):
         request = QueryRequest(

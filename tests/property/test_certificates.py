@@ -19,6 +19,7 @@ from hypothesis import given, settings
 
 from repro.automata.nfa import NFA
 from repro.automata.ops import remove_epsilon
+from repro.core.compile import compile_epsilon_free
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.database import Graph
 
@@ -139,9 +140,14 @@ class TestCertificateStructure:
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
     def test_root_certificate_matches_engine(self, instance):
-        """S(⟨t⟩) from Definition 14 equals the engine's start states."""
+        """S(⟨t⟩) from Definition 14 equals the engine's start states —
+        over the automaton as written, whose state ids Definition 14
+        speaks of (the default compile merges states with the same
+        past: two initial final states are one class there)."""
         graph, nfa, s, t = instance
-        engine = DistinctShortestWalks(graph, nfa, s, t)
+        engine = DistinctShortestWalks(
+            graph, nfa, s, t, compiled=compile_epsilon_free(graph, nfa)
+        )
         answers = [w.edges for w in engine.enumerate()]
         if not answers or len(answers[0]) == 0:
             return

@@ -58,6 +58,13 @@ shapes against the same brute-force oracle: ``all_pairs()`` per pair,
 and ``from_any([...])`` against the min-λ union over the per-source
 oracle answer sets (the virtual super-source semantics).
 
+The **deepened == saturated** column: one multi-target entry built for
+a drawn target ``t1`` (its BFS stops at ``t1``'s level), then asked
+about a drawn ``t2``, then about every target, gives at each step the
+one-shot λ and walk sequence; once deepened to exhaustion it holds the
+saturating build's ``dist``, ``PackedBack`` and ``PackedCells`` columns
+exactly.  The façade repeats the sequence on one cache entry.
+
 The number of cases and the seed base are environment knobs
 (``DIFF_CASES``, default 200; ``DIFF_FACADE_CASES``, default 40;
 ``DIFF_SEED_BASE``, default 0) so the CI matrix can cover disjoint
@@ -68,6 +75,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import islice
 from typing import List, Tuple
 
 import pytest
@@ -88,9 +96,13 @@ from repro.baselines.paper_pipeline import (
     enumerate_walks_recursive,
     trim_maps,
 )
+from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
+from repro.core.enumerate import enumerate_walks
+from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import restriction_predicate
+from repro.core.trim import trim
 from repro.query import rpq
 from repro.query.plan import simple_eligible
 
@@ -311,6 +323,74 @@ def test_cheapest_resumed_equals_one_shot(case: int) -> None:
     if sequence:
         for k in _resume_points(seed, len(sequence)):
             _check_facade_cursor_portability(query, sequence, k, context)
+
+
+#: Walks compared per target in the deepened column: answer sets grow
+#: exponentially with λ, and the column checks the structures under
+#: them, held exactly below.
+_DEEPENED_WALKS = 500
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_deepened_equals_saturated(case: int) -> None:
+    seed = SEED_BASE + 60_000 + case
+    graph, expression, source, t1 = _draw_case(seed)
+    t2 = random.Random(seed ^ 0xDEE9).randrange(graph.vertex_count)
+    nfa = rpq(expression).automaton
+    cq = compile_query(graph, nfa)
+    context = f"seed={seed} regex={expression!r} s={source} t1={t1} t2={t2}"
+
+    def one_shot(t: int):
+        ann = annotate(cq, source, t)
+        walks = enumerate_walks(
+            graph, trim(graph, ann), ann.lam, t, ann.target_states
+        )
+        return ann.lam, [w.edges for w in islice(walks, _DEEPENED_WALKS)]
+
+    mt = MultiTargetShortestWalks(graph, nfa, source, compiled=cq)
+    mt.preprocess(t1)
+    assert (
+        mt.annotation.annotation_entries()
+        == annotate(cq, source, t1).annotation_entries()
+    ), f"the first build did not stop at t1's level ({context})"
+    for t in (t1, t2, *graph.vertices()):
+        got = mt.lam_for(t), [
+            w.edges for w in islice(mt.walks_to(t), _DEEPENED_WALKS)
+        ]
+        assert got == one_shot(t), f"target {t} ({context})"
+    reached = mt.reached_targets()
+    assert reached == [
+        t for t in graph.vertices() if one_shot(t)[0] is not None
+    ], context
+
+    # Exhausted: the saturating build's arrays, column for column, and
+    # no traversal state beside them.
+    assert mt.annotation.saturated and mt._bfs is None, context
+    saturated = annotate(cq, source, saturate=True)
+    assert mt.annotation.dist == saturated.dist, context
+    for column in ("key_indptr", "ent_ti", "ent_pred", "nonempty_keys"):
+        assert getattr(mt.annotation.packed, column) == getattr(
+            saturated.packed, column
+        ), f"{column} ({context})"
+    cells = trim(graph, saturated)
+    for column in ("key_indptr", "cell_ti", "cell_edge", "cell_pred_indptr"):
+        assert getattr(mt.trimmed, column) == getattr(cells, column), (
+            f"{column} ({context})"
+        )
+
+    # The façade: one cache entry, built for t1, deepened by the rest.
+    db = Database(graph)
+    query = db.query(expression).from_(source)
+    for t in (t1, t2):
+        result = query.to(t).run()
+        rows = [row.walk.edges for row in islice(result, _DEEPENED_WALKS)]
+        assert (result.lam, rows) == one_shot(t), f"façade {t} ({context})"
+    assert query.to_all().targets() == [
+        (graph.vertex_name(t), mt.lam_for(t)) for t in reached
+    ], context
+    stats = db.cache_stats()["annotation_cache"]
+    assert (stats["misses"], stats["hits"]) == (1, 2), context
+    assert stats["deepens"] <= 2, context
 
 
 def _oracle_pair(graph, nfa, source: int, target: int):

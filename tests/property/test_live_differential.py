@@ -39,6 +39,13 @@ Per query step, the façade's answers on the live graph are checked in
   semantics-restricted artifacts must be invalidated by interleaved
   mutations exactly like the walks entries.
 
+The **deepened == saturated** column (:func:`test_deepen_after_unrelated_batch`):
+a multi-target entry built for one target, kept across a batch that
+adds vertices and edges on labels its query cannot fire on (so the
+façade does not evict it), then deepened to exhaustion, answers every
+target as a rebuild on the mutated graph does and holds that rebuild's
+packed columns.
+
 Walks are compared by rendering each edge as
 ``(src name, tgt name, label names)`` because edge *ids* legitimately
 differ between the overlay and a rebuild (tombstone slots close up).
@@ -72,8 +79,11 @@ from repro.baselines.paper_pipeline import (
     enumerate_walks_recursive,
     trim_maps,
 )
+from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
+from repro.core.multi_target import MultiTargetShortestWalks
+from repro.core.trim import trim
 from repro.graph.database import Graph
 from repro.live import (
     AddEdge,
@@ -312,6 +322,79 @@ def test_interleaving(case: int) -> None:
     # suite; individual cases may legitimately be query- or
     # mutation-only, so only guard against degenerate *generators*.
     assert mutations + queries == _N_STEPS
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_deepen_after_unrelated_batch(case: int) -> None:
+    seed = SEED_BASE + 90_000 + case
+    rng = random.Random(seed)
+    base = _random_graph(rng)
+    expression = _random_regex(rng)
+    nfa = rpq(expression).automaton
+    n = base.vertex_count
+    source, t1 = rng.randrange(n), rng.randrange(n)
+    # New vertices, and edges on labels outside the query's alphabet —
+    # out of, into and between the base vertices and the new ones.
+    names = [f"v{v}" for v in range(n)] + ["w0", "w1"]
+    ops = [AddVertex("w0"), AddVertex("w1")] + [
+        AddEdge(rng.choice(names), rng.choice(names), (rng.choice(_EXTRA_LABELS),))
+        for _ in range(4)
+    ]
+    context = f"seed={seed} regex={expression!r} s={source} t1={t1}"
+
+    live = LiveGraph(base)
+    mt = MultiTargetShortestWalks(
+        live, nfa, source, compiled=compile_query(live, nfa)
+    )
+    mt.preprocess(t1)
+    live.apply(ops)
+
+    # Answers: every target of the mutated graph, against a rebuild.
+    frozen = live.to_graph()
+    rebuilt = {}
+    for t in live.vertices():
+        name = live.vertex_name(t)
+        engine = DistinctShortestWalks(frozen, nfa, source, name)
+        rebuilt[name] = engine.lam
+        assert mt.lam_for(name) == engine.lam, f"λ of {name} ({context})"
+        assert [_rendered(live, w.edges) for w in mt.walks_to(name)] == [
+            _rendered(frozen, w.edges) for w in engine.enumerate()
+        ], f"walks to {name} ({context})"
+
+    # Columns: the rebuild's, over the key space the entry was first
+    # built for (the new vertices are unreachable: their slots stay -1).
+    mt.settle()
+    assert mt.annotation.saturated, context
+    cq = compile_query(live, nfa)
+    assert cq.n_states == mt.annotation.n_states, context
+    saturated = annotate(cq, live.resolve_vertex(source), saturate=True)
+    keys = len(mt.annotation.dist)
+    assert saturated.dist[:keys] == mt.annotation.dist, context
+    assert set(saturated.dist[keys:]) <= {-1}, context
+    indptr = saturated.packed.key_indptr
+    assert indptr[: keys + 1] == mt.annotation.packed.key_indptr, context
+    assert set(indptr[keys:]) == {indptr[keys]}, context
+    for column in ("ent_ti", "ent_pred"):
+        assert getattr(mt.annotation.packed, column) == getattr(
+            saturated.packed, column
+        ), f"{column} ({context})"
+    cells = trim(live, saturated)
+    for column in ("cell_ti", "cell_edge", "cell_pred_indptr"):
+        assert getattr(mt.trimmed, column) == getattr(cells, column), (
+            f"{column} ({context})"
+        )
+
+    # The façade: the batch evicts nothing, and the kept entry deepens.
+    # (No compaction: it renumbers edge ids and purges by design.)
+    db = Database(LiveGraph(base))
+    query = db.query(expression).from_(source)
+    query.to(t1).run().all()
+    assert db.mutate(ops, compact=False).evicted_annotations == 0, context
+    assert query.to_all().targets() == [
+        (name, lam) for name, lam in rebuilt.items() if lam is not None
+    ], context
+    stats = db.cache_stats()["annotation_cache"]
+    assert (stats["misses"], stats["hits"]) == (1, 1), context
 
 
 def test_interleaving_draws_mix() -> None:

@@ -162,21 +162,20 @@ class TestPatternCommand:
         self, graph_file, capsys, monkeypatch
     ):
         """``repro pattern`` is one façade query: λ and the rows come
-        from the same ``run()`` — one Annotate, stopped at the pair's
-        target (a one-shot process has nobody to saturate for) — and
-        ``ANY SHORTEST`` is the any-walk witness search, no Annotate
-        at all.  (It used to build one engine for λ and a second one
-        for the walks.)"""
-        import repro.core.engine as engine_module
+        from the same ``run()`` — one Annotate BFS run, stopped at the
+        pair's target — and ``ANY SHORTEST`` is the any-walk witness
+        search, no Annotate at all.  (It used to build one engine for λ
+        and a second one for the walks.)"""
+        from repro.core.annotate import AnnotateBFS
 
         runs = []
+        run = AnnotateBFS.run
 
-        def counting_annotate(cq, source, target=None, saturate=False):
+        def counting_run(bfs, target=None, entries=0):
             runs.append(target)
-            return annotate(cq, source, target, saturate)
+            return run(bfs, target, entries)
 
-        annotate = engine_module.annotate
-        monkeypatch.setattr(engine_module, "annotate", counting_annotate)
+        monkeypatch.setattr(AnnotateBFS, "run", counting_run)
         assert main(
             ["pattern", graph_file,
              "ALL SHORTEST (Alix)-[h* s (h|s)*]->(Bob)"]
