@@ -42,7 +42,6 @@ same rows and cursors — it only retains nothing.
 
 from __future__ import annotations
 
-import copy
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -101,7 +100,11 @@ class Query:
         self._timeout_ms: Optional[float] = None
 
     def _clone(self) -> "Query":
-        return copy.copy(self)
+        # A plain __dict__ copy: copy.copy would go through the
+        # __reduce_ex__ protocol, a measurable cost per builder call.
+        q = object.__new__(Query)
+        q.__dict__.update(self.__dict__)
+        return q
 
     # -- graph / plan axis ---------------------------------------------------
 

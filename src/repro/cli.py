@@ -451,7 +451,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive ^C
         pass
+    _stop_resource_tracker()
     return 0
+
+
+def _stop_resource_tracker() -> None:
+    """Stop and reap the ``multiprocessing`` resource tracker.
+
+    Shared memory starts a tracker child that would otherwise outlive
+    the server (re-parented, never reaped) once ``serve`` returns.  By
+    now every worker is joined and every segment unlinked, so the
+    tracker has nothing left to clean up.
+    """
+    from multiprocessing import resource_tracker
+
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is None:  # pragma: no cover - tracker internals vary
+        return
+    try:
+        stop()
+    except OSError:  # already gone: nothing left to reap
+        pass
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:

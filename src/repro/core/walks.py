@@ -42,6 +42,7 @@ class Walk:
         elif start is None:
             raise GraphError("an empty walk needs an explicit start vertex")
         else:
+            graph.vertex_name(start)  # range check: UnknownVertexError
             self._start = start
         for e1, e2 in zip(self._edges, self._edges[1:]):
             if graph.tgt(e1) != graph.src(e2):
@@ -176,7 +177,12 @@ class Walk:
 
         Contains the edge ids (stable within the graph), the vertex
         names, per-edge label sets, the length, and the total cost.
+        An immutable :class:`Graph` (shared-memory ones included)
+        renders from its flat arrays; a ``LiveGraph`` goes through its
+        accessors.
         """
+        if isinstance(self._graph, Graph):
+            return self._graph.render_walk(self._start, self._edges)
         return {
             "edges": list(self._edges),
             "vertices": [str(name) for name in self.vertex_names()],

@@ -311,6 +311,27 @@ class Graph:
         """True when explicit edge costs were provided at build time."""
         return self._costs is not None
 
+    def render_walk(self, start: int, edges: Tuple[int, ...]) -> dict:
+        """:meth:`~repro.core.walks.Walk.to_dict` straight off the flat
+        arrays — no per-edge range check, since every ``Walk`` holds
+        edges that were validated (or chosen) when it was built."""
+        names = self._vertex_names
+        tgt = self._tgt
+        labels = self._labels
+        label_names = self._label_names
+        costs = self._costs
+        vertices = [str(names[start])]
+        vertices.extend([str(names[tgt[e]]) for e in edges])
+        return {
+            "edges": list(edges),
+            "vertices": vertices,
+            "labels": [[label_names[a] for a in labels[e]] for e in edges],
+            "length": len(edges),
+            "cost": len(edges) if costs is None else sum(
+                [costs[e] for e in edges]
+            ),
+        }
+
     # -- adjacency ------------------------------------------------------------
 
     def out_edges(self, v: int) -> Tuple[int, ...]:

@@ -14,10 +14,21 @@ One :class:`ServeServer` owns
 
 Dispatch
 --------
-Queries fan out to workers with bounded in-flight per worker
-(``max_inflight``) — the pipe send blocks logically behind a
-semaphore, so a slow worker exerts backpressure instead of growing an
-unbounded queue.  Two routing policies:
+Dispatch is one callback path on the event loop — no reader thread,
+no task per request.  The connection handler parses a query line and
+sends it down its worker's pipe in the same call; the worker pipe is
+read by a ``loop.add_reader`` callback that resolves the response
+future the connection's in-order writer awaits.  The owner's end of
+each pipe is non-blocking both ways — a frame that does not fit waits
+in a buffer a ``loop.add_writer`` callback flushes — so the loop never
+waits on a worker.  A line that is JSON but not an object is answered
+in place, like a line that is not JSON.  Each worker has at
+most ``max_inflight`` requests in its pipe; further requests wait in
+that worker's FIFO, and the reader callback sends the next one as
+each response frees a slot — a slow worker holds its own queue
+instead of flooding its pipe.  Workers answer with rendered JSON
+bytes, which the writer puts on the socket as they are.  Two routing
+policies pick the worker:
 
 ``round_robin``
     next worker with a free slot (scan from a rotating start);
@@ -32,7 +43,9 @@ Per connection, responses are written strictly in request order
 (requests still execute concurrently).  A ``{"mutate": ...}`` line is
 a write barrier exactly as in ``QueryService.execute_batch``: the
 queries before it finish first, then the mutation applies, then later
-lines proceed — read-your-writes per connection.
+lines proceed — read-your-writes per connection.  A query behind a
+pending barrier joins its worker's FIFO from the barrier's
+done-callback.
 
 Mutations (single-owner write path)
 -----------------------------------
@@ -51,15 +64,17 @@ obtained before a mutation are invalid after it (same contract as
 
 Failure handling
 ----------------
-A worker crash (pipe EOF) fails its in-flight futures; each is
-retried once on the respawned pool — a worker request is always a
-read-only query, so the retry is safe — and answered with a
-structured ``code="worker_crashed"`` error if the retry dies too.  A
-worker that stops responding past the request's ``timeout_ms`` plus a
-grace window is killed and the request answered
-``code="worker_timeout"``.  ``SIGTERM``/``SIGINT`` trigger a graceful
-drain: stop accepting, let in-flight connections finish (bounded),
-stop workers, unlink the segment.
+A worker crash (pipe EOF) respawns the slot and resubmits the dead
+worker's in-flight requests once — a worker request is always a
+read-only query, so the retry is safe — answering a request with a
+structured ``code="worker_crashed"`` error if its retry dies too;
+requests still waiting in the dead worker's FIFO are rerouted as
+they are.  A worker that stops responding past the request's
+``timeout_ms`` plus a grace window (a ``loop.call_later`` watchdog)
+is killed and the request answered ``code="worker_timeout"``.
+``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting, let
+in-flight connections finish (bounded), stop workers, unlink the
+segment.
 """
 
 from __future__ import annotations
@@ -67,9 +82,12 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing as mp
-import threading
+import os
+import pickle
+import struct
 import zlib
-from typing import Any, Dict, List, Optional, Set
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Set, Union
 
 from repro.exceptions import InvalidDeltaError, ReproError
 from repro.graph.database import Graph
@@ -82,8 +100,136 @@ from repro.serve.worker import _error_payload, worker_main
 MAX_LINE = 1 << 20
 
 
+#: What a query future resolves to: the worker's rendered JSON bytes,
+#: or a dict the front-end made itself (errors, mutations, stats).
+Response = Union[bytes, Dict[str, Any]]
+
+#: The answer to a line that parses as JSON but not as an object —
+#: the worker's own wording (:func:`~repro.serve.worker.execute_payload`).
+_NOT_AN_OBJECT = _error_payload("request payload must be a JSON object")
+
+
 class WorkerCrashed(Exception):
     """Internal: the worker serving a request died before answering."""
+
+
+class _Call:
+    """One request bound for a worker: the payload and its future.
+
+    ``payload`` is ``None`` for a stats snapshot, which takes no
+    in-flight slot and is never retried.  ``attempts`` counts sends,
+    so a crash resubmits a query only once.
+    """
+
+    __slots__ = ("payload", "future", "attempts", "timer")
+
+    def __init__(self, payload, future: asyncio.Future) -> None:
+        self.payload = payload
+        self.future = future
+        self.attempts = 0
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+
+#: ``multiprocessing.Connection`` framing: a signed 4-byte big-endian
+#: byte count (``-1`` announces an 8-byte count) before each pickle.
+_HEADER = struct.Struct("!i")
+_BIG_HEADER = struct.Struct("!Q")
+
+
+class _Channel:
+    """The owner's non-blocking end of one worker pipe.
+
+    The worker keeps the blocking ``Connection`` API; this end speaks
+    the same framing on a non-blocking descriptor, so the event loop
+    never blocks on the pipe.  A frame that does not fit is buffered
+    and flushed by a ``loop.add_writer`` callback; reads collect
+    partial frames until they are whole.  A blocking send here could
+    deadlock: the loop stuck writing a large request to a worker that
+    is itself stuck writing a large answer nobody reads.
+    """
+
+    __slots__ = ("_loop", "_conn", "_fd", "_inbuf", "_outbuf", "closed")
+
+    def __init__(self, loop, conn, on_readable) -> None:
+        self._loop = loop
+        self._conn = conn
+        self._fd = conn.fileno()
+        self._inbuf = bytearray()
+        self._outbuf = bytearray()
+        self.closed = False
+        os.set_blocking(self._fd, False)
+        loop.add_reader(self._fd, on_readable)
+
+    def send(self, msg) -> None:
+        """Queue one message; raises ``OSError`` once the pipe is gone."""
+        if self.closed:
+            raise BrokenPipeError("worker channel closed")
+        data = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        if len(data) > 0x7FFFFFFF:
+            header = _HEADER.pack(-1) + _BIG_HEADER.pack(len(data))
+        else:
+            header = _HEADER.pack(len(data))
+        if self._outbuf:
+            self._outbuf += header
+            self._outbuf += data
+            return
+        frame = header + data
+        try:
+            sent = os.write(self._fd, frame)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        if sent < len(frame):
+            self._outbuf += memoryview(frame)[sent:]
+            self._loop.add_writer(self._fd, self._flush)
+
+    def _flush(self) -> None:
+        try:
+            sent = os.write(self._fd, self._outbuf)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            sent = len(self._outbuf)  # the reader sees the EOF
+        del self._outbuf[:sent]
+        if not self._outbuf:
+            self._loop.remove_writer(self._fd)
+
+    def receive(self) -> list:
+        """Every whole message that has arrived; ``EOFError`` at EOF."""
+        try:
+            data = os.read(self._fd, 1 << 18)
+        except (BlockingIOError, InterruptedError):
+            return []
+        except OSError as exc:
+            raise EOFError from exc
+        if not data:
+            raise EOFError
+        buf = self._inbuf
+        buf += data
+        messages = []
+        pos = 0
+        while len(buf) - pos >= _HEADER.size:
+            (size,) = _HEADER.unpack_from(buf, pos)
+            start = pos + _HEADER.size
+            if size == -1:
+                if len(buf) - start < _BIG_HEADER.size:
+                    break
+                (size,) = _BIG_HEADER.unpack_from(buf, start)
+                start += _BIG_HEADER.size
+            if len(buf) - start < size:
+                break
+            messages.append(pickle.loads(buf[start:start + size]))
+            pos = start + size
+        del buf[:pos]
+        return messages
+
+    def close(self) -> None:
+        """Stop watching the descriptor, then close it (idempotent)."""
+        if not self.closed:
+            self.closed = True
+            self._loop.remove_reader(self._fd)
+            if self._outbuf:
+                self._loop.remove_writer(self._fd)
+            self._conn.close()
 
 
 class _Worker:
@@ -92,22 +238,24 @@ class _Worker:
     __slots__ = (
         "index",
         "process",
-        "conn",
-        "sem",
+        "channel",
         "inflight",
         "pending",
+        "waiting",
         "ready",
         "stopped",
         "pid",
     )
 
-    def __init__(self, index: int, process, conn, max_inflight: int) -> None:
+    def __init__(self, index: int, process) -> None:
         self.index = index
         self.process = process
-        self.conn = conn
-        self.sem = asyncio.Semaphore(max_inflight)
+        self.channel: Optional[_Channel] = None
+        #: Queries sent down the pipe and not yet answered.
         self.inflight = 0
-        self.pending: Dict[int, asyncio.Future] = {}
+        self.pending: Dict[int, _Call] = {}
+        #: Queries routed here while every slot was taken, in order.
+        self.waiting: Deque[_Call] = deque()
         self.ready = asyncio.Event()
         self.stopped = False
         self.pid: Optional[int] = None
@@ -238,57 +386,69 @@ class ServeServer:
         )
         process.start()
         child_conn.close()
-        worker = _Worker(index, process, parent_conn, self.max_inflight)
-        threading.Thread(
-            target=self._read_worker,
-            args=(worker,),
-            name=f"serve-reader-{index}",
-            daemon=True,
-        ).start()
+        worker = _Worker(index, process)
+        worker.channel = _Channel(
+            self._loop, parent_conn, lambda: self._on_readable(worker)
+        )
         return worker
 
-    def _read_worker(self, worker: _Worker) -> None:
-        """Blocking pipe reader (one thread per worker generation)."""
-        while True:
-            try:
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._on_message, worker, msg)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                return
+    def _on_readable(self, worker: _Worker) -> None:
+        """Reader callback: dispatch every whole message that arrived."""
         try:
-            self._loop.call_soon_threadsafe(self._on_worker_died, worker)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+            messages = worker.channel.receive()
+        except EOFError:
+            self._on_worker_died(worker)
+            return
+        for msg in messages:
+            if worker.stopped:
+                return
+            self._on_message(worker, msg)
 
     def _on_message(self, worker: _Worker, msg) -> None:
         kind = msg[0]
         if kind == "res":
-            fut = worker.pending.pop(msg[1], None)
-            if fut is not None and not fut.done():
-                fut.set_result(msg[2])
+            call = worker.pending.pop(msg[1], None)
+            if call is None:
+                return  # answered by the watchdog already
+            if call.payload is not None:
+                worker.inflight -= 1
+                if call.timer is not None:
+                    call.timer.cancel()
+            if not call.future.done():
+                call.future.set_result(msg[2])
+            self._fill_slots(worker)
         elif kind == "ready":
             worker.pid = msg[1]
             worker.ready.set()
 
     def _on_worker_died(self, worker: _Worker) -> None:
-        """Loop-thread crash handler: fail in-flight, respawn the slot."""
+        """Crash handler: respawn the slot, resubmit its requests once."""
         if worker.stopped:
             return
         worker.stopped = True
-        for fut in list(worker.pending.values()):
-            if not fut.done():
-                fut.set_exception(WorkerCrashed())
+        sent = list(worker.pending.values())
+        waiting = list(worker.waiting)
         worker.pending.clear()
-        worker.conn.close()
-        if self._draining:
-            return
-        self._stats["respawns"] += 1
-        # Replace the slot in place *before* any retry wakes up, so
-        # retries route to the fresh process.
-        self._pool[worker.index] = self._spawn(worker.index)
+        worker.waiting.clear()
+        worker.channel.close()
+        if not self._draining:
+            self._stats["respawns"] += 1
+            # Replace the slot in place *before* resubmitting, so the
+            # retries route to the fresh process.
+            self._pool[worker.index] = self._spawn(worker.index)
+        for call in sent:
+            if call.timer is not None:
+                call.timer.cancel()
+            if call.payload is None:
+                if not call.future.done():
+                    call.future.set_exception(WorkerCrashed())
+            elif call.attempts < 2 and not self._draining:
+                self._stats["retries"] += 1
+                self._route(call)
+            else:
+                self._fail_crashed(call)
+        for call in waiting:
+            self._route(call)
 
     async def shutdown(self, drain_timeout_s: float = 10.0) -> None:
         """Graceful drain: stop accepting, finish, stop workers, unlink.
@@ -322,8 +482,8 @@ class ServeServer:
         for worker in self._pool:
             worker.stopped = True
             try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+                worker.channel.send(("stop",))
+            except OSError:
                 pass
         for worker in self._pool:
             worker.process.join(timeout=1.0)
@@ -333,7 +493,7 @@ class ServeServer:
             if worker.process.is_alive():  # pragma: no cover - stuck child
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
-            worker.conn.close()
+            worker.channel.close()
         self._pool = []
         if self._segment is not None:
             self._segment.close(unlink=True)
@@ -354,65 +514,106 @@ class ServeServer:
                 return worker
         return pool[start]
 
+    def _submit(
+        self, payload, barrier: Optional[asyncio.Future] = None
+    ) -> asyncio.Future:
+        """Route one query payload; the future resolves to its response.
+
+        With a pending ``barrier`` the query joins a worker's FIFO from
+        the barrier's done-callback instead of now.
+        """
+        self._stats["requests"] += 1
+        call = _Call(payload, self._loop.create_future())
+        if barrier is None or barrier.done():
+            self._route(call)
+        else:
+            barrier.add_done_callback(lambda _barrier: self._route(call))
+        return call.future
+
     async def dispatch_query(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Route one query payload to a worker; retry once on crash."""
-        self._stats["requests"] += 1
-        rid_hint = payload.get("id") if isinstance(payload, dict) else None
-        for attempt in range(2):
-            worker = self._pick(payload)
-            worker.inflight += 1
-            async with worker.sem:
-                try:
-                    return await self._roundtrip(worker, payload)
-                except WorkerCrashed:
-                    self._stats["retries"] += 1
-                    continue
-                finally:
-                    worker.inflight -= 1
-        self._stats["worker_errors"] += 1
-        return _error_payload(
-            "worker crashed while serving the request (retried once)",
-            code="worker_crashed",
-            rid=rid_hint,
-        )
+        if not isinstance(payload, dict):
+            return dict(_NOT_AN_OBJECT)
+        response = await self._submit(payload)
+        if isinstance(response, bytes):
+            return json.loads(response)
+        return response
 
-    async def _roundtrip(
-        self, worker: _Worker, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    def _route(self, call: _Call) -> None:
+        if call.future.done():
+            return  # the caller gave up on it
+        worker = self._pick(call.payload)
+        if worker.stopped:  # draining: nothing respawns the slot
+            self._fail_crashed(call)
+        elif worker.waiting or worker.inflight >= self.max_inflight:
+            worker.waiting.append(call)
+        else:
+            self._send(worker, call)
+
+    def _fill_slots(self, worker: _Worker) -> None:
+        """Send FIFO-waiting queries while ``worker`` has a free slot."""
+        waiting = worker.waiting
+        while (
+            waiting
+            and worker.inflight < self.max_inflight
+            and not worker.stopped
+        ):
+            call = waiting.popleft()
+            if not call.future.done():
+                self._send(worker, call)
+
+    def _send(self, worker: _Worker, call: _Call) -> None:
         rid = self._next_rid
         self._next_rid += 1
-        fut = self._loop.create_future()
-        worker.pending[rid] = fut
-        try:
-            worker.conn.send(("req", rid, payload))
-        except (BrokenPipeError, OSError):
-            worker.pending.pop(rid, None)
-            raise WorkerCrashed() from None
-        timeout_ms = (
-            payload.get("timeout_ms") if isinstance(payload, dict) else None
-        )
+        call.attempts += 1
+        worker.pending[rid] = call
+        worker.inflight += 1
+        payload = call.payload
+        timeout_ms = payload.get("timeout_ms")
         if isinstance(timeout_ms, (int, float)) and timeout_ms > 0:
             # The engine enforces timeout_ms itself (answers
             # status="timeout" in-band); this watchdog only catches a
             # worker that stopped responding altogether.
-            hard = timeout_ms / 1000.0 + self.timeout_grace_s
-            try:
-                return await asyncio.wait_for(fut, hard)
-            except asyncio.TimeoutError:
-                worker.pending.pop(rid, None)
-                self._stats["hard_timeouts"] += 1
-                if not worker.stopped:
-                    worker.process.kill()  # reader EOF → respawn
-                return _error_payload(
+            call.timer = self._loop.call_later(
+                timeout_ms / 1000.0 + self.timeout_grace_s,
+                self._on_hard_timeout,
+                worker,
+                rid,
+            )
+        try:
+            worker.channel.send(("req", rid, payload))
+        except OSError:
+            self._on_worker_died(worker)
+
+    def _on_hard_timeout(self, worker: _Worker, rid: int) -> None:
+        call = worker.pending.pop(rid, None)
+        if call is None:
+            return
+        worker.inflight -= 1
+        self._stats["hard_timeouts"] += 1
+        if not worker.stopped:
+            worker.process.kill()  # pipe EOF → respawn
+        if not call.future.done():
+            call.future.set_result(
+                _error_payload(
                     f"worker unresponsive past timeout_ms + "
                     f"{self.timeout_grace_s:.0f}s grace; worker killed",
                     code="worker_timeout",
-                    rid=payload.get("id"),
+                    rid=call.payload.get("id"),
                 )
-        try:
-            return await fut
-        finally:
-            worker.pending.pop(rid, None)
+            )
+
+    def _fail_crashed(self, call: _Call) -> None:
+        if call.future.done():
+            return
+        self._stats["worker_errors"] += 1
+        call.future.set_result(
+            _error_payload(
+                "worker crashed while serving the request (retried once)",
+                code="worker_crashed",
+                rid=call.payload.get("id"),
+            )
+        )
 
     # -- the single-owner write path ---------------------------------------
 
@@ -487,8 +688,8 @@ class ServeServer:
         for worker in self._pool:
             worker.ready.clear()
             try:
-                worker.conn.send(("reload", new_segment.name))
-            except (BrokenPipeError, OSError):
+                worker.channel.send(("reload", new_segment.name))
+            except OSError:
                 pass  # crash path will respawn onto the new segment
         old.bump_epoch()  # stale marker for any straggling reader
         old.close(unlink=True)
@@ -502,10 +703,13 @@ class ServeServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """One JSONL client: concurrent execution, in-order responses."""
+        loop = self._loop
         order: asyncio.Queue = asyncio.Queue()
         writer_task = asyncio.create_task(self._write_in_order(order, writer))
-        prior: List[asyncio.Task] = []
-        barrier: Optional[asyncio.Task] = None
+        # Every response future since the last mutation, and that
+        # mutation (which itself waited for everything before it).
+        prior: List[asyncio.Future] = []
+        barrier: Optional[asyncio.Future] = None
         try:
             while True:
                 try:
@@ -514,13 +718,11 @@ class ServeServer:
                     asyncio.LimitOverrunError,
                     ValueError,
                 ):  # pragma: no cover - line past MAX_LINE
-                    task = asyncio.create_task(
-                        _completed(
-                            _error_payload("request line too long")
-                        )
+                    fut = _resolved(
+                        loop, _error_payload("request line too long")
                     )
-                    prior.append(task)
-                    await order.put(task)
+                    prior.append(fut)
+                    order.put_nowait(fut)
                     continue
                 if not line:
                     break
@@ -530,30 +732,28 @@ class ServeServer:
                 try:
                     payload = json.loads(text)
                 except json.JSONDecodeError as exc:
-                    task = asyncio.create_task(
-                        _completed(_error_payload(f"bad JSON: {exc}"))
-                    )
+                    fut = _resolved(loop, _error_payload(f"bad JSON: {exc}"))
                 else:
-                    if isinstance(payload, dict) and "mutate" in payload:
-                        task = asyncio.create_task(
-                            self._mutation_after(list(prior), payload)
+                    if not isinstance(payload, dict):
+                        fut = _resolved(loop, _NOT_AN_OBJECT)
+                    elif "mutate" in payload:
+                        fut = barrier = asyncio.create_task(
+                            self._mutation_after(prior, payload)
                         )
-                        barrier = task
-                    elif isinstance(payload, dict) and "stats" in payload:
+                        prior = []
+                    elif "stats" in payload:
                         # Admin request: aggregate now, no barrier —
                         # a stats read must not wait on (or block) the
                         # query traffic around it.
-                        task = asyncio.create_task(
+                        fut = asyncio.create_task(
                             self._stats_request(payload)
                         )
                     else:
-                        task = asyncio.create_task(
-                            self._query_after(barrier, payload)
-                        )
-                prior.append(task)
-                await order.put(task)
+                        fut = self._submit(payload, barrier)
+                prior.append(fut)
+                order.put_nowait(fut)
         finally:
-            await order.put(None)
+            order.put_nowait(None)
             await writer_task
             writer.close()
             try:
@@ -561,15 +761,8 @@ class ServeServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _query_after(
-        self, barrier: Optional[asyncio.Task], payload
-    ) -> Dict[str, Any]:
-        if barrier is not None:
-            await asyncio.wait([barrier])
-        return await self.dispatch_query(payload)
-
     async def _mutation_after(
-        self, prior: List[asyncio.Task], payload
+        self, prior: List[asyncio.Future], payload
     ) -> Dict[str, Any]:
         if prior:
             await asyncio.wait(prior)
@@ -579,20 +772,20 @@ class ServeServer:
         self, order: asyncio.Queue, writer: asyncio.StreamWriter
     ) -> None:
         while True:
-            task = await order.get()
-            if task is None:
+            fut = await order.get()
+            if fut is None:
                 return
             try:
-                response = await task
+                response = await fut
             except Exception as exc:  # noqa: BLE001 — belt and braces.
                 response = _error_payload(
                     f"internal error: {type(exc).__name__}: {exc}",
                     code="internal",
                 )
+            if not isinstance(response, bytes):
+                response = json.dumps(response).encode()
             try:
-                writer.write(
-                    json.dumps(response, sort_keys=False).encode() + b"\n"
-                )
+                writer.write(response + b"\n")
                 await writer.drain()
             except (ConnectionError, OSError):
                 return  # client went away; keep draining the queue
@@ -690,10 +883,10 @@ class ServeServer:
             rid = self._next_rid
             self._next_rid += 1
             fut = self._loop.create_future()
-            worker.pending[rid] = fut
+            worker.pending[rid] = _Call(None, fut)
             try:
-                worker.conn.send(("stats", rid))
-            except (BrokenPipeError, OSError):
+                worker.channel.send(("stats", rid))
+            except OSError:
                 worker.pending.pop(rid, None)
                 fut = None
             sent.append((worker, rid, fut))
@@ -808,8 +1001,10 @@ class ServeServer:
                 pass
 
 
-async def _completed(response: Dict[str, Any]) -> Dict[str, Any]:
-    return response
+def _resolved(loop, response: Response) -> asyncio.Future:
+    fut = loop.create_future()
+    fut.set_result(response)
+    return fut
 
 
 async def _pump_file(

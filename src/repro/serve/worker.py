@@ -19,9 +19,11 @@ parent → child
 
 child → parent
     ``("ready", pid, segment_name, epoch)``  after every successful
-    (re-)attach; ``("res", rid, response_dict)`` per request (stats
-    snapshots answer with the same kind, so the owner's pending-future
-    plumbing serves both).
+    (re-)attach; ``("res", rid, response_json)`` per request, the
+    response already rendered to JSON bytes so the front-end writes
+    them to the socket as they are; stats snapshots answer with the
+    same kind carrying a dict, so the owner's pending-future plumbing
+    serves both.
 
 Mutations never reach a worker: the server owns the write path
 (:mod:`repro.serve.server`).  A ``{"mutate": ...}`` payload that does
@@ -36,6 +38,7 @@ workers that stop responding entirely.
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Any, Dict, Optional
 
@@ -170,7 +173,7 @@ def worker_main(
             # Coarse v1 invalidation: drop the whole process-local
             # cache state with the old graph and re-attach the new
             # segment.  Fine-grained label-footprint eviction stays a
-            # follow-on (ROADMAP item 2).
+            # follow-on (ROADMAP item 10).
             segment_name = msg[1]
             old = graph
             graph, service = fresh_service(segment_name)
@@ -189,13 +192,16 @@ def worker_main(
             rid, payload = msg[1], msg[2]
             try:
                 response = execute_payload(service, payload)
+                rendered = json.dumps(response).encode()
             except Exception as exc:  # noqa: BLE001 — last-ditch guard.
-                response = _error_payload(
-                    f"internal error: {type(exc).__name__}: {exc}",
-                    code="internal",
-                )
+                rendered = json.dumps(
+                    _error_payload(
+                        f"internal error: {type(exc).__name__}: {exc}",
+                        code="internal",
+                    )
+                ).encode()
             try:
-                conn.send(("res", rid, response))
+                conn.send(("res", rid, rendered))
             except (BrokenPipeError, OSError):
                 break
             continue

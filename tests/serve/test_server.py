@@ -440,3 +440,310 @@ def test_stdio_serves_between_two_pipes(tmp_path) -> None:
             time.sleep(0.1)
         assert litter == []
 
+
+
+def _burst(n: int):
+    """``n`` distinct, answer-bearing queries with ids 0..n-1."""
+    shapes = [
+        ("h* s (h | s)*", "Alix", "Bob", 3),
+        ("h", "Alix", "Dan", 1),
+        ("h h", "Alix", "Eve", 2),
+        ("t", "Alix", "Bob", 1),
+    ]
+    lines = []
+    for i in range(n):
+        query, source, target, _lam = shapes[i % len(shapes)]
+        lines.append({"query": query, "source": source, "target": target,
+                      "id": i})
+    return lines, [shape[3] for shape in shapes]
+
+
+def test_no_reader_thread_per_worker() -> None:
+    """Worker pipes are read by an event-loop callback, not a thread."""
+    import threading
+
+    async def scenario():
+        server = await _booted(workers=3)
+        try:
+            names = [t.name for t in threading.enumerate()]
+            assert not [n for n in names if n.startswith("serve-reader-")]
+            assert (await server.dispatch_query(
+                {"query": "h", "source": "Alix", "target": "Dan"}
+            ))["status"] == "ok"
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_pipelined_burst_past_max_inflight_answers_in_order() -> None:
+    """32 pipelined queries against 8 slots: the FIFO holds the rest and
+    every line is answered, in request order, with its own answer."""
+
+    async def scenario():
+        server = await _booted(workers=1, max_inflight=8)
+        try:
+            port = await server.start_tcp()
+            lines, lams = _burst(32)
+            responses = await _tcp_exchange(port, lines)
+            assert [r["id"] for r in responses] == list(range(32))
+            for i, response in enumerate(responses):
+                assert response["status"] == "ok"
+                assert response["lam"] == lams[i % len(lams)]
+            assert server.stats()["requests"] == 32
+            (worker,) = server._pool
+            assert worker.inflight == 0 and not worker.waiting
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_burst_with_mutation_in_the_middle_reads_its_writes() -> None:
+    async def scenario():
+        server = await _booted(workers=2, max_inflight=8)
+        try:
+            port = await server.start_tcp()
+            probe = {"query": "h", "source": "Bob", "target": "Alix"}
+            lines = (
+                [dict(probe, id=i) for i in range(16)]
+                + [{"mutate": [{"op": "add_edge", "src": "Bob",
+                                "tgt": "Alix", "labels": ["h"]}],
+                    "id": 16}]
+                + [dict(probe, id=i) for i in range(17, 33)]
+            )
+            responses = await _tcp_exchange(port, lines)
+            assert [r["id"] for r in responses] == list(range(33))
+            assert all(r["status"] == "empty" for r in responses[:16])
+            assert responses[16]["result"]["serve_epoch"] == 1
+            for response in responses[17:]:
+                assert response["status"] == "ok" and response["lam"] == 1
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_worker_kill_mid_tcp_burst_answers_every_line() -> None:
+    async def scenario():
+        server = await _booted(workers=2, max_inflight=8)
+        try:
+            port = await server.start_tcp()
+            lines, _lams = _burst(32)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for line in lines:
+                    writer.write(json.dumps(line).encode() + b"\n")
+                await writer.drain()
+                os.kill(server.worker_pids()[0], signal.SIGKILL)
+                responses = []
+                for _ in lines:
+                    raw = await asyncio.wait_for(reader.readline(), 60)
+                    assert raw, "server closed mid-burst"
+                    responses.append(json.loads(raw))
+            finally:
+                writer.close()
+            assert [r["id"] for r in responses] == list(range(32))
+            for response in responses:
+                assert response["status"] in ("ok", "error")
+                if response["status"] == "error":
+                    assert response["code"] == "worker_crashed"
+            assert server.stats()["respawns"] >= 1
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_large_answer_then_large_request_does_not_deadlock() -> None:
+    """A request bigger than the pipe's buffer, sent while the worker is
+    writing an answer bigger than the pipe's buffer, must not wedge the
+    loop: neither side may block on the pipe while the other does."""
+    import threading
+
+    from repro.graph.generators import chain
+
+    async def scenario():
+        server = ServeServer(chain(12, ("a",), parallel=2), workers=1)
+        await server.start()
+        done, stuck = threading.Event(), threading.Event()
+
+        def unwedge():  # kills only on a deadlock, until the test ends
+            while not done.wait(20.0):
+                stuck.set()
+                for pid in server.worker_pids():
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+
+        watchdog = threading.Thread(target=unwedge, daemon=True)
+        watchdog.start()
+        try:
+            port = await server.start_tcp()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=1 << 24
+            )
+            try:
+                big_answer = {"query": "a*", "source": "v0",
+                              "target": "v12", "id": 0}
+                big_request = {"query": "a", "source": "v0",
+                               "target": "v1", "id": "x" * 900_000}
+                writer.write(json.dumps(big_answer).encode() + b"\n")
+                writer.write(json.dumps(big_request).encode() + b"\n")
+                await writer.drain()
+                first = await reader.readline()
+                second = await reader.readline()
+            finally:
+                writer.close()
+            assert len(first) > 1 << 20
+            first, second = json.loads(first), json.loads(second)
+            assert first["status"] == "ok" and len(first["walks"]) == 4096
+            assert second["status"] == "ok" and second["lam"] == 1
+            assert second["id"] == big_request["id"]
+            assert not stuck.is_set()
+        finally:
+            done.set()
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_affinity_answers_a_non_object_line_in_order() -> None:
+    """Valid JSON that is not an object is answered with an error in
+    its place, with or without a mutation barrier pending."""
+
+    async def scenario():
+        server = await _booted(workers=2, routing="affinity")
+        try:
+            port = await server.start_tcp()
+            probe = {"query": "h", "source": "Alix", "target": "Dan"}
+            mutation = {"mutate": [{"op": "add_vertex", "name": "Zoe"}],
+                        "id": 3}
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for line in (dict(probe, id=0), [1], dict(probe, id=2),
+                             mutation, 42, dict(probe, id=5)):
+                    writer.write(json.dumps(line).encode() + b"\n")
+                await writer.drain()
+                responses = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 30))
+                    for _ in range(6)
+                ]
+            finally:
+                writer.close()
+            for i in (1, 4):
+                assert responses[i]["status"] == "error"
+                assert "JSON object" in responses[i]["error"]
+            assert [responses[i]["id"] for i in (0, 2, 3, 5)] == [0, 2, 3, 5]
+            assert responses[3]["status"] == "ok"
+            for i in (0, 2, 5):
+                assert responses[i]["status"] == "ok"
+            assert await server.dispatch_query([1]) == responses[1]
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_tcp_responses_match_query_service() -> None:
+    """Wire parity: over TCP every spine transport query answers the
+    dict ``QueryService.execute(...).to_dict()`` answers in-process,
+    field for field, apart from the per-request ``timings``."""
+    import random
+
+    from repro.service import QueryService
+    from repro.service.requests import QueryRequest
+    from repro.workloads.transport import TRANSPORT_QUERIES, transport_network
+
+    graph = transport_network(96, seed=1)
+    rng = random.Random(1)
+    requests = [
+        {"query": TRANSPORT_QUERIES[name], "source": f"city{s}",
+         "target": f"city{(s + rng.randint(3, 6)) % 96}", "limit": 10,
+         "mode": mode, "id": f"{name}-{s}-{mode}"}
+        for name in ("ground_only", "fly_then_ground", "no_bus",
+                     "one_flight_max")
+        for s in rng.sample(range(96), 4)
+        for mode in ("memoryless", "iterative")
+    ]
+    service = QueryService(max_workers=1)
+    service.register_graph("default", graph)
+    expected = [
+        service.execute(QueryRequest.from_dict(r)).to_dict()
+        for r in requests
+    ]
+
+    async def scenario():
+        server = ServeServer(graph, workers=1)
+        await server.start()
+        try:
+            port = await server.start_tcp()
+            return await _tcp_exchange(port, requests)
+        finally:
+            await server.shutdown()
+
+    served = asyncio.run(scenario())
+    assert any(e["status"] == "ok" and e["walks"] for e in expected)
+    for got, want in zip(served, expected):
+        got.pop("timings", None)
+        want.pop("timings", None)
+        assert got == want
+
+
+def _session_members(sid: int):
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                raw = fh.read().decode("ascii", "replace")
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state ppid pgrp session.
+        fields = raw[raw.rindex(")") + 2:].split()
+        if int(fields[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="needs /proc to list a session"
+)
+def test_sigterm_leaves_no_process_in_the_session(tmp_path) -> None:
+    """``repro serve`` exits 0 on SIGTERM and takes its whole process
+    tree with it — workers *and* the multiprocessing resource tracker —
+    so nothing is left in its session before any ``killpg``."""
+    import subprocess
+    import sys
+
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("Alix -> Dan : h, s\nDan -> Eve : h\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(graph_path),
+         "--port", "0", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        start_new_session=True,
+    )
+    try:
+        banner = proc.stdout.readline().decode()
+        assert banner.startswith("listening on"), banner
+        assert len(_session_members(proc.pid)) >= 3  # server + workers
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        # The server reaped every child before exiting: not even a
+        # zombie is left for an init process to collect.
+        assert _session_members(proc.pid) == []
+    finally:
+        proc.stdout.close()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if proc.poll() is None:  # pragma: no cover - failure path
+            proc.wait(timeout=10)
