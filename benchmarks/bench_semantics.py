@@ -1,8 +1,9 @@
 """EXP-SEM — the any-walk cheap mode vs full shortest enumeration.
 
 The PR-7 claim: ``any_walk()`` (one witness per pair, Cypher/GQL
-``ANY``) is an *early-exit* BFS over the product — no Trim, no
-Enumerate, no annotation materialized — and therefore beats the full
+``ANY``) is one ``Annotate`` BFS run stopped at the target, its witness
+read back from the run's distances — no pack, no Trim, no Enumerate —
+and therefore beats the full
 distinct-shortest-walks pipeline on latency whenever the caller only
 needs reachability-with-witness.  Three per-query workloads probe the
 two ways the full pipeline spends its time:
@@ -11,7 +12,7 @@ two ways the full pipeline spends its time:
   ring, first page of 20 per pair (the answer sets are exponential in
   the ring distance — parallel train/bus hops — so full drains are
   off the table for *any* engine): annotation cost dominated by the
-  saturating product BFS that any-walk cuts short at the target;
+  product BFS, which both sides stop at the target;
 * ``diamond/enumeration`` — ``diamond_chain(12, parallel=2)``:
   2^12 = 4096 distinct shortest walks, drained completely; the full
   pipeline must emit every one, any-walk exactly one;

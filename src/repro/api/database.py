@@ -57,7 +57,7 @@ from typing import (
 from repro.api.query import Query
 from repro.api.result import ResultSet
 from repro.api.rows import Cursor, Row
-from repro.core.anywalk import any_walk_search
+from repro.core.annotate import AnnotateBFS
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import CONCRETE_MODES
 from repro.core.enumerate import skip_past_cursor
@@ -1066,10 +1066,12 @@ class Database:
           to exhaustion for the shapes that read every target).
         * ``trails`` / ``simple``: the same object, then the restricted
           regime on top (:func:`restricted_lam`; λ becomes rλ).
-        * ``any``: one early-exit product BFS (see
-          :mod:`repro.core.anywalk`) — no annotation-cache entry, the
-          search skips the entry log, the pack and Trim, and the engine
-          mode is irrelevant; a cell's stream is its single witness.
+        * ``any``: one :class:`~repro.core.annotate.AnnotateBFS` run —
+          to ``only``'s level, or to exhaustion for the shapes that
+          read every target — with no annotation-cache entry, no pack
+          and no Trim, and the engine mode irrelevant; a cell's stream
+          is its single witness, read back from the run's ``dist``
+          (:meth:`~repro.core.annotate.AnnotateBFS.witness`).
 
         This is also the one place a request's annotation statistics
         are written.
@@ -1080,9 +1082,8 @@ class Database:
         any_walk = restriction == "any"
         t0 = time.perf_counter()
         if any_walk:
-            hits = any_walk_search(
-                compiled, source_id, None if only is None else (only,)
-            )
+            bfs = AnnotateBFS(compiled, source_id)
+            bfs.run(only)
             hit = False
         else:
             mt, hit = self._annotation_for(handle, q, plan, source_id, only)
@@ -1101,19 +1102,25 @@ class Database:
         stats["cached"]["annotation"] &= hit
         if any_walk:
             obs_trace.add_span(
-                "annotate", dt, semantics="any", cached=False
+                "annotate", dt, semantics="any", cached=False,
+                levels=bfs.level, exhausted=bfs.exhausted,
             )
 
             def witness(t: int) -> Optional[Tuple]:
-                if t not in hits:
+                found = bfs.witness(t)
+                if found is None:
                     return None
-                lam, edges = hits[t]
+                lam, edges = found
                 return lam, lambda resume: skip_past_cursor(
                     iter((Walk.from_edges_unchecked(graph, edges, source_id),)),
                     resume,
                 ), None
 
-            return lambda: sorted(hits), witness
+            def reached() -> List[int]:
+                info = bfs.target_info
+                return [t for t in range(bfs.n) if info(t)[0] is not None]
+
+            return reached, witness
 
         if deepened:
             obs_trace.add_span(
@@ -1288,8 +1295,14 @@ class Database:
         cq = plan.compiled
         qp.compiled = (cq.n_states, *cq.live_states, cq.delta_size)
         if q._restriction == "any":
-            resolved = "early-exit BFS"
-            route = "any-walk witness search (annotation cache bypassed)"
+            resolved = (
+                "one Annotate BFS run to the asked target's level "
+                "(exhausted for every target), no pack, no Trim"
+            )
+            route = (
+                "a witness per target read back from the run's distances "
+                "(annotation cache bypassed)"
+            )
         else:
             resolved = self._resolve_mode(q._mode)
             resolved += (

@@ -231,10 +231,11 @@ class Query:
     def any_walk(self) -> "Query":
         """One shortest witness walk per bucket (Cypher/GQL ``ANY``).
 
-        The cheap mode: an early-exit BFS over the product — no
-        Trim/Enumerate machinery, no annotation-cache entry — honoring
-        ``limit``/``offset``/``timeout_ms``/cursors at the row level.
-        The witness length equals the plain-walks λ.
+        The cheap mode: one ``Annotate`` BFS run, stopped at the
+        target's level, whose distances the witness is read back from —
+        no pack, no Trim/Enumerate machinery, no annotation-cache entry
+        — honoring ``limit``/``offset``/``timeout_ms``/cursors at the
+        row level.  The witness length equals the plain-walks λ.
         """
         q = self._clone()
         q._restriction = "any"

@@ -76,9 +76,7 @@ class SimpleShortestWalks:
         n = graph.vertex_count
         tgt_arr = graph.tgt_array
         indptr, csr_edges = graph.out_csr
-        firing = cq.firing_labels
-        dense = cq.delta_dense
-        n_labels = cq.label_count
+        moves = cq.moves
         final = cq.final
 
         (q0,) = cq.initial  # Deterministic: exactly one initial state.
@@ -102,13 +100,11 @@ class SimpleShortestWalks:
                 # every product edge agrees on exactly one label, so
                 # iterating the state's firing labels over the CSR
                 # buckets covers Out(v) ∩ Δ(q) exactly once.
-                q_base = q * n_labels
-                for a in firing[q]:
+                for a, (p,) in moves[q]:  # Deterministic automaton.
                     b = a * n + v
                     start, end = indptr[b], indptr[b + 1]
                     if start == end:
                         continue
-                    (p,) = dense[q_base + a]  # Deterministic automaton.
                     for j in range(start, end):
                         e = csr_edges[j]
                         u = tgt_arr[e]

@@ -80,10 +80,24 @@ a frontier pair ``(v, q)`` by iterating only the labels in
 ``labels(Δ(q)) ∩ labels(Out(v))`` and, per such label ``a``, only the
 edges of ``Out_a(v)`` — served in O(1) per label by the graph's
 label-indexed CSR adjacency (:attr:`repro.graph.database.Graph.out_csr`)
-and a per-state list of moves ``(CSR bucket base of a, Δ(q, a))`` that
-each call resolves once from the compiled transition table.  The
-per-pair cost drops from O(OutDeg(v) × |Lbl|) dict probes to
+and the per-state moves ``(a, Δ(q, a))`` the compile resolved once
+(:attr:`~repro.core.compile.CompiledQuery.moves`).  The per-pair cost
+drops from O(OutDeg(v) × |Lbl|) dict probes to
 O(Σ_{a ∈ labels(q)} |Out_a(v)|).
+
+The one product BFS
+-------------------
+
+This is the only breadth-first traversal of ``D × A`` in
+:mod:`repro.core`, and everything that is a function of its levels
+reads a run of it rather than traversing again: the ``ANY`` mode's
+single witness is read back from ``dist``
+(:meth:`AnnotateBFS.witness`), and the duplicate-blowup counters of
+:mod:`repro.core.count` are one forward pass over the entry log.  The
+Dijkstra variant (:mod:`repro.core.cheapest`) settles nodes in cost
+order, which levels do not give, and the restricted fallback DFS
+(:mod:`repro.core.restricted`) enumerates walks longer than λ; both
+stay separate traversals.
 """
 
 from __future__ import annotations
@@ -204,22 +218,7 @@ class Annotation:
         fire on, else the entry would have been evicted), so the
         answer is the usual "no matching walk".
         """
-        if not 0 <= t < self.n:
-            return None, frozenset()
-        if t == self.source and (self.initial_closure & self.final):
-            return 0, frozenset(self.initial_closure & self.final)
-        dist = self.dist
-        base = t * self.n_states
-        lam_t = None
-        states = []
-        for f in self.final:
-            level = dist[base + f]
-            if level >= 0:
-                if lam_t is None or level < lam_t:
-                    lam_t, states = level, [f]
-                elif level == lam_t:
-                    states.append(f)
-        return lam_t, frozenset(states)
+        return _target_info(self.dist, self.n, self.n_states, self.final, t)
 
     def settled(self, t: Optional[int]) -> bool:
         """Whether :meth:`target_info` of ``t`` — and every cell its
@@ -258,6 +257,38 @@ class Annotation:
         return len(self.packed)
 
 
+def _target_info(
+    dist: array, n: int, n_states: int, final: FrozenSet[int], t: int
+) -> Tuple[Optional[int], FrozenSet[int]]:
+    """``(λ_t, S_t)`` read off ``dist``: the least level of ``t`` in a
+    final state and the final states at it (``(None, ∅)`` when ``t``
+    is unreached or beyond the ``n`` vertices ``dist`` covers).  At the
+    source, level 0 holds exactly the start states."""
+    if not 0 <= t < n:
+        return None, frozenset()
+    base = t * n_states
+    lam_t = None
+    states = []
+    for f in final:
+        level = dist[base + f]
+        if level >= 0:
+            if lam_t is None or level < lam_t:
+                lam_t, states = level, [f]
+            elif level == lam_t:
+                states.append(f)
+    return lam_t, frozenset(states)
+
+
+def _reached(dist: array, keys) -> bool:
+    """Whether any of ``keys`` holds a level — a loop, not ``any()``
+    over a generator: it runs at every level boundary of a stopped
+    BFS, and on a deep narrow product those boundaries are many."""
+    for k in keys:
+        if dist[k] >= 0:
+            return True
+    return False
+
+
 def _unflatten(flat: array, n: int, n_states: int) -> List[LengthMap]:
     """Convert the flat per-(vertex, state) array back to ``L`` dicts.
 
@@ -284,9 +315,10 @@ class AnnotateBFS:
 
     :meth:`run` expands whole levels until a stop target is settled
     (module docstring) or the product is exhausted, and may be called
-    again to continue; :meth:`annotation` packs the whole log.  The
-    sequence of levels and log entries is the one-shot traversal's
-    whatever the stops in between.
+    again to continue; :meth:`annotation` packs the whole log, and
+    :meth:`witness` reads one shortest walk back from ``dist`` without
+    it.  The sequence of levels and log entries is the one-shot
+    traversal's whatever the stops in between.
 
     Each :meth:`run` re-reads the graph's flat views and CSR bucket
     bases, so a traversal kept across :class:`~repro.live.LiveGraph`
@@ -339,26 +371,21 @@ class AnnotateBFS:
         through the graph's CSR adjacency, recording ``B`` entries into
         the append-only log (no per-entry dict or list allocation).
         """
-        graph = self.cq.graph
+        cq = self.cq
+        graph = cq.graph
         n = graph.vertex_count
         n_states = self.n_states
         tgt_arr = graph.tgt_array
         ti_arr = graph.tgt_idx_array
         indptr, csr_edges = graph.out_csr
         out_labels = graph.out_labels_array
-        # Per state, its moves ``(a·|V|, Δ(q, a))`` in ascending label
-        # order — the CSR bucket base and the successor tuple, resolved
-        # once per run instead of once per frontier pair.
-        moves_by_label = [
-            {a: (a * n, row[a]) for a in sorted(row)} for row in self.cq.delta
-        ]
-        moves = [tuple(by_label.values()) for by_label in moves_by_label]
+        moves = cq.moves
+        delta = cq.delta
         # The target's final-state slots: the stop test reads these.
         stop_keys = (
             () if target is None
-            else [target * n_states + f for f in self.cq.final]
+            else [target * n_states + f for f in cq.final]
         )
-
         dist = self.dist
         ent_pred = self.ent_pred
         key_append = self.ent_key.append
@@ -367,11 +394,7 @@ class AnnotateBFS:
         next_pairs = self.next_pairs
         level = self.level
         while next_pairs:
-            if (
-                target is not None
-                and len(ent_pred) >= entries
-                and any(dist[k] >= 0 for k in stop_keys)
-            ):
+            if len(ent_pred) >= entries and _reached(dist, stop_keys):
                 break
             level += 1
             current, next_pairs = next_pairs, []
@@ -380,34 +403,91 @@ class AnnotateBFS:
                 mine = out_labels[v]
                 if len(steps) > len(mine):
                     # Intersect from the cheaper side.
-                    by_label = moves_by_label[q]
-                    steps = [by_label[a] for a in mine if a in by_label]
-                for a_base, targets in steps:
-                    b = a_base + v
+                    row = delta[q]
+                    steps = [(a, row[a]) for a in mine if a in row]
+                for a, targets in steps:
+                    b = a * n + v
                     start, end = indptr[b], indptr[b + 1]
                     if start == end:
                         continue
                     for e in csr_edges[start:end]:
                         u = tgt_arr[e]
                         u_base = u * n_states
-                        ti = ti_arr[e]
                         for p in targets:
-                            known = dist[u_base + p]
+                            key = u_base + p
+                            known = dist[key]
                             if known < 0:
                                 # First time state p is reached at vertex u.
-                                dist[u_base + p] = level
+                                dist[key] = level
                                 next_pairs.append((u, p))
-                                key_append(u_base + p)
-                                ti_append(ti)
+                                key_append(key)
+                                ti_append(ti_arr[e])
                                 pred_append(q)
                             elif known == level:
                                 # Another walk of the same (minimal) length
                                 # reaches p at u: record the extra witness.
-                                key_append(u_base + p)
-                                ti_append(ti)
+                                key_append(key)
+                                ti_append(ti_arr[e])
                                 pred_append(q)
         self.next_pairs = next_pairs
         self.level = level
+
+    def target_info(self, t: int) -> Tuple[Optional[int], FrozenSet[int]]:
+        """``(λ_t, S_t)`` within the levels done — what
+        :meth:`Annotation.target_info` reads, without packing the log."""
+        return _target_info(self.dist, self.n, self.n_states, self.cq.final, t)
+
+    def witness(self, t: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """``(λ_t, edge ids)`` of one shortest matching walk to ``t``,
+        read back from ``dist`` alone — ``None`` when ``t`` is not
+        reached in a final state within the levels done.
+
+        From ``(t, f)`` on level ``ℓ = λ_t`` (``f`` the least final
+        state there), each step takes the first in-edge ``e`` of the
+        current vertex, in ascending edge id, whose source ``w`` has
+        ``dist[w·|Q| + q] = ℓ − 1`` for some ``q`` with ``f ∈ Δ(q, a)``,
+        ``a ∈ labels(e)`` (the least such ``a``, then ``q``), and goes on
+        from ``(w, q)`` down to level 0, the source in a start state.
+        Such an edge exists at every step — the BFS discovered ``(v, f)``
+        from level ``ℓ − 1`` — so the walk is shortest and matches.
+
+        A :class:`~repro.live.LiveGraph` keeps a removed edge in its
+        ``In`` slot (the slot is its ``TgtIdx``), so an edge that
+        qualifies is taken only if its source's ``Out`` list, which
+        holds live edges only, still has it.  O(λ · (InDeg · |Lbl| ·
+        |Δ⁻¹| + OutDeg)) per target; no parent pointer is kept and the
+        log is not read.
+        """
+        lam, states = self.target_info(t)
+        if lam is None:
+            return None
+        graph = self.cq.graph
+        src_arr = graph.src_array
+        label_array = graph.label_array
+        in_array = graph.in_array
+        out_array = graph.out_array
+        delta_inv = self.cq.delta_inv
+        dist = self.dist
+        n_states = self.n_states
+
+        def step(v: int, p: int, level: int) -> Tuple[int, int, int]:
+            """``(e, w, q)``: the edge into ``(v, p)`` from level
+            ``level``, its source and the state there."""
+            into = delta_inv[p]
+            for e in in_array[v]:
+                w = src_arr[e]
+                w_base = w * n_states
+                for a in label_array[e]:
+                    for q in into.get(a, ()):
+                        if dist[w_base + q] == level and e in out_array[w]:
+                            return e, w, q
+            raise AssertionError("a BFS node has no predecessor")
+
+        edges = [0] * lam
+        v, p = t, min(states)
+        for level in range(lam - 1, -1, -1):
+            edges[level], v, p = step(v, p, level)
+        return lam, tuple(edges)
 
     def annotation(self, target: Optional[int], saturated: bool) -> Annotation:
         """An :class:`Annotation` of the levels done: this traversal's

@@ -19,16 +19,24 @@ rounding would corrupt the leaf test ``budget == 0``).
 Like the BFS :func:`repro.core.annotate.annotate`, the settle loop is
 label-indexed: a popped product node ``(v, q)`` relaxes only the labels
 in ``labels(Δ(q)) ∩ labels(Out(v))`` via the graph's CSR adjacency and
-the query's dense transition layout, with ``L`` carried as the flat
-per-(vertex, state) cost array of :mod:`repro.core.annotate`.  ``B``
-is logged the same way as in the BFS — one append-only ``(key, TgtIdx,
-predecessor)`` triple per relaxation that does not lose — plus the
+the compiled query's per-state moves (the table the BFS reads), with
+``L`` carried as the flat per-(vertex, state) cost array of
+:mod:`repro.core.annotate`.  ``B`` is logged the same way as in the
+BFS — one append-only ``(key, TgtIdx, predecessor)`` triple per
+relaxation that does not lose — plus the
 relaxation's cost: an improvement *supersedes* the witnesses logged
 for the costlier estimate, so on return one linear pass keeps the
 triples whose cost equals the settled ``dist[key]`` and
 :meth:`~repro.datastructures.packed.PackedBack.from_entries` packs
 them.  ``Trim``/``Enumerate`` then run on the same arrays as the BFS
 pipeline.
+
+It stays a traversal of its own beside the one product BFS
+(:class:`repro.core.annotate.AnnotateBFS`): that BFS makes a node final
+at the level it is first reached, i.e. in edge-count order, while a
+node's cheapest walk may have more edges than its shortest one — a node
+is final only when the cost-ordered queue pops it, an order that levels
+do not give.
 """
 
 from __future__ import annotations
@@ -79,10 +87,8 @@ def cheapest_annotate(
     ti_arr = graph.tgt_idx_array
     indptr, csr_edges = graph.out_csr
     out_labels = graph.out_labels_array
-    firing = cq.firing_labels
-    firing_sets = cq.firing_sets
-    dense = cq.delta_dense
-    n_labels = cq.label_count
+    moves = cq.moves
+    delta = cq.delta
     final = cq.final
 
     # L, flattened: dist[v * |Q| + p], -1 = unreached.
@@ -140,21 +146,17 @@ def cheapest_annotate(
                 # Keep draining entries of cost ≤ λ so that equal-cost
                 # witnesses into the target are all recorded.
                 continue
-        fire = firing[q]
+        fire = moves[q]
         mine = out_labels[v]
-        if not fire or not mine:
-            continue
         if len(fire) > len(mine):
             # Intersect from the cheaper side.
-            fset = firing_sets[q]
-            fire = [a for a in mine if a in fset]
-        q_base = q * n_labels
-        for a in fire:
+            row = delta[q]
+            fire = [(a, row[a]) for a in mine if a in row]
+        for a, targets in fire:
             b = a * n + v
             start, end = indptr[b], indptr[b + 1]
             if start == end:
                 continue
-            targets = dense[q_base + a]
             for j in range(start, end):
                 e = csr_edges[j]
                 u = tgt_arr[e]

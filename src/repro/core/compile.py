@@ -98,17 +98,15 @@ class CompiledQuery:
     * ``live_states`` — (co-accessible states, those the merge left);
       for ``explain`` and the compile span, no traversal reads it.
 
-    Three derived layouts feed the label-indexed product-BFS (see
-    :attr:`repro.graph.database.Graph.out_csr`):
+    Two derived tables are resolved once per compile:
 
-    * ``firing_labels`` — per-state tuple of the label ids on which the
-      state has at least one transition, ascending;
-    * ``firing_sets`` — the same as frozensets, for O(1) membership
-      when intersecting with a vertex's out-label tuple;
-    * ``delta_dense`` — the transition table as one flat tuple indexed
-      ``q * |Σ| + a`` (successor tuple, ``()`` when the state cannot
-      fire on ``a``), trading O(|Q| × |Σ|) memory for branch-free
-      lookups in the hot loop.
+    * ``moves`` — per state ``q``, its moves ``(a, Δ(q, a))`` in
+      ascending label order: what the BFS of ``Annotate``, the Dijkstra
+      variant and the folklore baseline expand a product node by;
+    * ``delta_inv`` — ``delta`` reversed: per state ``p``, label id →
+      ``Δ⁻¹(a, p)``, the states ``q`` with ``p ∈ Δ(q, a)``, ascending —
+      what a witness is read back by
+      (:meth:`repro.core.annotate.AnnotateBFS.witness`).
     """
 
     __slots__ = (
@@ -123,10 +121,8 @@ class CompiledQuery:
         "has_eps",
         "delta_size",
         "live_states",
-        "label_count",
-        "firing_labels",
-        "firing_sets",
-        "delta_dense",
+        "moves",
+        "delta_inv",
     )
 
     def __init__(
@@ -154,20 +150,17 @@ class CompiledQuery:
         self.delta_size = sum(
             len(ts) for d in delta for ts in d.values()
         ) + sum(len(es) for es in eps)
-        n_labels = graph.label_count
-        self.label_count = n_labels
-        self.firing_labels: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(d)) for d in delta
+        self.moves: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...] = tuple(
+            tuple(sorted(d.items())) for d in delta
         )
-        self.firing_sets: Tuple[FrozenSet[int], ...] = tuple(
-            frozenset(d) for d in delta
-        )
-        dense: List[Tuple[int, ...]] = [()] * (n_states * n_labels)
+        into: List[Dict[int, List[int]]] = [{} for _ in range(n_states)]
         for q, d in enumerate(delta):
-            base = q * n_labels
             for a, ts in d.items():
-                dense[base + a] = ts
-        self.delta_dense: Tuple[Tuple[int, ...], ...] = tuple(dense)
+                for p in ts:
+                    into[p].setdefault(a, []).append(q)
+        self.delta_inv: Tuple[Dict[int, Tuple[int, ...]], ...] = tuple(
+            {a: tuple(qs) for a, qs in d.items()} for d in into
+        )
 
     def size(self) -> int:
         """The compiled ``|A| = |Q| + |Δ|`` (alphabet shared with D)."""

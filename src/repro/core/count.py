@@ -17,8 +17,10 @@ Three counters, all computed without listing a single walk:
   (word, run) pairs of Section 5.3.  Cross-checks
   ``enumerate_with_multiplicity``.
 
-Complexity.  The product-path and multiplicity counters are plain
-level-synchronous DPs in O(λ × |D| × |A|).  The distinct-walk DP is
+Complexity.  The product-path and multiplicity counters traverse
+nothing themselves: each reads one ``Annotate`` BFS run stopped at λ
+(:class:`~repro.core.annotate.AnnotateBFS`) and makes one forward pass
+over its entry log, O(|D| × |A|) in all.  The distinct-walk DP is
 keyed by tree-node *types* ``(vertex, certificate set, remaining)``;
 shared suffixes collapse, so the key count is bounded by the number of
 distinct certificate sets per vertex — in the worst case exponential in
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.annotate import Annotation
+from repro.core.annotate import AnnotateBFS, Annotation
 from repro.core.compile import CompiledQuery
 
 #: Edge-cost callback; unit costs reproduce the paper's setting.
@@ -134,6 +136,52 @@ def count_distinct_shortest(
     return memo[root]
 
 
+def _count_along_log(
+    cq: CompiledQuery, source: int, target: int
+) -> Tuple[Optional[int], int, int]:
+    """``(λ, product paths, accepting runs)`` into the target's final
+    states at λ ≥ 1 (the callers answer λ = 0); ``(None, 0, 0)`` when
+    no walk matches.
+
+    One :class:`~repro.core.annotate.AnnotateBFS` run, stopped at the
+    target's level, then one forward pass over its entry log.  Every
+    witness of a shortest walk is distance-monotone (a detour would
+    yield a shorter matching walk), so the BFS DAG holds every such
+    product path and run, and the log lists each of its product edges
+    — once per firing label — after every entry of the level before.
+    A node's counts are therefore final before any entry reads them:
+    a run steps along every entry, a product path once per distinct
+    ``(key, TgtIdx, predecessor)`` (labels of one edge that fire the
+    same transition collapse).
+    """
+    bfs = AnnotateBFS(cq, source)
+    bfs.run(target)
+    lam, states = bfs.target_info(target)
+    if lam is None:
+        return None, 0, 0
+    n_states = cq.n_states
+    src_arr = cq.graph.src_array
+    in_array = cq.graph.in_array
+    paths = [0] * len(bfs.dist)
+    runs = [0] * len(bfs.dist)
+    for q in cq.initial_closure:
+        paths[source * n_states + q] = runs[source * n_states + q] = 1
+    seen = set()
+    for entry in zip(bfs.ent_key, bfs.ent_ti, bfs.ent_pred):
+        key, ti, q = entry
+        pred = src_arr[in_array[key // n_states][ti]] * n_states + q
+        runs[key] += runs[pred]
+        if entry not in seen:
+            seen.add(entry)
+            paths[key] += paths[pred]
+    base = target * n_states
+    return (
+        lam,
+        sum(paths[base + f] for f in states),
+        sum(runs[base + f] for f in states),
+    )
+
+
 def count_shortest_product_paths(
     cq: CompiledQuery, source: int, target: int
 ) -> Tuple[Optional[int], int]:
@@ -151,62 +199,10 @@ def count_shortest_product_paths(
     number of copies per answer that the naive baseline visits.
     """
     cq.require_epsilon_free()
-    graph = cq.graph
-    out = graph.out_array
-    tgt_arr = graph.tgt_array
-    labels_arr = graph.label_array
-    delta = cq.delta
-    final = cq.final
-
-    if source == target and (cq.initial_closure & final):
+    if source == target and (cq.initial_closure & cq.final):
         return 0, 1
-
-    # Level-synchronous BFS with path counts.  Every witness of a
-    # shortest walk is distance-monotone (a detour would yield a
-    # shorter matching walk, contradicting λ's minimality), so counting
-    # along the BFS DAG is exhaustive.
-    dist: Dict[Tuple[int, int], int] = {}
-    counts: Dict[Tuple[int, int], int] = {}
-    frontier: List[Tuple[int, int]] = []
-    for q in cq.initial_closure:
-        dist[(source, q)] = 0
-        counts[(source, q)] = 1
-        frontier.append((source, q))
-
-    level = 0
-    found = False
-    while frontier and not found:
-        level += 1
-        new_counts: Dict[Tuple[int, int], int] = {}
-        for v, q in frontier:
-            c = counts[(v, q)]
-            dq = delta[q]
-            for e in out[v]:
-                u = tgt_arr[e]
-                successors: set = set()
-                for a in labels_arr[e]:
-                    successors.update(dq.get(a, ()))
-                for p in successors:
-                    node = (u, p)
-                    known = dist.get(node)
-                    if known is None:
-                        dist[node] = level
-                        new_counts[node] = c
-                        if u == target and p in final:
-                            found = True
-                    elif known == level:
-                        new_counts[node] += c
-        counts = new_counts
-        frontier = list(new_counts)
-
-    if not found:
-        return None, 0
-    total = sum(
-        counts.get((target, f), 0)
-        for f in final
-        if dist.get((target, f)) == level
-    )
-    return level, total
+    lam, paths, _ = _count_along_log(cq, source, target)
+    return lam, paths
 
 
 def count_total_multiplicity(
@@ -222,36 +218,7 @@ def count_total_multiplicity(
     aggregates.  Returns ``(None, 0)`` when no walk matches.
     """
     cq.require_epsilon_free()
-    lam, _ = count_shortest_product_paths(cq, source, target)
-    if lam is None:
-        return None, 0
-    graph = cq.graph
-    if lam == 0:
+    if source == target and (cq.initial_closure & cq.final):
         return 0, len(set(cq.initial) & set(cq.final))
-
-    out = graph.out_array
-    tgt_arr = graph.tgt_array
-    labels_arr = graph.label_array
-    delta = cq.delta
-    final = cq.final
-
-    # Runs start in the *original* initial states (ε-free ⇒ closure = I).
-    counts: Dict[Tuple[int, int], int] = {
-        (source, q): 1 for q in cq.initial
-    }
-    for _ in range(lam):
-        new_counts: Dict[Tuple[int, int], int] = {}
-        for (v, q), c in counts.items():
-            dq = delta[q]
-            for e in out[v]:
-                u = tgt_arr[e]
-                for a in labels_arr[e]:
-                    for p in dq.get(a, ()):
-                        node = (u, p)
-                        new_counts[node] = new_counts.get(node, 0) + c
-        counts = new_counts
-        if not counts:
-            return lam, 0
-    return lam, sum(
-        c for (v, q), c in counts.items() if v == target and q in final
-    )
+    lam, _, runs = _count_along_log(cq, source, target)
+    return lam, runs

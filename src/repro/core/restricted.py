@@ -28,6 +28,13 @@ top of the existing pipeline in two regimes:
    exponential in the worst case and runs only when the cheap regime
    produced nothing.
 
+   The fallback is a traversal of its own beside the one product BFS
+   (:class:`repro.core.annotate.AnnotateBFS`): the BFS keeps, per
+   product node, only the walks of its shortest length, and the walks
+   the fallback enumerates are longer than λ — a trail may have to
+   reach a node late to avoid an edge it already used — so no level
+   structure holds them.
+
 Remark 17's entry-count bound (and the memoized counting DP) applies
 to the *walks* semantics only; restricted answer sets are produced by
 enumeration, never by the DP.

@@ -34,8 +34,8 @@ segments concatenate; a quantifier applies to its segment's SPEC.
 1
 
 Semantics note: ``ANY SHORTEST`` returns one shortest matching walk
-(the any-walk witness search: one product BFS, no enumeration
-machinery); ``ALL SHORTEST`` returns every one, each exactly once —
+(one ``Annotate`` BFS run and a witness read back from its distances,
+no enumeration machinery); ``ALL SHORTEST`` returns every one, each exactly once —
 precisely the paper's Distinct Shortest Walks problem.
 """
 

@@ -112,7 +112,7 @@ class RPQ:
         target: Hashable,
     ) -> Optional[Walk]:
         """One shortest witness walk, or ``None`` — the cheap
-        single-answer mode (early-exit BFS, no enumeration
+        single-answer mode (one ``Annotate`` BFS run, no enumeration
         machinery)."""
         rows = (
             self.query(graph).from_(source).to(target).any_walk()

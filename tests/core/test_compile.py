@@ -181,7 +181,20 @@ class TestCoAccessibleTrim:
         assert all(ts for d in cq.delta for ts in d.values())
         # The derived layouts describe the trimmed table.
         for q in range(cq.n_states):
-            assert cq.firing_labels[q] == tuple(sorted(cq.delta[q]))
+            assert cq.moves[q] == tuple(sorted(cq.delta[q].items()))
+        forward = sorted(
+            (q, a, p)
+            for q, row in enumerate(cq.delta)
+            for a, ts in row.items()
+            for p in ts
+        )
+        backward = sorted(
+            (q, a, p)
+            for p, row in enumerate(cq.delta_inv)
+            for a, qs in row.items()
+            for q in qs
+        )
+        assert forward == backward
         # Ids are kept: |Q|, F and the source automaton are untouched.
         assert cq.n_states == nfa.n_states
         assert cq.final == nfa.final

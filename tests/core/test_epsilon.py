@@ -25,7 +25,6 @@ from repro.baselines.paper_pipeline import (
     trim_maps,
 )
 from repro.core.annotate import annotate
-from repro.core.anywalk import any_walk_search
 from repro.core.cheapest import cheapest_annotate
 from repro.core.compile import compile_query
 from repro.core.count import (
@@ -154,7 +153,6 @@ class TestPossiblyVisitCounterexample:
 _CORE_ENTRY_POINTS = {
     "annotate": lambda g, cq: annotate(cq, 0, 3),
     "cheapest_annotate": lambda g, cq: cheapest_annotate(cq, 0, 3),
-    "any_walk_search": lambda g, cq: any_walk_search(cq, 0, [3]),
     "restricted_lam": lambda g, cq: restricted_lam(
         g, cq, 0, 3, 2, "trails", lambda: iter(())
     ),

@@ -204,7 +204,10 @@ class TestExecutorSpanShapes:
         assert _span_names(spans) == ["parse", "compile", "annotate",
                                       "enumerate"]
         annotate = _span_by_name(spans, "annotate")
-        assert annotate["tags"] == {"semantics": "any", "cached": False}
+        assert annotate["tags"] == {
+            "semantics": "any", "cached": False, "levels": 3,
+            "exhausted": False,
+        }
 
     def test_restricted_semantics_keep_the_trim_span(self, service):
         _run(service, semantics="trails")

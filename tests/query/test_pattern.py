@@ -116,7 +116,7 @@ class TestExecution:
 
     def test_any_shortest_returns_one_shortest_walk(self):
         """The witness is a pure function of the instance — *which*
-        shortest walk depends on the compiled states the any-walk BFS
+        shortest walk depends on the compiled states the witness read
         meets first, and was never promised to be the enumerator's."""
         graph = example9_graph()
         p = parse_pattern("ANY SHORTEST (Alix)-[h* s (h|s)*]->(Bob)")

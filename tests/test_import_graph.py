@@ -190,6 +190,23 @@ def test_the_cells_are_walked_in_one_place():
         ], column
 
 
+def test_one_product_bfs_in_core():
+    """Inside ``repro.core`` a graph's out-adjacency is read by the one
+    product BFS (``annotate.py``) and by the two traversals that levels
+    cannot replace: Dijkstra, which settles nodes in cost order, and the
+    restricted fallback DFS, which enumerates walks longer than λ.  The
+    any-walk witness and the duplicate-blowup counters read a BFS run."""
+    readers = {
+        path
+        for attr in ("out_array", "out_csr")
+        for path in _attribute_readers(attr)
+        if path.startswith("core/")
+    }
+    assert sorted(readers) == [
+        "core/annotate.py", "core/cheapest.py", "core/restricted.py",
+    ]
+
+
 def test_the_dfs_is_one_generator():
     """Both frame forms live in one loop of one generator: no second
     enumerator for the one-state case, no fallback beside it."""
@@ -310,7 +327,7 @@ def test_endpoint_shapes_are_dispatched_in_one_function():
 
 
 def test_one_call_site_per_provider_under_the_facade():
-    for callee in ("any_walk_search", "walks_to"):
+    for callee in ("witness", "walks_to"):
         sites = [
             f"{path.name}:{call.lineno}"
             for path in sorted(API.rglob("*.py"))
