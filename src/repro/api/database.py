@@ -804,7 +804,7 @@ class Database:
                 cq = compile_query(handle.graph, rpq_obj.automaton)
                 co_accessible, merged = cq.live_states
                 compile_span.tag(
-                    states=cq.n_states,
+                    states=cq.automaton.n_states,
                     co_accessible=co_accessible,
                     merged=merged,
                 )
@@ -1293,7 +1293,7 @@ class Database:
         )
         qp = analyze(handle.graph, plan.rpq.automaton)
         cq = plan.compiled
-        qp.compiled = (cq.n_states, *cq.live_states, cq.delta_size)
+        qp.compiled = (cq.automaton.n_states, *cq.live_states, cq.delta_size)
         if q._restriction == "any":
             resolved = (
                 "one Annotate BFS run to the asked target's level "

@@ -38,14 +38,15 @@ toward another exactly as the one-shot run would have continued:
 Section 5.1's on-the-fly ``PossiblyVisit`` is transcribed, with the
 answers it drops, in :mod:`repro.baselines.paper_pipeline`.
 
-Complexity: O(|E| × |Δ|), i.e. O(|D| × |A|) — with |A| the *compiled*
-automaton, which keeps
-only co-accessible states and one state per class of same-past states
+Complexity: O(|V| × |Q| + |E| × |Δ|), i.e. O(|D| × |A|) — with |A|
+the *compiled* automaton, which keeps only co-accessible states and one
+state per class of same-past states, numbered densely
 (:mod:`repro.core.compile`): the traversal never creates a product
 node ``(u, p)`` from which no accepting run can continue, nor two
-nodes at one vertex that exactly the same walks reach, so every
-``dist`` slot written and every ``B`` entry logged belongs to a state
-that can still reach ``F`` and that no other state duplicates.
+nodes at one vertex that exactly the same walks reach, and the key
+space ``dist``, the pack and the cells allocate is |V| × the states it
+runs — 2 per vertex on ``(a|b)* c (a|b|c)*``, not the 20 its Thompson
+automaton is written with.
 
 Packed annotation layout
 ------------------------
@@ -255,6 +256,17 @@ class Annotation:
         length.
         """
         return len(self.packed)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the annotation's arrays — ``dist``, the packed
+        ``B`` store and, once built, the ``Trim`` cells — in O(1):
+        length × item size of each.  ``dist`` is counted even where a
+        multi-target entry shares it with the traversal deepening it."""
+        total = len(self.dist) * self.dist.itemsize + self.packed.nbytes
+        if self._cells is not None:
+            total += self._cells.nbytes
+        return total
 
 
 def _target_info(

@@ -21,13 +21,12 @@ transition table by label *id*.  This step also:
   7 survive.  A removed state lies on no accepting run, so the product
   nodes it would have spawned carry no answer: walk sets, enumeration
   order and run counts (multiplicities) are unchanged, only the part
-  of ``D × A`` that ``Annotate`` walks, logs and packs shrinks.  State
-  **ids are not renumbered** — ``n_states``, ``final`` and
-  ``automaton`` stay as given — so two compilations of the same NFA
-  (the engine's ε-closed query and its ``remove_epsilon`` count
-  automaton) keep addressing the same states.  Which states survive
-  depends only on the database's label *set* (through the dropped
-  transitions), the same thing a cached plan is already evicted on.
+  of ``D × A`` that ``Annotate`` walks, logs and packs shrinks.  The
+  trim alone renumbers nothing: :func:`compile_epsilon_free` and a
+  compile that keeps ε leave ``n_states`` and ``final`` as given.
+  Which states survive depends only on the database's label *set*
+  (through the dropped transitions), the same thing a cached plan is
+  already evicted on.
 * merges the states with the **same past** (:func:`compile_query` with
   ε eliminated, nothing else): the coarsest partition whose classes are
   both-or-neither in ``initial_closure`` and entered by the same set of
@@ -37,19 +36,31 @@ transition table by label *id*.  This step also:
   λ, walk sets and enumeration order (``TgtIdx``-lexicographic from the
   target, a property of the graph) are unchanged.  After ε-closure the
   states of one closure are entered alike: the 7 states above are 2
-  classes, ``(a|b)*`` is one.  A class keeps one member's id (a final
-  member if any, else the smallest); the rest are deleted the way a dead
-  state is.  Run counts are *not* preserved — they belong to the
-  automaton as written — so :func:`compile_epsilon_free` does not merge,
-  nor does a compile that keeps ε.  The refinement signs again only the
-  successors of states that changed class, the largest part of a split
-  keeping the class id: O(|Δ| log |Q|) signatures.
+  classes, ``(a|b)*`` is one.  A class's representative (a final member
+  if any, else the smallest) takes the rows of all its members; the
+  rest are deleted the way a dead state is.  The classes are then
+  numbered **densely**, 0…k−1 in the order of their representatives'
+  ids (``CompiledQuery.written`` maps them back), so ``n_states`` is k
+  and every per-(vertex, state) array a traversal allocates is |V|×k,
+  not |V| × the states as written: on ``(a|b)* c (a|b|c)*`` 2 slots per
+  vertex instead of 20.  The numbering is monotone, so every tie that
+  breaks on state id breaks as it would on the representatives' ids.
+  Dense ids depend on which states survive, hence, like the trim, on
+  the label set a cached plan is evicted on; an annotation is read only
+  through the compile it was built with.  Run counts
+  are *not* preserved — they belong to the automaton as written — so
+  :func:`compile_epsilon_free` does not merge, nor does a compile that
+  keeps ε; nothing reads one compile's state ids in another.  The
+  refinement signs again only the successors of states that changed
+  class, the largest part of a split keeping the class id:
+  O(|Δ| log |Q|) signatures.
 
 Compilation is O(|A|·|Q| + wildcard expansion); it never touches the
 database, preserving the O(|D| × |A|) preprocessing bound.
-:meth:`CompiledQuery.size` — that bound's |A| — counts all ``n_states``
-ids but only the surviving transitions: across a change to what survives
-compare ``annotate.busy_ms`` / ``annotate.entries``, not ``ns_per_da``.
+:meth:`CompiledQuery.size` — that bound's |A| — is the automaton the
+traversal runs: for the merged compile its classes and transitions, so
+``ns_per_da`` compares across compiles of one query whatever survives.
+The as-written compiles count every id, dead ones included.
 
 A note on ε-handling (deviation from the paper's Section 5.1).  The
 paper eliminates ε on the fly inside ``Annotate`` via ``PossiblyVisit``
@@ -85,8 +96,11 @@ class CompiledQuery:
 
     Attributes mirror the paper's automaton tuple:
 
-    * ``n_states`` — |Q|;
-    * ``initial`` — I (as given);
+    * ``n_states`` — |Q|: ``automaton.n_states``, or in a merged compile
+      the number of classes it left (``live_states[1]``);
+    * ``initial`` — I (as given; a merged compile has no ε and no id
+      for a dead or merged-away state, so there it is
+      ``initial_closure``, sorted);
     * ``initial_closure`` — the co-accessible part of the ε-closure of
       I: the states an accepting run may start in;
     * ``final`` — F;
@@ -96,7 +110,10 @@ class CompiledQuery:
     * ``delta_size`` — |Δ| after compilation (counts expanded wildcard
       transitions and ε-transitions);
     * ``live_states`` — (co-accessible states, those the merge left);
-      for ``explain`` and the compile span, no traversal reads it.
+      for ``explain`` and the compile span, no traversal reads it;
+    * ``written`` — per state, the ``automaton`` id it stands for (its
+      class representative's in a merged compile, strictly increasing;
+      ``0…n_states−1`` otherwise).  No traversal reads it.
 
     Two derived tables are resolved once per compile:
 
@@ -121,6 +138,7 @@ class CompiledQuery:
         "has_eps",
         "delta_size",
         "live_states",
+        "written",
         "moves",
         "delta_inv",
     )
@@ -136,6 +154,7 @@ class CompiledQuery:
         delta: Tuple[Dict[int, Tuple[int, ...]], ...],
         eps: Tuple[Tuple[int, ...], ...],
         live_states: Tuple[int, int],
+        written: Tuple[int, ...],
     ) -> None:
         self.graph = graph
         self.automaton = automaton
@@ -146,6 +165,7 @@ class CompiledQuery:
         self.delta = delta
         self.eps = eps
         self.live_states = live_states
+        self.written = written
         self.has_eps = any(eps)
         self.delta_size = sum(
             len(ts) for d in delta for ts in d.values()
@@ -273,7 +293,7 @@ def _compile(
         eps_lists = [[] for _ in range(n)]
 
     # Co-accessible trim: one backward reachability from F over
-    # Δ ∪ Δ_ε, O(|A|).  Ids are kept.
+    # Δ ∪ Δ_ε, O(|A|).
     preds: List[List[int]] = [[] for _ in range(n)]
     for q in range(n):
         for targets in delta_sets[q].values():
@@ -308,24 +328,34 @@ def _compile(
                 delta_sets[q] = {}
                 live.discard(q)
 
-    # A dead state has no live successor (it would be live), so
-    # filtering the targets also empties its own row.
+    # The merged compile numbers the representatives 0…k−1 in written
+    # order; the others keep every id.  A dead state has no live
+    # successor (it would be live), so filtering the targets also
+    # empties its own row.
+    written = tuple(sorted(live)) if merge else tuple(range(n))
+    dense = {q: i for i, q in enumerate(written)}
     delta: Tuple[Dict[int, Tuple[int, ...]], ...] = tuple(
-        {a: tuple(sorted(kept)) for a, ts in d.items() if (kept := ts & live)}
-        for d in delta_sets
+        {
+            a: tuple(dense[p] for p in sorted(kept))
+            for a, ts in delta_sets[q].items()
+            if (kept := ts & live)
+        }
+        for q in written
     )
-    eps = tuple(tuple(p for p in es if p in live) for es in eps_lists)
+    eps = tuple(tuple(dense[p] for p in eps_lists[q] if p in live) for q in written)
+    starts = frozenset(dense[q] for q in initial_closure & live)
 
     return CompiledQuery(
         graph=graph,
         automaton=automaton,
-        n_states=n,
-        initial=tuple(sorted(automaton.initial)),
-        initial_closure=initial_closure & live,
-        final=automaton.final,
+        n_states=len(written),
+        initial=tuple(sorted(starts if merge else automaton.initial)),
+        initial_closure=starts,
+        final=frozenset(dense[q] for q in automaton.final & live),
         delta=delta,
         eps=eps,
         live_states=(co_accessible, len(live)),
+        written=written,
     )
 
 
@@ -335,8 +365,9 @@ def compile_query(
     """Compile ``automaton`` for execution against ``graph``.
 
     With ``eliminate_epsilon=True`` (the default) the compiled ``delta``
-    is ε-closed, ``eps`` is empty and same-past states are merged — see
-    the module docstring for why.  ``eliminate_epsilon=False`` keeps the
+    is ε-closed, ``eps`` is empty and same-past states are merged, the
+    classes numbered 0…k−1 (``written`` maps them back) — see the module
+    docstring for why.  ``eliminate_epsilon=False`` keeps the
     raw ε tables, which only the oracles traverse (every function of
     :mod:`repro.core` refuses them).  Either way only co-accessible states
     keep transitions (same docstring); a query none of whose accepting

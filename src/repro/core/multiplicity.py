@@ -85,10 +85,13 @@ def enumerate_with_runs(
     suffix ``edges[i:]`` that start in state ``q``.  At the root,
     ``M[f] = 1`` for every final state of ``cq`` — the count automaton,
     *not* the certificate ``start_states``, which names states of the
-    query compile: that one merges same-past states
-    (:mod:`repro.core.compile`), so two final states the count
-    automaton tells apart are one state there, and a run ending in
-    the other would go uncounted.  Prepending edge ``e`` rolls the map
+    query compile: that one merges same-past states and numbers its
+    classes densely (:mod:`repro.core.compile`), so two final states the
+    count automaton tells apart are one state there, under an id that
+    means another state here.  Nothing crosses the two compiles:
+    ``cells`` and ``start_states`` go only to the enumeration they were
+    built for, and every run count reads ``cq``'s ids alone.  Prepending
+    edge ``e`` rolls the map
     backwards through ``Δ`` restricted to ``Lbl(e)``; at a leaf, the
     multiplicity is the sum of ``M[q]`` over the initial states.
 

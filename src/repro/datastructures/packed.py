@@ -50,6 +50,10 @@ LengthMap = Dict[int, int]
 BackMap = Dict[int, Dict[int, List[int]]]
 
 
+def _nbytes(*arrays: array) -> int:
+    return sum(len(a) * a.itemsize for a in arrays)
+
+
 class PackedBack:
     """The packed ``B`` store: flat, grouped, TgtIdx-sorted entries.
 
@@ -82,6 +86,11 @@ class PackedBack:
     def __len__(self) -> int:
         """Total predecessor entries — Remark 17's quantity, O(1)."""
         return len(self.ent_pred)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the three arrays, O(1)."""
+        return _nbytes(self.key_indptr, self.ent_ti, self.ent_pred)
 
     @classmethod
     def from_entries(
@@ -250,6 +259,14 @@ class PackedCells:
     def total_items(self) -> int:
         """Number of stored (e, X) pairs — for the memory experiment."""
         return len(self)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the four cell arrays (not the lazily built
+        certificate tuples), O(1)."""
+        return _nbytes(
+            self.key_indptr, self.cell_ti, self.cell_edge, self.cell_pred_indptr
+        )
 
     def cert(self, c: int) -> Tuple[int, ...]:
         """The certificate tuple of cell ``c`` — sorted, deduplicated,

@@ -237,6 +237,42 @@ class TestExplainAndStats:
             "1 after the same-past merge, |Δ| 2"
         )
 
+    def test_explain_and_compile_span_count_states_as_written(self):
+        """The merged compile runs 2 states, numbered 0 and 1; explain
+        and the compile span still say what the automaton was written
+        with (20 states, 7 co-accessible) beside what the merge left."""
+        from repro.obs import Trace
+        from repro.obs import trace as obs_trace
+
+        b = GraphBuilder()
+        b.add_edge("u", "v", ["a", "b"])
+        b.add_edge("v", "w", ["c"])
+        b.add_edge("w", "u", ["d"])
+        query = Database(b.build()).query("(a|b)* c (a|b|c)*").from_("u").to("w")
+        trace = Trace()
+        token = obs_trace.activate(trace)
+        try:
+            plan = query.explain()
+        finally:
+            obs_trace.deactivate(token)
+        assert (
+            "compiled: 20 states as written, 7 co-accessible, "
+            "2 after the same-past merge, |Δ| "
+        ) in plan.explain()
+
+        def spans(nodes):
+            for node in nodes:
+                yield node
+                yield from spans(node.get("children", ()))
+
+        (compile_span,) = [
+            s for s in spans(trace.to_dict()["spans"]) if s["name"] == "compile"
+        ]
+        assert compile_span["tags"] == {
+            "states": 20, "co_accessible": 7, "merged": 2,
+        }
+        assert [len(row.walk.edges) for row in query.run()] == [2]
+
     def test_explain_cold_names_the_same_mode(self):
         """Capacity 0 selects no other engine and no other build: the
         whole façade line — resolved mode and route — reads as on a

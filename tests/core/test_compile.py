@@ -9,6 +9,7 @@ from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
+from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain, random_multilabel
 from repro.live import LiveGraph
 from repro.workloads.fraud import example9_automaton, example9_graph
@@ -88,8 +89,11 @@ class TestEpsilonElimination:
         assert not cq.has_eps
         # The closure reaches {1, 2}; state 1 had only its ε-move, so
         # after elimination no final state is reachable from it and the
-        # co-accessible trim drops it from the target tuple.
-        assert cq.delta[0][graph.label_id("h")] == (2,)
+        # co-accessible trim drops it from the target tuple.  States 0
+        # and 2 are left, numbered 0 and 1.
+        assert cq.written == (0, 2)
+        assert cq.delta[0][graph.label_id("h")] == (1,)
+        assert compile_epsilon_free(graph, nfa).delta[0][graph.label_id("h")] == (2,)
         raw = compile_query(graph, nfa, eliminate_epsilon=False)
         assert raw.delta[0][graph.label_id("h")] == (1,)
         assert raw.eps[1] == (2,)
@@ -102,11 +106,17 @@ class TestEpsilonElimination:
         nfa.set_final(1)
         cq = compile_query(graph, nfa)
         # closure(I) = {0, 1}; state 0 had only its ε-move, so a run of
-        # the ε-eliminated automaton starting there never accepts.
-        assert cq.initial_closure == frozenset({1})
+        # the ε-eliminated automaton starting there never accepts.  State
+        # 1 is all that is left: dense id 0, and the one start state.
+        assert cq.written == (1,)
+        assert cq.initial_closure == frozenset({0})
         assert cq.initial == (0,)
+        as_written = compile_epsilon_free(graph, nfa)
+        assert as_written.initial_closure == frozenset({1})
+        assert as_written.initial == (0, 1)
         raw = compile_query(graph, nfa, eliminate_epsilon=False)
         assert raw.initial_closure == frozenset({0, 1})
+        assert raw.initial == (0,)
 
     def test_epsilon_cycle(self, graph):
         nfa = NFA(2)
@@ -119,10 +129,11 @@ class TestEpsilonElimination:
         as_written = compile_epsilon_free(graph, nfa)
         assert set(as_written.delta[0][h]) == {0, 1}
         # Both states are initial and entered by ``0 -h->`` only: one
-        # class, kept under the final member's id.
+        # class, represented by the final member.
         cq = compile_query(graph, nfa)
-        assert cq.delta == ({}, {h: (1,)})
-        assert cq.initial_closure == frozenset({1})
+        assert cq.written == (1,)
+        assert cq.delta == ({h: (0,)},)
+        assert cq.initial_closure == cq.final == frozenset({0})
 
     def test_opt_out(self, graph):
         nfa = thompson_nfa(parse_rpq("h s"))
@@ -195,22 +206,32 @@ class TestCoAccessibleTrim:
             for q in qs
         )
         assert forward == backward
-        # Ids are kept: |Q|, F and the source automaton are untouched.
-        assert cq.n_states == nfa.n_states
-        assert cq.final == nfa.final
         assert cq.automaton is nfa
+        if eliminate:
+            # Merged: the classes left, numbered densely in written order.
+            assert cq.n_states == cq.live_states[1] == len(live)
+            assert list(cq.written) == sorted(set(cq.written))
+            assert {cq.written[f] for f in cq.final} <= nfa.final
+        else:
+            # Ids are kept: |Q| and F are untouched.
+            assert cq.n_states == nfa.n_states
+            assert cq.final == nfa.final
+            assert cq.written == tuple(range(nfa.n_states))
 
     def test_trim_shrinks_the_thompson_automaton(self):
         """20 states as built, 7 co-accessible as written, 2 once the
-        states before ``c`` and the states after it are each one."""
+        states before ``c`` and the states after it are each one — and
+        then only 2 ids."""
         g = random_multilabel(30, 90, alphabet=("a", "b", "c"), seed=3)
         nfa = regex_to_nfa("(a|b)* c (a|b|c)*")
-        for compiled, size in (
-            (compile_epsilon_free(g, nfa), 7),
-            (compile_query(g, nfa), 2),
+        for compiled, ids, size in (
+            (compile_epsilon_free(g, nfa), 20, 7),
+            (compile_query(g, nfa), 2, 2),
         ):
-            used = {q for q in range(20) if compiled.delta[q]} | compiled.final
-            assert compiled.n_states == 20
+            used = {
+                q for q in range(compiled.n_states) if compiled.delta[q]
+            } | compiled.final
+            assert compiled.n_states == ids
             assert len(used) == size
 
     def test_missing_label_empties_the_query(self):
@@ -231,9 +252,10 @@ class TestCoAccessibleTrim:
 
     @pytest.mark.parametrize("expression", THOMPSON_EPS_QUERIES)
     def test_state_ids_unchanged_tracked_matches_recompute(self, expression):
-        """``tracked`` rolls the trimmed annotation's certificate states
-        through the separately compiled ε-free count automaton; that
-        only works while both compilations keep the NFA's state ids."""
+        """``tracked`` enumerates off the query compile and counts runs
+        on the separately compiled ε-free count automaton, whose ids are
+        the NFA's while the query compile's are dense: the two agree
+        only because no state id crosses from one to the other."""
         g = random_multilabel(
             12, 60, alphabet=("a", "b", "c", "d"), max_labels_per_edge=3, seed=5
         )
@@ -274,3 +296,55 @@ class TestCoAccessibleTrim:
         assert fresh.stats["cached"]["plan"] is False
         assert fresh.lam == 4
         assert [len(row.walk.edges) for row in fresh] == [4]
+
+
+class TestDenseIds:
+    def test_label_set_change_evicts_plan_and_entry(self):
+        """Dense ids number the states that survive, and those depend on
+        the label set: while no edge carries ``b``, the state ``a c | b
+        c`` starts its ``b`` branch in is dead; after one does, it is
+        live and shares a class with the ``a`` branch's start (4
+        co-accessible states, 4 classes → 5 and 4).  The batch evicts
+        the plan (``b`` is a new label it mentions) and the annotation
+        entry (``b`` is touched), every hit reads an entry through the
+        compile it was built with, and the answers are a fresh
+        database's."""
+
+        def graph(with_b):
+            b = GraphBuilder()
+            b.add_edge("u", "v", ["a"])
+            b.add_edge("v", "w", ["c"])
+            if with_b:
+                b.add_edge("u", "v", ["b"])
+            return b.build()
+
+        db = Database(LiveGraph(graph(False)))
+
+        def run():
+            return db.query("a c | b c").from_("u").to("w").run()
+
+        def cached():
+            (plan,) = db._plan_cache._data.values()
+            (entry,) = db._annotation_cache._data.values()
+            assert entry._cq is plan.compiled
+            return plan.compiled
+
+        assert [row.walk.edges for row in run()] == [(0, 1)]
+        warm = run()
+        assert warm.stats["cached"]["plan"] and warm.stats["cached"]["annotation"]
+        assert cached().live_states == (4, 4)
+        receipt = db.mutate(
+            [{"op": "add_edge", "src": "u", "tgt": "v", "labels": ["b"]}]
+        )
+        assert (receipt.evicted_plans, receipt.evicted_annotations) == (1, 1)
+        cold = run()
+        assert not cold.stats["cached"]["plan"]
+        assert not cold.stats["cached"]["annotation"]
+        warm = run()
+        assert warm.stats["cached"]["plan"] and warm.stats["cached"]["annotation"]
+        assert cached().live_states == (5, 4)
+        expected = Database(graph(True)).query("a c | b c").from_("u").to("w")
+        for result in (cold, warm):
+            assert [row.walk.edges for row in result] == [
+                row.walk.edges for row in expected.run()
+            ] == [(0, 1), (2, 1)]

@@ -3,7 +3,9 @@
 Both compiles keep only co-accessible states, so the BFS never creates
 a product node no accepting run passes through; ``compile_query`` also
 merges the states with the same past, so it creates one node where the
-automaton as written spells a class out several times.  And a cached
+automaton as written spells a class out several times, and numbers the
+classes densely, so the arrays keyed by (vertex, state) have a slot
+per class and none per state written.  And a cached
 multi-target entry walks only the BFS levels its requests have needed.
 These counts are exact and machine-independent; they move only when the
 compiled automaton, what ``Annotate`` logs per product edge, or where
@@ -16,7 +18,7 @@ from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
-from repro.graph.generators import chain
+from repro.graph.generators import chain, random_multilabel
 from repro.workloads.transport import TRANSPORT_QUERIES, transport_network
 from repro.workloads.worstcase import diamond_chain
 
@@ -42,6 +44,39 @@ def test_chain_product_has_no_dead_nodes():
             assert annotation.annotation_entries() == entries * hops
             assert trim(graph, annotation).total_items() == cells * hops
             assert annotation.target_info(target)[0] == hops
+
+
+def test_key_space_is_the_states_the_traversal_runs():
+    """``big_cold``'s three queries on its smoke-sized graph, saturated
+    from a vertex every query can leave: ``dist`` and the pack's key
+    offsets hold one slot per (vertex, merged state) — 2 / 3 / 2 per
+    vertex, not the 20 / 8 / 22 states the Thompson automata are
+    written with — and the entries and cells in them are what they
+    were before the ids were renumbered.  ``nbytes`` is the arrays'
+    length × 8, plus the cells' once ``Trim`` builds them."""
+    graph = random_multilabel(
+        600, 3000, alphabet=("a", "b", "c", "d"), max_labels_per_edge=2, seed=1
+    )
+    source = graph.resolve_vertex("v1")
+    assert len(graph.out_labels(source)) == 4
+    n = graph.vertex_count
+    for expression, written, states, entries, items in (
+        ("(a|b)* c (a|b|c)*", 20, 2, 2223, 1739),
+        ("a b* c", 8, 3, 1017, 1017),
+        ("(a|b|c|d)+", 22, 2, 1522, 1006),
+    ):
+        nfa = regex_to_nfa(expression)
+        cq = compile_query(graph, nfa)
+        assert nfa.n_states == written
+        assert cq.n_states == cq.live_states[1] == states, expression
+        annotation = annotate(cq, source, saturate=True)
+        keys = n * states
+        assert len(annotation.dist) == keys, expression
+        assert len(annotation.packed.key_indptr) == keys + 1, expression
+        assert annotation.annotation_entries() == entries, expression
+        assert annotation.nbytes == 8 * (2 * keys + 1 + 2 * entries)
+        assert trim(graph, annotation).total_items() == items, expression
+        assert annotation.nbytes == 8 * (3 * keys + 3 + 2 * entries + 3 * items)
 
 
 def test_cached_entry_stops_at_the_asked_level():

@@ -143,7 +143,8 @@ class TestCertificateStructure:
         """S(⟨t⟩) from Definition 14 equals the engine's start states —
         over the automaton as written, whose state ids Definition 14
         speaks of (the default compile merges states with the same
-        past: two initial final states are one class there)."""
+        past and numbers the classes densely: two initial final states
+        are one class there, under an id of its own)."""
         graph, nfa, s, t = instance
         engine = DistinctShortestWalks(
             graph, nfa, s, t, compiled=compile_epsilon_free(graph, nfa)

@@ -15,11 +15,14 @@ two compiles of each automaton are held to:
   coarsest backward bisimulation of the as-written compile; it *is* one
   (members agree on initial-ness and on their past), it is the coarsest
   (no two classes share a signature), and the merged compile is its
-  quotient row for row: the representative (a final member if any, else
-  the smallest id) holds the class's rows, every other member has an
-  empty row and appears in no tuple; compiling the merged automaton
-  again merges nothing;
-* **ids kept** — ``n_states``, ``final`` and ``automaton`` as given;
+  quotient row for row once mapped through ``written``: the
+  representatives (a final member if any, else the smallest id) are
+  ``written``, each holding its class's rows, and ``delta`` /
+  ``initial_closure`` / ``final`` name nothing else; compiling the
+  merged automaton again merges and renumbers nothing;
+* **ids dense** — the merged compile has one id per class, ``written``
+  strictly increasing; ``compile_epsilon_free`` and the ε-kept compile
+  keep ``n_states`` and ``final`` as given;
 * **merged == as-written, end to end** — same λ and the same walk
   *sequence* from annotate → trim → enumerate on every (source, target)
   pair, and from the Dijkstra annotate on a randomly costed copy.
@@ -144,47 +147,54 @@ def test_merged_is_the_quotient_of_as_written(case: int) -> None:
         context = f"seed={seed} {name} regex={expression!r}"
         merged = compile_query(graph, nfa)
         written = compile_epsilon_free(graph, nfa)
-
-        # Ids kept.
-        assert merged.n_states == written.n_states == nfa.n_states, context
-        assert merged.final == written.final == nfa.final, context
-        assert merged.automaton is nfa, context
-
-        # The quotient, exactly.
         classes = _coarsest_same_past(written)
+
+        # Ids: dense after the merge, as given by the other two compiles.
+        assert merged.n_states == len(classes), context
+        assert all(
+            a < b for a, b in zip(merged.written, merged.written[1:])
+        ), context
+        assert merged.automaton is nfa, context
+        for kept in (written, compile_query(graph, nfa, eliminate_epsilon=False)):
+            assert kept.n_states == nfa.n_states, context
+            assert kept.final == nfa.final, context
+            assert kept.written == tuple(range(nfa.n_states)), context
+
+        # The quotient, exactly, read through the class map.
         rep_of = {}
         for block in classes:
             rep = min(block & written.final or block)
             rep_of.update(dict.fromkeys(block, rep))
-        rows = [{} for _ in range(written.n_states)]
+        reps = sorted(set(rep_of.values()))
+        assert merged.written == tuple(reps), context
+        rows = {rep: {} for rep in reps}
         for q, rep in rep_of.items():
             for a, targets in written.delta[q].items():
                 rows[rep].setdefault(a, set()).update(
                     rep_of[p] for p in targets
                 )
         expected = tuple(
-            {a: tuple(sorted(ts)) for a, ts in row.items()} for row in rows
+            {a: tuple(sorted(ts)) for a, ts in rows[rep].items()} for rep in reps
         )
-        reps = set(rep_of.values())
-        assert merged.delta == expected, context
-        assert merged.initial_closure == {
+        back = merged.written.__getitem__
+        assert tuple(
+            {a: tuple(map(back, ts)) for a, ts in row.items()}
+            for row in merged.delta
+        ) == expected, context
+        assert set(map(back, merged.initial_closure)) == {
             rep_of[q] for q in written.initial_closure
         }, context
+        assert set(map(back, merged.final)) == written.final & set(reps), context
         assert merged.live_states == (len(rep_of), len(classes)), context
         assert written.live_states == (len(rep_of), len(rep_of)), context
-        for q in set(rep_of) - reps:  # Deleted the way a dead state is.
-            assert merged.delta[q] == {}, context
-            assert q not in merged.initial_closure, context
-            assert all(
-                q not in ts for row in merged.delta for ts in row.values()
-            ), context
 
         # Language; and the quotient has nothing left to merge.
-        quotient = _rebuilt(merged, merged.final & reps)
+        quotient = _rebuilt(merged, merged.final)
         assert equivalent(quotient, _rebuilt(written, written.final)), context
         if merged.initial_closure:  # Else nothing starts: no query.
             again = compile_query(graph, quotient)
             assert again.live_states == (len(classes), len(classes)), context
+            assert again.written == tuple(range(len(classes))), context
             assert again.delta == merged.delta, context
 
         # Merged == as-written, end to end.
@@ -209,7 +219,7 @@ def test_the_merge_is_not_vacuous() -> None:
     for case in range(N_CASES):
         _, graph, _, automata = _draw_case(case)
         for name, nfa in automata.items():
-            co_accessible, kept = compile_query(graph, nfa).live_states
+            co_accessible, kept = _live_states(graph, nfa)
             before, after = before + co_accessible, after + kept
             shrunk[name] += kept < co_accessible
     assert 4 * shrunk["thompson"] >= N_CASES, shrunk
@@ -219,7 +229,9 @@ def test_the_merge_is_not_vacuous() -> None:
 
 def _live_states(graph, query):
     nfa = query if isinstance(query, NFA) else regex_to_nfa(query)
-    return compile_query(graph, nfa).live_states
+    cq = compile_query(graph, nfa)
+    assert cq.n_states == cq.live_states[1]
+    return cq.live_states
 
 
 def test_pinned_sizes() -> None:
