@@ -1131,7 +1131,6 @@ class Database:
             # thread; a hit still shows the phase, tagged.
             obs_trace.add_span("annotate", dt, cached=True)
         info = mt.target_info
-        memoryless = self._resolve_mode(q._mode) == "memoryless"
 
         def cell(t: int) -> Optional[Tuple]:
             lam, _ = info(t)
@@ -1139,8 +1138,9 @@ class Database:
                 return None
             name = graph.vertex_name(t)
 
+            # Every mode: one DFS per page, positioned once by the cursor.
             def open_walks(resume=None):
-                return mt.walks_to(name, memoryless, resume)
+                return mt.walks_to(name, resume)
 
             if restriction == "walks":
                 return lam, open_walks, mt
@@ -1304,10 +1304,9 @@ class Database:
                 "(annotation cache bypassed)"
             )
         else:
-            resolved = self._resolve_mode(q._mode)
-            resolved += (
-                " (NextOutput seek per row)" if resolved == "memoryless"
-                else " (one DFS, O(λ) seek per resumed page)"
+            resolved = (
+                f"{self._resolve_mode(q._mode)} "
+                "(one DFS per page, O(λ) seek from the cursor)"
             )
             if q._semantics == "cheapest":
                 route = (

@@ -31,13 +31,16 @@ can be forked freely::
     pair = base.to("Bob").limit(10)
     fan  = base.to_all()
 
-**Modes.**  ``shortest`` and ``cheapest`` both support every mode
-(``auto``, ``iterative``, ``memoryless``).  ``auto`` resolves to the
-database's ``default_mode`` (``iterative`` — the DFS kept alive
-between rows; like ``memoryless`` it is concurrency-safe and resumes a
-cursor with one O(λ) seek), whatever the cache sizes: a database with
-its annotation cache disabled runs the same engine and returns the
-same rows and cursors — it only retains nothing.
+**Modes.**  ``shortest`` and ``cheapest`` both accept every mode
+(``auto``, ``iterative``, ``memoryless``); ``auto`` resolves to the
+database's ``default_mode``.  Every mode runs one DFS per page,
+concurrency-safe and positioned by one O(λ) seek from the cursor, so
+they return the same rows and cursors at the same cost (Theorem 18's
+seek before every row is the engine's
+``DistinctShortestWalks(mode="memoryless")``).  That holds whatever
+the cache sizes: a database with its annotation cache disabled runs
+the same engine and returns the same rows and cursors — it only
+retains nothing.
 """
 
 from __future__ import annotations

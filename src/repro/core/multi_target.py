@@ -95,7 +95,6 @@ class MultiTargetShortestWalks(PreparedWalks):
     def walks_to(
         self,
         target: Hashable,
-        memoryless: bool = False,
         resume_after: Optional[Sequence[int]] = None,
     ) -> Iterator[Walk]:
         """Enumerate distinct shortest matching walks to one target.
@@ -103,13 +102,14 @@ class MultiTargetShortestWalks(PreparedWalks):
         One DFS over the one shared preprocessing; any number of these
         iterators may run at once.  ``resume_after`` (a previous
         output's edge sequence) restarts the enumeration right after
-        that walk in O(λ) instead of re-walking the prefix of the
-        output sequence.  ``memoryless=True`` runs the Theorem-18
-        artefact instead — one ``NextOutput`` seek per *output* — with
-        the same outputs in the same order.
+        that walk with one O(λ) seek instead of re-walking the prefix
+        of the output sequence — the only seek the stream makes, so a
+        page costs one seek whatever mode its caller names.  (The
+        Theorem-18 seek before every output is the engine's
+        ``DistinctShortestWalks(mode="memoryless")``.)
         """
         return self._walks(
-            self.graph.resolve_vertex(target), memoryless, resume_after
+            self.graph.resolve_vertex(target), resume_after=resume_after
         )
 
     def count_to(self, target: Hashable, method: str = "enumerate") -> int:

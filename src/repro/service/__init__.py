@@ -48,8 +48,8 @@ not occupy capacity until LRU eviction.
    (:meth:`~repro.graph.database.Graph.warm_indexes` double-checks
    under ``Graph._lazy_lock``), so concurrent first use is safe —
    and registration pre-warms them off the request path;
-3. every enumeration — ``iterative`` (the service default) and
-   ``memoryless`` alike — reads the annotation's
+3. every enumeration — whatever mode the request names — reads the
+   annotation's
    :class:`~repro.datastructures.packed.PackedCells`, which are never
    mutated, and keeps its queue cursors private to its own generator —
    any number of requests share one cached instance.
@@ -58,8 +58,9 @@ not occupy capacity until LRU eviction.
 previous page's ``next_cursor`` — the last walk's edge ids).  The
 cursor seeks in O(λ) by the guided descent of the paper's
 ``NextOutput`` (Theorem 18: the DFS is re-positioned from the previous
-output alone); ``iterative`` does that once per page, ``memoryless``
-once per row.  Output order is identical across the general modes, so
+output alone), once per page in every mode: ``memoryless`` is accepted
+and validated, but only the engine's ``DistinctShortestWalks`` seeks
+before every row.  Output order is identical across the modes, so
 cursors are mode-portable.
 
 **Budgets.**  ``timeout_ms`` is checked between outputs; by Theorem 2

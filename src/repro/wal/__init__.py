@@ -52,7 +52,10 @@ that validates *and* whose watermark the scanned log can continue
 from (corrupt or too-new snapshots fall back to older ones, then to
 empty + full replay); assert the first replayed record carries
 exactly ``watermark + 1`` (the double-apply guard); replay batches
-and compactions through the ordinary live-graph code paths.  The
+and compactions through the ordinary live-graph code paths.  The scan
+validates every frame but keeps only the records past the newest
+snapshot's watermark, so memory follows the replay tail, not the log;
+falling back to an older snapshot re-scans for the longer tail.  The
 result carries ``last_lsn`` and ``valid_offset`` so a writer can
 truncate the torn tail and continue the log — which is exactly what
 :meth:`repro.api.Database.open` does on restart.
@@ -78,7 +81,8 @@ Entry points
 The fault-injection property suite (``tests/wal/test_crash_fuzz.py``,
 env knobs ``WAL_FUZZ_SEED_BASE`` / ``WAL_FUZZ_CASES``) kills the log
 at random byte offsets and diffs recovery against a
-rebuild-from-scratch oracle, across all four query modes.
+rebuild-from-scratch oracle and a full-scan reference recovery,
+across the query modes.
 """
 
 from repro.wal.follower import FollowerDatabase

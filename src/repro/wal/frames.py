@@ -117,19 +117,19 @@ def iter_frames(
 class WalScan:
     """Outcome of scanning one WAL file."""
 
-    #: Every valid record, in log order.
+    #: The valid records past the scan's ``keep_after``, in log order.
     records: List[Dict[str, Any]]
     #: Byte offset right after the last valid frame.
     valid_offset: int
     #: True when bytes (torn/corrupt frames) follow ``valid_offset``.
     torn: bool
-
-    @property
-    def last_lsn(self) -> int:
-        return self.records[-1]["lsn"] if self.records else 0
+    #: LSN of the last valid record, kept or not (0 for none).
+    last_lsn: int
 
 
-def scan_bytes(data: bytes, *, start_lsn: int = 0) -> WalScan:
+def scan_bytes(
+    data: bytes, *, start_lsn: int = 0, keep_after: int = 0
+) -> WalScan:
     """Scan a WAL byte string, checking LSN contiguity.
 
     ``start_lsn`` is the LSN the log is expected to continue from
@@ -138,9 +138,13 @@ def scan_bytes(data: bytes, *, start_lsn: int = 0) -> WalScan:
     LSN + 1 — a valid frame out of sequence raises
     :class:`~repro.exceptions.WalError` (CRC-valid frames do not
     appear out of order by accident).
+
+    Every frame is validated, but only records with an LSN above
+    ``keep_after`` are kept: recovery keeps the replay tail past a
+    snapshot's watermark, not the whole log.
     """
     records: List[Dict[str, Any]] = []
-    valid_offset = 0
+    valid_offset = last_lsn = 0
     expected = start_lsn + 1
     for record, end in iter_frames(data):
         lsn = record["lsn"]
@@ -160,21 +164,23 @@ def scan_bytes(data: bytes, *, start_lsn: int = 0) -> WalScan:
             raise WalError(
                 f"WAL record lsn {lsn} has unknown kind {kind!r}"
             )
-        records.append(record)
-        valid_offset = end
+        if lsn > keep_after:
+            records.append(record)
+        valid_offset, last_lsn = end, lsn
         expected = lsn + 1
     return WalScan(
         records=records,
         valid_offset=valid_offset,
         torn=valid_offset < len(data),
+        last_lsn=last_lsn,
     )
 
 
-def scan_file(path, *, start_lsn: int = 0) -> WalScan:
+def scan_file(path, *, start_lsn: int = 0, keep_after: int = 0) -> WalScan:
     """:func:`scan_bytes` over a file; a missing file is an empty log."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        return WalScan(records=[], valid_offset=0, torn=False)
-    return scan_bytes(data, start_lsn=start_lsn)
+        return WalScan(records=[], valid_offset=0, torn=False, last_lsn=0)
+    return scan_bytes(data, start_lsn=start_lsn, keep_after=keep_after)

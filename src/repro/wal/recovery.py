@@ -4,11 +4,14 @@
 
 1. scan ``wal.log`` for its valid frame prefix (stopping at the first
    torn/corrupt frame — never at a valid one — and remembering the
-   byte offset of the cut);
+   byte offset of the cut), keeping only the records past the newest
+   snapshot's watermark: every frame is validated, but the log's
+   replayed prefix is never held in memory;
 2. pick the newest snapshot that validates **and** whose watermark the
    scanned log can actually continue from (a snapshot ahead of the
    log's last valid LSN is skipped: the log is the source of truth for
-   what committed);
+   what committed) — falling back to an older one, or to none,
+   re-scans the log for the longer tail;
 3. replay the records after the watermark, in LSN order, through the
    ordinary :meth:`LiveGraph.apply` / :meth:`LiveGraph.compact` — the
    same code paths that produced them, so replay is deterministic down
@@ -30,12 +33,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.exceptions import ReproError, WalError
 from repro.live.delta import ops_from_dicts
 from repro.live.live_graph import LiveGraph
-from repro.wal.frames import WalScan, scan_file
+from repro.wal.frames import scan_file
 from repro.wal.snapshot import (
     SnapshotLoad,
     _graph_from_document,
@@ -65,8 +68,10 @@ class RecoveredState:
     torn_tail: bool
 
 
-def _pick_snapshot(wal_dir: str, scan: WalScan) -> Optional[SnapshotLoad]:
-    """Newest valid snapshot the scanned log can replay from.
+def _pick_snapshot(
+    snapshots: List[Tuple[int, str]], last_lsn: int
+) -> Optional[SnapshotLoad]:
+    """Newest valid snapshot a log ending at ``last_lsn`` can replay from.
 
     Beyond CRC validity (handled per file), the snapshot's watermark
     must not exceed the log's last valid LSN: a snapshot *ahead* of
@@ -75,8 +80,8 @@ def _pick_snapshot(wal_dir: str, scan: WalScan) -> Optional[SnapshotLoad]:
     prefix, so recovery falls back to an older snapshot — or to empty
     + full replay.
     """
-    for lsn, path in list_snapshots(wal_dir):
-        if lsn > scan.last_lsn:
+    for lsn, path in snapshots:
+        if lsn > last_lsn:
             continue
         document = _load_document(path)
         if document is None or document["lsn"] != lsn:
@@ -99,14 +104,19 @@ def recover(wal_dir: str) -> RecoveredState:
     """
     if not os.path.isdir(wal_dir):
         raise WalError(f"not a WAL directory: {wal_dir!r}")
-    scan = scan_file(os.path.join(wal_dir, LOG_NAME))
-    snapshot = _pick_snapshot(wal_dir, scan)
+    log = os.path.join(wal_dir, LOG_NAME)
+    snapshots = list_snapshots(wal_dir)
+    # One pass keeps only what the newest snapshot lacks; falling back
+    # to an older one re-scans for the longer tail.
+    newest = snapshots[0][0] if snapshots else 0
+    scan = scan_file(log, keep_after=newest)
+    snapshot = _pick_snapshot(snapshots, scan.last_lsn)
 
     if snapshot is not None:
         live = LiveGraph(snapshot.graph)
         watermark = snapshot.lsn
     else:
-        if any(lsn == 0 for lsn, _ in list_snapshots(wal_dir)):
+        if any(lsn == 0 for lsn, _ in snapshots):
             # A bootstrap snapshot exists but nothing validates: the
             # state the database was seeded with predates the log, so
             # "empty + full replay" would silently drop it.  Loud.
@@ -117,8 +127,10 @@ def recover(wal_dir: str) -> RecoveredState:
             )
         live = LiveGraph()
         watermark = 0
+    if watermark < newest:
+        scan = scan_file(log, keep_after=watermark)
 
-    tail = [r for r in scan.records if r["lsn"] > watermark]
+    tail = scan.records
     if tail and tail[0]["lsn"] != watermark + 1:
         # The double-apply guard (scan contiguity makes this
         # unreachable for a log starting at LSN 1, but a trimmed or

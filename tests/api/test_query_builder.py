@@ -219,9 +219,12 @@ class TestExplainAndStats:
         text = plan.explain()
         assert "façade" in text and "'pair'" in text
         # No mode given: the resumable generator, and explain says so.
-        assert "'auto' → iterative (one DFS, O(λ) seek" in text
+        assert "'auto' → iterative (one DFS per page, O(λ) seek" in text
         forced = db.query(QUERY).from_("Alix").to("Bob").mode("memoryless")
-        assert "→ memoryless (NextOutput" in forced.explain().explain()
+        assert (
+            "→ memoryless (one DFS per page, O(λ) seek from the cursor)"
+            in forced.explain().explain()
+        )
 
     def test_explain_says_what_was_compiled(self):
         """``automaton: size 20`` is Thompson's ``(a|b)*`` as built; the

@@ -147,6 +147,39 @@ class TestPairCursors:
         assert len(resumed.all()) == 3 and not resumed.timed_out
 
 
+class TestOneSeekPerPage:
+    """Every mode pages through one DFS: a first page never seeks, a
+    resumed page seeks once from its cursor — not once per row."""
+
+    @pytest.fixture
+    def seeks(self, monkeypatch):
+        import repro.core.enumerate as enumerate_module
+
+        calls = []
+        real = enumerate_module._seek
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enumerate_module, "_seek", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["auto", "iterative", "memoryless"])
+    def test_a_page_seeks_at_most_once(self, seeks, mode):
+        graph, _, s, t = diamond_chain(5, parallel=2)
+        query = Database(graph).query("a*").from_(s).to(t).mode(mode)
+        full = _edges(Database(graph).query("a*").from_(s).to(t).run())
+        seeks.clear()
+        first = query.limit(10).run()
+        head = _edges(first)
+        assert len(head) == 10 and len(seeks) == 0
+        second = query.limit(10).cursor(first.next_cursor).run()
+        rest = _edges(second)
+        assert len(rest) == 10 and len(seeks) == 1
+        assert head + rest == full[:20]
+
+
 class TestBucketedCursors:
     def test_one_to_all_pages_across_buckets(self, db):
         query = db.query(QUERY).from_("Alix").to_all()

@@ -260,7 +260,21 @@ def test_no_shared_cursor_structure_or_its_guard():
     ]
     args = walks_to.args
     names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    assert names == ["self", "target", "memoryless", "resume_after"]
+    assert names == ["self", "target", "resume_after"]
+
+
+def test_no_serving_tier_imports_the_memoryless_artefact():
+    """Theorem 18's per-output seek is the engine's artefact: the tiers
+    above it page through one DFS, whatever mode a request names."""
+    offenders = [
+        f"{path.relative_to(SRC)}: {module}"
+        for package in ("api", "service", "serve", "query")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module.startswith("repro.core.memoryless")
+        or module == "repro.core.enumerate_memoryless"
+    ]
+    assert offenders == []
 
 
 # -- one way to run a query ---------------------------------------------------

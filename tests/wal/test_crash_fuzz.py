@@ -12,6 +12,9 @@ damaged log still holds.  The contract under test:
   valid-frame count);
 * the recovered graph is state-identical (name-wise — edge ids are
   compared too, via the rendered order) to the oracle;
+* recovery, which keeps only the records past the snapshot it starts
+  from, equals a full-scan reference — state, log geometry, snapshot
+  watermark and replay counts — on every damaged log;
 * the query modes — iterative and memoryless enumeration, and the DP
   answer count — agree with an oracle database over the rebuilt graph;
 * the log can be **continued** after recovery: reopening truncates the
@@ -51,8 +54,8 @@ from repro.live import (
 )
 from repro.live.delta import ops_from_dicts
 from repro.query import rpq
-from repro.wal.frames import scan_bytes
-from repro.wal.recovery import recover
+from repro.wal.frames import scan_bytes, scan_file
+from repro.wal.recovery import _pick_snapshot, recover
 from repro.wal.snapshot import list_snapshots
 from repro.wal.writer import LOG_NAME
 
@@ -170,6 +173,35 @@ def _damage(rng: random.Random, wal_dir: str) -> None:
                 fh.write(blob)
 
 
+def _recover_vs_full_scan(wal_dir: str, ctx: str):
+    """:func:`recover`, checked against a full-scan reference: every
+    valid record held, the snapshot picked against the whole log and
+    the tail filtered out of it — the same state, geometry and replay
+    counts as the tail-only scan."""
+    state = recover(wal_dir)
+    scan = scan_file(os.path.join(wal_dir, LOG_NAME))
+    snapshot = _pick_snapshot(list_snapshots(wal_dir), scan.last_lsn)
+    watermark = 0 if snapshot is None else snapshot.lsn
+    reference = LiveGraph() if snapshot is None else LiveGraph(snapshot.graph)
+    kinds = []
+    for record in scan.records:
+        if record["lsn"] > watermark:
+            kinds.append(record["kind"])
+            if record["kind"] == "batch":
+                reference.apply(ops_from_dicts(record["ops"]))
+            else:
+                reference.compact()
+    assert (
+        state.last_lsn, state.snapshot_lsn, state.valid_offset,
+        state.torn_tail, state.replayed_batches, state.replayed_compactions,
+    ) == (
+        scan.last_lsn, watermark, scan.valid_offset, scan.torn,
+        kinds.count("batch"), kinds.count("compact"),
+    ), ctx
+    assert _rendered_state(state.graph) == _rendered_state(reference), ctx
+    return state
+
+
 def _query_modes_vs_oracle(db, live, oracle_graph, expr, source, target, ctx):
     """Both query modes of ``db`` and the DP count against an oracle
     rebuild; ``recursive`` is refused by the recovered database too."""
@@ -224,7 +256,7 @@ def test_crash_recovery(case: int, tmp_path) -> None:
     # The damaged log's valid prefix is a prefix of the pristine log.
     assert surviving == pristine_records[: len(surviving)], ctx
 
-    state = recover(damaged)
+    state = _recover_vs_full_scan(damaged, ctx)
     # Frame accounting: every surviving frame replayed, none partial.
     assert state.last_lsn == len(surviving), ctx
 
@@ -272,7 +304,7 @@ def test_crash_recovery(case: int, tmp_path) -> None:
     last = db2.wal_writer().last_lsn
     db2.close()
 
-    state2 = recover(damaged)
+    state2 = _recover_vs_full_scan(damaged, ctx)
     assert not state2.torn_tail, ctx  # Reopen truncated the torn tail.
     assert state2.last_lsn == last, ctx
     assert _rendered_state(state2.graph) == continued, ctx

@@ -148,6 +148,55 @@ def test_corrupt_snapshot_falls_back_to_replay(tmp_path) -> None:
     assert _rendered(state.graph) == _rendered(live)
 
 
+def test_recovery_keeps_only_the_replay_tail(tmp_path, monkeypatch) -> None:
+    """A log of 40 batches, a snapshot, then 3 more: recovery holds the
+    3 tail records, not the whole log — and re-scans for the longer
+    tail only when it has to fall back to an older snapshot."""
+    import repro.wal.recovery as recovery
+
+    kept = []
+    scan_file = recovery.scan_file
+
+    def counting(*args, **kwargs):
+        scan = scan_file(*args, **kwargs)
+        kept.append(len(scan.records))
+        return scan
+
+    monkeypatch.setattr(recovery, "scan_file", counting)
+    live = LiveGraph()
+    with WalWriter(str(tmp_path), sync="none") as writer:
+        live.attach_wal(writer)
+        for i in range(40):
+            live.apply([AddEdge(f"v{i}", f"v{i + 1}", ("x",))])
+        live.compact()  # Snapshot at lsn 41.
+        for i in range(3):
+            live.apply([AddEdge(f"w{i}", f"v{i}", ("y",))])
+    state = recover(str(tmp_path))
+    assert (state.snapshot_lsn, state.last_lsn) == (41, 44)
+    assert state.replayed_batches == 3
+    assert kept == [3]
+    assert _rendered(state.graph) == _rendered(live)
+
+    kept.clear()
+    snap = os.path.join(str(tmp_path), snapshot_name(41))
+    with open(snap, "rb") as fh:
+        blob = bytearray(fh.read())
+    os.unlink(snap)
+    state = recover(str(tmp_path))
+    assert state.snapshot_lsn == 0 and state.replayed_batches == 43
+    assert kept == [44]  # No snapshot left: one scan keeps everything.
+    assert _rendered(state.graph) == _rendered(live)
+
+    kept.clear()
+    blob[5] ^= 0xFF
+    with open(snap, "wb") as fh:
+        fh.write(blob)
+    state = recover(str(tmp_path))
+    assert state.snapshot_lsn == 0
+    assert kept == [3, 44]  # The corrupt newest snapshot costs a re-scan.
+    assert _rendered(state.graph) == _rendered(live)
+
+
 def test_corrupt_bootstrap_snapshot_is_loud(tmp_path) -> None:
     """Losing the lsn-0 snapshot must not silently recover empty.
 
