@@ -177,19 +177,10 @@ class Walk:
 
         Contains the edge ids (stable within the graph), the vertex
         names, per-edge label sets, the length, and the total cost.
-        An immutable :class:`Graph` (shared-memory ones included)
-        renders from its flat arrays; a ``LiveGraph`` goes through its
-        accessors.
+        Every graph class renders it from its flat arrays (a live
+        overlay from its current epoch's views).
         """
-        if isinstance(self._graph, Graph):
-            return self._graph.render_walk(self._start, self._edges)
-        return {
-            "edges": list(self._edges),
-            "vertices": [str(name) for name in self.vertex_names()],
-            "labels": [list(labels) for labels in self.label_sets()],
-            "length": self.length,
-            "cost": self.cost(),
-        }
+        return self._graph.render_walk(self._start, self._edges)
 
     def describe(self) -> str:
         """Human-readable rendering with vertex names and labels."""

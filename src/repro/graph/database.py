@@ -23,6 +23,14 @@ Paper               Here
 ``|D|``             :meth:`Graph.size`
 ==================  =======================================
 
+The adjacency reads (``In``, ``Out``, the degrees, the label buckets
+below) and the walk render live once, in :class:`FlatAccessors`, over
+the flat arrays every graph class exposes; :class:`Graph`, the
+shared-memory :class:`~repro.serve.shm.SharedGraph` and the mutable
+:class:`~repro.live.LiveGraph` all inherit them.  The builders of
+those arrays (:func:`build_adjacency`, :func:`build_csr`,
+:func:`build_label_summaries`) are shared the same way.
+
 Label-indexed CSR adjacency
 ---------------------------
 
@@ -70,14 +78,180 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: ids in ascending order.
 CsrIndex = Tuple[array, array]
 
+#: Vertex-id-indexed edge-id tuples (``Out`` or ``In`` lists).
+Adjacency = Tuple[Tuple[int, ...], ...]
+
 from repro.exceptions import (
+    GraphError,
     UnknownEdgeError,
     UnknownLabelError,
     UnknownVertexError,
 )
 
 
-class Graph:
+# -- builders shared by every graph class -------------------------------------
+
+
+def build_adjacency(
+    src: Sequence[int], tgt: Sequence[int], n_vertices: int
+) -> Tuple[Adjacency, Adjacency]:
+    """``(Out, In)`` per vertex, edge ids ascending — so an edge's
+    position in ``In(Tgt(e))`` is its ``TgtIdx``.  O(|V| + |E|); every
+    endpoint must lie in ``range(n_vertices)``."""
+    out_lists: List[List[int]] = [[] for _ in range(n_vertices)]
+    in_lists: List[List[int]] = [[] for _ in range(n_vertices)]
+    # One loop, so Out and In share each edge id's int object.
+    for e, (u, v) in enumerate(zip(src, tgt)):
+        out_lists[u].append(e)
+        in_lists[v].append(e)
+    return tuple(map(tuple, out_lists)), tuple(map(tuple, in_lists))
+
+
+def build_csr(
+    endpoint: Sequence[int],
+    labels: Sequence[Tuple[int, ...]],
+    n_vertices: int,
+    n_labels: int,
+) -> CsrIndex:
+    """Counting-sort the (edge, label) incidences by (label, endpoint).
+
+    O(|Σ|·|V| + Σ_e |Lbl(e)|) ⊆ O(|D|) for a fixed alphabet; edge
+    ids within each bucket stay in ascending order because edges
+    are scattered in edge-id order.  An edge with an empty label
+    tuple has no incidence and lands in no bucket.
+    """
+    n = n_vertices
+    n_buckets = n_labels * n
+    counts = [0] * (n_buckets + 1)
+    for v, ls in zip(endpoint, labels):
+        for a in ls:
+            counts[a * n + v + 1] += 1
+    for b in range(1, n_buckets + 1):
+        counts[b] += counts[b - 1]
+    indptr = array("q", counts)
+    payload = array("q", bytes(8 * counts[n_buckets]))
+    cursor = counts[:-1]
+    for e, v in enumerate(endpoint):
+        for a in labels[e]:
+            b = a * n + v
+            payload[cursor[b]] = e
+            cursor[b] += 1
+    return indptr, payload
+
+
+def build_label_summaries(
+    indptr: Sequence[int], n_vertices: int, n_labels: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """Per-vertex tuples of the labels whose CSR bucket is non-empty."""
+    n = n_vertices
+    present: List[List[int]] = [[] for _ in range(n)]
+    for a in range(n_labels):
+        base = a * n
+        for v in range(n):
+            if indptr[base + v] < indptr[base + v + 1]:
+                present[v].append(a)
+    return tuple(tuple(ls) for ls in present)
+
+
+class FlatAccessors:
+    """The point accessors and the walk render, written once over the
+    flat-array contract.
+
+    A subclass supplies ``vertex_count``, ``label_count``, the flat
+    views (``out_array``, ``in_array``, ``out_csr``, ``in_csr``,
+    ``out_labels_array``, ``in_labels_array``, ``tgt_array``) and
+    ``_walk_columns()``, the columns a walk render reads in one call.
+    Every read below is a range check plus an index into those views.
+    """
+
+    __slots__ = ()
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.vertex_count:
+            raise UnknownVertexError(v)
+
+    def out_edges(self, v: int) -> Tuple[int, ...]:
+        """``Out(v)`` — ids of the (live) edges leaving ``v``, ascending."""
+        self._check_vertex(v)
+        return self.out_array[v]
+
+    def in_edges(self, v: int) -> Tuple[int, ...]:
+        """``In(v)`` — ids of edges entering ``v``; position = TgtIdx.
+
+        A :class:`~repro.live.LiveGraph`'s tombstoned edges keep their
+        slot here, so every cached ``TgtIdx`` stays valid; filter with
+        ``is_live`` for live in-edges only.
+        """
+        self._check_vertex(v)
+        return self.in_array[v]
+
+    def out_degree(self, v: int) -> int:
+        """``OutDeg(v)``."""
+        return len(self.out_edges(v))
+
+    def in_degree(self, v: int) -> int:
+        """``InDeg(v)`` — the size of the ``In(v)`` slot range."""
+        return len(self.in_edges(v))
+
+    def max_in_degree(self) -> int:
+        """The ``d`` of Section 4.2 (0 for the empty graph)."""
+        return max(map(len, self.in_array), default=0)
+
+    def out_by_label(self, v: int, a: int) -> Tuple[int, ...]:
+        """``Out_a(v)`` — edges leaving ``v`` carrying label ``a``.
+
+        Edge ids in ascending order; the empty tuple when ``v`` has no
+        out-edge with that label.  O(1) bucket lookup after the lazy
+        O(|D|) index build.
+        """
+        return self._bucket(self.out_csr, v, a)
+
+    def in_by_label(self, v: int, a: int) -> Tuple[int, ...]:
+        """``In_a(v)`` — edges entering ``v`` carrying label ``a``."""
+        return self._bucket(self.in_csr, v, a)
+
+    def _bucket(self, csr: CsrIndex, v: int, a: int) -> Tuple[int, ...]:
+        self._check_vertex(v)
+        if not 0 <= a < self.label_count:
+            raise UnknownLabelError(a)
+        indptr, payload = csr
+        b = a * self.vertex_count + v
+        return tuple(payload[indptr[b]:indptr[b + 1]])
+
+    def out_labels(self, v: int) -> Tuple[int, ...]:
+        """Distinct label ids appearing on ``Out(v)``, ascending."""
+        self._check_vertex(v)
+        return self.out_labels_array[v]
+
+    def in_labels(self, v: int) -> Tuple[int, ...]:
+        """Distinct label ids appearing on the live ``In(v)``, ascending."""
+        self._check_vertex(v)
+        return self.in_labels_array[v]
+
+    def parallel_edges(self, u: int, v: int) -> List[int]:
+        """All (live) edge ids from ``u`` to ``v`` (multi-edges are allowed)."""
+        tgt = self.tgt_array
+        return [e for e in self.out_edges(u) if tgt[e] == v]
+
+    def render_walk(self, start: int, edges: Tuple[int, ...]) -> dict:
+        """:meth:`~repro.core.walks.Walk.to_dict` straight off the flat
+        arrays — no per-edge range check, since every ``Walk`` holds
+        edges that were validated (or chosen) when it was built."""
+        names, tgt, labels, label_names, costs = self._walk_columns()
+        vertices = [str(names[start])]
+        vertices.extend([str(names[tgt[e]]) for e in edges])
+        return {
+            "edges": list(edges),
+            "vertices": vertices,
+            "labels": [[label_names[a] for a in labels[e]] for e in edges],
+            "length": len(edges),
+            "cost": len(edges) if costs is None else sum(
+                [costs[e] for e in edges]
+            ),
+        }
+
+
+class Graph(FlatAccessors):
     """Immutable multi-labeled multi-edge directed graph.
 
     Do not call the constructor directly — use
@@ -138,24 +312,19 @@ class Graph:
         )
 
         n = len(self._vertex_names)
-        out_lists: List[List[int]] = [[] for _ in range(n)]
-        in_lists: List[List[int]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(zip(self._src, self._tgt)):
-            if not (0 <= u < n and 0 <= v < n):
-                from repro.exceptions import GraphError
-
-                raise GraphError(
-                    f"edge {e} has endpoint outside the vertex range: "
-                    f"({u}, {v}) with |V| = {n}"
-                )
-            out_lists[u].append(e)
-            in_lists[v].append(e)
-        self._out: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(es) for es in out_lists
-        )
-        self._in: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(es) for es in in_lists
-        )
+        if len(self._src) and not (
+            0 <= min(self._src) and max(self._src) < n
+            and 0 <= min(self._tgt) and max(self._tgt) < n
+        ):
+            e = next(
+                e for e, (u, v) in enumerate(zip(self._src, self._tgt))
+                if not (0 <= u < n and 0 <= v < n)
+            )
+            raise GraphError(
+                f"edge {e} has endpoint outside the vertex range: "
+                f"({self._src[e]}, {self._tgt[e]}) with |V| = {n}"
+            )
+        self._out, self._in = build_adjacency(self._src, self._tgt, n)
         # TgtIdx(e): position of e inside In(Tgt(e)) — Remark 4 says this
         # may be precomputed in O(|V| + |E|), which is what we do here.
         tgt_idx = [0] * len(self._src)
@@ -267,6 +436,14 @@ class Graph:
         """All label names, indexed by label id."""
         return self._label_names
 
+    def _walk_columns(self) -> tuple:
+        """Vertex names, targets, label ids, label names and costs
+        (``None`` for unit costs): what :meth:`render_walk` reads."""
+        return (
+            self._vertex_names, self._tgt, self._labels, self._label_names,
+            self._costs,
+        )
+
     # -- edges -----------------------------------------------------------------
 
     def edges(self) -> range:
@@ -311,53 +488,6 @@ class Graph:
         """True when explicit edge costs were provided at build time."""
         return self._costs is not None
 
-    def render_walk(self, start: int, edges: Tuple[int, ...]) -> dict:
-        """:meth:`~repro.core.walks.Walk.to_dict` straight off the flat
-        arrays — no per-edge range check, since every ``Walk`` holds
-        edges that were validated (or chosen) when it was built."""
-        names = self._vertex_names
-        tgt = self._tgt
-        labels = self._labels
-        label_names = self._label_names
-        costs = self._costs
-        vertices = [str(names[start])]
-        vertices.extend([str(names[tgt[e]]) for e in edges])
-        return {
-            "edges": list(edges),
-            "vertices": vertices,
-            "labels": [[label_names[a] for a in labels[e]] for e in edges],
-            "length": len(edges),
-            "cost": len(edges) if costs is None else sum(
-                [costs[e] for e in edges]
-            ),
-        }
-
-    # -- adjacency ------------------------------------------------------------
-
-    def out_edges(self, v: int) -> Tuple[int, ...]:
-        """``Out(v)`` — ids of edges leaving ``v``, in edge-id order."""
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        return self._out[v]
-
-    def in_edges(self, v: int) -> Tuple[int, ...]:
-        """``In(v)`` — ids of edges entering ``v``; position = TgtIdx."""
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        return self._in[v]
-
-    def out_degree(self, v: int) -> int:
-        """``OutDeg(v)``."""
-        return len(self.out_edges(v))
-
-    def in_degree(self, v: int) -> int:
-        """``InDeg(v)``."""
-        return len(self.in_edges(v))
-
-    def max_in_degree(self) -> int:
-        """The ``d`` of Section 4.2 (0 for the empty graph)."""
-        return max((len(es) for es in self._in), default=0)
-
     # -- label-indexed CSR adjacency -------------------------------------------
 
     def warm_indexes(self) -> "Graph":
@@ -374,43 +504,6 @@ class Graph:
         self.in_labels_array
         return self
 
-    def _build_csr(self, endpoint: Tuple[int, ...]) -> CsrIndex:
-        """Counting-sort the (edge, label) incidences by (label, endpoint).
-
-        O(|Σ|·|V| + Σ_e |Lbl(e)|) ⊆ O(|D|) for a fixed alphabet; edge
-        ids within each bucket stay in ascending order because edges
-        are scattered in edge-id order.
-        """
-        n = self.vertex_count
-        n_buckets = self.label_count * n
-        counts = [0] * (n_buckets + 1)
-        for e, v in enumerate(endpoint):
-            for a in self._labels[e]:
-                counts[a * n + v + 1] += 1
-        for b in range(1, n_buckets + 1):
-            counts[b] += counts[b - 1]
-        indptr = array("q", counts)
-        payload = array("q", bytes(8 * counts[n_buckets]))
-        cursor = counts[:-1]
-        for e, v in enumerate(endpoint):
-            for a in self._labels[e]:
-                b = a * n + v
-                payload[cursor[b]] = e
-                cursor[b] += 1
-        return indptr, payload
-
-    def _label_tuples(self, csr: CsrIndex) -> Tuple[Tuple[int, ...], ...]:
-        """Per-vertex tuples of distinct labels with a non-empty bucket."""
-        n = self.vertex_count
-        indptr, _ = csr
-        present: List[List[int]] = [[] for _ in range(n)]
-        for a in range(self.label_count):
-            base = a * n
-            for v in range(n):
-                if indptr[base + v] < indptr[base + v + 1]:
-                    present[v].append(a)
-        return tuple(tuple(ls) for ls in present)
-
     @property
     def out_csr(self) -> CsrIndex:
         """Raw label-indexed out-CSR ``(indptr, edge ids)`` (hot path).
@@ -420,7 +513,10 @@ class Graph:
         if self._out_csr is None:
             with self._lazy_lock:
                 if self._out_csr is None:
-                    self._out_csr = self._build_csr(self._src)
+                    self._out_csr = build_csr(
+                        self._src, self._labels, self.vertex_count,
+                        self.label_count,
+                    )
         return self._out_csr
 
     @property
@@ -432,45 +528,11 @@ class Graph:
         if self._in_csr is None:
             with self._lazy_lock:
                 if self._in_csr is None:
-                    self._in_csr = self._build_csr(self._tgt)
+                    self._in_csr = build_csr(
+                        self._tgt, self._labels, self.vertex_count,
+                        self.label_count,
+                    )
         return self._in_csr
-
-    def out_by_label(self, v: int, a: int) -> Tuple[int, ...]:
-        """``Out_a(v)`` — edges leaving ``v`` carrying label ``a``.
-
-        Edge ids in ascending order; the empty tuple when ``v`` has no
-        out-edge with that label.  O(1) bucket lookup after the lazy
-        O(|D|) index build.
-        """
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        if not 0 <= a < self.label_count:
-            raise UnknownLabelError(a)
-        indptr, payload = self.out_csr
-        b = a * self.vertex_count + v
-        return tuple(payload[indptr[b]:indptr[b + 1]])
-
-    def in_by_label(self, v: int, a: int) -> Tuple[int, ...]:
-        """``In_a(v)`` — edges entering ``v`` carrying label ``a``."""
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        if not 0 <= a < self.label_count:
-            raise UnknownLabelError(a)
-        indptr, payload = self.in_csr
-        b = a * self.vertex_count + v
-        return tuple(payload[indptr[b]:indptr[b + 1]])
-
-    def out_labels(self, v: int) -> Tuple[int, ...]:
-        """Distinct label ids appearing on ``Out(v)``, ascending."""
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        return self.out_labels_array[v]
-
-    def in_labels(self, v: int) -> Tuple[int, ...]:
-        """Distinct label ids appearing on ``In(v)``, ascending."""
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        return self.in_labels_array[v]
 
     @property
     def out_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
@@ -479,7 +541,9 @@ class Graph:
             csr = self.out_csr  # Outside the lock: out_csr locks itself.
             with self._lazy_lock:
                 if self._out_label_tuples is None:
-                    self._out_label_tuples = self._label_tuples(csr)
+                    self._out_label_tuples = build_label_summaries(
+                        csr[0], self.vertex_count, self.label_count
+                    )
         return self._out_label_tuples
 
     @property
@@ -489,7 +553,9 @@ class Graph:
             csr = self.in_csr  # Outside the lock: in_csr locks itself.
             with self._lazy_lock:
                 if self._in_label_tuples is None:
-                    self._in_label_tuples = self._label_tuples(csr)
+                    self._in_label_tuples = build_label_summaries(
+                        csr[0], self.vertex_count, self.label_count
+                    )
         return self._in_label_tuples
 
     # -- raw arrays for hot loops ------------------------------------------------
@@ -589,10 +655,6 @@ class Graph:
             f"e{e}:{self.vertex_name(self.src(e))}"
             f"-[{lbls}]->{self.vertex_name(self.tgt(e))}"
         )
-
-    def parallel_edges(self, u: int, v: int) -> List[int]:
-        """All edge ids from ``u`` to ``v`` (multi-edges are allowed)."""
-        return [e for e in self._out[u] if self._tgt[e] == v]
 
     def stats(self) -> Dict[str, int]:
         """Summary counters, handy for logging and benchmarks."""

@@ -13,17 +13,18 @@ Architecture
 **Delta-overlay CSR** (:class:`~repro.live.live_graph.LiveGraph`).  A
 mutable overlay over an immutable CSR base: ``add_edge`` /
 ``remove_edge`` / ``add_vertex`` / ``set_edge_labels`` are logged
-:mod:`~repro.live.delta` ops applied in atomic batches.  Reads merge
-the base and the overlay — point accessors iterate the base CSR
-bucket (filtering tombstones and label overrides) plus a per-label
-delta adjacency; the flat-array views the product-BFS hot loops
-consume (``out_csr``, ``tgt_idx_array`` …) are counting-sorted over
-the live edge set lazily, once per mutation *epoch*.  The overlay
-honours the full :class:`~repro.graph.database.Graph` accessor
-contract, so ``annotate``, ``cheapest_annotate``, the enumerators and
-the counting DP run on a ``LiveGraph`` unmodified (a shared contract
-test in ``tests/graph/test_accessor_contract.py`` is parametrized over
-both classes to keep it that way).
+:mod:`~repro.live.delta` ops applied in atomic batches.  Adjacency
+reads have one path: the flat-array views (``out_csr``, ``out_array``,
+``tgt_idx_array`` …), counting-sorted over the live edge set lazily,
+once per mutation *epoch*, by the builders an immutable graph uses.  The
+point accessors (``out_edges``, ``out_by_label`` …) and the walk
+render are :class:`~repro.graph.database.FlatAccessors`' over those
+views, shared with :class:`~repro.graph.database.Graph` and the
+shared-memory graph, so ``annotate``, ``cheapest_annotate``, the
+enumerators and the counting DP run on a ``LiveGraph`` unmodified (a
+shared contract test in ``tests/graph/test_accessor_contract.py``,
+with seeded random mutation histories among its graphs, keeps it that
+way).
 
 **The no-reindexing invariant.**  Between compactions, vertex ids,
 label ids and edge ids are append-only and the ``TgtIdx`` of an

@@ -8,18 +8,17 @@ flat-array views the product-BFS hot loops consume), so ``annotate``,
 ``cheapest_annotate``, the enumerators and the counting DP all run on
 a ``LiveGraph`` unmodified.
 
-Two read paths coexist:
-
-* **merged point reads** (``out_edges``, ``in_edges``,
-  ``out_by_label``, ``in_by_label``, ``out_labels`` …) iterate the
-  base CSR bucket — filtering tombstones and label overrides — and
-  splice in the per-label delta adjacency.  O(answer) per call, always
-  current, no materialization;
-* **epoch-lazy flat views** (``out_csr``, ``in_csr``, ``src_array``,
-  ``tgt_idx_array`` …) are counting-sorted over the live edge set on
-  first use after a mutation batch and cached for the rest of the
-  epoch.  One query after a batch pays the O(|D|) build; every other
-  query in the epoch reads plain arrays at immutable-graph speed.
+There is one read path: the **epoch-lazy flat views** (``out_csr``,
+``in_csr``, ``out_array``, ``src_array``, ``tgt_idx_array`` …),
+built over the live edge set on first use after a mutation batch with
+the same builders as :class:`Graph` and cached for the rest of the
+epoch.  One read after a batch pays the O(|D|) build; every other read
+in the epoch indexes plain arrays at immutable-graph speed.  The
+adjacency point reads (``out_edges``, ``in_edges``, ``out_by_label``
+…) and the walk render are :class:`~repro.graph.database.FlatAccessors`'
+over those views.  The per-edge reads (``src``, ``tgt``, ``labels``,
+``tgt_idx``, ``cost``) answer from the overlay directly, without a
+view, because :meth:`apply` itself reads them.
 
 The **no-reindexing invariant** (load-bearing — see :mod:`repro.live`):
 between compactions, vertex ids, label ids and edge ids are
@@ -42,7 +41,6 @@ from __future__ import annotations
 import threading
 import time
 from array import array
-from bisect import insort
 from typing import (
     Callable,
     Dict,
@@ -63,7 +61,13 @@ from repro.exceptions import (
     UnknownLabelError,
     UnknownVertexError,
 )
-from repro.graph.database import CsrIndex, Graph
+from repro.graph.database import (
+    CsrIndex,
+    FlatAccessors,
+    Graph,
+    build_csr,
+    build_label_summaries,
+)
 from repro.live.delta import (
     AddEdge,
     AddVertex,
@@ -92,10 +96,11 @@ class _View:
         "in_csr",
         "out_label_tuples",
         "in_label_tuples",
+        "vertex_names",
     )
 
 
-class LiveGraph:
+class LiveGraph(FlatAccessors):
     """A mutable multi-labeled multi-edge graph: immutable base + overlay.
 
     >>> from repro.graph import GraphBuilder
@@ -157,11 +162,6 @@ class LiveGraph:
         # overlay edges — In positions must never shift).
         self._o_out: Dict[int, List[int]] = {}
         self._o_in: Dict[int, List[int]] = {}
-        # Per-(label, vertex) delta buckets: live edges that carry the
-        # label *now* but are absent from the base CSR bucket — overlay
-        # edges plus base edges whose override added the label.
-        self._d_out: Dict[Tuple[int, int], List[int]] = {}
-        self._d_in: Dict[Tuple[int, int], List[int]] = {}
         self._view: Optional[_View] = None
 
     # -- global counts ----------------------------------------------------
@@ -379,125 +379,6 @@ class LiveGraph:
         """True when the base or any overlay edge carries a cost."""
         return self._base.has_costs or self._o_any_cost
 
-    # -- merged point reads -----------------------------------------------------
-
-    def out_edges(self, v: int) -> Tuple[int, ...]:
-        """``Out(v)`` — live edges leaving ``v``, ascending edge id."""
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        removed = self._removed
-        base: Sequence[int] = (
-            self._base._out[v] if v < self._base.vertex_count else ()
-        )
-        overlay = self._o_out.get(v, ())
-        if not removed:
-            return tuple(base) + tuple(overlay)
-        return tuple(e for e in base if e not in removed) + tuple(
-            e for e in overlay if e not in removed
-        )
-
-    def in_edges(self, v: int) -> Tuple[int, ...]:
-        """``In(v)`` with position = ``TgtIdx`` — tombstones keep slots.
-
-        Unlike :meth:`out_edges`, removed edges stay *in place*: the
-        positional ``TgtIdx`` contract (and with it every cached
-        annotation's ``B``-cell addressing) must survive mutations.
-        Callers that want live in-edges only should filter with
-        :meth:`is_live`.
-        """
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        base: Sequence[int] = (
-            self._base._in[v] if v < self._base.vertex_count else ()
-        )
-        return tuple(base) + tuple(self._o_in.get(v, ()))
-
-    def out_degree(self, v: int) -> int:
-        """``OutDeg(v)`` over live edges."""
-        return len(self.out_edges(v))
-
-    def in_degree(self, v: int) -> int:
-        """Size of the ``In(v)`` slot range (tombstone slots included)."""
-        base_deg = (
-            self._base.in_degree(v)
-            if v < self._base.vertex_count
-            else 0
-        )
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        return base_deg + len(self._o_in.get(v, ()))
-
-    def max_in_degree(self) -> int:
-        """Largest ``In`` slot range (diagnostic, as on :class:`Graph`)."""
-        return max(
-            (self.in_degree(v) for v in self.vertices()), default=0
-        )
-
-    def _bucket_live(self, e: int, a: int, base_csr: bool) -> bool:
-        """Does edge ``e`` still belong to base CSR bucket ``a``?"""
-        if e in self._removed:
-            return False
-        if base_csr:
-            override = self._label_override.get(e)
-            if override is not None and a not in override:
-                return False
-        return True
-
-    def out_by_label(self, v: int, a: int) -> Tuple[int, ...]:
-        """``Out_a(v)`` — merged iteration, no materialization."""
-        return self._by_label(v, a, out=True)
-
-    def in_by_label(self, v: int, a: int) -> Tuple[int, ...]:
-        """``In_a(v)`` — merged iteration, no materialization."""
-        return self._by_label(v, a, out=False)
-
-    def _by_label(self, v: int, a: int, out: bool) -> Tuple[int, ...]:
-        if not 0 <= v < self.vertex_count:
-            raise UnknownVertexError(v)
-        if not 0 <= a < self.label_count:
-            raise UnknownLabelError(a)
-        base = self._base
-        merged: List[int] = []
-        if v < base.vertex_count and a < base.label_count:
-            indptr, payload = base.out_csr if out else base.in_csr
-            b = a * base.vertex_count + v
-            for j in range(indptr[b], indptr[b + 1]):
-                e = payload[j]
-                if self._bucket_live(e, a, base_csr=True):
-                    merged.append(e)
-        delta = (self._d_out if out else self._d_in).get((a, v))
-        if delta:
-            extra = [e for e in delta if e not in self._removed]
-            if merged and extra and extra[0] < merged[-1]:
-                # Overridden-in base edges can interleave with base ids.
-                merged = sorted(merged + extra)
-            else:
-                merged.extend(extra)
-        return tuple(merged)
-
-    def out_labels(self, v: int) -> Tuple[int, ...]:
-        """Distinct label ids on live ``Out(v)``, ascending."""
-        return tuple(
-            sorted({a for e in self.out_edges(v) for a in self.labels(e)})
-        )
-
-    def in_labels(self, v: int) -> Tuple[int, ...]:
-        """Distinct label ids on live ``In(v)``, ascending."""
-        return tuple(
-            sorted(
-                {
-                    a
-                    for e in self.in_edges(v)
-                    if e not in self._removed
-                    for a in self.labels(e)
-                }
-            )
-        )
-
-    def parallel_edges(self, u: int, v: int) -> List[int]:
-        """All live edge ids from ``u`` to ``v``."""
-        return [e for e in self.out_edges(u) if self.tgt(e) == v]
-
     # -- epoch-lazy flat views (the hot-loop contract) -------------------------
 
     def warm_indexes(self) -> "LiveGraph":
@@ -522,6 +403,9 @@ class LiveGraph:
         base_m = base.edge_count
         view = _View()
 
+        view.vertex_names = base._vertex_names + tuple(
+            self._new_vertex_names
+        )
         view.src_array = base._src + array("q", self._o_src)
         view.tgt_array = base._tgt + array("q", self._o_tgt)
         if self._label_override:
@@ -558,10 +442,17 @@ class LiveGraph:
         view.in_array = tuple(in_lists)
         view.tgt_idx_array = base._tgt_idx + array("q", self._o_tgt_idx)
 
-        view.out_csr = self._csr_from_live(view, endpoint_src=True)
-        view.in_csr = self._csr_from_live(view, endpoint_src=False)
-        view.out_label_tuples = self._label_tuples_from(view.out_csr)
-        view.in_label_tuples = self._label_tuples_from(view.in_csr)
+        # A tombstone carries no incidence, so no CSR bucket holds it.
+        incidences: Sequence[Tuple[int, ...]] = view.label_array
+        if removed:
+            incidences = list(incidences)
+            for e in removed:
+                incidences[e] = ()
+        k = self.label_count
+        view.out_csr = build_csr(view.src_array, incidences, n, k)
+        view.in_csr = build_csr(view.tgt_array, incidences, n, k)
+        view.out_label_tuples = build_label_summaries(view.out_csr[0], n, k)
+        view.in_label_tuples = build_label_summaries(view.in_csr[0], n, k)
 
         # Defensive self-check of the overlay bookkeeping: every live
         # edge must sit at its recorded TgtIdx slot (cheap: O(overlay)).
@@ -569,50 +460,6 @@ class LiveGraph:
             ti = view.tgt_idx_array[e]
             assert view.in_array[view.tgt_array[e]][ti] == e
         return view
-
-    def _csr_from_live(self, view: _View, endpoint_src: bool) -> CsrIndex:
-        """Counting-sort the live (edge, label) incidences, as the base does."""
-        n = self.vertex_count
-        n_buckets = self.label_count * n
-        endpoint = view.src_array if endpoint_src else view.tgt_array
-        label_arr = view.label_array
-        removed = self._removed
-        counts = [0] * (n_buckets + 1)
-        for e in self.live_edges():
-            v = endpoint[e]
-            for a in label_arr[e]:
-                counts[a * n + v + 1] += 1
-        for b in range(1, n_buckets + 1):
-            counts[b] += counts[b - 1]
-        indptr = array("q", counts)
-        payload = array("q", bytes(8 * counts[n_buckets]))
-        cursor = counts[:-1]
-        if removed:
-            edge_iter: Iterator[int] = (
-                e for e in range(self.edge_count) if e not in removed
-            )
-        else:
-            edge_iter = iter(range(self.edge_count))
-        for e in edge_iter:
-            v = endpoint[e]
-            for a in label_arr[e]:
-                b = a * n + v
-                payload[cursor[b]] = e
-                cursor[b] += 1
-        return indptr, payload
-
-    def _label_tuples_from(
-        self, csr: CsrIndex
-    ) -> Tuple[Tuple[int, ...], ...]:
-        n = self.vertex_count
-        indptr, _ = csr
-        present: List[List[int]] = [[] for _ in range(n)]
-        for a in range(self.label_count):
-            base_b = a * n
-            for v in range(n):
-                if indptr[base_b + v] < indptr[base_b + v + 1]:
-                    present[v].append(a)
-        return tuple(tuple(ls) for ls in present)
 
     @property
     def out_csr(self) -> CsrIndex:
@@ -633,6 +480,15 @@ class LiveGraph:
     def in_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
         """Vertex-id-indexed distinct in-label tuples (hot path)."""
         return self._materialized().in_label_tuples
+
+    def _walk_columns(self) -> tuple:
+        """This epoch's columns for :meth:`render_walk` (see
+        :class:`~repro.graph.database.FlatAccessors`)."""
+        view = self._materialized()
+        return (
+            view.vertex_names, view.tgt_array, view.label_array,
+            self.alphabet, view.cost_array if self.has_costs else None,
+        )
 
     @property
     def src_array(self) -> Sequence[int]:
@@ -946,9 +802,6 @@ class LiveGraph:
                     )
                     self._o_tgt_idx.append(base_deg + len(in_list))
                     in_list.append(e)
-                    for a in label_ids:
-                        insort(self._d_out.setdefault((a, u), []), e)
-                        insort(self._d_in.setdefault((a, v), []), e)
                     added_edges.append(e)
                 elif isinstance(op, RemoveEdge):
                     e = op.edge
@@ -957,8 +810,7 @@ class LiveGraph:
                     removed_edges.append(e)
                 else:  # SetEdgeLabels
                     e = op.edge
-                    old_ids = self.labels(e)
-                    touched.update(self.label_name(a) for a in old_ids)
+                    touched.update(self.label_names_of(e))
                     new_ids = tuple(
                         sorted(
                             {
@@ -968,7 +820,10 @@ class LiveGraph:
                         )
                     )
                     touched.update(op.labels)
-                    self._relabel(e, old_ids, new_ids)
+                    if e < self._base.edge_count:
+                        self._label_override[e] = new_ids
+                    else:
+                        self._o_labels[e - self._base.edge_count] = new_ids
                     relabeled_edges.append(e)
             self._epoch += 1
             self._view = None
@@ -991,36 +846,6 @@ class LiveGraph:
         for fn in subscribers:
             fn(batch)
         return batch
-
-    def _relabel(
-        self, e: int, old_ids: Tuple[int, ...], new_ids: Tuple[int, ...]
-    ) -> None:
-        """Move ``e`` between delta buckets to match its new label set."""
-        base_m = self._base.edge_count
-        u, v = self.src(e), self.tgt(e)
-        if e < base_m:
-            self._label_override[e] = new_ids
-            base_ids = self._base._labels[e]
-            # Labels the base CSR carries are served (and filtered) from
-            # the base bucket; the delta bucket only holds labels *added*
-            # relative to the base.
-            gained = set(new_ids) - set(base_ids)
-            stale = (set(old_ids) - set(base_ids)) - gained
-        else:
-            self._o_labels[e - base_m] = new_ids
-            gained = set(new_ids) - set(old_ids)
-            stale = set(old_ids) - set(new_ids)
-        for a in stale:
-            for bucket in (self._d_out.get((a, u)), self._d_in.get((a, v))):
-                if bucket is not None and e in bucket:
-                    bucket.remove(e)
-        for a in gained:
-            out_bucket = self._d_out.setdefault((a, u), [])
-            if e not in out_bucket:
-                insort(out_bucket, e)
-            in_bucket = self._d_in.setdefault((a, v), [])
-            if e not in in_bucket:
-                insort(in_bucket, e)
 
     # -- compaction ---------------------------------------------------------------
 

@@ -61,7 +61,7 @@ from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ShmError
-from repro.graph.database import Graph
+from repro.graph.database import Graph, build_adjacency
 
 MAGIC = b"RPQSHM01"
 LAYOUT_VERSION = 1
@@ -390,14 +390,9 @@ class SharedGraph(Graph):
             for e in range(meta["edge_count"])
         )
 
-        n = len(self._vertex_names)
-        out_lists: List[List[int]] = [[] for _ in range(n)]
-        in_lists: List[List[int]] = [[] for _ in range(n)]
-        for e in range(meta["edge_count"]):
-            out_lists[self._src[e]].append(e)
-            in_lists[self._tgt[e]].append(e)
-        self._out = tuple(tuple(es) for es in out_lists)
-        self._in = tuple(tuple(es) for es in in_lists)
+        self._out, self._in = build_adjacency(
+            self._src, self._tgt, len(self._vertex_names)
+        )
 
         self._out_csr = (views["out_indptr"], views["out_payload"])
         self._in_csr = (views["in_indptr"], views["in_payload"])

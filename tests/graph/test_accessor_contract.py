@@ -5,17 +5,22 @@ The entire enumeration pipeline (``annotate`` → ``trim`` →
 through the paper's accessor contract plus the label-indexed CSR
 views.  :class:`~repro.live.LiveGraph` promises to honour that
 contract bit-for-bit so the pipeline runs on it unmodified; this
-module is the guard that keeps the two implementations aligned —
-every invariant is asserted against an immutable :class:`Graph`, a
-fresh overlay, a mutated overlay (adds + tombstones + label edits +
-new vertices/labels) and a just-compacted overlay.
+module is the guard that keeps the implementations aligned — every
+invariant is asserted against an immutable :class:`Graph`, a fresh
+overlay, a mutated overlay (adds + tombstones + label edits + new
+vertices/labels), a just-compacted overlay, and seeded random
+mutation histories drawn from ``LIVE_DIFF_SEED_BASE`` (so each entry
+of the CI ``mutation-fuzz`` matrix checks different histories).
 
-Two layers of checking:
+Every graph class reads its adjacency through one path — the point
+accessors of :class:`~repro.graph.database.FlatAccessors` over the flat
+views — so two layers of checking remain:
 
-* **internal consistency** — the merged point reads
-  (``out_by_label``, ``out_edges`` …), the flat hot-loop views
-  (``out_csr``, ``tgt_idx_array`` …) and the per-edge accessors must
-  all describe the same graph;
+* **views vs per-edge accessors** — the flat views (``out_array``,
+  ``out_csr``, ``tgt_idx_array`` …), and the point reads over them,
+  must describe the edge set that the per-edge accessors (``src``,
+  ``tgt``, ``labels``, ``is_live``), which a ``LiveGraph`` answers
+  from its overlay without a view, describe;
 * **semantic equivalence** — a ``LiveGraph`` must describe the same
   labeled multigraph as the immutable ``Graph`` rebuilt from its live
   edge list (modulo edge-id renumbering).
@@ -23,11 +28,18 @@ Two layers of checking:
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
+from repro.exceptions import UnknownVertexError
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
 from repro.live import LiveGraph
+
+SEED_BASE = int(os.environ.get("LIVE_DIFF_SEED_BASE", "0"))
+N_RANDOM_HISTORIES = 4
 
 
 def _seed_graph() -> Graph:
@@ -61,12 +73,100 @@ def _compacted_live() -> LiveGraph:
     return live
 
 
+def _random_history(seed: int) -> LiveGraph:
+    """A seeded history of one-op batches over a random base.
+
+    Every history starts with an add and then holds each kind of step
+    at least once, in a drawn order: adds (with new vertices and new
+    labels), tombstones of a base and of an overlay edge, and a relabel
+    of a base edge that drops one of its base labels and, a later
+    batch, re-adds it.
+    """
+    rng = random.Random(seed)
+    alphabet = ["a", "b", "c"]
+    b = GraphBuilder()
+    n = rng.randint(2, 6)
+    b.add_vertices([f"v{i}" for i in range(n)])
+    for _ in range(rng.randint(3, 10)):
+        b.add_edge(
+            f"v{rng.randrange(n)}", f"v{rng.randrange(n)}",
+            rng.sample(alphabet, rng.randint(1, 3)),
+        )
+    live = LiveGraph(b.build())
+    base_m = live.edge_count
+    fresh = iter(range(1_000))
+
+    def add(new_vertex: bool, new_label: bool) -> None:
+        names = [live.vertex_name(v) for v in live.vertices()]
+        src = f"n{next(fresh)}" if new_vertex else rng.choice(names)
+        labels = rng.sample(alphabet, rng.randint(1, 2))
+        if new_label:
+            labels.append(f"l{next(fresh)}")
+            alphabet.append(labels[-1])
+        live.add_edge(src, rng.choice(names), labels)
+
+    def tombstone(overlay: bool) -> None:
+        ids = [
+            e for e in live.live_edges() if (e >= base_m) == overlay
+        ]
+        if ids:
+            live.remove_edge(rng.choice(ids))
+
+    relabeled = []
+
+    def drop_base_label() -> None:
+        ids = [e for e in live.live_edges() if e < base_m]
+        if ids:
+            e = rng.choice(ids)
+            labels = list(live.label_names_of(e))
+            dropped = labels.pop(rng.randrange(len(labels)))
+            if not labels:
+                labels = [rng.choice([a for a in alphabet if a != dropped])]
+            live.set_edge_labels(e, labels)
+            relabeled.append((e, dropped))
+
+    def readd_base_label() -> None:
+        if relabeled:
+            e, dropped = relabeled.pop()
+            if live.is_live(e):
+                live.set_edge_labels(
+                    e, sorted({dropped, *live.label_names_of(e)})
+                )
+
+    steps = [
+        lambda: tombstone(overlay=False),
+        lambda: tombstone(overlay=True),
+        drop_base_label,
+    ] + [
+        lambda: add(rng.random() < 0.3, rng.random() < 0.2)
+        for _ in range(rng.randint(2, 6))
+    ] + [
+        lambda: tombstone(overlay=rng.random() < 0.5),
+        drop_base_label,
+    ]
+    rng.shuffle(steps)
+    # Re-adds go after their drop: somewhere later, always at the end.
+    steps.insert(rng.randint(len(steps) // 2, len(steps)), readd_base_label)
+    # The first add gives the overlay tombstone an edge to remove.
+    add(new_vertex=True, new_label=True)
+    for step in steps + [readd_base_label, readd_base_label]:
+        step()
+    if rng.random() < 0.5:
+        live.add_vertex(f"n{next(fresh)}")  # An isolated overlay vertex.
+    return live
+
+
 FACTORIES = {
     "immutable": _seed_graph,
     "live_fresh": lambda: LiveGraph(_seed_graph()),
     "live_mutated": _mutated_live,
     "live_compacted": _compacted_live,
+    **{
+        f"live_random_{i}": (lambda i=i: _random_history(SEED_BASE + i))
+        for i in range(N_RANDOM_HISTORIES)
+    },
 }
+LIVE_FACTORIES = sorted(name for name in FACTORIES if name != "immutable")
 
 
 def _live_ids(graph):
@@ -185,6 +285,43 @@ class TestSharedContract:
             assert graph.has_label(name)
         assert len(graph.alphabet) == graph.label_count
 
+    def test_views_hold_exactly_the_live_edges(self, graph) -> None:
+        """Rebuilt from the per-edge accessors alone, every ``Out`` list,
+        ``In`` list and label bucket equals the point read — so no live
+        edge is missing from the views and no tombstone sits in a
+        bucket."""
+        live = _live_ids(graph)
+        for v in graph.vertices():
+            assert graph.out_edges(v) == tuple(
+                e for e in live if graph.src(e) == v
+            )
+            assert tuple(e for e in graph.in_edges(v) if e in live) == tuple(
+                e for e in live if graph.tgt(e) == v
+            )
+            for a in range(graph.label_count):
+                assert graph.out_by_label(v, a) == tuple(
+                    e for e in live
+                    if graph.src(e) == v and a in graph.labels(e)
+                )
+                assert graph.in_by_label(v, a) == tuple(
+                    e for e in live
+                    if graph.tgt(e) == v and a in graph.labels(e)
+                )
+
+    def test_parallel_edges_checks_its_source(self, graph) -> None:
+        """``parallel_edges`` reads the range-checked ``Out``: a negative
+        id does not wrap around to the last vertices, and one past the
+        end is an unknown vertex, not an ``IndexError``."""
+        n = graph.vertex_count
+        for u in (-1, -2, n, n + 3):
+            with pytest.raises(UnknownVertexError):
+                graph.parallel_edges(u, 0)
+        for u in graph.vertices():
+            for v in graph.vertices():
+                assert graph.parallel_edges(u, v) == [
+                    e for e in graph.out_edges(u) if graph.tgt(e) == v
+                ]
+
     def test_size_accounting(self, graph) -> None:
         live = _live_ids(graph)
         occurrences = sum(len(graph.labels(e)) for e in live)
@@ -194,9 +331,7 @@ class TestSharedContract:
         )
 
 
-@pytest.mark.parametrize(
-    "factory_name", ["live_fresh", "live_mutated", "live_compacted"]
-)
+@pytest.mark.parametrize("factory_name", LIVE_FACTORIES)
 def test_livegraph_equals_rebuilt_immutable(factory_name: str) -> None:
     """A LiveGraph describes the same multigraph as a from-scratch build.
 
@@ -253,6 +388,23 @@ def test_livegraph_equals_rebuilt_immutable(factory_name: str) -> None:
         ]
         rebuilt_seq = [rendered(rebuilt, e) for e in rebuilt.in_edges(rv)]
         assert live_seq == rebuilt_seq
+
+
+def test_random_histories_hold_every_kind_of_step() -> None:
+    """The drawn histories are not degenerate: overlay edges, new
+    vertices and labels, base and overlay tombstones, and base label
+    overrides all occur."""
+    for i in range(N_RANDOM_HISTORIES):
+        live = _random_history(SEED_BASE + i)
+        base_m = live.base.edge_count
+        removed = set(live.edges()) - set(live.live_edges())
+        context = f"seed={SEED_BASE + i}"
+        assert live.edge_count > base_m, context
+        assert live.vertex_count > live.base.vertex_count, context
+        assert live.label_count > live.base.label_count, context
+        assert any(e < base_m for e in removed), context
+        assert any(e >= base_m for e in removed), context
+        assert live.stats()["label_overrides"] > 0, context
 
 
 def test_compacted_overlay_keeps_interning() -> None:

@@ -277,6 +277,55 @@ def test_no_serving_tier_imports_the_memoryless_artefact():
     assert offenders == []
 
 
+# -- one read path in a graph ------------------------------------------------
+
+_POINT_READS = {
+    "out_edges", "in_edges", "out_by_label", "in_by_label", "out_labels",
+    "in_labels", "out_degree", "in_degree", "parallel_edges", "render_walk",
+}
+
+
+def _class_body_names(module: str, class_name: str):
+    (cls,) = [
+        node for node in ast.parse((SRC / module).read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    ]
+    return {
+        node.name for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_live_graph_has_one_read_path():
+    """A ``LiveGraph`` reads its adjacency from the epoch view through
+    the accessors every graph class shares: it defines no point read of
+    its own and keeps no sorted delta buckets beside the view."""
+    assert not _class_body_names("live/live_graph.py", "LiveGraph") & _POINT_READS
+    assert not _class_body_names("graph/database.py", "Graph") & _POINT_READS
+    assert not _class_body_names("serve/shm.py", "SharedGraph") & _POINT_READS
+    assert not any(
+        module == "bisect" or module.startswith("bisect.")
+        for module in _imported_modules(
+            ast.parse((SRC / "live" / "live_graph.py").read_text())
+        )
+    )
+
+
+def test_walk_to_dict_names_no_graph_class():
+    """Every graph class renders a walk the same way, so
+    ``Walk.to_dict`` has no per-class fork."""
+    tree = ast.parse((SRC / "core" / "walks.py").read_text())
+    (to_dict,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "to_dict"
+    ]
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(to_dict)
+    }
+    assert not {"Graph", "SharedGraph", "LiveGraph", "isinstance"} & names
+
+
 # -- one way to run a query ---------------------------------------------------
 
 API = SRC / "api"
