@@ -28,7 +28,8 @@ or once the BFS is exhausted: from then on its λ, its start
 certificate and every cell its enumeration reads are final.  The stop
 rule is that test — O(|F|) per level boundary, never per reached pair.
 :class:`AnnotateBFS` holds the state between boundaries (``dist``, the
-frontier, the entry log), so a traversal stopped at one target resumes
+frontier, the entry log, the level rule's counts and candidates — see
+*Two level directions*), so a traversal stopped at one target resumes
 toward another exactly as the one-shot run would have continued:
 :func:`annotate` runs it once, and a cached multi-target entry
 (:mod:`repro.core.multi_target`) keeps it and deepens on demand.
@@ -86,13 +87,66 @@ and the per-state moves ``(a, Δ(q, a))`` the compile resolved once
 drops from O(OutDeg(v) × |Lbl|) dict probes to
 O(Σ_{a ∈ labels(q)} |Out_a(v)|).
 
+Two level directions
+--------------------
+
+``Annotate`` logs *every* shortest predecessor, so it pays once for
+each product edge leaving a reached node — the O(|D| × |A|) term —
+and on a dense product most of those edges land on a node settled at
+an earlier level and log nothing.  So each level is expanded one of
+two ways (the direction-optimizing BFS of Beamer, Asanović and
+Patterson, SC'12):
+
+* **top-down** — the frontier expands over its out-edges, as above;
+* **bottom-up** — each unreached *candidate* ``(u, p)`` walks
+  ``In_a(u)`` through the in-CSR (:attr:`~repro.graph.database.Graph.in_csr`)
+  for every label ``a`` with ``Δ⁻¹(p, a)`` non-empty
+  (:attr:`~repro.core.compile.CompiledQuery.delta_inv`), logs ``(key,
+  TgtIdx(e), q)`` for every ``q ∈ Δ⁻¹(p, a)`` that the edge's source
+  holds at level ℓ − 1, and joins level ℓ if it logged anything.
+
+Both log exactly the product edges from level ℓ − 1 into nodes first
+reached at ℓ: the same ``dist``, the same multiset of entries, every
+level-ℓ entry after all of level ℓ − 1.  Only the append order inside a
+``(key, TgtIdx)`` cell can differ, which ``Trim``'s certificate sort
+hides.  Neither direction can stop early: every predecessor is needed.
+
+**The level rule.**  The two directions cost the frontier's
+out-product-degree and the unreached nodes' in-product-degree, and a
+level goes bottom-up when the first is larger.  Both are estimated per
+state from weights computed once per compile and graph epoch
+(:class:`_LevelCosts`): per label ``a`` the edge count ``|E_a|``, read
+off the CSR bucket offsets, gives an average node of state ``q`` a
+top-down cost of one bucket lookup per move plus ``Σ_a |Δ(q, a)| ·
+|E_a|`` / ``n_eff`` probes, and the same over ``Δ⁻¹`` for bottom-up;
+``n_eff`` is one past the last vertex with an in-edge on a label the
+query fires on, since no vertex beyond it is ever entered.  Until a
+bottom-up level is in reach, an O(1) bound decides: the frontier at the
+costliest state's weight against the nodes still open at the cheapest
+one, from an exact count of the reached nodes an edge can enter.  When
+that count says none is left open, the level is empty and is not
+expanded (a chain's last level).  Once the bound admits a bottom-up
+level, one C-level pass over ``dist`` lists
+the candidates per state — only vertices below ``n_eff``, only states
+something enters — and from then on each boundary counts the
+frontier's states and weighs exactly.  The candidate lists shrink at
+each bottom-up level, stay in the :class:`AnnotateBFS` across resumed
+runs, and are dropped with the frontier at exhaustion.
+
+The rule reads only the state at the boundary — level sizes, counts,
+weights of the labels the query fires on — so a run stopped and
+resumed takes each level the way the one-shot run does (the deepened ==
+saturated columns are exact), and so does a run over a
+:class:`~repro.live.LiveGraph` epoch that gained vertices and edges on
+other labels since.  The rule has no option.
+
 The one product BFS
 -------------------
 
 This is the only breadth-first traversal of ``D × A`` in
-:mod:`repro.core`, and everything that is a function of its levels
-reads a run of it rather than traversing again: the ``ANY`` mode's
-single witness is read back from ``dist``
+:mod:`repro.core`, whichever way its levels go, and everything that is
+a function of its levels reads a run of it rather than traversing
+again: the ``ANY`` mode's single witness is read back from ``dist``
 (:meth:`AnnotateBFS.witness`), and the duplicate-blowup counters of
 :mod:`repro.core.count` are one forward pass over the entry log.  The
 Dijkstra variant (:mod:`repro.core.cheapest`) settles nodes in cost
@@ -104,6 +158,10 @@ stay separate traversals.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from collections import Counter
+from itertools import compress, count
+from operator import itemgetter, mul
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.compile import CompiledQuery
@@ -320,29 +378,123 @@ def _unflatten(flat: array, n: int, n_states: int) -> List[LengthMap]:
     return L
 
 
+class _LevelCosts:
+    """What the level rule of :meth:`AnnotateBFS.run` weighs, per
+    compiled query and graph epoch (module docstring).
+
+    ``n_eff`` is one past the last vertex with an in-edge on a label
+    the query fires on: no vertex beyond it is ever entered, so it is
+    the vertex range the unreached nodes are counted over and the
+    candidates listed from.  ``c_out[q]`` is ``n_eff`` × the cost of
+    expanding an average node of state ``q`` top-down: one CSR bucket
+    lookup per move plus its ``Σ_a |Δ(q, a)| · |E_a| / n_eff`` product
+    edges, with ``|E_a|`` read off the CSR bucket offsets; ``c_in[p]``
+    is the same over ``Δ⁻¹(p, ·)`` for collecting a node of state ``p``
+    bottom-up (0: nothing enters ``p``).  ``enterable`` counts the
+    nodes an edge can enter — every ``(u, p)`` with ``u < n_eff`` and
+    ``c_in[p] > 0``, a superset of those ever entered.
+
+    Built per cold request too, so in plain loops: a generator per
+    state costs more than the arithmetic on a small automaton.
+    """
+
+    __slots__ = ("in_indptr", "n_eff", "c_out", "c_in", "max_out", "min_in", "enterable")
+
+    def __init__(self, cq: CompiledQuery, graph, in_indptr) -> None:
+        n = graph.vertex_count
+        self.in_indptr = in_indptr
+        edges = {}
+        n_eff = 0
+        for a in set().union(*cq.delta):
+            lo, hi = a * n, (a + 1) * n
+            end = in_indptr[hi]
+            edges[a] = end - in_indptr[lo]
+            # The first bucket offset at the label's end: the last
+            # vertex with such an in-edge is the one before it.
+            last = bisect_left(in_indptr, end, lo, hi) - lo
+            if last > n_eff:
+                n_eff = last
+        self.n_eff = n_eff
+        c_out = []
+        for steps in cq.moves:
+            c = len(steps) * n_eff
+            for a, targets in steps:
+                c += len(targets) * edges[a]
+            c_out.append(c)
+        c_in = []
+        for row in cq.delta_inv:
+            c = len(row) * n_eff
+            for a, sources in row.items():
+                c += len(sources) * edges[a]
+            c_in.append(c)
+        entered = [c for c in c_in if c]
+        self.c_out = c_out
+        self.c_in = c_in
+        self.max_out = max(c_out, default=0)
+        self.min_in = min(entered, default=0)
+        self.enterable = n_eff * len(entered)
+
+
+def _level_costs(cq: CompiledQuery, graph) -> _LevelCosts:
+    """The level rule's weights for ``cq`` over the graph's current
+    epoch: built once and cached on the compile, rebuilt in O(|Σ| +
+    |A| + log |V|) when a :class:`~repro.live.LiveGraph` epoch brings
+    new CSR offsets."""
+    in_indptr = graph.in_csr[0]
+    costs = cq.level_costs
+    if costs is None or costs.in_indptr is not in_indptr:
+        costs = cq.level_costs = _LevelCosts(cq, graph, in_indptr)
+    return costs
+
+
+def _bottom_up_cheaper(
+    current: List[Tuple[int, int]],
+    unreached: List[int],
+    costs: _LevelCosts,
+    reached_since: bool,
+) -> bool:
+    """The exact level rule: whether the frontier ``current``'s
+    out-product-degree exceeds the unreached nodes' in-product-degree,
+    both weighed per state.  ``reached_since``: the frontier was reached
+    after ``unreached`` was counted, so it is taken off first."""
+    by_state = Counter(map(itemgetter(1), current))
+    if reached_since:
+        for p, k in by_state.items():
+            unreached[p] -= k
+    c_out = costs.c_out
+    return sum([c_out[q] * k for q, k in by_state.items()]) > sum(
+        map(mul, unreached, costs.c_in)
+    )
+
+
 class AnnotateBFS:
     """The ``Annotate`` BFS between level boundaries: ``dist``, the
-    frontier (``next_pairs`` at distance ``level``) and the append-only
-    ``B`` entry log.
+    frontier (``next_pairs`` at distance ``level``), the append-only
+    ``B`` entry log, and what the level rule keeps.
 
     :meth:`run` expands whole levels until a stop target is settled
     (module docstring) or the product is exhausted, and may be called
     again to continue; :meth:`annotation` packs the whole log, and
     :meth:`witness` reads one shortest walk back from ``dist`` without
-    it.  The sequence of levels and log entries is the one-shot
-    traversal's whatever the stops in between.
+    it.  The levels, ``dist`` and the multiset of log entries per level
+    are the one-shot traversal's whatever the stops in between, and so
+    is each level's direction: it depends only on the state at the
+    boundary.
 
     Each :meth:`run` re-reads the graph's flat views and CSR bucket
     bases, so a traversal kept across :class:`~repro.live.LiveGraph`
     mutations that touch no label the query fires on continues over the
     current epoch (such mutations cannot add a product edge; a vertex
     added since the first run is never reached, and the key space stays
-    the one the first run allocated).
+    the one the first run allocated).  An epoch's ``in_csr`` holds live
+    edges only — a tombstone carries no label — so, unlike
+    :meth:`witness`, a bottom-up level reads no ``Out`` list.
     """
 
     __slots__ = (
         "cq", "source", "n", "n_states", "dist", "next_pairs", "level",
-        "ent_key", "ent_ti", "ent_pred",
+        "ent_key", "ent_ti", "ent_pred", "entered", "unreached",
+        "candidates",
     )
 
     def __init__(self, cq: CompiledQuery, source: int) -> None:
@@ -363,6 +515,19 @@ class AnnotateBFS:
         for p in sorted(cq.initial_closure):
             self.dist[source_base + p] = 0
             self.next_pairs.append((source, p))
+        # The level rule's state: the reached nodes an edge can enter
+        # (for the bound; each boundary adds its whole frontier, so the
+        # level-0 nodes no edge enters start it below zero), then — once
+        # a bottom-up level is in reach — the unreached count and the
+        # candidate vertices per state.
+        costs = _level_costs(cq, cq.graph)
+        self.entered = (
+            -sum(1 for p in cq.initial_closure if not costs.c_in[p])
+            if source < costs.n_eff
+            else -len(self.next_pairs)
+        )
+        self.unreached: Optional[List[int]] = None
+        self.candidates: Optional[List[List[int]]] = None
 
     def __len__(self) -> int:
         """Entries logged so far."""
@@ -373,15 +538,34 @@ class AnnotateBFS:
         """No product node is left to discover."""
         return not self.next_pairs
 
+    def _list_candidates(self, costs: _LevelCosts) -> List[int]:
+        """Per state, the vertices below ``n_eff`` not yet reached in it
+        — one C-level pass over ``dist`` — and their counts, returned."""
+        n_states = self.n_states
+        stop = min(costs.n_eff, self.n) * n_states
+        with memoryview(self.dist) as view:
+            self.candidates = [
+                list(compress(count(), map((-1).__eq__, view[p:stop:n_states])))
+                if c else []
+                for p, c in enumerate(costs.c_in)
+            ]
+        self.unreached = list(map(len, self.candidates))
+        return self.unreached
+
     def run(self, target: Optional[int] = None, entries: int = 0) -> None:
         """Expand levels until ``target`` is settled and the log holds
         at least ``entries`` entries; with no ``target``, until the
         product is exhausted.
 
-        This is the label-indexed traversal (module docstring):
-        frontier pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))``
-        through the graph's CSR adjacency, recording ``B`` entries into
-        the append-only log (no per-entry dict or list allocation).
+        Each level goes the way the level rule (module docstring)
+        finds cheaper.  Top-down is the label-indexed traversal: the
+        frontier's pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))``
+        through the out-CSR.  Bottom-up, each candidate ``(u, p)``
+        probes ``In_a(u)`` through the in-CSR for every label ``a``
+        with ``Δ⁻¹(p, a)`` non-empty (``CompiledQuery.delta_inv``) and
+        joins the level if some edge's source holds a ``q ∈ Δ⁻¹(p, a)``
+        one level down.  Both record ``B`` entries into the append-only
+        log (no per-entry dict or list allocation).
         """
         cq = self.cq
         graph = cq.graph
@@ -393,6 +577,8 @@ class AnnotateBFS:
         out_labels = graph.out_labels_array
         moves = cq.moves
         delta = cq.delta
+        costs = _level_costs(cq, graph)
+        max_out, min_in, enterable = costs.max_out, costs.min_in, costs.enterable
         # The target's final-state slots: the stop test reads these.
         stop_keys = (
             () if target is None
@@ -405,11 +591,27 @@ class AnnotateBFS:
         pred_append = ent_pred.append
         next_pairs = self.next_pairs
         level = self.level
+        entered = self.entered
+        unreached = self.unreached
         while next_pairs:
             if len(ent_pred) >= entries and _reached(dist, stop_keys):
                 break
             level += 1
             current, next_pairs = next_pairs, []
+            if unreached is None:
+                # The bound: the frontier at its costliest state against
+                # the nodes still open at their cheapest, O(1) a level.
+                entered += len(current)
+                if len(current) * max_out > (enterable - entered) * min_in:
+                    if entered == enterable:
+                        continue  # Every node an edge can enter is reached.
+                    unreached = self._list_candidates(costs)
+                    if _bottom_up_cheaper(current, unreached, costs, False):
+                        self._bottom_up(level, next_pairs)
+                        continue
+            elif _bottom_up_cheaper(current, unreached, costs, True):
+                self._bottom_up(level, next_pairs)
+                continue
             for v, q in current:
                 steps = moves[q]
                 mine = out_labels[v]
@@ -443,6 +645,57 @@ class AnnotateBFS:
                                 pred_append(q)
         self.next_pairs = next_pairs
         self.level = level
+        self.entered = entered
+        if not next_pairs:
+            self.unreached = self.candidates = None
+
+    def _bottom_up(self, level: int, next_pairs: List[Tuple[int, int]]) -> None:
+        """Expand ``level`` bottom-up (module docstring): each candidate
+        collects its in-edges from the level below and joins
+        ``next_pairs`` if it logged any; one that logged none stays a
+        candidate."""
+        cq = self.cq
+        graph = cq.graph
+        n = graph.vertex_count
+        n_states = self.n_states
+        in_indptr, in_edges = graph.in_csr
+        src_arr = graph.src_array
+        ti_arr = graph.tgt_idx_array
+        dist = self.dist
+        key_append = self.ent_key.append
+        ti_append = self.ent_ti.append
+        pred_append = self.ent_pred.append
+        prev = level - 1
+        candidates = self.candidates
+        for p, row in enumerate(cq.delta_inv):
+            if not row:
+                continue  # Nothing enters p: no candidates.
+            into = row.items()
+            rest: List[int] = []
+            for u in candidates[p]:
+                key = u * n_states + p
+                if dist[key] >= 0:
+                    continue  # Reached by a top-down level since.
+                joined = False
+                for a, sources in into:
+                    b = a * n + u
+                    start, end = in_indptr[b], in_indptr[b + 1]
+                    if start == end:
+                        continue
+                    for e in in_edges[start:end]:
+                        base = src_arr[e] * n_states
+                        for q in sources:
+                            if dist[base + q] == prev:
+                                key_append(key)
+                                ti_append(ti_arr[e])
+                                pred_append(q)
+                                joined = True
+                if joined:
+                    dist[key] = level
+                    next_pairs.append((u, p))
+                else:
+                    rest.append(u)
+            candidates[p] = rest
 
     def target_info(self, t: int) -> Tuple[Optional[int], FrozenSet[int]]:
         """``(λ_t, S_t)`` within the levels done — what

@@ -83,7 +83,7 @@ refuses such a compile (:meth:`CompiledQuery.require_epsilon_free`).
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.automata.nfa import ANY, EPSILON, NFA
 from repro.automata.ops import remove_epsilon
@@ -124,6 +124,11 @@ class CompiledQuery:
       ``Δ⁻¹(a, p)``, the states ``q`` with ``p ∈ Δ(q, a)``, ascending —
       what a witness is read back by
       (:meth:`repro.core.annotate.AnnotateBFS.witness`).
+
+    ``level_costs`` is filled by the first ``Annotate`` run over the
+    compile — the per-state weights its level rule reads, derived from
+    the graph's per-label edge counts (:mod:`repro.core.annotate`) —
+    so a cached plan computes them once per graph epoch.
     """
 
     __slots__ = (
@@ -141,6 +146,7 @@ class CompiledQuery:
         "written",
         "moves",
         "delta_inv",
+        "level_costs",
     )
 
     def __init__(
@@ -181,6 +187,7 @@ class CompiledQuery:
         self.delta_inv: Tuple[Dict[int, Tuple[int, ...]], ...] = tuple(
             {a: tuple(qs) for a, qs in d.items()} for d in into
         )
+        self.level_costs: Optional[object] = None
 
     def size(self) -> int:
         """The compiled ``|A| = |Q| + |Δ|`` (alphabet shared with D)."""

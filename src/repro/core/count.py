@@ -148,8 +148,11 @@ def _count_along_log(
     witness of a shortest walk is distance-monotone (a detour would
     yield a shorter matching walk), so the BFS DAG holds every such
     product path and run, and the log lists each of its product edges
-    — once per firing label — after every entry of the level before.
-    A node's counts are therefore final before any entry reads them:
+    — once per firing label — after every entry of the level before,
+    whichever way each level went: a top-down level logs by frontier
+    node, a bottom-up one by the node it reaches, and only the order
+    inside a level differs.  An entry of level ℓ reads a node of level
+    ℓ − 1, so a node's counts are final before any entry reads them:
     a run steps along every entry, a product path once per distinct
     ``(key, TgtIdx, predecessor)`` (labels of one edge that fire the
     same transition collapse).

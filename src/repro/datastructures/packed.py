@@ -105,7 +105,8 @@ class PackedBack:
 
         A stable LSD radix in two interpreted passes.  Pass 1 deals the
         ``(key, predecessor)`` pairs into one append-order bucket per
-        ``TgtIdx`` and counts entries per key on the way (when every
+        ``TgtIdx`` present — list buckets, which cost less to make and
+        fill than arrays — and counts entries per key on the way (when every
         ``TgtIdx`` is 0 the log is its own single bucket and only the
         counting remains).  Pass 2 reads the buckets in ``TgtIdx``
         order and drops each pair at its key's fill cursor — so the
@@ -125,8 +126,16 @@ class PackedBack:
         counts = [0] * n_keys
         max_ti = max(ent_ti)
         if max_ti:
-            keys_by_ti = [array("q") for _ in range(max_ti + 1)]
-            preds_by_ti = [array("q") for _ in range(max_ti + 1)]
+            # Buckets for the TgtIdx values present: all of 0…max when
+            # that is fewer than the entries, else the distinct values
+            # the log holds, in order — O(entries) either way, never
+            # O(max InDeg); the entries themselves are never sorted.
+            present = range(max_ti + 1) if max_ti < m else sorted(set(ent_ti))
+            keys_by_ti: List = [None] * (max_ti + 1)
+            preds_by_ti: List = [None] * (max_ti + 1)
+            for t in present:
+                keys_by_ti[t] = []
+                preds_by_ti[t] = []
             for t, k, q in zip(ent_ti, ent_key, ent_pred):
                 keys_by_ti[t].append(k)
                 preds_by_ti[t].append(q)
@@ -134,18 +143,21 @@ class PackedBack:
         else:
             for k in ent_key:
                 counts[k] += 1
+            present = (0,)
             keys_by_ti = [ent_key]
             preds_by_ti = [ent_pred]
 
-        key_indptr = array("q", accumulate(counts, initial=0))
+        # Through a list: an array fills from it faster than from the
+        # accumulate iterator.
+        key_indptr = array("q", list(accumulate(counts, initial=0)))
         nonempty_keys = list(compress(range(n_keys), counts))
 
         # Pass 2 — stable scatter by key, one TgtIdx bucket at a time.
         fill = key_indptr[:n_keys]
         out_ti = array("q", bytes(8 * m))
         out_pred = array("q", bytes(8 * m))
-        for t, (keys, preds) in enumerate(zip(keys_by_ti, preds_by_ti)):
-            for k, q in zip(keys, preds):
+        for t in present:
+            for k, q in zip(keys_by_ti[t], preds_by_ti[t]):
                 pos = fill[k]
                 fill[k] = pos + 1
                 out_ti[pos] = t
@@ -244,7 +256,7 @@ class PackedCells:
                     i += 1
             counts[k] = n_cells
         span_append(len(ent_ti))
-        self.key_indptr = array("q", accumulate(counts, initial=0))
+        self.key_indptr = array("q", list(accumulate(counts, initial=0)))
         self.cell_ti = cell_ti
         self.cell_edge = cell_edge
         self.cell_pred_indptr = cell_pred_indptr

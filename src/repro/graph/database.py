@@ -197,6 +197,13 @@ class FlatAccessors:
         """The ``d`` of Section 4.2 (0 for the empty graph)."""
         return max(map(len, self.in_array), default=0)
 
+    @property
+    def total_label_occurrences(self) -> int:
+        """``Σ_e |Lbl(e)|`` over the (live) edges — the label part of
+        |D|: the length of the label-indexed CSR payload, so O(1) once
+        the index is built."""
+        return len(self.in_csr[1])
+
     def out_by_label(self, v: int, a: int) -> Tuple[int, ...]:
         """``Out_a(v)`` — edges leaving ``v`` carrying label ``a``.
 
@@ -365,16 +372,7 @@ class Graph(FlatAccessors):
 
     def size(self) -> int:
         """The paper's ``|D| = |V| + |E| + Σ_e |Lbl(e)|``."""
-        return (
-            self.vertex_count
-            + self.edge_count
-            + sum(len(ls) for ls in self._labels)
-        )
-
-    @property
-    def total_label_occurrences(self) -> int:
-        """``Σ_e |Lbl(e)|`` — the label-multiplicity part of |D|."""
-        return sum(len(ls) for ls in self._labels)
+        return self.vertex_count + self.edge_count + self.total_label_occurrences
 
     # -- vertices -----------------------------------------------------------
 

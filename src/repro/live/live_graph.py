@@ -211,13 +211,8 @@ class LiveGraph(FlatAccessors):
         return (
             self.vertex_count
             + self.live_edge_count
-            + sum(len(self.labels(e)) for e in self.live_edges())
+            + self.total_label_occurrences
         )
-
-    @property
-    def total_label_occurrences(self) -> int:
-        """``Σ_e |Lbl(e)|`` over live edges."""
-        return sum(len(self.labels(e)) for e in self.live_edges())
 
     @property
     def delta_ratio(self) -> float:

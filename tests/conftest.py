@@ -7,6 +7,7 @@ from typing import List, Tuple
 import pytest
 from hypothesis import strategies as st
 
+from repro.automata import regex_to_nfa
 from repro.automata.nfa import NFA
 from repro.baselines.paper_pipeline import recursive_walks
 from repro.core.annotate import annotate
@@ -94,6 +95,54 @@ def small_nfas(
     nfa.set_initial(*initial)
     nfa.set_final(*final)
     return nfa
+
+
+#: Queries that stay in the ``a`` clique of :func:`hub_graph` long
+#: enough for a level to go bottom-up.
+HUB_QUERIES = ("a+", "(a|b)*", "a* b a*", "(a|c)+ b?", "b? a a+")
+
+
+def hub_graph(ring_labels, extra=()) -> Graph:
+    """A complete digraph on ``a`` over ``len(ring_labels)`` vertices
+    plus a ring whose ``i``-th edge carries the labels ``ring_labels[i]``.
+
+    From any source the clique puts every vertex one level away, so the
+    next level's frontier would mostly re-probe settled nodes: the shape
+    ``Annotate`` serves bottom-up.  The ``extra`` edges ``(u, v,
+    labels)`` are added first, so they take the low ``TgtIdx`` slots.
+    """
+    n = len(ring_labels)
+    builder = GraphBuilder()
+    builder.add_vertices([f"v{i}" for i in range(n)])
+    for u, v, labels in extra:
+        builder.add_edge(f"v{u}", f"v{v}", sorted(labels))
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                builder.add_edge(f"v{u}", f"v{v}", ["a"])
+    for i, labels in enumerate(ring_labels):
+        builder.add_edge(f"v{i}", f"v{(i + 1) % n}", sorted(labels))
+    return builder.build()
+
+
+@st.composite
+def hub_instances(draw):
+    """A :func:`hub_graph` on 3–7 vertices with ring labels from ``b`` /
+    ``c``, a random NFA or one of :data:`HUB_QUERIES`, and two vertices."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    ring = draw(
+        st.lists(
+            st.sets(st.sampled_from(("b", "c")), min_size=1),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    nfa = draw(
+        st.one_of(small_nfas(), st.sampled_from(HUB_QUERIES).map(regex_to_nfa))
+    )
+    s = draw(st.integers(min_value=0, max_value=n - 1))
+    t = draw(st.integers(min_value=0, max_value=n - 1))
+    return hub_graph(ring), nfa, s, t
 
 
 @st.composite

@@ -4,8 +4,9 @@ The indexed ``annotate`` / ``cheapest_annotate`` must produce the same
 annotation contents — ``L``, ``B`` (as a multiset per cell: entry order
 within a cell is unspecified), ``lam`` and ``target_states`` — as the
 ``*_reference`` traversals of :mod:`repro.baselines.paper_pipeline`,
-on random graphs × random automata, in both the target-stopped and the
-saturating mode.
+on random graphs × random automata — and, for ``annotate``, on
+hub-shaped graphs whose levels go bottom-up — in both the
+target-stopped and the saturating mode.
 
 Production has one priority queue (lazy-deletion ``heapq``); the
 reference keeps both arms (``heap="binary"`` / ``"pairing"``) and each
@@ -33,14 +34,22 @@ from repro.baselines.paper_pipeline import (
     cheapest_annotate_reference,
     packed_from_maps,
 )
-from repro.core.annotate import Annotation, annotate
+from repro.automata import regex_to_nfa
+from repro.core.annotate import AnnotateBFS, Annotation, annotate
 from repro.core.cheapest import cheapest_annotate
 from repro.core.compile import compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
 from repro.graph.builder import GraphBuilder
 
-from tests.conftest import small_instances, small_nfas
+from tests.conftest import (
+    HUB_QUERIES,
+    hub_graph,
+    hub_instances,
+    small_instances,
+    small_nfas,
+)
+from tests.property.delay_steps import _counting_array
 
 _SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -105,8 +114,29 @@ def assert_same_up_to_lam(got, want):
         assert _norm_B([gb]) == _norm_B([wb]), v
 
 
+def _top_down_accesses(cq, dist) -> int:
+    """What a top-down-only saturated run reads and writes of ``dist``:
+    one read per product edge leaving a reached node, one write per
+    node reached after level 0."""
+    graph = cq.graph
+    n, n_states = graph.vertex_count, cq.n_states
+    indptr = graph.out_csr[0]
+    accesses = 0
+    for key, level in enumerate(dist):
+        if level >= 0:
+            v, q = divmod(key, n_states)
+            accesses += level > 0
+            for a, targets in cq.moves[q]:
+                b = a * n + v
+                accesses += (indptr[b + 1] - indptr[b]) * len(targets)
+    return accesses
+
+
 class TestAnnotateEquivalence:
-    @given(small_instances())
+    """Production ``annotate`` == the reference BFS, on random instances
+    and on hub-shaped ones, whose levels go bottom-up."""
+
+    @given(st.one_of(small_instances(), hub_instances()))
     @settings(**_SETTINGS)
     def test_target_mode(self, instance):
         graph, nfa, s, t = instance
@@ -115,7 +145,7 @@ class TestAnnotateEquivalence:
             annotate(cq, s, t), annotate_reference(cq, s, t)
         )
 
-    @given(small_instances())
+    @given(st.one_of(small_instances(), hub_instances()))
     @settings(**_SETTINGS)
     def test_saturating_mode(self, instance):
         graph, nfa, s, _ = instance
@@ -124,6 +154,26 @@ class TestAnnotateEquivalence:
             annotate(cq, s, saturate=True),
             annotate_reference(cq, s, saturate=True),
         )
+
+    def test_hub_levels_go_bottom_up(self):
+        """The hub shape does take bottom-up levels: a saturated run
+        from each vertex touches ``dist`` fewer times than a
+        top-down-only traversal would, and equals the reference."""
+        graph = hub_graph([{"b"}, {"c"}, {"b", "c"}, {"b"}, {"c"}, {"b"}])
+        for expression in HUB_QUERIES:
+            cq = compile_query(graph, regex_to_nfa(expression))
+            for s in graph.vertices():
+                bfs = AnnotateBFS(cq, s)
+                counter = {"steps": 0}
+                bfs.dist = _counting_array(bfs.dist, counter)
+                bfs.run()
+                assert counter["steps"] < _top_down_accesses(cq, bfs.dist), (
+                    expression, s,
+                )
+                assert_same_annotation(
+                    bfs.annotation(None, saturated=True),
+                    annotate_reference(cq, s, saturate=True),
+                )
 
 
 class TestCheapestEquivalence:

@@ -7,20 +7,24 @@ automaton as written spells a class out several times, and numbers the
 classes densely, so the arrays keyed by (vertex, state) have a slot
 per class and none per state written.  And a cached
 multi-target entry walks only the BFS levels its requests have needed.
+A level whose frontier would mostly re-probe settled nodes goes
+bottom-up, so the ``dist`` reads a traversal makes are pinned too.
 These counts are exact and machine-independent; they move only when the
-compiled automaton, what ``Annotate`` logs per product edge, or where
-the traversal stops changes.
+compiled automaton, what ``Annotate`` logs per product edge, where the
+traversal stops or which way a level goes changes.
 """
 
 from repro.api import Database
 from repro.automata import regex_to_nfa
-from repro.core.annotate import annotate
+from repro.core.annotate import AnnotateBFS, annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
 from repro.graph.generators import chain, random_multilabel
 from repro.workloads.transport import TRANSPORT_QUERIES, transport_network
 from repro.workloads.worstcase import diamond_chain
+
+from tests.property.delay_steps import _counting_array
 
 
 def test_chain_product_has_no_dead_nodes():
@@ -77,6 +81,57 @@ def test_key_space_is_the_states_the_traversal_runs():
         assert annotation.nbytes == 8 * (2 * keys + 1 + 2 * entries)
         assert trim(graph, annotation).total_items() == items, expression
         assert annotation.nbytes == 8 * (3 * keys + 3 + 2 * entries + 3 * items)
+
+
+def _dist_accesses(graph, expression, source, target=None):
+    """``(dist reads and writes, entries, cells)`` of one
+    :class:`AnnotateBFS` run — to ``target``'s level, or saturating —
+    counted by the step-counting array of the delay suites swapped in
+    for ``dist`` before the run."""
+    cq = compile_query(graph, regex_to_nfa(expression))
+    bfs = AnnotateBFS(cq, graph.resolve_vertex(source))
+    counter = {"steps": 0}
+    bfs.dist = _counting_array(bfs.dist, counter)
+    stop = None if target is None else graph.resolve_vertex(target)
+    bfs.run(stop)
+    annotation = bfs.annotation(stop, saturated=stop is None)
+    return counter["steps"], len(bfs), trim(graph, annotation).total_items()
+
+
+def test_levels_probe_dist_only_where_they_must():
+    """``dist`` reads and writes of a run, beside its entries and cells.
+
+    Top-down only, every level read ``dist`` once per product edge
+    leaving its frontier; the counts that did are in the comment of
+    each row.  From the transport hub ``city63`` the second level of
+    ``no_bus`` / ``fly_then_ground`` reaches the few nodes left by
+    their in-edges instead of re-probing the ~70 out-edges of every
+    first-level node, and so do the middle levels of two of
+    ``big_cold``'s queries (smoke-sized graph, saturated from ``v1``).
+    ``ground_only``, ``a b* c`` and ``(a|b)*`` on a chain never have
+    a frontier that costly: they read what the top-down traversal did.
+    The entries and cells are the same either way."""
+    transport = transport_network(96, hub_fraction=0.7, seed=1)
+    big = random_multilabel(
+        600, 3000, alphabet=("a", "b", "c", "d"), max_labels_per_edge=2, seed=1
+    )
+    line = chain(50, ("a", "b"), parallel=2)
+    for graph, expression, source, target, counts in (
+        (transport, TRANSPORT_QUERIES["no_bus"], "city63", "city69",
+         (449, 184, 184)),  # 4 655 top-down
+        (transport, TRANSPORT_QUERIES["fly_then_ground"], "city63", "city69",
+         (474, 232, 232)),  # 9 276
+        (transport, TRANSPORT_QUERIES["ground_only"], "city63", "city69",
+         (68, 28, 28)),  # 68
+        (big, "(a|b)* c (a|b|c)*", "v1", None, (5481, 2223, 1739)),  # 7 806
+        (big, "(a|b|c|d)+", "v1", None, (3687, 1522, 1006)),  # 5 087
+        (big, "a b* c", "v1", None, (2762, 1017, 1017)),  # 2 762
+        (line, "(a|b)*", "v0", None, (250, 200, 100)),  # 250
+        (line, "(a|b)*", "v0", "v50", (301, 200, 100)),  # 301
+    ):
+        assert _dist_accesses(graph, expression, source, target) == counts, (
+            expression, source, target,
+        )
 
 
 def test_cached_entry_stops_at_the_asked_level():

@@ -106,7 +106,7 @@ from repro.core.trim import trim
 from repro.query import rpq
 from repro.query.plan import simple_eligible
 
-from tests.conftest import packed_walks
+from tests.conftest import HUB_QUERIES, hub_graph, packed_walks
 
 _MODES = ("iterative", "memoryless", "auto")
 
@@ -336,6 +336,32 @@ def test_deepened_equals_saturated(case: int) -> None:
     seed = SEED_BASE + 60_000 + case
     graph, expression, source, t1 = _draw_case(seed)
     t2 = random.Random(seed ^ 0xDEE9).randrange(graph.vertex_count)
+    _check_deepened_equals_saturated(graph, expression, source, t1, t2, seed)
+
+
+#: Hub cases of the deepened column: few, each a clique of ``a`` edges.
+_HUB_CASES = 20
+
+
+@pytest.mark.parametrize("case", range(_HUB_CASES))
+def test_deepened_equals_saturated_on_a_hub(case: int) -> None:
+    """The deepened column over :func:`~tests.conftest.hub_graph`,
+    whose levels go bottom-up: the entry deepens across them, and the
+    saturating build takes them in one run."""
+    seed = SEED_BASE + 65_000 + case
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    graph = hub_graph(
+        [set(rng.sample(("b", "c"), rng.randint(1, 2))) for _ in range(n)]
+    )
+    expression = rng.choice(HUB_QUERIES + (random_regex(rng),))
+    source, t1, t2 = (rng.randrange(n) for _ in range(3))
+    _check_deepened_equals_saturated(graph, expression, source, t1, t2, seed)
+
+
+def _check_deepened_equals_saturated(
+    graph, expression: str, source: int, t1: int, t2: int, seed: int
+) -> None:
     nfa = rpq(expression).automaton
     cq = compile_query(graph, nfa)
     context = f"seed={seed} regex={expression!r} s={source} t1={t1} t2={t2}"

@@ -94,7 +94,7 @@ from repro.live import (
 )
 from repro.query import rpq
 
-from tests.conftest import packed_walks
+from tests.conftest import HUB_QUERIES, hub_graph, packed_walks
 
 _ALPHABET = ("a", "b", "c")
 _EXTRA_LABELS = ("n0", "n1")  # Drawn occasionally: label-universe growth.
@@ -330,7 +330,6 @@ def test_deepen_after_unrelated_batch(case: int) -> None:
     rng = random.Random(seed)
     base = _random_graph(rng)
     expression = _random_regex(rng)
-    nfa = rpq(expression).automaton
     n = base.vertex_count
     source, t1 = rng.randrange(n), rng.randrange(n)
     # New vertices, and edges on labels outside the query's alphabet —
@@ -340,6 +339,38 @@ def test_deepen_after_unrelated_batch(case: int) -> None:
         AddEdge(rng.choice(names), rng.choice(names), (rng.choice(_EXTRA_LABELS),))
         for _ in range(4)
     ]
+    _check_deepen_after_batch(base, expression, source, t1, ops, seed)
+
+
+#: Hub cases of the deepen-after-batch column.
+_HUB_CASES = 20
+
+
+@pytest.mark.parametrize("case", range(_HUB_CASES))
+def test_deepen_after_unrelated_batch_on_a_hub(case: int) -> None:
+    """The same column over :func:`~tests.conftest.hub_graph` with an
+    ``n0`` in-edge first at every vertex: the batch removes those, so
+    the deepening runs over tombstones — ``In`` slots that keep the
+    ``TgtIdx`` of the clique's edges — and takes its bottom-up levels
+    through the epoch's in-CSR, which holds no tombstone."""
+    seed = SEED_BASE + 95_000 + case
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    base = hub_graph(
+        [set(rng.sample(("b", "c"), rng.randint(1, 2))) for _ in range(n)],
+        extra=[(rng.randrange(n), v, ("n0",)) for v in range(n)],
+    )
+    expression = rng.choice(HUB_QUERIES)
+    source, t1 = rng.randrange(n), rng.randrange(n)
+    ops = [RemoveEdge(e) for e in range(n)] + [
+        AddVertex("w0"),
+        AddEdge("w0", f"v{rng.randrange(n)}", ("n1",)),
+    ]
+    _check_deepen_after_batch(base, expression, source, t1, ops, seed)
+
+
+def _check_deepen_after_batch(base, expression, source, t1, ops, seed) -> None:
+    nfa = rpq(expression).automaton
     context = f"seed={seed} regex={expression!r} s={source} t1={t1}"
 
     live = LiveGraph(base)
