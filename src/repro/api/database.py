@@ -376,9 +376,10 @@ class Database:
         restarted process can pass its bootstrap graph unconditionally
         and still resume where the log left off.  A fresh directory is
         seeded from ``graph`` (a snapshot at LSN 0; ``None`` starts
-        empty).  Vertex names of a durable graph must be JSON scalars
-        (str/int/float/bool/None) — anything else raises
-        :class:`~repro.exceptions.WalError` at commit time.
+        empty).  Vertex names of a durable graph obey the snapshot
+        segment's rule (str/int/bool/None or a finite float, see
+        :func:`repro.graph.segment.check_vertex_name`) — anything else
+        raises :class:`~repro.exceptions.WalError` at commit time.
 
         Every later mutation — :meth:`mutate`, direct
         ``LiveGraph.apply``/``compact`` — is appended to the log

@@ -107,6 +107,12 @@ class CostError(ReproError):
     """Edge costs were missing, non-positive, or of mixed bad types."""
 
 
+class SegmentError(ReproError):
+    """A graph segment (:mod:`repro.graph.segment`) failed to encode
+    (a vertex name that does not round-trip through JSON) or to
+    validate; :class:`ShmError` and :class:`WalError` wrap it."""
+
+
 class ShmError(ReproError):
     """Shared-memory serving-segment failure (repro.serve.shm).
 

@@ -13,7 +13,9 @@ Public entry points:
   by vertex/label *names*;
 * :mod:`repro.graph.generators` — synthetic databases for tests,
   examples and benchmarks;
-* :mod:`repro.graph.io` — JSON and edge-list persistence;
+* :mod:`repro.graph.io` — JSON and edge-list import and export;
+* :mod:`repro.graph.segment` — the one binary layout of a graph, which
+  shared memory publishes and WAL snapshots write to disk;
 * :mod:`repro.graph.property_graph` — property graphs (edges with data
   values) and their projection to multi-labeled databases via named
   boolean predicates, the abstraction the paper's Section 1 describes.

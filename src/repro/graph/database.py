@@ -29,7 +29,12 @@ the flat arrays every graph class exposes; :class:`Graph`, the
 shared-memory :class:`~repro.serve.shm.SharedGraph` and the mutable
 :class:`~repro.live.LiveGraph` all inherit them.  The builders of
 those arrays (:func:`build_adjacency`, :func:`build_csr`,
-:func:`build_label_summaries`) are shared the same way.
+:func:`build_label_summaries`) and the endpoint check
+(:func:`check_endpoints`) are shared the same way.
+
+A graph has one binary form, the segment of :mod:`repro.graph.segment`,
+which shared memory publishes and WAL snapshots write to disk; JSON
+(:mod:`repro.graph.io`) is for import and export only.
 
 Label-indexed CSR adjacency
 ---------------------------
@@ -90,6 +95,26 @@ from repro.exceptions import (
 
 
 # -- builders shared by every graph class -------------------------------------
+
+
+def check_endpoints(
+    src: Sequence[int], tgt: Sequence[int], n_vertices: int
+) -> None:
+    """Raise :class:`GraphError` unless every endpoint of the equally
+    long ``src``/``tgt`` columns lies in ``range(n_vertices)``: a
+    C-level min/max, then a scan only to name the first bad edge."""
+    n = n_vertices
+    if len(src) and not (
+        0 <= min(src) and max(src) < n and 0 <= min(tgt) and max(tgt) < n
+    ):
+        e = next(
+            e for e, (u, v) in enumerate(zip(src, tgt))
+            if not (0 <= u < n and 0 <= v < n)
+        )
+        raise GraphError(
+            f"edge {e} has endpoint outside the vertex range: "
+            f"({src[e]}, {tgt[e]}) with |V| = {n}"
+        )
 
 
 def build_adjacency(
@@ -319,18 +344,7 @@ class Graph(FlatAccessors):
         )
 
         n = len(self._vertex_names)
-        if len(self._src) and not (
-            0 <= min(self._src) and max(self._src) < n
-            and 0 <= min(self._tgt) and max(self._tgt) < n
-        ):
-            e = next(
-                e for e, (u, v) in enumerate(zip(self._src, self._tgt))
-                if not (0 <= u < n and 0 <= v < n)
-            )
-            raise GraphError(
-                f"edge {e} has endpoint outside the vertex range: "
-                f"({self._src[e]}, {self._tgt[e]}) with |V| = {n}"
-            )
+        check_endpoints(self._src, self._tgt, n)
         self._out, self._in = build_adjacency(self._src, self._tgt, n)
         # TgtIdx(e): position of e inside In(Tgt(e)) — Remark 4 says this
         # may be precomputed in O(|V| + |E|), which is what we do here.

@@ -81,6 +81,15 @@ from repro.live.delta import (
 Subscriber = Callable[[MutationBatch], None]
 
 
+def _joined(column: Sequence[int], tail: Sequence[int]) -> array:
+    """A base column — an ``array('q')``, or a ``'q'`` cast over a
+    segment — followed by ``tail``, as one new ``array('q')``."""
+    joined = array("q")
+    joined.frombytes(memoryview(column).cast("B"))
+    joined.extend(tail)
+    return joined
+
+
 class _View:
     """One epoch's materialized flat-array views (immutable once built)."""
 
@@ -401,8 +410,8 @@ class LiveGraph(FlatAccessors):
         view.vertex_names = base._vertex_names + tuple(
             self._new_vertex_names
         )
-        view.src_array = base._src + array("q", self._o_src)
-        view.tgt_array = base._tgt + array("q", self._o_tgt)
+        view.src_array = _joined(base._src, self._o_src)
+        view.tgt_array = _joined(base._tgt, self._o_tgt)
         if self._label_override:
             labels = list(base._labels) + self._o_labels
             for e, ls in self._label_override.items():
@@ -411,9 +420,7 @@ class LiveGraph(FlatAccessors):
         else:
             view.label_array = base._labels + tuple(self._o_labels)
         if self.has_costs:
-            view.cost_array = array("q", base.cost_array) + array(
-                "q", self._o_costs
-            )
+            view.cost_array = _joined(base.cost_array, self._o_costs)
         else:
             view.cost_array = array("q", [1]) * self.edge_count
 
@@ -435,7 +442,7 @@ class LiveGraph(FlatAccessors):
             in_lists.append(tuple(base_in) + tuple(self._o_in.get(v, ())))
         view.out_array = tuple(out_lists)
         view.in_array = tuple(in_lists)
-        view.tgt_idx_array = base._tgt_idx + array("q", self._o_tgt_idx)
+        view.tgt_idx_array = _joined(base._tgt_idx, self._o_tgt_idx)
 
         # A tombstone carries no incidence, so no CSR bucket holds it.
         incidences: Sequence[Tuple[int, ...]] = view.label_array

@@ -38,8 +38,9 @@ Architecture (one box per process)::
     │  Lbl CSR, out/in label-indexed CSR, name tables    │
     └────────────────────────────────────────────────────┘
 
-Module map: :mod:`repro.serve.shm` (segment layout,
-``Graph.to_shared`` / ``from_shared``), :mod:`repro.serve.worker`
+Module map: :mod:`repro.serve.shm` (shared-memory blocks holding the
+segment layout of :mod:`repro.graph.segment`, ``Graph.to_shared`` /
+``from_shared``), :mod:`repro.serve.worker`
 (child process loop), :mod:`repro.serve.server`
 (:class:`ServeServer`, :func:`serve`), :mod:`repro.serve.client`
 (:class:`ServeClient`, the blocking JSONL helper the bench and smoke

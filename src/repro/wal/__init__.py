@@ -18,7 +18,7 @@ Architecture
                                                            ▼
          wal_dir/wal.log         ◄── WalWriter (writer.py)
            <len>:<crc32>:<json>\\n      fsync policy: always | group | none
-         wal_dir/snapshot-<lsn>.json ◄── written at each compaction
+         wal_dir/snapshot-<lsn>.seg  ◄── written at each compaction
                                                            │
          recover() (recovery.py) = latest valid snapshot   │
              + replay of the WAL tail (frames.py scanner) ◄┘
@@ -35,8 +35,15 @@ deterministically (ascending old-id order), so a replayer that
 compacts at the same LSN resolves every later id-addressed op to the
 same edge.  The compaction record is also where snapshots happen: the
 record is fsync'd first, then the already-merged graph is written as
-``snapshot-<lsn>.json`` (atomic tmp + fsync + rename + dir fsync),
+``snapshot-<lsn>.seg`` (atomic tmp + fsync + rename + dir fsync),
 so a snapshot's watermark always names a durable log position.
+
+**Snapshots** (:mod:`repro.wal.snapshot`) hold the graph in the
+segment layout of :mod:`repro.graph.segment` — the bytes
+``Graph.to_shared`` publishes, CSRs pre-built — with the watermark in
+the CRC'd meta; recovery decodes them with the serving tier's decoder,
+so edge ids and ``TgtIdx`` come back exactly.  Vertex names obey the
+segment's one rule, checked before a batch is logged.
 
 **Framing** (:mod:`repro.wal.frames`).  One record per line,
 ``<len>:<crc32-hex>:<compact json>\\n``.  A frame is valid only if
@@ -94,11 +101,10 @@ from repro.wal.frames import (
     scan_bytes,
     scan_file,
 )
-from repro.wal.recovery import RecoveredState, recover
+from repro.wal.recovery import RecoveredState, SnapshotLoad, recover
 from repro.wal.snapshot import (
-    SnapshotLoad,
     list_snapshots,
-    load_latest_snapshot,
+    load_snapshot,
     snapshot_name,
     write_snapshot,
 )
@@ -115,7 +121,7 @@ __all__ = [
     "encode_frame",
     "iter_frames",
     "list_snapshots",
-    "load_latest_snapshot",
+    "load_snapshot",
     "recover",
     "scan_bytes",
     "scan_file",

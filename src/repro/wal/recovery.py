@@ -36,16 +36,21 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.exceptions import ReproError, WalError
+from repro.graph.database import Graph
 from repro.live.delta import ops_from_dicts
 from repro.live.live_graph import LiveGraph
 from repro.wal.frames import scan_file
-from repro.wal.snapshot import (
-    SnapshotLoad,
-    _graph_from_document,
-    _load_document,
-    list_snapshots,
-)
+from repro.wal.snapshot import list_snapshots, load_snapshot
 from repro.wal.writer import LOG_NAME
+
+
+@dataclass
+class SnapshotLoad:
+    """A decoded snapshot: the graph state after WAL records 1..lsn."""
+
+    graph: Graph
+    lsn: int
+    path: str
 
 
 @dataclass
@@ -73,7 +78,7 @@ def _pick_snapshot(
 ) -> Optional[SnapshotLoad]:
     """Newest valid snapshot a log ending at ``last_lsn`` can replay from.
 
-    Beyond CRC validity (handled per file), the snapshot's watermark
+    Beyond decoding (:func:`load_snapshot`), the snapshot's watermark
     must not exceed the log's last valid LSN: a snapshot *ahead* of
     the log (possible when the log was truncated by a fault after the
     snapshot was written) cannot be trusted to match any committed
@@ -81,16 +86,9 @@ def _pick_snapshot(
     + full replay.
     """
     for lsn, path in snapshots:
-        if lsn > last_lsn:
-            continue
-        document = _load_document(path)
-        if document is None or document["lsn"] != lsn:
-            continue
-        try:
-            graph = _graph_from_document(document)
-        except Exception:
-            continue
-        return SnapshotLoad(graph=graph, lsn=lsn, path=path)
+        graph = load_snapshot(path, lsn) if lsn <= last_lsn else None
+        if graph is not None:
+            return SnapshotLoad(graph=graph, lsn=lsn, path=path)
     return None
 
 

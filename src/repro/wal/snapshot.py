@@ -1,116 +1,45 @@
-"""On-disk snapshot codec for durable graphs.
+"""Snapshot files of durable graphs.
 
 A snapshot captures the *compacted* state of a graph at a specific WAL
-position: the file ``snapshot-<lsn 12 digits>.json`` inside the WAL
-directory holds
+position: the file ``snapshot-<lsn 12 digits>.seg`` inside the WAL
+directory holds the graph in the segment layout of
+:mod:`repro.graph.segment` — the bytes ``Graph.to_shared`` publishes,
+with ``TgtIdx`` and both label-indexed CSR views pre-built — plus the
+watermark ``lsn`` in the segment's CRC'd meta.  The snapshot equals
+the graph after applying WAL records 1..lsn, so recovery replays the
+tail starting at exactly ``lsn + 1`` (and refuses — loudly — a log
+that cannot provide that record; an off-by-one would silently
+double-apply a batch).
 
-.. code-block:: json
+This module only handles files: naming, listing, writing and reading
+one.  A torn, bit-flipped or renamed snapshot fails
+:func:`load_snapshot` and recovery falls back to an older one.  Files
+of the retired JSON format (``snapshot-<lsn>.json``) are still listed,
+and fail the same way.
 
-    {"format": "repro-wal-snapshot", "v": 1, "lsn": 42,
-     "vertices": ["v0", 7, "v2"], "labels": ["a", "b"],
-     "edges": [{"src": 0, "tgt": 1, "labels": [0], "cost": 3}],
-     "counts": {"vertices": 3, "edges": 1, "labels": 2},
-     "crc": "0b1f9a3c"}
-
-``lsn`` is the **watermark**: the snapshot equals the graph after
-applying WAL records 1..lsn, so recovery replays the tail starting at
-exactly ``lsn + 1`` (and refuses — loudly — a log that cannot provide
-that record; an off-by-one would silently double-apply a batch).
-
-Unlike :func:`repro.graph.io.graph_to_dict`, vertex names are stored
-as their JSON scalar selves (an ``int`` name stays an ``int``), so a
-snapshot round-trips names exactly; the durable layer restricts names
-to JSON scalars at commit time for the same reason.  ``crc`` covers
-the canonical (sorted-keys, compact) JSON of the body so a partially
-written or bit-flipped snapshot is detected and skipped —
-:func:`load_latest_snapshot` falls back to the newest older snapshot
-that validates.
-
-Writes are atomic and durable: the document goes to a ``*.tmp`` file
-that is flushed and fsync'd, then :func:`os.replace`-d into place, and
-the directory entry is fsync'd too — a crash leaves either the old
+Writes are atomic and durable: the bytes go to a ``*.tmp`` file that
+is flushed and fsync'd, then :func:`os.replace`-d into place, and the
+directory entry is fsync'd too — a crash leaves either the old
 snapshot set or the old set plus one complete new file, never a torn
 snapshot under the final name.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import zlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.exceptions import WalError
+from repro.exceptions import SegmentError, WalError
 from repro.graph.database import Graph
+from repro.graph.segment import SegmentLayout, decode_into
 
-SNAPSHOT_FORMAT = "repro-wal-snapshot"
-SNAPSHOT_VERSION = 1
-
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
-
-#: Vertex-name types that survive the JSON wire form unchanged.
-SCALAR_TYPES = (str, int, float, bool, type(None))
+_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.(?:seg|json)$")
 
 
 def snapshot_name(lsn: int) -> str:
     """File name of the snapshot at watermark ``lsn``."""
-    return f"snapshot-{lsn:012d}.json"
-
-
-def check_wire_name(name: Any) -> None:
-    """Reject vertex names that would not round-trip through JSON.
-
-    Called at commit time (append/snapshot) so the failure is loud and
-    immediate — a tuple name would silently come back as a list after
-    recovery, which is exactly the class of corruption a WAL must not
-    introduce.
-    """
-    if not isinstance(name, SCALAR_TYPES):
-        raise WalError(
-            f"durable graphs require JSON-scalar vertex names "
-            f"(str/int/float/bool/None); got {type(name).__name__}: "
-            f"{name!r}"
-        )
-
-
-def _body(graph: Graph, lsn: int) -> Dict[str, Any]:
-    edges: List[Dict[str, Any]] = []
-    for e in graph.edges():
-        edge: Dict[str, Any] = {
-            "src": graph.src(e),
-            "tgt": graph.tgt(e),
-            "labels": list(graph.labels(e)),
-        }
-        if graph.has_costs:
-            edge["cost"] = graph.cost(e)
-        edges.append(edge)
-    vertices = []
-    for v in graph.vertices():
-        name = graph.vertex_name(v)
-        check_wire_name(name)
-        vertices.append(name)
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "v": SNAPSHOT_VERSION,
-        "lsn": lsn,
-        "vertices": vertices,
-        "labels": list(graph.alphabet),
-        "edges": edges,
-        "counts": {
-            "vertices": graph.vertex_count,
-            "edges": graph.edge_count,
-            "labels": graph.label_count,
-        },
-    }
-
-
-def _body_crc(body: Dict[str, Any]) -> str:
-    canonical = json.dumps(
-        body, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return f"{zlib.crc32(canonical):08x}"
+    return f"snapshot-{lsn:012d}.seg"
 
 
 def write_snapshot(wal_dir: str, graph: Graph, lsn: int) -> str:
@@ -120,13 +49,15 @@ def write_snapshot(wal_dir: str, graph: Graph, lsn: int) -> str:
     dense, no tombstones) — callers snapshot either a base
     :class:`Graph` or the output of ``LiveGraph.to_graph()``.
     """
-    body = _body(graph, lsn)
-    document = dict(body)
-    document["crc"] = _body_crc(body)
+    try:
+        layout = SegmentLayout(graph, lsn=lsn)
+    except SegmentError as exc:
+        raise WalError(f"cannot snapshot a durable graph: {exc}") from None
+    data = bytearray(layout.size)
+    layout.write_into(data)
     path = os.path.join(wal_dir, snapshot_name(lsn))
     tmp = path + ".tmp"
-    data = json.dumps(document, separators=(",", ":"), sort_keys=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
@@ -148,47 +79,17 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _load_document(path: str) -> Optional[Dict[str, Any]]:
-    """Parse + CRC-check one snapshot file; ``None`` when invalid."""
+def load_snapshot(path: str, lsn: int) -> Optional[Graph]:
+    """The graph in the snapshot file ``path``, or ``None`` unless it
+    decodes and its CRC'd watermark is ``lsn`` (a file renamed to lie
+    about its watermark is refused like a corrupt one)."""
+    graph = Graph.__new__(Graph)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (OSError, ValueError, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            _, meta, _ = decode_into(graph, fh.read())
+    except (OSError, SegmentError):
         return None
-    if not isinstance(document, dict):
-        return None
-    if document.get("format") != SNAPSHOT_FORMAT:
-        return None
-    crc = document.get("crc")
-    body = {k: v for k, v in document.items() if k != "crc"}
-    if crc != _body_crc(body):
-        return None
-    lsn = document.get("lsn")
-    if not isinstance(lsn, int) or isinstance(lsn, bool) or lsn < 0:
-        return None
-    return document
-
-
-def _graph_from_document(document: Dict[str, Any]) -> Graph:
-    edges = document["edges"]
-    any_cost = any("cost" in e for e in edges)
-    return Graph(
-        vertex_names=document["vertices"],
-        label_names=document["labels"],
-        src=[e["src"] for e in edges],
-        tgt=[e["tgt"] for e in edges],
-        labels=[tuple(e["labels"]) for e in edges],
-        costs=[e.get("cost", 1) for e in edges] if any_cost else None,
-    )
-
-
-@dataclass
-class SnapshotLoad:
-    """A decoded snapshot: the graph state after WAL records 1..lsn."""
-
-    graph: Graph
-    lsn: int
-    path: str
+    return graph if meta.get("lsn") == lsn else None
 
 
 def list_snapshots(wal_dir: str) -> List[Tuple[int, str]]:
@@ -204,25 +105,3 @@ def list_snapshots(wal_dir: str) -> List[Tuple[int, str]]:
             found.append((int(match.group(1)), os.path.join(wal_dir, entry)))
     found.sort(reverse=True)
     return found
-
-
-def load_latest_snapshot(wal_dir: str) -> Optional[SnapshotLoad]:
-    """The newest snapshot that validates, or ``None``.
-
-    Corrupt or torn snapshot files are skipped (the WAL tail can
-    replay through the older watermark), so a crash during
-    :func:`write_snapshot` — or a damaged newest file — degrades to a
-    longer replay, never to a failed recovery.
-    """
-    for lsn, path in list_snapshots(wal_dir):
-        document = _load_document(path)
-        if document is None:
-            continue
-        try:
-            graph = _graph_from_document(document)
-        except Exception:
-            continue  # Structurally broken body: fall back further.
-        if document["lsn"] != lsn:
-            continue  # Renamed file lying about its watermark.
-        return SnapshotLoad(graph=graph, lsn=lsn, path=path)
-    return None

@@ -29,15 +29,11 @@ import os
 import time
 from typing import Any, Optional, Sequence
 
-from repro.exceptions import WalError
+from repro.exceptions import SegmentError, WalError
+from repro.graph.segment import check_vertex_name
 from repro.live.delta import AddEdge, AddVertex, Delta, op_to_dict
 from repro.wal.frames import RECORD_VERSION, encode_frame
-from repro.wal.snapshot import (
-    _fsync_dir,
-    check_wire_name,
-    list_snapshots,
-    write_snapshot,
-)
+from repro.wal.snapshot import _fsync_dir, list_snapshots, write_snapshot
 
 LOG_NAME = "wal.log"
 
@@ -57,18 +53,22 @@ def _disabled_registry():
 
 
 def _check_ops_wire_safe(ops: Sequence[Delta]) -> None:
-    """Fail a batch *before* logging when it would not round-trip.
+    """Fail a batch *before* logging when no snapshot could hold it.
 
-    Vertex names reach the log through JSON; a tuple name would come
-    back as a list after recovery — accept only JSON scalars, and
-    reject at commit time rather than at (much later) replay time.
+    Vertex names reach the log and the snapshots through JSON; a tuple
+    name would come back as a list after recovery, a NaN as a name no
+    lookup finds.  The segment's one vertex-name rule applies at commit
+    time rather than at (much later) snapshot or replay time.
     """
-    for op in ops:
-        if isinstance(op, AddVertex):
-            check_wire_name(op.name)
-        elif isinstance(op, AddEdge):
-            check_wire_name(op.src)
-            check_wire_name(op.tgt)
+    try:
+        for op in ops:
+            if isinstance(op, AddVertex):
+                check_vertex_name(op.name)
+            elif isinstance(op, AddEdge):
+                check_vertex_name(op.src)
+                check_vertex_name(op.tgt)
+    except SegmentError as exc:
+        raise WalError(f"durable graphs refuse this batch: {exc}") from None
 
 
 class WalWriter:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import random
+import tempfile
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.exceptions import UnknownVertexError
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
 from repro.live import LiveGraph
+from repro.wal.snapshot import load_snapshot, write_snapshot
 
 SEED_BASE = int(os.environ.get("LIVE_DIFF_SEED_BASE", "0"))
 N_RANDOM_HISTORIES = 4
@@ -156,17 +158,35 @@ def _random_history(seed: int) -> LiveGraph:
     return live
 
 
+def _snapshot_roundtrip() -> Graph:
+    """A recovered base: a compacted graph through a snapshot file,
+    whose columns are ``'q'`` casts over the file's bytes."""
+    with tempfile.TemporaryDirectory() as wal_dir:
+        path = write_snapshot(wal_dir, _mutated_live().to_graph(), 4)
+        return load_snapshot(path, 4)
+
+
+def _live_on_snapshot() -> LiveGraph:
+    live = LiveGraph(_snapshot_roundtrip())
+    live.add_edge("A", "new", ["h"])
+    live.remove_edge(0)
+    live.set_edge_labels(2, ["s", "x"])
+    return live
+
+
 FACTORIES = {
     "immutable": _seed_graph,
+    "snapshot_roundtrip": _snapshot_roundtrip,
     "live_fresh": lambda: LiveGraph(_seed_graph()),
     "live_mutated": _mutated_live,
     "live_compacted": _compacted_live,
+    "live_on_snapshot": _live_on_snapshot,
     **{
         f"live_random_{i}": (lambda i=i: _random_history(SEED_BASE + i))
         for i in range(N_RANDOM_HISTORIES)
     },
 }
-LIVE_FACTORIES = sorted(name for name in FACTORIES if name != "immutable")
+LIVE_FACTORIES = sorted(name for name in FACTORIES if name.startswith("live_"))
 
 
 def _live_ids(graph):
@@ -421,3 +441,25 @@ def test_compacted_overlay_keeps_interning() -> None:
     assert {
         a: live.label_name(a) for a in range(live.label_count)
     } == before_labels
+
+
+def test_snapshot_roundtrip_keeps_every_column() -> None:
+    """A recovered base is the compacted graph, column for column: edge
+    ids, ``TgtIdx``, label tuples, ``Out``/``In`` and both CSRs."""
+    source = _mutated_live().to_graph()
+    loaded = _snapshot_roundtrip()
+
+    def columns(graph):
+        return (
+            [graph.vertex_name(v) for v in graph.vertices()],
+            graph.alphabet,
+            list(graph.src_array),
+            list(graph.tgt_array),
+            list(graph.tgt_idx_array),
+            graph.label_array,
+            graph.out_array,
+            graph.in_array,
+            [list(buf) for buf in graph.out_csr + graph.in_csr],
+        )
+
+    assert columns(loaded) == columns(source)

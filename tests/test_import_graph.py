@@ -447,3 +447,45 @@ def test_the_cli_imports_no_engine_class():
         if isinstance(node, ast.Import)
         for module in (alias.name for alias in node.names)
     )
+
+
+# -- one graph snapshot format ------------------------------------------------
+
+
+def test_the_wal_does_not_import_the_serving_tier():
+    """Snapshots and shared memory share the segment layout of
+    ``repro.graph.segment``, not each other: the WAL reaches no
+    ``repro.serve`` module."""
+    offenders = [
+        f"{path.relative_to(SRC)}: {module}"
+        for path in sorted((SRC / "wal").rglob("*.py"))
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module == "repro.serve" or module.startswith("repro.serve.")
+    ]
+    assert offenders == []
+
+
+def test_the_segment_layout_is_packed_in_one_module():
+    """The segment's header struct and its meta/data CRCs are packed and
+    unpacked in ``graph/segment.py`` only; shared memory and snapshot
+    files hand it bytes and get a graph back.  (A WAL record frame
+    carries a CRC of its own, in ``wal/frames.py``.)"""
+    codec = {"Struct", "pack", "pack_into", "unpack", "unpack_from", "crc32"}
+    paths = [
+        SRC / "serve" / "shm.py",
+        *(SRC / "wal").rglob("*.py"),
+        *(SRC / "graph").rglob("*.py"),
+    ]
+    found = {}
+    for path in paths:
+        called = {
+            getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+        } & codec
+        if called:
+            found[str(path.relative_to(SRC))] = called
+    assert found == {
+        "graph/segment.py": {"Struct", "pack_into", "unpack_from", "crc32"},
+        "wal/frames.py": {"crc32"},
+    }

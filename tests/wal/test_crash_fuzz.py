@@ -45,6 +45,7 @@ from repro.baselines.oracle import random_regex_compact
 from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
 from repro.graph.builder import GraphBuilder
+from repro.graph.segment import HEADER
 from repro.live import (
     AddEdge,
     AddVertex,
@@ -313,8 +314,11 @@ def test_crash_recovery(case: int, tmp_path) -> None:
 def test_damage_generator_is_not_degenerate(tmp_path) -> None:
     """Over many seeds, ``_damage`` shrinks logs, flips bytes in place
     and (given two snapshots) hits snapshot files — no fault shape is
-    dead code."""
-    shrunk = flipped = snapped = 0
+    dead code.  A newest snapshot the log could replay from, damaged
+    inside its CRC'd bytes (meta blob or data region), is *rejected*:
+    recovery starts from an older watermark every time, and at least
+    once — so a decoder that skipped its CRCs fails here."""
+    shrunk = flipped = snapped = rejected = 0
     for seed in range(40):
         wal_dir = str(tmp_path / f"d{seed}")
         db = Database.open(wal_dir, graph=_random_base(random.Random(seed)))
@@ -333,9 +337,23 @@ def test_damage_generator_is_not_degenerate(tmp_path) -> None:
             shrunk += 1
         elif after != before:
             flipped += 1
-        if any(
-            open(path, "rb").read() != blob
-            for path, blob in snaps_before.items()
-        ):
+        damaged = [
+            (path, blob) for path, blob in snaps_before.items()
+            if open(path, "rb").read() != blob
+        ]
+        if damaged:
             snapped += 1
-    assert shrunk > 0 and flipped > 0 and snapped > 0
+            [(path, blob)] = damaged
+            pos = next(
+                i for i, (a, b) in enumerate(zip(blob, open(path, "rb").read()))
+                if a != b
+            )
+            meta_end = HEADER.size + HEADER.unpack_from(blob, 0)[4]
+            padding = range(meta_end, (meta_end + 7) & ~7)
+            newest, _ = list_snapshots(wal_dir)[0]
+            last_lsn = scan_file(log).last_lsn
+            if pos >= HEADER.size and pos not in padding and newest <= last_lsn:
+                picked = _pick_snapshot(list_snapshots(wal_dir), last_lsn)
+                assert picked is None or picked.lsn < newest, seed
+                rejected += 1
+    assert shrunk > 0 and flipped > 0 and snapped > 0 and rejected > 0

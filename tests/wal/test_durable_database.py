@@ -5,6 +5,7 @@ CLI surface."""
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
@@ -12,10 +13,11 @@ import pytest
 from repro.api import Database
 from repro.exceptions import WalError
 from repro.graph.builder import GraphBuilder
-from repro.live.delta import AddEdge
+from repro.live.delta import AddEdge, AddVertex
 from repro.live.live_graph import LiveGraph
 from repro.service.service import QueryService
 from repro.wal.snapshot import list_snapshots
+from repro.wal.writer import LOG_NAME
 
 
 def _base_graph():
@@ -122,6 +124,30 @@ class TestOpenRecoverClose:
             assert _rendered(db.live()) == before
         finally:
             db.close()
+
+    @pytest.mark.parametrize(
+        "name", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_unsnapshottable_name_is_refused_before_logging(
+        self, tmp_path, name
+    ) -> None:
+        """A batch no snapshot could hold never reaches the log: the
+        segment's vertex-name rule runs in the pre-append check."""
+        db = Database.open(str(tmp_path), graph=_base_graph())
+        log = os.path.join(str(tmp_path), LOG_NAME)
+        try:
+            db.mutate([AddEdge("a", "b", ("x",))])
+            before = open(log, "rb").read()
+            with pytest.raises(WalError, match="vertex names"):
+                db.mutate([AddEdge(name, "b", ("x",))])
+            with pytest.raises(WalError, match="vertex names"):
+                db.mutate([AddVertex(name)])
+            assert open(log, "rb").read() == before
+        finally:
+            db.close()
+        # Recovery still resolves every name it logged.
+        recovered = Database.recover(str(tmp_path)).live()
+        assert recovered.vertex_id("a") == 0
 
 
 class TestCompactionAndWriterLifecycle:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 
 import pytest
 
+from repro.api import Database
 from repro.exceptions import WalError
 from repro.live.delta import AddEdge, AddVertex, RemoveEdge, SetEdgeLabels
 from repro.live.live_graph import LiveGraph
@@ -216,6 +219,30 @@ def test_corrupt_bootstrap_snapshot_is_loud(tmp_path) -> None:
         fh.write(b"X")
     with pytest.raises(WalError, match="bootstrap"):
         recover(str(tmp_path))
+
+
+def test_old_json_bootstrap_is_loud(tmp_path) -> None:
+    """A directory whose only bootstrap is a snapshot of the retired
+    JSON format must not recover by replaying onto an empty base: the
+    file is listed, fails decoding, and recovery refuses — as does
+    reopening the directory."""
+    document = {
+        "format": "repro-wal-snapshot", "v": 1, "lsn": 0,
+        "vertices": ["seed", "data"], "labels": ["x"],
+        "edges": [{"src": 0, "tgt": 1, "labels": [0]}],
+        "counts": {"vertices": 2, "edges": 1, "labels": 1},
+    }
+    # The old format's own CRC: the file was valid where it was written.
+    canonical = json.dumps(document, separators=(",", ":"), sort_keys=True)
+    document["crc"] = f"{zlib.crc32(canonical.encode()):08x}"
+    with open(os.path.join(str(tmp_path), "snapshot-000000000000.json"), "w") as fh:
+        json.dump(document, fh)
+    with WalWriter(str(tmp_path), sync="none") as writer:
+        writer.append_batch([AddVertex("later")])
+    with pytest.raises(WalError, match="bootstrap"):
+        recover(str(tmp_path))
+    with pytest.raises(WalError, match="bootstrap"):
+        Database.open(str(tmp_path))
 
 
 def test_log_surgery_is_loud(tmp_path) -> None:
