@@ -832,11 +832,12 @@ class Database:
         """The prepared (query, source) object, cached — and whether
         it was a hit.
 
-        The cached object carries the CSR-packed annotation arrays and
-        the shared trim cells (see :mod:`repro.datastructures.packed`):
-        every cache hit serves per-target reads off the flat ``dist``
-        array and enumerations off the read-only packed cells, with no
-        per-hit copy or dict materialization anywhere.
+        The cached object carries the annotation's flat ``dist`` and
+        its one trim cell store (see :mod:`repro.datastructures.packed`):
+        every cache hit serves per-target reads off ``dist`` and
+        enumerations off the cells, pulling a target's the first time
+        it is read, with no per-hit copy or dict materialization
+        anywhere.
 
         The restriction is *not* in the key (unlike :meth:`_plan_for`,
         whose plan text differs per semantics): ``walks``, ``trails``
@@ -1069,8 +1070,8 @@ class Database:
           regime on top (:func:`restricted_lam`; λ becomes rλ).
         * ``any``: one :class:`~repro.core.annotate.AnnotateBFS` run —
           to ``only``'s level, or to exhaustion for the shapes that
-          read every target — with no annotation-cache entry, no pack
-          and no Trim, and the engine mode irrelevant; a cell's stream
+          read every target — with no annotation-cache entry and no
+          Trim, and the engine mode irrelevant; a cell's stream
           is its single witness, read back from the run's ``dist``
           (:meth:`~repro.core.annotate.AnnotateBFS.witness`).
 
@@ -1298,7 +1299,7 @@ class Database:
         if q._restriction == "any":
             resolved = (
                 "one Annotate BFS run to the asked target's level "
-                "(exhausted for every target), no pack, no Trim"
+                "(exhausted for every target), no Trim"
             )
             route = (
                 "a witness per target read back from the run's distances "

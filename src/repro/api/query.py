@@ -236,7 +236,7 @@ class Query:
 
         The cheap mode: one ``Annotate`` BFS run, stopped at the
         target's level, whose distances the witness is read back from —
-        no pack, no Trim/Enumerate machinery, no annotation-cache entry
+        no Trim/Enumerate machinery, no annotation-cache entry
         — honoring ``limit``/``offset``/``timeout_ms``/cursors at the
         row level.  The witness length equals the plain-walks λ.
         """

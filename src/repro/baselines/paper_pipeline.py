@@ -17,7 +17,7 @@ Dijkstra ``Annotate`` (``heap="binary"`` / ``"pairing"``, EXP-ABL-HEAP).
 :mod:`repro.core` stores the same data as flat packed arrays, accepts
 ε-free compiles only and has one queue; **nothing is shared** — no
 traversal, trim, enumeration, queue or container code, only the public
-input types (``CompiledQuery``, ``Walk``, ``PackedBack``).  The test
+input types (``CompiledQuery``, ``Walk``, ``PackedCells``).  The test
 suite holds the two to identical annotation contents, walk sets and
 enumeration order, and step-counts the paper's delay bound on the
 structures below.
@@ -32,8 +32,8 @@ Stages (each consumes the previous one's plain output):
   :func:`next_output` / :func:`enumerate_memoryless` over the index;
 * :func:`recursive_walks` — the three stages end to end;
 * :func:`packed_from_maps` — ``B`` maps to a
-  :class:`~repro.datastructures.packed.PackedBack`, the bridge the
-  pack-order property tests compare against.
+  :class:`~repro.datastructures.packed.PackedCells` store, the bridge
+  the cell-order property tests compare against.
 
 Nothing outside ``repro.baselines``, ``tests/``, ``benchmarks/`` and
 ``examples/`` may import this module (``tests/test_import_graph.py``).
@@ -42,9 +42,7 @@ Nothing outside ``repro.baselines``, ``tests/``, ``benchmarks/`` and
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import (
     Callable,
     Dict,
@@ -65,7 +63,7 @@ from repro.baselines.restartable_queue import RestartableQueue
 from repro.baselines.resumable_index import ResumableIndex
 from repro.core.compile import CompiledQuery, compile_epsilon_free
 from repro.core.walks import Walk
-from repro.datastructures.packed import BackMap, LengthMap, PackedBack
+from repro.datastructures.packed import BackMap, LengthMap, PackedCells
 from repro.exceptions import CostError, QueryError
 from repro.graph.database import Graph
 
@@ -746,36 +744,20 @@ def enumerate_memoryless(
         )
 
 
-def packed_from_maps(n: int, n_states: int, B: List[BackMap]) -> PackedBack:
-    """Pack dict-of-dicts ``B`` maps — the oracle→packed bridge, the
-    comparison-sort layout reference for
-    :meth:`~repro.datastructures.packed.PackedBack.from_entries`.
-    Deterministic: keys ascending, cells in ``TgtIdx`` order,
-    predecessor lists kept in their recorded order."""
-    ent_key = array("q")
-    ent_ti = array("q")
-    ent_pred = array("q")
-    counts = array("q", bytes(8 * (n * n_states)))
-    nonempty: List[int] = []
-    for u in range(min(n, len(B))):
-        base = u * n_states
-        per_state = B[u]
-        for p in sorted(per_state):
-            cells = per_state[p]
-            k = base + p
-            total = 0
-            for ti in sorted(cells):
-                preds = cells[ti]
-                for q in preds:
-                    ent_key.append(k)
-                    ent_ti.append(ti)
-                    ent_pred.append(q)
-                total += len(preds)
-            if total:
-                counts[k] = total
-                nonempty.append(k)
-    key_indptr = array("q", accumulate(counts, initial=0))
-    return PackedBack(n, n_states, key_indptr, ent_ti, ent_pred, nonempty)
+def packed_from_maps(graph: Graph, n_states: int, B: List[BackMap]) -> PackedCells:
+    """Store dict-of-dicts ``B`` maps as the production cell store —
+    the oracle→production bridge: every node of the maps, cells in
+    ``TgtIdx`` order, predecessor lists kept in their recorded order.
+    The store pulls nothing more (it has no ``dist``)."""
+    in_array = graph.in_array
+    store = PackedCells(graph, graph.vertex_count, n_states)
+    for u, per_state in enumerate(B[: graph.vertex_count]):
+        for p, cells in per_state.items():
+            store.publish(
+                u * n_states + p,
+                [(ti, in_array[u][ti], cells[ti]) for ti in sorted(cells) if cells[ti]],
+            )
+    return store
 
 
 def recursive_walks(

@@ -1,17 +1,22 @@
 """The ``Annotate`` preprocessing (paper, Figure 2 lines 6-33).
 
 ``Annotate`` performs a breadth-first traversal of the product
-``D × A`` and populates, for every vertex ``u``:
+``D × A`` from the source.  The paper has it populate, for every vertex
+``u``:
 
 * ``L_u`` — for each automaton state ``p``, the length of a shortest
   walk from ``s`` to ``u`` whose label can take ``A`` from an initial
   state to ``p`` (Lemma 10(1));
 * ``B_u`` — for each state ``p`` and each in-edge position
   ``TgtIdx(e)``, the list of *predecessor states* ``q`` witnessing such
-  a shortest walk ending with edge ``e`` (Lemma 10(2)).  Lists may
-  contain duplicates (one entry per firing transition), bounded by
-  ``Σ_a |Δ⁻¹(a, p)|`` (Lemma 10(3)).
+  a shortest walk ending with edge ``e`` (Lemma 10(2)), one entry per
+  firing transition (Lemma 10(3)).
 
+Only ``L`` is stored.  Every ``B`` entry of a node first reached at
+level ℓ is a product edge from level ℓ − 1 into it, so ``B`` is a
+function of ``L`` and the graph, and ``Trim`` reads it back from there
+for the nodes an asked target's walks pass through
+(:mod:`repro.core.trim`, :class:`~repro.datastructures.packed.PackedCells`).
 The traversal stops at the end of the first BFS level in which the
 target is reached in a final state — that level is λ.  With
 ``saturate=True`` it instead runs until no new ``(vertex, state)`` pair
@@ -20,19 +25,20 @@ exists, which is the one-source-to-many-targets mode of Section 5.3.
 Stopping and resuming
 ---------------------
 
-Every ``B`` entry of a product node ``(u, p)`` is logged while the BFS
-expands level ``dist[u·|Q| + p]``, so once levels ``0…ℓ`` are done
-every node at distance ≤ ℓ holds all of its entries.  A target ``t`` is
-*settled* once it is reached in a final state within the levels done,
-or once the BFS is exhausted: from then on its λ, its start
-certificate and every cell its enumeration reads are final.  The stop
-rule is that test — O(|F|) per level boundary, never per reached pair.
-:class:`AnnotateBFS` holds the state between boundaries (``dist``, the
-frontier, the entry log, the level rule's counts and candidates — see
-*Two level directions*), so a traversal stopped at one target resumes
-toward another exactly as the one-shot run would have continued:
-:func:`annotate` runs it once, and a cached multi-target entry
-(:mod:`repro.core.multi_target`) keeps it and deepens on demand.
+A node's level is final once its level is done, and so is every cell
+``Trim`` pulls for it: a cell of a level-ℓ node reads ``dist`` at level
+ℓ − 1 only.  A target ``t`` is *settled* once it is reached in a final
+state within the levels done, or once the BFS is exhausted: from then
+on its λ, its start certificate and every cell its enumeration reads
+are final.  The stop rule is that test — O(|F|) per level boundary,
+never per reached pair.  :class:`AnnotateBFS` holds the state between
+boundaries (``dist``, the frontier, the level rule's counts and
+candidates — see *Two level directions*), so a traversal stopped at
+one target resumes toward another exactly as the one-shot run would
+have continued, and the cells already pulled stay valid: a deepening
+level writes only unreached slots.  :func:`annotate` runs it once, and
+a cached multi-target entry (:mod:`repro.core.multi_target`) keeps it
+and deepens on demand.
 
 ε-transitions are closed at compile time
 (:mod:`repro.core.compile`); a compile that kept them is refused.
@@ -44,34 +50,27 @@ the *compiled* automaton, which keeps only co-accessible states and one
 state per class of same-past states, numbered densely
 (:mod:`repro.core.compile`): the traversal never creates a product
 node ``(u, p)`` from which no accepting run can continue, nor two
-nodes at one vertex that exactly the same walks reach, and the key
-space ``dist``, the pack and the cells allocate is |V| × the states it
-runs — 2 per vertex on ``(a|b)* c (a|b|c)*``, not the 20 its Thompson
-automaton is written with.
+nodes at one vertex that exactly the same walks reach, and the one
+|V| × |Q| array, ``dist``, has a slot per state it runs — 2 per vertex
+on ``(a|b)* c (a|b|c)*``, not the 20 its Thompson automaton is written
+with.
 
-Packed annotation layout
+What an annotation holds
 ------------------------
 
-The BFS carries ``L`` as one flat per-(vertex, state) integer array
-(``dist[v·|Q| + p]``, ``-1`` = unreached) and logs every ``B`` entry as
-an append-only ``(key, TgtIdx, predecessor)`` triple; on return the log
-is radix-packed into a :class:`~repro.datastructures.packed.PackedBack`
-(:meth:`~repro.datastructures.packed.PackedBack.from_entries`: bucket
-by ``TgtIdx``, then a stable scatter by key — linear, no comparison
-sort) — entries grouped by product node, ``TgtIdx``-ascending within a
-node (exactly Lemma 11's order), append order preserved within a cell.
-**These arrays are the only representation of** ``L`` **and** ``B``:
-``Trim``, ``ResumableTrim``, the enumerator, ``NextOutput`` and the
-counting DP read them directly (Remark 17's entry count is the packed
-array length, an O(1) read).
+``L`` as one flat per-(vertex, state) integer array (``dist[v·|Q| +
+p]``, ``-1`` = unreached) and one append-only
+:class:`~repro.datastructures.packed.PackedCells` store, empty until
+``Trim`` pulls a target's cells into it; both are shared by every
+snapshot of a deepening traversal.  **These are the only
+representation of** ``L`` **and** ``B``: ``Trim``, the enumerator,
+``NextOutput`` and the counting DP read them directly.  Remark 17's
+entry count is what the store holds, an O(1) read.
 
 :attr:`Annotation.L` and :attr:`Annotation.B` are read-only views
-*derived from* the arrays — the paper's ``L[u][p]`` / ``B[u][p][i]``
-maps, each cell's witnesses in the traversal's append order with
-duplicates kept — for inspection and the Figure-3 checks; nothing
-builds an annotation from them.  Within-cell *order* is
-traversal-specific and unobservable downstream, because ``Trim`` sorts
-and dedups the certificates of every cell it keeps.
+*derived from* them — the paper's ``L[u][p]`` / ``B[u][p][i]`` maps,
+``B`` pulling every reached node — for inspection and the Figure-3
+checks; nothing builds an annotation from them.
 
 Label-indexed traversal
 -----------------------
@@ -90,26 +89,21 @@ O(Σ_{a ∈ labels(q)} |Out_a(v)|).
 Two level directions
 --------------------
 
-``Annotate`` logs *every* shortest predecessor, so it pays once for
-each product edge leaving a reached node — the O(|D| × |A|) term —
-and on a dense product most of those edges land on a node settled at
-an earlier level and log nothing.  So each level is expanded one of
-two ways (the direction-optimizing BFS of Beamer, Asanović and
+A top-down level pays once for each product edge leaving its frontier
+— the O(|D| × |A|) term — and on a dense product most of those edges
+land on a node settled at an earlier level.  So each level is expanded
+one of two ways (the direction-optimizing BFS of Beamer, Asanović and
 Patterson, SC'12):
 
 * **top-down** — the frontier expands over its out-edges, as above;
 * **bottom-up** — each unreached *candidate* ``(u, p)`` walks
   ``In_a(u)`` through the in-CSR (:attr:`~repro.graph.database.Graph.in_csr`)
   for every label ``a`` with ``Δ⁻¹(p, a)`` non-empty
-  (:attr:`~repro.core.compile.CompiledQuery.delta_inv`), logs ``(key,
-  TgtIdx(e), q)`` for every ``q ∈ Δ⁻¹(p, a)`` that the edge's source
-  holds at level ℓ − 1, and joins level ℓ if it logged anything.
+  (:attr:`~repro.core.compile.CompiledQuery.delta_inv`) and joins level
+  ℓ at the first edge whose source holds some ``q ∈ Δ⁻¹(p, a)`` at
+  level ℓ − 1 — one predecessor proves the level.
 
-Both log exactly the product edges from level ℓ − 1 into nodes first
-reached at ℓ: the same ``dist``, the same multiset of entries, every
-level-ℓ entry after all of level ℓ − 1.  Only the append order inside a
-``(key, TgtIdx)`` cell can differ, which ``Trim``'s certificate sort
-hides.  Neither direction can stop early: every predecessor is needed.
+Both reach exactly the nodes first reached at ℓ: the same ``dist``.
 
 **The level rule.**  The two directions cost the frontier's
 out-product-degree and the unreached nodes' in-product-degree, and a
@@ -148,10 +142,10 @@ This is the only breadth-first traversal of ``D × A`` in
 a function of its levels reads a run of it rather than traversing
 again: the ``ANY`` mode's single witness is read back from ``dist``
 (:meth:`AnnotateBFS.witness`), and the duplicate-blowup counters of
-:mod:`repro.core.count` are one forward pass over the entry log.  The
-Dijkstra variant (:mod:`repro.core.cheapest`) settles nodes in cost
-order, which levels do not give, and the restricted fallback DFS
-(:mod:`repro.core.restricted`) enumerates walks longer than λ; both
+:mod:`repro.core.count` are one forward pass over the target's pulled
+cells.  The Dijkstra variant (:mod:`repro.core.cheapest`) settles nodes
+in cost order, which levels do not give, and the restricted fallback
+DFS (:mod:`repro.core.restricted`) enumerates walks longer than λ; both
 stay separate traversals.
 """
 
@@ -165,7 +159,7 @@ from operator import itemgetter, mul
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.compile import CompiledQuery
-from repro.datastructures.packed import BackMap, LengthMap, PackedBack, PackedCells
+from repro.datastructures.packed import BackMap, LengthMap, PackedCells
 
 __all__ = [
     "Annotation",
@@ -184,15 +178,15 @@ class Annotation:
     derived with :meth:`target_info`; a multi-target annotation of the
     first ``steps`` levels serves the targets :meth:`settled` in them.
 
-    The interior is the flat ``dist`` array plus the ``packed`` entry
-    store (module docstring); :attr:`L` / :attr:`B` are read-only
-    mapping views derived from them on first access.
+    The interior is the flat ``dist`` array plus the ``packed`` cell
+    store, which ``Trim`` fills per asked target (module docstring);
+    :attr:`L` / :attr:`B` are read-only mapping views derived from them.
     """
 
     __slots__ = (
         "source", "target", "lam", "target_states", "saturated", "steps",
         "final", "initial_closure", "n", "n_states", "dist", "packed",
-        "_L", "_B", "_cells",
+        "_L", "_B",
     )
 
     def __init__(
@@ -202,7 +196,7 @@ class Annotation:
         lam: Optional[int],
         target_states: FrozenSet[int],
         dist: array,
-        packed: PackedBack,
+        packed: PackedCells,
         saturated: bool = False,
         steps: int = 0,
         final: FrozenSet[int] = frozenset(),
@@ -222,7 +216,6 @@ class Annotation:
         self.n_states = packed.n_states
         self._L: Optional[List[LengthMap]] = None
         self._B: Optional[List[BackMap]] = None
-        self._cells: Optional[PackedCells] = None
 
     def __repr__(self) -> str:
         return (
@@ -241,24 +234,17 @@ class Annotation:
 
     @property
     def B(self) -> List[BackMap]:
-        """Per-vertex ``B`` maps (read-only view; lazy)."""
+        """Per-vertex ``B`` maps (read-only view; lazy): pulls the
+        cells of every reached node into the store first — of every
+        node at a cost up to λ for a Dijkstra run stopped at its
+        target, whose farther nodes are not final — for inspection
+        only."""
         if self._B is None:
+            self.packed.build_reached(None if self.saturated else self.lam)
             self._B = self.packed.to_maps()
         return self._B
 
-    # -- packed accessors ------------------------------------------------
-
-    def packed_cells(self, graph) -> PackedCells:
-        """The shared ``Trim`` cell structure (built once, cached).
-
-        Both :func:`~repro.core.trim.trim` and
-        :func:`~repro.core.trim.resumable_trim` return views of this
-        one object, so the O(entries) slicing pass runs at most once
-        per annotation.
-        """
-        if self._cells is None:
-            self._cells = PackedCells(graph, self.packed)
-        return self._cells
+    # -- per-target reads --------------------------------------------------
 
     def target_info(self, t: int) -> Tuple[Optional[int], FrozenSet[int]]:
         """``(λ_t, S_t)`` for an arbitrary target ``t``.
@@ -307,24 +293,20 @@ class Annotation:
         return False
 
     def annotation_entries(self) -> int:
-        """Total number of predecessor entries stored in ``B``.
-
-        Used by the memory experiment (EXP-MEM) to check Remark 17's
-        O(|E| × |Δ|) bound.  O(1): the count *is* the packed array
-        length.
-        """
-        return len(self.packed)
+        """Number of predecessor entries the cell store holds — what
+        ``Trim`` pulled for the targets asked so far (all of ``B``
+        once the :attr:`B` view was read).  Used by the memory
+        experiment (EXP-MEM) against Remark 17's O(|E| × |Δ|) bound.
+        O(1)."""
+        return self.packed.entries()
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the annotation's arrays — ``dist``, the packed
-        ``B`` store and, once built, the ``Trim`` cells — in O(1):
-        length × item size of each.  ``dist`` is counted even where a
-        multi-target entry shares it with the traversal deepening it."""
-        total = len(self.dist) * self.dist.itemsize + self.packed.nbytes
-        if self._cells is not None:
-            total += self._cells.nbytes
-        return total
+        """Bytes held by the annotation — ``dist`` plus the cell store
+        (:attr:`PackedCells.nbytes`) — in O(1).  ``dist`` is counted
+        even where a multi-target entry shares it with the traversal
+        deepening it."""
+        return len(self.dist) * self.dist.itemsize + self.packed.nbytes
 
 
 def _target_info(
@@ -469,17 +451,16 @@ def _bottom_up_cheaper(
 
 class AnnotateBFS:
     """The ``Annotate`` BFS between level boundaries: ``dist``, the
-    frontier (``next_pairs`` at distance ``level``), the append-only
-    ``B`` entry log, and what the level rule keeps.
+    frontier (``next_pairs`` at distance ``level``), what the level rule
+    keeps, and the one cell store ``Trim`` fills from ``dist``.
 
     :meth:`run` expands whole levels until a stop target is settled
     (module docstring) or the product is exhausted, and may be called
-    again to continue; :meth:`annotation` packs the whole log, and
-    :meth:`witness` reads one shortest walk back from ``dist`` without
-    it.  The levels, ``dist`` and the multiset of log entries per level
-    are the one-shot traversal's whatever the stops in between, and so
-    is each level's direction: it depends only on the state at the
-    boundary.
+    again to continue; :meth:`annotation` wraps the levels done, and
+    :meth:`witness` reads one shortest walk back from ``dist``.  The
+    levels and ``dist`` are the one-shot traversal's whatever the stops
+    in between, and so is each level's direction: it depends only on
+    the state at the boundary.
 
     Each :meth:`run` re-reads the graph's flat views and CSR bucket
     bases, so a traversal kept across :class:`~repro.live.LiveGraph`
@@ -487,14 +468,13 @@ class AnnotateBFS:
     current epoch (such mutations cannot add a product edge; a vertex
     added since the first run is never reached, and the key space stays
     the one the first run allocated).  An epoch's ``in_csr`` holds live
-    edges only — a tombstone carries no label — so, unlike
-    :meth:`witness`, a bottom-up level reads no ``Out`` list.
+    edges only — a tombstone carries no label — so a bottom-up level
+    reads no liveness column.
     """
 
     __slots__ = (
-        "cq", "source", "n", "n_states", "dist", "next_pairs", "level",
-        "ent_key", "ent_ti", "ent_pred", "entered", "unreached",
-        "candidates",
+        "cq", "source", "n", "n_states", "dist", "cells", "next_pairs",
+        "level", "entered", "unreached", "candidates",
     )
 
     def __init__(self, cq: CompiledQuery, source: int) -> None:
@@ -505,10 +485,9 @@ class AnnotateBFS:
         self.n_states = n_states = cq.n_states
         # L, flattened: dist[v * |Q| + p], -1 = unreached.
         self.dist = array("q", [-1]) * (n * n_states)
-        # The B entry log: (key, TgtIdx, predecessor) triples.
-        self.ent_key = array("q")
-        self.ent_ti = array("q")
-        self.ent_pred = array("q")
+        # Trim's cells, pulled from dist per asked target: made by the
+        # first annotation() and shared by every later one.
+        self.cells: Optional[PackedCells] = None
         self.next_pairs: List[Tuple[int, int]] = []
         self.level = 0
         source_base = source * n_states
@@ -529,10 +508,6 @@ class AnnotateBFS:
         self.unreached: Optional[List[int]] = None
         self.candidates: Optional[List[List[int]]] = None
 
-    def __len__(self) -> int:
-        """Entries logged so far."""
-        return len(self.ent_pred)
-
     @property
     def exhausted(self) -> bool:
         """No product node is left to discover."""
@@ -552,10 +527,9 @@ class AnnotateBFS:
         self.unreached = list(map(len, self.candidates))
         return self.unreached
 
-    def run(self, target: Optional[int] = None, entries: int = 0) -> None:
-        """Expand levels until ``target`` is settled and the log holds
-        at least ``entries`` entries; with no ``target``, until the
-        product is exhausted.
+    def run(self, target: Optional[int] = None) -> None:
+        """Expand levels until ``target`` is settled; with no
+        ``target``, until the product is exhausted.
 
         Each level goes the way the level rule (module docstring)
         finds cheaper.  Top-down is the label-indexed traversal: the
@@ -563,16 +537,14 @@ class AnnotateBFS:
         through the out-CSR.  Bottom-up, each candidate ``(u, p)``
         probes ``In_a(u)`` through the in-CSR for every label ``a``
         with ``Δ⁻¹(p, a)`` non-empty (``CompiledQuery.delta_inv``) and
-        joins the level if some edge's source holds a ``q ∈ Δ⁻¹(p, a)``
-        one level down.  Both record ``B`` entries into the append-only
-        log (no per-entry dict or list allocation).
+        joins the level at the first edge whose source holds a
+        ``q ∈ Δ⁻¹(p, a)`` one level down.  Both write ``dist`` only.
         """
         cq = self.cq
         graph = cq.graph
         n = graph.vertex_count
         n_states = self.n_states
         tgt_arr = graph.tgt_array
-        ti_arr = graph.tgt_idx_array
         indptr, csr_edges = graph.out_csr
         out_labels = graph.out_labels_array
         moves = cq.moves
@@ -585,16 +557,12 @@ class AnnotateBFS:
             else [target * n_states + f for f in cq.final]
         )
         dist = self.dist
-        ent_pred = self.ent_pred
-        key_append = self.ent_key.append
-        ti_append = self.ent_ti.append
-        pred_append = ent_pred.append
         next_pairs = self.next_pairs
         level = self.level
         entered = self.entered
         unreached = self.unreached
         while next_pairs:
-            if len(ent_pred) >= entries and _reached(dist, stop_keys):
+            if _reached(dist, stop_keys):
                 break
             level += 1
             current, next_pairs = next_pairs, []
@@ -629,20 +597,10 @@ class AnnotateBFS:
                         u_base = u * n_states
                         for p in targets:
                             key = u_base + p
-                            known = dist[key]
-                            if known < 0:
+                            if dist[key] < 0:
                                 # First time state p is reached at vertex u.
                                 dist[key] = level
                                 next_pairs.append((u, p))
-                                key_append(key)
-                                ti_append(ti_arr[e])
-                                pred_append(q)
-                            elif known == level:
-                                # Another walk of the same (minimal) length
-                                # reaches p at u: record the extra witness.
-                                key_append(key)
-                                ti_append(ti_arr[e])
-                                pred_append(q)
         self.next_pairs = next_pairs
         self.level = level
         self.entered = entered
@@ -651,20 +609,15 @@ class AnnotateBFS:
 
     def _bottom_up(self, level: int, next_pairs: List[Tuple[int, int]]) -> None:
         """Expand ``level`` bottom-up (module docstring): each candidate
-        collects its in-edges from the level below and joins
-        ``next_pairs`` if it logged any; one that logged none stays a
-        candidate."""
+        probes its in-edges until one comes from the level below and
+        then joins ``next_pairs``; one with none stays a candidate."""
         cq = self.cq
         graph = cq.graph
         n = graph.vertex_count
         n_states = self.n_states
         in_indptr, in_edges = graph.in_csr
         src_arr = graph.src_array
-        ti_arr = graph.tgt_idx_array
         dist = self.dist
-        key_append = self.ent_key.append
-        ti_append = self.ent_ti.append
-        pred_append = self.ent_pred.append
         prev = level - 1
         candidates = self.candidates
         for p, row in enumerate(cq.delta_inv):
@@ -686,10 +639,12 @@ class AnnotateBFS:
                         base = src_arr[e] * n_states
                         for q in sources:
                             if dist[base + q] == prev:
-                                key_append(key)
-                                ti_append(ti_arr[e])
-                                pred_append(q)
                                 joined = True
+                                break
+                        if joined:
+                            break
+                    if joined:
+                        break
                 if joined:
                     dist[key] = level
                     next_pairs.append((u, p))
@@ -699,7 +654,7 @@ class AnnotateBFS:
 
     def target_info(self, t: int) -> Tuple[Optional[int], FrozenSet[int]]:
         """``(λ_t, S_t)`` within the levels done — what
-        :meth:`Annotation.target_info` reads, without packing the log."""
+        :meth:`Annotation.target_info` reads."""
         return _target_info(self.dist, self.n, self.n_states, self.cq.final, t)
 
     def witness(self, t: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -717,20 +672,18 @@ class AnnotateBFS:
         from level ``ℓ − 1`` — so the walk is shortest and matches.
 
         A :class:`~repro.live.LiveGraph` keeps a removed edge in its
-        ``In`` slot (the slot is its ``TgtIdx``), so an edge that
-        qualifies is taken only if its source's ``Out`` list, which
-        holds live edges only, still has it.  O(λ · (InDeg · |Lbl| ·
-        |Δ⁻¹| + OutDeg)) per target; no parent pointer is kept and the
-        log is not read.
+        ``In`` slot (the slot is its ``TgtIdx``), so the labels are read
+        from ``live_label_array``, where that slot is empty.  O(λ ·
+        InDeg · |Lbl| · |Δ⁻¹|) per target; no parent pointer is kept
+        and no cell is built.
         """
         lam, states = self.target_info(t)
         if lam is None:
             return None
         graph = self.cq.graph
         src_arr = graph.src_array
-        label_array = graph.label_array
+        live_labels = graph.live_label_array
         in_array = graph.in_array
-        out_array = graph.out_array
         delta_inv = self.cq.delta_inv
         dist = self.dist
         n_states = self.n_states
@@ -742,9 +695,9 @@ class AnnotateBFS:
             for e in in_array[v]:
                 w = src_arr[e]
                 w_base = w * n_states
-                for a in label_array[e]:
+                for a in live_labels[e]:
                     for q in into.get(a, ()):
-                        if dist[w_base + q] == level and e in out_array[w]:
+                        if dist[w_base + q] == level:
                             return e, w, q
             raise AssertionError("a BFS node has no predecessor")
 
@@ -756,8 +709,12 @@ class AnnotateBFS:
 
     def annotation(self, target: Optional[int], saturated: bool) -> Annotation:
         """An :class:`Annotation` of the levels done: this traversal's
-        ``dist`` (shared, not copied) and its whole log, packed."""
+        ``dist`` and cell store (shared, not copied) — O(1)."""
         cq = self.cq
+        if self.cells is None:
+            self.cells = PackedCells(
+                cq.graph, self.n, self.n_states, self.dist, cq.delta_inv
+            )
         return Annotation(
             source=self.source,
             target=target,
@@ -768,10 +725,7 @@ class AnnotateBFS:
             final=cq.final,
             initial_closure=cq.initial_closure,
             dist=self.dist,
-            packed=PackedBack.from_entries(
-                self.n, self.n_states, self.ent_key, self.ent_ti,
-                self.ent_pred,
-            ),
+            packed=self.cells,
         )
 
 
@@ -787,7 +741,7 @@ def annotate(
     reaching the target in a final state; level 0 when the trivial walk
     ``⟨s⟩`` matches); with ``saturate=True`` (or no target) runs to
     exhaustion of the reachable product.  One :class:`AnnotateBFS`
-    run, packed.
+    run; no cell is built until ``Trim`` asks for a target's.
     """
     stop = None if saturate else target
     bfs = AnnotateBFS(cq, source)

@@ -21,15 +21,12 @@ label-indexed: a popped product node ``(v, q)`` relaxes only the labels
 in ``labels(Δ(q)) ∩ labels(Out(v))`` via the graph's CSR adjacency and
 the compiled query's per-state moves (the table the BFS reads), with
 ``L`` carried as the flat per-(vertex, state) cost array of
-:mod:`repro.core.annotate`.  ``B`` is logged the same way as in the
-BFS — one append-only ``(key, TgtIdx, predecessor)`` triple per
-relaxation that does not lose — plus the
-relaxation's cost: an improvement *supersedes* the witnesses logged
-for the costlier estimate, so on return one linear pass keeps the
-triples whose cost equals the settled ``dist[key]`` and
-:meth:`~repro.datastructures.packed.PackedBack.from_entries` packs
-them.  ``Trim``/``Enumerate`` then run on the same arrays as the BFS
-pipeline.
+:mod:`repro.core.annotate`.  As in the BFS, ``B`` is not stored: a
+witness of a cost-minimal walk into ``(u, p)`` is an edge ``e`` from a
+settled ``(w, q)`` with ``dist[w, q] + cost(e) = dist[u, p]``, so
+``Trim`` pulls the asked target's queues from ``dist`` by that test
+(:class:`~repro.datastructures.packed.PackedCells` with the edge
+costs), and ``Enumerate`` runs on the same store as the BFS pipeline.
 
 It stays a traversal of its own beside the one product BFS
 (:class:`repro.core.annotate.AnnotateBFS`): that BFS makes a node final
@@ -43,15 +40,13 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
-from itertools import compress
-from operator import eq
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.annotate import Annotation
 from repro.core.compile import CompiledQuery
 from repro.core.engine import PreparedWalks
 from repro.core.walks import Walk
-from repro.datastructures.packed import PackedBack
+from repro.datastructures.packed import PackedCells
 from repro.exceptions import CostError
 
 
@@ -63,10 +58,11 @@ def cheapest_annotate(
 ) -> Annotation:
     """Dijkstra-flavoured ``Annotate``: ``L`` maps hold minimal *costs*.
 
-    ``B`` keeps, per ``(u, p, TgtIdx(e))``, the predecessor states of
-    *cost-minimal* walks ending with ``e`` — entries logged for a
-    costlier estimate are dropped once the node settles, so Lemma 10's
-    characterization carries over with "length" read as "cost".
+    ``B``, as ``Trim`` pulls it, keeps per ``(u, p, TgtIdx(e))`` the
+    predecessor states of *cost-minimal* walks ending with ``e``, so
+    Lemma 10's characterization carries over with "length" read as
+    "cost".  A run stopped at its target settles every node of cost
+    ≤ λ, which is all a pull for it reads.
 
     The priority queue is a lazy-deletion ``heapq``: an improvement
     pushes a second entry and the stale one is skipped when popped.
@@ -84,7 +80,6 @@ def cheapest_annotate(
     n = graph.vertex_count
     n_states = cq.n_states
     tgt_arr = graph.tgt_array
-    ti_arr = graph.tgt_idx_array
     indptr, csr_edges = graph.out_csr
     out_labels = graph.out_labels_array
     moves = cq.moves
@@ -93,16 +88,6 @@ def cheapest_annotate(
 
     # L, flattened: dist[v * |Q| + p], -1 = unreached.
     dist = array("q", [-1]) * (n * n_states)
-    # The B entry log, as in ``annotate``, plus each entry's cost.
-    ent_key = array("q")
-    ent_ti = array("q")
-    ent_pred = array("q")
-    ent_cost = array("q")
-    key_append = ent_key.append
-    ti_append = ent_ti.append
-    pred_append = ent_pred.append
-    cost_append = ent_cost.append
-    settled = bytearray(n * n_states)
 
     queue: List[Tuple[int, int, int]] = []
     source_base = source * n_states
@@ -114,31 +99,15 @@ def cheapest_annotate(
     if target is not None and target == source and (cq.initial_closure & final):
         lam = 0  # Trivial walk ⟨s⟩ of cost 0.
 
-    def reach(u: int, p: int, via_q: int, ti: int, cost: int) -> None:
-        """Relax (u, p) at ``cost`` with witness (via_q, edge at ti)."""
-        idx = u * n_states + p
-        known = dist[idx]
-        if known < 0 or cost < known:
-            # Better estimate: the witnesses logged so far belong to
-            # costlier walks and fail the final cost filter.
-            dist[idx] = cost
-            heappush(queue, (cost, u, p))
-        elif cost != known:
-            return
-        key_append(idx)
-        ti_append(ti)
-        pred_append(via_q)
-        cost_append(cost)
-
     steps = 0
     while queue and lam != 0:
         cost, v, q = heappop(queue)
-        vq = v * n_states + q
-        if settled[vq] or dist[vq] != cost:
-            continue  # Stale heap entry.
+        if dist[v * n_states + q] != cost:
+            # Stale: a push is a strict improvement, so the entry
+            # holding the settled cost is the node's only one.
+            continue
         if lam is not None and cost > lam and not saturate:
             break  # Everything at distance ≤ λ is settled.
-        settled[vq] = 1
         steps += 1
         if target is not None and v == target and q in final and lam is None:
             lam = cost
@@ -163,19 +132,14 @@ def cheapest_annotate(
                 new_cost = cost + cost_arr[e]
                 if lam is not None and new_cost > lam and not saturate:
                     continue
-                ti = ti_arr[e]
+                u_base = u * n_states
                 for p in targets:
-                    reach(u, p, q, ti, new_cost)
+                    known = dist[u_base + p]
+                    if known < 0 or new_cost < known:
+                        dist[u_base + p] = new_cost
+                        heappush(queue, (new_cost, u, p))
 
-    # Keep the witnesses of cost-minimal walks: one C-level sweep.
-    keep = list(map(eq, ent_cost, map(dist.__getitem__, ent_key)))
-    packed = PackedBack.from_entries(
-        n,
-        n_states,
-        array("q", compress(ent_key, keep)),
-        array("q", compress(ent_ti, keep)),
-        array("q", compress(ent_pred, keep)),
-    )
+    packed = PackedCells(graph, n, n_states, dist, cq.delta_inv, costed=True)
     if target is not None and not saturate:
         if lam == 0:
             target_states: FrozenSet[int] = frozenset(

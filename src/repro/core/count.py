@@ -18,9 +18,9 @@ Three counters, all computed without listing a single walk:
   ``enumerate_with_multiplicity``.
 
 Complexity.  The product-path and multiplicity counters traverse
-nothing themselves: each reads one ``Annotate`` BFS run stopped at λ
-(:class:`~repro.core.annotate.AnnotateBFS`) and makes one forward pass
-over its entry log, O(|D| × |A|) in all.  The distinct-walk DP is
+nothing themselves: each reads one ``Annotate`` BFS run stopped at λ,
+has ``Trim`` pull the target's cells, and makes one forward pass over
+them, O(|D| × |A|) in all.  The distinct-walk DP is
 keyed by tree-node *types* ``(vertex, certificate set, remaining)``;
 shared suffixes collapse, so the key count is bounded by the number of
 distinct certificate sets per vertex — in the worst case exponential in
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.annotate import AnnotateBFS, Annotation
+from repro.core.annotate import Annotation, annotate
 from repro.core.compile import CompiledQuery
+from repro.core.trim import trim
 
 #: Edge-cost callback; unit costs reproduce the paper's setting.
 CostFn = Callable[[int], int]
@@ -79,11 +80,12 @@ def count_distinct_shortest(
 
     src_arr = graph.src_array
 
-    # Child edges and certificates are read straight off the shared
-    # Trim cell arrays (cached on the annotation).
-    cells = annotation.packed_cells(graph)
+    # Child edges and certificates are read straight off the target's
+    # Trim cells, built in the annotation's store first.
+    cells = annotation.packed
+    cells.build(target, start_states)
     n_states = cells.n_states
-    key_indptr = cells.key_indptr
+    spans = cells.spans
     cell_ti = cells.cell_ti
     cell_edge = cells.cell_edge
     cert = cells.cert
@@ -94,8 +96,7 @@ def count_distinct_shortest(
         edge_at: Dict[int, int] = {}
         base = u * n_states
         for p in states:
-            k = base + p
-            for c in range(key_indptr[k], key_indptr[k + 1]):
+            for c in range(*spans[base + p]):
                 ti = cell_ti[c]
                 bucket = by_cell.get(ti)
                 if bucket is None:
@@ -136,48 +137,62 @@ def count_distinct_shortest(
     return memo[root]
 
 
-def _count_along_log(
+def _count_along_cells(
     cq: CompiledQuery, source: int, target: int
 ) -> Tuple[Optional[int], int, int]:
     """``(λ, product paths, accepting runs)`` into the target's final
     states at λ ≥ 1 (the callers answer λ = 0); ``(None, 0, 0)`` when
     no walk matches.
 
-    One :class:`~repro.core.annotate.AnnotateBFS` run, stopped at the
-    target's level, then one forward pass over its entry log.  Every
-    witness of a shortest walk is distance-monotone (a detour would
-    yield a shorter matching walk), so the BFS DAG holds every such
-    product path and run, and the log lists each of its product edges
-    — once per firing label — after every entry of the level before,
-    whichever way each level went: a top-down level logs by frontier
-    node, a bottom-up one by the node it reaches, and only the order
-    inside a level differs.  An entry of level ℓ reads a node of level
-    ℓ − 1, so a node's counts are final before any entry reads them:
-    a run steps along every entry, a product path once per distinct
-    ``(key, TgtIdx, predecessor)`` (labels of one edge that fire the
-    same transition collapse).
+    One :func:`~repro.core.annotate.annotate` run, stopped at the
+    target's level, and its target's pulled cells (:func:`trim`).
+    Every witness of a shortest walk is distance-monotone (a detour
+    would yield a shorter matching walk), so the cells of the nodes
+    backward-reachable from the target hold every such product path and
+    run — each product edge once per firing label.  The nodes are
+    collected level by level from λ down, then counted from level 0 up,
+    so a node's counts are final before any cell reads them: a run
+    steps along every entry, a product path once per distinct
+    ``(cell, predecessor)`` (labels of one edge that fire the same
+    transition collapse).
     """
-    bfs = AnnotateBFS(cq, source)
-    bfs.run(target)
-    lam, states = bfs.target_info(target)
+    annotation = annotate(cq, source, target)
+    lam, states = annotation.lam, annotation.target_states
     if lam is None:
         return None, 0, 0
+    cells = trim(cq.graph, annotation)
     n_states = cq.n_states
     src_arr = cq.graph.src_array
-    in_array = cq.graph.in_array
-    paths = [0] * len(bfs.dist)
-    runs = [0] * len(bfs.dist)
-    for q in cq.initial_closure:
-        paths[source * n_states + q] = runs[source * n_states + q] = 1
-    seen = set()
-    for entry in zip(bfs.ent_key, bfs.ent_ti, bfs.ent_pred):
-        key, ti, q = entry
-        pred = src_arr[in_array[key // n_states][ti]] * n_states + q
-        runs[key] += runs[pred]
-        if entry not in seen:
-            seen.add(entry)
-            paths[key] += paths[pred]
+    spans, cell_edge, cert = cells.spans, cells.cell_edge, cells.cert
+    indptr, ent_pred = cells.cell_pred_indptr, cells.ent_pred
     base = target * n_states
+    levels = [[base + f for f in states]]
+    seen = set(levels[0])
+    for _ in range(lam):
+        below = []
+        for k in levels[-1]:
+            for c in range(*spans[k]):
+                w_base = src_arr[cell_edge[c]] * n_states
+                for q in cert(c):
+                    pred = w_base + q
+                    if pred not in seen:
+                        seen.add(pred)
+                        below.append(pred)
+        levels.append(below)
+    # Level 0 is the source in its start states: one path, one run each.
+    paths = dict.fromkeys(levels[-1], 1)
+    runs = dict.fromkeys(levels[-1], 1)
+    for level in reversed(levels[:-1]):
+        for k in level:
+            k_paths = k_runs = 0
+            for c in range(*spans[k]):
+                w_base = src_arr[cell_edge[c]] * n_states
+                for q in cert(c):
+                    k_paths += paths[w_base + q]
+                for q in ent_pred[indptr[c]:indptr[c + 1]]:
+                    k_runs += runs[w_base + q]
+            paths[k] = k_paths
+            runs[k] = k_runs
     return (
         lam,
         sum(paths[base + f] for f in states),
@@ -204,7 +219,7 @@ def count_shortest_product_paths(
     cq.require_epsilon_free()
     if source == target and (cq.initial_closure & cq.final):
         return 0, 1
-    lam, paths, _ = _count_along_log(cq, source, target)
+    lam, paths, _ = _count_along_cells(cq, source, target)
     return lam, paths
 
 
@@ -223,5 +238,5 @@ def count_total_multiplicity(
     cq.require_epsilon_free()
     if source == target and (cq.initial_closure & cq.final):
         return 0, len(set(cq.initial) & set(cq.final))
-    lam, _, runs = _count_along_log(cq, source, target)
+    lam, _, runs = _count_along_cells(cq, source, target)
     return lam, runs

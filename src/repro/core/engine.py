@@ -76,17 +76,20 @@ class PreparedWalks:
     yet *settled* (:meth:`Annotation.settled`) deepens it first
     (:meth:`settle`).
 
-    What readers see is one published :class:`Annotation` with its
-    Trim cells built — a snapshot.  A deepen continues the kept
-    :class:`~repro.core.annotate.AnnotateBFS` under a per-object lock
-    (single flight), re-packs its whole log, builds the cells and then
-    publishes the new snapshot by one reference swap; an enumeration
-    keeps the snapshot it started on, and the settled slots of the
-    ``dist`` array the snapshots share are never rewritten.  So any
-    number of enumerations — interleaved, abandoned, on other threads —
-    run over one instance, deepening or not.  Once the BFS is exhausted
-    the traversal state (frontier and log) is dropped: what is left is
-    exactly a saturating build's annotation and cells.
+    What readers see is one published :class:`Annotation` — a
+    snapshot of the levels done, sharing ``dist`` and the one cell
+    store with the kept :class:`~repro.core.annotate.AnnotateBFS`.  A
+    deepen continues that BFS under a per-object lock (single flight)
+    and publishes the new snapshot by one reference swap; nothing is
+    re-packed, since the cells already pulled read only levels the
+    deepen never rewrites.  Each enumeration has ``Trim`` pull its
+    target's cells into the store before its first output (single
+    flight per store), an enumeration keeps the snapshot it started on,
+    and the settled slots of ``dist`` are never rewritten.  So any
+    number of enumerations — interleaved, abandoned, on other threads,
+    toward any targets — run over one instance, deepening or not.  Once
+    the BFS is exhausted the traversal state (frontier and level rule)
+    is dropped: what is left is a saturating build's annotation.
     """
 
     #: Budgets are edge costs (Dijkstra ``Annotate``) instead of lengths.
@@ -125,7 +128,7 @@ class PreparedWalks:
         self.source = graph.resolve_vertex(source)
         self.target = None if target is None else graph.resolve_vertex(target)
         self.timings: Dict[str, float] = {}
-        #: The published snapshot: an annotation with its cells built.
+        #: The published snapshot of the levels done.
         self._annotation: Optional[Annotation] = None
         #: The kept traversal of a multi-target BFS not yet exhausted.
         self._bfs: Optional[AnnotateBFS] = None
@@ -142,8 +145,8 @@ class PreparedWalks:
         return self._snapshot()
 
     def _snapshot(self) -> Annotation:
-        """Pack the kept traversal into an annotation — dropping the
-        traversal once it is exhausted."""
+        """The kept traversal's levels done, as an annotation — dropping
+        the traversal once it is exhausted."""
         bfs = self._bfs
         annotation = bfs.annotation(None, saturated=bfs.exhausted)
         if bfs.exhausted:
@@ -161,6 +164,8 @@ class PreparedWalks:
         (``compile``, ``annotate``, ``trim``, ``total``) and the same
         phases as trace spans (no-ops with no active trace); an
         injected plan was compiled — and traced — by its builder.
+        ``trim`` pulls the cells of the object's own target, or of
+        ``until``; any other target's are pulled by its first read.
         """
         if self._annotation is not None:
             return self
@@ -174,7 +179,10 @@ class PreparedWalks:
             t1 = time.perf_counter()
             annotation = self._annotate(until)
             t2 = time.perf_counter()
-            trim(self.graph, annotation)  # Cached on the annotation.
+            trim(
+                self.graph, annotation,
+                until if self.target is None else self.target,
+            )
             t3 = time.perf_counter()
             self._annotation = annotation
         self.timings.update(
@@ -192,12 +200,9 @@ class PreparedWalks:
         as deepening).  Otherwise, when the published annotation does
         not settle ``t``, continues the kept BFS under the lock —
         single flight, re-checked once the lock is held — until ``t``
-        is settled *and* the logged entries have at least doubled, or
-        the BFS is exhausted, then publishes the new snapshot.  The
-        doubling bounds the re-pack work over any request sequence by
-        twice the final entry count, plus O(log entries) passes over
-        the |V|×|Q| key space.  An object stopped at its own target
-        never deepens.
+        is settled or the BFS is exhausted, then publishes the new
+        snapshot: O(1) beyond the levels expanded, with no re-pack.  An
+        object stopped at its own target never deepens.
         """
         annotation = self._annotation
         if annotation is None:
@@ -207,11 +212,8 @@ class PreparedWalks:
         with self._lock:
             if self._annotation.settled(t):
                 return False
-            bfs = self._bfs
-            bfs.run(t, max(2 * len(bfs), 1))
-            annotation = self._snapshot()
-            trim(self.graph, annotation)  # Built before publication.
-            self._annotation = annotation
+            self._bfs.run(t)
+            self._annotation = self._snapshot()
         return True
 
     def extent(self) -> Dict[str, object]:
@@ -230,18 +232,19 @@ class PreparedWalks:
 
     @property
     def trimmed(self) -> PackedCells:
-        """The shared, read-only trimmed annotation."""
-        return self.annotation.packed_cells(self.graph)
+        """The shared cell store, with the object's own target's cells
+        built (a multi-target object's hold the targets read so far)."""
+        return trim(self.graph, self.annotation, self.target)
 
     def structure_sizes(self) -> Dict[str, int]:
-        """Entry counts of the precomputed structures (Remark 17).
-
-        Both counts are O(1) reads: the annotation count is the packed
-        entry-array length, the trimmed count the cell-array length.
+        """Entry counts of the precomputed structures (Remark 17) —
+        what the cell store holds, O(1) reads: the entries and the
+        cells ``Trim`` pulled.
         """
+        cells = self.trimmed
         return {
-            "annotation_entries": self.annotation.annotation_entries(),
-            "trimmed_items": self.trimmed.total_items(),
+            "annotation_entries": cells.entries(),
+            "trimmed_items": cells.total_items(),
         }
 
     # -- per-target reads (vertex ids) -----------------------------------------
@@ -273,7 +276,7 @@ class PreparedWalks:
         lam_t, states = annotation.target_info(t)
         run = enumerate_memoryless if memoryless else enumerate_walks
         return run(
-            self.graph, annotation.packed_cells(self.graph), lam_t, t, states,
+            self.graph, annotation.packed, lam_t, t, states,
             cost_of=self._cost_of, resume_after=resume_after,
         )
 

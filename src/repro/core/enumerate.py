@@ -15,12 +15,14 @@ Python's recursion limit on long walks.  Frames carry a *remaining
 budget* instead of a depth, which lets the same code serve the Distinct
 Cheapest Walks extension (budget = remaining cost, leaf ⇔ budget 0);
 with unit costs it is exactly the paper's algorithm.  The DFS runs
-directly over the flat cell arrays of the shared, read-only
-:class:`~repro.datastructures.packed.PackedCells`: queue heads are
-integer cursor reads, and child certificates come from the per-cell
-cached tuples — the common single-queue-head case unions nothing and
-allocates nothing.  The per-edge cost callback fires only in cheapest
-mode.
+directly over the flat cell arrays of the annotation's
+:class:`~repro.datastructures.packed.PackedCells` store, whose cells
+for the target it has ``Trim`` pull before the first output (one
+O(cells) build per target and store, a no-op once done): a node's cell
+span is one dict read, queue heads are integer cursor reads, and child
+certificates come from the per-cell cached tuples — the common
+single-queue-head case unions nothing and allocates nothing.  The
+per-edge cost callback fires only in cheapest mode.
 
 **Two frame forms, one loop.**  A frame whose certificate is one state
 ``p`` has as children exactly the cells of ``C_u[p]``, already in
@@ -33,9 +35,10 @@ at most once on any DFS stack and entering a frame simply
 re-initialises its nodes' cursors.  A leaf gets no frame — the descent
 that lands on budget 0 outputs at once — and under unit costs a
 one-state frame one hop from the source emits its cell run in a row.
-Nothing is written to the cells (bar the benign certificate cache), so
-any number of enumerations — interleaved, abandoned mid-way, on other
-threads — run over one ``Trim`` product.
+Nothing is written to the cells a reader uses (bar the benign
+certificate cache) — a build for another target only appends — so any
+number of enumerations — interleaved, abandoned mid-way, on other
+threads, toward any targets — run over one store.
 
 **Outputs are snapshots.**  Under unit costs the edge chosen with
 ``left`` hops to go is written to slot ``left`` of one λ-slot list,
@@ -105,7 +108,8 @@ def enumerate_walks(
     Parameters
     ----------
     cells:
-        the ``Trim`` product (:func:`~repro.core.trim.trim`); read-only.
+        the annotation's cell store (:func:`~repro.core.trim.trim`);
+        the target's cells are built in it before the first output.
     budget:
         λ — the length (or total cost) of the answers.  ``None`` or an
         empty ``start_states`` yields nothing (no matching walk);
@@ -137,30 +141,32 @@ def enumerate_walks(
             raise _not_an_output()
         return
 
+    cells.build(target, start_states)
     n_states = cells.n_states
-    key_indptr = cells.key_indptr
+    spans = cells.spans
     cell_ti = cells.cell_ti
     cell_edge = cells.cell_edge
     pred_indptr = cells.cell_pred_indptr
-    preds_arr = cells.back.ent_pred
+    preds_arr = cells.ent_pred
     certs = cells.certs
     src_arr = graph.src_array
     unit = cost_of is None
     new_walk = Walk.__new__
 
-    # cur[u·|Q| + p] = current cell of C_u[p]; merge frames only.
+    # cur[u·|Q| + p] = current cell of C_u[p] and end[…] its span's
+    # end; merge frames only.
     cur: Dict[int, int] = {}
+    end_of: Dict[int, int] = {}
     root_states = tuple(sorted(start_states))
     stack: List[_Frame] = [(target, -1, budget, root_states)]
     if resume_after is not None:
-        _seek(graph, cells, stack, cur, resume_after, cost_of)
+        _seek(graph, cells, stack, cur, end_of, resume_after, cost_of)
     elif len(root_states) == 1:
-        k = target * n_states + root_states[0]
-        stack[0] = (key_indptr[k], key_indptr[k + 1], budget, None)
+        stack[0] = (*spans[target * n_states + root_states[0]], budget, None)
     else:
         base = target * n_states
         for p in root_states:
-            cur[base + p] = key_indptr[base + p]
+            cur[base + p], end_of[base + p] = spans[base + p]
     # The walk under construction: ``buf[left]`` under unit costs,
     # ``chosen[depth]`` in cheapest mode (see the module docstring).
     if resume_after is not None:
@@ -202,7 +208,7 @@ def enumerate_walks(
             for p in states:
                 k = base + p
                 c = cur[k]
-                if c < key_indptr[k + 1]:
+                if c < end_of[k]:
                     t = cell_ti[c]
                     if emin_c < 0 or t < emin_ti:
                         emin_c, emin_ti = c, t
@@ -220,7 +226,7 @@ def enumerate_walks(
             for p in states:
                 k = base + p
                 c = cur[k]
-                if c < key_indptr[k + 1] and cell_ti[c] == emin_ti:
+                if c < end_of[k] and cell_ti[c] == emin_ti:
                     cur[k] = c + 1
                     cert = certs[c]
                     if cert is None:
@@ -257,13 +263,13 @@ def enumerate_walks(
             walk._start = child
             yield walk
         elif len(child_states) == 1:
-            k = child * n_states + child_states[0]
-            stack.append((key_indptr[k], key_indptr[k + 1], left, None))
+            lo, hi = spans[child * n_states + child_states[0]]
+            stack.append((lo, hi, left, None))
         else:
             base = child * n_states
             for p in child_states:
                 k = base + p
-                cur[k] = key_indptr[k]
+                cur[k], end_of[k] = spans[k]
             stack.append((child, -1, left, child_states))
 
 
@@ -272,6 +278,7 @@ def _seek(
     cells: PackedCells,
     stack: List[_Frame],
     cur: Dict[int, int],
+    end_of: Dict[int, int],
     resume_after: Sequence[int],
     cost_of: Optional[CostFn],
 ) -> None:
@@ -286,7 +293,7 @@ def _seek(
     a non-empty certificate and the budget lands on exactly 0.
     """
     n_states = cells.n_states
-    key_indptr = cells.key_indptr
+    spans = cells.spans
     cell_ti = cells.cell_ti
     cell_edge = cells.cell_edge
     cert_of = cells.cert
@@ -302,14 +309,15 @@ def _seek(
         child_states: set = set()
         for p in states:
             k = base + p
-            hi = key_indptr[k + 1]
-            c = bisect_left(cell_ti, ti, key_indptr[k], hi)
+            lo, hi = spans[k]
+            c = bisect_left(cell_ti, ti, lo, hi)
             if c < hi and cell_ti[c] == ti:
                 if cell_edge[c] != e:
                     raise _not_an_output()
                 child_states.update(cert_of(c))
                 c += 1
             cur[k] = c
+            end_of[k] = hi
         if not child_states:
             raise _not_an_output()
         stack.append(

@@ -10,7 +10,8 @@ and produces exactly the next leaf.
 
 That is :func:`repro.core.enumerate.enumerate_walks` with
 ``resume_after=w``, run for a single output — this module holds no DFS
-of its own.  The output sequence is therefore the eager one by
+of its own, and the first call pulls the target's cells into the
+annotation's store (every later one finds them built).  The output sequence is therefore the eager one by
 construction, and the delay is O(λ × |A| × log max-InDeg): the seek is
 a binary search per (frame, state) where the paper's skip pointer is
 O(1), because the cells store only non-empty positions.

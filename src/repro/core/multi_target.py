@@ -5,19 +5,23 @@ target, ``Annotate`` keeps going — same worst-case cost O(|D| × |A|)
 since each pair is visited at most once — and *any* vertex can serve as
 a target: its λ and start-state certificate are read off the flat
 ``dist`` array, and the ordinary enumeration runs per target over the
-one shared trimmed annotation.
+one shared cell store.
 
 The traversal **deepens on demand**.  It runs to the first target it
 is asked about (or to exhaustion when none is named) and keeps its
 frontier; a later target not yet settled in the levels done
 (:meth:`~repro.core.annotate.Annotation.settled`) continues it,
-single-flight, and republishes the annotation and its cells as one
-snapshot (:meth:`~repro.core.engine.PreparedWalks.settle`);
+single-flight, and republishes the annotation as a snapshot
+(:meth:`~repro.core.engine.PreparedWalks.settle`) — no re-pack: the
+snapshots share ``dist`` and one cell store, and a deepening level
+writes only slots no cell has read.
 :meth:`MultiTargetShortestWalks.reached_targets` — every target —
-deepens to exhaustion.  So the cost follows the product the asked
-targets need, and an exhausted entry is exactly a saturating build.
-Every enumeration reads a read-only packed snapshot, so one object
-serves every target, mode and concurrent reader.  The Dijkstra variant
+deepens to exhaustion.  Each target's enumeration has ``Trim`` pull
+that target's cells into the shared store first, appending only the
+nodes no earlier target built.  So the cost follows the product the
+asked targets need — levels for λ, shortest-walk graphs for cells —
+and an exhausted entry is a saturating build.  One object serves every
+target, mode and concurrent reader.  The Dijkstra variant
 (``cheapest=True``) does not deepen: it saturates at its first build.
 """
 
@@ -43,8 +47,9 @@ class MultiTargetShortestWalks(PreparedWalks):
     >>> sorted(mt.reached_target_names())  # doctest: +NORMALIZE_WHITESPACE
     ['Bob', 'Cassie', 'Dan', 'Eve']
 
-    Enumerations towards different targets share the read-only trimmed
-    queues and may be interleaved freely.
+    Enumerations towards different targets share one cell store, which
+    each extends with its own target's cells, and may be interleaved
+    freely.
     """
 
     def __init__(

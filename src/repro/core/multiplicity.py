@@ -18,7 +18,8 @@ provides both:
   extending by an edge costs one sweep over the edge's labels and
   transitions, so the delay bound is again untouched.  The maps ride
   on the output stream of the one DFS
-  (:func:`~repro.core.enumerate.enumerate_walks`): consecutive outputs
+  (:func:`~repro.core.enumerate.enumerate_walks`, which pulls the
+  target's cells before its first output): consecutive outputs
   share the path to their lowest common ancestor, so only the edges
   below it are re-rolled.
 

@@ -597,6 +597,13 @@ class Graph(FlatAccessors):
         return self._labels
 
     @property
+    def live_label_array(self) -> Tuple[Tuple[int, ...], ...]:
+        """Edge-id-indexed label tuples of the live edges, ``()`` in a
+        removed edge's slot — :attr:`label_array` here, where no edge
+        is ever removed."""
+        return self._labels
+
+    @property
     def out_array(self) -> Tuple[Tuple[int, ...], ...]:
         """Vertex-id-indexed Out lists (internal fast path)."""
         return self._out

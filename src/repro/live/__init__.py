@@ -34,12 +34,13 @@ what makes *fine-grained* cache invalidation sound — a cached
 annotation addresses predecessor cells positionally by
 ``TgtIdx``, so an annotation whose automaton cannot fire on any label
 a batch touched is still byte-for-byte valid afterwards and is **kept
-warm** instead of evicted.  Since the packed-pipeline refactor those
-cached annotations *are* flat CSR-packed arrays (``TgtIdx`` and edge
-ids baked into the shared trim cells — see
-:mod:`repro.datastructures.packed`), which is precisely the
-representation the invariant keeps valid: retained entries stay
-correct positionally with no per-cell re-validation, and vertices
+warm** instead of evicted.  Those cached annotations *are* a flat
+``dist`` array plus the trim cells pulled from it so far (``TgtIdx``
+and edge ids baked in — see :mod:`repro.datastructures.packed`),
+which is precisely the representation the invariant keeps valid:
+retained entries stay correct positionally with no per-cell
+re-validation, a later pull over the current epoch finds the same
+cells (it reads ``live_label_array``, so a tombstone is never one), and vertices
 added after the annotation was built are provably unreachable for it
 (:meth:`~repro.core.annotate.Annotation.target_info` answers "no
 matching walk" beyond the packed vertex range).  A kept entry not yet

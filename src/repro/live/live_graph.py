@@ -97,6 +97,7 @@ class _View:
         "src_array",
         "tgt_array",
         "label_array",
+        "live_label_array",
         "cost_array",
         "out_array",
         "in_array",
@@ -450,6 +451,7 @@ class LiveGraph(FlatAccessors):
             incidences = list(incidences)
             for e in removed:
                 incidences[e] = ()
+        view.live_label_array = incidences
         k = self.label_count
         view.out_csr = build_csr(view.src_array, incidences, n, k)
         view.in_csr = build_csr(view.tgt_array, incidences, n, k)
@@ -506,6 +508,13 @@ class LiveGraph(FlatAccessors):
     def label_array(self) -> Tuple[Tuple[int, ...], ...]:
         """Edge-id-indexed label tuples, overrides applied."""
         return self._materialized().label_array
+
+    @property
+    def live_label_array(self) -> Sequence[Tuple[int, ...]]:
+        """Edge-id-indexed label tuples with ``()`` in every tombstone's
+        slot: what the epoch's CSRs index, and the liveness test of a
+        read that walks an ``In`` list, which keeps tombstones."""
+        return self._materialized().live_label_array
 
     @property
     def out_array(self) -> Tuple[Tuple[int, ...], ...]:

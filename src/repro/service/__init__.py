@@ -49,10 +49,12 @@ not occupy capacity until LRU eviction.
    under ``Graph._lazy_lock``), so concurrent first use is safe —
    and registration pre-warms them off the request path;
 3. every enumeration — whatever mode the request names — reads the
-   annotation's
-   :class:`~repro.datastructures.packed.PackedCells`, which are never
-   mutated, and keeps its queue cursors private to its own generator —
-   any number of requests share one cached instance.
+   annotation's :class:`~repro.datastructures.packed.PackedCells`
+   store, which a build for another target only appends to (single
+   flight under the store's lock, a node's span published after its
+   cells; a build of stored nodes takes no lock), and keeps
+   its queue cursors private to its own generator — any number of
+   requests share one cached instance.
 
 **Pagination.**  ``limit``/``offset`` plus a resume ``cursor`` (the
 previous page's ``next_cursor`` — the last walk's edge ids).  The

@@ -243,3 +243,20 @@ def packed_walks(cq, source, target, cheapest=False):
         cost_of=cost_of,
     )
     return ann.lam, [w.edges for w in walks]
+
+
+def node_cells(annotation):
+    """``{node key: [(TgtIdx, edge, entries)]}`` of every reached node
+    — the *deepened == saturated* columns' per-node form of the cell
+    store, whatever order its nodes were pulled in (the ``B`` view
+    pulls the ones no target asked for)."""
+    annotation.B
+    cells = annotation.packed
+    indptr, preds = cells.cell_pred_indptr, cells.ent_pred
+    return {
+        k: [
+            (cells.cell_ti[c], cells.cell_edge[c], tuple(preds[indptr[c]:indptr[c + 1]]))
+            for c in range(lo, hi)
+        ]
+        for k, (lo, hi) in cells.spans.items()
+    }

@@ -216,7 +216,10 @@ def test_four_threads_deepen_one_cached_annotation(monkeypatch):
     BFS runs overlap, and each one is counted — and an enumeration
     opened before them finishes, right, on the snapshot it started on.
     Dead-end teeth on every chain vertex make each BFS level long
-    enough for the threads' deepens to meet."""
+    enough for the threads' deepens to meet.  Then four threads read
+    four more targets the entry already settles, at once: each pulls
+    its target's cells into the entry's one store while the others
+    extend it, gets the one-shot answers, and no node is built twice."""
     builder = GraphBuilder()
     for i in range(14):
         for _ in range(2):
@@ -226,8 +229,9 @@ def test_four_threads_deepen_one_cached_annotation(monkeypatch):
     graph = builder.build()
     query = "a*"
     targets = ["v8", "v10", "v12", "v14"]
+    settled = ["v7", "v9", "v13", "tooth13_0"]
     expected = {}
-    for t in ["v6", *targets]:
+    for t in ["v6", *targets, *settled]:
         engine = DistinctShortestWalks(graph, query, "v0", t)
         expected[t] = engine.lam, [w.edges for w in engine.enumerate()]
 
@@ -239,42 +243,55 @@ def test_four_threads_deepen_one_cached_annotation(monkeypatch):
     count_lock = threading.Lock()
     run = AnnotateBFS.run
 
-    def counting_run(bfs, target=None, entries=0):
+    def counting_run(bfs, target=None):
         with count_lock:
             active[0] += 1
             peaks.append(active[0])
         try:
-            return run(bfs, target, entries)
+            return run(bfs, target)
         finally:
             with count_lock:
                 active[0] -= 1
 
     monkeypatch.setattr(AnnotateBFS, "run", counting_run)
-    barrier = threading.Barrier(len(targets))
-    results = [None] * len(targets)
+    def read_at_once(asked):
+        barrier = threading.Barrier(len(asked))
+        results = [None] * len(asked)
 
-    def deepen_and_read(i: int) -> None:
-        barrier.wait(timeout=30)
-        result = db.query(query).from_("v0").to(targets[i]).run()
-        results[i] = result.lam, [row.walk.edges for row in result]
+        def read(i: int) -> None:
+            barrier.wait(timeout=30)
+            result = db.query(query).from_("v0").to(asked[i]).run()
+            results[i] = result.lam, [row.walk.edges for row in result]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [
-            threading.Thread(target=deepen_and_read, args=(i,))
-            for i in range(len(targets))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [expected[t] for t in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(i,))
+                for i in range(len(asked))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[t] for t in asked]
+
+    read_at_once(targets)
     stats = db.cache_stats()["annotation_cache"]
     assert stats["misses"] == 1 and stats["hits"] == len(targets)
     assert peaks and max(peaks) == 1
     assert len(peaks) == stats["deepens"] <= len(targets)
     assert head + [row.walk.edges for row in early] == expected["v6"][1]
+
+    read_at_once(settled)
+    stats = db.cache_stats()["annotation_cache"]
+    assert stats["hits"] == len(targets) + len(settled)
+    assert len(peaks) == stats["deepens"]
+    (entry,) = db._annotation_cache._data.values()
+    cells = entry.annotation.packed
+    spans = sorted(cells.spans.values())
+    assert spans[0][0] == 0 and spans[-1][1] == len(cells)
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))

@@ -103,10 +103,13 @@ class TestAnnotationViews:
     @given(small_instances())
     @settings(**_SETTINGS)
     def test_entry_count_is_packed_length(self, instance):
-        """Satellite: the O(1) count equals the exhaustive sum."""
+        """The O(1) count is what the store holds: nothing before a
+        read, then the exhaustive sum once the ``B`` view has pulled
+        every reached node."""
         graph, nfa, s, t = instance
         cq = compile_query(graph, nfa)
         ann = annotate(cq, s, t)
+        assert ann.annotation_entries() == 0
         exhaustive = sum(
             len(preds)
             for vertex_map in ann.B
@@ -114,7 +117,7 @@ class TestAnnotationViews:
             for preds in cells.values()
         )
         assert ann.annotation_entries() == exhaustive
-        assert len(ann.packed) == exhaustive
+        assert ann.packed.entries() == exhaustive
 
 
 class TestTrimViews:
@@ -128,10 +131,6 @@ class TestTrimViews:
         ref_queues = trim_maps(
             graph, annotate_reference(cq, s, saturate=True)
         )
-        assert packed_trim.total_items() == sum(
-            len(queue) for per_vertex in ref_queues
-            for queue in per_vertex.values()
-        )
         for u in graph.vertices():
             for p in range(cq.n_states):
                 got_items = packed_trim.items(u, p)
@@ -141,6 +140,11 @@ class TestTrimViews:
                 # — see the module docstring).
                 assert [(e, sorted(preds)) for e, preds in got_items] \
                     == [(e, sorted(preds)) for e, preds in ref_items]
+        # Every queue was read, so every reached node is built.
+        assert packed_trim.total_items() == sum(
+            len(queue) for per_vertex in ref_queues
+            for queue in per_vertex.values()
+        )
 
     @given(small_instances())
     @settings(**_SETTINGS)
@@ -150,10 +154,6 @@ class TestTrimViews:
         cells = resumable_trim(graph, annotate(cq, s, saturate=True))
         ref_index = resumable_trim_maps(
             graph, annotate_reference(cq, s, saturate=True)
-        )
-        assert len(cells) == sum(
-            len(idx) for per_vertex in ref_index
-            for idx in per_vertex.values()
         )
         for u in graph.vertices():
             for p in range(cq.n_states):
@@ -169,6 +169,10 @@ class TestTrimViews:
                     # traversal-specific (see the module docstring).
                     assert sorted(preds) \
                         == sorted(ref_idx.payload(graph.tgt_idx(e)))
+        assert len(cells) == sum(
+            len(idx) for per_vertex in ref_index
+            for idx in per_vertex.values()
+        )
 
 
 class TestEnumerationOrder:

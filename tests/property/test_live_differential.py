@@ -44,7 +44,7 @@ a multi-target entry built for one target, kept across a batch that
 adds vertices and edges on labels its query cannot fire on (so the
 façade does not evict it), then deepened to exhaustion, answers every
 target as a rebuild on the mutated graph does and holds that rebuild's
-packed columns.
+``dist`` and the same cells node for node.
 
 Walks are compared by rendering each edge as
 ``(src name, tgt name, label names)`` because edge *ids* legitimately
@@ -83,7 +83,6 @@ from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.multi_target import MultiTargetShortestWalks
-from repro.core.trim import trim
 from repro.graph.database import Graph
 from repro.live import (
     AddEdge,
@@ -94,7 +93,7 @@ from repro.live import (
 )
 from repro.query import rpq
 
-from tests.conftest import HUB_QUERIES, hub_graph, packed_walks
+from tests.conftest import HUB_QUERIES, hub_graph, node_cells, packed_walks
 
 _ALPHABET = ("a", "b", "c")
 _EXTRA_LABELS = ("n0", "n1")  # Drawn occasionally: label-universe growth.
@@ -402,18 +401,7 @@ def _check_deepen_after_batch(base, expression, source, t1, ops, seed) -> None:
     keys = len(mt.annotation.dist)
     assert saturated.dist[:keys] == mt.annotation.dist, context
     assert set(saturated.dist[keys:]) <= {-1}, context
-    indptr = saturated.packed.key_indptr
-    assert indptr[: keys + 1] == mt.annotation.packed.key_indptr, context
-    assert set(indptr[keys:]) == {indptr[keys]}, context
-    for column in ("ent_ti", "ent_pred"):
-        assert getattr(mt.annotation.packed, column) == getattr(
-            saturated.packed, column
-        ), f"{column} ({context})"
-    cells = trim(live, saturated)
-    for column in ("cell_ti", "cell_edge", "cell_pred_indptr"):
-        assert getattr(mt.trimmed, column) == getattr(cells, column), (
-            f"{column} ({context})"
-        )
+    assert node_cells(mt.annotation) == node_cells(saturated), context
 
     # The façade: the batch evicts nothing, and the kept entry deepens.
     # (No compaction: it renumbers edge ids and purges by design.)

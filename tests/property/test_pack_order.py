@@ -1,25 +1,32 @@
-"""The linear-time pack: order and content of ``PackedBack.from_entries``.
+"""The cell order of ``Trim``'s store: layout and content of ``PackedCells``.
 
-``Annotate`` logs ``B`` entries in traversal order and
-:meth:`~repro.datastructures.packed.PackedBack.from_entries` radix-packs
-the log.  Whatever passes the pack is made of, its output must be
+``Trim`` pulls a node's cells from ``dist`` (:meth:`PackedCells.build`).
+A store it fills must be
 
-* grouped by **ascending key** (``nonempty_keys`` strictly ascending,
-  ``key_indptr`` a prefix sum over the dense key space);
-* **TgtIdx-ascending within a key** (Lemma 11's queue order);
-* **stable** — append order kept inside a ``(key, TgtIdx)`` cell;
-* **cell-for-cell multiset-equal** (duplicates included) to the packed
-  form of the edge-major reference traversal's dict ``B``.
+* laid out as **one span per built node** — spans disjoint and
+  covering every cell, entry offsets a running sum;
+* **TgtIdx-ascending within a node** (Lemma 11's queue order), each
+  cell's edge the ``In(u)`` slot its ``TgtIdx`` names;
+* **stable** — a cell's entries in pull order: its edge's labels in
+  order, then ``Δ⁻¹(p, a)`` in order;
+* **output-sensitive and append-only** — after any sequence of asked
+  targets, the built nodes are exactly those backward-reachable from
+  the asked targets' final states at λ, and a later target never
+  moves a span an earlier one stored;
+* **cell-for-cell multiset-equal** (duplicates included) to the
+  edge-major reference traversal's dict ``B`` once every reached node
+  is pulled.
 
-The first three are checked against a two-line model (a stable sort of
-the log — fine in a test, banned in the pack), the fourth on random
-graph × query × source instances.
+The first four are checked on stores filled by the production pull
+against an executable model of the pull (``TestAgainstTheModel``), the
+fifth against the reference traversal's maps, stored through the oracle
+bridge (:func:`~repro.baselines.paper_pipeline.packed_from_maps`), on
+random graph × query × source instances.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from collections import Counter
 
 import pytest
@@ -30,139 +37,198 @@ from repro.automata import NFA, regex_to_nfa
 from repro.baselines.paper_pipeline import annotate_reference, packed_from_maps
 from repro.core.annotate import annotate
 from repro.core.compile import compile_query
-from repro.datastructures.packed import PackedBack
+from repro.core.trim import trim
+from repro.datastructures.packed import PackedCells
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain, random_multilabel
 
 from tests.conftest import small_instances
 
 
-def _check_layout(packed: PackedBack) -> None:
-    n_keys = packed.n * packed.n_states
-    indptr = packed.key_indptr
-    assert len(indptr) == n_keys + 1
-    assert indptr[0] == 0 and indptr[n_keys] == len(packed)
-    assert len(packed.ent_ti) == len(packed.ent_pred)
-    nonempty = packed.nonempty_keys
-    assert all(a < b for a, b in zip(nonempty, nonempty[1:]))
-    assert nonempty == [
-        k for k in range(n_keys) if indptr[k] < indptr[k + 1]
-    ]
-    assert all(indptr[k] <= indptr[k + 1] for k in range(n_keys))
-    for k in nonempty:
-        tis = packed.ent_ti[indptr[k]:indptr[k + 1]]
-        assert list(tis) == sorted(tis)
+def _check_layout(cells: PackedCells, graph) -> None:
+    spans = sorted(cells.spans.values())
+    covered = 0
+    for lo, hi in spans:
+        assert lo == covered and lo <= hi
+        covered = hi
+    assert covered == len(cells) == len(cells.cell_edge) == len(cells.certs)
+    indptr = cells.cell_pred_indptr
+    assert len(indptr) == len(cells) + 1 and indptr[0] == 0
+    assert all(indptr[c] < indptr[c + 1] for c in range(len(cells)))
+    assert indptr[-1] == cells.entries()
+    for k, (lo, hi) in cells.spans.items():
+        tis = list(cells.cell_ti[lo:hi])
+        assert tis == sorted(set(tis))
+        in_list = graph.in_array[k // cells.n_states]
+        assert [in_list[t] for t in tis] == list(cells.cell_edge[lo:hi])
 
 
-def _cells(packed: PackedBack):
+def _cells(cells: PackedCells):
     """``{(key, TgtIdx): Counter(predecessors)}``."""
-    cells = {}
-    indptr = packed.key_indptr
-    for k in packed.nonempty_keys:
-        for i in range(indptr[k], indptr[k + 1]):
-            cells.setdefault((k, packed.ent_ti[i]), Counter())[
-                packed.ent_pred[i]
-            ] += 1
-    return cells
+    indptr = cells.cell_pred_indptr
+    return {
+        (k, cells.cell_ti[c]): Counter(cells.ent_pred[indptr[c]:indptr[c + 1]])
+        for k, (lo, hi) in cells.spans.items()
+        for c in range(lo, hi)
+    }
 
 
-def _model(log):
-    """The contract, executably: a stable sort by (key, TgtIdx)."""
-    return sorted(log, key=lambda entry: (entry[0], entry[1]))
-
-
-def _pack(n, n_states, log):
-    keys = array("q", (k for k, _, _ in log))
-    tis = array("q", (t for _, t, _ in log))
-    preds = array("q", (q for _, _, q in log))
-    packed = PackedBack.from_entries(n, n_states, keys, tis, preds)
-    # The log belongs to the caller and is left alone.
-    assert list(zip(keys, tis, preds)) == list(log)
-    return packed
-
-
-def _entries(packed: PackedBack):
-    indptr = packed.key_indptr
+def _stored(cells: PackedCells, k: int):
+    """Node ``k``'s stored cells as ``(TgtIdx, edge, entries)``."""
+    lo, hi = cells.spans[k]
+    indptr = cells.cell_pred_indptr
     return [
-        (k, packed.ent_ti[i], packed.ent_pred[i])
-        for k in packed.nonempty_keys
-        for i in range(indptr[k], indptr[k + 1])
+        (cells.cell_ti[c], cells.cell_edge[c],
+         list(cells.ent_pred[indptr[c]:indptr[c + 1]]))
+        for c in range(lo, hi)
     ]
+
+
+def _model(graph, cq, dist, k):
+    """The pull, executably: node ``k``'s ``(TgtIdx, edge, entries)``
+    cells — per ``In(u)`` slot, per label of its edge, every
+    ``q ∈ Δ⁻¹(p, a)`` its source holds one level down; empty cells
+    dropped, none below level 1."""
+    n_states = cq.n_states
+    u, p = divmod(k, n_states)
+    if dist[k] <= 0:
+        return []
+    model = []
+    for ti, e in enumerate(graph.in_array[u]):
+        w = graph.src_array[e]
+        preds = [
+            q
+            for a in graph.label_array[e]
+            for q in cq.delta_inv[p].get(a, ())
+            if dist[w * n_states + q] == dist[k] - 1
+        ]
+        if preds:
+            model.append((ti, e, preds))
+    return model
+
+
+def _closure(graph, cq, dist, roots):
+    """The nodes backward-reachable from ``roots`` through the model's
+    cells — what the asked targets' enumerations can read."""
+    n_states = cq.n_states
+    seen, stack = set(), list(roots)
+    while stack:
+        k = stack.pop()
+        if k not in seen:
+            seen.add(k)
+            for _, e, preds in _model(graph, cq, dist, k):
+                w = graph.src_array[e]
+                stack.extend(w * n_states + q for q in preds)
+    return seen
 
 
 class TestAgainstTheModel:
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 4),
-        st.integers(0, 6),
-        st.lists(
-            st.tuples(st.integers(0, 19), st.integers(0, 6), st.integers(0, 3)),
-            max_size=60,
-        ),
-    )
+    @given(small_instances(), st.lists(st.integers(0, 60), max_size=6))
     @settings(max_examples=200, deadline=None)
-    def test_random_logs(self, n, n_states, max_ti, raw):
-        log = [
-            (k % (n * n_states), t % (max_ti + 1), q % n_states)
-            for k, t, q in raw
-        ]
-        packed = _pack(n, n_states, log)
-        _check_layout(packed)
-        # Stability makes the comparison exact, not just a multiset.
-        assert _entries(packed) == _model(log)
+    def test_random_logs(self, instance, asks):
+        """Targets asked in a random order, one store for all: after
+        every ask the layout holds, the built nodes are exactly the
+        asked targets' shortest-walk graphs, every cell equals the
+        model's (entries in pull order), and no earlier span moved."""
+        graph, nfa, s, _ = instance
+        cq = compile_query(graph, nfa)
+        annotation = annotate(cq, s, saturate=True)
+        cells, dist = annotation.packed, annotation.dist
+        roots = set()
+        for raw in asks:
+            t = raw % graph.vertex_count
+            before = dict(cells.spans)
+            trim(graph, annotation, t)
+            lam, states = annotation.target_info(t)
+            if lam:
+                roots.update(t * cq.n_states + f for f in states)
+            _check_layout(cells, graph)
+            assert set(cells.spans) == _closure(graph, cq, dist, roots)
+            for k in cells.spans:
+                assert _stored(cells, k) == _model(graph, cq, dist, k), k
+            assert all(cells.spans[k] == span for k, span in before.items())
 
     def test_empty_log(self):
-        packed = _pack(3, 2, [])
-        _check_layout(packed)
-        assert len(packed) == 0
-        assert packed.nonempty_keys == []
-        assert list(packed.key_indptr) == [0] * 7
-        assert packed.to_maps() == [{}, {}, {}]
+        # An annotation no target was asked of stores nothing…
+        graph = chain(4, ("a",))
+        annotation = annotate(compile_query(graph, regex_to_nfa("a*")), 0)
+        assert annotation.annotation_entries() == len(annotation.packed) == 0
+        assert annotation.packed.spans == {}
+        # …nor does a target at λ = 0 (the source) or an unreached one.
+        cq = compile_query(graph, regex_to_nfa("b* a?"))
+        annotation = annotate(cq, 0, saturate=True)
+        for t in (0, 4):
+            trim(graph, annotation, t)
+        _check_layout(annotation.packed, graph)
+        assert len(annotation.packed) == annotation.annotation_entries() == 0
+        assert annotation.packed.to_maps() == [{} for _ in graph.vertices()]
 
     def test_all_zero_tgt_idx_shortcut(self):
-        """``max_ti == 0`` skips the TgtIdx pass; order must still be
-        by key, append order within the (single) cell of each key."""
-        log = [(5, 0, 1), (2, 0, 0), (5, 0, 0), (0, 0, 1), (2, 0, 1), (5, 0, 1)]
-        packed = _pack(3, 2, log)
-        _check_layout(packed)
-        assert _entries(packed) == _model(log)
-        assert set(packed.ent_ti) == {0}
-        assert packed.to_maps()[2][1] == {0: [1, 0, 1]}
+        """Every ``TgtIdx`` 0 (a chain has in-degree 1): one cell per
+        node past the source; an edge on two labels that both move
+        ``0 → 1`` / ``1 → 1`` gives its cell the same state twice, in
+        label order."""
+        graph = chain(5, ("a", "b"))
+        nfa = NFA(2)
+        for label in "ab":
+            nfa.add_transition(0, label, 1)
+            nfa.add_transition(1, label, 1)
+        nfa.set_initial(0)
+        nfa.set_final(1)
+        cq = compile_query(graph, nfa)
+        annotation = annotate(cq, 0, 5)
+        cells = trim(graph, annotation)
+        _check_layout(cells, graph)
+        assert set(cells.cell_ti) == {0}
+        assert len(cells) == len(cells.spans) - 1 == 5
+        maps = cells.to_maps()
+        assert maps[1][1] == {0: [0, 0]}
+        assert maps[2][1] == {0: [1, 1]}
 
     def test_single_entry(self):
-        packed = _pack(2, 3, [(4, 2, 1)])
-        _check_layout(packed)
-        assert _entries(packed) == [(4, 2, 1)]
+        builder = GraphBuilder()
+        builder.add_edge("s", "t", ["a"])
+        graph = builder.build()
+        cq = compile_query(graph, regex_to_nfa("a"))
+        t = graph.resolve_vertex("t")
+        annotation = annotate(cq, graph.resolve_vertex("s"), t)
+        cells = trim(graph, annotation)
+        _check_layout(cells, graph)
+        ((key, ti), entries), = _cells(cells).items()
+        assert key // cq.n_states == t and ti == 0
+        assert sum(entries.values()) == cells.entries() == 1
+        assert set(entries) <= cq.initial_closure
 
     def test_shortcut_on_a_real_traversal(self):
         """A simple chain has in-degree 1 everywhere: every TgtIdx is 0."""
         graph = chain(6, ("a", "b"))
         cq = compile_query(graph, regex_to_nfa("(a|b)*"))
         ann = annotate(cq, 0, saturate=True)
-        assert len(ann.packed) and set(ann.packed.ent_ti) == {0}
-        _check_layout(ann.packed)
+        ann.B
+        assert len(ann.packed) and set(ann.packed.cell_ti) == {0}
+        _check_layout(ann.packed, graph)
         reference = annotate_reference(cq, 0, saturate=True)
         assert _cells(ann.packed) == _cells(
-            packed_from_maps(ann.n, ann.n_states, reference.B)
+            packed_from_maps(graph, ann.n_states, reference.B)
         )
 
 
 class TestAgainstTheReferenceTraversal:
     def _compare(self, graph, nfa, source):
         cq = compile_query(graph, nfa)
-        packed = annotate(cq, source, saturate=True).packed
-        _check_layout(packed)
+        annotation = annotate(cq, source, saturate=True)
+        annotation.B
+        cells = annotation.packed
+        _check_layout(cells, graph)
         reference = packed_from_maps(
-            packed.n,
-            packed.n_states,
+            graph,
+            cells.n_states,
             annotate_reference(cq, source, saturate=True).B,
         )
-        _check_layout(reference)
-        assert _cells(packed) == _cells(reference)
-        assert packed.nonempty_keys == reference.nonempty_keys
-        assert packed.key_indptr == reference.key_indptr
-        assert packed.ent_ti == reference.ent_ti
-        return packed
+        _check_layout(reference, graph)
+        assert _cells(cells) == _cells(reference)
+        assert cells.entries() == reference.entries()
+        return cells
 
     @given(small_instances())
     @settings(max_examples=80, deadline=None)
@@ -209,15 +275,15 @@ class TestAgainstTheReferenceTraversal:
         nfa.set_initial(0)
         nfa.set_final(2)
         source = graph.resolve_vertex("s")
-        packed = self._compare(graph, nfa, source)
+        cells = self._compare(graph, nfa, source)
         duplicated = [
-            cell for cell in _cells(packed).values() if max(cell.values()) > 1
+            cell for cell in _cells(cells).values() if max(cell.values()) > 1
         ]
         assert duplicated  # The scenario really occurs.
         # Two in-edges of m: cells at TgtIdx 0 and 1 under the same key.
         m = graph.resolve_vertex("m")
-        n_states = packed.n_states
+        n_states = cells.n_states
         tgt_idx_at_m = {
-            ti for (k, ti) in _cells(packed) if k // n_states == m
+            ti for (k, ti) in _cells(cells) if k // n_states == m
         }
         assert tgt_idx_at_m == {0, 1}

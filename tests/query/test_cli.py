@@ -171,9 +171,9 @@ class TestPatternCommand:
         runs = []
         run = AnnotateBFS.run
 
-        def counting_run(bfs, target=None, entries=0):
+        def counting_run(bfs, target=None):
             runs.append(target)
-            return run(bfs, target, entries)
+            return run(bfs, target)
 
         monkeypatch.setattr(AnnotateBFS, "run", counting_run)
         assert main(
