@@ -16,10 +16,14 @@ nothing in production dispatches to it.  What production keeps is the
 linear-time *detection* of the setting,
 :func:`repro.query.plan.simple_eligible`.
 
-The product BFS here rides the same label-indexed CSR adjacency as the
-general ``Annotate`` (:attr:`repro.graph.database.Graph.out_csr`): per
-frontier pair it touches only the buckets ``Out_a(v)`` for the labels
-``a`` the deterministic state can fire on.
+The product BFS here rides the label-indexed out-CSR
+(:attr:`repro.graph.database.Graph.out_csr`): per frontier pair it
+touches only the buckets ``Out_a(v)`` for the labels ``a`` the
+deterministic state can fire on.  It records parent *edges*, so it
+reads the CSR's edge ids, where the general ``Annotate``'s top-down
+levels, which need only where edges lead, gather the successor tuples
+:attr:`repro.graph.database.Graph.succ` (see that module's
+"Label-indexed CSR adjacency").
 """
 
 from __future__ import annotations

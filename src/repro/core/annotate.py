@@ -76,15 +76,22 @@ Label-indexed traversal
 -----------------------
 
 The product graph only has an edge ``(v, q) → (u, p)`` where an edge
-label and an automaton transition *agree*, so :func:`annotate` expands
-a frontier pair ``(v, q)`` by iterating only the labels in
-``labels(Δ(q)) ∩ labels(Out(v))`` and, per such label ``a``, only the
-edges of ``Out_a(v)`` — served in O(1) per label by the graph's
-label-indexed CSR adjacency (:attr:`repro.graph.database.Graph.out_csr`)
-and the per-state moves ``(a, Δ(q, a))`` the compile resolved once
-(:attr:`~repro.core.compile.CompiledQuery.moves`).  The per-pair cost
-drops from O(OutDeg(v) × |Lbl|) dict probes to
-O(Σ_{a ∈ labels(q)} |Out_a(v)|).
+label and an automaton transition *agree*, so a top-down level touches
+only the labels a frontier state fires on, per label only
+``Out_a(v)``, and never an edge id: it reads the graph's successor
+tuples (:attr:`repro.graph.database.Graph.succ`, ``succ[a][v]`` the
+targets of ``Out_a(v)``).  The level groups its frontier by state, and
+each state's moves come grouped by target tuple from the compile
+(:attr:`~repro.core.compile.CompiledQuery.gathers`: on ``(a|b|c|d)+``
+one group of four labels).  For each group, the successors of all the
+state's frontier vertices on all its labels are gathered into one set
+in C — per edge a set insert, no interpreted step — and ``dist`` is
+tested once per distinct successor and target state.  An edge carrying
+two labels that fire one move, or two frontier vertices sharing a
+successor, cost one ``dist`` test, not one each.  A group of one
+vertex iterates its tuples without building the set.  The per-level
+cost is O(Σ_{a ∈ labels(q)} |Out_a(v)|) set inserts over the frontier
+plus O(|targets|) ``dist`` tests per distinct successor.
 
 Two level directions
 --------------------
@@ -95,7 +102,7 @@ land on a node settled at an earlier level.  So each level is expanded
 one of two ways (the direction-optimizing BFS of Beamer, Asanović and
 Patterson, SC'12):
 
-* **top-down** — the frontier expands over its out-edges, as above;
+* **top-down** — the frontier expands over its successors, as above;
 * **bottom-up** — each unreached *candidate* ``(u, p)`` walks
   ``In_a(u)`` through the in-CSR (:attr:`~repro.graph.database.Graph.in_csr`)
   for every label ``a`` with ``Δ⁻¹(p, a)`` non-empty
@@ -153,9 +160,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter
-from itertools import compress, count
-from operator import itemgetter, mul
+from itertools import chain, compress, count
+from operator import mul
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.compile import CompiledQuery
@@ -430,7 +436,7 @@ def _level_costs(cq: CompiledQuery, graph) -> _LevelCosts:
 
 
 def _bottom_up_cheaper(
-    current: List[Tuple[int, int]],
+    current: List[List[int]],
     unreached: List[int],
     costs: _LevelCosts,
     reached_since: bool,
@@ -439,20 +445,20 @@ def _bottom_up_cheaper(
     out-product-degree exceeds the unreached nodes' in-product-degree,
     both weighed per state.  ``reached_since``: the frontier was reached
     after ``unreached`` was counted, so it is taken off first."""
-    by_state = Counter(map(itemgetter(1), current))
+    sizes = list(map(len, current))
     if reached_since:
-        for p, k in by_state.items():
+        for p, k in enumerate(sizes):
             unreached[p] -= k
-    c_out = costs.c_out
-    return sum([c_out[q] * k for q, k in by_state.items()]) > sum(
+    return sum(map(mul, costs.c_out, sizes)) > sum(
         map(mul, unreached, costs.c_in)
     )
 
 
 class AnnotateBFS:
     """The ``Annotate`` BFS between level boundaries: ``dist``, the
-    frontier (``next_pairs`` at distance ``level``), what the level rule
-    keeps, and the one cell store ``Trim`` fills from ``dist``.
+    frontier (``frontier[p]``: the vertices first reached in state
+    ``p`` at distance ``level``), what the level rule keeps, and the
+    one cell store ``Trim`` fills from ``dist``.
 
     :meth:`run` expands whole levels until a stop target is settled
     (module docstring) or the product is exhausted, and may be called
@@ -473,7 +479,7 @@ class AnnotateBFS:
     """
 
     __slots__ = (
-        "cq", "source", "n", "n_states", "dist", "cells", "next_pairs",
+        "cq", "source", "n", "n_states", "dist", "cells", "frontier",
         "level", "entered", "unreached", "candidates",
     )
 
@@ -488,12 +494,12 @@ class AnnotateBFS:
         # Trim's cells, pulled from dist per asked target: made by the
         # first annotation() and shared by every later one.
         self.cells: Optional[PackedCells] = None
-        self.next_pairs: List[Tuple[int, int]] = []
+        self.frontier: List[List[int]] = [[] for _ in range(n_states)]
         self.level = 0
         source_base = source * n_states
-        for p in sorted(cq.initial_closure):
+        for p in cq.initial_closure:
             self.dist[source_base + p] = 0
-            self.next_pairs.append((source, p))
+            self.frontier[p].append(source)
         # The level rule's state: the reached nodes an edge can enter
         # (for the bound; each boundary adds its whole frontier, so the
         # level-0 nodes no edge enters start it below zero), then — once
@@ -503,7 +509,7 @@ class AnnotateBFS:
         self.entered = (
             -sum(1 for p in cq.initial_closure if not costs.c_in[p])
             if source < costs.n_eff
-            else -len(self.next_pairs)
+            else -len(cq.initial_closure)
         )
         self.unreached: Optional[List[int]] = None
         self.candidates: Optional[List[List[int]]] = None
@@ -511,7 +517,7 @@ class AnnotateBFS:
     @property
     def exhausted(self) -> bool:
         """No product node is left to discover."""
-        return not self.next_pairs
+        return not any(self.frontier)
 
     def _list_candidates(self, costs: _LevelCosts) -> List[int]:
         """Per state, the vertices below ``n_eff`` not yet reached in it
@@ -532,23 +538,22 @@ class AnnotateBFS:
         ``target``, until the product is exhausted.
 
         Each level goes the way the level rule (module docstring)
-        finds cheaper.  Top-down is the label-indexed traversal: the
-        frontier's pairs expand over ``labels(Δ(q)) ∩ labels(Out(v))``
-        through the out-CSR.  Bottom-up, each candidate ``(u, p)``
-        probes ``In_a(u)`` through the in-CSR for every label ``a``
-        with ``Δ⁻¹(p, a)`` non-empty (``CompiledQuery.delta_inv``) and
-        joins the level at the first edge whose source holds a
-        ``q ∈ Δ⁻¹(p, a)`` one level down.  Both write ``dist`` only.
+        finds cheaper.  Top-down, per frontier state and per move group
+        ``(labels, targets)`` of ``CompiledQuery.gathers``, the
+        successors of the state's frontier vertices on those labels are
+        gathered into one set (``succ``), and each distinct successor
+        is tested in ``dist`` once per target state.  Bottom-up, each
+        candidate ``(u, p)`` probes ``In_a(u)`` through the in-CSR for
+        every label ``a`` with ``Δ⁻¹(p, a)`` non-empty
+        (``CompiledQuery.delta_inv``) and joins the level at the first
+        edge whose source holds a ``q ∈ Δ⁻¹(p, a)`` one level down.
+        Both write ``dist`` only.
         """
         cq = self.cq
         graph = cq.graph
-        n = graph.vertex_count
         n_states = self.n_states
-        tgt_arr = graph.tgt_array
-        indptr, csr_edges = graph.out_csr
-        out_labels = graph.out_labels_array
-        moves = cq.moves
-        delta = cq.delta
+        succ = graph.succ
+        gathers = cq.gathers
         costs = _level_costs(cq, graph)
         max_out, min_in, enterable = costs.max_out, costs.min_in, costs.enterable
         # The target's final-state slots: the stop test reads these.
@@ -557,60 +562,69 @@ class AnnotateBFS:
             else [target * n_states + f for f in cq.final]
         )
         dist = self.dist
-        next_pairs = self.next_pairs
+        frontier = self.frontier
         level = self.level
         entered = self.entered
         unreached = self.unreached
-        while next_pairs:
-            if _reached(dist, stop_keys):
+        # Two sets of per-state lists take turns — the level being read
+        # and the one being filled, emptied before it is filled again —
+        # so a deep, narrow product allocates no lists per level.
+        spare = [[] for _ in range(n_states)]
+        while True:
+            size = sum(map(len, frontier))
+            if not size or _reached(dist, stop_keys):
                 break
             level += 1
-            current, next_pairs = next_pairs, []
+            for verts in spare:
+                verts.clear()
+            current, frontier, spare = frontier, spare, frontier
             if unreached is None:
                 # The bound: the frontier at its costliest state against
                 # the nodes still open at their cheapest, O(1) a level.
-                entered += len(current)
-                if len(current) * max_out > (enterable - entered) * min_in:
+                entered += size
+                if size * max_out > (enterable - entered) * min_in:
                     if entered == enterable:
                         continue  # Every node an edge can enter is reached.
                     unreached = self._list_candidates(costs)
                     if _bottom_up_cheaper(current, unreached, costs, False):
-                        self._bottom_up(level, next_pairs)
+                        self._bottom_up(level, frontier)
                         continue
             elif _bottom_up_cheaper(current, unreached, costs, True):
-                self._bottom_up(level, next_pairs)
+                self._bottom_up(level, frontier)
                 continue
-            for v, q in current:
-                steps = moves[q]
-                mine = out_labels[v]
-                if len(steps) > len(mine):
-                    # Intersect from the cheaper side.
-                    row = delta[q]
-                    steps = [(a, row[a]) for a in mine if a in row]
-                for a, targets in steps:
-                    b = a * n + v
-                    start, end = indptr[b], indptr[b + 1]
-                    if start == end:
-                        continue
-                    for e in csr_edges[start:end]:
-                        u = tgt_arr[e]
-                        u_base = u * n_states
-                        for p in targets:
-                            key = u_base + p
+            for q, verts in enumerate(current):
+                if not verts:
+                    continue
+                for labels, targets in gathers[q]:
+                    if len(verts) == 1:
+                        v = verts[0]
+                        found = succ[labels[0]][v]
+                        for a in labels[1:]:
+                            found += succ[a][v]
+                    else:
+                        found = set()
+                        for a in labels:
+                            found.update(
+                                chain.from_iterable(map(succ[a].__getitem__, verts))
+                            )
+                    for p in targets:
+                        reached = frontier[p]
+                        for u in found:
+                            key = u * n_states + p
                             if dist[key] < 0:
                                 # First time state p is reached at vertex u.
                                 dist[key] = level
-                                next_pairs.append((u, p))
-        self.next_pairs = next_pairs
+                                reached.append(u)
+        self.frontier = frontier
         self.level = level
         self.entered = entered
-        if not next_pairs:
+        if not any(frontier):
             self.unreached = self.candidates = None
 
-    def _bottom_up(self, level: int, next_pairs: List[Tuple[int, int]]) -> None:
+    def _bottom_up(self, level: int, frontier: List[List[int]]) -> None:
         """Expand ``level`` bottom-up (module docstring): each candidate
         probes its in-edges until one comes from the level below and
-        then joins ``next_pairs``; one with none stays a candidate."""
+        then joins ``frontier``; one with none stays a candidate."""
         cq = self.cq
         graph = cq.graph
         n = graph.vertex_count
@@ -647,7 +661,7 @@ class AnnotateBFS:
                         break
                 if joined:
                     dist[key] = level
-                    next_pairs.append((u, p))
+                    frontier[p].append(u)
                 else:
                     rest.append(u)
             candidates[p] = rest

@@ -115,11 +115,17 @@ class CompiledQuery:
       class representative's in a merged compile, strictly increasing;
       ``0…n_states−1`` otherwise).  No traversal reads it.
 
-    Two derived tables are resolved once per compile:
+    Three derived tables are resolved once per compile:
 
     * ``moves`` — per state ``q``, its moves ``(a, Δ(q, a))`` in
-      ascending label order: what the BFS of ``Annotate``, the Dijkstra
-      variant and the folklore baseline expand a product node by;
+      ascending label order: what the Dijkstra variant and the folklore
+      baseline expand a product node by, and what the level rule of
+      ``Annotate`` weighs;
+    * ``gathers`` — per state ``q``, ``moves[q]`` grouped by equal
+      target tuple: ``(labels, Δ(q, a))`` pairs, labels ascending, the
+      groups in order of their first label — what a top-down level of
+      ``Annotate`` gathers one successor set for, so ``(a|b|c|d)+``
+      gathers four labels into one;
     * ``delta_inv`` — ``delta`` reversed: per state ``p``, label id →
       ``Δ⁻¹(a, p)``, the states ``q`` with ``p ∈ Δ(q, a)``, ascending —
       what a witness is read back by
@@ -145,6 +151,7 @@ class CompiledQuery:
         "live_states",
         "written",
         "moves",
+        "gathers",
         "delta_inv",
         "level_costs",
     )
@@ -179,6 +186,17 @@ class CompiledQuery:
         self.moves: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...] = tuple(
             tuple(sorted(d.items())) for d in delta
         )
+        gathers = []
+        for steps in self.moves:
+            groups: Dict[Tuple[int, ...], List[int]] = {}
+            for a, targets in steps:
+                groups.setdefault(targets, []).append(a)
+            gathers.append(
+                tuple((tuple(labels), ts) for ts, labels in groups.items())
+            )
+        self.gathers: Tuple[
+            Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...], ...
+        ] = tuple(gathers)
         into: List[Dict[int, List[int]]] = [{} for _ in range(n_states)]
         for q, d in enumerate(delta):
             for a, ts in d.items():

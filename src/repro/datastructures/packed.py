@@ -27,11 +27,14 @@ nodes not yet built and nothing is rebuilt.  Records:
   for the built nodes only: a dict, so nothing is allocated per
   unreached or unasked node.
 
-Publishing: a node's span is stored after its cells are written, and a
-build that finds a root missing holds the store's lock until every node
-its target needs is stored — single flight; a build whose roots are all
-stored takes no lock.  The arrays only grow, so enumerations keep
-reading a store that another target is extending, on any thread.  A
+Publishing: a build stages the spans of the nodes it pulls and stores
+them all in one ``dict.update`` once every cell of the closure is
+written, so a stored node's closure is stored: a reader that finds its
+roots stored never meets a node still being pulled.  A build that
+finds a root missing holds the store's lock until that update — single
+flight; a build whose roots are all stored takes no lock.  The arrays
+only grow, so enumerations keep reading a store that another target is
+extending, on any thread.  A
 node's pull reads ``dist`` only at levels below its own, which a
 deepening traversal never rewrites: cells built before a deepen stay
 valid after it.
@@ -116,12 +119,13 @@ class PackedCells:
     def _close(self, roots: List[int]) -> None:
         """Pull ``roots`` and every node their cells name, under the
         lock; a stored node's closure is already stored, so roots that
-        are all stored return without it (a span is published after
-        its cells)."""
+        are all stored return without it (the closure's spans are
+        published in one update, after all its cells)."""
         spans = self.spans
         if self.columns is None or all(k in spans for k in roots):
             return
         with self._lock:
+            staged: Dict[int, Tuple[int, int]] = {}
             stack = [k for k in roots if k not in spans]
             in_array, src_arr, live, costs = self.columns
             dist = self.dist
@@ -136,7 +140,7 @@ class PackedCells:
             cert_append = self.certs.append
             while stack:
                 k = stack.pop()
-                if k in spans:
+                if k in staged or k in spans:
                     continue
                 lo = len(cell_ti)
                 level = dist[k]
@@ -159,7 +163,7 @@ class PackedCells:
                                 pred = w_base + q
                                 if dist[pred] == need:
                                     pred_append(q)
-                                    if pred not in spans:
+                                    if pred not in staged:
                                         stack.append(pred)
                         if len(ent_pred) > mark:
                             mark = len(ent_pred)
@@ -167,7 +171,8 @@ class PackedCells:
                             edge_append(e)
                             span_append(mark)
                             cert_append(None)
-                spans[k] = (lo, len(cell_ti))
+                staged[k] = (lo, len(cell_ti))
+            spans.update(staged)
 
     def build_reached(self, bound: Optional[int] = None) -> None:
         """Pull every reached node (level 1…``bound``) — the ``B`` view's

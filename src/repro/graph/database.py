@@ -52,18 +52,27 @@ The index is two flat ``array('q')`` buffers per direction (an
 ``indptr`` of |Σ|·|V| + 1 bucket offsets and an edge-id payload of
 ``Σ_e |Lbl(e)|`` entries, bucket ``a·|V| + v``), built lazily in
 O(|D|) by counting sort on first use and cached for the lifetime of
-the (immutable) graph.  The product-BFS of ``Annotate`` consumes the
-raw buffers via :attr:`Graph.out_csr` / :attr:`Graph.in_csr`: instead
-of scanning all of ``Out(v)`` and every label of every edge, it only
-touches the labels on which the automaton state can fire — the
-per-pair cost drops from O(OutDeg(v) × |Lbl|) to
-O(Σ_{a ∈ labels(q)} |Out_a(v)|).
+the (immutable) graph.  The Dijkstra variant walks the out-CSR's edge
+ids, since it needs each edge's cost, and the bottom-up levels of
+``Annotate``, the cell pull and the witness walk the in-CSR: instead
+of scanning all of ``Out(v)`` and every label of every edge, they only
+touch the labels on which the automaton state can fire — the per-pair
+cost drops from O(OutDeg(v) × |Lbl|) to O(Σ_{a ∈ labels(q)}
+|Out_a(v)|).
+
+The top-down levels of ``Annotate`` need no edge id, only where an
+edge leads, so they read :attr:`Graph.succ`: ``succ[a][v]`` is the
+tuple of ``Tgt(e)`` for ``e ∈ Out_a(v)``, in edge-id order, built once
+from the out-CSR (:func:`build_successors`).  A whole frontier's
+successors on a label are then gathered into one set in C.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
+from itertools import accumulate, compress, repeat
+from operator import getitem, sub
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -85,6 +94,9 @@ CsrIndex = Tuple[array, array]
 
 #: Vertex-id-indexed edge-id tuples (``Out`` or ``In`` lists).
 Adjacency = Tuple[Tuple[int, ...], ...]
+
+#: Per label, per vertex, the targets of ``Out_a(v)`` (:func:`build_successors`).
+Successors = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 from repro.exceptions import (
     GraphError,
@@ -151,8 +163,7 @@ def build_csr(
     for v, ls in zip(endpoint, labels):
         for a in ls:
             counts[a * n + v + 1] += 1
-    for b in range(1, n_buckets + 1):
-        counts[b] += counts[b - 1]
+    counts = list(accumulate(counts))
     indptr = array("q", counts)
     payload = array("q", bytes(8 * counts[n_buckets]))
     cursor = counts[:-1]
@@ -164,18 +175,49 @@ def build_csr(
     return indptr, payload
 
 
+def build_successors(
+    csr: CsrIndex, tgt: Sequence[int], n_vertices: int
+) -> Successors:
+    """``succ[a][v]``: the targets of ``Out_a(v)``, bucket for bucket
+    of the out-CSR ``csr``, as tuples.
+
+    Every tuple holds one shared int object per vertex.  A label's
+    targets are gathered in one C-level pass over its part of the
+    payload and cut into its buckets by slicing, so the only temporary
+    is one label's share of the payload, never the whole of it; an
+    empty bucket is the empty tuple.  O(|Σ|·|V| + Σ_e |Lbl(e)|).
+    """
+    indptr, payload = csr
+    n = n_vertices
+    if not n:
+        return ()
+    vertex = list(range(n)).__getitem__
+    succ = []
+    for lo in range(0, len(indptr) - 1, n):
+        start = indptr[lo]
+        targets = tuple(
+            map(vertex, map(tgt.__getitem__, payload[start:indptr[lo + n]]))
+        )
+        bounds = [b - start for b in indptr[lo:lo + n + 1]]
+        succ.append(tuple(
+            map(getitem, repeat(targets), map(slice, bounds, bounds[1:]))
+        ))
+    return tuple(succ)
+
+
 def build_label_summaries(
     indptr: Sequence[int], n_vertices: int, n_labels: int
 ) -> Tuple[Tuple[int, ...], ...]:
-    """Per-vertex tuples of the labels whose CSR bucket is non-empty."""
+    """Per-vertex tuples of the labels whose CSR bucket is non-empty:
+    per label, the vertices with a non-empty bucket are picked in C."""
     n = n_vertices
     present: List[List[int]] = [[] for _ in range(n)]
     for a in range(n_labels):
         base = a * n
-        for v in range(n):
-            if indptr[base + v] < indptr[base + v + 1]:
-                present[v].append(a)
-    return tuple(tuple(ls) for ls in present)
+        sizes = map(sub, indptr[base + 1:base + n + 1], indptr[base:base + n])
+        for v in compress(range(n), sizes):
+            present[v].append(a)
+    return tuple(map(tuple, present))
 
 
 class FlatAccessors:
@@ -308,6 +350,7 @@ class Graph(FlatAccessors):
         "_in_csr",
         "_out_label_tuples",
         "_in_label_tuples",
+        "_succ",
         "_cost_cache",
         "_lazy_lock",
     )
@@ -360,6 +403,7 @@ class Graph(FlatAccessors):
         self._in_csr: Optional[CsrIndex] = None
         self._out_label_tuples: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._in_label_tuples: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._succ: Optional[Successors] = None
         self._cost_cache: Optional[array] = None
         # Build-once guard: the lazy indexes are shared read-only by
         # every query against this (immutable) graph, including the
@@ -505,15 +549,17 @@ class Graph(FlatAccessors):
     def warm_indexes(self) -> "Graph":
         """Force-build every lazy index now (thread-safe, idempotent).
 
-        The CSR views and label summaries are normally built on first
-        use; a serving layer calls this once at graph-registration time
-        so that no request pays the O(|D|) build inside its latency
-        budget.  Returns ``self`` for chaining.
+        The CSR views, label summaries and successor tuples are
+        normally built on first use; a serving layer calls this once at
+        graph-registration time so that no request pays the O(|D|)
+        build inside its latency budget.  Returns ``self`` for
+        chaining.
         """
         self.out_csr
         self.in_csr
         self.out_labels_array
         self.in_labels_array
+        self.succ
         return self
 
     @property
@@ -569,6 +615,19 @@ class Graph(FlatAccessors):
                         csr[0], self.vertex_count, self.label_count
                     )
         return self._in_label_tuples
+
+    @property
+    def succ(self) -> Successors:
+        """``succ[a][v]``: the targets of ``Out_a(v)``, edge-id order
+        (hot path; :func:`build_successors`)."""
+        if self._succ is None:
+            csr = self.out_csr  # Outside the lock: out_csr locks itself.
+            with self._lazy_lock:
+                if self._succ is None:
+                    self._succ = build_successors(
+                        csr, self._tgt, self.vertex_count
+                    )
+        return self._succ
 
     # -- raw arrays for hot loops ------------------------------------------------
 

@@ -29,7 +29,9 @@ count]`` for:
     the two label-indexed CSR adjacency views of
     :attr:`repro.graph.Graph.out_csr` / ``in_csr`` (bucket
     ``a·|V| + v``), stored pre-built so a reader never pays the O(|D|)
-    counting sort.
+    counting sort.  The successor tuples :attr:`repro.graph.Graph.succ`
+    are Python objects, not columns: a reader derives them from the
+    out-CSR on first use.
 
 Only CRC'd bytes carry meaning.  The epoch word, ``flags``,
 ``reserved`` and the alignment padding lie outside both CRCs, so the
@@ -289,7 +291,7 @@ def _decode(graph: Graph, buf, views: Dict[str, memoryview]):
     graph._out, graph._in = build_adjacency(src, tgt, len(names))
     graph._out_csr = (views["out_indptr"], views["out_payload"])
     graph._in_csr = (views["in_indptr"], views["in_payload"])
-    graph._out_label_tuples = graph._in_label_tuples = None
+    graph._out_label_tuples = graph._in_label_tuples = graph._succ = None
     graph._cost_cache = None
     graph._lazy_lock = threading.Lock()
     return epoch, meta

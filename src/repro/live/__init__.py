@@ -16,7 +16,8 @@ mutable overlay over an immutable CSR base: ``add_edge`` /
 :mod:`~repro.live.delta` ops applied in atomic batches.  Adjacency
 reads have one path: the flat-array views (``out_csr``, ``out_array``,
 ``tgt_idx_array`` …), counting-sorted over the live edge set lazily,
-once per mutation *epoch*, by the builders an immutable graph uses.  The
+once per mutation *epoch*, by the builders an immutable graph uses
+(the successor tuples ``succ`` on the epoch's first read of them).  The
 point accessors (``out_edges``, ``out_by_label`` …) and the walk
 render are :class:`~repro.graph.database.FlatAccessors`' over those
 views, shared with :class:`~repro.graph.database.Graph` and the

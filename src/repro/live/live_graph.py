@@ -65,8 +65,10 @@ from repro.graph.database import (
     CsrIndex,
     FlatAccessors,
     Graph,
+    Successors,
     build_csr,
     build_label_summaries,
+    build_successors,
 )
 from repro.live.delta import (
     AddEdge,
@@ -107,6 +109,7 @@ class _View:
         "out_label_tuples",
         "in_label_tuples",
         "vertex_names",
+        "succ",
     )
 
 
@@ -457,6 +460,7 @@ class LiveGraph(FlatAccessors):
         view.in_csr = build_csr(view.tgt_array, incidences, n, k)
         view.out_label_tuples = build_label_summaries(view.out_csr[0], n, k)
         view.in_label_tuples = build_label_summaries(view.in_csr[0], n, k)
+        view.succ = None  # Built on first read (see succ).
 
         # Defensive self-check of the overlay bookkeeping: every live
         # edge must sit at its recorded TgtIdx slot (cheap: O(overlay)).
@@ -484,6 +488,20 @@ class LiveGraph(FlatAccessors):
     def in_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
         """Vertex-id-indexed distinct in-label tuples (hot path)."""
         return self._materialized().in_label_tuples
+
+    @property
+    def succ(self) -> Successors:
+        """This epoch's ``succ[a][v]``, from its live out-CSR (hot path;
+        see :class:`Graph`): built on the epoch's first read, not by
+        :meth:`apply` or :meth:`warm_indexes`."""
+        view = self._materialized()
+        if view.succ is None:
+            with self._lock:
+                if view.succ is None:
+                    view.succ = build_successors(
+                        view.out_csr, view.tgt_array, len(view.vertex_names)
+                    )
+        return view.succ
 
     def _walk_columns(self) -> tuple:
         """This epoch's columns for :meth:`render_walk` (see

@@ -219,7 +219,9 @@ class SharedGraph(Graph):
     both label-indexed CSR views are zero-copy ``memoryview`` casts
     over shared pages.  Only the Python-level interning dicts, the
     per-edge label tuples and the ``Out``/``In`` adjacency tuples are
-    rebuilt locally at attach time (O(|D|), once per worker).
+    rebuilt locally at attach time (O(|D|), once per worker); the
+    successor tuples ``succ`` are not in the segment either, and are
+    derived from the shared out-CSR on this process's first read.
 
     Call :meth:`detach` when done; detaching never unlinks (that is
     the owner's job).
@@ -262,7 +264,8 @@ class SharedGraph(Graph):
         return self.current_epoch() != self._attached_epoch
 
     def detach(self) -> None:
-        """Release every view and the mapping (idempotent; no unlink)."""
+        """Release every view and the mapping (idempotent; no unlink);
+        the successor tuples derived here go too."""
         seg, self._shm_seg = self._shm_seg, None
         if seg is None:
             return
@@ -270,7 +273,7 @@ class SharedGraph(Graph):
         # SharedMemory.close() raises BufferError.
         self._src = self._tgt = self._tgt_idx = ()
         self._costs = None
-        self._out_csr = self._in_csr = None
+        self._out_csr = self._in_csr = self._succ = None
         views, self._shm_views = self._shm_views, {}
         for view in views.values():
             view.release()

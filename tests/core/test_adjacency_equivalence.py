@@ -126,9 +126,12 @@ def assert_same_up_to_lam(got, want):
 
 
 def _top_down_accesses(cq, dist) -> int:
-    """What a top-down-only saturated run reads and writes of ``dist``:
-    one read per product edge leaving a reached node, one write per
-    node reached after level 0."""
+    """What a saturated run that went top-down edge by edge would read
+    and write of ``dist``: one read per product edge leaving a reached
+    node, one write per node reached after level 0.  No production
+    level runs that way: a top-down level reads once per distinct
+    successor and target state, never more than this, so it is the
+    bound a bottom-up level has to beat."""
     graph = cq.graph
     n, n_states = graph.vertex_count, cq.n_states
     indptr = graph.out_csr[0]
@@ -168,8 +171,9 @@ class TestAnnotateEquivalence:
 
     def test_hub_levels_go_bottom_up(self):
         """The hub shape does take bottom-up levels: a saturated run
-        from each vertex touches ``dist`` fewer times than a
-        top-down-only traversal would, and equals the reference."""
+        from each vertex touches ``dist`` fewer times than an
+        edge-by-edge top-down traversal would, and equals the
+        reference."""
         graph = hub_graph([{"b"}, {"c"}, {"b", "c"}, {"b"}, {"c"}, {"b"}])
         for expression in HUB_QUERIES:
             cq = compile_query(graph, regex_to_nfa(expression))

@@ -173,6 +173,22 @@ THOMPSON_EPS_QUERIES = [
 ]
 
 
+def test_gathers_group_labels_with_one_target_tuple():
+    """``(a|b|c|d)+`` merges to one state whose four moves share one
+    target tuple: one gather of four labels.  ``a b* c`` keeps a move
+    per state: one group of one label each."""
+    g = random_multilabel(30, 90, alphabet=("a", "b", "c", "d"), seed=3)
+    a, b, c = map(g.label_id, "abc")
+    cq = compile_query(g, regex_to_nfa("(a|b|c|d)+"))
+    assert [len(steps) for steps in cq.moves] == [4, 4]
+    assert [groups[0][0] for groups in cq.gathers] == [(0, 1, 2, 3)] * 2
+    assert all(len(groups) == 1 for groups in cq.gathers)
+    cq = compile_query(g, regex_to_nfa("a b* c"))
+    assert [sorted(labels for labels, _ in groups) for groups in cq.gathers] == [
+        [(a,)], sorted([(b,), (c,)]), [],
+    ]
+
+
 class TestCoAccessibleTrim:
     @pytest.mark.parametrize("expression", THOMPSON_EPS_QUERIES)
     @pytest.mark.parametrize("eliminate", [True, False])
@@ -193,6 +209,15 @@ class TestCoAccessibleTrim:
         # The derived layouts describe the trimmed table.
         for q in range(cq.n_states):
             assert cq.moves[q] == tuple(sorted(cq.delta[q].items()))
+            # gathers[q] partitions moves[q]: each label once, grouped
+            # by equal target tuple, one group per distinct tuple.
+            groups = cq.gathers[q]
+            labels = [a for group, _ in groups for a in group]
+            assert sorted(labels) == [a for a, _ in cq.moves[q]]
+            assert len(set(labels)) == len(labels)
+            assert all(list(group) == sorted(group) for group, _ in groups)
+            assert all(cq.delta[q][a] == ts for group, ts in groups for a in group)
+            assert len({ts for _, ts in groups}) == len(groups)
         forward = sorted(
             (q, a, p)
             for q, row in enumerate(cq.delta)

@@ -19,11 +19,14 @@ from itertools import islice, zip_longest
 import pytest
 
 from repro.api import Database
-from repro.core.annotate import AnnotateBFS
+from repro.core.annotate import AnnotateBFS, annotate
+from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
 from repro.graph.builder import GraphBuilder
+from repro.graph.generators import random_multilabel
 from repro.service import QueryRequest, QueryService
+from repro.automata import regex_to_nfa
 from repro.workloads.fraud import example9_automaton, example9_graph
 from repro.workloads.worstcase import diamond_chain
 
@@ -295,3 +298,66 @@ def test_four_threads_deepen_one_cached_annotation(monkeypatch):
     spans = sorted(cells.spans.values())
     assert spans[0][0] == 0 and spans[-1][1] == len(cells)
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+class _ClosedIn:
+    """A cell store's captured ``In`` column that asserts, at each read,
+    that every node the store has published has its predecessors
+    published — what a reader's lock-free check (roots published ⇒
+    their closure published) relies on."""
+
+    def __init__(self, cells) -> None:
+        self.cells = cells
+        self.in_array, self.src = cells.columns[:2]
+        self.reads = 0
+        cells.columns = (self, *cells.columns[1:])
+
+    def __getitem__(self, u):
+        cells = self.cells
+        spans, indptr = cells.spans, cells.cell_pred_indptr
+        for k, (lo, hi) in list(spans.items()):
+            for c in range(lo, hi):
+                base = self.src[cells.cell_edge[c]] * cells.n_states
+                for q in cells.ent_pred[indptr[c]:indptr[c + 1]]:
+                    assert base + q in spans, (k, c, q)
+        self.reads += 1
+        return self.in_array[u]
+
+
+def test_a_pulled_closure_is_published_whole():
+    """While ``Trim`` pulls a target's closure, no node of it is visible
+    before the nodes its cells name: every read of ``In`` during the
+    pull finds each published node's predecessors published.  Three
+    targets pull into one store, the later ones over nodes the earlier
+    ones stored, and each enumerates its one-shot walks after."""
+    graph, nfa, source, _ = diamond_chain(6, parallel=2)
+    annotation = annotate(
+        compile_query(graph, nfa), graph.resolve_vertex(source), saturate=True
+    )
+    cells = annotation.packed
+    guard = _ClosedIn(cells)
+    for name in ("v3", "v6", "v4"):
+        t = graph.resolve_vertex(name)
+        lam, states = annotation.target_info(t)
+        cells.build(t, states)
+        got = [w.edges for w in enumerate_walks(graph, cells, lam, t, states)]
+        want = DistinctShortestWalks(graph, nfa, source, name)
+        assert (lam, got) == (want.lam, [w.edges for w in want.enumerate()])
+    assert guard.reads == 6  # v1 … v6, each pulled once; v0 is level 0.
+
+
+@pytest.mark.parametrize("expression", ["(a|b)* c (a|b|c)*", "a b* c"])
+def test_a_pulled_closure_is_published_whole_on_a_random_graph(expression):
+    """The same guard on a multi-state product whose cells name several
+    predecessor states, the closure pulled for every reached target."""
+    graph = random_multilabel(
+        60, 300, alphabet=("a", "b", "c"), max_labels_per_edge=2, seed=7
+    )
+    cq = compile_query(graph, regex_to_nfa(expression))
+    annotation = annotate(cq, graph.resolve_vertex("v1"), saturate=True)
+    guard = _ClosedIn(annotation.packed)
+    for t in graph.vertices():
+        lam, states = annotation.target_info(t)
+        if lam:
+            annotation.packed.build(t, states)
+    assert guard.reads > len(graph.vertices())

@@ -212,6 +212,21 @@ class TestSharedContract:
                 bucket = tuple(payload[indptr[b]:indptr[b + 1]])
                 assert bucket == graph.out_by_label(v, a)
 
+    def test_successors_match_out_buckets(self, graph) -> None:
+        """``succ[a][v]`` is where ``Out_a(v)`` leads, in edge-id order,
+        one int object per vertex across every tuple — over the
+        tombstones, compactions, new vertices and seeded histories of
+        every factory."""
+        succ = graph.succ
+        objects = {}
+        for a in range(graph.label_count):
+            for v in graph.vertices():
+                want = tuple(graph.tgt(e) for e in graph.out_by_label(v, a))
+                assert succ[a][v] == want
+                for u in succ[a][v]:
+                    assert objects.setdefault(u, u) is u
+        assert graph.succ is succ
+
     def test_in_by_label_matches_csr_buckets(self, graph) -> None:
         indptr, payload = graph.in_csr
         n = graph.vertex_count
@@ -408,6 +423,24 @@ def test_livegraph_equals_rebuilt_immutable(factory_name: str) -> None:
         ]
         rebuilt_seq = [rendered(rebuilt, e) for e in rebuilt.in_edges(rv)]
         assert live_seq == rebuilt_seq
+
+
+def test_live_successors_are_built_per_epoch_on_first_read() -> None:
+    """A ``LiveGraph`` builds an epoch's ``succ`` on its first read —
+    neither ``apply()`` nor ``warm_indexes()`` pays for it — and a batch
+    drops it with the rest of the epoch's views."""
+    live = LiveGraph(_seed_graph())
+    live.warm_indexes()
+    assert live._view.succ is None
+    before = live.succ
+    assert live._view.succ is before
+    live.add_edge("isolated", "A", ["h"])
+    assert live._view is None
+    live.warm_indexes()
+    assert live._view.succ is None
+    after = live.succ
+    h, iso = live.label_id("h"), live.vertex_id("isolated")
+    assert before[h][iso] == () and after[h][iso] == (live.vertex_id("A"),)
 
 
 def test_random_histories_hold_every_kind_of_step() -> None:

@@ -1,10 +1,15 @@
 """Unit tests for the label-indexed CSR adjacency layer."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 
 from repro.exceptions import UnknownLabelError, UnknownVertexError
 from repro.graph.builder import GraphBuilder
+from repro.graph.generators import random_multilabel
+from repro.live import LiveGraph
 
 from tests.conftest import small_graphs
 
@@ -151,6 +156,61 @@ class TestCsrConsistency:
         assert g.out_csr is g.out_csr
         assert g.in_csr is g.in_csr
         assert g.out_labels_array is g.out_labels_array
+        assert g.succ is g.succ
+
+
+class TestSuccessors:
+    """``succ[a][v]``, the targets of ``Out_a(v)`` that top-down
+    ``Annotate`` levels gather (contents: the accessor contract)."""
+
+    def test_successor_tuples_share_one_int_per_vertex(self):
+        """Beyond the interpreter's small-int cache, ``succ`` still
+        holds one int object per vertex, however many tuples name it;
+        an empty bucket is the one empty tuple."""
+        g = random_multilabel(
+            2000, 9000, alphabet=("a", "b", "c"), max_labels_per_edge=3, seed=2
+        )
+        named = [u for row in g.succ for bucket in row for u in bucket]
+        assert len(named) == g.total_label_occurrences
+        assert len({id(u) for u in named}) == len(set(named)) > 1000
+        empty = {id(bucket) for row in g.succ for bucket in row if not bucket}
+        assert empty == {id(())}
+
+    def test_warm_indexes_builds_the_successor_tuples(self):
+        g = build([("u", "v", ["a"])])
+        assert g._succ is None
+        g.warm_indexes()
+        assert g._succ is not None and g.succ[0] == ((1,), ())
+
+    def test_concurrent_first_reads_build_once(self):
+        """Six threads read a fresh graph's ``succ`` — and a fresh
+        ``LiveGraph`` epoch's — at once: every one gets the same
+        object, built under the graph's lock."""
+        g = random_multilabel(
+            500, 2000, alphabet=("a", "b"), max_labels_per_edge=2, seed=4
+        )
+        live = LiveGraph(g)
+        live.add_edge("v0", "v1", ["a"])
+        for graph in (g, live):
+            barrier = threading.Barrier(6, timeout=10)
+            seen = []
+
+            def read(graph=graph, barrier=barrier, seen=seen):
+                barrier.wait()
+                seen.append(graph.succ)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=read) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(seen) == 6 and all(got is graph.succ for got in seen)
 
 
 class TestCostArrayCache:

@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import ShmError
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
+from repro.live import LiveGraph
 from repro.serve.shm import (
     _HEADER,
     GraphSegment,
@@ -91,6 +92,49 @@ def test_epoch_bump_marks_attached_readers_stale(demo_graph: Graph) -> None:
             shared.detach()
         with pytest.raises(ShmError, match="detached"):
             shared.current_epoch()
+
+
+def _successors_of(graph: Graph):
+    """``succ`` read back off the point accessors."""
+    return [
+        [
+            tuple(graph.tgt(e) for e in graph.out_by_label(v, a))
+            for v in graph.vertices()
+        ]
+        for a in range(graph.label_count)
+    ]
+
+
+def test_reattached_reader_derives_the_new_epochs_successors(
+    demo_graph: Graph,
+) -> None:
+    """A reader's successor tuples are derived from the segment it maps:
+    after the owner republishes a mutated graph as the next epoch, the
+    stale reader re-attaches and its ``succ`` is the new segment's — a
+    new vertex and edge included — and ``detach`` drops the old ones."""
+    live = LiveGraph(demo_graph)
+    live.add_edge("C", "D", ["h"])
+    live.add_edge("A", "D", ["s", "h"])
+    mutated = live.to_graph()
+    with demo_graph.to_shared() as first:
+        shared = first.attach()
+        try:
+            assert list(map(list, shared.succ)) == _successors_of(demo_graph)
+            with GraphSegment.create(mutated, epoch=1) as second:
+                first.bump_epoch()
+                assert shared.is_stale()
+                shared.detach()
+                assert shared._succ is None
+                shared = second.attach()
+                assert shared.attached_epoch == 1
+                got = list(map(list, shared.succ))
+                assert got == _successors_of(mutated) == _successors_of(shared)
+                assert got[mutated.label_id("h")][mutated.vertex_id("C")] == (
+                    mutated.vertex_id("D"),
+                )
+                shared.detach()
+        finally:
+            shared.detach()
 
 
 def test_close_unlinks_and_is_idempotent(demo_graph: Graph) -> None:

@@ -191,14 +191,16 @@ def test_the_cells_are_walked_in_one_place():
 
 
 def test_one_product_bfs_in_core():
-    """Inside ``repro.core`` a graph's out-adjacency is read by the one
-    product BFS (``annotate.py``) and by the two traversals that levels
-    cannot replace: Dijkstra, which settles nodes in cost order, and the
-    restricted fallback DFS, which enumerates walks longer than λ.  The
-    any-walk witness and the duplicate-blowup counters read a BFS run."""
+    """Inside ``repro.core`` a graph's out-adjacency — the ``Out``
+    lists, the out-CSR or the successor tuples ``succ`` built from it —
+    is read by the one product BFS (``annotate.py``) and by the two
+    traversals that levels cannot replace: Dijkstra, which settles nodes
+    in cost order, and the restricted fallback DFS, which enumerates
+    walks longer than λ.  The any-walk witness and the duplicate-blowup
+    counters read a BFS run."""
     readers = {
         path
-        for attr in ("out_array", "out_csr")
+        for attr in ("out_array", "out_csr", "succ")
         for path in _attribute_readers(attr)
         if path.startswith("core/")
     }
