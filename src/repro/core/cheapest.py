@@ -17,9 +17,10 @@ infinite, and exact budget arithmetic requires integers (float
 rounding would corrupt the leaf test ``budget == 0``).
 
 Like the BFS :func:`repro.core.annotate.annotate`, the settle loop is
-label-indexed: a popped product node ``(v, q)`` relaxes only the labels
-in ``labels(Δ(q)) ∩ labels(Out(v))`` via the graph's CSR adjacency and
-the compiled query's per-state moves (the table the BFS reads), with
+label-indexed: a popped product node ``(v, q)`` walks the compiled
+query's per-state moves (the table the BFS reads) and, per label ``a``,
+the out-CSR bucket ``Out_a(v)``, skipping the empty ones — so it
+relaxes only the labels in ``labels(Δ(q)) ∩ labels(Out(v))``, with
 ``L`` carried as the flat per-(vertex, state) cost array of
 :mod:`repro.core.annotate`.  As in the BFS, ``B`` is not stored: a
 witness of a cost-minimal walk into ``(u, p)`` is an edge ``e`` from a
@@ -81,9 +82,7 @@ def cheapest_annotate(
     n_states = cq.n_states
     tgt_arr = graph.tgt_array
     indptr, csr_edges = graph.out_csr
-    out_labels = graph.out_labels_array
     moves = cq.moves
-    delta = cq.delta
     final = cq.final
 
     # L, flattened: dist[v * |Q| + p], -1 = unreached.
@@ -115,13 +114,7 @@ def cheapest_annotate(
                 # Keep draining entries of cost ≤ λ so that equal-cost
                 # witnesses into the target are all recorded.
                 continue
-        fire = moves[q]
-        mine = out_labels[v]
-        if len(fire) > len(mine):
-            # Intersect from the cheaper side.
-            row = delta[q]
-            fire = [(a, row[a]) for a in mine if a in row]
-        for a, targets in fire:
+        for a, targets in moves[q]:
             b = a * n + v
             start, end = indptr[b], indptr[b + 1]
             if start == end:

@@ -28,9 +28,9 @@ below) and the walk render live once, in :class:`FlatAccessors`, over
 the flat arrays every graph class exposes; :class:`Graph`, the
 shared-memory :class:`~repro.serve.shm.SharedGraph` and the mutable
 :class:`~repro.live.LiveGraph` all inherit them.  The builders of
-those arrays (:func:`build_adjacency`, :func:`build_csr`,
-:func:`build_label_summaries`) and the endpoint check
-(:func:`check_endpoints`) are shared the same way.
+those arrays (:func:`build_adjacency`, and :func:`build_csr` and
+:func:`build_successors` behind :class:`LabelIndex`) and the endpoint
+check (:func:`check_endpoints`) are shared the same way.
 
 A graph has one binary form, the segment of :mod:`repro.graph.segment`,
 which shared memory publishes and WAL snapshots write to disk; JSON
@@ -39,40 +39,44 @@ which shared memory publishes and WAL snapshots write to disk; JSON
 Label-indexed CSR adjacency
 ---------------------------
 
-On top of the paper's ``In``/``Out`` arrays the class maintains a
+On top of the paper's ``In``/``Out`` arrays a graph exposes a
 *label-indexed* compressed-sparse-row view of the incidence relation
 ``{(e, a) : a ∈ Lbl(e)}``, bucketed by ``(label, endpoint)``:
 
 * ``Out_a(v)`` — edges leaving ``v`` that carry label ``a`` —
-  :meth:`Graph.out_by_label`;
+  :meth:`FlatAccessors.out_by_label`;
 * ``In_a(v)`` — edges entering ``v`` that carry label ``a`` —
-  :meth:`Graph.in_by_label`.
+  :meth:`FlatAccessors.in_by_label`.
 
 The index is two flat ``array('q')`` buffers per direction (an
 ``indptr`` of |Σ|·|V| + 1 bucket offsets and an edge-id payload of
-``Σ_e |Lbl(e)|`` entries, bucket ``a·|V| + v``), built lazily in
-O(|D|) by counting sort on first use and cached for the lifetime of
-the (immutable) graph.  The Dijkstra variant walks the out-CSR's edge
-ids, since it needs each edge's cost, and the bottom-up levels of
-``Annotate``, the cell pull and the witness walk the in-CSR: instead
-of scanning all of ``Out(v)`` and every label of every edge, they only
-touch the labels on which the automaton state can fire — the per-pair
-cost drops from O(OutDeg(v) × |Lbl|) to O(Σ_{a ∈ labels(q)}
-|Out_a(v)|).
+``Σ_e |Lbl(e)|`` entries, bucket ``a·|V| + v``), built in O(|D|) by
+counting sort.  The Dijkstra variant walks the out-CSR's edge ids,
+since it needs each edge's cost, and the bottom-up levels of
+``Annotate`` probe the in-CSR: a candidate ``(u, p)`` only touches the
+labels on which some state can enter ``p`` — O(Σ_{a} |In_a(u)|)
+instead of O(InDeg(u) × |Lbl|).  The cell pull and the witness read
+no CSR: they walk all of ``In(v)``, whose positions are the
+``TgtIdx`` order the cells keep, and every live label of each edge.
 
 The top-down levels of ``Annotate`` need no edge id, only where an
-edge leads, so they read :attr:`Graph.succ`: ``succ[a][v]`` is the
-tuple of ``Tgt(e)`` for ``e ∈ Out_a(v)``, in edge-id order, built once
+edge leads, so they read :attr:`FlatAccessors.succ`: ``succ[a][v]`` is
+the tuple of ``Tgt(e)`` for ``e ∈ Out_a(v)``, in edge-id order, built
 from the out-CSR (:func:`build_successors`).  A whole frontier's
 successors on a label are then gathered into one set in C.
+
+The three views of one immutable edge set live in one
+:class:`LabelIndex`, each built on its first read, once: a
+:class:`Graph` holds one for its lifetime (a decoded segment seeds its
+two CSRs), and each :class:`~repro.live.LiveGraph` epoch its own.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from itertools import accumulate, compress, repeat
-from operator import getitem, sub
+from itertools import accumulate, repeat
+from operator import getitem
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -205,19 +209,77 @@ def build_successors(
     return tuple(succ)
 
 
-def build_label_summaries(
-    indptr: Sequence[int], n_vertices: int, n_labels: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """Per-vertex tuples of the labels whose CSR bucket is non-empty:
-    per label, the vertices with a non-empty bucket are picked in C."""
-    n = n_vertices
-    present: List[List[int]] = [[] for _ in range(n)]
-    for a in range(n_labels):
-        base = a * n
-        sizes = map(sub, indptr[base + 1:base + n + 1], indptr[base:base + n])
-        for v in compress(range(n), sizes):
-            present[v].append(a)
-    return tuple(map(tuple, present))
+class LabelIndex:
+    """The label-indexed views of one immutable edge set: the out-CSR,
+    the in-CSR and the successor tuples ``succ``.
+
+    Each view is built on its first read, once, under the index's lock,
+    from the columns the index was made with — ``Src``, ``Tgt``, the
+    per-edge label tuples (``()`` for an edge that carries none, such
+    as a tombstone) and the counts.  A decoded segment passes its
+    stored CSRs in, so only ``succ`` is ever built over it.  This is
+    the only caller of :func:`build_csr` and :func:`build_successors`.
+    """
+
+    __slots__ = (
+        "_src", "_tgt", "_labels", "_n", "_k", "_out_csr", "_in_csr",
+        "_succ", "_lock",
+    )
+
+    def __init__(
+        self,
+        src: Sequence[int],
+        tgt: Sequence[int],
+        labels: Sequence[Tuple[int, ...]],
+        n_vertices: int,
+        n_labels: int,
+        out_csr: Optional[CsrIndex] = None,
+        in_csr: Optional[CsrIndex] = None,
+    ) -> None:
+        self._src = src
+        self._tgt = tgt
+        self._labels = labels
+        self._n = n_vertices
+        self._k = n_labels
+        self._out_csr = out_csr
+        self._in_csr = in_csr
+        self._succ: Optional[Successors] = None
+        # Re-entrant: building ``succ`` reads ``out_csr`` under it.  The
+        # views are shared read-only by every query on the edge set,
+        # including the batch executor's threads, so the first reader
+        # builds each one and the others wait for it.
+        self._lock = threading.RLock()
+
+    def _built(self, slot: str, build):
+        view = getattr(self, slot)
+        if view is None:
+            with self._lock:
+                view = getattr(self, slot)
+                if view is None:
+                    view = build()
+                    setattr(self, slot, view)
+        return view
+
+    @property
+    def out_csr(self) -> CsrIndex:
+        """Bucket ``a·|V| + v`` holds ``Out_a(v)``, edge ids ascending."""
+        return self._built("_out_csr", lambda: build_csr(
+            self._src, self._labels, self._n, self._k
+        ))
+
+    @property
+    def in_csr(self) -> CsrIndex:
+        """Bucket ``a·|V| + v`` holds ``In_a(v)``, edge ids ascending."""
+        return self._built("_in_csr", lambda: build_csr(
+            self._tgt, self._labels, self._n, self._k
+        ))
+
+    @property
+    def succ(self) -> Successors:
+        """``succ[a][v]``: the targets of ``Out_a(v)``, edge-id order."""
+        return self._built("_succ", lambda: build_successors(
+            self.out_csr, self._tgt, self._n
+        ))
 
 
 class FlatAccessors:
@@ -225,13 +287,30 @@ class FlatAccessors:
     flat-array contract.
 
     A subclass supplies ``vertex_count``, ``label_count``, the flat
-    views (``out_array``, ``in_array``, ``out_csr``, ``in_csr``,
-    ``out_labels_array``, ``in_labels_array``, ``tgt_array``) and
-    ``_walk_columns()``, the columns a walk render reads in one call.
-    Every read below is a range check plus an index into those views.
+    views (``out_array``, ``in_array``, ``tgt_array``),
+    ``_label_index()``, the :class:`LabelIndex` of its current edge set,
+    and ``_walk_columns()``, the columns a walk render reads in one
+    call.  Every read below is a range check plus an index into those
+    views.
     """
 
     __slots__ = ()
+
+    @property
+    def out_csr(self) -> CsrIndex:
+        """The label-indexed out-CSR ``(indptr, edge ids)`` (hot path)."""
+        return self._label_index().out_csr
+
+    @property
+    def in_csr(self) -> CsrIndex:
+        """The label-indexed in-CSR ``(indptr, edge ids)`` (hot path)."""
+        return self._label_index().in_csr
+
+    @property
+    def succ(self) -> Successors:
+        """``succ[a][v]``: the targets of ``Out_a(v)``, edge-id order
+        (hot path; :func:`build_successors`)."""
+        return self._label_index().succ
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -294,13 +373,20 @@ class FlatAccessors:
 
     def out_labels(self, v: int) -> Tuple[int, ...]:
         """Distinct label ids appearing on ``Out(v)``, ascending."""
-        self._check_vertex(v)
-        return self.out_labels_array[v]
+        return self._labels_at(self.out_csr, v)
 
     def in_labels(self, v: int) -> Tuple[int, ...]:
         """Distinct label ids appearing on the live ``In(v)``, ascending."""
+        return self._labels_at(self.in_csr, v)
+
+    def _labels_at(self, csr: CsrIndex, v: int) -> Tuple[int, ...]:
+        """The labels whose bucket at ``v`` is non-empty: O(|Σ|)."""
         self._check_vertex(v)
-        return self.in_labels_array[v]
+        indptr = csr[0]
+        buckets = range(v, self.label_count * self.vertex_count, self.vertex_count)
+        return tuple(
+            a for a, b in enumerate(buckets) if indptr[b] != indptr[b + 1]
+        )
 
     def parallel_edges(self, u: int, v: int) -> List[int]:
         """All (live) edge ids from ``u`` to ``v`` (multi-edges are allowed)."""
@@ -346,11 +432,7 @@ class Graph(FlatAccessors):
         "_out",
         "_in",
         "_tgt_idx",
-        "_out_csr",
-        "_in_csr",
-        "_out_label_tuples",
-        "_in_label_tuples",
-        "_succ",
+        "_index",
         "_cost_cache",
         "_lazy_lock",
     )
@@ -397,18 +479,12 @@ class Graph(FlatAccessors):
                 tgt_idx[e] = i
         self._tgt_idx: array = array("q", tgt_idx)
 
-        # Label-indexed CSR views and per-vertex label summaries are
-        # built lazily (O(|D|) counting sort) on first use.
-        self._out_csr: Optional[CsrIndex] = None
-        self._in_csr: Optional[CsrIndex] = None
-        self._out_label_tuples: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._in_label_tuples: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._succ: Optional[Successors] = None
+        self._index = LabelIndex(
+            self._src, self._tgt, self._labels, n, len(self._label_names)
+        )
         self._cost_cache: Optional[array] = None
-        # Build-once guard: the lazy indexes are shared read-only by
-        # every query against this (immutable) graph, including the
-        # concurrent batch executor of :mod:`repro.service` — the first
-        # builder must win exactly once, not per racing thread.
+        # Build-once guard of the unit-cost column, which every query
+        # against this (immutable) graph may read first, concurrently.
         self._lazy_lock = threading.Lock()
 
     # -- global counts ----------------------------------------------------
@@ -547,87 +623,21 @@ class Graph(FlatAccessors):
     # -- label-indexed CSR adjacency -------------------------------------------
 
     def warm_indexes(self) -> "Graph":
-        """Force-build every lazy index now (thread-safe, idempotent).
+        """Build both CSRs and the successor tuples now (thread-safe,
+        idempotent).
 
-        The CSR views, label summaries and successor tuples are
-        normally built on first use; a serving layer calls this once at
-        graph-registration time so that no request pays the O(|D|)
-        build inside its latency budget.  Returns ``self`` for
-        chaining.
+        They are normally built on first read; a serving layer calls
+        this once at graph-registration time so that no request pays
+        the O(|D|) build inside its latency budget.  Returns ``self``
+        for chaining.
         """
         self.out_csr
         self.in_csr
-        self.out_labels_array
-        self.in_labels_array
         self.succ
         return self
 
-    @property
-    def out_csr(self) -> CsrIndex:
-        """Raw label-indexed out-CSR ``(indptr, edge ids)`` (hot path).
-
-        Bucket ``a * |V| + v`` holds ``Out_a(v)`` in edge-id order.
-        """
-        if self._out_csr is None:
-            with self._lazy_lock:
-                if self._out_csr is None:
-                    self._out_csr = build_csr(
-                        self._src, self._labels, self.vertex_count,
-                        self.label_count,
-                    )
-        return self._out_csr
-
-    @property
-    def in_csr(self) -> CsrIndex:
-        """Raw label-indexed in-CSR ``(indptr, edge ids)`` (hot path).
-
-        Bucket ``a * |V| + v`` holds ``In_a(v)`` in edge-id order.
-        """
-        if self._in_csr is None:
-            with self._lazy_lock:
-                if self._in_csr is None:
-                    self._in_csr = build_csr(
-                        self._tgt, self._labels, self.vertex_count,
-                        self.label_count,
-                    )
-        return self._in_csr
-
-    @property
-    def out_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vertex-id-indexed distinct out-label tuples (hot path)."""
-        if self._out_label_tuples is None:
-            csr = self.out_csr  # Outside the lock: out_csr locks itself.
-            with self._lazy_lock:
-                if self._out_label_tuples is None:
-                    self._out_label_tuples = build_label_summaries(
-                        csr[0], self.vertex_count, self.label_count
-                    )
-        return self._out_label_tuples
-
-    @property
-    def in_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vertex-id-indexed distinct in-label tuples (hot path)."""
-        if self._in_label_tuples is None:
-            csr = self.in_csr  # Outside the lock: in_csr locks itself.
-            with self._lazy_lock:
-                if self._in_label_tuples is None:
-                    self._in_label_tuples = build_label_summaries(
-                        csr[0], self.vertex_count, self.label_count
-                    )
-        return self._in_label_tuples
-
-    @property
-    def succ(self) -> Successors:
-        """``succ[a][v]``: the targets of ``Out_a(v)``, edge-id order
-        (hot path; :func:`build_successors`)."""
-        if self._succ is None:
-            csr = self.out_csr  # Outside the lock: out_csr locks itself.
-            with self._lazy_lock:
-                if self._succ is None:
-                    self._succ = build_successors(
-                        csr, self._tgt, self.vertex_count
-                    )
-        return self._succ
+    def _label_index(self) -> LabelIndex:
+        return self._index
 
     # -- raw arrays for hot loops ------------------------------------------------
 

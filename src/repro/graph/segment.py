@@ -29,9 +29,10 @@ count]`` for:
     the two label-indexed CSR adjacency views of
     :attr:`repro.graph.Graph.out_csr` / ``in_csr`` (bucket
     ``a·|V| + v``), stored pre-built so a reader never pays the O(|D|)
-    counting sort.  The successor tuples :attr:`repro.graph.Graph.succ`
-    are Python objects, not columns: a reader derives them from the
-    out-CSR on first use.
+    counting sort: they seed the decoded graph's
+    :class:`~repro.graph.database.LabelIndex`.  The successor tuples
+    :attr:`repro.graph.Graph.succ` are Python objects, not columns: a
+    reader's index derives them from the out-CSR on first use.
 
 Only CRC'd bytes carry meaning.  The epoch word, ``flags``,
 ``reserved`` and the alignment padding lie outside both CRCs, so the
@@ -58,7 +59,12 @@ from array import array
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.exceptions import GraphError, SegmentError
-from repro.graph.database import Graph, build_adjacency, check_endpoints
+from repro.graph.database import (
+    Graph,
+    LabelIndex,
+    build_adjacency,
+    check_endpoints,
+)
 
 MAGIC = b"RPQSHM01"
 LAYOUT_VERSION = 1
@@ -289,9 +295,11 @@ def _decode(graph: Graph, buf, views: Dict[str, memoryview]):
         tuple(payload[i:j]) for i, j in zip(ptr, ptr[1:])
     )
     graph._out, graph._in = build_adjacency(src, tgt, len(names))
-    graph._out_csr = (views["out_indptr"], views["out_payload"])
-    graph._in_csr = (views["in_indptr"], views["in_payload"])
-    graph._out_label_tuples = graph._in_label_tuples = graph._succ = None
+    graph._index = LabelIndex(
+        src, tgt, graph._labels, len(names), len(labels),
+        out_csr=(views["out_indptr"], views["out_payload"]),
+        in_csr=(views["in_indptr"], views["in_payload"]),
+    )
     graph._cost_cache = None
     graph._lazy_lock = threading.Lock()
     return epoch, meta

@@ -14,12 +14,12 @@ Architecture
 mutable overlay over an immutable CSR base: ``add_edge`` /
 ``remove_edge`` / ``add_vertex`` / ``set_edge_labels`` are logged
 :mod:`~repro.live.delta` ops applied in atomic batches.  Adjacency
-reads have one path: the flat-array views (``out_csr``, ``out_array``,
-``tgt_idx_array`` …), counting-sorted over the live edge set lazily,
-once per mutation *epoch*, by the builders an immutable graph uses
-(the successor tuples ``succ`` on the epoch's first read of them).  The
-point accessors (``out_edges``, ``out_by_label`` …) and the walk
-render are :class:`~repro.graph.database.FlatAccessors`' over those
+reads have one path: the flat-array views (``out_array``,
+``tgt_idx_array`` …), built over the live edge set lazily, once per
+mutation *epoch*, and the epoch's label index, which builds
+``out_csr``, ``in_csr`` and ``succ`` each on its first read in the
+epoch, as an immutable graph's does.  The point accessors
+(``out_edges``, ``out_by_label`` …) and the walk render are :class:`~repro.graph.database.FlatAccessors`' over those
 views, shared with :class:`~repro.graph.database.Graph` and the
 shared-memory graph, so ``annotate``, ``cheapest_annotate``, the
 enumerators and the counting DP run on a ``LiveGraph`` unmodified (a

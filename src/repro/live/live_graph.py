@@ -8,12 +8,14 @@ flat-array views the product-BFS hot loops consume), so ``annotate``,
 ``cheapest_annotate``, the enumerators and the counting DP all run on
 a ``LiveGraph`` unmodified.
 
-There is one read path: the **epoch-lazy flat views** (``out_csr``,
-``in_csr``, ``out_array``, ``src_array``, ``tgt_idx_array`` …),
-built over the live edge set on first use after a mutation batch with
-the same builders as :class:`Graph` and cached for the rest of the
-epoch.  One read after a batch pays the O(|D|) build; every other read
-in the epoch indexes plain arrays at immutable-graph speed.  The
+There is one read path: the **epoch-lazy flat views** (``out_array``,
+``src_array``, ``tgt_idx_array`` …), built over the live edge set on
+first use after a mutation batch and cached for the rest of the epoch,
+and the epoch's :class:`~repro.graph.database.LabelIndex` over them,
+which builds ``out_csr``, ``in_csr`` and ``succ`` each on its own first
+read, as a :class:`Graph`'s does.  One read after a batch pays the
+O(|V| + |E|) view build, a CSR read O(|D|) more; every other read in
+the epoch indexes plain arrays at immutable-graph speed.  The
 adjacency point reads (``out_edges``, ``in_edges``, ``out_by_label``
 …) and the walk render are :class:`~repro.graph.database.FlatAccessors`'
 over those views.  The per-edge reads (``src``, ``tgt``, ``labels``,
@@ -61,15 +63,7 @@ from repro.exceptions import (
     UnknownLabelError,
     UnknownVertexError,
 )
-from repro.graph.database import (
-    CsrIndex,
-    FlatAccessors,
-    Graph,
-    Successors,
-    build_csr,
-    build_label_summaries,
-    build_successors,
-)
+from repro.graph.database import FlatAccessors, Graph, LabelIndex
 from repro.live.delta import (
     AddEdge,
     AddVertex,
@@ -104,12 +98,8 @@ class _View:
         "out_array",
         "in_array",
         "tgt_idx_array",
-        "out_csr",
-        "in_csr",
-        "out_label_tuples",
-        "in_label_tuples",
+        "index",
         "vertex_names",
-        "succ",
     )
 
 
@@ -390,8 +380,10 @@ class LiveGraph(FlatAccessors):
     # -- epoch-lazy flat views (the hot-loop contract) -------------------------
 
     def warm_indexes(self) -> "LiveGraph":
-        """Force-build this epoch's flat views now (idempotent)."""
-        self._materialized()
+        """Build this epoch's flat views and both CSRs now (idempotent);
+        ``succ`` waits for its first read."""
+        self.out_csr
+        self.in_csr
         return self
 
     def _materialized(self) -> _View:
@@ -455,12 +447,9 @@ class LiveGraph(FlatAccessors):
             for e in removed:
                 incidences[e] = ()
         view.live_label_array = incidences
-        k = self.label_count
-        view.out_csr = build_csr(view.src_array, incidences, n, k)
-        view.in_csr = build_csr(view.tgt_array, incidences, n, k)
-        view.out_label_tuples = build_label_summaries(view.out_csr[0], n, k)
-        view.in_label_tuples = build_label_summaries(view.in_csr[0], n, k)
-        view.succ = None  # Built on first read (see succ).
+        view.index = LabelIndex(
+            view.src_array, view.tgt_array, incidences, n, self.label_count
+        )
 
         # Defensive self-check of the overlay bookkeeping: every live
         # edge must sit at its recorded TgtIdx slot (cheap: O(overlay)).
@@ -469,39 +458,10 @@ class LiveGraph(FlatAccessors):
             assert view.in_array[view.tgt_array[e]][ti] == e
         return view
 
-    @property
-    def out_csr(self) -> CsrIndex:
-        """This epoch's live out-CSR (hot path; see :class:`Graph`)."""
-        return self._materialized().out_csr
-
-    @property
-    def in_csr(self) -> CsrIndex:
-        """This epoch's live in-CSR (hot path)."""
-        return self._materialized().in_csr
-
-    @property
-    def out_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vertex-id-indexed distinct out-label tuples (hot path)."""
-        return self._materialized().out_label_tuples
-
-    @property
-    def in_labels_array(self) -> Tuple[Tuple[int, ...], ...]:
-        """Vertex-id-indexed distinct in-label tuples (hot path)."""
-        return self._materialized().in_label_tuples
-
-    @property
-    def succ(self) -> Successors:
-        """This epoch's ``succ[a][v]``, from its live out-CSR (hot path;
-        see :class:`Graph`): built on the epoch's first read, not by
-        :meth:`apply` or :meth:`warm_indexes`."""
-        view = self._materialized()
-        if view.succ is None:
-            with self._lock:
-                if view.succ is None:
-                    view.succ = build_successors(
-                        view.out_csr, view.tgt_array, len(view.vertex_names)
-                    )
-        return view.succ
+    def _label_index(self) -> LabelIndex:
+        """This epoch's index: its CSRs and ``succ`` are built on their
+        first read in the epoch, not by :meth:`apply`."""
+        return self._materialized().index
 
     def _walk_columns(self) -> tuple:
         """This epoch's columns for :meth:`render_walk` (see

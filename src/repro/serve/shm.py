@@ -224,7 +224,9 @@ class SharedGraph(Graph):
     derived from the shared out-CSR on this process's first read.
 
     Call :meth:`detach` when done; detaching never unlinks (that is
-    the owner's job).
+    the owner's job).  A detached graph answers no adjacency read: a
+    query, a point read or a CSR or ``succ`` read raises
+    :class:`~repro.exceptions.ShmError`.
     """
 
     __slots__ = ("_shm_seg", "_shm_name", "_attached_epoch", "_shm_views")
@@ -255,17 +257,29 @@ class SharedGraph(Graph):
         published a successor segment: re-attach and drop graph-derived
         caches.
         """
-        if self._shm_seg is None:
-            raise ShmError(f"segment {self._shm_name!r} is detached")
+        self._require_attached()
         return read_epoch(self._shm_seg.buf)
 
     def is_stale(self) -> bool:
         """True once the owner bumped the epoch past our attach point."""
         return self.current_epoch() != self._attached_epoch
 
+    def _require_attached(self) -> None:
+        if self._shm_seg is None:
+            raise ShmError(f"segment {self._shm_name!r} is detached")
+
+    def _check_vertex(self, v: int) -> None:
+        self._require_attached()
+        super()._check_vertex(v)
+
+    def _label_index(self):
+        self._require_attached()
+        return self._index
+
     def detach(self) -> None:
         """Release every view and the mapping (idempotent; no unlink);
-        the successor tuples derived here go too."""
+        the label index, with the successor tuples derived here, goes
+        too."""
         seg, self._shm_seg = self._shm_seg, None
         if seg is None:
             return
@@ -273,7 +287,7 @@ class SharedGraph(Graph):
         # SharedMemory.close() raises BufferError.
         self._src = self._tgt = self._tgt_idx = ()
         self._costs = None
-        self._out_csr = self._in_csr = self._succ = None
+        self._index = None
         views, self._shm_views = self._shm_views, {}
         for view in views.values():
             view.release()

@@ -44,10 +44,11 @@ not occupy capacity until LRU eviction.
 1. the caches are lock-protected with *single-flight* misses — racing
    threads build a given plan/annotation exactly once
    (:meth:`~repro.service.cache.LRUCache.get_or_create`);
-2. the graph's lazy CSR indexes have a build-once lock
-   (:meth:`~repro.graph.database.Graph.warm_indexes` double-checks
-   under ``Graph._lazy_lock``), so concurrent first use is safe —
-   and registration pre-warms them off the request path;
+2. the graph's lazy CSR views and successor tuples are built once,
+   under the lock of its :class:`~repro.graph.database.LabelIndex`,
+   so concurrent first use is safe — and registration pre-warms them
+   off the request path
+   (:meth:`~repro.graph.database.Graph.warm_indexes`);
 3. every enumeration — whatever mode the request names — reads the
    annotation's :class:`~repro.datastructures.packed.PackedCells`
    store, which a build for another target only appends to (single

@@ -30,10 +30,14 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import tempfile
+import threading
 
 import pytest
 
+import repro.graph.database as graph_database
+from repro.api import Database
 from repro.exceptions import UnknownVertexError
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
@@ -266,7 +270,6 @@ class TestSharedContract:
                 )
             )
             assert graph.out_labels(v) == expected
-            assert graph.out_labels_array[v] == expected
 
     def test_in_label_summaries(self, graph) -> None:
         for v in graph.vertices():
@@ -281,7 +284,6 @@ class TestSharedContract:
                 )
             )
             assert graph.in_labels(v) == expected
-            assert graph.in_labels_array[v] == expected
 
     def test_tgt_idx_positions(self, graph) -> None:
         """``In(Tgt(e))[TgtIdx(e)] == e`` for every live edge."""
@@ -431,16 +433,125 @@ def test_live_successors_are_built_per_epoch_on_first_read() -> None:
     drops it with the rest of the epoch's views."""
     live = LiveGraph(_seed_graph())
     live.warm_indexes()
-    assert live._view.succ is None
+    assert live._view.index._succ is None
     before = live.succ
-    assert live._view.succ is before
+    assert live._view.index._succ is before
     live.add_edge("isolated", "A", ["h"])
     assert live._view is None
     live.warm_indexes()
-    assert live._view.succ is None
+    assert live._view.index._succ is None
     after = live.succ
     h, iso = live.label_id("h"), live.vertex_id("isolated")
     assert before[h][iso] == () and after[h][iso] == (live.vertex_id("A"),)
+
+
+@pytest.fixture
+def csr_builds(monkeypatch):
+    """The ``(endpoint column, label tuples)`` of every CSR built while
+    the test runs."""
+    builds = []
+    build_csr = graph_database.build_csr
+
+    def counting(endpoint, labels, n_vertices, n_labels):
+        builds.append((endpoint, labels))
+        return build_csr(endpoint, labels, n_vertices, n_labels)
+
+    monkeypatch.setattr(graph_database, "build_csr", counting)
+    return builds
+
+
+def test_a_trim_pull_over_a_cached_annotation_builds_no_csr(
+    csr_builds,
+) -> None:
+    """A batch on a label the query does not read keeps its annotation
+    cached; asking that annotation for a target its levels already
+    settled is a Trim pull alone, which reads ``In``, sources and live
+    labels — the new epoch builds its views but no CSR, and no ``succ``."""
+    b = GraphBuilder()
+    b.add_edge("A", "B", ["h"])
+    b.add_edge("B", "C", ["h"])
+    b.add_edge("A", "C", ["s"])
+    b.add_edge("C", "D", ["h"])
+    for i in range(6):  # Headroom below the auto-compact threshold.
+        b.add_edge(f"p{i}", f"p{i + 1}", ["pad"])
+    live = LiveGraph(b.build())
+    db = Database(live)
+    assert [r.lam for r in db.query("h+").from_("A").to("D")] == [3]
+    result = db.mutate([
+        {"op": "add_edge", "src": "p0", "tgt": "p2", "labels": ["pad"]}
+    ])
+    assert result.evicted_annotations == 0 and not result.compacted
+    del csr_builds[:]
+    rows = list(db.query("h+").from_("A").to("C"))
+    assert [r.walk.edges for r in rows] == [(0, 1)]
+    assert db.stats()["annotation_cache"]["hits"] == 1
+    index = live._view.index
+    assert csr_builds == []
+    assert index._out_csr is index._in_csr is index._succ is None
+
+
+def test_an_epochs_in_csr_is_built_on_its_first_read(csr_builds) -> None:
+    """The first ``in_csr`` read of an epoch builds it, over the tgt
+    column and the live labels; every later read in the epoch returns
+    the same object without a build, and the next epoch builds anew."""
+    live = _mutated_live()
+    live.out_array  # The epoch's views, without any CSR.
+    assert csr_builds == []
+    first = live.in_csr
+    view = live._view
+    assert csr_builds == [(view.tgt_array, view.live_label_array)]
+    assert all(live.in_csr is first for _ in range(3))
+    assert live.in_by_label(0, 0) == live.in_by_label(0, 0)
+    assert len(csr_builds) == 1 and live._view.index._out_csr is None
+    live.add_edge("A", "B", ["h"])
+    assert live.in_csr is not first and len(csr_builds) == 2
+
+
+def test_live_warm_indexes_builds_both_csrs_but_not_succ(csr_builds) -> None:
+    live = _mutated_live()
+    live.warm_indexes()
+    index = live._view.index
+    view = live._view
+    assert csr_builds == [
+        (view.src_array, view.live_label_array),
+        (view.tgt_array, view.live_label_array),
+    ]
+    assert index._out_csr is live.out_csr and index._in_csr is live.in_csr
+    assert index._succ is None
+    live.warm_indexes()
+    assert len(csr_builds) == 2
+
+
+def test_concurrent_first_reads_of_an_epoch_build_each_csr_once(
+    csr_builds,
+) -> None:
+    """Six threads make the first ``out_csr`` and ``in_csr`` reads of a
+    fresh epoch at once: each CSR is built once, under the index's
+    lock, and every thread gets the same objects."""
+    live = _mutated_live()
+    live.out_array
+    barrier = threading.Barrier(6, timeout=10)
+    seen = []
+
+    def read() -> None:
+        barrier.wait()
+        seen.append((live.out_csr, live.in_csr))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(csr_builds) == 2
+    assert len(seen) == 6
+    assert all(got == (live.out_csr, live.in_csr) for got in seen)
+    assert all(o is seen[0][0] and i is seen[0][1] for o, i in seen)
 
 
 def test_random_histories_hold_every_kind_of_step() -> None:

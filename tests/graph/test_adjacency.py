@@ -155,7 +155,6 @@ class TestCsrConsistency:
         g = build([("u", "v", ["a"])])
         assert g.out_csr is g.out_csr
         assert g.in_csr is g.in_csr
-        assert g.out_labels_array is g.out_labels_array
         assert g.succ is g.succ
 
 
@@ -178,9 +177,9 @@ class TestSuccessors:
 
     def test_warm_indexes_builds_the_successor_tuples(self):
         g = build([("u", "v", ["a"])])
-        assert g._succ is None
+        assert g._index._succ is None
         g.warm_indexes()
-        assert g._succ is not None and g.succ[0] == ((1,), ())
+        assert g._index._succ is not None and g.succ[0] == ((1,), ())
 
     def test_concurrent_first_reads_build_once(self):
         """Six threads read a fresh graph's ``succ`` — and a fresh

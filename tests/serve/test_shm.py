@@ -7,6 +7,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
+from repro import DistinctShortestWalks
 from repro.exceptions import ShmError
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
@@ -124,7 +125,7 @@ def test_reattached_reader_derives_the_new_epochs_successors(
                 first.bump_epoch()
                 assert shared.is_stale()
                 shared.detach()
-                assert shared._succ is None
+                assert shared._index is None
                 shared = second.attach()
                 assert shared.attached_epoch == 1
                 got = list(map(list, shared.succ))
@@ -153,6 +154,34 @@ def test_detach_is_idempotent(demo_graph: Graph) -> None:
         shared = segment.attach()
         shared.detach()
         shared.detach()
+
+
+def test_a_detached_graph_answers_nothing() -> None:
+    """Detaching empties the edge columns, so a detached graph must not
+    answer from what is left: a query, a point read and every label
+    index read raise ``ShmError`` instead of an empty answer or an edge
+    the graph no longer counts.  ``repr`` still works."""
+    builder = GraphBuilder()
+    builder.add_edge("A", "B", ["a"])
+    builder.add_edge("B", "C", ["a"])
+    with builder.build().to_shared() as segment:
+        shared = segment.attach()
+        walks = DistinctShortestWalks(shared, "a*", "A", "C").enumerate()
+        assert [w.edges for w in walks] == [(0, 1)]
+        shared.detach()
+        with pytest.raises(ShmError, match="detached"):
+            DistinctShortestWalks(shared, "a*", "A", "C").lam
+        for read in (
+            lambda: shared.out_edges(0),
+            lambda: shared.in_by_label(2, 0),
+            lambda: shared.out_labels(0),
+            lambda: shared.in_csr,
+            lambda: shared.out_csr,
+            lambda: shared.succ,
+        ):
+            with pytest.raises(ShmError, match="detached"):
+                read()
+        assert "detached" in repr(shared)
 
 
 def test_create_reclaims_stale_block(demo_graph: Graph) -> None:

@@ -89,8 +89,6 @@ def assert_same_graph(a: Graph, b: Graph) -> None:
         indptr_b, payload_b = getattr(b, side)
         assert list(indptr_b) == list(indptr_a)
         assert list(payload_b) == list(payload_a)
-    assert b.out_labels_array == a.out_labels_array
-    assert b.in_labels_array == a.in_labels_array
 
 
 # ---------------------------------------------------------------------------

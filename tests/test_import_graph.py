@@ -313,6 +313,35 @@ def test_live_graph_has_one_read_path():
     )
 
 
+def test_one_label_index_builds_the_label_views():
+    """Every graph class gets its CSRs and successor tuples from one
+    lazily built ``LabelIndex``: nothing else calls their builders, and
+    the per-vertex label summaries are gone, not kept beside it."""
+    callers = set()
+    for path in SRC.rglob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("build_csr", "build_successors"):
+                    callers.add((str(path.relative_to(SRC)), top.name, name))
+    assert callers == {
+        ("graph/database.py", "LabelIndex", "build_csr"),
+        ("graph/database.py", "LabelIndex", "build_successors"),
+    }
+    for attr in ("out_labels_array", "in_labels_array"):
+        assert _attribute_readers(attr) == [], attr
+        assert not any(
+            attr in _names(str(path.relative_to(SRC)))
+            for path in SRC.rglob("*.py")
+        ), attr
+    assert "build_label_summaries" not in _names("graph/database.py")
+    views = {"out_csr", "in_csr", "succ"}
+    assert not _class_body_names("graph/database.py", "Graph") & views
+    assert not _class_body_names("live/live_graph.py", "LiveGraph") & views
+    assert not _class_body_names("serve/shm.py", "SharedGraph") & views
+
+
 def test_walk_to_dict_names_no_graph_class():
     """Every graph class renders a walk the same way, so
     ``Walk.to_dict`` has no per-class fork."""
