@@ -98,7 +98,7 @@ def _interleaved_ratio(
 
 
 def _service(graph, obs) -> QueryService:
-    service = QueryService(max_workers=1, obs=obs)
+    service = QueryService(obs=obs)
     service.register_graph("default", graph)
     return service
 

@@ -235,7 +235,6 @@ def _single_side(graph, n_clients: int, requests):
     service = QueryService(
         plan_cache_size=PLAN_BUDGET,
         annotation_cache_size=ANNOTATION_BUDGET,
-        max_workers=min(n_clients, WORKERS),
     )
     service.register_graph("default", graph, warm=False)
 

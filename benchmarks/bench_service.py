@@ -14,7 +14,7 @@ mimicking a production mix where a dashboard repeats a small set of
 parameterized queries against a slowly changing graph.
 
 Both sides run through the *same* ``QueryService.execute_batch`` code
-path and thread pool; the cold side merely has both caches disabled
+path, requests in order; the cold side merely has both caches disabled
 (capacity 0): the same engine, re-compiling and re-annotating per
 request (a pair's Annotate stopping at its target, since nothing is
 retained) — i.e. exactly what a non-caching server would do.
@@ -93,14 +93,12 @@ def test_service_throughput_cached_vs_cold(benchmark, print_table):
     requests = _workload(graph, repeats)
 
     def cold_service() -> QueryService:
-        service = QueryService(
-            plan_cache_size=0, annotation_cache_size=0, max_workers=4
-        )
+        service = QueryService(plan_cache_size=0, annotation_cache_size=0)
         service.register_graph("transport", graph, warm=False)
         return service
 
     def warm_service() -> QueryService:
-        service = QueryService(max_workers=4)
+        service = QueryService()
         service.register_graph("transport", graph, warm=False)
         return service
 
@@ -194,7 +192,7 @@ def test_pagination_is_cheaper_than_recomputation(benchmark, print_table):
     from repro.workloads.worstcase import diamond_chain
 
     graph, _, source, target = diamond_chain(12, parallel=2)
-    service = QueryService(max_workers=1)
+    service = QueryService()
     service.register_graph("diamond", graph)
     query = "a*"  # 2**12 = 4096 distinct shortest walks.
 

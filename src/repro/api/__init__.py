@@ -12,7 +12,7 @@ now all share::
     db = Database(graph)                      # plan + annotation caches
     rs = (db.query("h* s (h | s)*")
             .from_("Alix").to("Bob")          # endpoint shape
-            .mode("auto").limit(10)           # execution knobs
+            .limit(10)                        # page size
             .run())                           # → streaming ResultSet
     for row in rs:
         print(row.source, "→", row.target, row.walk.describe())
@@ -26,9 +26,9 @@ matrix):
   virtual super-source), ``all_pairs()``;
 * **semantics** — ``shortest`` (default) / ``cheapest`` /
   ``count()`` / ``with_multiplicity()``;
-* **execution** — engine ``mode()`` override, ``limit`` / ``offset``
-  / ``cursor`` pagination with one O(λ) seek per page, ``timeout_ms``
-  budgets, ``explain()`` and ``stats()``.
+* **execution** — ``limit`` / ``offset`` / ``cursor`` pagination with
+  one O(λ) seek per page, ``timeout_ms`` budgets, ``explain()`` and
+  ``stats()``.
 
 Because :class:`Database` wraps the graph registry and the
 plan/annotation caches that :mod:`repro.service` introduced,

@@ -59,7 +59,6 @@ from repro.api.result import ResultSet
 from repro.api.rows import Cursor, Row
 from repro.core.annotate import AnnotateBFS
 from repro.core.compile import compile_epsilon_free, compile_query
-from repro.core.engine import CONCRETE_MODES
 from repro.core.enumerate import skip_past_cursor
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import (
@@ -191,15 +190,9 @@ class Database:
         name: str = "default",
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "iterative",
         warm: bool = True,
         obs: Optional["Observability"] = None,
     ) -> None:
-        if default_mode not in CONCRETE_MODES:
-            raise QueryError(
-                f"default_mode must be a concrete engine mode, "
-                f"got {default_mode!r}"
-            )
         #: Observability bundle.  ``None`` (the default for direct
         #: façade use) means fully off: no registry writes, no trace
         #: activation — the uninstrumented baseline bench_obs measures.
@@ -228,7 +221,6 @@ class Database:
         self._annotation_cache: LRUCache[
             Tuple, MultiTargetShortestWalks
         ] = LRUCache(annotation_cache_size)
-        self.default_mode = default_mode
         self._build_lock = threading.Lock()
         self._plan_build_s = 0.0
         self._annotation_build_s = 0.0
@@ -443,7 +435,6 @@ class Database:
         group_window_ms: float = 50.0,
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "iterative",
         warm: bool = True,
     ) -> "Database":
         """A database whose ``name`` graph is durable in ``wal_dir``.
@@ -457,7 +448,6 @@ class Database:
         db = cls(
             plan_cache_size=plan_cache_size,
             annotation_cache_size=annotation_cache_size,
-            default_mode=default_mode,
         )
         db.register_durable(
             name,
@@ -477,7 +467,6 @@ class Database:
         name: str = "default",
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "iterative",
         warm: bool = True,
     ) -> "Database":
         """Recover ``wal_dir`` into a database **without** a writer.
@@ -494,7 +483,6 @@ class Database:
         db = cls(
             plan_cache_size=plan_cache_size,
             annotation_cache_size=annotation_cache_size,
-            default_mode=default_mode,
         )
         db.register(name, state.graph, warm=warm)
         db.last_recovery = state
@@ -632,9 +620,10 @@ class Database:
         from both epochs (the hot loops read several array properties,
         each materialized independently), and an annotation *build*
         racing the batch may land in the cache after the eviction
-        pass.  The sanctioned concurrent usage is the service's
-        barrier batches (reads before a mutation finish first) or any
-        other external read/write serialization; a compaction
+        pass.  The sanctioned usage is a batch run in order
+        (:meth:`repro.service.QueryService.execute_batch`), the barriers
+        of :mod:`repro.serve`, or any other external read/write
+        serialization; a compaction
         additionally invalidates outstanding pagination cursors, which
         clients must discard — the cursor shape checks catch most
         stale resumes as :class:`~repro.exceptions.QueryError`, but a
@@ -968,9 +957,6 @@ class Database:
 
     # -- execution -----------------------------------------------------------
 
-    def _resolve_mode(self, mode: str) -> str:
-        return self.default_mode if mode == "auto" else mode
-
     def _run(self, q: Query) -> ResultSet:
         # The deadline is anchored *before* preprocessing: a request
         # whose plan/annotation build consumes the budget times out on
@@ -1297,7 +1283,7 @@ class Database:
         cq = plan.compiled
         qp.compiled = (cq.automaton.n_states, *cq.live_states, cq.delta_size)
         if q._restriction == "any":
-            resolved = (
+            execution = (
                 "one Annotate BFS run to the asked target's level "
                 "(exhausted for every target), no Trim"
             )
@@ -1306,10 +1292,7 @@ class Database:
                 "(annotation cache bypassed)"
             )
         else:
-            resolved = (
-                f"{self._resolve_mode(q._mode)} "
-                "(one DFS per page, O(λ) seek from the cursor)"
-            )
+            execution = "one DFS per page (O(λ) seek from the cursor)"
             if q._semantics == "cheapest":
                 route = (
                     "cached multi-target Dijkstra annotation, saturated "
@@ -1333,7 +1316,7 @@ class Database:
                 else ""
             )
             + (" + multiplicity" if q._multiplicity else "")
-            + f", mode {q._mode!r} → {resolved}, via {route}"
+            + f", mode {q._mode!r}: {execution}, via {route}"
         )
         qp.reasons.append(
             f"façade: plan cache {'hit' if plan_hit else 'miss'}; "

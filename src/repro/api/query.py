@@ -20,9 +20,9 @@ a terminal call:
   either sub-axis by name.  Plus the :meth:`Query.with_multiplicity`
   modifier (annotate each row with its number of accepting runs) and
   the :meth:`Query.count` terminal;
-* **execution** — :meth:`Query.mode` (engine override), pagination
-  (:meth:`Query.limit` / :meth:`Query.offset` / :meth:`Query.cursor`),
-  :meth:`Query.timeout_ms`, :meth:`Query.construction`.
+* **execution** — pagination (:meth:`Query.limit` /
+  :meth:`Query.offset` / :meth:`Query.cursor`), :meth:`Query.timeout_ms`,
+  :meth:`Query.construction`.
 
 Builder methods return a *new* query (copy-on-write), so a base query
 can be forked freely::
@@ -31,16 +31,14 @@ can be forked freely::
     pair = base.to("Bob").limit(10)
     fan  = base.to_all()
 
-**Modes.**  ``shortest`` and ``cheapest`` both accept every mode
-(``auto``, ``iterative``, ``memoryless``); ``auto`` resolves to the
-database's ``default_mode``.  Every mode runs one DFS per page,
-concurrency-safe and positioned by one O(λ) seek from the cursor, so
-they return the same rows and cursors at the same cost (Theorem 18's
-seek before every row is the engine's
-``DistinctShortestWalks(mode="memoryless")``).  That holds whatever
-the cache sizes: a database with its annotation cache disabled runs
-the same engine and returns the same rows and cursors — it only
-retains nothing.
+**Modes.**  :meth:`Query.mode` accepts and validates the engine's mode
+names (``auto``, ``iterative``, ``memoryless``) but selects nothing:
+every query runs one DFS per page, concurrency-safe and positioned by
+one O(λ) seek from the cursor (Theorem 18's seek before every row is
+the engine's ``DistinctShortestWalks(mode="memoryless")``).  That holds
+whatever the cache sizes: a database with its annotation cache
+disabled runs the same engine and returns the same rows and cursors —
+it only retains nothing.
 """
 
 from __future__ import annotations
@@ -68,9 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.query.plan import QueryPlan
     from repro.query.rpq import RPQ
 
-_CONSTRUCTIONS = ("thompson", "glushkov")
+#: Regex → NFA constructions and walk restrictions — the one spelling
+#: the service requests and the CLI import.
+CONSTRUCTIONS = ("thompson", "glushkov")
+RESTRICTIONS = ("walks", "trails", "simple", "any")
 _SEMANTICS = ("shortest", "cheapest")
-_RESTRICTIONS = ("walks", "trails", "simple", "any")
 
 
 class Query:
@@ -119,10 +119,10 @@ class Query:
 
     def construction(self, method: str) -> "Query":
         """Regex→NFA construction (``thompson`` or ``glushkov``)."""
-        if method not in _CONSTRUCTIONS:
+        if method not in CONSTRUCTIONS:
             raise QueryError(
                 f"unknown construction {method!r}; "
-                f"expected one of {_CONSTRUCTIONS}"
+                f"expected one of {CONSTRUCTIONS}"
             )
         if self._rpq is not None and method != self._rpq.method:
             raise QueryError(
@@ -255,10 +255,10 @@ class Query:
         """
         if which in _SEMANTICS:
             return self.cheapest() if which == "cheapest" else self.shortest()
-        if which not in _RESTRICTIONS:
+        if which not in RESTRICTIONS:
             raise QueryError(
                 f"unknown semantics {which!r}; expected one of "
-                f"{_SEMANTICS + _RESTRICTIONS}"
+                f"{_SEMANTICS + RESTRICTIONS}"
             )
         q = self._clone()
         q._restriction = which
@@ -273,7 +273,8 @@ class Query:
     # -- execution axis ------------------------------------------------------
 
     def mode(self, mode: str) -> "Query":
-        """Engine override; see the module docstring for the matrix."""
+        """Name an engine mode: validated and shown by :meth:`explain`,
+        but it selects nothing — every mode pages through one DFS."""
         if mode not in MODES:
             raise QueryError(
                 f"unknown mode {mode!r}; expected one of {MODES}"
@@ -284,7 +285,9 @@ class Query:
 
     def limit(self, n: Optional[int]) -> "Query":
         """Page size; ``None`` = all answers."""
-        if n is not None and (not isinstance(n, int) or n < 1):
+        if n is not None and (
+            isinstance(n, bool) or not isinstance(n, int) or n < 1
+        ):
             raise QueryError("limit must be a positive integer or None")
         q = self._clone()
         q._limit = n
@@ -292,7 +295,7 @@ class Query:
 
     def offset(self, n: int) -> "Query":
         """Rows to skip before the page starts (O(offset) walk work)."""
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise QueryError("offset must be a non-negative integer")
         q = self._clone()
         q._offset = n
@@ -318,8 +321,12 @@ class Query:
     def timeout_ms(self, budget: Optional[float]) -> "Query":
         """Wall-clock budget; on expiry the page is partial and
         resumable via ``next_cursor``."""
-        if budget is not None and budget < 0:
-            raise QueryError("timeout_ms must be non-negative")
+        if budget is not None and (
+            isinstance(budget, bool)
+            or not isinstance(budget, (int, float))
+            or budget < 0
+        ):
+            raise QueryError("timeout_ms must be a non-negative number")
         q = self._clone()
         q._timeout_ms = budget
         return q

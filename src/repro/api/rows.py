@@ -73,7 +73,10 @@ class Cursor:
         )
 
     def validate_edges(self) -> "Cursor":
-        if not all(isinstance(e, int) and e >= 0 for e in self.edges):
+        if not all(
+            isinstance(e, int) and not isinstance(e, bool) and e >= 0
+            for e in self.edges
+        ):
             raise QueryError(
                 "cursor edges must be non-negative integer edge ids"
             )

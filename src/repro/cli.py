@@ -10,7 +10,7 @@ Usage (also available as ``python -m repro``)::
     python -m repro plan    GRAPH "(a | b)* c"
     python -m repro stats   GRAPH
     python -m repro stats   --port 7687
-    python -m repro batch   GRAPH requests.jsonl --workers 4 --stats
+    python -m repro batch   GRAPH requests.jsonl --stats
     python -m repro mutate  GRAPH ops.jsonl --save updated.json
     python -m repro mutate  GRAPH ops.jsonl --wal-dir wal/
     python -m repro recover wal/ --save recovered.json
@@ -26,10 +26,10 @@ line-based edge-list format::
 ``batch`` runs a JSONL file of requests (one JSON object per line, see
 :mod:`repro.service.requests`) through a cached
 :class:`~repro.service.QueryService` and prints one JSON response per
-line; per-request problems become ``"status": "error"`` response lines
-rather than aborting the batch.  A batch line with a ``"mutate"`` key
-is a write barrier applied to the (live) graph between the
-surrounding queries.
+line, running the requests in order; per-request problems become
+``"status": "error"`` response lines rather than aborting the batch.
+A batch line with a ``"mutate"`` key is a write barrier applied to the
+(live) graph between the surrounding queries.
 
 ``mutate`` applies a JSONL file of mutation ops (one op object per
 line, see :mod:`repro.live.delta`) to the graph as a single batch
@@ -66,8 +66,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import Database
+from repro.api.query import CONSTRUCTIONS, RESTRICTIONS
 from repro.core.compile import compile_epsilon_free
-from repro.core.engine import CONCRETE_MODES, MODES
+from repro.core.engine import MODES
 from repro.exceptions import ReproError
 from repro.graph.database import Graph
 from repro.graph.io import load_edge_list, load_json
@@ -255,8 +256,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     service = QueryService(
         plan_cache_size=args.plan_cache,
         annotation_cache_size=args.annotation_cache,
-        default_mode=args.mode,
-        max_workers=args.workers,
         wal_dir=args.wal_dir,
     )
     try:
@@ -445,7 +444,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 routing=args.routing,
                 plan_cache_size=args.plan_cache,
                 annotation_cache_size=args.annotation_cache,
-                default_mode=args.mode,
                 slow_ms=args.slow_ms,
             )
         )
@@ -534,17 +532,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=MODES,
         default="auto",
-        help="enumeration engine (default: auto)",
+        help="accepted and validated, but selects nothing: every mode "
+        "pages through one DFS",
     )
     query.add_argument(
         "--construction",
-        choices=["thompson", "glushkov"],
+        choices=CONSTRUCTIONS,
         default="thompson",
         help="regex→NFA construction (default: thompson)",
     )
     query.add_argument(
         "--semantics",
-        choices=["walks", "trails", "simple", "any"],
+        choices=RESTRICTIONS,
         default="walks",
         help="walk semantics: distinct shortest walks (default), "
         "trails (no repeated edge), simple paths (no repeated "
@@ -600,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("target")
     count.add_argument(
         "--construction",
-        choices=["thompson", "glushkov"],
+        choices=CONSTRUCTIONS,
         default="thompson",
     )
     count.set_defaults(func=_cmd_count)
@@ -612,18 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("graph", help="graph file (.json or edge list)")
     batch.add_argument(
         "requests", help="JSONL file, one request object per line"
-    )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="thread-pool size for the batch executor (default: 4)",
-    )
-    batch.add_argument(
-        "--mode",
-        choices=CONCRETE_MODES,
-        default="iterative",
-        help="service default mode for requests that do not set one",
     )
     batch.add_argument(
         "--plan-cache",
@@ -773,9 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--mode",
-        choices=CONCRETE_MODES,
-        default="iterative",
-        help="worker default mode for requests that do not set one",
+        choices=MODES,
+        default="auto",
+        help="accepted and validated, but selects nothing: every mode "
+        "pages through one DFS",
     )
     serve_p.add_argument(
         "--plan-cache",
@@ -817,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("expression")
     plan.add_argument(
         "--construction",
-        choices=["thompson", "glushkov"],
+        choices=CONSTRUCTIONS,
         default="thompson",
     )
     plan.set_defaults(func=_cmd_plan)

@@ -23,7 +23,7 @@ The engine modes:
   façade tiers accept the name but page through
   :meth:`~repro.core.multi_target.MultiTargetShortestWalks.walks_to`,
   one seek per page, with the same rows, order and cursors;
-* ``mode="auto"`` — the tier's default mode: ``iterative`` here.  (The
+* ``mode="auto"`` — ``iterative``.  (The
   paper's "simpler setting" — single-labeled D, deterministic A — is
   *detected* by :func:`repro.query.plan.analyze`; the folklore
   product-BFS enumerator for it is a baseline the general engine
@@ -60,10 +60,10 @@ from repro.exceptions import QueryError
 from repro.graph.database import Graph
 from repro.obs.trace import add_span
 
-#: The engine modes a database or server may default to…
-CONCRETE_MODES = ("iterative", "memoryless")
-#: …and every mode a query may name — the one spelling all tiers import.
-MODES = CONCRETE_MODES + ("auto",)
+#: Every mode a query may name — the one spelling all tiers import.
+#: Above the engine the name selects nothing: every tier pages through
+#: one DFS whatever the request says.
+MODES = ("iterative", "memoryless", "auto")
 
 
 class PreparedWalks:

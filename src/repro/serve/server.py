@@ -273,7 +273,6 @@ class ServeServer:
         routing: str = "round_robin",
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "iterative",
         graph_name: str = "default",
         segment_base: Optional[str] = None,
         timeout_grace_s: float = 10.0,
@@ -310,7 +309,6 @@ class ServeServer:
         self.routing = routing
         self.plan_cache_size = plan_cache_size
         self.annotation_cache_size = annotation_cache_size
-        self.default_mode = default_mode
         self.graph_name = graph_name
         self.timeout_grace_s = timeout_grace_s
         self._segment_base = segment_base or shm.default_segment_name()
@@ -379,7 +377,6 @@ class ServeServer:
                 "graph_name": self.graph_name,
                 "plan_cache_size": self.plan_cache_size,
                 "annotation_cache_size": self.annotation_cache_size,
-                "default_mode": self.default_mode,
                 "slow_ms": self.slow_ms,
             },
             daemon=True,

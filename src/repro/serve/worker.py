@@ -124,7 +124,6 @@ def worker_main(
     graph_name: str = "default",
     plan_cache_size: int = 256,
     annotation_cache_size: int = 128,
-    default_mode: str = "iterative",
     slow_ms: float = 0.0,
 ) -> None:
     """Entry point of one serving worker (runs in the forked child).
@@ -151,8 +150,6 @@ def worker_main(
         service = QueryService(
             plan_cache_size=plan_cache_size,
             annotation_cache_size=annotation_cache_size,
-            default_mode=default_mode,
-            max_workers=1,
             slow_ms=slow_ms,
         )
         service.register_graph(graph_name, graph, warm=True)

@@ -4,7 +4,7 @@ The paper's pipeline (compile → ``Annotate`` → ``Trim`` → ``Enumerate``,
 Figure 2) front-loads all the expensive work into per-(query, source)
 structures that are *read-only at enumeration time* — exactly the shape
 a serving layer wants.  :class:`QueryService` exploits that with two
-caches and a thread-pool batch executor.
+caches and an in-order batch executor.
 
 Architecture
 ------------
@@ -39,7 +39,8 @@ so stale entries can never be hit; they are additionally purged
 eagerly (:meth:`~repro.service.cache.LRUCache.drop_where`) so they do
 not occupy capacity until LRU eviction.
 
-**Thread-safety.**  Safe concurrent execution rests on three guards:
+**Thread-safety.**  A batch runs in order, but callers' own threads
+may share one service.  That rests on three guards:
 
 1. the caches are lock-protected with *single-flight* misses — racing
    threads build a given plan/annotation exactly once
@@ -75,7 +76,7 @@ landed, the registry, both caches and the execution path described
 above are implemented in :class:`repro.api.Database` and shared with
 every other entry point (the ``rpq()`` helpers, the CLI);
 :class:`QueryService` is the JSONL protocol adapter on top — request
-parsing/validation, response rendering, the thread-pool batch
+parsing/validation, response rendering, the in-order batch
 executor, the slow-query log and the service metrics (kept in a
 :class:`repro.obs.Observability` bundle — see :mod:`repro.obs`).
 """

@@ -2,7 +2,7 @@
 
 A :class:`QueryRequest` is one RPQ evaluation: *enumerate the distinct
 shortest walks matching ``query`` from ``source`` to ``target``*, plus
-serving knobs (pagination, engine mode, time budget).  A
+serving knobs (pagination, time budget).  A
 :class:`MutationRequest` is one write batch against a live graph
 (:mod:`repro.live`): a list of mutation ops applied atomically with
 fine-grained cache invalidation.  Requests round-trip through JSON
@@ -14,9 +14,10 @@ per line; a line is a mutation iff it carries a ``"mutate"`` key::
                  "labels": ["h"]}]}
     {"query": "h+", "source": "Alix", "target": "Eve", "limit": 10}
 
-Within a batch, a mutation acts as a **barrier**: the service executes
-every query before it (concurrently), then the mutation, then the
-rest — so the third line above sees the edge the second line added.
+Within a batch, the service executes the requests in order, so a
+mutation acts as a **barrier**: every query before it runs first, then
+the mutation, then the rest — the third line above sees the edge the
+second line added.
 
 A :class:`QueryResponse` carries the outcome:
 
@@ -50,15 +51,18 @@ from typing import (
     Union,
 )
 
+from repro.api.query import CONSTRUCTIONS, RESTRICTIONS
 from repro.core.engine import MODES
 from repro.exceptions import ReproError
-
-_CONSTRUCTIONS = ("thompson", "glushkov")
-_SEMANTICS = ("walks", "trails", "simple", "any")
 
 
 class RequestError(ReproError):
     """A request is malformed (unknown field, bad type, bad value)."""
+
+
+def _is_int(value: Any) -> bool:
+    """An integer that is not a JSON boolean (``True`` is an ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -70,7 +74,8 @@ class QueryRequest:
     target: Hashable
     #: Registered graph name; ``None`` selects the service's sole graph.
     graph: Optional[str] = None
-    #: Engine mode override; ``"auto"`` lets the service pick.
+    #: Engine mode name: validated, but it selects nothing — every
+    #: request pages through one DFS (see :mod:`repro.api.query`).
     mode: str = "auto"
     #: Regex → NFA construction for the plan.
     construction: str = "thompson"
@@ -99,36 +104,45 @@ class QueryRequest:
             raise RequestError("'query' must be a non-empty string")
         if self.source is None or self.target is None:
             raise RequestError("'source' and 'target' are required")
+        for name in ("source", "target", "graph"):
+            value = getattr(self, name)
+            try:
+                hash(value)
+            except TypeError:
+                raise RequestError(
+                    f"'{name}' must be hashable, got {type(value).__name__}"
+                ) from None
         if self.mode not in MODES:
             raise RequestError(
                 f"unknown mode {self.mode!r}; expected one of {MODES}"
             )
-        if self.construction not in _CONSTRUCTIONS:
+        if self.construction not in CONSTRUCTIONS:
             raise RequestError(
                 f"unknown construction {self.construction!r}; "
-                f"expected one of {_CONSTRUCTIONS}"
+                f"expected one of {CONSTRUCTIONS}"
             )
-        if self.semantics not in _SEMANTICS:
+        if self.semantics not in RESTRICTIONS:
             raise RequestError(
                 f"unknown semantics {self.semantics!r}; "
-                f"expected one of {_SEMANTICS}"
+                f"expected one of {RESTRICTIONS}"
             )
         if self.limit is not None and (
-            not isinstance(self.limit, int) or self.limit < 1
+            not _is_int(self.limit) or self.limit < 1
         ):
             raise RequestError("'limit' must be a positive integer")
-        if not isinstance(self.offset, int) or self.offset < 0:
+        if not _is_int(self.offset) or self.offset < 0:
             raise RequestError("'offset' must be a non-negative integer")
         if self.cursor is not None:
             if not isinstance(self.cursor, (list, tuple)) or not all(
-                isinstance(e, int) and e >= 0 for e in self.cursor
+                _is_int(e) and e >= 0 for e in self.cursor
             ):
                 raise RequestError(
                     "'cursor' must be a list of non-negative edge ids"
                 )
             self.cursor = tuple(self.cursor)
         if self.timeout_ms is not None and (
-            not isinstance(self.timeout_ms, (int, float))
+            isinstance(self.timeout_ms, bool)
+            or not isinstance(self.timeout_ms, (int, float))
             or self.timeout_ms < 0
         ):
             raise RequestError("'timeout_ms' must be a non-negative number")

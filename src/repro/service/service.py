@@ -1,4 +1,4 @@
-"""The batched :class:`QueryService` — cached, concurrent RPQ serving.
+"""The batched :class:`QueryService` — cached RPQ serving.
 
 See :mod:`repro.service` for the architecture overview (cache keys,
 invalidation, thread-safety).  Since the ``repro.api`` façade landed,
@@ -27,10 +27,8 @@ baseline the service benchmark compares against.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.engine import CONCRETE_MODES
 from repro.exceptions import InvalidDeltaError, ReproError
 from repro.graph.database import Graph
 from repro.obs import Observability
@@ -65,14 +63,17 @@ class QueryService:
     ... )
     >>> len(next_page.walks)
     2
+
+    ``max_workers`` is accepted and ignored: a batch runs its requests
+    in order (the process pool of :mod:`repro.serve` is where requests
+    run in parallel).
     """
 
     def __init__(
         self,
         plan_cache_size: int = 256,
         annotation_cache_size: int = 128,
-        default_mode: str = "iterative",
-        max_workers: int = 4,
+        max_workers: Optional[int] = None,
         wal_dir: Optional[str] = None,
         wal_sync: str = "group",
         wal_group_window_ms: float = 50.0,
@@ -80,11 +81,6 @@ class QueryService:
         slow_ms: float = 0.0,
         slowlog_capacity: int = 64,
     ) -> None:
-        if default_mode not in CONCRETE_MODES:
-            raise ServiceError(
-                f"default_mode must be a concrete engine mode, "
-                f"got {default_mode!r}"
-            )
         #: Observability bundle (metrics registry + slow-query log).
         #: The service defaults to an *enabled* bundle — counters have
         #: always been on here; pass ``Observability.disabled()`` to
@@ -100,11 +96,8 @@ class QueryService:
         self._db = Database(
             plan_cache_size=plan_cache_size,
             annotation_cache_size=annotation_cache_size,
-            default_mode=default_mode,
             obs=self.obs,
         )
-        self.default_mode = default_mode
-        self.max_workers = max_workers
         #: Durability root: with a ``wal_dir``, every registered graph
         #: becomes WAL-backed under ``<wal_dir>/<name>/`` (existing
         #: durable state wins over the graph the caller passes — the
@@ -349,52 +342,15 @@ class QueryService:
 
         return render
 
-    def execute_batch(
-        self,
-        requests: Sequence,
-        max_workers: Optional[int] = None,
-    ) -> List:
-        """Execute a batch on the thread pool, preserving request order.
+    def execute_batch(self, requests: Sequence) -> List:
+        """Execute a batch in order, one response per request.
 
-        Cached preprocessing products are shared across the pool:
-        plans and annotations are built — and deepened — single-flight, and
-        the enumerations run concurrently over the read-only trim
-        cells, each with its own cursors.
-
-        Mutation requests are **barriers**: the queries before one run
-        (and finish) first, then the mutation applies alone, then the
-        remainder of the batch proceeds — read-your-writes order for
-        mixed batches without giving up read concurrency.
+        Cached preprocessing products carry over from one request to
+        the next, and a mutation request is a **barrier** by
+        construction: the queries before it run first, the queries
+        after it read its writes.
         """
-        workers = self.max_workers if max_workers is None else max_workers
-        requests = list(requests)
-        if workers <= 1 or len(requests) <= 1:
-            return [self.execute(r) for r in requests]
-
-        responses: List = []
-        segment: List[QueryRequest] = []
-        # One pool for the whole batch: pool.map is fully consumed by
-        # extend() before the next segment starts, so the barrier
-        # semantics hold without per-segment pool churn.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-
-            def flush() -> None:
-                if not segment:
-                    return
-                if len(segment) == 1:
-                    responses.append(self.execute(segment[0]))
-                else:
-                    responses.extend(pool.map(self.execute, segment))
-                segment.clear()
-
-            for request in requests:
-                if isinstance(request, MutationRequest):
-                    flush()
-                    responses.append(self.execute(request))
-                else:
-                    segment.append(request)
-            flush()
-        return responses
+        return [self.execute(r) for r in requests]
 
     # -- internals -----------------------------------------------------------
 

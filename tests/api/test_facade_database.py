@@ -173,10 +173,6 @@ class TestCaching:
 
 
 class TestValidation:
-    def test_bad_default_mode(self):
-        with pytest.raises(QueryError, match="concrete engine mode"):
-            Database(example9_graph(), default_mode="auto")
-
     def test_query_must_be_expression_or_rpq(self, db):
         with pytest.raises(QueryError):
             db.query("")

@@ -70,6 +70,16 @@ class TestBuilderSemantics:
             q.cursor("nope")
         with pytest.raises(QueryError):
             q.semantics("fastest")
+        # True is a Python int, but no page size, count, budget or edge.
+        for knob, value in (
+            (q.limit, True),
+            (q.offset, True),
+            (q.timeout_ms, True),
+            (q.timeout_ms, "5"),
+            (q.cursor, [True, False]),
+        ):
+            with pytest.raises(QueryError):
+                knob(value)
 
     def test_repr_mentions_shape(self, db):
         assert "pair" in repr(db.query(QUERY).from_("Alix").to("Bob"))
@@ -110,8 +120,6 @@ class TestModesAndSemantics:
         for query in (pair, pair.cheapest()):
             with pytest.raises(QueryError, match="unknown mode 'recursive'"):
                 query.mode("recursive")
-        with pytest.raises(QueryError, match="concrete engine mode"):
-            Database(example9_graph(), default_mode="recursive")
 
     def test_multiplicity_rows(self, db):
         rows = (
@@ -218,12 +226,12 @@ class TestExplainAndStats:
         plan = db.query(QUERY).from_("Alix").to("Bob").explain()
         text = plan.explain()
         assert "façade" in text and "'pair'" in text
-        # No mode given: the resumable generator, and explain says so.
-        assert "'auto' → iterative (one DFS per page, O(λ) seek" in text
-        forced = db.query(QUERY).from_("Alix").to("Bob").mode("memoryless")
+        # Explain names the asked mode, and every mode pages the same.
+        assert "mode 'auto': one DFS per page (O(λ) seek" in text
+        named = db.query(QUERY).from_("Alix").to("Bob").mode("memoryless")
         assert (
-            "→ memoryless (one DFS per page, O(λ) seek from the cursor)"
-            in forced.explain().explain()
+            "mode 'memoryless': one DFS per page (O(λ) seek from the cursor)"
+            in named.explain().explain()
         )
 
     def test_explain_says_what_was_compiled(self):

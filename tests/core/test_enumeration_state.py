@@ -153,12 +153,12 @@ class TestInterleavingGuard:
 
 
 def test_four_threads_share_one_cached_annotation():
-    """``QueryService(max_workers=4)`` in ``mode="iterative"``: four
-    threads page the same (query, source) — one cached annotation, one
+    """One ``QueryService`` in ``mode="iterative"``: four threads page
+    the same (query, source) — one cached annotation, one
     ``PackedCells`` — at once, and every one of them reads the full
     sequence in order."""
     graph, _, s, t = diamond_chain(9, parallel=2)
-    service = QueryService(max_workers=4)
+    service = QueryService()
     service.register_graph("default", graph)
     request = QueryRequest("a*", s, t, mode="iterative")
     expected = [tuple(w["edges"]) for w in service.execute(request).walks]
@@ -203,7 +203,7 @@ def test_four_threads_share_one_cached_annotation():
     stats = service.stats()["annotation_cache"]
     assert stats["misses"] == 1 and stats["hits"] >= n_threads
 
-    # The batch executor's own pool, one full read per worker.
+    # A batch reads the same, one full read per request.
     batch = service.execute_batch([request] * n_threads)
     assert all(
         [tuple(w["edges"]) for w in response.walks] == expected

@@ -102,7 +102,7 @@ class TestTracePrimitives:
 
 @pytest.fixture()
 def service():
-    svc = QueryService(max_workers=1)
+    svc = QueryService()
     svc.register_graph("default", _demo_graph())
     yield svc
     svc.close()
@@ -236,7 +236,7 @@ class TestSlowLogEntries:
         assert "total" in entry["explain"]["timings"]
 
     def test_threshold_filters_fast_requests(self):
-        svc = QueryService(max_workers=1, slow_ms=60_000.0)
+        svc = QueryService(slow_ms=60_000.0)
         svc.register_graph("default", _demo_graph())
         try:
             _run(svc)
@@ -245,7 +245,7 @@ class TestSlowLogEntries:
             svc.close()
 
     def test_ring_buffer_drops_oldest(self):
-        svc = QueryService(max_workers=1, slowlog_capacity=2)
+        svc = QueryService(slowlog_capacity=2)
         svc.register_graph("default", _demo_graph())
         try:
             for i in range(3):
@@ -258,7 +258,7 @@ class TestSlowLogEntries:
 
 class TestDisabledObservability:
     def test_disabled_service_records_nothing(self):
-        svc = QueryService(max_workers=1, obs=Observability.disabled())
+        svc = QueryService(obs=Observability.disabled())
         svc.register_graph("default", _demo_graph())
         try:
             response = _run(svc)

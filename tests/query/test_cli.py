@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph.io import save_edge_list, save_json
 from repro.workloads.fraud import example9_graph
 
@@ -318,13 +318,29 @@ class TestBatchCommand:
         assert stats["requests"] == 3
         assert stats["plan_cache"]["hits"] >= 1
 
-    def test_workers_and_mode_flags(self, graph_file, requests_file, capsys):
+    def test_batch_has_no_workers_or_mode_flag(
+        self, graph_file, requests_file, capsys
+    ):
+        """A batch runs in order and names no mode: argparse refuses
+        both flags."""
         for extra in (["--workers", "1"], ["--mode", "iterative"]):
-            code = main(["batch", graph_file, requests_file] + extra)
-            out = capsys.readouterr().out
-            assert code == 0
-            first = json.loads(out.splitlines()[0])
-            assert first["status"] == "ok" and len(first["walks"]) == 4
+            with pytest.raises(SystemExit) as exc:
+                main(["batch", graph_file, requests_file] + extra)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_mode_is_validated_but_inert(self, graph_file, capsys):
+        """``serve --mode`` still parses and refuses unknown names; it
+        selects nothing."""
+        args = build_parser().parse_args(
+            ["serve", graph_file, "--mode", "memoryless"]
+        )
+        assert args.mode == "memoryless"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", graph_file, "--mode", "recursive"]
+            )
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_cold_cache_flags(self, graph_file, requests_file, capsys):
         code = main(

@@ -667,7 +667,7 @@ def test_tcp_responses_match_query_service() -> None:
         for s in rng.sample(range(96), 4)
         for mode in ("memoryless", "iterative")
     ]
-    service = QueryService(max_workers=1)
+    service = QueryService()
     service.register_graph("default", graph)
     expected = [
         service.execute(QueryRequest.from_dict(r)).to_dict()

@@ -50,6 +50,19 @@ def test_parse_error_is_structured(service: QueryService) -> None:
     assert "bogus" in response["error"]
 
 
+@pytest.mark.parametrize("field", ["source", "target", "graph"])
+def test_unhashable_name_is_a_request_error(
+    service: QueryService, field: str
+) -> None:
+    payload = {"query": "h", "source": "A", "target": "B", "id": 3}
+    payload[field] = [payload.get(field, "default")]
+    response = execute_payload(service, payload)
+    assert response["status"] == "error"
+    assert "code" not in response
+    assert response["error"] == f"'{field}' must be hashable, got list"
+    assert response["id"] == 3
+
+
 def test_engine_error_stays_in_band(service: QueryService) -> None:
     response = execute_payload(
         service, {"query": "h", "source": "nope", "target": "B"}

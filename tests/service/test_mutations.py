@@ -141,7 +141,7 @@ class TestServiceExecution:
                 ]
             )
         )
-        responses = service.execute_batch(requests, max_workers=4)
+        responses = service.execute_batch(requests)
         assert [r.status for r in responses] == ["ok"] * 4
         assert responses[0].lam == 2  # Pre-barrier world.
         assert responses[2].lam == 1  # Post-barrier world.

@@ -12,7 +12,6 @@ from repro.service import (
     QueryRequest,
     QueryService,
     RequestError,
-    ServiceError,
     read_requests_jsonl,
 )
 from repro.workloads.fraud import example9_graph
@@ -65,8 +64,6 @@ class TestExecution:
         response = service.execute(request)
         assert response.status == "error"
         assert "unknown mode 'recursive'" in response.error
-        with pytest.raises(ServiceError, match="concrete engine mode"):
-            QueryService(default_mode="recursive")
 
     def test_no_matching_walk_is_empty_status(self, service):
         response = service.execute(QueryRequest("h", "Bob", "Alix"))
@@ -211,7 +208,7 @@ class TestPagination:
             QueryRequest(QUERY, "Alix", "Bob", cursor=[999999], id="bad"),
             QueryRequest(QUERY, "Alix", "Bob", id="good"),
         ]
-        responses = service.execute_batch(requests, max_workers=2)
+        responses = service.execute_batch(requests)
         assert [r.status for r in responses] == ["error", "ok"]
 
     def test_zero_limit_rejected(self, service):
@@ -344,7 +341,7 @@ class TestBatchExecutor:
             QueryRequest(QUERY, "Alix", t, id=i)
             for i, t in enumerate(targets)
         ]
-        responses = service.execute_batch(requests, max_workers=4)
+        responses = service.execute_batch(requests)
         assert [r.id for r in responses] == list(range(len(targets)))
         for response, target in zip(responses, targets):
             assert response.status == "ok"
@@ -357,6 +354,15 @@ class TestBatchExecutor:
         assert stats["annotation_cache"]["misses"] == 1
         assert stats["annotation_cache"]["hits"] == len(targets) - 1
 
+    def test_max_workers_is_accepted_and_selects_nothing(self, service):
+        """Still accepted from older callers; a batch runs in order."""
+        requests = [QueryRequest(QUERY, "Alix", t) for t in ("Bob", "Dan")]
+        other = QueryService(max_workers=4)
+        other.register_graph("fraud", example9_graph())
+        assert [_edges(r) for r in other.execute_batch(requests)] == [
+            _edges(r) for r in service.execute_batch(requests)
+        ]
+
     def test_batch_mixes_modes_and_errors(self, service):
         requests = [
             QueryRequest(QUERY, "Alix", "Bob", mode="iterative"),
@@ -364,7 +370,7 @@ class TestBatchExecutor:
             QueryRequest(QUERY, "Nobody", "Bob"),
             QueryRequest(QUERY, "Alix", "Bob", mode="memoryless"),
         ]
-        responses = service.execute_batch(requests, max_workers=4)
+        responses = service.execute_batch(requests)
         assert [r.status for r in responses] == [
             "ok", "error", "error", "ok",
         ]
@@ -442,9 +448,26 @@ class TestRequestParsing:
             {"query": "a", "source": 1, "target": 2, "cursor": ["x"]},
             {"query": "a", "source": 1, "target": 2, "timeout_ms": -5},
             {"query": "", "source": 1, "target": 2},
+            # JSON true is a Python int, but no count, budget or edge id.
+            {"query": "a", "source": 1, "target": 2, "limit": True},
+            {"query": "a", "source": 1, "target": 2, "offset": True},
+            {"query": "a", "source": 1, "target": 2, "timeout_ms": True},
+            {"query": "a", "source": 1, "target": 2, "timeout_ms": "5"},
+            {"query": "a", "source": 1, "target": 2, "cursor": [True]},
         ):
             with pytest.raises(RequestError):
                 QueryRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("field", ["source", "target", "graph"])
+    def test_unhashable_names_are_request_errors(self, service, field):
+        payload = {"query": QUERY, "source": "Alix", "target": "Bob"}
+        payload[field] = [payload.get(field, "fraud")]
+        with pytest.raises(RequestError, match=f"'{field}' must be hashable"):
+            QueryRequest.from_dict(payload)
+        response = service.execute(QueryRequest(**payload))
+        assert response.status == "error"
+        assert response.code is None
+        assert "must be hashable" in response.error
 
 
 class TestInternalErrorCode:

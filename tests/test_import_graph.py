@@ -11,6 +11,7 @@ not live in a production package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import repro
@@ -470,7 +471,7 @@ def test_the_cli_imports_no_engine_class():
         and node.module == "repro.core.engine"
         for alias in node.names
     )
-    assert from_engine == ["CONCRETE_MODES", "MODES"]
+    assert from_engine == ["MODES"]
     assert not any(
         module in ("repro.core.engine", "repro.core.multi_target",
                    "repro.core.cheapest")
@@ -478,6 +479,61 @@ def test_the_cli_imports_no_engine_class():
         if isinstance(node, ast.Import)
         for module in (alias.name for alias in node.names)
     )
+
+
+# -- no execution knobs above the engine -------------------------------------
+
+_VOCABULARIES = {
+    "MODES": ("repro.core.engine", {"iterative", "memoryless", "auto"}),
+    "CONSTRUCTIONS": ("repro.api.query", {"thompson", "glushkov"}),
+    "RESTRICTIONS": ("repro.api.query", {"walks", "trails", "simple", "any"}),
+}
+
+
+def test_each_request_vocabulary_is_spelled_once():
+    """A tuple or list literal naming a whole vocabulary appears once,
+    in its home module; the service requests and the CLI import it."""
+    spelled = {name: [] for name in _VOCABULARIES}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Tuple, ast.List)):
+                continue
+            values = {
+                elt.value for elt in node.elts if isinstance(elt, ast.Constant)
+            }
+            for name, (_, words) in _VOCABULARIES.items():
+                if values >= words:
+                    spelled[name].append(str(path.relative_to(SRC)))
+    assert spelled == {
+        "MODES": ["core/engine.py"],
+        "CONSTRUCTIONS": ["api/query.py"],
+        "RESTRICTIONS": ["api/query.py"],
+    }
+    wanted = {
+        f"{module}.{name}" for name, (module, _) in _VOCABULARIES.items()
+    }
+    for path in ("service/requests.py", "cli.py"):
+        imported = set(_imported_modules(ast.parse((SRC / path).read_text())))
+        assert wanted <= imported, path
+
+
+def test_no_thread_pool_or_default_mode_above_the_engine():
+    """A batch runs its requests in order, and no tier picks an engine
+    mode for the requests that name none."""
+    pools = [
+        f"{path.relative_to(SRC)}: {module}"
+        for path in sorted((SRC / "service").rglob("*.py"))
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module == "concurrent.futures"
+        or module.startswith("concurrent.futures.")
+    ]
+    assert pools == []
+    knobs = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(r"\b(default_mode|CONCRETE_MODES)\b", path.read_text())
+    ]
+    assert knobs == []
 
 
 # -- one graph snapshot format ------------------------------------------------
