@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.automata import regex_to_nfa
 from repro.bench import loglog_slope, time_call
 from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.trim import trim
 from repro.graph.generators import random_multilabel
 from repro.workloads.worstcase import wide_nfa
-from repro.query import rpq
 
-_QUERY = rpq("(a | b)* c (a | b | c)*").automaton
+_QUERY = regex_to_nfa("(a | b)* c (a | b | c)*")
 
 
 def _preprocess(graph, nfa, source, target, compiler=compile_query):

@@ -11,7 +11,7 @@ constraint plain shortest-path algorithms cannot express.
 Run:  python examples/cheapest_routes.py
 """
 
-from repro import DistinctCheapestWalks, GraphBuilder, rpq
+from repro import DistinctCheapestWalks, GraphBuilder, regex_to_nfa
 
 
 def build_network():
@@ -41,10 +41,12 @@ def main() -> None:
     print(f"transport network: {graph}\n")
 
     # Policy: any number of flights first, then ground only.
-    policy = rpq("flight* (train | bus)*")
-    engine = DistinctCheapestWalks(graph, policy.automaton, "Paris", "Genoa")
+    policy = "flight* (train | bus)*"
+    engine = DistinctCheapestWalks(
+        graph, regex_to_nfa(policy), "Paris", "Genoa"
+    )
 
-    print(f"policy: {policy.expression}")
+    print(f"policy: {policy}")
     print(f"cheapest compliant cost Paris → Genoa: {engine.cheapest_cost}")
     print("all cost-minimal itineraries:")
     for walk in engine.enumerate():
@@ -53,16 +55,16 @@ def main() -> None:
         print(f"      total {walk.cost()}, modes: {modes}")
 
     # Contrast: unconstrained cheapest (any label sequence).
-    anything = rpq("(train | bus | flight)+")
-    free = DistinctCheapestWalks(graph, anything.automaton, "Paris", "Genoa")
+    anything = regex_to_nfa("(train | bus | flight)+")
+    free = DistinctCheapestWalks(graph, anything, "Paris", "Genoa")
     print(f"\nwithout the policy the cheapest cost is {free.cheapest_cost}:")
     for walk in free.enumerate():
         print(f"  {walk.describe()}  (total {walk.cost()})")
 
     # Ties are first-class citizens: every cost-minimal walk is listed,
     # exactly once — the "distinct" in Distinct Cheapest Walks.
-    ground = rpq("(train | bus)+")
-    tie_engine = DistinctCheapestWalks(graph, ground.automaton, "Paris", "Nice")
+    ground = regex_to_nfa("(train | bus)+")
+    tie_engine = DistinctCheapestWalks(graph, ground, "Paris", "Nice")
     walks = list(tie_engine.enumerate())
     print(
         f"\nground-only Paris → Nice: {len(walks)} tie(s) at cost "
@@ -83,7 +85,7 @@ def main() -> None:
     src, tgt = antipodal_pair(big)
     print(f"\ngenerated network: {big} — {src} → {tgt}")
     for name, expr in sorted(TRANSPORT_QUERIES.items()):
-        engine = DistinctCheapestWalks(big, rpq(expr).automaton, src, tgt)
+        engine = DistinctCheapestWalks(big, regex_to_nfa(expr), src, tgt)
         count = engine.count(method="dp")
         print(
             f"  {name:<15} cheapest {str(engine.cheapest_cost):>5}, "

@@ -14,7 +14,7 @@ transfers labeled ``h`` (high value), ``s`` (suspicious), ``w`` (wire),
 Run:  python examples/fraud_detection.py
 """
 
-from repro import rpq
+from repro import Database, regex_to_nfa
 from repro.query import analyze
 from repro.workloads.fraud import fraud_network
 
@@ -24,15 +24,17 @@ def main() -> None:
         n_accounts=500, n_transfers=3_000, seed=2024, chain_length=5
     )
     print(f"transfer network: {graph}")
+    db = Database(graph)
     source, sink = "acct0", "acct499"
 
     # 1. Classic laundering pattern: anything, then a suspicious hop,
     #    then anything — restricted to "money actually moving" labels.
-    laundering = rpq("(h | w | c)* s (h | w | c | s)*")
-    engine = laundering.engine(graph, source, sink)
-    print(f"\nquery: {laundering.expression}")
-    print(f"  λ = {engine.lam}")
-    walks = list(engine.enumerate())
+    laundering = "(h | w | c)* s (h | w | c | s)*"
+    pair = db.query(laundering).from_(source).to(sink)
+    result = pair.run()
+    print(f"\nquery: {laundering}")
+    print(f"  λ = {result.lam}")
+    walks = list(result.walks())
     print(f"  distinct shortest walks: {len(walks)}")
     for walk in walks[:5]:
         print(f"    {walk.describe()}")
@@ -42,29 +44,26 @@ def main() -> None:
     # 2. The planner explains itself (multi-labeled data -> general
     #    algorithm; Theorem 2 bounds).
     print("\nplanner analysis:")
-    print(analyze(graph, laundering.automaton).explain())
+    print(analyze(graph, regex_to_nfa(laundering)).explain())
 
     # 3. Multiplicities: walks whose label sets admit many accepting
     #    runs are "suspicious in many ways".
     print("\nwalks ranked by number of accepting runs:")
     ranked = sorted(
-        laundering.shortest_walks_with_multiplicity(graph, source, sink),
-        key=lambda pair: -pair[1],
+        pair.with_multiplicity().run(), key=lambda row: -row.multiplicity
     )
-    for walk, runs in ranked[:3]:
-        print(f"  {runs:4d} runs  {walk.describe()}")
+    for row in ranked[:3]:
+        print(f"  {row.multiplicity:4d} runs  {row.walk.describe()}")
 
     # 4. Multi-target: everything reachable from the mule account by a
     #    short chain of exclusively-suspicious transfers.
-    short_chain = rpq("s{1,3}")
-    multi = short_chain.to_all_targets(graph, source)
-    reached = multi.reached_target_names()
+    reached = dict(db.query("s{1,3}").from_(source).to_all().targets())
     print(
         f"\naccounts reachable from {source} via 1-3 suspicious hops: "
         f"{len(reached)}"
     )
     for name in sorted(reached)[:10]:
-        print(f"  {name} (λ = {multi.lam_for(name)})")
+        print(f"  {name} (λ = {reached[name]})")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ database through :func:`repro.parse_pattern`:
 Run:  python examples/gql_patterns.py
 """
 
-from repro import parse_pattern
+from repro import Database, parse_pattern
 from repro.workloads.fraud import example9_graph
 
 
@@ -34,13 +34,14 @@ PATTERNS = [
 
 def main() -> None:
     graph = example9_graph()
+    db = Database(graph)
     print(f"database: {graph}\n")
 
     for text in PATTERNS:
         pattern = parse_pattern(text)
         print(text)
         print(f"  compiled RPQ: {pattern.regex}")
-        walks = list(pattern.run(graph))
+        walks = list(pattern.query(db).run().walks())
         if not walks:
             print("  no matching walk\n")
             continue

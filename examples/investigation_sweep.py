@@ -13,7 +13,7 @@ Run:  python examples/investigation_sweep.py
 
 from collections import defaultdict
 
-from repro import MultiTargetShortestWalks, rpq
+from repro import MultiTargetShortestWalks, regex_to_nfa
 from repro.workloads.fraud import fraud_network
 
 
@@ -26,10 +26,10 @@ def main() -> None:
 
     # Laundering pattern: suspicious transfers possibly capped by one
     # high-value cash-out.
-    query = rpq("s s* h?")
-    print(f"query:   {query.expression}\n")
+    query = "s s* h?"
+    print(f"query:   {query}\n")
 
-    sweep = MultiTargetShortestWalks(graph, query.automaton, "acct0")
+    sweep = MultiTargetShortestWalks(graph, regex_to_nfa(query), "acct0")
     reached = sweep.reached_targets()
     print(f"accounts reachable by the pattern: {len(reached)}\n")
 

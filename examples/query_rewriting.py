@@ -15,7 +15,13 @@ This example exercises the toolbox the library provides for that:
 Run:  python examples/query_rewriting.py
 """
 
-from repro import DistinctShortestWalks, equivalent, language_key, minimize, rpq
+from repro import (
+    DistinctShortestWalks,
+    equivalent,
+    language_key,
+    minimize,
+    regex_to_nfa,
+)
 from repro.automata import counterexample, difference_nfa, is_subset, union_nfa
 from repro.workloads.fraud import example9_graph
 
@@ -24,8 +30,8 @@ def main() -> None:
     graph = example9_graph()
 
     # 1. A rewrite that IS safe: factor the union out of the star.
-    original = rpq("(h | s)* s (h | s)*").automaton
-    rewritten = rpq("(h* s)+ h*").automaton
+    original = regex_to_nfa("(h | s)* s (h | s)*")
+    rewritten = regex_to_nfa("(h* s)+ h*")
     print("rewrite  (h|s)* s (h|s)*  →  (h* s)+ h*")
     print(f"  equivalent: {equivalent(original, rewritten)}")
     assert equivalent(original, rewritten)
@@ -33,13 +39,13 @@ def main() -> None:
     # 1b. A classic non-obvious equivalence: Example 9's query already
     # IS "at least one suspicious transfer" — anchoring the first s
     # after h* loses nothing, because the first s of any word works.
-    example9 = rpq("h* s (h | s)*").automaton
+    example9 = regex_to_nfa("h* s (h | s)*")
     print("\nrewrite  (h|s)* s (h|s)*  →  h* s (h|s)*")
     print(f"  equivalent: {equivalent(original, example9)}")
     assert equivalent(original, example9)
 
     # 2. A rewrite that is NOT safe — with the shortest witness.
-    wrong = rpq("s (h | s)*").automaton  # "Starts suspicious" ≠ original.
+    wrong = regex_to_nfa("s (h | s)*")  # "Starts suspicious" ≠ original.
     witness = counterexample(original, wrong)
     print("\nrewrite  (h|s)* s (h|s)*  →  s (h|s)*")
     print(f"  equivalent: {equivalent(original, wrong)}")
@@ -52,15 +58,15 @@ def main() -> None:
 
     # 3. Canonical keys deduplicate per-query caches.
     variants = ["s | h s", "(h? s)", "h s | s"]
-    keys = {language_key(rpq(v).automaton) for v in variants}
+    keys = {language_key(regex_to_nfa(v)) for v in variants}
     print(f"\n{len(variants)} syntactic variants, {len(keys)} language(s)")
     assert len(keys) == 1
-    dfa = minimize(rpq(variants[0]).automaton)
+    dfa = minimize(regex_to_nfa(variants[0]))
     print(f"  minimal DFA: {dfa.n_states} states")
 
     # 4. Compose queries algebraically and run the result.
-    fraud = rpq("h* s (h | s)*").automaton
-    benign = rpq("h+").automaton
+    fraud = regex_to_nfa("h* s (h | s)*")
+    benign = regex_to_nfa("h+")
     either = union_nfa(fraud, benign)
     engine = DistinctShortestWalks(graph, either, "Alix", "Bob")
     print(f"\nunion query (fraud ∪ all-high-value): λ = {engine.lam}, "

@@ -15,44 +15,43 @@ multi-labeled data model the paper is built for).  Shows:
 Run:  python examples/social_paths.py
 """
 
-from repro import DistinctShortestWalks, rpq
+from repro import Database
 from repro.workloads.social import social_network
 
 
 def main() -> None:
     graph = social_network(n_people=400, avg_degree=8, seed=7)
     print(f"social graph: {graph}")
+    db = Database(graph)
     alice, bob = "p3", "p250"
 
     # 1. Degrees of separation, any relationship at all.
-    separation = rpq(".{1,6}")
-    lam = separation.lam(graph, alice, bob)
+    lam = db.query(".{1,6}").from_(alice).to(bob).run().lam
     print(f"\n{alice} and {bob} are {lam} hops apart (any relation)")
 
     # 2. Influence chains: follows... then a mention.
-    influence = rpq("follows+ mentions")
-    engine = influence.engine(graph, alice, bob)
-    if engine.is_empty:
+    influence = db.query("follows+ mentions").from_(alice).to(bob)
+    lam = influence.run().lam
+    if lam is None:
         print(f"no follows-chain from {alice} ends with a mention of {bob}")
     else:
         print(
-            f"shortest follows→mention chains ({engine.lam} hops): "
-            f"{engine.count()}"
+            f"shortest follows→mention chains ({lam} hops): "
+            f"{influence.count()}"
         )
 
     # 3. Friend-of-friend walks — stream just the first few.
-    fof = rpq("knows knows")
-    engine = DistinctShortestWalks(graph, fof.automaton, alice, "p10")
+    fof = db.query("knows knows").from_(alice).to("p10").limit(3)
     print(f"\nfirst friend-of-friend walks {alice} → p10:")
-    for walk in engine.first(3):
+    for walk in fof.run().walks():
         print(f"  {walk.describe()}")
 
     # 4. Distinctness on multi-edges: between a popular pair there may
     #    be both a follows-edge and a follows+mentions edge; walks
     #    through either are distinct answers even though the vertex
     #    sequences coincide.
-    mixed = rpq("(knows | follows | mentions){2}")
-    walks = list(mixed.shortest_walks(graph, alice, "p10"))
+    mixed = db.query("(knows | follows | mentions){2}")
+    walks = list(mixed.from_(alice).to("p10").run().walks())
     by_vertices = {}
     for walk in walks:
         by_vertices.setdefault(tuple(walk.vertex_names()), []).append(walk)

@@ -22,27 +22,12 @@ Quickstart — the fluent ``repro.api`` façade::
     for row in db.query("h* s (h | s)*").from_("Alix").to("Bob"):
         print(row.walk.describe())
 
-Legacy entry points (kept as thin shims over the façade — prefer the
-builder calls on the right for new code):
-
-=====================================================  =====================================================
- old entry point                                        façade equivalent
-=====================================================  =====================================================
-``DistinctShortestWalks(g, q, s, t).enumerate()``      ``db.query(q).from_(s).to(t).run()``
-``DistinctCheapestWalks(g, q, s, t).enumerate()``      ``db.query(q).cheapest().from_(s).to(t).run()``
-``MultiTargetShortestWalks(g, q, s).walks_to(t)``      ``db.query(q).from_(s).to_all().run()``
-``SimpleShortestWalks`` (simple-setting enumerator)    a baseline now: ``repro.baselines.SimpleShortestWalks``
-``rpq(q).shortest_walks(g, s, t)``                     ``db.query(q).from_(s).to(t).run().walks()``
-``rpq(q).shortest_walks_with_multiplicity(g, s, t)``   ``….with_multiplicity().run()``
-``rpq(q).cheapest_walks(g, s, t)``                     ``….cheapest().run()``
-``QueryService.execute(QueryRequest(q, s, t))``        ``db.query(q).from_(s).to(t).limit(n).cursor(c).run()``
-``repro query GRAPH Q S T`` (CLI)                      routes through the façade internally
-=====================================================  =====================================================
-
-The engine classes remain fully supported as the *uncached* low-level
-layer; the ``RPQ`` helpers, the batch :class:`QueryService` and the
-CLI now delegate to :mod:`repro.api`, so they share one plan cache,
-one annotation cache and one pagination/cursor model.
+Every query goes through :meth:`Database.query`: the CLI, the JSONL
+:class:`QueryService` and the ``repro serve`` workers all build on it.
+The engine classes (:class:`DistinctShortestWalks`,
+:class:`DistinctCheapestWalks`, :class:`MultiTargetShortestWalks`) are
+the uncached layer underneath; :func:`regex_to_nfa` compiles an
+expression to the automaton they take.
 
 See ``DESIGN.md`` for the architecture and ``EXPERIMENTS.md`` for the
 reproduction of the paper's claims.
@@ -70,7 +55,6 @@ from repro.core import (
     count_distinct_shortest,
     count_shortest_product_paths,
     count_total_multiplicity,
-    distinct_shortest_walks,
 )
 from repro.exceptions import (
     AutomatonError,
@@ -89,7 +73,7 @@ from repro.graph import (
     project,
 )
 from repro.live import LiveGraph, MutationBatch, StandingQuery
-from repro.query import RPQ, PathPattern, analyze, parse_pattern, rpq
+from repro.query import PathPattern, analyze, parse_pattern
 from repro.service import QueryRequest, QueryResponse, QueryService
 
 __version__ = "1.0.0"
@@ -119,7 +103,6 @@ __all__ = [
     "QueryRequest",
     "QueryResponse",
     "QueryService",
-    "RPQ",
     "ResultSet",
     "Row",
     "RegexSyntaxError",
@@ -130,7 +113,6 @@ __all__ = [
     "count_distinct_shortest",
     "count_shortest_product_paths",
     "count_total_multiplicity",
-    "distinct_shortest_walks",
     "equivalent",
     "glushkov_nfa",
     "language_key",
@@ -139,6 +121,5 @@ __all__ = [
     "parse_rpq",
     "project",
     "regex_to_nfa",
-    "rpq",
     "thompson_nfa",
 ]

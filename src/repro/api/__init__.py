@@ -1,11 +1,8 @@
 """``repro.api`` — the one fluent query API over every engine.
 
 The paper's pipeline (compile → ``Annotate`` → ``Trim`` →
-``Enumerate``, Figure 2) used to be reachable through seven divergent
-entry points — the four engine classes, the ad-hoc ``RPQ`` methods,
-the batch service and the CLI — each with its own signature, mode
-handling and result type.  This package is the single front door they
-now all share::
+``Enumerate``, Figure 2) has one front door, :meth:`Database.query`;
+the batch service, the serve workers and the CLI all go through it::
 
     from repro.api import Database
 
@@ -33,9 +30,9 @@ matrix):
 Because :class:`Database` wraps the graph registry and the
 plan/annotation caches that :mod:`repro.service` introduced,
 *interactive* callers get the batch path's repeat-query speedup for
-free; :class:`~repro.service.QueryService`, the classic
-:class:`~repro.query.rpq.RPQ` helpers and the CLI ``query`` command
-are thin shims over this package.
+free; :class:`~repro.service.QueryService` and the CLI ``query``
+command are thin adapters over this package.  The engine classes in
+:mod:`repro.core` stay as the uncached layer underneath.
 """
 
 from repro.api.database import Database, MutationResult

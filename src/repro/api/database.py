@@ -5,7 +5,7 @@ One ``Database`` owns
 * a **graph registry** with monotone version bumps (re-registering a
   name invalidates every cached artifact of the old graph — the same
   scheme the batch service introduced, now shared with it);
-* the **plan cache** (query text → parsed RPQ + graph-aligned
+* the **plan cache** (query text → automaton + graph-aligned
   :class:`~repro.core.compile.CompiledQuery`) and the **annotation
   cache** ((query, source) →
   :class:`~repro.core.multi_target.MultiTargetShortestWalks`, built to
@@ -21,9 +21,9 @@ One ``Database`` owns
   seek, budget check, multiplicities).  ``run()``, ``count("dp")`` and
   ``targets()`` all read that stream.
 
-The batched :class:`~repro.service.QueryService` and the classic
-:class:`~repro.query.rpq.RPQ` convenience methods both delegate here,
-so every entry point shares one execution path and one cache.
+The batched :class:`~repro.service.QueryService`, the serve workers
+and the CLI all delegate here, so every entry point shares one
+execution path and one cache.
 
 >>> from repro.api import Database
 >>> from repro.workloads.fraud import example9_graph
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -57,6 +56,8 @@ from typing import (
 from repro.api.query import Query
 from repro.api.result import ResultSet
 from repro.api.rows import Cursor, Row
+from repro.automata import regex_to_nfa
+from repro.automata.nfa import NFA
 from repro.core.annotate import AnnotateBFS
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import skip_past_cursor
@@ -75,20 +76,7 @@ from repro.live.live_graph import LiveGraph, query_label_footprint
 from repro.obs import Observability, Trace
 from repro.obs import trace as obs_trace
 from repro.query.plan import QueryPlan, analyze
-from repro.query.rpq import RPQ
 from repro.service.cache import LRUCache
-
-#: Shared per-graph databases backing the classic one-shot entry
-#: points (``RPQ.shortest_walks`` and friends): repeat interactive
-#: calls on the same graph object hit the same caches.  The map is a
-#: small LRU keyed by graph identity — a Database keeps its graph
-#: alive, so an unbounded (or weak-keyed) map would retain every
-#: graph ever queried; evicted graphs simply rebuild their caches on
-#: the next convenience-API call.  Identity keys are safe because the
-#: entry pins the graph: ids are unique among live objects.
-_SHARED_CAPACITY = 16
-_shared_lock = threading.Lock()
-_shared: "OrderedDict[int, Tuple[Graph, Database]]" = OrderedDict()
 
 
 @dataclass
@@ -110,7 +98,7 @@ class _GraphHandle:
 class _Plan:
     """A plan-cache value: the compiled form of one query text."""
 
-    rpq: RPQ
+    automaton: NFA  # The query as written, in the query's construction.
     compiled: Any  # CompiledQuery for the handle's graph.
     build_s: float
     #: ε-free compiled form for multiplicity counting, built lazily on
@@ -227,36 +215,6 @@ class Database:
         self._annotation_deepens = 0
         if graph is not None:
             self.register(name, graph, warm=warm)
-
-    @classmethod
-    def for_graph(cls, graph: Graph) -> "Database":
-        """The shared database of ``graph`` (created on first use).
-
-        This is what makes the classic one-shot entry points cache
-        across calls: every façade-routed query on the same graph
-        object lands in the same plan/annotation caches.
-        """
-        key = id(graph)
-        with _shared_lock:
-            entry = _shared.get(key)
-            if entry is not None and entry[0] is graph:
-                _shared.move_to_end(key)
-                return entry[1]
-        # Construct outside the lock — registration warms the graph's
-        # O(|D|) CSR indexes, which must not serialize lookups for
-        # unrelated graphs.  A racing thread may build a duplicate;
-        # the double-check below keeps exactly one.
-        db = cls(graph)
-        with _shared_lock:
-            entry = _shared.get(key)
-            if entry is not None and entry[0] is graph:
-                _shared.move_to_end(key)
-                return entry[1]
-            _shared[key] = (graph, db)
-            _shared.move_to_end(key)
-            while len(_shared) > _SHARED_CAPACITY:
-                _shared.popitem(last=False)
-            return db
 
     # -- graph registry ------------------------------------------------------
 
@@ -718,57 +676,16 @@ class Database:
 
     # -- the fluent entry point ----------------------------------------------
 
-    def query(self, query: Union[str, RPQ]) -> Query:
-        """Start building a query from an expression or compiled RPQ."""
-        if isinstance(query, RPQ):
-            return Query(self, query.expression, rpq=query)
+    def query(self, query: str) -> Query:
+        """Start building a query from an RPQ expression."""
         if not isinstance(query, str) or not query.strip():
             raise QueryError("query must be a non-empty RPQ expression")
         return Query(self, query)
 
-    def multi_target(
-        self,
-        query: Union[str, RPQ],
-        source: Hashable,
-        *,
-        cheapest: bool = False,
-        graph_name: Optional[str] = None,
-    ) -> MultiTargetShortestWalks:
-        """A *fresh* multi-target engine for ``(query, source)``.
-
-        The returned :class:`~repro.core.multi_target
-        .MultiTargetShortestWalks` reuses the cached compiled plan but
-        is an independent instance, not the annotation-cache entry the
-        executor shares internally (so it is never evicted under the
-        caller).  This is the sanctioned accessor for code that wants
-        the multi-target structures directly; everything else should go
-        through :meth:`query`.
-        """
-        handle = self._handle(graph_name)
-        if isinstance(query, RPQ):
-            expression, construction, prebuilt = (
-                query.expression, query.method, query,
-            )
-        else:
-            expression, construction, prebuilt = query, "thompson", None
-        plan, _ = self._plan_for(handle, construction, expression, prebuilt)
-        return MultiTargetShortestWalks(
-            handle.graph,
-            plan.rpq.automaton,
-            source,
-            cheapest=cheapest,
-            compiled=plan.compiled,
-        )
-
     # -- cache plumbing ------------------------------------------------------
 
     def _plan_for(
-        self,
-        handle: _GraphHandle,
-        construction: str,
-        expression: str,
-        prebuilt: Optional[RPQ] = None,
-        restriction: str = "walks",
+        self, handle: _GraphHandle, q: Query
     ) -> Tuple[_Plan, bool]:
         # The restriction rides at the END of the key (the eviction
         # predicates pattern-match on key[0]=name / key[1]=version): a
@@ -776,8 +693,9 @@ class Database:
         # entries hit independently, and every invalidation path —
         # re-register, unregister, footprint eviction — covers all
         # semantics of a graph unchanged.
-        key = (handle.name, handle.version, construction, expression,
-               restriction)
+        construction = q._construction
+        key = (handle.name, handle.version, construction, q._expression,
+               q._restriction)
         hit = True
 
         def build() -> _Plan:
@@ -785,13 +703,9 @@ class Database:
             hit = False
             t0 = time.perf_counter()
             with obs_trace.span("parse", construction=construction):
-                rpq_obj = (
-                    prebuilt
-                    if prebuilt is not None
-                    else RPQ(expression, method=construction)
-                )
+                nfa = regex_to_nfa(q._expression, method=construction)
             with obs_trace.span("compile") as compile_span:
-                cq = compile_query(handle.graph, rpq_obj.automaton)
+                cq = compile_query(handle.graph, nfa)
                 co_accessible, merged = cq.live_states
                 compile_span.tag(
                     states=cq.automaton.n_states,
@@ -802,10 +716,10 @@ class Database:
             with self._build_lock:
                 self._plan_build_s += build_s
             return _Plan(
-                rpq=rpq_obj,
+                automaton=nfa,
                 compiled=cq,
                 build_s=build_s,
-                footprint=query_label_footprint(rpq_obj.automaton),
+                footprint=query_label_footprint(nfa),
             )
 
         return self._plan_cache.get_or_create(key, build), hit
@@ -868,7 +782,7 @@ class Database:
             # names an id would resolve differently.
             mt = MultiTargetShortestWalks(
                 graph,
-                plan.rpq.automaton,
+                plan.automaton,
                 graph.vertex_name(source_id),
                 cheapest=cheapest,
                 compiled=plan.compiled,
@@ -889,7 +803,7 @@ class Database:
     def _count_cq(self, plan: _Plan, graph: Graph):
         if plan.count_compiled is None:
             plan.count_compiled = compile_epsilon_free(
-                graph, plan.rpq.automaton
+                graph, plan.automaton
             )
         return plan.count_compiled
 
@@ -1002,9 +916,7 @@ class Database:
                 "simple paths are a different problem; any-walk is "
                 "length-based)"
             )
-        return self._plan_for(
-            handle, q._construction, q._expression, q._rpq, q._restriction
-        )
+        return self._plan_for(handle, q)
 
     def _prepare(
         self, q: Query, handle: _GraphHandle
@@ -1276,10 +1188,8 @@ class Database:
     def _explain(self, q: Query) -> QueryPlan:
         handle = self._handle(q._graph_name)
         shape = q._shape()
-        plan, plan_hit = self._plan_for(
-            handle, q._construction, q._expression, q._rpq, q._restriction
-        )
-        qp = analyze(handle.graph, plan.rpq.automaton)
+        plan, plan_hit = self._plan_for(handle, q)
+        qp = analyze(handle.graph, plan.automaton)
         cq = plan.compiled
         qp.compiled = (cq.automaton.n_states, *cq.live_states, cq.delta_size)
         if q._restriction == "any":

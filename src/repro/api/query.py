@@ -43,6 +43,7 @@ it only retains nothing.
 
 from __future__ import annotations
 
+import math
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -64,13 +65,22 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.api.database import Database
     from repro.api.result import ResultSet
     from repro.query.plan import QueryPlan
-    from repro.query.rpq import RPQ
 
 #: Regex → NFA constructions and walk restrictions — the one spelling
 #: the service requests and the CLI import.
 CONSTRUCTIONS = ("thompson", "glushkov")
 RESTRICTIONS = ("walks", "trails", "simple", "any")
 _SEMANTICS = ("shortest", "cheapest")
+
+
+def is_budget(value: Any) -> bool:
+    """A valid ``timeout_ms``: a finite non-negative number (a NaN
+    deadline never expires, so NaN and ±inf are refused)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 <= value < math.inf
+    )
 
 
 class Query:
@@ -80,14 +90,11 @@ class Query:
     :meth:`repro.api.Database.query`.
     """
 
-    def __init__(
-        self, db: "Database", expression: str, rpq: Optional["RPQ"] = None
-    ) -> None:
+    def __init__(self, db: "Database", expression: str) -> None:
         self._db = db
         self._expression = expression
-        self._rpq = rpq
         self._graph_name: Optional[str] = None
-        self._construction = "thompson" if rpq is None else rpq.method
+        self._construction = "thompson"
         self._source: Optional[Hashable] = None
         self._sources: Optional[Tuple[Hashable, ...]] = None
         self._target: Optional[Hashable] = None
@@ -124,11 +131,6 @@ class Query:
                 f"unknown construction {method!r}; "
                 f"expected one of {CONSTRUCTIONS}"
             )
-        if self._rpq is not None and method != self._rpq.method:
-            raise QueryError(
-                "query was built from a compiled RPQ using "
-                f"{self._rpq.method!r}; cannot switch to {method!r}"
-            )
         q = self._clone()
         q._construction = method
         return q
@@ -152,6 +154,11 @@ class Query:
         of the sources would yield, computed by taking the minimum of
         the per-source λ over the shared multi-target annotations.
         """
+        if isinstance(sources, (str, bytes)):
+            raise QueryError(
+                "from_any() takes a sequence of sources, not one "
+                f"{type(sources).__name__}; use from_() for one source"
+            )
         sources = tuple(sources)
         if not sources:
             raise QueryError("from_any() needs at least one source")
@@ -321,12 +328,8 @@ class Query:
     def timeout_ms(self, budget: Optional[float]) -> "Query":
         """Wall-clock budget; on expiry the page is partial and
         resumable via ``next_cursor``."""
-        if budget is not None and (
-            isinstance(budget, bool)
-            or not isinstance(budget, (int, float))
-            or budget < 0
-        ):
-            raise QueryError("timeout_ms must be a non-negative number")
+        if budget is not None and not is_budget(budget):
+            raise QueryError("timeout_ms must be a finite non-negative number")
         q = self._clone()
         q._timeout_ms = budget
         return q

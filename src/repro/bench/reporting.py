@@ -17,9 +17,9 @@ def format_table(
 
     >>> print(format_table(["n", "t"], [[10, 0.5], [100, 5.0]]))
     n    t
-    ---  ---
+    ---  ----
     10   0.5
-    100  5.0
+    100  5.00
     """
     rendered: List[List[str]] = [[str(h) for h in headers]]
     rendered.extend([_cell(value) for value in row] for row in rows)

@@ -67,12 +67,13 @@ from typing import List, Optional
 
 from repro.api import Database
 from repro.api.query import CONSTRUCTIONS, RESTRICTIONS
+from repro.automata import regex_to_nfa
 from repro.core.compile import compile_epsilon_free
 from repro.core.engine import MODES
 from repro.exceptions import ReproError
 from repro.graph.database import Graph
 from repro.graph.io import load_edge_list, load_json
-from repro.query import analyze, parse_pattern, rpq
+from repro.query import analyze, parse_pattern
 
 
 def _load_graph(path: str) -> Graph:
@@ -219,15 +220,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
     )
 
     graph = _load_graph(args.graph)
-    query = rpq(args.expression, method=args.construction)
+    nfa = regex_to_nfa(args.expression, method=args.construction)
     answers = (
         Database(graph, annotation_cache_size=0)  # One-shot, as above.
-        .query(query).from_(args.source).to(args.target).count("dp")
+        .query(args.expression).construction(args.construction)
+        .from_(args.source).to(args.target).count("dp")
     )
     if not answers:
         print("no matching walk")
         return 1
-    cq = compile_epsilon_free(graph, query.automaton)
+    cq = compile_epsilon_free(graph, nfa)
     source = graph.resolve_vertex(args.source)
     target = graph.resolve_vertex(args.target)
     lam, paths = count_shortest_product_paths(cq, source, target)
@@ -474,8 +476,8 @@ def _stop_resource_tracker() -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    query = rpq(args.expression, method=args.construction)
-    print(analyze(graph, query.automaton).explain())
+    nfa = regex_to_nfa(args.expression, method=args.construction)
+    print(analyze(graph, nfa).explain())
     return 0
 
 

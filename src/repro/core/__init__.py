@@ -28,7 +28,7 @@ from repro.core.count import (
     count_shortest_product_paths,
     count_total_multiplicity,
 )
-from repro.core.engine import DistinctShortestWalks, distinct_shortest_walks
+from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
 from repro.core.memoryless import enumerate_memoryless, next_output
 from repro.core.multi_target import MultiTargetShortestWalks
@@ -50,7 +50,6 @@ __all__ = [
     "count_distinct_shortest",
     "count_shortest_product_paths",
     "count_total_multiplicity",
-    "distinct_shortest_walks",
     "enumerate_memoryless",
     "enumerate_walks",
     "next_output",

@@ -419,14 +419,3 @@ class DistinctShortestWalks(PreparedWalks):
             raise QueryError(f"first() takes a non-negative k, got {k}")
         with closing(self.enumerate()) as walks:
             return list(islice(walks, k))
-
-
-def distinct_shortest_walks(
-    graph: Graph,
-    query: QueryLike,
-    source: Hashable,
-    target: Hashable,
-    mode: str = "iterative",
-) -> Iterator[Walk]:
-    """Functional one-shot facade over :class:`DistinctShortestWalks`."""
-    return DistinctShortestWalks(graph, query, source, target, mode).enumerate()

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, List, Optional
 
+from repro.automata import regex_to_nfa
 from repro.exceptions import QueryError
 from repro.live.delta import MutationBatch
 from repro.live.live_graph import LiveGraph, query_label_footprint
@@ -85,9 +86,7 @@ class StandingQuery:
         self.skipped = 0
         self.rows: List[Any] = []
         self.lam: Optional[int] = None
-        from repro.query.rpq import RPQ
-
-        names, uses_any = query_label_footprint(RPQ(expression).automaton)
+        names, uses_any = query_label_footprint(regex_to_nfa(expression))
         self._footprint = names
         self._uses_any = uses_any
         self._refresh()

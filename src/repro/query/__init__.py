@@ -1,7 +1,9 @@
 """User-facing RPQ layer.
 
-* :func:`~repro.query.rpq.rpq` — compile a regular path query
-  expression once, run it against any database;
+Run a regular path query expression with
+:meth:`repro.api.Database.query`; compile one to an automaton with
+:func:`repro.automata.regex_to_nfa`.
+
 * :func:`~repro.query.pattern.parse_pattern` — GQL-flavoured path
   patterns (``ALL SHORTEST (a)-[:h|:s]->+(b)``) over the same engine;
 * :func:`~repro.query.plan.analyze` — linear-time input analysis and
@@ -11,13 +13,10 @@
 
 from repro.query.pattern import PathPattern, parse_pattern
 from repro.query.plan import QueryPlan, analyze
-from repro.query.rpq import RPQ, rpq
 
 __all__ = [
     "PathPattern",
     "QueryPlan",
-    "RPQ",
     "analyze",
     "parse_pattern",
-    "rpq",
 ]

@@ -25,12 +25,14 @@ Supported grammar (a pragmatic GQL subset; whitespace is free)::
 ``-->`` abbreviates ``-[.]->`` (one edge, any label).  Consecutive
 segments concatenate; a quantifier applies to its segment's SPEC.
 
+>>> from repro.api import Database
 >>> from repro.workloads.fraud import example9_graph
+>>> db = Database(example9_graph())
 >>> p = parse_pattern("ALL SHORTEST (Alix)-[h* s (h|s)*]->(Bob)")
->>> len(list(p.run(example9_graph())))
+>>> len(p.query(db).run().all())
 4
 >>> one = parse_pattern("ANY SHORTEST (Alix)-[h* s (h|s)*]->(Bob)")
->>> len(list(one.run(example9_graph())))
+>>> len(one.query(db).run().all())
 1
 
 Semantics note: ``ANY SHORTEST`` returns one shortest matching walk
@@ -41,13 +43,10 @@ precisely the paper's Distinct Shortest Walks problem.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.engine import DistinctShortestWalks
-from repro.core.walks import Walk
+from repro.automata import parse_rpq
 from repro.exceptions import PatternSyntaxError
-from repro.graph.database import Graph
-from repro.query.rpq import RPQ
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.api.database import Database
@@ -59,9 +58,9 @@ _MODES = ("all", "any")
 class PathPattern:
     """A parsed path pattern: endpoints + compiled RPQ + mode.
 
-    Build with :func:`parse_pattern`.  The compiled regular expression
-    is exposed as :attr:`regex` (useful for logging and for tests);
-    the underlying :class:`~repro.query.rpq.RPQ` as :attr:`rpq`.
+    Build with :func:`parse_pattern`; run with :meth:`query`.  The
+    compiled regular expression is exposed as :attr:`regex` (useful
+    for logging, and for :func:`repro.automata.regex_to_nfa`).
     """
 
     def __init__(
@@ -77,29 +76,13 @@ class PathPattern:
         self.source = source
         self.target = target
         self.regex = regex
-        self.rpq = RPQ(regex)
-
-    def engine(
-        self, graph: Graph, mode: str = "auto"
-    ) -> DistinctShortestWalks:
-        """A shortest-walk engine for this pattern on ``graph``."""
-        return self.rpq.engine(graph, self.source, self.target, mode=mode)
+        parse_rpq(regex)  # A malformed SPEC fails here, not at query time.
 
     def query(self, db: "Database") -> "Query":
         """This pattern as one façade query on ``db``: the pair shape,
         under the any-walk semantics for ``ANY SHORTEST``."""
-        query = db.query(self.rpq).from_(self.source).to(self.target)
+        query = db.query(self.regex).from_(self.source).to(self.target)
         return query.any_walk() if self.mode == "any" else query
-
-    def run(self, graph: Graph) -> Iterator[Walk]:
-        """Evaluate the pattern on ``graph``'s shared database.
-
-        ``ALL SHORTEST`` yields every distinct shortest matching walk;
-        ``ANY SHORTEST`` yields at most one.
-        """
-        from repro.api.database import Database
-
-        return self.query(Database.for_graph(graph)).run().walks()
 
     def __repr__(self) -> str:
         return (

@@ -13,11 +13,11 @@ Architecture
 
     (graph_name, graph_version, construction, query_text)
 
-Value: the parsed :class:`~repro.query.rpq.RPQ` plus the
-graph-specific :class:`~repro.core.compile.CompiledQuery` — i.e. the
-regex parse, Thompson/Glushkov construction, ε-elimination, label-id
-re-keying and the dense/firing-label layouts, all paid once per
-distinct query text per graph version.
+Value: the query's automaton (:func:`repro.automata.regex_to_nfa`)
+plus the graph-specific :class:`~repro.core.compile.CompiledQuery` —
+i.e. the regex parse, Thompson/Glushkov construction, ε-elimination,
+label-id re-keying and the dense/firing-label layouts, all paid once
+per distinct query text per graph version.
 
 **Annotation cache** (LRU, default 128 entries).  Key::
 
@@ -74,7 +74,7 @@ response carries the partial page and a cursor to resume it.
 **Where the machinery lives.**  Since the ``repro.api`` façade
 landed, the registry, both caches and the execution path described
 above are implemented in :class:`repro.api.Database` and shared with
-every other entry point (the ``rpq()`` helpers, the CLI);
+every other entry point (the CLI, the ``repro serve`` workers);
 :class:`QueryService` is the JSONL protocol adapter on top — request
 parsing/validation, response rendering, the in-order batch
 executor, the slow-query log and the service metrics (kept in a

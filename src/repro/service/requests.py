@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from repro.api.query import CONSTRUCTIONS, RESTRICTIONS
+from repro.api.query import CONSTRUCTIONS, RESTRICTIONS, is_budget
 from repro.core.engine import MODES
 from repro.exceptions import ReproError
 
@@ -140,12 +140,10 @@ class QueryRequest:
                     "'cursor' must be a list of non-negative edge ids"
                 )
             self.cursor = tuple(self.cursor)
-        if self.timeout_ms is not None and (
-            isinstance(self.timeout_ms, bool)
-            or not isinstance(self.timeout_ms, (int, float))
-            or self.timeout_ms < 0
-        ):
-            raise RequestError("'timeout_ms' must be a non-negative number")
+        if self.timeout_ms is not None and not is_budget(self.timeout_ms):
+            raise RequestError(
+                "'timeout_ms' must be a finite non-negative number"
+            )
         return self
 
     @classmethod

@@ -1,8 +1,9 @@
 """A catalog of benchmark queries, keyed by scenario.
 
 Each entry is a plain RPQ expression string (see
-:mod:`repro.automata.regex_parser` for the syntax); compile with
-:func:`repro.query.rpq` or :func:`repro.automata.regex_to_nfa`.
+:mod:`repro.automata.regex_parser` for the syntax); run one with
+:meth:`repro.api.Database.query` or compile it with
+:func:`repro.automata.regex_to_nfa`.
 """
 
 from __future__ import annotations

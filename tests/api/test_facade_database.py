@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Database
-from repro.api.database import _shared
+from repro.automata import regex_to_nfa
 from repro.exceptions import QueryError, ReproError
 from repro.graph.builder import GraphBuilder
 from repro.workloads.fraud import example9_graph
@@ -108,36 +108,6 @@ class TestCaching:
         assert cold.stats()["plan_cache"]["hits"] == 0
         assert cold.stats()["annotation_cache"]["hits"] == 0
 
-    def test_for_graph_shares_one_database(self):
-        graph = example9_graph()
-        db1 = Database.for_graph(graph)
-        db2 = Database.for_graph(graph)
-        assert db1 is db2
-        assert Database.for_graph(example9_graph()) is not db1
-
-    def test_for_graph_map_is_bounded(self):
-        from repro.api.database import _SHARED_CAPACITY
-
-        graphs = [example9_graph() for _ in range(_SHARED_CAPACITY + 4)]
-        for graph in graphs:
-            Database.for_graph(graph)
-        assert len(_shared) <= _SHARED_CAPACITY
-
-    def test_multi_target_accessor_returns_independent_instances(self):
-        """Interleaved eager enumerations from two to_all_targets()
-        calls do not disturb each other."""
-        from repro.query import rpq
-
-        graph = example9_graph()
-        query = rpq(QUERY)
-        mt1 = query.to_all_targets(graph, "Alix")
-        mt2 = query.to_all_targets(graph, "Alix")
-        assert mt1 is not mt2
-        it1 = mt1.walks_to("Bob")
-        it2 = mt2.walks_to("Eve")
-        assert next(it1) is not None
-        assert next(it2) is not None
-
     def test_all_pairs_stats_valid_before_drain(self, db):
         cold = db.query("h").all_pairs().run()
         assert cold.stats["cached"]["annotation"] is False
@@ -159,18 +129,6 @@ class TestCaching:
         rows = rs.all()
         assert rs.timed_out and len(rows) <= 1
 
-    def test_classic_rpq_helpers_share_the_graph_cache(self):
-        """The shim layer's point: one-shot RPQ calls reuse caches."""
-        from repro.query import rpq
-
-        graph = example9_graph()
-        query = rpq(QUERY)
-        list(query.shortest_walks(graph, "Alix", "Bob"))
-        shared = Database.for_graph(graph)
-        before = shared.stats()["annotation_cache"]["hits"]
-        assert query.count(graph, "Alix", "Bob") == 4
-        assert shared.stats()["annotation_cache"]["hits"] > before
-
 
 class TestValidation:
     def test_query_must_be_expression_or_rpq(self, db):
@@ -178,6 +136,8 @@ class TestValidation:
             db.query("")
         with pytest.raises(QueryError):
             db.query(42)
+        with pytest.raises(QueryError):
+            db.query(regex_to_nfa(QUERY))
 
     def test_unknown_vertex_propagates(self, db):
         with pytest.raises(ReproError, match="Nobody"):

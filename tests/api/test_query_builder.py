@@ -3,11 +3,11 @@
 import pytest
 
 from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.core.cheapest import DistinctCheapestWalks
 from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
 from repro.graph.builder import GraphBuilder
-from repro.query import rpq
 from repro.workloads.fraud import example9_graph
 
 QUERY = "h* s (h | s)*"
@@ -25,7 +25,7 @@ def db(graph):
 
 def _engine_edges(graph, expression, source, target):
     engine = DistinctShortestWalks(
-        graph, rpq(expression).automaton, source, target, mode="iterative"
+        graph, regex_to_nfa(expression), source, target, mode="iterative"
     )
     return [w.edges for w in engine.enumerate()]
 
@@ -54,6 +54,20 @@ class TestBuilderSemantics:
         with pytest.raises(QueryError):
             q.from_any([])
 
+    @pytest.mark.parametrize("sources", ["ab", b"ab"], ids=["str", "bytes"])
+    def test_from_any_refuses_one_string(self, sources):
+        """A string is one vertex name, not a sequence of sources: on
+        a graph with vertices a, b and ab it must not answer from a
+        and b."""
+        b = GraphBuilder()
+        for source in ("a", "b", "ab"):
+            b.add_edge(source, "c", ["h"])
+        q = Database(b.build()).query("h")
+        with pytest.raises(QueryError, match="from_"):
+            q.from_any(sources)
+        rows = q.from_any(["ab"]).to("c").run().all()
+        assert [row.source for row in rows] == ["ab"]
+
     def test_knob_validation(self, db):
         q = db.query(QUERY)
         with pytest.raises(QueryError):
@@ -76,6 +90,9 @@ class TestBuilderSemantics:
             (q.offset, True),
             (q.timeout_ms, True),
             (q.timeout_ms, "5"),
+            # A NaN deadline never expires; an infinite one is no budget.
+            (q.timeout_ms, float("nan")),
+            (q.timeout_ms, float("inf")),
             (q.cursor, [True, False]),
         ):
             with pytest.raises(QueryError):
@@ -101,7 +118,7 @@ class TestModesAndSemantics:
         b.add_edge("s", "t", ["a"], cost=9)
         graph = b.build()
         engine = DistinctCheapestWalks(
-            graph, rpq("a+").automaton, "s", "t"
+            graph, regex_to_nfa("a+"), "s", "t"
         )
         expected = sorted(w.edges for w in engine.enumerate())
         for mode in ("auto", "iterative", "memoryless"):
@@ -315,10 +332,3 @@ class TestExplainAndStats:
         assert "annotate" in stats["timings"]
         assert "enumerate" in stats["timings"]
         assert set(stats["cached"]) == {"plan", "annotation"}
-
-    def test_rpq_object_queries_skip_reparse(self, db):
-        compiled = rpq(QUERY)
-        rows = db.query(compiled).from_("Alix").to("Bob").run().all()
-        assert len(rows) == 4
-        with pytest.raises(QueryError, match="glushkov"):
-            db.query(compiled).construction("glushkov")

@@ -18,10 +18,10 @@ Covers what the differential matrix (``tests/property``) does not:
 import pytest
 
 from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.baselines.oracle import oracle_restricted_set
 from repro.exceptions import QueryError
 from repro.graph.builder import GraphBuilder
-from repro.query import rpq
 from repro.workloads.fraud import example9_graph
 
 QUERY = "h* s (h | s)*"
@@ -183,7 +183,7 @@ class TestRestrictedPagination:
             assert [r.walk.edges for r in _drain_pages(query, 1)] == full
             # The oracle agrees on both rλ and the answer set.
             rlam, rset = oracle_restricted_set(
-                graph, rpq(FALLBACK_REGEX).automaton, 0, 1, kind
+                graph, regex_to_nfa(FALLBACK_REGEX), 0, 1, kind
             )
             assert (rlam, sorted(full)) == (5, rset), kind
 
@@ -254,7 +254,7 @@ class TestEpsilonFastPath:
         (the packed ε Annotate feeds the trails/simple filter and the
         walks enumeration; any-walk has its own ε handling)."""
         expression = "(h)* (s)? (h | s)*"
-        assert rpq(expression).automaton.has_epsilon
+        assert regex_to_nfa(expression).has_epsilon
         db = Database(example9_graph())
         base = db.query(expression).from_("Alix").to("Bob")
         rs = base.run()

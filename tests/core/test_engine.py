@@ -3,9 +3,14 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.engine import DistinctShortestWalks, distinct_shortest_walks
+from repro.api import Database
+from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
-from repro.workloads.fraud import example9_automaton, example9_graph
+from repro.workloads.fraud import (
+    example9_automaton,
+    example9_graph,
+    example9_query,
+)
 
 from tests.conftest import mode_walks, small_instances
 
@@ -201,12 +206,18 @@ class TestLifecycle:
 
 class TestFunctionalFacade:
     def test_distinct_shortest_walks(self, graph):
-        walks = list(
-            distinct_shortest_walks(
-                graph, example9_automaton(), "Alix", "Bob"
-            )
+        """The façade returns the engine's walks, in its order."""
+        engine = DistinctShortestWalks(
+            graph, example9_automaton(), "Alix", "Bob"
         )
-        assert len(walks) == 4
+        rows = (
+            Database(graph).query(example9_query)
+            .from_("Alix").to("Bob").run().all()
+        )
+        assert [r.walk.edges for r in rows] == [
+            w.edges for w in engine.enumerate()
+        ]
+        assert len(rows) == 4
 
 
 class TestProperties:

@@ -10,12 +10,12 @@ the compiled product, independently of the packed traversal.
 import pytest
 
 from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.baselines.oracle import oracle_lam, oracle_walk_matches
 from repro.core.annotate import AnnotateBFS
 from repro.core.compile import compile_query
 from repro.graph import GraphBuilder
 from repro.graph.generators import random_multilabel
-from repro.query.rpq import RPQ
 from repro.workloads.fraud import example9_graph
 from repro.workloads.transport import TRANSPORT_QUERIES, transport_network
 from repro.workloads.worstcase import diamond_chain
@@ -71,7 +71,7 @@ def _rule_witness(cq, source, target):
 def _check_pairs(graph, expression, pairs):
     """Every witness over ``pairs``: valid, of the walks λ, repeatable,
     and the rule's; returns how many pairs matched."""
-    nfa = RPQ(expression).automaton
+    nfa = regex_to_nfa(expression)
     cq = compile_query(graph, nfa)
     matched = 0
     for s, t in pairs:
@@ -109,7 +109,7 @@ def test_diamond_chain_takes_the_first_parallel_edge_of_every_hop():
     graph, _, s, t = diamond_chain(8, parallel=2)
     si, ti = graph.vertex_id(s), graph.vertex_id(t)
     assert _check_pairs(graph, "a*", [(si, ti)]) == 1
-    bfs = AnnotateBFS(compile_query(graph, RPQ("a*").automaton), si)
+    bfs = AnnotateBFS(compile_query(graph, regex_to_nfa("a*")), si)
     bfs.run(ti)
     _, edges = bfs.witness(ti)
     assert edges == tuple(
@@ -121,7 +121,7 @@ def test_lambda_zero_is_the_empty_walk():
     graph = example9_graph()
     alix = graph.vertex_id("Alix")
     assert _check_pairs(graph, "h*", [(alix, alix)]) == 1
-    bfs = AnnotateBFS(compile_query(graph, RPQ("h*").automaton), alix)
+    bfs = AnnotateBFS(compile_query(graph, regex_to_nfa("h*")), alix)
     bfs.run(alix)
     assert bfs.witness(alix) == (0, ())
     assert bfs.level == 0  # Settled before the first level.
@@ -154,7 +154,7 @@ def test_transport_one_to_all(name):
         (r.target, r.walk.edges) for r in query.any_walk().run().all()
     ]
     assert {row.target: row.lam for row in rows} == lams
-    cq = compile_query(graph, RPQ(expression).automaton)
+    cq = compile_query(graph, regex_to_nfa(expression))
     nfa = cq.automaton
     s = graph.vertex_id("city0")
     for row in rows:

@@ -16,12 +16,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.baselines.martens_trautner import martens_trautner_walks
 from repro.baselines.naive import naive_enumerate
 from repro.baselines.oracle import oracle_answer_set
 from repro.core.compile import compile_epsilon_free
 from repro.core.engine import DistinctShortestWalks
-from repro.query import rpq
 
 from tests.conftest import mode_walks, small_instances
 
@@ -94,17 +95,10 @@ class TestRegexPipelines:
         graph = builder.build()
         s, t = rng.randrange(n), rng.randrange(n)
 
-        thompson = sorted(
-            w.edges
-            for w in rpq(expression, method="thompson").shortest_walks(
-                graph, s, t, mode="iterative"
-            )
-        )
-        glushkov = sorted(
-            w.edges
-            for w in rpq(expression, method="glushkov").shortest_walks(
-                graph, s, t, mode="iterative"
-            )
+        pair = Database(graph).query(expression).from_(s).to(t)
+        thompson, glushkov = (
+            sorted(w.edges for w in pair.construction(m).run().walks())
+            for m in ("thompson", "glushkov")
         )
         assert thompson == glushkov
 
@@ -122,7 +116,7 @@ class TestScaledScenarios:
         assert walks, "planted chain guarantees an answer"
         assert len({w.edges for w in walks}) == len(walks)
         assert all(w.length == engine.lam for w in walks)
-        nfa = rpq(query).automaton
+        nfa = regex_to_nfa(query)
         assert all(
             nfa.matches_label_sets(w.label_sets()) for w in walks
         )

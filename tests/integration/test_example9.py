@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import Database
 from repro.core.engine import DistinctShortestWalks
 from repro.core.walks import Walk
-from repro.query import rpq
 from repro.workloads.fraud import (
     EXAMPLE9_EDGE_IDS,
     example9_automaton,
@@ -93,12 +93,11 @@ class TestExample9Claims:
 
 class TestViaPublicApi:
     def test_regex_front_end(self):
-        walks = list(
-            rpq(example9_query).shortest_walks(
-                example9_graph(), "Alix", "Bob"
-            )
+        rows = (
+            Database(example9_graph()).query(example9_query)
+            .from_("Alix").to("Bob").run().all()
         )
-        assert len(walks) == 4
+        assert len(rows) == 4
 
     def test_all_modes(self):
         graph = example9_graph()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.automata import regex_to_nfa
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.exceptions import CostError, GraphError, UnknownEdgeError
 from repro.graph.builder import GraphBuilder
@@ -24,7 +25,6 @@ from repro.live import (
     op_from_dict,
     op_to_dict,
 )
-from repro.query import rpq
 
 
 def _chain() -> LiveGraph:
@@ -36,7 +36,7 @@ def _chain() -> LiveGraph:
 
 
 def _answers(graph, expression: str, source, target):
-    mt = MultiTargetShortestWalks(graph, rpq(expression).automaton, source)
+    mt = MultiTargetShortestWalks(graph, regex_to_nfa(expression), source)
     lam = mt.lam_for(target)
     if lam is None:
         return None, []

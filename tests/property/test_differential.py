@@ -51,7 +51,7 @@ randomly costed copy of the case's graph).
 
 On top of the four columns, every case runs once more through
 the ``repro.api`` **façade** (``Database(graph).query(...)``) — the
-path the service, the ``RPQ`` helpers and the CLI all share now — and
+path the service, the serve workers and the CLI all share — and
 a second identical façade query must report plan + annotation cache
 hits.  Separate (smaller) case sets check the façade's *new* endpoint
 shapes against the same brute-force oracle: ``all_pairs()`` per pair,
@@ -81,6 +81,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.baselines.oracle import (
     costed_copy,
     oracle_answer_set,
@@ -103,7 +104,6 @@ from repro.core.enumerate import enumerate_walks
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import restriction_predicate
 from repro.core.trim import trim
-from repro.query import rpq
 from repro.query.plan import simple_eligible
 
 from tests.conftest import HUB_QUERIES, hub_graph, node_cells, packed_walks
@@ -168,7 +168,7 @@ def _check_facade_cursor_portability(query, sequence, k, context) -> None:
 def test_modes_agree(case: int) -> None:
     seed = SEED_BASE + case
     graph, expression, source, target = _draw_case(seed)
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     context = (
         f"seed={seed} |V|={graph.vertex_count} |E|={graph.edge_count} "
         f"regex={expression!r} s={source} t={target}"
@@ -272,8 +272,8 @@ def test_modes_agree(case: int) -> None:
                 f"one-shot tail ({context})"
             )
 
-    # The façade column: the cached Database path (what RPQ, the
-    # service and the CLI route through) must agree with the engines
+    # The façade column: the cached Database path (what the service,
+    # the serve workers and the CLI route through) must agree with the engines
     # on λ, the answer set, *and* the general-mode DFS order.
     db = Database(graph)
     query = db.query(expression).from_(source).to(target)
@@ -313,7 +313,7 @@ def test_cheapest_resumed_equals_one_shot(case: int) -> None:
     assert one_shot["memoryless"] == sequence, context
     assert len({sum(costed.cost(e) for e in w) for w in sequence}) <= 1
     # Merged == as-written under Dijkstra budgets.
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     merged = packed_walks(compile_query(costed, nfa), source, target, True)
     written = compile_epsilon_free(costed, nfa)
     assert merged[1] == sequence, context
@@ -362,7 +362,7 @@ def test_deepened_equals_saturated_on_a_hub(case: int) -> None:
 def _check_deepened_equals_saturated(
     graph, expression: str, source: int, t1: int, t2: int, seed: int
 ) -> None:
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     cq = compile_query(graph, nfa)
     context = f"seed={seed} regex={expression!r} s={source} t1={t1} t2={t2}"
 
@@ -431,7 +431,7 @@ def test_facade_all_pairs_matches_oracle(case: int) -> None:
     """``all_pairs()`` == the oracle run over every (s, t) pair."""
     seed = SEED_BASE + 10_000 + case
     graph, expression, _, _ = _draw_case(seed)
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     context = f"seed={seed} regex={expression!r}"
 
     expected = {}
@@ -464,7 +464,7 @@ def test_facade_from_any_matches_oracle(case: int) -> None:
     """
     seed = SEED_BASE + 20_000 + case
     graph, expression, _, target = _draw_case(seed)
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     rng = random.Random(seed ^ 0x5EED)
     n = graph.vertex_count
     sources = rng.sample(range(n), rng.randint(1, n))
@@ -499,7 +499,7 @@ def test_facade_from_any_to_all_matches_oracle(case: int) -> None:
     """``from_any([...]).to_all()``: per target, the min-λ union."""
     seed = SEED_BASE + 30_000 + case
     graph, expression, _, _ = _draw_case(seed)
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     rng = random.Random(seed ^ 0x0DDB)
     n = graph.vertex_count
     sources = rng.sample(range(n), rng.randint(1, min(n, 3)))
@@ -549,7 +549,7 @@ def test_semantics_matrix(case: int) -> None:
     """
     seed = SEED_BASE + 40_000 + case
     graph, expression, source, target = _draw_case(seed)
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     context = (
         f"seed={seed} |V|={graph.vertex_count} |E|={graph.edge_count} "
         f"regex={expression!r} s={source} t={target}"
@@ -653,7 +653,7 @@ def test_oracle_non_degeneracy() -> None:
         expression = random_regex(rng)
         source = rng.randrange(graph.vertex_count)
         target = rng.randrange(graph.vertex_count)
-        nfa = rpq(expression).automaton
+        nfa = regex_to_nfa(expression)
         lam = oracle_lam(graph, nfa, source, target)
         if lam is None or lam > _MAX_ORACLE_LAM:
             continue

@@ -68,6 +68,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.baselines.oracle import (
     oracle_restricted_set,
     oracle_walk_matches,
@@ -91,7 +92,6 @@ from repro.live import (
     RemoveEdge,
     SetEdgeLabels,
 )
-from repro.query import rpq
 
 from tests.conftest import HUB_QUERIES, hub_graph, node_cells, packed_walks
 
@@ -179,7 +179,7 @@ def test_interleaving(case: int) -> None:
     live = LiveGraph(base)
     db = Database(live)
     expressions = [_random_regex(rng) for _ in range(3)]
-    nfas = {x: rpq(x).automaton for x in expressions}
+    nfas = {x: regex_to_nfa(x) for x in expressions}
 
     mutations = 0
     queries = 0
@@ -369,7 +369,7 @@ def test_deepen_after_unrelated_batch_on_a_hub(case: int) -> None:
 
 
 def _check_deepen_after_batch(base, expression, source, t1, ops, seed) -> None:
-    nfa = rpq(expression).automaton
+    nfa = regex_to_nfa(expression)
     context = f"seed={seed} regex={expression!r} s={source} t1={t1}"
 
     live = LiveGraph(base)

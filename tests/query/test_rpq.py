@@ -1,10 +1,18 @@
-"""Unit tests for the rpq() front-end."""
+"""RPQ expressions end to end: compiled by :func:`regex_to_nfa`, run
+through :meth:`Database.query`."""
 
 import pytest
 
+from repro.api import Database
+from repro.automata import parse_rpq, regex_to_nfa
+from repro.automata.regex_ast import ast_size
+from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import RegexSyntaxError
-from repro.query import rpq
+from repro.graph import GraphBuilder
+from repro.query import analyze
 from repro.workloads.fraud import example9_graph
+
+QUERY = "h* s (h | s)*"
 
 
 @pytest.fixture
@@ -12,51 +20,58 @@ def graph():
     return example9_graph()
 
 
+@pytest.fixture
+def db(graph):
+    return Database(graph)
+
+
 class TestCompilation:
     def test_size_is_ast_size(self):
-        q = rpq("h* s (h | s)*")
-        assert q.size >= 5
+        assert ast_size(parse_rpq(QUERY)) >= 5
 
     def test_method_selection(self):
-        thompson = rpq("a b | c")
-        glushkov = rpq("a b | c", method="glushkov")
-        assert thompson.automaton.has_epsilon
-        assert not glushkov.automaton.has_epsilon
+        assert regex_to_nfa("a b | c").has_epsilon
+        assert not regex_to_nfa("a b | c", method="glushkov").has_epsilon
 
-    def test_syntax_errors_propagate(self):
-        with pytest.raises(RegexSyntaxError):
-            rpq("a |")
+    def test_syntax_errors_propagate(self, db):
+        for construction in ("thompson", "glushkov"):
+            with pytest.raises(RegexSyntaxError):
+                regex_to_nfa("a |", method=construction)
+            pair = db.query("a |").construction(construction)
+            with pytest.raises(RegexSyntaxError):
+                pair.from_("Alix").to("Bob").run()
 
-    def test_repr(self):
-        assert "h* s" in repr(rpq("h* s"))
+    def test_repr(self, db):
+        assert "h* s" in repr(db.query("h* s"))
 
 
 class TestExecution:
-    def test_shortest_walks(self, graph):
-        walks = list(rpq("h* s (h | s)*").shortest_walks(graph, "Alix", "Bob"))
-        assert len(walks) == 4
+    def test_shortest_walks(self, db):
+        rows = db.query(QUERY).from_("Alix").to("Bob").run().all()
+        assert len(rows) == 4
 
-    def test_lam_and_count(self, graph):
-        q = rpq("h* s (h | s)*")
-        assert q.lam(graph, "Alix", "Bob") == 3
-        assert q.count(graph, "Alix", "Bob") == 4
-        assert q.lam(graph, "Bob", "Alix") is None
-        assert q.count(graph, "Bob", "Alix") == 0
+    def test_lam_and_count(self, db):
+        pair = db.query(QUERY).from_("Alix").to("Bob")
+        assert pair.run().lam == 3
+        assert pair.count() == 4
+        back = db.query(QUERY).from_("Bob").to("Alix")
+        assert back.run().lam is None
+        assert back.count() == 0
 
-    def test_first(self, graph):
-        q = rpq("h* s (h | s)*")
-        assert len(q.first(graph, "Alix", "Bob", 2)) == 2
+    def test_first(self, db):
+        rows = db.query(QUERY).from_("Alix").to("Bob").limit(2).run().all()
+        assert len(rows) == 2
 
-    def test_multiplicity(self, graph):
-        q = rpq("h* s (h | s)*")
-        pairs = list(
-            q.shortest_walks_with_multiplicity(graph, "Alix", "Bob")
+    def test_multiplicity(self, db):
+        rows = (
+            db.query(QUERY).from_("Alix").to("Bob")
+            .with_multiplicity().run()
         )
-        assert sorted(m for _, m in pairs) == [1, 2, 2, 3]
+        assert sorted(row.multiplicity for row in rows) == [1, 2, 2, 3]
 
-    def test_to_all_targets(self, graph):
-        mt = rpq("h* s (h | s)*").to_all_targets(graph, "Alix")
-        assert sorted(mt.reached_target_names()) == [
+    def test_to_all_targets(self, db):
+        targets = db.query(QUERY).from_("Alix").to_all().targets()
+        assert sorted(name for name, _ in targets) == [
             "Bob",
             "Cassie",
             "Dan",
@@ -64,39 +79,34 @@ class TestExecution:
         ]
 
     def test_cheapest_walks(self):
-        from repro.graph import GraphBuilder
-
         b = GraphBuilder()
         b.add_edge("s", "t", ["a"], cost=9)
         b.add_edge("s", "t", ["a"], cost=3)
-        walks = list(rpq("a").cheapest_walks(b.build(), "s", "t"))
+        rows = Database(b.build()).query("a").cheapest().from_("s").to("t")
+        walks = list(rows.run().walks())
         assert len(walks) == 1 and walks[0].cost() == 3
 
-    def test_reusable_across_graphs(self, graph):
+    def test_reusable_across_graphs(self, db):
         from repro.graph.generators import chain
 
-        q = rpq("(h | a)+")
-        assert q.count(graph, "Alix", "Cassie") >= 1
-        other = chain(2, labels=("a",))
-        assert q.count(other, "v0", "v2") == 1
+        assert db.query("(h | a)+").from_("Alix").to("Cassie").count() >= 1
+        other = Database(chain(2, labels=("a",)))
+        assert other.query("(h | a)+").from_("v0").to("v2").count() == 1
 
     def test_plan(self, graph):
-        plan = rpq("h* s (h | s)*").plan(graph)
-        assert plan.engine == "general"
+        assert analyze(graph, regex_to_nfa(QUERY)).engine == "general"
 
     def test_engine_reuse(self, graph):
-        engine = rpq("h* s (h | s)*").engine(graph, "Alix", "Bob")
+        engine = DistinctShortestWalks(graph, QUERY, "Alix", "Bob")
         assert engine.count() == engine.count() == 4
 
-    def test_wildcard_query(self, graph):
+    def test_wildcard_query(self, db):
         # Any two transfers from Alix to Eve.
-        walks = list(rpq(". .").shortest_walks(graph, "Alix", "Eve"))
-        assert len(walks) == 3  # e1e5, e1e6, e2e4.
+        rows = db.query(". .").from_("Alix").to("Eve").run().all()
+        assert len(rows) == 3  # e1e5, e1e6, e2e4.
 
     def test_quoted_label_query(self):
-        from repro.graph import GraphBuilder
-
         b = GraphBuilder()
         b.add_edge("x", "y", ["high value"])
-        walks = list(rpq("'high value'").shortest_walks(b.build(), "x", "y"))
-        assert len(walks) == 1
+        db = Database(b.build())
+        assert db.query("'high value'").from_("x").to("y").count() == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.graph.builder import GraphBuilder
@@ -69,3 +71,17 @@ def test_engine_error_stays_in_band(service: QueryService) -> None:
     )
     assert response["status"] == "error"
     assert "nope" in response["error"]
+
+
+@pytest.mark.parametrize("budget", ["NaN", "Infinity"])
+def test_non_finite_timeout_is_a_request_error(
+    service: QueryService, budget: str
+) -> None:
+    payload = json.loads(
+        '{"query": "h s", "source": "A", "target": "C", "id": 4, '
+        f'"timeout_ms": {budget}}}'
+    )
+    response = execute_payload(service, payload)
+    assert response["status"] == "error"
+    assert "timeout_ms" in response["error"]
+    assert response["id"] == 4

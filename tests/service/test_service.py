@@ -32,10 +32,10 @@ def _edges(response):
 
 
 def _engine_edges(graph, expression, source, target, mode="iterative"):
-    from repro.query import rpq
+    from repro.automata import regex_to_nfa
 
     engine = DistinctShortestWalks(
-        graph, rpq(expression).automaton, source, target, mode=mode
+        graph, regex_to_nfa(expression), source, target, mode=mode
     )
     return [w.edges for w in engine.enumerate()]
 
@@ -442,6 +442,7 @@ class TestRequestParsing:
             QueryRequest.from_dict({"query": "a", "source": 1})
 
     def test_bad_knobs_rejected(self):
+        nan, inf = float("nan"), float("inf")
         for payload in (
             {"query": "a", "source": 1, "target": 2, "limit": -1},
             {"query": "a", "source": 1, "target": 2, "offset": -2},
@@ -453,6 +454,8 @@ class TestRequestParsing:
             {"query": "a", "source": 1, "target": 2, "offset": True},
             {"query": "a", "source": 1, "target": 2, "timeout_ms": True},
             {"query": "a", "source": 1, "target": 2, "timeout_ms": "5"},
+            {"query": "a", "source": 1, "target": 2, "timeout_ms": nan},
+            {"query": "a", "source": 1, "target": 2, "timeout_ms": inf},
             {"query": "a", "source": 1, "target": 2, "cursor": [True]},
         ):
             with pytest.raises(RequestError):
@@ -468,6 +471,20 @@ class TestRequestParsing:
         assert response.status == "error"
         assert response.code is None
         assert "must be hashable" in response.error
+
+    @pytest.mark.parametrize("line", ["NaN", "Infinity"])
+    def test_non_finite_timeout_is_a_request_error(self, service, line):
+        """``json.loads`` parses NaN and Infinity; a NaN deadline would
+        never expire, so both are refused before any work runs."""
+        payload = json.loads(
+            '{"query": "%s", "source": "Alix", "target": "Bob", '
+            '"timeout_ms": %s}' % (QUERY, line)
+        )
+        with pytest.raises(RequestError, match="timeout_ms"):
+            QueryRequest.from_dict(payload)
+        response = service.execute(QueryRequest(**payload))
+        assert response.status == "error"
+        assert "timeout_ms" in response.error
 
 
 class TestInternalErrorCode:

@@ -50,7 +50,7 @@ ENTRY_POINTS = (
     "repro.api", "repro.service", "repro.serve", "repro.cli", "repro.__main__",
 )
 
-_BENCH = "benchmark harness shipped inside the library; leaves with ROADMAP item 7"
+_BENCH = "benchmark harness shipped inside the library; leaves with ROADMAP item 6"
 _DATA = (
     "data generators and worked examples that examples/, the docs and the "
     "frozen spine (benchmarks/spine/workloads.py) import by these paths"
@@ -72,7 +72,7 @@ UNREACHED = {
     "repro.workloads.transport": _DATA,
     "repro.workloads.worstcase": _DATA,
     "repro.core.deltas": (
-        "Section 6 delta encoder; ROADMAP item 6(b) decides whether it "
+        "Section 6 delta encoder; ROADMAP item 10 decides whether it "
         "becomes native to the DFS or joins the oracles"
     ),
 }
@@ -459,6 +459,40 @@ def test_the_product_bfs_enumerator_lives_in_baselines_only():
         )
         if defined or imported:
             offenders.append(str(path.relative_to(SRC)))
+    assert offenders == []
+
+
+def test_no_second_entry_point_or_graph_registry():
+    """``Database.query`` is the one way in: no module defines the
+    per-graph database registry (``for_graph`` and its ``_shared``
+    map) or a side door that hands out engines (``multi_target``), and
+    none imports the deleted ``repro.query.rpq`` shims."""
+    gone = {"for_graph", "_shared", "multi_target"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                defined = {
+                    getattr(t, "id", None) or getattr(t, "attr", None)
+                    for target in targets
+                    for t in ast.walk(target)
+                }
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}: defines {name}"
+                for name in sorted(defined & gone)
+            ]
+        offenders += [
+            f"{path.relative_to(SRC)}: imports {module}"
+            for module in _imported_modules(tree)
+            if module in ("repro.query.rpq", "repro.query.RPQ")
+            or module.startswith("repro.query.rpq.")
+        ]
     assert offenders == []
 
 

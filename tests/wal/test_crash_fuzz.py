@@ -41,6 +41,7 @@ from typing import List
 import pytest
 
 from repro.api import Database
+from repro.automata import regex_to_nfa
 from repro.baselines.oracle import random_regex_compact
 from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import QueryError
@@ -54,7 +55,6 @@ from repro.live import (
     SetEdgeLabels,
 )
 from repro.live.delta import ops_from_dicts
-from repro.query import rpq
 from repro.wal.frames import scan_bytes, scan_file
 from repro.wal.recovery import _pick_snapshot, recover
 from repro.wal.snapshot import list_snapshots
@@ -218,7 +218,7 @@ def _query_modes_vs_oracle(db, live, oracle_graph, expr, source, target, ctx):
         db.query(expr).from_(source).to(target).mode("recursive")
     # The engine-level DP answer count on the oracle graph.
     engine = DistinctShortestWalks(
-        oracle_graph, rpq(expr).automaton, source, target, mode="iterative"
+        oracle_graph, regex_to_nfa(expr), source, target, mode="iterative"
     )
     assert engine.lam == want.lam, f"count λ ({ctx})"
     if want.lam is not None:

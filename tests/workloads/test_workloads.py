@@ -5,7 +5,6 @@ import pytest
 from repro.automata import regex_to_nfa
 from repro.core.engine import DistinctShortestWalks
 from repro.graph import validate_graph
-from repro.query import rpq
 from repro.workloads import (
     QUERY_CATALOG,
     diamond_chain,
@@ -127,8 +126,7 @@ class TestWorstCase:
 class TestQueryCatalog:
     @pytest.mark.parametrize("name", sorted(QUERY_CATALOG))
     def test_every_query_parses(self, name):
-        q = rpq(QUERY_CATALOG[name])
-        assert q.size >= 1
+        assert regex_to_nfa(QUERY_CATALOG[name]).n_states >= 1
 
     def test_example9_entry_matches(self):
         assert QUERY_CATALOG["example9"] == example9_query
