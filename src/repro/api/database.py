@@ -17,9 +17,9 @@ One ``Database`` owns
   methods (DESIGN.md §4): every endpoint shape × semantics is one
   ordered stream of ``(source, target)`` *cells* — a pair is the
   one-cell case — produced by one per-source provider under one shape
-  combinator, and one row generator turns cells into rows (cursor
-  seek, budget check, multiplicities).  ``run()``, ``count("dp")`` and
-  ``targets()`` all read that stream.
+  combinator, and the :class:`~repro.api.result.ResultSet` turns cells
+  into rows (cursor resume, multiplicities, pagination).  ``run()``,
+  ``count("dp")`` and ``targets()`` all read that stream.
 
 The batched :class:`~repro.service.QueryService`, the serve workers
 and the CLI all delegate here, so every entry point shares one
@@ -55,19 +55,18 @@ from typing import (
 
 from repro.api.query import Query
 from repro.api.result import ResultSet
-from repro.api.rows import Cursor, Row
+from repro.api.rows import Cursor
 from repro.automata import regex_to_nfa
 from repro.automata.nfa import NFA
 from repro.core.annotate import AnnotateBFS
 from repro.core.compile import compile_epsilon_free, compile_query
-from repro.core.enumerate import skip_past_cursor
+from repro.core.enumerate import enumerate_walks, skip_past_cursor
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.restricted import (
     fallback_walks,
     restricted_filter,
     restricted_lam,
 )
-from repro.core.multiplicity import count_accepting_runs
 from repro.core.walks import Walk
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
@@ -882,30 +881,21 @@ class Database:
             else None
         )
         handle = self._handle(q._graph_name)
-        if self._metrics is not None:
-            # One trace per request: preprocessing spans (parse,
-            # compile, annotate, trim) open against the contextvar
-            # inside _prepare; the enumerate span is attached post hoc
-            # by ResultSet when pagination finishes (enumeration is
-            # lazy, so it happens after this frame returns).
-            trace = Trace()
-            token = obs_trace.activate(trace)
-            try:
-                rows, lam, stats = self._prepare(q, handle)
-            finally:
-                obs_trace.deactivate(token)
-            stats["trace"] = trace
-        else:
-            rows, lam, stats = self._prepare(q, handle)
-        return ResultSet(
-            rows,
-            lam=lam,
-            stats=stats,
-            limit=q._limit,
-            offset=q._offset,
-            deadline=deadline,
-            fallback_cursor=q._cursor,
-        )
+        if self._metrics is None:
+            return self._prepare(q, handle, deadline)
+        # One trace per request: preprocessing spans (parse, compile,
+        # annotate, trim) open against the contextvar inside _prepare;
+        # the enumerate span is attached post hoc by ResultSet when
+        # pagination finishes (enumeration is lazy, so it happens after
+        # this frame returns).
+        trace = Trace()
+        token = obs_trace.activate(trace)
+        try:
+            result = self._prepare(q, handle, deadline)
+        finally:
+            obs_trace.deactivate(token)
+        result.stats["trace"] = trace
+        return result
 
     def _plan(self, q: Query, handle: _GraphHandle) -> Tuple[_Plan, bool]:
         """The query's cached plan (and whether it was a hit)."""
@@ -919,30 +909,26 @@ class Database:
         return self._plan_for(handle, q)
 
     def _prepare(
-        self, q: Query, handle: _GraphHandle
-    ) -> Tuple[Iterator[Tuple[Row, Cursor]], Optional[int], Dict[str, Any]]:
+        self, q: Query, handle: _GraphHandle, deadline: Optional[float]
+    ) -> ResultSet:
         shape = q._shape()
         graph = handle.graph
         plan, plan_hit = self._plan(q, handle)
         stats = _fresh_stats(plan_hit)
         count_cq = self._count_cq(plan, graph) if q._multiplicity else None
-        pair = shape[0] == "pair"
-        cursor = q._cursor
-        at = None if cursor is None else _cursor_cell(graph, cursor, shape)
-        cells, lam = self._cells(q, handle, plan, shape, stats, at)
-        resume = None
-        # An unmatched pair is empty, cursor or not.
-        if cursor is not None and not (pair and lam is None):
-            resume = cursor.edges
-            cells = _from_cursor(
-                graph, cells, cursor, at, q._semantics == "cheapest"
-            )
-            if pair:
-                # A pair is eager: like its restricted_lam, its
-                # cursor's budget check runs inside run(); the other
-                # shapes check cell by cell as the stream is consumed.
-                cells = tuple(cells)
-        return _rows(graph, cells, resume, not pair, count_cq), lam, stats
+        cells, lam = self._cells(q, handle, plan, shape, stats, q._cursor)
+        return ResultSet(
+            cells,
+            graph,
+            lam=lam,
+            stats=stats,
+            bucketed=shape[0] != "pair",
+            count_cq=count_cq,
+            limit=q._limit,
+            offset=q._offset,
+            deadline=deadline,
+            cursor=q._cursor,
+        )
 
     def _reach(
         self,
@@ -1030,17 +1016,24 @@ class Database:
             # The real annotate/trim spans were traced on the building
             # thread; a hit still shows the phase, tagged.
             obs_trace.add_span("annotate", dt, cached=True)
-        info = mt.target_info
+        # The build (``preprocess(only)``) or the settle above left
+        # every target this request reads settled: ``only``, or all of
+        # them when there is none.  So each cell reads λ and S_t off
+        # one published snapshot, and opens the DFS on it by id.
+        annotation = mt.annotation
+        cost_of = graph.cost_array.__getitem__ if mt.cheapest else None
 
         def cell(t: int) -> Optional[Tuple]:
-            lam, _ = info(t)
+            lam, states = annotation.target_info(t)
             if lam is None:
                 return None
-            name = graph.vertex_name(t)
 
             # Every mode: one DFS per page, positioned once by the cursor.
             def open_walks(resume=None):
-                return mt.walks_to(name, resume)
+                return enumerate_walks(
+                    graph, annotation.packed, lam, t, states,
+                    cost_of=cost_of, resume_after=resume,
+                )
 
             if restriction == "walks":
                 return lam, open_walks, mt
@@ -1066,8 +1059,8 @@ class Database:
         plan: _Plan,
         shape: Tuple,
         stats: Dict[str, Any],
-        at: Optional[Tuple[Optional[int], int]] = None,
-    ) -> Tuple[Iterator[_Cell], Optional[int]]:
+        cursor: Optional[Cursor] = None,
+    ) -> Tuple[Iterable[_Cell], Optional[int]]:
         """The one shape combinator: ``(cells, λ)``.
 
         ``cells`` is the query's ordered :data:`_Cell` stream and ``λ``
@@ -1079,10 +1072,18 @@ class Database:
         consumed — while the cells themselves (under a restriction:
         one :func:`restricted_lam` each) are produced lazily, bar a
         pair's.  A cell whose pair admits no (restricted) walk is not
-        in the stream.  ``at`` is the resuming cursor's cell.
+        in the stream.  With a resuming ``cursor`` the stream starts at
+        the cursor's own cell, whose λ the cursor's budget must match.
         """
         graph = handle.graph
         kind = shape[0]
+        only = (
+            graph.resolve_vertex(shape[2])
+            if kind in ("pair", "many_to_one")
+            else None
+        )
+        at = None if cursor is None else _cursor_cell(graph, cursor, shape, only)
+        cheapest = q._semantics == "cheapest"
         if kind == "all_pairs":
             # Sources before the cursor's cell never contribute to a
             # resumed stream — skip them without building annotations.
@@ -1093,11 +1094,6 @@ class Database:
             sources = dict.fromkeys(graph.resolve_vertex(s) for s in shape[1])
         else:
             sources = (graph.resolve_vertex(shape[1]),)
-        only = (
-            graph.resolve_vertex(shape[2])
-            if kind in ("pair", "many_to_one")
-            else None
-        )
         reaches = [
             (s, *self._reach(q, handle, plan, stats, s, only))
             for s in sources
@@ -1106,9 +1102,15 @@ class Database:
         if kind == "pair":
             ((s, _, cell),) = reaches
             found = cell(only)
+            # An unmatched pair is empty, cursor or not.
             if found is None:
-                return iter(()), None
-            return iter(((s, only, *found),)), found[0]
+                return (), None
+            if cursor is not None:
+                # A pair is eager: like its restricted_lam, its
+                # cursor's budget check runs inside run(); the other
+                # shapes check as the stream is consumed.
+                _check_cursor_budget(graph, cursor, found[0], cheapest)
+            return ((s, only, *found),), found[0]
 
         def minimal(t: int) -> List[_Cell]:
             """Target ``t``'s cells from the sources attaining its
@@ -1125,21 +1127,27 @@ class Database:
             best = [c for c in found if c[2] == lam]
             return best[:1] if q._restriction == "any" else best
 
+        lam = None
         if kind == "many_to_one":
             best = minimal(only)
-            return iter(best), best[0][2] if best else None
-        if kind == "many_to_all":
+            cells: Iterable[_Cell] = best
+            lam = best[0][2] if best else None
+        elif kind == "many_to_all":
             targets = sorted(
                 {t for _, reached, _ in reaches for t in reached()}
             )
-            return (c for t in targets for c in minimal(t)), None
-        # one_to_all / all_pairs: every reached pair, source-major.
-        return (
-            (s, t, *c)
-            for s, reached, cell in reaches
-            for t in reached()
-            if (c := cell(t)) is not None
-        ), None
+            cells = (c for t in targets for c in minimal(t))
+        else:
+            # one_to_all / all_pairs: every reached pair, source-major.
+            cells = (
+                (s, t, *c)
+                for s, reached, cell in reaches
+                for t in reached()
+                if (c := cell(t)) is not None
+            )
+        if cursor is not None:
+            cells = _from_cursor(graph, cells, cursor, at, cheapest)
+        return cells, lam
 
     # -- non-enumerating terminals -------------------------------------------
 
@@ -1251,47 +1259,15 @@ def _fresh_stats(plan_hit: bool) -> Dict[str, Any]:
     }
 
 
-def _rows(
-    graph: Graph,
-    cells: Iterable[_Cell],
-    resume: Optional[Tuple[int, ...]],
-    bucketed: bool,
-    count_cq: Any,
-) -> Iterator[Tuple[Row, Cursor]]:
-    """The one row generator: every cell's stream, in order, as
-    ``(row, cursor pointing at it)``.  ``resume`` positions the *first*
-    cell's stream after a previous output (see :func:`_from_cursor`);
-    a bucketed shape's cursors name their cell, a pair's are the bare
-    edge list."""
-    for source_id, target_id, lam, open_walks, _ in cells:
-        source = graph.vertex_name(source_id)
-        target = graph.vertex_name(target_id)
-        for walk in open_walks(resume):
-            multiplicity = (
-                count_accepting_runs(count_cq, walk.edges)
-                if count_cq is not None
-                else None
-            )
-            row = Row(
-                source=source,
-                target=target,
-                walk=walk,
-                lam=lam,
-                multiplicity=multiplicity,
-            )
-            yield row, row.cursor(bucketed)
-        resume = None
-
-
 def _cursor_cell(
-    graph: Graph, cursor: Cursor, shape: Tuple
+    graph: Graph, cursor: Cursor, shape: Tuple, only: Optional[int]
 ) -> Tuple[Optional[int], int]:
     """``(source_id or None, target_id)`` of the cell a cursor points
     into, its edge list checked against that target.  A pair has one
-    cell and its cursor is the bare edge list; any other shape's cursor
-    names its cell."""
+    cell, its target ``only``, and its cursor is the bare edge list;
+    any other shape's cursor names its cell."""
     if shape[0] == "pair":
-        source_id, target_id = None, graph.resolve_vertex(shape[2])
+        source_id, target_id = None, only
     else:
         if cursor.target is None:
             raise QueryError(
@@ -1311,7 +1287,7 @@ def _cursor_cell(
 
 def _from_cursor(
     graph: Graph,
-    cells: Iterator[_Cell],
+    cells: Iterable[_Cell],
     cursor: Cursor,
     at: Tuple[Optional[int], int],
     cheapest: bool,
@@ -1320,6 +1296,7 @@ def _from_cursor(
     cursor-to-cell seek — with the cursor's budget checked against
     that cell's λ."""
     source_id, target_id = at
+    cells = iter(cells)
     for cell in cells:
         if cell[1] == target_id and source_id in (None, cell[0]):
             _check_cursor_budget(graph, cursor, cell[2], cheapest)

@@ -1,8 +1,10 @@
-"""Streaming :class:`ResultSet` — pagination over a row stream.
+"""Streaming :class:`ResultSet` — pagination over a cell stream.
 
-The executor (:mod:`repro.api.database`) hands the result set a lazy
-``(row, cursor)`` stream whose cursor seeking has already happened at
-the bucket level; the result set applies the *page* knobs on top —
+The executor (:mod:`repro.api.database`) hands the result set its
+ordered stream of ``(source, target)`` *cells*, the cursor-to-cell
+seek already applied; the result set opens each cell's walk stream
+(the first one positioned after the request's cursor), turns walks
+into :class:`Row` objects and applies the *page* knobs on top —
 ``offset``, ``limit`` and the wall-clock deadline — with exactly the
 semantics of the batch service's paginator:
 
@@ -16,14 +18,21 @@ semantics of the batch service's paginator:
   emitted), falling back to the request's own cursor when nothing was
   consumed yet;
 * an exhausted stream leaves :attr:`next_cursor` as ``None``.
+
+A row passes through one generator frame between the engine's DFS and
+the caller, and the page's bookkeeping is paid per page, not per row:
+the last row consumed is kept and its :class:`Cursor` built only when
+the page stops early, and the ``enumerate`` timing is summed in a
+local and written once, when the page ends.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api.rows import Cursor, Row
+from repro.core.multiplicity import count_accepting_runs
 from repro.core.walks import Walk
 
 
@@ -39,15 +48,23 @@ class ResultSet:
 
     def __init__(
         self,
-        rows: Iterator[Tuple[Row, Cursor]],
+        cells: Iterable[Tuple],
+        graph: Any,
         *,
         lam: Optional[int],
         stats: Dict[str, Any],
+        bucketed: bool = False,
+        count_cq: Any = None,
         limit: Optional[int] = None,
         offset: int = 0,
         deadline: Optional[float] = None,
-        fallback_cursor: Optional[Cursor] = None,
+        cursor: Optional[Cursor] = None,
     ) -> None:
+        """``cells`` are the executor's ``(source_id, target_id, λ,
+        open, prepared)`` tuples (``open(resume_after)`` opens the
+        cell's walk stream); ``bucketed`` makes cursors name their
+        cell; ``count_cq`` (an ε-free compiled query) adds each row's
+        multiplicity; ``cursor`` is the request's own resume token."""
         #: λ of the query: the answer length for a pair query, the
         #: global minimum for ``from_any(...).to(...)``; ``None`` when
         #: no walk matches — or for the per-bucket shapes (``to_all``,
@@ -55,12 +72,15 @@ class ResultSet:
         self.lam = lam
         #: ``{"cached": {...}, "timings": {...}}`` — cache-hit flags
         #: and wall-clock seconds per preprocessing phase; the
-        #: ``enumerate`` timing accrues as the stream is consumed.
+        #: ``enumerate`` timing is written when the page ends.
         self.stats = stats
         self.next_cursor: Optional[Cursor] = None
         self.skipped = 0
         self.timed_out = False
-        self._gen = self._paginate(rows, limit, offset, deadline, fallback_cursor)
+        self._gen = self._paginate(
+            cells, graph.vertex_name, bucketed, count_cq, limit, offset,
+            deadline, cursor,
+        )
 
     # -- consumption ---------------------------------------------------------
 
@@ -69,56 +89,67 @@ class ResultSet:
 
     def _paginate(
         self,
-        rows: Iterator[Tuple[Row, Cursor]],
+        cells: Iterable[Tuple],
+        name: Any,
+        bucketed: bool,
+        count_cq: Any,
         limit: Optional[int],
         offset: int,
         deadline: Optional[float],
-        fallback: Optional[Cursor],
+        cursor: Optional[Cursor],
     ) -> Iterator[Row]:
-        emitted = 0
-        #: Cursor of the last row consumed (skipped or emitted) — the
-        #: anchor a resume token points at.
-        last: Optional[Cursor] = fallback
-        timings = self.stats["timings"]
+        clock = time.perf_counter
+        resume = None if cursor is None else cursor.edges
+        emitted = skipped = 0
+        #: The last row consumed (skipped or emitted) — the anchor a
+        #: resume token points at.
+        last: Optional[Row] = None
+        stopped = False
+        spent = 0.0
+        # Start of the running enumerate interval; None while the
+        # caller holds a row.
+        start: Optional[float] = clock()
         try:
-            while True:
-                t0 = time.perf_counter()
-                try:
-                    row, cursor = next(rows)
-                except StopIteration:
-                    return
-                finally:
-                    timings["enumerate"] = (
-                        timings.get("enumerate", 0.0)
-                        + time.perf_counter()
-                        - t0
+            for source_id, target_id, lam, open_walks, _ in cells:
+                source, target = name(source_id), name(target_id)
+                for walk in open_walks(resume):
+                    row = Row(
+                        source, target, walk, lam,
+                        None if count_cq is None
+                        else count_accepting_runs(count_cq, walk.edges),
                     )
-                if self.skipped < offset:
-                    self.skipped += 1
-                elif limit is None or emitted < limit:
-                    emitted += 1
-                    yield row
-                else:
-                    # One row past the page: the enumeration has more.
-                    self.next_cursor = last
-                    return
-                last = cursor
-                if deadline is not None and time.perf_counter() > deadline:
-                    self.timed_out = True
-                    self.next_cursor = last
-                    return
+                    if skipped < offset:
+                        skipped += 1
+                    elif limit is None or emitted < limit:
+                        emitted += 1
+                        spent += clock() - start
+                        start = None
+                        yield row
+                        start = clock()
+                    else:
+                        # One row past the page: the enumeration has more.
+                        stopped = True
+                        return
+                    last = row
+                    if deadline is not None and clock() > deadline:
+                        self.timed_out = stopped = True
+                        return
+                resume = None
         finally:
-            close = getattr(rows, "close", None)
-            if close is not None:
-                close()
+            if start is not None:
+                spent += clock() - start
+            if stopped:
+                self.next_cursor = (
+                    cursor if last is None else last.cursor(bucketed)
+                )
+            self.skipped = skipped
+            self.stats["timings"]["enumerate"] = spent
             trace = self.stats.get("trace")
             if trace is not None:
                 # Enumeration is lazy (it ran after the executor's
                 # trace deactivated), so the span attaches post hoc
-                # from the accrued timing when the page finishes.
-                trace.add_span(
-                    "enumerate", timings.get("enumerate", 0.0)
-                )
+                # from the page's timing when it finishes.
+                trace.add_span("enumerate", spent)
 
     # -- conveniences --------------------------------------------------------
 

@@ -247,7 +247,7 @@ def _same_past_classes(live, initial, entering, rows) -> List[set]:
     while dirty:
         signed: Dict[int, Dict[object, List[int]]] = {}
         for q in dirty:
-            if len(members[c := cls[q]]) > 1:  # a singleton cannot split
+            if len(members[(c := cls[q])]) > 1:  # a singleton cannot split
                 parts = signed.setdefault(c, {})
                 parts.setdefault(_past(entering[q], cls), []).append(q)
         dirty = set()

@@ -20,9 +20,9 @@ The engine modes:
   kept alive between outputs and re-positioned by one seek on resume;
 * ``mode="memoryless"`` — the same DFS re-positioned before *every*
   output (``NextOutput``), Theorem 18.  An engine-only artefact: the
-  façade tiers accept the name but page through
-  :meth:`~repro.core.multi_target.MultiTargetShortestWalks.walks_to`,
-  one seek per page, with the same rows, order and cursors;
+  façade tiers accept the name but page through one
+  :func:`~repro.core.enumerate.enumerate_walks` per cell, one seek per
+  page, with the same rows, order and cursors;
 * ``mode="auto"`` — ``iterative``.  (The
   paper's "simpler setting" — single-labeled D, deterministic A — is
   *detected* by :func:`repro.query.plan.analyze`; the folklore

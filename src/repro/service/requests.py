@@ -99,6 +99,10 @@ class QueryRequest:
     #: Client-chosen id, echoed verbatim in the response.
     id: Optional[Any] = None
 
+    #: Set by :meth:`validate` (a plain attribute, not a field): the
+    #: service skips the pass for a request that already made it.
+    validated = False
+
     def validate(self) -> "QueryRequest":
         if not isinstance(self.query, str) or not self.query.strip():
             raise RequestError("'query' must be a non-empty string")
@@ -144,6 +148,7 @@ class QueryRequest:
             raise RequestError(
                 "'timeout_ms' must be a finite non-negative number"
             )
+        self.validated = True
         return self
 
     @classmethod

@@ -355,7 +355,10 @@ class QueryService:
     # -- internals -----------------------------------------------------------
 
     def _execute_checked(self, request: QueryRequest) -> QueryResponse:
-        request.validate()
+        # from_dict/read_requests_jsonl already validated; only
+        # directly-constructed requests still need the pass.
+        if not request.validated:
+            request.validate()
         query = (
             self._db.query(request.query)
             .on(request.graph)

@@ -180,6 +180,129 @@ class TestOneSeekPerPage:
         assert head + rest == full[:20]
 
 
+class TestOnePassPerPage:
+    """A cache-hit page does its bookkeeping once per cell and once per
+    page, never once per row: one ``settle`` and one ``target_info``
+    for a pair's cell, no vertex resolved by name beyond the request's
+    two endpoints, and a :class:`Cursor` built only when the page stops
+    early (at its limit or its deadline)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.core.annotate import Annotation
+        from repro.core.engine import PreparedWalks
+        from repro.graph.database import Graph
+
+        counts = {}
+
+        def count(owner, attribute):
+            real = getattr(owner, attribute)
+
+            def counting(*args, **kwargs):
+                counts[attribute] = counts.get(attribute, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, counting)
+
+        count(PreparedWalks, "settle")
+        count(Annotation, "target_info")
+        count(Graph, "resolve_vertex")
+        count(Cursor, "__init__")
+        return counts
+
+    @pytest.fixture
+    def warm(self):
+        graph, _, s, t = diamond_chain(5, parallel=2)
+        database = Database(graph)
+        query = database.query("a*").from_(s).to(t)
+        full = _edges(query.run())
+        assert len(full) == 32
+        return query, full
+
+    @staticmethod
+    def _page(counts, query):
+        counts.clear()
+        rs = query.run()
+        rows = _edges(rs)
+        return rs, rows, dict(counts)
+
+    def test_a_page_that_stops_at_its_limit(self, counts, warm):
+        query, full = warm
+        rs, rows, seen = self._page(counts, query.limit(10))
+        assert rows == full[:10] and rs.next_cursor.edges == full[9]
+        assert seen == {
+            "settle": 1, "target_info": 1, "resolve_vertex": 2,
+            "__init__": 1,
+        }
+
+    def test_a_page_that_runs_out(self, counts, warm):
+        query, full = warm
+        rs, rows, seen = self._page(counts, query.limit(100))
+        assert rows == full and rs.next_cursor is None
+        assert seen == {"settle": 1, "target_info": 1, "resolve_vertex": 2}
+
+    def test_a_page_that_stops_at_its_deadline(self, counts, warm):
+        query, full = warm
+        rs, rows, seen = self._page(counts, query.timeout_ms(0.0))
+        assert rs.timed_out and rs.next_cursor.edges == full[len(rows) - 1]
+        assert seen["settle"] == 1 and seen["target_info"] == 1
+        assert seen["resolve_vertex"] == 2 and seen["__init__"] == 1
+
+    def test_a_resumed_page(self, counts, warm):
+        query, full = warm
+        resumed = query.cursor(Cursor(edges=full[9])).limit(10)
+        rs, rows, seen = self._page(counts, resumed)
+        assert rows == full[10:20] and rs.next_cursor.edges == full[19]
+        # The request's cursor is built by the builder, not the page.
+        assert seen == {
+            "settle": 1, "target_info": 1, "resolve_vertex": 2,
+            "__init__": 1,
+        }
+
+
+class TestPaginationEdges:
+    """Where ``next_cursor`` points when a page stops early."""
+
+    def test_offset_then_limit_points_at_the_last_row_emitted(self, db):
+        query = db.query(QUERY).from_("Alix").to("Bob")
+        full = _edges(query.run())
+        rs = query.offset(1).limit(2).run()
+        assert _edges(rs) == full[1:3] and rs.skipped == 1
+        assert rs.next_cursor.edges == full[2]
+        assert _edges(query.cursor(rs.next_cursor).run()) == full[3:]
+
+    def test_a_deadline_in_the_offset_phase_points_at_the_last_skip(self):
+        graph, _, s, t = diamond_chain(5, parallel=2)
+        query = Database(graph).query("a*").from_(s).to(t)
+        full = _edges(query.run())
+        # A spent budget stops the page after its first consumed row,
+        # here a skipped one: the cursor resumes right after it.
+        rs = query.offset(5).timeout_ms(0.0).run()
+        assert rs.all() == [] and rs.timed_out and rs.skipped == 1
+        assert rs.next_cursor.edges == full[0]
+        rest = query.cursor(rs.next_cursor).offset(5 - rs.skipped).run()
+        assert _edges(rest) == full[5:]
+        # From a resumed request the anchor moves past its own cursor.
+        resumed = query.cursor(Cursor(edges=full[9])).offset(3)
+        rs = resumed.timeout_ms(0.0).run()
+        assert rs.all() == [] and rs.timed_out and rs.skipped == 1
+        assert rs.next_cursor.edges == full[10]
+
+    def test_an_offset_across_buckets_names_the_last_rows_bucket(self, db):
+        query = db.query(QUERY).from_("Alix").to_all()
+        full = [(r.target, r.walk.edges) for r in query.run()]
+        assert len({target for target, _ in full}) == 4
+        # Every offset, so the skip phase crosses each bucket boundary.
+        for offset in range(1, len(full) - 1):
+            rs = query.offset(offset).limit(1).run()
+            assert [(r.target, r.walk.edges) for r in rs] == [full[offset]]
+            token = rs.next_cursor
+            assert token.source == "Alix", offset
+            assert (token.target, token.edges) == full[offset], offset
+            rest = query.cursor(token).run()
+            assert [(r.target, r.walk.edges) for r in rest] == full[offset + 1:]
+
+
 class TestBucketedCursors:
     def test_one_to_all_pages_across_buckets(self, db):
         query = db.query(QUERY).from_("Alix").to_all()

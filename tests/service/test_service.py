@@ -487,6 +487,42 @@ class TestRequestParsing:
         assert "timeout_ms" in response.error
 
 
+    def test_a_parsed_request_is_validated_once(self, service, monkeypatch):
+        """``from_dict`` ends in ``validate()``; executing the parsed
+        request does not run the pass again."""
+        calls = []
+        real = QueryRequest.validate
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(QueryRequest, "validate", counting)
+        payload = {"query": QUERY, "source": "Alix", "target": "Bob",
+                   "graph": "fraud", "cursor": [0, 3, 6]}
+        request = QueryRequest.from_dict(payload)
+        assert len(calls) == 1
+        response = service.execute(request)
+        assert response.status == "ok" and len(calls) == 1
+        (line_request,) = read_requests_jsonl([json.dumps(payload)])
+        assert service.execute(line_request).status == "ok"
+        assert len(calls) == 2
+
+    def test_a_constructed_request_is_still_validated(self, service):
+        bad = QueryRequest(
+            query=QUERY, source="Alix", target="Bob", graph="fraud", limit=0
+        )
+        response = service.execute(bad)
+        assert response.status == "error" and "limit" in response.error
+        # The pass still normalises a directly constructed request.
+        good = QueryRequest(
+            query=QUERY, source="Alix", target="Bob", graph="fraud",
+            cursor=[0, 3, 6],
+        )
+        response = service.execute(good)
+        assert response.status == "ok" and good.cursor == (0, 3, 6)
+
+
 class TestInternalErrorCode:
     """Unexpected exceptions surface as structured code="internal"."""
 

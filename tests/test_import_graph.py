@@ -422,13 +422,18 @@ def test_endpoint_shapes_are_dispatched_in_one_function():
 
 
 def test_one_call_site_per_provider_under_the_facade():
-    for callee in ("witness", "walks_to"):
+    """The façade opens the DFS by target id on the snapshot it read λ
+    from: one ``enumerate_walks`` site, and no ``walks_to`` (which
+    resolves a vertex name and settles again)."""
+    for callee, count in (
+        ("witness", 1), ("enumerate_walks", 1), ("walks_to", 0),
+    ):
         sites = [
             f"{path.name}:{call.lineno}"
             for path in sorted(API.rglob("*.py"))
             for call in _calls(ast.parse(path.read_text()), callee)
         ]
-        assert len(sites) == 1, (callee, sites)
+        assert len(sites) == count, (callee, sites)
 
 
 def test_skip_past_cursor_has_two_callers():
