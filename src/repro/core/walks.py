@@ -39,6 +39,11 @@ class Walk:
         self._edges = tuple(edges)
         if self._edges:
             self._start = graph.src(self._edges[0])
+            if start is not None and start != self._start:
+                raise GraphError(
+                    f"start vertex {start} is not the source of edge "
+                    f"{self._edges[0]}"
+                )
         elif start is None:
             raise GraphError("an empty walk needs an explicit start vertex")
         else:

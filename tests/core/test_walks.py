@@ -38,6 +38,18 @@ class TestStructure:
         with pytest.raises(GraphError):
             Walk(graph, _edges("e1", "e3"))  # e3 starts at Dan, not Cassie.
 
+    def test_start_contradicting_the_edges_rejected(self, graph):
+        """A ``start`` that is not the first edge's source is an error,
+        not silently replaced by that source."""
+        edges = _edges("e2", "e4", "e8")
+        with pytest.raises(GraphError, match="not the source"):
+            Walk(graph, edges, start=graph.vertex_id("Bob"))
+
+    def test_start_agreeing_with_the_edges_accepted(self, graph):
+        edges = _edges("e2", "e4", "e8")
+        walk = Walk(graph, edges, start=graph.vertex_id("Alix"))
+        assert walk == Walk(graph, edges)
+
     def test_len_dunder(self, graph):
         assert len(Walk(graph, _edges("e1", "e7"))) == 2
 
