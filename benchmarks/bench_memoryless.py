@@ -1,10 +1,11 @@
 """EXP-T18 — the memoryless variant (Theorem 18).
 
 The memoryless enumerator recomputes its position from the previous
-output on every call; Theorem 18 promises the same O(λ × |A|) delay.
-We verify (a) the sequences are identical, (b) the per-output delay is
-within a modest constant factor of the eager enumerator's, and (c) the
-delay stays flat as |D| grows.
+output on every call: one fresh ``enumerate(resume_after=w)`` stream
+per output, the seek every cursor uses.  Theorem 18 promises the same
+O(λ × |A|) delay.  We verify (a) the sequences are identical, (b) the
+per-output delay is within a modest constant factor of the eager
+enumerator's, and (c) the delay stays flat as |D| grows.
 """
 
 from __future__ import annotations
@@ -18,28 +19,40 @@ from repro.workloads.worstcase import diamond_chain
 from benchmarks.bench_delay import _accept_all, _diamond_with_bulk
 
 
+def _one_seek_per_output(engine):
+    """Each walk from a fresh stream resumed after the previous one."""
+    walk = next(engine.enumerate(), None)
+    while walk is not None:
+        yield walk
+        walk = next(engine.enumerate(resume_after=walk.edges), None)
+
+
+def _reads(engine, mode):
+    """The engine's walks read straight through or one seek each."""
+    if mode == "memoryless":
+        return lambda: _one_seek_per_output(engine)
+    return engine.enumerate
+
+
 def test_memoryless_equals_eager_sequence(benchmark):
     graph, nfa, s, t = diamond_chain(10, parallel=2)
-    eager = [
-        w.edges
-        for w in DistinctShortestWalks(graph, nfa, s, t).enumerate()
-    ]
-    engine = DistinctShortestWalks(graph, nfa, s, t, mode="memoryless")
-    engine.preprocess()
+    engine = DistinctShortestWalks(graph, nfa, s, t)
+    eager = [w.edges for w in engine.enumerate()]
     lazy = benchmark.pedantic(
-        lambda: [w.edges for w in engine.enumerate()], rounds=2, iterations=1
+        lambda: [w.edges for w in _one_seek_per_output(engine)],
+        rounds=2, iterations=1,
     )
     assert eager == lazy
 
 
 def test_memoryless_delay_comparison(benchmark, print_table):
     graph, nfa, s, t = diamond_chain(10, parallel=2)
+    engine = DistinctShortestWalks(graph, nfa, s, t)
+    engine.preprocess()
     rows = []
     stats_by_mode = {}
     for mode in ("iterative", "memoryless"):
-        engine = DistinctShortestWalks(graph, nfa, s, t, mode=mode)
-        engine.preprocess()
-        stats = measure_delays(engine.enumerate)
+        stats = measure_delays(_reads(engine, mode))
         stats_by_mode[mode] = stats
         rows.append(
             [
@@ -49,10 +62,9 @@ def test_memoryless_delay_comparison(benchmark, print_table):
                 f"{stats.max_delay_s * 1e6:.2f} µs",
             ]
         )
-    engine = DistinctShortestWalks(graph, nfa, s, t, mode="memoryless")
-    engine.preprocess()
     benchmark.pedantic(
-        lambda: sum(1 for _ in engine.enumerate()), rounds=2, iterations=1
+        lambda: sum(1 for _ in _one_seek_per_output(engine)),
+        rounds=2, iterations=1,
     )
     ratio = (
         stats_by_mode["memoryless"].mean_delay_s
@@ -74,11 +86,9 @@ def test_memoryless_delay_independent_of_database(benchmark, print_table):
     sizes, delays, rows = [], [], []
     for bulk in (0, 8_000, 32_000):
         graph = _diamond_with_bulk(k, 2, bulk)
-        engine = DistinctShortestWalks(
-            graph, _accept_all(), "v0", f"v{k}", mode="memoryless"
-        )
+        engine = DistinctShortestWalks(graph, _accept_all(), "v0", f"v{k}")
         engine.preprocess()
-        stats = measure_delays(engine.enumerate)
+        stats = measure_delays(_reads(engine, "memoryless"))
         assert stats.outputs == 2 ** k
         sizes.append(graph.size())
         delays.append(stats.mean_delay_s)
@@ -88,7 +98,8 @@ def test_memoryless_delay_independent_of_database(benchmark, print_table):
     slope = loglog_slope(sizes, delays)
     rows.append(["slope", f"{slope:.3f}"])
     benchmark.pedantic(
-        lambda: sum(1 for _ in engine.enumerate()), rounds=2, iterations=1
+        lambda: sum(1 for _ in _one_seek_per_output(engine)),
+        rounds=2, iterations=1,
     )
     print_table(
         "EXP-T18: memoryless delay vs |D| — flat (slope ≈ 0)",
@@ -101,7 +112,8 @@ def test_memoryless_delay_independent_of_database(benchmark, print_table):
 @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
 def test_enumeration_modes_benchmark(benchmark, mode):
     graph, nfa, s, t = diamond_chain(9, parallel=2)
-    engine = DistinctShortestWalks(graph, nfa, s, t, mode=mode)
+    engine = DistinctShortestWalks(graph, nfa, s, t)
     engine.preprocess()
-    count = benchmark(lambda: sum(1 for _ in engine.enumerate()))
+    read = _reads(engine, mode)
+    count = benchmark(lambda: sum(1 for _ in read()))
     assert count == 2 ** 9

@@ -69,29 +69,19 @@ def bounded_delay() -> None:
     print("exponential duplicate scan — that is Theorem 2's guarantee.")
 
 
-def memoryless_mode() -> None:
+def memoryless_resume() -> None:
     print()
     print("=" * 64)
-    print("3. Memoryless mode: resume from any previous answer")
+    print("3. Memoryless resume: the successor of any previous answer")
     print("=" * 64)
-    from repro.core.memoryless import next_output
-    from repro.core.trim import resumable_trim
-
     graph, nfa, s, t = diamond_chain(5, parallel=2)
-    engine = DistinctShortestWalks(graph, nfa, s, t, mode="memoryless")
+    engine = DistinctShortestWalks(graph, nfa, s, t)
     walks = list(engine.enumerate())
     print(f"{len(walks)} answers; picking #10 and asking for its successor")
     tenth = walks[9]
 
-    resumable = resumable_trim(graph, engine.annotation)
-    successor = next_output(
-        graph,
-        resumable,
-        engine.lam,
-        engine.target,
-        engine.annotation.target_states,
-        tenth.edges,
-    )
+    # A fresh stream, told only the previous answer (Theorem 18).
+    successor = next(engine.enumerate(resume_after=tenth.edges))
     print(f"  answer #10: {tenth.describe()}")
     print(f"  successor:  {successor.describe()}")
     assert successor.edges == walks[10].edges
@@ -102,4 +92,4 @@ def memoryless_mode() -> None:
 if __name__ == "__main__":
     duplicate_explosion()
     bounded_delay()
-    memoryless_mode()
+    memoryless_resume()

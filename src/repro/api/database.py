@@ -955,7 +955,7 @@ class Database:
         * ``any``: one :class:`~repro.core.annotate.AnnotateBFS` run —
           to ``only``'s level, or to exhaustion for the shapes that
           read every target — with no annotation-cache entry and no
-          Trim, and the engine mode irrelevant; a cell's stream
+          Trim; a cell's stream
           is its single witness, read back from the run's ``dist``
           (:meth:`~repro.core.annotate.AnnotateBFS.witness`).
 
@@ -1028,7 +1028,7 @@ class Database:
             if lam is None:
                 return None
 
-            # Every mode: one DFS per page, positioned once by the cursor.
+            # One DFS per page, positioned once by the cursor.
             def open_walks(resume=None):
                 return enumerate_walks(
                     graph, annotation.packed, lam, t, states,
@@ -1363,9 +1363,9 @@ def _walk_stream(
     restricted output is itself an unrestricted output, so the
     underlying seek — and the caller's budget check — stay valid.  The
     fallback DFS (rλ > λ) has no cells under it and resumes by replay.
-    The output *order* is identical across the engine modes (the
-    paper's DFS order), so a cursor handed out by one mode is valid in
-    another; one that was never an output is a
+    The output *order* is the paper's DFS order whatever mode name the
+    request carries, so a cursor stays valid across them; one that was
+    never an output is a
     :class:`~repro.exceptions.QueryError`, not a silent page.
     """
     if regime == "fallback":

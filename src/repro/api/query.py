@@ -31,12 +31,14 @@ can be forked freely::
     pair = base.to("Bob").limit(10)
     fan  = base.to_all()
 
-**Modes.**  :meth:`Query.mode` accepts and validates the engine's mode
-names (``auto``, ``iterative``, ``memoryless``) but selects nothing:
-every query runs one DFS per page, concurrency-safe and positioned by
-one O(λ) seek from the cursor (Theorem 18's seek before every row is
-the engine's ``DistinctShortestWalks(mode="memoryless")``).  That holds
-whatever the cache sizes: a database with its annotation cache
+**Modes.**  There is one way to enumerate: every query runs one DFS
+per page, concurrency-safe and positioned by one O(λ) seek from the
+cursor — Theorem 18's ``NextOutput``, which no tier runs before every
+row.  :data:`MODES` (``auto``, ``iterative``, ``memoryless``) is an
+inert vocabulary kept for callers that still send a mode name:
+:meth:`Query.mode`, the JSONL request's ``mode`` field and ``repro
+serve --mode`` validate it and select nothing.  That holds whatever
+the cache sizes: a database with its annotation cache
 disabled runs the same engine and returns the same rows and cursors —
 it only retains nothing.
 """
@@ -58,7 +60,6 @@ from typing import (
 )
 
 from repro.api.rows import Cursor, Row
-from repro.core.engine import MODES
 from repro.exceptions import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -70,6 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
 #: the service requests and the CLI import.
 CONSTRUCTIONS = ("thompson", "glushkov")
 RESTRICTIONS = ("walks", "trails", "simple", "any")
+#: Mode names a request may still send; each selects nothing.
+MODES = ("iterative", "memoryless", "auto")
 _SEMANTICS = ("shortest", "cheapest")
 
 
@@ -280,8 +283,9 @@ class Query:
     # -- execution axis ------------------------------------------------------
 
     def mode(self, mode: str) -> "Query":
-        """Name an engine mode: validated and shown by :meth:`explain`,
-        but it selects nothing — every mode pages through one DFS."""
+        """Name a mode from :data:`MODES`: validated and shown by
+        :meth:`explain`, but it selects nothing — every query pages
+        through one DFS."""
         if mode not in MODES:
             raise QueryError(
                 f"unknown mode {mode!r}; expected one of {MODES}"

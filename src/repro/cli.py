@@ -66,10 +66,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import Database
-from repro.api.query import CONSTRUCTIONS, RESTRICTIONS
+from repro.api.query import CONSTRUCTIONS, MODES, RESTRICTIONS
 from repro.automata import regex_to_nfa
 from repro.core.compile import compile_epsilon_free
-from repro.core.engine import MODES
 from repro.exceptions import ReproError
 from repro.graph.database import Graph
 from repro.graph.io import load_edge_list, load_json
@@ -86,16 +85,28 @@ def _load_graph(path: str) -> Graph:
 
 
 def _base_query(args: argparse.Namespace, db: Database):
-    """The façade query shared by every ``query`` subcommand path."""
+    """The façade query shared by every ``query`` subcommand path,
+    paged by ``--limit`` (``count`` ignores the page)."""
     query = (
         db.query(args.expression)
         .construction(args.construction)
-        .mode(args.mode)
-        .semantics(getattr(args, "semantics", "walks"))
+        .semantics(args.semantics)
+        .limit(args.limit)
     )
     if args.cheapest:
         query = query.cheapest()
     return query
+
+
+def _print_page(result, limit: Optional[int], runs: bool = False) -> None:
+    """One line per row of a page (``runs``: with its multiplicity),
+    and a note when the page stopped at its ``limit`` with answers
+    left."""
+    for row in result:
+        prefix = f"[{row.multiplicity} runs] " if runs else ""
+        print(f"  {prefix}{row.describe()}")
+    if result.next_cursor is not None:
+        print(f"  ... (stopped after {limit})")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -114,9 +125,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             return 1
         for name, lam in reached:
             print(f"=== {name} (λ = {lam}) ===")
-            rows = base.from_(args.source).to(name).run()
-            for row in _limited(rows, args.limit):
-                print(f"  {row.describe()}")
+            _print_page(base.from_(args.source).to(name).run(), args.limit)
         return 0
 
     if args.target is None:
@@ -131,8 +140,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print("no matching walk")
             return 1
         print(f"cheapest matching cost: {result.lam}")
-        for row in _limited(result, args.limit):
-            print(f"  {row.describe()}")
+        _print_page(result, args.limit)
         return 0
 
     result = pair.with_multiplicity(args.multiplicity).run()
@@ -140,12 +148,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("no matching walk")
         return 1
     print(f"λ = {result.lam}")
-    if args.multiplicity:
-        for row in _limited(result, args.limit):
-            print(f"  [{row.multiplicity} runs] {row.describe()}")
-    else:
-        for row in _limited(result, args.limit):
-            print(f"  {row.describe()}")
+    _print_page(result, args.limit, args.multiplicity)
     if args.count:
         print(f"total answers: {pair.count()}")
     return 0
@@ -155,11 +158,6 @@ def _query_json(args: argparse.Namespace, db: Database, base) -> int:
     """Machine-readable variant of the query command."""
     import json
 
-    def take(query):
-        if args.limit is not None:
-            query = query.limit(args.limit)
-        return [row.walk.to_dict() for row in query.run()]
-
     if args.all_targets:
         fan = base.from_(args.source).to_all()
         payload = {
@@ -168,7 +166,10 @@ def _query_json(args: argparse.Namespace, db: Database, base) -> int:
             "targets": {
                 str(name): {
                     "lam": lam,
-                    "walks": take(base.from_(args.source).to(name)),
+                    "walks": [
+                        row.walk.to_dict()
+                        for row in base.from_(args.source).to(name).run()
+                    ],
                 }
                 for name, lam in fan.targets()
             },
@@ -181,10 +182,7 @@ def _query_json(args: argparse.Namespace, db: Database, base) -> int:
               file=sys.stderr)
         return 2
 
-    pair = base.from_(args.source).to(args.target)
-    if args.limit is not None:
-        pair = pair.limit(args.limit)
-    result = pair.run()
+    result = base.from_(args.source).to(args.target).run()
     payload = {
         "query": args.expression,
         "source": args.source,
@@ -202,13 +200,12 @@ def _cmd_pattern(args: argparse.Namespace) -> int:
     db = Database(_load_graph(args.graph), annotation_cache_size=0)
     pattern = parse_pattern(args.pattern)
     print(f"compiled RPQ: {pattern.regex}")
-    result = pattern.query(db).run()
+    result = pattern.query(db).limit(args.limit).run()
     if result.lam is None:
         print("no matching walk")
         return 1
     print(f"λ = {result.lam}")
-    for row in _limited(result, args.limit):
-        print(f"  {row.describe()}")
+    _print_page(result, args.limit)
     return 0
 
 
@@ -506,17 +503,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _limited(iterable, limit: Optional[int]):
-    if limit is None:
-        yield from iterable
-        return
-    for i, item in enumerate(iterable):
-        if i >= limit:
-            print(f"  ... (stopped after {limit})")
-            break
-        yield item
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -530,13 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("expression", help="RPQ regular expression")
     query.add_argument("source", help="source vertex name")
     query.add_argument("target", nargs="?", help="target vertex name")
-    query.add_argument(
-        "--mode",
-        choices=MODES,
-        default="auto",
-        help="accepted and validated, but selects nothing: every mode "
-        "pages through one DFS",
-    )
     query.add_argument(
         "--construction",
         choices=CONSTRUCTIONS,

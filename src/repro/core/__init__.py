@@ -6,12 +6,11 @@ Module map (mirrors Figure 2 of the paper):
   ids and close its ε-transitions; every traversal below accepts
   ε-free compiles only (``CompiledQuery.require_epsilon_free``);
 * :mod:`repro.core.annotate` — the ``Annotate`` BFS (Section 3.1);
-* :mod:`repro.core.trim` — ``Trim`` (Section 3.2) and ``ResumableTrim``
-  (Section 4.2);
+* :mod:`repro.core.trim` — ``Trim`` (Section 3.2), whose cells are
+  ``ResumableTrim``'s (Section 4.2) as built;
 * :mod:`repro.core.enumerate` — ``Enumerate`` (Section 3.3), the one
-  seekable DFS;
-* :mod:`repro.core.memoryless` — ``NextOutput`` (Theorem 18): that DFS
-  re-positioned before every output;
+  seekable DFS; ``enumerate_walks(resume_after=w)`` is also Theorem
+  18's ``NextOutput``, the output after ``w`` from a fresh stream;
 * :mod:`repro.core.engine` — the ``Main`` orchestration: the one
   prepared ``(query, source)`` object and the single-pair driver;
 * :mod:`repro.core.cheapest`, :mod:`repro.core.multi_target`,
@@ -30,10 +29,9 @@ from repro.core.count import (
 )
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless, next_output
 from repro.core.multi_target import MultiTargetShortestWalks
 from repro.core.multiplicity import count_accepting_runs
-from repro.core.trim import resumable_trim, trim
+from repro.core.trim import trim
 from repro.core.walks import Walk
 
 __all__ = [
@@ -50,9 +48,6 @@ __all__ = [
     "count_distinct_shortest",
     "count_shortest_product_paths",
     "count_total_multiplicity",
-    "enumerate_memoryless",
     "enumerate_walks",
-    "next_output",
-    "resumable_trim",
     "trim",
 ]

@@ -7,27 +7,22 @@ it wires the preprocessing phases together::
 
 from one source — stopped at one target, or serving them all — and
 holds every read of the result: per-target λ and certificate, the
-enumeration in either engine mode, the counting DP.  The public
-drivers are views of it: :class:`DistinctShortestWalks` (one pair) and
+enumeration, the counting DP.  The public drivers are views of it:
+:class:`DistinctShortestWalks` (one pair) and
 :class:`~repro.core.cheapest.DistinctCheapestWalks` stop at their
 target; :class:`~repro.core.multi_target.MultiTargetShortestWalks`
 serves every target, deepening its BFS on demand, and is what the
 façade caches.
 
-The engine modes:
-
-* ``mode="iterative"`` (default) — the explicit-stack DFS, Theorem 2,
-  kept alive between outputs and re-positioned by one seek on resume;
-* ``mode="memoryless"`` — the same DFS re-positioned before *every*
-  output (``NextOutput``), Theorem 18.  An engine-only artefact: the
-  façade tiers accept the name but page through one
-  :func:`~repro.core.enumerate.enumerate_walks` per cell, one seek per
-  page, with the same rows, order and cursors;
-* ``mode="auto"`` — ``iterative``.  (The
-  paper's "simpler setting" — single-labeled D, deterministic A — is
-  *detected* by :func:`repro.query.plan.analyze`; the folklore
-  product-BFS enumerator for it is a baseline the general engine
-  outruns, :mod:`repro.baselines.simple`.)
+Every enumeration is the one explicit-stack DFS of
+:func:`~repro.core.enumerate.enumerate_walks` (Theorem 2), positioned
+by one seek when it resumes after a previous output.  Theorem 18's
+memoryless ``NextOutput`` is that seek with nothing else kept: a fresh
+stream opened after each output yields the next one.  (The paper's
+"simpler setting" — single-labeled D, deterministic A — is *detected*
+by :func:`repro.query.plan.analyze`; the folklore product-BFS
+enumerator for it is a baseline the general engine outruns,
+:mod:`repro.baselines.simple`.)
 
 Queries may be given as an :class:`~repro.automata.nfa.NFA`, a regex
 AST, or a regular path query string (compiled with Thompson's
@@ -51,7 +46,6 @@ from repro.core.compile import (
 )
 from repro.core.count import count_distinct_shortest
 from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless
 from repro.core.multiplicity import count_accepting_runs, enumerate_with_runs
 from repro.core.trim import trim
 from repro.core.walks import Walk
@@ -59,11 +53,6 @@ from repro.datastructures.packed import PackedCells
 from repro.exceptions import QueryError
 from repro.graph.database import Graph
 from repro.obs.trace import add_span
-
-#: Every mode a query may name — the one spelling all tiers import.
-#: Above the engine the name selects nothing: every tier pages through
-#: one DFS whatever the request says.
-MODES = ("iterative", "memoryless", "auto")
 
 
 class PreparedWalks:
@@ -267,15 +256,11 @@ class PreparedWalks:
         return self._settled(t).target_info(t)
 
     def _walks(
-        self,
-        t: int,
-        memoryless: bool = False,
-        resume_after: Optional[Sequence[int]] = None,
+        self, t: int, resume_after: Optional[Sequence[int]] = None
     ) -> Iterator[Walk]:
         annotation = self._settled(t)
         lam_t, states = annotation.target_info(t)
-        run = enumerate_memoryless if memoryless else enumerate_walks
-        return run(
+        return enumerate_walks(
             self.graph, annotation.packed, lam_t, t, states,
             cost_of=self._cost_of, resume_after=resume_after,
         )
@@ -319,13 +304,9 @@ class DistinctShortestWalks(PreparedWalks):
         query: QueryLike,
         source: Hashable,
         target: Hashable,
-        mode: str = "iterative",
         compiled: Optional[CompiledQuery] = None,
     ) -> None:
-        if mode not in MODES:
-            raise QueryError(f"unknown mode {mode!r}; expected one of {MODES}")
         super().__init__(graph, query, source, target, compiled)
-        self.mode = mode
 
     # -- inspection ------------------------------------------------------------
 
@@ -347,7 +328,7 @@ class DistinctShortestWalks(PreparedWalks):
         """Enumerate the answer set ⟦A⟧(D, s, t), each walk once.
 
         Walks come in the paper's DFS order (children by increasing
-        ``TgtIdx``), whatever the mode.  The preprocessing structures
+        ``TgtIdx``).  The preprocessing structures
         are read-only, so any number of returned iterators may run at
         once.
 
@@ -356,9 +337,7 @@ class DistinctShortestWalks(PreparedWalks):
         was never an output raises
         :class:`~repro.exceptions.QueryError` on the first ``next()``.
         """
-        return self._walks(
-            self.target, self.mode == "memoryless", resume_after
-        )
+        return self._walks(self.target, resume_after)
 
     def __iter__(self) -> Iterator[Walk]:
         return self.enumerate()
@@ -414,8 +393,9 @@ class DistinctShortestWalks(PreparedWalks):
 
     def first(self, k: int) -> List[Walk]:
         """The first ``k`` answers in enumeration order (all of them
-        when there are fewer); a negative ``k`` is refused."""
-        if k < 0:
-            raise QueryError(f"first() takes a non-negative k, got {k}")
+        when there are fewer); a negative, ``bool`` or non-``int`` ``k``
+        is refused."""
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise QueryError(f"first() takes a non-negative int k, got {k!r}")
         with closing(self.enumerate()) as walks:
             return list(islice(walks, k))

@@ -82,7 +82,9 @@ cell span, O(λ × |A| × log InDeg), keeping only the frames with a cell
 left — and the ordinary DFS continues with the next leaf, each node it
 enters taking the form its certificate has.  (The paper's skip-pointer
 seek is O(1); the cells store only non-empty positions, hence the
-logarithm.)  An entry that is not a plain ``int`` is not an edge id:
+logarithm.)  A fresh generator per output, each resumed after the
+last walk, is the memoryless enumeration itself: nothing survives
+between two outputs but the walk.  An entry that is not a plain ``int`` is not an edge id:
 ``True`` does not stand for edge 1.
 
 Delay: between two consecutive outputs the DFS traverses at most 2λ

@@ -21,7 +21,7 @@ that target's cells into the shared store first, appending only the
 nodes no earlier target built.  So the cost follows the product the
 asked targets need — levels for λ, shortest-walk graphs for cells —
 and an exhausted entry is a saturating build.  One object serves every
-target, mode and concurrent reader.  The Dijkstra variant
+target and concurrent reader.  The Dijkstra variant
 (``cheapest=True``) does not deepen: it saturates at its first build.
 """
 
@@ -109,9 +109,9 @@ class MultiTargetShortestWalks(PreparedWalks):
         output's edge sequence) restarts the enumeration right after
         that walk with one O(λ) seek instead of re-walking the prefix
         of the output sequence — the only seek the stream makes, so a
-        page costs one seek whatever mode its caller names.  (The
-        Theorem-18 seek before every output is the engine's
-        ``DistinctShortestWalks(mode="memoryless")``.)
+        page costs one seek.  Opening a fresh stream after each output
+        is Theorem 18's memoryless ``NextOutput``: the stream keeps no
+        state the previous walk does not give back.
         """
         return self._walks(
             self.graph.resolve_vertex(target), resume_after=resume_after

@@ -1,5 +1,5 @@
-"""The ``Trim`` preprocessing (paper, Figure 2 lines 34-41) and the
-``ResumableTrim`` variant (Section 4.2, lines 67-76).
+"""The ``Trim`` preprocessing (paper, Figure 2 lines 34-41), which is
+also its ``ResumableTrim`` variant (Section 4.2, lines 67-76).
 
 ``Trim`` converts ``B_u[p]`` into a queue ``C_u[p]`` of pairs ``(e,
 X)`` — only the edges whose predecessor list ``X`` is non-empty —
@@ -7,12 +7,12 @@ sorted by increasing ``TgtIdx(e)`` (Lemma 11).  The sort order is what
 lets ``Enumerate`` find the next child edge by looking only at queue
 heads, keeping the delay independent of the database's in-degrees.
 
-``ResumableTrim`` instead produces, per ``(u, p)``, a read-only
-structure supporting "first non-empty cell ≥ i" queries — what lets
-the enumeration be *re-positioned* from a previous output (Theorem 18).
-
-Both are the annotation's one
-:class:`~repro.datastructures.packed.PackedCells` store.  ``B`` is
+``ResumableTrim`` asks, per ``(u, p)``, for a read-only structure
+supporting "first non-empty cell ≥ i" queries — what lets the
+enumeration be *re-positioned* from a previous output (Theorem 18).
+The cells ``Trim`` builds already are one: the output is the
+annotation's one :class:`~repro.datastructures.packed.PackedCells`
+store, seekable as built.  ``B`` is
 never stored: ``Trim`` walks backward from the asked target's final
 states at λ and, for each node ``(u, p)`` it reaches, pulls Lemma 11's
 queue from ``L`` — the live edges of ``In(u)`` in ``TgtIdx`` order
@@ -47,10 +47,3 @@ def trim(
             annotation.packed.build(target, states)
     return annotation.packed
 
-
-def resumable_trim(
-    graph: Graph, annotation: Annotation, target: Optional[int] = None
-) -> PackedCells:
-    """``ResumableTrim``: the same store as :func:`trim` — the cells
-    are seekable as built."""
-    return trim(graph, annotation, target)

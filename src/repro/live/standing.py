@@ -63,7 +63,6 @@ class StandingQuery:
         target: Hashable,
         *,
         graph_name: Optional[str] = None,
-        mode: str = "auto",
         on_change: Optional[ChangeCallback] = None,
     ) -> None:
         handle_graph = db._handle(graph_name).graph
@@ -78,7 +77,6 @@ class StandingQuery:
         self.expression = expression
         self.source = source
         self.target = target
-        self.mode = mode
         self.on_change = on_change
         #: Refresh runs (the initial run included).
         self.refreshes = 0
@@ -98,7 +96,7 @@ class StandingQuery:
         return self._footprint
 
     def _query(self):
-        q = self._db.query(self.expression).mode(self.mode)
+        q = self._db.query(self.expression)
         if self._graph_name is not None:
             q = q.on(self._graph_name)
         return q.from_(self.source).to(self.target)

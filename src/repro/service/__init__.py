@@ -50,7 +50,7 @@ may share one service.  That rests on three guards:
    so concurrent first use is safe — and registration pre-warms them
    off the request path
    (:meth:`~repro.graph.database.Graph.warm_indexes`);
-3. every enumeration — whatever mode the request names — reads the
+3. every enumeration reads the
    annotation's :class:`~repro.datastructures.packed.PackedCells`
    store, which a build for another target only appends to (single
    flight under the store's lock, a node's span published after its
@@ -62,10 +62,9 @@ may share one service.  That rests on three guards:
 previous page's ``next_cursor`` — the last walk's edge ids).  The
 cursor seeks in O(λ) by the guided descent of the paper's
 ``NextOutput`` (Theorem 18: the DFS is re-positioned from the previous
-output alone), once per page in every mode: ``memoryless`` is accepted
-and validated, but only the engine's ``DistinctShortestWalks`` seeks
-before every row.  Output order is identical across the modes, so
-cursors are mode-portable.
+output alone), once per page.  A request's ``mode`` field is accepted
+and validated against :data:`~repro.api.query.MODES` but selects
+nothing, so every mode name gives the same rows, order and cursors.
 
 **Budgets.**  ``timeout_ms`` is checked between outputs; by Theorem 2
 the overshoot past the deadline is one delay, O(λ·|A|).  A timed-out

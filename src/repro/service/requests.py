@@ -51,8 +51,7 @@ from typing import (
     Union,
 )
 
-from repro.api.query import CONSTRUCTIONS, RESTRICTIONS, is_budget
-from repro.core.engine import MODES
+from repro.api.query import CONSTRUCTIONS, MODES, RESTRICTIONS, is_budget
 from repro.exceptions import ReproError
 
 
@@ -74,8 +73,9 @@ class QueryRequest:
     target: Hashable
     #: Registered graph name; ``None`` selects the service's sole graph.
     graph: Optional[str] = None
-    #: Engine mode name: validated, but it selects nothing — every
-    #: request pages through one DFS (see :mod:`repro.api.query`).
+    #: A name from :data:`~repro.api.query.MODES`: validated, but it
+    #: selects nothing — every request pages through one DFS (see
+    #: :mod:`repro.api.query`).
     mode: str = "auto"
     #: Regex → NFA construction for the plan.
     construction: str = "thompson"

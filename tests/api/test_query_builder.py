@@ -25,7 +25,7 @@ def db(graph):
 
 def _engine_edges(graph, expression, source, target):
     engine = DistinctShortestWalks(
-        graph, regex_to_nfa(expression), source, target, mode="iterative"
+        graph, regex_to_nfa(expression), source, target
     )
     return [w.edges for w in engine.enumerate()]
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from repro.automata import regex_to_nfa
 from repro.automata.nfa import NFA
-from repro.baselines.paper_pipeline import recursive_walks
+from repro.baselines import paper_pipeline as oracle
 from repro.core.annotate import annotate
 from repro.core.cheapest import cheapest_annotate
+from repro.core.compile import compile_epsilon_free
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
 from repro.core.trim import trim
@@ -213,17 +214,40 @@ def edge_sets(walks) -> List[Tuple[int, ...]]:
 
 
 def mode_walks(graph, query, source, target, mode):
-    """One engine-tier leg of a mode comparison, in enumeration order.
+    """One leg of a mode comparison, in enumeration order.
 
-    ``"recursive"`` — the paper's pseudocode verbatim — is not an engine
-    mode: that leg is the oracle pipeline of
-    :mod:`repro.baselines.paper_pipeline`.
+    The engine has one enumeration.  ``"recursive"`` (Figure 2's
+    ``Enumerate`` verbatim) and ``"memoryless"`` (Section 4.2's
+    skip-pointer ``NextOutput``) are the oracle pipeline of
+    :mod:`repro.baselines.paper_pipeline`, on the automaton as written;
+    any other name is the engine.
     """
     if mode == "recursive":
-        return recursive_walks(graph, query, source, target)
-    return DistinctShortestWalks(
-        graph, query, source, target, mode=mode
-    ).enumerate()
+        return oracle.recursive_walks(graph, query, source, target)
+    if mode == "memoryless":
+        nfa = query if isinstance(query, NFA) else regex_to_nfa(query)
+        t = graph.resolve_vertex(target)
+        ann = oracle.annotate_reference(
+            compile_epsilon_free(graph, nfa), graph.resolve_vertex(source), t
+        )
+        return oracle.enumerate_memoryless(
+            graph, oracle.resumable_trim_maps(graph, ann), ann.lam, t,
+            ann.target_states,
+        )
+    return DistinctShortestWalks(graph, query, source, target).enumerate()
+
+
+def one_seek_per_output(open_stream, resume_after=None):
+    """Theorem 18's ``NextOutput`` loop over the one seekable DFS: each
+    walk is the first output of a fresh stream opened right after the
+    previous one — ``open_stream(resume_after=edges)``, e.g. a
+    ``partial`` of ``enumerate_walks`` or an engine's ``enumerate`` —
+    so nothing but the last walk survives between two outputs.
+    ``resume_after`` starts strictly after that output."""
+    walk = next(open_stream(resume_after=resume_after), None)
+    while walk is not None:
+        yield walk
+        walk = next(open_stream(resume_after=walk.edges), None)
 
 
 def packed_walks(cq, source, target, cheapest=False):

@@ -12,7 +12,7 @@ from repro.workloads.fraud import (
     example9_query,
 )
 
-from tests.conftest import mode_walks, small_instances
+from tests.conftest import mode_walks, one_seek_per_output, small_instances
 
 
 @pytest.fixture
@@ -39,33 +39,44 @@ class TestModes:
 
     @pytest.mark.parametrize("mode", ["warp", "recursive"])
     def test_unknown_mode_rejected(self, graph, mode):
-        with pytest.raises(QueryError, match="unknown mode"):
+        """The engine has no mode axis at all; the façade's inert
+        vocabulary still refuses a name outside it."""
+        with pytest.raises(TypeError):
             DistinctShortestWalks(
                 graph, example9_automaton(), "Alix", "Bob", mode=mode
             )
+        with pytest.raises(QueryError, match="unknown mode"):
+            Database(graph).query(example9_query).mode(mode)
 
     def test_auto_mode_on_multilabel_uses_general(self, graph):
-        engine = DistinctShortestWalks(
-            graph, example9_automaton(), "Alix", "Bob", mode="auto"
+        """``auto`` at the façade runs the general engine on a
+        multi-labelled graph."""
+        rows = (
+            Database(graph).query(example9_query).from_("Alix").to("Bob")
+            .mode("auto").run().all()
         )
-        assert engine.count() == 4
+        assert len(rows) == 4
 
     def test_auto_mode_is_iterative_in_the_simple_setting(self):
-        """Single-labeled graph × DFA: ``auto`` still means the
-        iterative engine — same sequence, order included."""
+        """Single-labeled graph × DFA: the façade's ``auto`` is the
+        engine's one DFS — same sequence, order included."""
         from repro.automata import regex_to_nfa
         from repro.graph.generators import grid
         from repro.query.plan import simple_eligible
 
         g = grid(3, 3)
-        dfa = regex_to_nfa("(r | d) (r | d) (r | d) (r | d)", method="glushkov")
+        expression = "(r | d) (r | d) (r | d) (r | d)"
+        dfa = regex_to_nfa(expression, method="glushkov")
         assert simple_eligible(g, dfa)
-        auto = DistinctShortestWalks(g, dfa, "n0_0", "n2_2", mode="auto")
-        iterative = DistinctShortestWalks(g, dfa, "n0_0", "n2_2")
-        assert auto.lam == iterative.lam == 4
-        sequence = [w.edges for w in auto.enumerate()]
+        engine = DistinctShortestWalks(g, dfa, "n0_0", "n2_2")
+        auto = (
+            Database(g).query(expression).construction("glushkov")
+            .from_("n0_0").to("n2_2").mode("auto").run()
+        )
+        assert auto.lam == engine.lam == 4
+        sequence = [row.walk.edges for row in auto]
         assert len(sequence) == 6  # C(4, 2)
-        assert sequence == [w.edges for w in iterative.enumerate()]
+        assert sequence == [w.edges for w in engine.enumerate()]
 
 
 class TestQueryInputs:
@@ -138,15 +149,33 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
     def test_first_k_is_a_prefix_for_every_k(self, graph, mode):
+        """``first(k)`` is a prefix of the sequence read straight
+        through, or one fresh stream per output."""
         engine = DistinctShortestWalks(
-            graph, example9_automaton(), "Alix", "Bob", mode=mode
+            graph, example9_automaton(), "Alix", "Bob"
         )
-        answers = [w.edges for w in engine.enumerate()]
+        walks = (
+            engine.enumerate() if mode == "iterative"
+            else one_seek_per_output(engine.enumerate)
+        )
+        answers = [w.edges for w in walks]
+        assert len(answers) == 4
         assert engine.first(0) == []
         for k in range(len(answers) + 2):
             assert [w.edges for w in engine.first(k)] == answers[:k]
         with pytest.raises(QueryError, match="non-negative"):
             engine.first(-1)
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2", None])
+    def test_first_refuses_a_bool_or_non_int_k(self, graph, k):
+        """``first`` takes ``k`` by the façade's ``limit`` rule: a
+        ``bool`` is not a count, and a float or a string is the typed
+        error, not a bare ``ValueError`` from ``islice``."""
+        engine = DistinctShortestWalks(
+            graph, example9_automaton(), "Alix", "Bob"
+        )
+        with pytest.raises(QueryError, match="non-negative int"):
+            engine.first(k)
 
     def test_repeated_enumerations(self, graph):
         engine = DistinctShortestWalks(
@@ -173,7 +202,6 @@ class TestLifecycle:
             regex_to_nfa("r d", method="glushkov"),
             "n0_0",
             "n1_1",
-            mode="auto",
         )
         assert engine.annotation.lam == 2
         assert engine.trimmed.total_items() > 0
@@ -197,8 +225,7 @@ class TestLifecycle:
         nfa = regex_to_nfa("a", method="glushkov")
         for engine in (
             SimpleShortestWalks(graph, nfa, 1, 0),
-            DistinctShortestWalks(graph, nfa, 1, 0, mode="auto"),
-            DistinctShortestWalks(graph, nfa, 1, 0, mode="iterative"),
+            DistinctShortestWalks(graph, nfa, 1, 0),
         ):
             assert engine.lam == 1
             assert [w.edges for w in engine.enumerate()] == [(0,)]

@@ -4,6 +4,7 @@ cursor entries, loop turns and memory under costs."""
 import inspect
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless, next_output
 from repro.core.trim import trim
 from repro.exceptions import QueryError
 from repro.graph import GraphBuilder
@@ -26,7 +26,7 @@ from repro.workloads.fraud import (
 )
 from repro.workloads.worstcase import diamond_chain
 
-from tests.conftest import small_instances
+from tests.conftest import one_seek_per_output, small_instances
 
 
 def _setup_example9():
@@ -205,19 +205,27 @@ class TestCursorEntries:
 
     @pytest.mark.parametrize("cursor", NOT_EDGE_IDS)
     def test_memoryless_refuses(self, cursor):
-        args = _diamond_args(3)
+        """A fresh generator per output refuses the cursor it is handed
+        first."""
+        walks = one_seek_per_output(
+            partial(enumerate_walks, *_diamond_args(3)), resume_after=cursor
+        )
         with pytest.raises(QueryError, match="does not match any output"):
-            next_output(*args, previous_edges=cursor)
-        with pytest.raises(QueryError, match="does not match any output"):
-            next(enumerate_memoryless(*args, resume_after=cursor))
+            next(walks)
 
     @pytest.mark.parametrize("mode", ["iterative", "memoryless"])
     @pytest.mark.parametrize("cursor", NOT_EDGE_IDS)
     def test_engine_refuses(self, mode, cursor):
+        """The engine's one DFS, read straight through or one fresh
+        stream per output."""
         graph, nfa, s, t = diamond_chain(3)
-        engine = DistinctShortestWalks(graph, nfa, s, t, mode=mode)
+        engine = DistinctShortestWalks(graph, nfa, s, t)
+        walks = (
+            engine.enumerate(resume_after=cursor) if mode == "iterative"
+            else one_seek_per_output(engine.enumerate, resume_after=cursor)
+        )
         with pytest.raises(QueryError, match="does not match any output"):
-            next(engine.enumerate(resume_after=cursor))
+            next(walks)
 
 
 def _loop_head_count(args):

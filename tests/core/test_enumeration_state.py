@@ -30,10 +30,12 @@ from repro.automata import regex_to_nfa
 from repro.workloads.fraud import example9_automaton, example9_graph
 from repro.workloads.worstcase import diamond_chain
 
+from tests.conftest import one_seek_per_output
 
-def _engine(mode: str = "iterative") -> DistinctShortestWalks:
+
+def _engine() -> DistinctShortestWalks:
     return DistinctShortestWalks(
-        example9_graph(), example9_automaton(), "Alix", "Bob", mode=mode
+        example9_graph(), example9_automaton(), "Alix", "Bob"
     )
 
 
@@ -138,10 +140,12 @@ class TestInterleavingGuard:
         ]
 
     def test_memoryless_mode_interleaves_freely(self):
-        """ResumableTrim is read-only: Theorem 18's whole point."""
-        engine = _engine(mode="memoryless")
-        first = engine.enumerate()
-        second = engine.enumerate()
+        """ResumableTrim is read-only: Theorem 18's whole point.  Two
+        streams that each open a fresh generator per output interleave
+        over one store."""
+        engine = _engine()
+        first = one_seek_per_output(engine.enumerate)
+        second = one_seek_per_output(engine.enumerate)
         a1 = next(first)
         b1 = next(second)
         a2 = next(first)
@@ -153,7 +157,8 @@ class TestInterleavingGuard:
 
 
 def test_four_threads_share_one_cached_annotation():
-    """One ``QueryService`` in ``mode="iterative"``: four threads page
+    """One ``QueryService`` (requests naming ``mode="iterative"``, which
+    selects nothing): four threads page
     the same (query, source) — one cached annotation, one
     ``PackedCells`` — at once, and every one of them reads the full
     sequence in order."""

@@ -13,14 +13,15 @@ two pipelines together:
   reference discover a BFS level in different orders, so frontier
   pairs of the same vertex may append to a shared cell in either
   order, which ``Trim``'s certificate sort makes unobservable);
-* **structure contents** — the packed ``Trim``/``ResumableTrim`` cells
-  (:meth:`PackedCells.items`) must match the oracle's queues and skip
+* **structure contents** — the packed ``Trim`` cells, which are
+  ``ResumableTrim``'s as built (:meth:`PackedCells.items`), must match the oracle's queues and skip
   arrays queue-for-queue and payload-for-payload (witness payloads
   again as multisets — the queue items and skip-index cells inherit
   ``B``'s within-cell append order, and every consumer unions them
   into a certificate set);
 * **enumeration order** — the packed eager DFS, the packed memoryless
-  ``NextOutput``, the recursive transcription over queues built from
+  ``NextOutput`` (a fresh ``enumerate_walks(resume_after=w)`` per
+  output), the recursive transcription over queues built from
   the packed annotation's ``B`` view, *and* the full oracle pipeline
   (map annotation → dict trim → recursive DFS, and → skip arrays →
   skip-pointer ``NextOutput``) must emit the identical walk sequence,
@@ -28,6 +29,8 @@ two pipelines together:
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from hypothesis import given, settings
 
@@ -42,10 +45,9 @@ from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.count import count_distinct_shortest
 from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless
-from repro.core.trim import resumable_trim, trim
+from repro.core.trim import trim
 
-from tests.conftest import small_instances
+from tests.conftest import one_seek_per_output, small_instances
 
 _SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -151,7 +153,7 @@ class TestTrimViews:
     def test_resumable_matches_reference(self, instance):
         graph, nfa, s, _ = instance
         cq = compile_query(graph, nfa)
-        cells = resumable_trim(graph, annotate(cq, s, saturate=True))
+        cells = trim(graph, annotate(cq, s, saturate=True))
         ref_index = resumable_trim_maps(
             graph, annotate_reference(cq, s, saturate=True)
         )
@@ -186,16 +188,10 @@ class TestEnumerationOrder:
         cq = compile_query(graph, nfa)
 
         ann = annotate(cq, s, t)
-        eager = _edges(
-            enumerate_walks(
-                graph, trim(graph, ann), ann.lam, t, ann.target_states
-            )
-        )
+        args = (graph, trim(graph, ann), ann.lam, t, ann.target_states)
+        eager = _edges(enumerate_walks(*args))
         memoryless = _edges(
-            enumerate_memoryless(
-                graph, resumable_trim(graph, ann), ann.lam, t,
-                ann.target_states,
-            )
+            one_seek_per_output(partial(enumerate_walks, *args))
         )
         # The recursive transcription over queues built from the packed
         # annotation's own B view.
@@ -239,7 +235,6 @@ class TestEnumerationOrder:
         ref_ann = annotate_reference(cq, s, saturate=True)
         trimmed = trim(graph, ann)
         ref_queues = trim_maps(graph, ref_ann)
-        cells = resumable_trim(graph, ann)
         for v in graph.vertices():
             lam_v, states_v = ann.target_info(v)
             assert (lam_v, states_v) == ref_ann.target_info(v)
@@ -252,6 +247,6 @@ class TestEnumerationOrder:
                 )
             )
             assert got == want
-            assert want == _edges(
-                enumerate_memoryless(graph, cells, lam_v, v, states_v)
-            )
+            assert want == _edges(one_seek_per_output(partial(
+                enumerate_walks, graph, trimmed, lam_v, v, states_v
+            )))

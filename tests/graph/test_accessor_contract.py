@@ -1,7 +1,7 @@
 """The shared accessor contract, parametrized over Graph and LiveGraph.
 
 The entire enumeration pipeline (``annotate`` → ``trim`` →
-``enumerate``/``memoryless`` → counting DP) consumes a graph only
+``enumerate``, resumable by one seek → counting DP) consumes a graph only
 through the paper's accessor contract plus the label-indexed CSR
 views.  :class:`~repro.live.LiveGraph` promises to honour that
 contract bit-for-bit so the pipeline runs on it unmodified; this

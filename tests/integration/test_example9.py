@@ -115,6 +115,5 @@ class TestViaPublicApi:
             == results["recursive"]
             == results["memoryless"]
         )
-        # auto uses the general engine here (multi-labeled data) and
-        # must therefore produce the identical sequence.
+        # "auto" is the engine leg too: one DFS, the identical sequence.
         assert results["auto"] == results["iterative"]

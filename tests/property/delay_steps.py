@@ -17,7 +17,8 @@ data-structure operations instead of timing, on two implementations:
   cell run without looking at ``cell_ti``.  A slice read costs its
   length, not one, so no batch of cells can launder the work.
   ``packed-eager`` runs the generator start to end,
-  ``packed-memoryless`` re-positions it before every output, and
+  ``packed-memoryless`` opens a fresh one resumed after each output
+  (Theorem 18's ``NextOutput``), and
   ``packed-resumed`` drops it after output k = 1, middle and last−1 and
   carries on from a fresh one resumed there — so the gap at each cut is
   the whole cost from ``resume_after`` to the first row of a resumed
@@ -36,6 +37,7 @@ re-positioning.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from math import ceil, log2
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -44,9 +46,10 @@ from repro.baselines.restartable_queue import RestartableQueue
 from repro.core.annotate import annotate
 from repro.core.compile import compile_query
 from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless
-from repro.core.trim import resumable_trim, trim
+from repro.core.trim import trim
 from repro.core.walks import Walk
+
+from tests.conftest import one_seek_per_output
 
 #: Steps allowed between consecutive outputs per unit of λ·(|Q|+1).
 CONSTANT = 12
@@ -189,10 +192,10 @@ def _seek_allowance(graph, cq, lam) -> int:
 
 def _packed_memoryless(graph, cq, s, t, counter):
     ann = annotate(cq, s, t)
-    cells = resumable_trim(graph, ann)
+    cells = trim(graph, ann)
     count_cell_reads(cells, counter)
-    return ann.lam, _seek_allowance(graph, cq, ann.lam), enumerate_memoryless(
-        graph, cells, ann.lam, t, ann.target_states
+    return ann.lam, _seek_allowance(graph, cq, ann.lam), one_seek_per_output(
+        partial(enumerate_walks, graph, cells, ann.lam, t, ann.target_states)
     )
 
 

@@ -1,4 +1,5 @@
-"""Randomized differential testing: engine modes + façade vs the oracle.
+"""Randomized differential testing: engine, façade and paper pipeline
+vs the oracle.
 
 Each case draws a random (graph, regex, source, target) instance from a
 *seeded* PRNG — no hypothesis shrinking, no example database: the same
@@ -9,9 +10,10 @@ be replayed locally with::
     DIFF_SEED_BASE=<base> PYTHONPATH=src python -m pytest \
         "tests/property/test_differential.py::test_modes_agree[<case>]"
 
-Per case, every engine mode (``iterative``, ``memoryless``, ``auto``)
-and — as the matrix's fourth column, ``recursive`` — the paper's own
-pipeline (:mod:`repro.baselines.paper_pipeline`: map-building
+Per case, the engine read two ways — ``iterative`` (one generator
+straight through) and ``memoryless`` (Theorem 18: a fresh
+``enumerate(resume_after=w)`` per output) — and, as the matrix's third
+column, ``recursive``, the paper's own pipeline (:mod:`repro.baselines.paper_pipeline`: map-building
 ``annotate_reference`` → dict ``Trim`` → the recursive ``Enumerate``
 verbatim) is checked against the brute-force oracle
 (:mod:`repro.baselines.oracle` — machinery disjoint from the core
@@ -22,15 +24,15 @@ algorithm) for
 * **completeness** — the output *set* is exactly the oracle's answer
   set;
 
-and the modes are checked against *each other* on output order:
+and the columns are checked against *each other* on output order:
 ``iterative``, ``recursive`` and ``memoryless`` are guaranteed by the
 paper to produce the same DFS order (children by increasing
-``TgtIdx``), and ``auto`` *is* ``iterative`` at the engine tier.  Where
+``TgtIdx``).  Where
 the input lies in the simple setting (single-labeled, deterministic),
 the folklore product-BFS baseline is compared as a set — it need not
 share the order.
 
-The engine modes all execute over the CSR-packed annotation arrays —
+The engine columns execute over the CSR-packed annotation arrays —
 the only storage :mod:`repro.core` has — while the ``recursive`` column
 shares no structure with them (dicts, queue objects, cons-lists), so
 their agreement in λ **and** output order checks the packed layout to
@@ -42,11 +44,11 @@ quotient ``compile_query`` emits; the packed pipeline run cold over
 the ``recursive`` column compiles — must give the same λ and the same
 walk *sequence* (the cheapest-walk leg repeats it on the costed copy).
 
-The **resumed** column: for every case and each general mode,
+The **resumed** column: for every case, read both ways,
 ``enumerate(resume_after=w_k)`` — k drawn from a PRNG derived from the
 case seed, plus the last output — must yield exactly the one-shot tail
-``w_{k+1}…``, and a façade cursor produced under one mode must resume
-identically under the other (the cheapest-walk leg repeats that over a
+``w_{k+1}…``, and a façade cursor produced under one mode name must
+resume identically under the other (the cheapest-walk leg repeats that over a
 randomly costed copy of the case's graph).
 
 On top of the four columns, every case runs once more through
@@ -106,7 +108,13 @@ from repro.core.restricted import restriction_predicate
 from repro.core.trim import trim
 from repro.query.plan import simple_eligible
 
-from tests.conftest import HUB_QUERIES, hub_graph, node_cells, packed_walks
+from tests.conftest import (
+    HUB_QUERIES,
+    hub_graph,
+    node_cells,
+    one_seek_per_output,
+    packed_walks,
+)
 
 _MODES = ("iterative", "memoryless", "auto")
 
@@ -212,11 +220,13 @@ def test_modes_agree(case: int) -> None:
             )
         outputs[mode] = edges
 
-    for mode in _MODES:
-        engine = DistinctShortestWalks(graph, nfa, source, target, mode=mode)
-        check(mode, engine.lam, list(engine.enumerate()))
+    engine = DistinctShortestWalks(graph, nfa, source, target)
+    check("iterative", engine.lam, list(engine.enumerate()))
+    check(
+        "memoryless", engine.lam, list(one_seek_per_output(engine.enumerate))
+    )
 
-    # The fourth column: the paper's pipeline on the paper's structures
+    # The third column: the paper's pipeline on the paper's structures
     # (map-building annotate → dict trim → recursive DFS on queue
     # objects) and on the automaton as written.  The engines above all
     # ran on the packed arrays; this column shares none of that code.
@@ -233,15 +243,13 @@ def test_modes_agree(case: int) -> None:
         ),
     )
 
-    # Output-order agreement where the paper guarantees it: the general
-    # modes and the transcription share the DFS order — the guard that
-    # the packed representation is a pure layout change…
+    # Output-order agreement where the paper guarantees it: both engine
+    # columns and the transcription share the DFS order — the guard
+    # that the packed representation is a pure layout change.
     assert outputs["iterative"] == outputs["recursive"], (
         f"packed pipeline order differs from the paper pipeline ({context})"
     )
     assert outputs["iterative"] == outputs["memoryless"], context
-    # …and "auto" is the iterative engine, on every case.
-    assert outputs["auto"] == outputs["iterative"], context
     # Merged == as-written: the one packed pipeline over both compiles.
     assert (
         packed_walks(written, source, target)
@@ -258,15 +266,17 @@ def test_modes_agree(case: int) -> None:
         )
 
     # The resumed column: re-positioning the DFS after output k yields
-    # exactly the one-shot tail, whichever general mode does it.
+    # exactly the one-shot tail, read either way.
     sequence = outputs["iterative"]
     resume_points = _resume_points(seed, len(sequence)) if sequence else []
     for k in resume_points:
-        for mode in _GENERAL_MODES:
-            engine = DistinctShortestWalks(
-                graph, nfa, source, target, mode=mode
-            )
-            tail = [w.edges for w in engine.enumerate(resume_after=sequence[k])]
+        for mode, walks in (
+            ("iterative", engine.enumerate(resume_after=sequence[k])),
+            ("memoryless", one_seek_per_output(
+                engine.enumerate, resume_after=sequence[k]
+            )),
+        ):
+            tail = [w.edges for w in walks]
             assert tail == sequence[k + 1:], (
                 f"{mode} resumed after output {k} differs from the "
                 f"one-shot tail ({context})"

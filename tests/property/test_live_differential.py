@@ -12,8 +12,9 @@ against two worlds at once:
   :class:`Graph` rebuilt from scratch from the live edge list, queried
   through the ordinary (already oracle-verified) engine.
 
-Per query step, the façade's answers on the live graph are checked in
-*both* the eager and the memoryless engine modes for
+Per query step, the façade's answers on the live graph are checked
+under *both* mode names (``iterative``, ``memoryless``; neither selects
+anything) for
 
 * **distinctness** — no walk emitted twice;
 * **shortestness** — every output has length λ (= the oracle's λ);
@@ -202,14 +203,14 @@ def test_interleaving(case: int) -> None:
         # Oracle world: rebuild from scratch, run the proven engine.
         frozen = live.to_graph()
         engine = DistinctShortestWalks(
-            frozen, nfas[expression], source, target, mode="iterative"
+            frozen, nfas[expression], source, target
         )
         oracle_lam = engine.lam
         oracle_walks = [
             _rendered(frozen, w.edges) for w in engine.enumerate()
         ]
 
-        # Live world: the cached façade path, both engine families.
+        # Live world: the cached façade path, under both mode names.
         per_mode = {}
         for mode in ("iterative", "memoryless"):
             result = (

@@ -10,7 +10,7 @@ costs and on a randomly costed copy of the same graph (same edge ids):
 
 * the sequence equals the recursive paper pipeline's (run on the
   automaton as written), content and order, and the memoryless stream
-  equals the iterative one;
+  (a fresh generator resumed after each output) equals the one-shot one;
 * ``resume_after`` at **every** output — each cell of a last-level run,
   its last cell included — yields the one-shot tail;
 * a generator ``close()``\\ d mid-stream, then a fresh one resumed on
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import pytest
@@ -49,10 +49,11 @@ from repro.core.annotate import annotate
 from repro.core.cheapest import cheapest_annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.enumerate import enumerate_walks
-from repro.core.memoryless import enumerate_memoryless
 from repro.core.trim import trim
 from repro.exceptions import QueryError
 from repro.graph.generators import random_multilabel
+
+from tests.conftest import one_seek_per_output
 
 SEED_BASE = int(os.environ.get("DIFF_SEED_BASE", "0"))
 N_CASES = 48
@@ -88,13 +89,17 @@ def _certificate_sizes(graph, cells, t, states, sequence) -> set:
 def _check_every_cut(args, sequence, cost_of, context) -> None:
     """One-shot == memoryless, resumed == the tail at every output,
     close-then-resume, and the typed error for a foreign cursor."""
-    memoryless = enumerate_memoryless(*args, cost_of=cost_of)
+    open_stream = partial(enumerate_walks, *args, cost_of=cost_of)
+    memoryless = one_seek_per_output(open_stream)
     assert [w.edges for w in memoryless] == sequence, context
     for k, cursor in enumerate(sequence):
-        for run in (enumerate_walks, enumerate_memoryless):
-            tail = run(*args, cost_of=cost_of, resume_after=cursor)
+        for name, run in (
+            ("enumerate_walks", open_stream),
+            ("one seek per output", partial(one_seek_per_output, open_stream)),
+        ):
+            tail = run(resume_after=cursor)
             assert [w.edges for w in tail] == sequence[k + 1:], (
-                f"{run.__name__} resumed after output {k} ({context})"
+                f"{name} resumed after output {k} ({context})"
             )
     # Abandon a generator at every position in turn — inside a
     # last-level run as often as not — and carry on from what it read.

@@ -90,20 +90,17 @@ class TestQueryCommand:
         assert code == 0
         assert "cheapest matching cost: 2" in out
 
-    def test_modes(self, graph_file, capsys):
-        for mode in ("iterative", "memoryless"):
-            code = main(
-                ["query", graph_file, "h* s (h | s)*", "Alix", "Bob",
-                 "--mode", mode]
-            )
-            assert code == 0
-        with pytest.raises(SystemExit) as refused:
-            main(
-                ["query", graph_file, "h* s (h | s)*", "Alix", "Bob",
-                 "--mode", "recursive"]
-            )
-        assert refused.value.code == 2
-        assert "invalid choice: 'recursive'" in capsys.readouterr().err
+    def test_query_has_no_mode_flag(self, graph_file, capsys):
+        """Every query pages through one DFS: argparse refuses
+        ``--mode``, whatever name it carries."""
+        for mode in ("iterative", "memoryless", "recursive"):
+            with pytest.raises(SystemExit) as refused:
+                main(
+                    ["query", graph_file, "h* s (h | s)*", "Alix", "Bob",
+                     "--mode", mode]
+                )
+            assert refused.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_vertex(self, graph_file, capsys):
         code = main(["query", graph_file, "h", "Nobody", "Bob"])
@@ -354,6 +351,55 @@ class TestBatchCommand:
         assert stats["annotation_cache"]["hits"] == 0
         first = json.loads(captured.out.splitlines()[0])
         assert first["status"] == "ok" and len(first["walks"]) == 4
+
+
+class TestLimitParity:
+    """The text path pages through ``Query.limit`` as ``--json`` does,
+    so both accept and refuse the same limits."""
+
+    SHAPES = [
+        ["Bob"], ["--all-targets"], ["Bob", "--cheapest"],
+        ["Bob", "--multiplicity"],
+    ]
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(s))
+    def test_text_and_json_refuse_the_same_limits(
+        self, graph_file, capsys, shape, limit
+    ):
+        argv = ["query", graph_file, "h* s (h | s)*", "Alix", *shape,
+                "--limit", limit]
+        for extra in ([], ["--json"]):
+            assert main(argv + extra) == 2, extra
+            captured = capsys.readouterr()
+            assert captured.out == "", extra
+            assert "limit must be a positive integer or None" in captured.err
+
+    @pytest.mark.parametrize("limit", [1, 3, 4, 9])
+    def test_text_and_json_print_the_same_page(
+        self, graph_file, capsys, limit
+    ):
+        argv = ["query", graph_file, "h* s (h | s)*", "Alix", "Bob",
+                "--limit", str(limit)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--json"]) == 0
+        walks = json.loads(capsys.readouterr().out)["walks"]
+        assert len(walks) == min(limit, 4)  # Example 9 has 4 answers.
+        assert text.count("Alix") == len(walks)
+        stopped = f"... (stopped after {limit})"
+        assert (stopped in text) == (limit < 4)
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_pattern_refuses_the_same_limits(self, graph_file, capsys, limit):
+        code = main(
+            ["pattern", graph_file,
+             "ALL SHORTEST (Alix)-[h* s (h|s)*]->(Bob)", "--limit", limit]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "λ" not in captured.out
+        assert "limit must be a positive integer or None" in captured.err
 
 
 class TestJsonOutput:

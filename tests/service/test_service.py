@@ -31,11 +31,11 @@ def _edges(response):
     return [tuple(w["edges"]) for w in response.walks]
 
 
-def _engine_edges(graph, expression, source, target, mode="iterative"):
+def _engine_edges(graph, expression, source, target):
     from repro.automata import regex_to_nfa
 
     engine = DistinctShortestWalks(
-        graph, regex_to_nfa(expression), source, target, mode=mode
+        graph, regex_to_nfa(expression), source, target
     )
     return [w.edges for w in engine.enumerate()]
 

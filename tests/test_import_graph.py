@@ -183,8 +183,8 @@ def test_the_cells_are_walked_in_one_place():
     """One enumerator: the ``TgtIdx`` column of ``PackedCells`` — what
     any loop over queue heads must read — and the edge column a
     one-state frame walks instead are touched only where they are
-    built, in the one DFS and in the counting DP.  ``memoryless.py`` and
-    ``multiplicity.py`` in particular ride on the DFS's output stream."""
+    built, in the one DFS and in the counting DP.  ``multiplicity.py``
+    in particular rides on the DFS's output stream."""
     for column in ("cell_ti", "cell_edge"):
         assert _attribute_readers(column) == [
             "core/count.py", "core/enumerate.py", "datastructures/packed.py",
@@ -266,18 +266,102 @@ def test_no_shared_cursor_structure_or_its_guard():
     assert names == ["self", "target", "resume_after"]
 
 
-def test_no_serving_tier_imports_the_memoryless_artefact():
-    """Theorem 18's per-output seek is the engine's artefact: the tiers
-    above it page through one DFS, whatever mode a request names."""
-    offenders = [
-        f"{path.relative_to(SRC)}: {module}"
-        for package in ("api", "service", "serve", "query")
-        for path in sorted((SRC / package).rglob("*.py"))
-        for module in _imported_modules(ast.parse(path.read_text()))
-        if module.startswith("repro.core.memoryless")
-        or module == "repro.core.enumerate_memoryless"
-    ]
+_MODE_TOKEN = re.compile(r"(^|_)(modes?|memoryless)(_|$)|resumable_trim", re.I)
+
+
+def _identifiers(tree: ast.AST):
+    """Every name the code spells: variables, attributes, parameters,
+    keywords, definitions and imports (docstrings and comments are
+    prose, not tokens)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+
+
+def test_theorem_18_has_no_code_of_its_own():
+    """The engine has one enumeration: no mode axis, no memoryless
+    wrapper and no ``resumable_trim`` alias under ``repro.core`` —
+    Theorem 18's ``NextOutput`` is ``enumerate_walks(resume_after=w)``,
+    the seek every cursor uses."""
+    assert not (SRC / "core" / "memoryless.py").exists()
+    offenders = sorted(
+        f"{path.relative_to(SRC)}: {name}"
+        for path in (SRC / "core").rglob("*.py")
+        for name in set(_identifiers(ast.parse(path.read_text())))
+        if _MODE_TOKEN.search(name)
+    )
     assert offenders == []
+
+
+def _enclosing_functions(tree: ast.AST):
+    """``{node: qualified name of the function it sits in}``."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+                visit(child, inner)
+            else:
+                owner[child] = name
+                visit(child, name)
+
+    visit(tree, "")
+    return owner
+
+
+def test_the_mode_names_are_accepted_in_three_places():
+    """The inert mode vocabulary is read by ``Query.mode``, the JSONL
+    request's validation and ``repro serve --mode`` alone, and no other
+    code spells a mode name: nothing else can accept one."""
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "MODES" and (
+                isinstance(node.ctx, ast.Load)
+            ):
+                readers.append(f"{path.relative_to(SRC)}: {owner[node]}")
+            if isinstance(node, ast.Constant) and node.value in (
+                "iterative", "memoryless"
+            ):
+                readers.append(f"{path.relative_to(SRC)}: {node.value!r}")
+    assert sorted(set(readers)) == [
+        "api/query.py: 'iterative'",
+        "api/query.py: 'memoryless'",
+        "api/query.py: Query.mode",
+        "cli.py: build_parser",
+        "service/requests.py: QueryRequest.validate",
+    ]
+    # In the CLI, the one reader is the serve parser's ``--mode``.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    mode_flags = [
+        ast.unparse(node.func.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and any(
+            isinstance(arg, ast.Constant) and arg.value == "--mode"
+            for arg in node.args
+        )
+    ]
+    assert mode_flags == ["serve_p"]
 
 
 # -- one read path in a graph ------------------------------------------------
@@ -510,7 +594,7 @@ def test_the_cli_imports_no_engine_class():
         and node.module == "repro.core.engine"
         for alias in node.names
     )
-    assert from_engine == ["MODES"]
+    assert from_engine == []
     assert not any(
         module in ("repro.core.engine", "repro.core.multi_target",
                    "repro.core.cheapest")
@@ -523,7 +607,7 @@ def test_the_cli_imports_no_engine_class():
 # -- no execution knobs above the engine -------------------------------------
 
 _VOCABULARIES = {
-    "MODES": ("repro.core.engine", {"iterative", "memoryless", "auto"}),
+    "MODES": ("repro.api.query", {"iterative", "memoryless", "auto"}),
     "CONSTRUCTIONS": ("repro.api.query", {"thompson", "glushkov"}),
     "RESTRICTIONS": ("repro.api.query", {"walks", "trails", "simple", "any"}),
 }
@@ -544,7 +628,7 @@ def test_each_request_vocabulary_is_spelled_once():
                 if values >= words:
                     spelled[name].append(str(path.relative_to(SRC)))
     assert spelled == {
-        "MODES": ["core/engine.py"],
+        "MODES": ["api/query.py"],
         "CONSTRUCTIONS": ["api/query.py"],
         "RESTRICTIONS": ["api/query.py"],
     }

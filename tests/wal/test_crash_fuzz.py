@@ -15,8 +15,9 @@ damaged log still holds.  The contract under test:
 * recovery, which keeps only the records past the snapshot it starts
   from, equals a full-scan reference — state, log geometry, snapshot
   watermark and replay counts — on every damaged log;
-* the query modes — iterative and memoryless enumeration, and the DP
-  answer count — agree with an oracle database over the rebuilt graph;
+* queries under both mode names (``iterative``, ``memoryless``; they
+  select nothing, every page is one DFS) and the DP answer count
+  agree with an oracle database over the rebuilt graph;
 * the log can be **continued** after recovery: reopening truncates the
   torn tail, further batches append cleanly, the warm façade caches
   stay coherent through the mutation (checked against a fresh rebuild
@@ -204,7 +205,7 @@ def _recover_vs_full_scan(wal_dir: str, ctx: str):
 
 
 def _query_modes_vs_oracle(db, live, oracle_graph, expr, source, target, ctx):
-    """Both query modes of ``db`` and the DP count against an oracle
+    """``db`` under both mode names and the DP count against an oracle
     rebuild; ``recursive`` is refused by the recovered database too."""
     oracle_db = Database(oracle_graph)
     want = oracle_db.query(expr).from_(source).to(target).run()
@@ -218,7 +219,7 @@ def _query_modes_vs_oracle(db, live, oracle_graph, expr, source, target, ctx):
         db.query(expr).from_(source).to(target).mode("recursive")
     # The engine-level DP answer count on the oracle graph.
     engine = DistinctShortestWalks(
-        oracle_graph, regex_to_nfa(expr), source, target, mode="iterative"
+        oracle_graph, regex_to_nfa(expr), source, target
     )
     assert engine.lam == want.lam, f"count λ ({ctx})"
     if want.lam is not None:
