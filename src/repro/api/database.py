@@ -1165,6 +1165,7 @@ class Database:
                 "sets are counted by enumeration (method='enumerate')"
             )
         base = q.limit(None).offset(0).cursor(None).timeout_ms(None)
+        base = base.with_multiplicity(False)
         if method == "enumerate":
             return sum(1 for _ in base.run())
         handle = self._handle(base._graph_name)

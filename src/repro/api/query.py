@@ -373,7 +373,8 @@ class Query:
         return iter(self.run())
 
     def count(self, method: str = "enumerate") -> int:
-        """Total number of answers (pagination knobs are ignored).
+        """Total number of answers (pagination knobs and
+        :meth:`with_multiplicity` are ignored).
 
         ``method="enumerate"`` counts by enumerating;
         ``method="dp"`` uses the memoized backward-tree dynamic

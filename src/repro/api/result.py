@@ -22,8 +22,11 @@ semantics of the batch service's paginator:
 A row passes through one generator frame between the engine's DFS and
 the caller, and the page's bookkeeping is paid per page, not per row:
 the last row consumed is kept and its :class:`Cursor` built only when
-the page stops early, and the ``enumerate`` timing is summed in a
-local and written once, when the page ends.
+the page stops early, the ``enumerate`` timing is summed in a local and
+written once, when the page ends, and a ``with_multiplicity()`` page
+weighs its rows with one :func:`~repro.core.multiplicity.run_counter`,
+so each row rolls only the edges it does not share with the row before
+it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.api.rows import Cursor, Row
-from repro.core.multiplicity import count_accepting_runs
+from repro.core.multiplicity import run_counter
 from repro.core.walks import Walk
 
 
@@ -99,6 +102,9 @@ class ResultSet:
         cursor: Optional[Cursor],
     ) -> Iterator[Row]:
         clock = time.perf_counter
+        # One counter per page: rows share suffixes, within a cell and
+        # across cells that end at one target.
+        weigh = None if count_cq is None else run_counter(count_cq)
         resume = None if cursor is None else cursor.edges
         emitted = skipped = 0
         #: The last row consumed (skipped or emitted) — the anchor a
@@ -115,8 +121,7 @@ class ResultSet:
                 for walk in open_walks(resume):
                     row = Row(
                         source, target, walk, lam,
-                        None if count_cq is None
-                        else count_accepting_runs(count_cq, walk.edges),
+                        None if weigh is None else weigh(walk.edges),
                     )
                     if skipped < offset:
                         skipped += 1

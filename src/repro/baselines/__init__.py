@@ -22,6 +22,9 @@
   :mod:`repro.baselines.resumable_index`,
   :mod:`repro.baselines.pairing_heap` — the paper's Section 2.1
   containers and the decrease-key heap that transcription runs on;
+* :mod:`repro.baselines.runs` — Section 5.3's per-walk rerun of the
+  automaton, the run-count reference for production's suffix-sharing
+  counter;
 * :mod:`repro.baselines.simple` — the folklore product-BFS enumerator
   for the "simpler setting" (single-labeled database, deterministic
   automaton): a cross-check there, and EXP-SIMPLE's comparison row;
@@ -45,6 +48,7 @@ from repro.baselines.paper_pipeline import (
     enumerate_walks_recursive,
     recursive_walks,
 )
+from repro.baselines.runs import count_accepting_runs
 from repro.baselines.simple import SimpleShortestWalks
 from repro.baselines.untrimmed import UntrimmedStats, enumerate_untrimmed
 
@@ -57,6 +61,7 @@ __all__ = [
     "annotate_reference",
     "build_product_automaton",
     "cheapest_annotate_reference",
+    "count_accepting_runs",
     "enumerate_untrimmed",
     "enumerate_walks_recursive",
     "martens_trautner_walks",

@@ -14,7 +14,9 @@ Module map (mirrors Figure 2 of the paper):
 * :mod:`repro.core.engine` — the ``Main`` orchestration: the one
   prepared ``(query, source)`` object and the single-pair driver;
 * :mod:`repro.core.cheapest`, :mod:`repro.core.multi_target`,
-  :mod:`repro.core.multiplicity` — the Section 5.3 extensions;
+  :mod:`repro.core.multiplicity` — the Section 5.3 extensions; the
+  last is the one run counter the engine, the façade and the CLI
+  weigh walks with;
 * :mod:`repro.core.count` — answer counting and duplicate-blowup
   measures, without enumeration.
 """
@@ -30,7 +32,6 @@ from repro.core.count import (
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
 from repro.core.multi_target import MultiTargetShortestWalks
-from repro.core.multiplicity import count_accepting_runs
 from repro.core.trim import trim
 from repro.core.walks import Walk
 
@@ -44,7 +45,6 @@ __all__ = [
     "annotate",
     "cheapest_annotate",
     "compile_query",
-    "count_accepting_runs",
     "count_distinct_shortest",
     "count_shortest_product_paths",
     "count_total_multiplicity",

@@ -14,8 +14,10 @@ Three counters, all computed without listing a single walk:
   Section 1);
 * :func:`count_total_multiplicity` — ``Σ_w multiplicity(w)`` over all
   answers ``w``, where the multiplicity is the number of accepting
-  (word, run) pairs of Section 5.3.  Cross-checks
-  ``enumerate_with_multiplicity``.
+  (word, run) pairs of Section 5.3: the sum over a full
+  ``with_multiplicity()`` page of the run counter
+  (:func:`repro.core.multiplicity.run_counter`), which the test suite
+  cross-checks it against.
 
 Complexity.  The product-path and multiplicity counters traverse
 nothing themselves: each reads one ``Annotate`` BFS run stopped at λ,
@@ -231,9 +233,9 @@ def count_total_multiplicity(
     The multiplicity of a walk is its number of accepting (word, run)
     pairs (Section 5.3): unlike product paths, two labels of one edge
     firing the same transition count twice.  Requires an ε-free
-    compiled query, like
-    :func:`repro.core.multiplicity.count_accepting_runs` which it
-    aggregates.  Returns ``(None, 0)`` when no walk matches.
+    compiled query, like :func:`repro.core.multiplicity.run_counter`,
+    whose per-walk counts it sums.  Returns ``(None, 0)`` when no walk
+    matches.
     """
     cq.require_epsilon_free()
     if source == target and (cq.initial_closure & cq.final):

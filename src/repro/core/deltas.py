@@ -11,7 +11,9 @@ share exactly the tree path above their lowest common ancestor: a
 :func:`delta_encode` turns a walk stream into
 :class:`WalkDelta(shared_suffix, prefix_edges)` records — "keep the
 last ``shared_suffix`` edges of the previous answer, replace the rest
-with ``prefix_edges``" — and :func:`delta_decode` inverts it.  On a
+with ``prefix_edges``", the shared length found from the stream by
+:func:`~repro.core.walks.shared_suffix_length`, the scan the run
+counter uses — and :func:`delta_decode` inverts it.  On a
 diamond chain of length k, full output costs ``k`` edges per answer
 while the amortized delta size tends to 2 (the benchmark EXP-DELTA
 measures the ratio).
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
-from repro.core.walks import Walk
+from repro.core.walks import Walk, shared_suffix_length
 from repro.exceptions import GraphError
 from repro.graph.database import Graph
 
@@ -46,17 +48,6 @@ class WalkDelta:
         return len(self.prefix_edges) + 1
 
 
-def _common_suffix_length(
-    previous: Tuple[int, ...], current: Tuple[int, ...]
-) -> int:
-    shared = 0
-    for a, b in zip(reversed(previous), reversed(current)):
-        if a != b:
-            break
-        shared += 1
-    return shared
-
-
 def delta_encode(walks: Iterable[Walk]) -> Iterator[WalkDelta]:
     """Compress a walk stream into delta records.
 
@@ -70,7 +61,7 @@ def delta_encode(walks: Iterable[Walk]) -> Iterator[WalkDelta]:
         if previous is None:
             yield WalkDelta(0, edges)
         else:
-            shared = _common_suffix_length(previous, edges)
+            shared = shared_suffix_length(previous, edges)
             yield WalkDelta(shared, edges[: len(edges) - shared])
         previous = edges
 

@@ -46,7 +46,7 @@ from repro.core.compile import (
 )
 from repro.core.count import count_distinct_shortest
 from repro.core.enumerate import enumerate_walks
-from repro.core.multiplicity import count_accepting_runs, enumerate_with_runs
+from repro.core.multiplicity import run_counter
 from repro.core.trim import trim
 from repro.core.walks import Walk
 from repro.datastructures.packed import PackedCells
@@ -342,40 +342,20 @@ class DistinctShortestWalks(PreparedWalks):
     def __iter__(self) -> Iterator[Walk]:
         return self.enumerate()
 
-    def enumerate_with_multiplicity(
-        self, method: str = "recompute"
-    ) -> Iterator[Tuple[Walk, int]]:
+    def enumerate_with_multiplicity(self) -> Iterator[Tuple[Walk, int]]:
         """Yield ``(walk, multiplicity)`` pairs (Section 5.3).
 
         The multiplicity is the number of accepting runs of the
-        (ε-eliminated) query over the walk's label sets.  Two
-        implementations, both within the O(λ × |A|) delay bound and
-        both offered by the paper:
-
-        * ``method="recompute"`` (default) — rerun the query over each
-          finished walk (a DP costing O(λ × |A|) per output);
-        * ``method="tracked"`` — carry suffix-run counts down the DFS
-          ("keep track of the number of times each state has been
-          produced along the walk"), one Δ-sweep per tree edge.
+        (ε-eliminated) query over the walk's label sets, weighed by one
+        :func:`~repro.core.multiplicity.run_counter` over
+        :meth:`enumerate`: consecutive outputs share the suffix above
+        their lowest common ancestor, so each output rolls only its new
+        prefix, within the O(λ × |A|) delay bound.
         """
-        if method not in ("recompute", "tracked"):
-            raise QueryError(
-                f"unknown multiplicity method {method!r}; "
-                "expected 'recompute' or 'tracked'"
-            )
         if self._count_cq is None:
             self._count_cq = compile_epsilon_free(self.graph, self.automaton)
-        count_cq = self._count_cq
-        if method == "tracked":
-            ann = self.annotation
-            return enumerate_with_runs(
-                self.graph, self.trimmed, count_cq,
-                ann.lam, self.target, ann.target_states,
-            )
-        return (
-            (walk, count_accepting_runs(count_cq, walk.edges))
-            for walk in self.enumerate()
-        )
+        weigh = run_counter(self._count_cq)
+        return ((walk, weigh(walk.edges)) for walk in self.enumerate())
 
     # -- conveniences ---------------------------------------------------------------------
 

@@ -10,9 +10,9 @@ form on demand.
 from __future__ import annotations
 
 from itertools import islice, product
-from typing import Hashable, Iterator, List, Optional, Tuple
+from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, QueryError
 from repro.graph.database import Graph
 
 
@@ -133,8 +133,15 @@ class Walk:
         """Iterate over ``Lbl(w)`` — one label choice per edge.
 
         The set can be exponential in the walk length, hence the
-        generator and the optional ``limit``.
+        generator and the optional ``limit``; a negative, ``bool`` or
+        non-``int`` ``limit`` is refused, as ``first(k)`` refuses ``k``.
         """
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
+            raise QueryError(
+                f"label_words() takes a non-negative int limit, got {limit!r}"
+            )
         words = product(*self.label_sets())
         return islice(words, limit) if limit is not None else words
 
@@ -198,3 +205,18 @@ class Walk:
             parts.append(f"-e{e}[{labels}]->")
             parts.append(str(graph.vertex_name(graph.tgt(e))))
         return " ".join(parts)
+
+
+def shared_suffix_length(a: Sequence[int], b: Sequence[int]) -> int:
+    """How many trailing edge ids the edge sequences ``a`` and ``b``
+    share.  For two consecutive outputs of the DFS this is the tree
+    path above their lowest common ancestor (the part nearest the
+    target), found in O(shared) from the stream alone.
+
+    >>> shared_suffix_length((4, 7, 9), (5, 7, 9)), shared_suffix_length((), (1,))
+    (2, 0)
+    """
+    shared, n = 0, min(len(a), len(b))
+    while shared < n and a[-1 - shared] == b[-1 - shared]:
+        shared += 1
+    return shared

@@ -55,21 +55,64 @@ def graph_to_dict(graph: Graph) -> Dict[str, object]:
 
 
 def graph_from_dict(data: Dict[str, object]) -> Graph:
-    """Inverse of :func:`graph_to_dict`."""
-    if data.get("format") != "repro-graph":
+    """Inverse of :func:`graph_to_dict`.
+
+    The document is checked in one pass for what :class:`Graph` assumes
+    of its input — unique string vertex and label names; per edge, an
+    object with in-range ``src``/``tgt`` vertex ids, a non-empty list of
+    distinct in-range label ids and, when given, a positive ``int``
+    cost — and refused with :class:`~repro.exceptions.GraphError`,
+    naming the first offence, instead of failing later inside a query.
+    """
+    if not isinstance(data, dict) or data.get("format") != "repro-graph":
         raise GraphError("not a repro-graph document")
-    vertices = list(data["vertices"])  # type: ignore[arg-type]
-    labels = list(data["labels"])  # type: ignore[arg-type]
-    edges = list(data["edges"])  # type: ignore[arg-type]
-    any_cost = any("cost" in e for e in edges)
+    vertices, labels = _names(data, "vertices"), _names(data, "labels")
+    edges = data.get("edges")
+    if not isinstance(edges, list):
+        raise GraphError("'edges' must be a list")
+    n, k = len(vertices), len(labels)
+    src, tgt, label_sets, costs = [], [], [], []
+    for i, edge in enumerate(edges):
+        if not isinstance(edge, dict):
+            raise GraphError(f"edge {i} is not an object")
+        u, v, ids = edge.get("src"), edge.get("tgt"), edge.get("labels")
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            raise GraphError(
+                f"edge {i}: 'src' and 'tgt' must be vertex ids below {n}"
+            )
+        if type(ids) is not list or not ids or not all(
+            type(a) is int and 0 <= a < k for a in ids
+        ) or len(set(ids)) != len(ids):
+            raise GraphError(
+                f"edge {i}: 'labels' must be a non-empty list of distinct "
+                f"label ids below {k}"
+            )
+        cost = edge.get("cost", 1)
+        if type(cost) is not int or cost < 1:
+            raise GraphError(f"edge {i}: cost must be a positive int")
+        src.append(u)
+        tgt.append(v)
+        label_sets.append(tuple(ids))
+        costs.append(cost)
+    any_cost = any("cost" in edge for edge in edges)
     return Graph(
         vertex_names=vertices,
         label_names=labels,
-        src=[e["src"] for e in edges],
-        tgt=[e["tgt"] for e in edges],
-        labels=[tuple(e["labels"]) for e in edges],
-        costs=[e.get("cost", 1) for e in edges] if any_cost else None,
+        src=src,
+        tgt=tgt,
+        labels=label_sets,
+        costs=costs if any_cost else None,
     )
+
+
+def _names(data: Dict[str, object], key: str) -> list:
+    names = data.get(key)
+    if not (
+        isinstance(names, list) and all(isinstance(x, str) for x in names)
+        and len(set(names)) == len(names)
+    ):
+        raise GraphError(f"{key!r} must be a list of distinct strings")
+    return names
 
 
 def save_json(graph: Graph, path: _PathLike) -> None:

@@ -1,9 +1,11 @@
 """Structural validation of graph databases.
 
 :class:`~repro.graph.database.Graph` establishes its invariants at
-construction time; :func:`validate_graph` re-checks them all and is
-used by the test suite (including property-based tests) and by the
-deserializers as a defense against hand-crafted inputs.
+construction time; :func:`validate_graph` re-checks them all on a built
+graph and is used by the test suite (including property-based tests).
+The deserializers do not call it: :func:`repro.graph.io.graph_from_dict`
+checks a hand-crafted document in one pass while reading it, and the
+edge-list reader builds through :class:`~repro.graph.builder.GraphBuilder`.
 """
 
 from __future__ import annotations

@@ -145,6 +145,16 @@ class TestModesAndSemantics:
         )
         assert sorted(r.multiplicity for r in rows) == [1, 2, 2, 3]
 
+    def test_count_ignores_with_multiplicity(self, db):
+        """Counting weighs no row: like the page knobs, the flag is
+        dropped, so no count automaton is built for it."""
+        query = db.query(QUERY).from_("Alix").to("Bob").with_multiplicity()
+        assert query.count() == 4
+        plan, hit = db._plan(query, db._handle(query._graph_name))
+        assert hit and plan.count_compiled is None
+        assert [r.multiplicity for r in query.run()] == [3, 1, 2, 2]
+        assert plan.count_compiled is not None
+
     def test_plain_rows_have_no_multiplicity(self, db):
         rows = db.query(QUERY).from_("Alix").to("Bob").run().all()
         assert all(r.multiplicity is None for r in rows)

@@ -5,6 +5,7 @@ import pytest
 from repro.api import Database
 from repro.automata import ANY, EPSILON, NFA, regex_to_nfa, thompson_nfa
 from repro.automata.regex_parser import parse_rpq
+from repro.baselines.runs import count_accepting_runs
 from repro.core.annotate import annotate
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
@@ -277,15 +278,17 @@ class TestCoAccessibleTrim:
 
     @pytest.mark.parametrize("expression", THOMPSON_EPS_QUERIES)
     def test_state_ids_unchanged_tracked_matches_recompute(self, expression):
-        """``tracked`` enumerates off the query compile and counts runs
+        """The engine enumerates off the query compile and counts runs
         on the separately compiled ε-free count automaton, whose ids are
-        the NFA's while the query compile's are dense: the two agree
-        only because no state id crosses from one to the other."""
+        the NFA's while the query compile's are dense: its counts match
+        the per-walk reference only because no state id crosses from one
+        to the other."""
         g = random_multilabel(
             12, 60, alphabet=("a", "b", "c", "d"), max_labels_per_edge=3, seed=5
         )
         nfa = regex_to_nfa(expression)
         assert nfa.has_epsilon
+        count_cq = compile_epsilon_free(g, nfa)
         checked = 0
         for s in range(4):
             for t in range(g.vertex_count):
@@ -293,10 +296,10 @@ class TestCoAccessibleTrim:
                 if engine.lam is None:
                     continue
                 tracked = [
-                    (w.edges, c) for w, c in engine.enumerate_with_multiplicity("tracked")
+                    (w.edges, c) for w, c in engine.enumerate_with_multiplicity()
                 ]
                 recomputed = [
-                    (w.edges, c) for w, c in engine.enumerate_with_multiplicity("recompute")
+                    (e, count_accepting_runs(count_cq, e)) for e, _ in tracked
                 ]
                 assert tracked == recomputed
                 assert all(c >= 1 for _, c in tracked)

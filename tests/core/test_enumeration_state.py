@@ -20,7 +20,8 @@ import pytest
 
 from repro.api import Database
 from repro.core.annotate import AnnotateBFS, annotate
-from repro.core.compile import compile_query
+from repro.baselines.runs import count_accepting_runs
+from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.core.enumerate import enumerate_walks
 from repro.graph.builder import GraphBuilder
@@ -118,14 +119,15 @@ class TestInterleavingGuard:
         assert len(engine.first(3)) == 3
 
     def test_plain_and_tracked_interleave(self):
-        """The tracked-multiplicity stream rides on the same generator:
-        interleaved with a plain enumeration and with a second tracked
-        one, all three see every answer, with equal multiplicities."""
+        """The multiplicity stream rides on the same generator, with a
+        counter of its own: interleaved with a plain enumeration and
+        with a second multiplicity stream, all three see every answer,
+        with equal multiplicities."""
         engine = _engine()
         expected = [w.edges for w in engine.enumerate()]
         plain = engine.enumerate()
-        tracked = engine.enumerate_with_multiplicity(method="tracked")
-        other = engine.enumerate_with_multiplicity(method="tracked")
+        tracked = engine.enumerate_with_multiplicity()
+        other = engine.enumerate_with_multiplicity()
         got_plain, got_tracked, got_other = [], [], []
         for _ in expected:
             got_tracked.append(next(tracked))
@@ -135,8 +137,9 @@ class TestInterleavingGuard:
         assert got_plain == expected
         assert [w.edges for w, _ in got_tracked] == expected
         assert [m for _, m in got_tracked] == [m for _, m in got_other]
+        cq = compile_epsilon_free(engine.graph, engine.automaton)
         assert [m for _, m in got_tracked] == [
-            m for _, m in engine.enumerate_with_multiplicity()
+            count_accepting_runs(cq, edges) for edges in expected
         ]
 
     def test_memoryless_mode_interleaves_freely(self):

@@ -32,7 +32,7 @@ from repro.core.count import (
     count_total_multiplicity,
 )
 from repro.core.engine import DistinctShortestWalks
-from repro.core.multiplicity import count_accepting_runs, enumerate_with_runs
+from repro.core.multiplicity import run_counter
 from repro.core.restricted import fallback_walks, restricted_lam
 from repro.exceptions import QueryError
 from repro.graph import GraphBuilder
@@ -163,10 +163,7 @@ _CORE_ENTRY_POINTS = {
     "count_total_multiplicity": lambda g, cq: (
         count_total_multiplicity(cq, 0, 3)
     ),
-    "count_accepting_runs": lambda g, cq: count_accepting_runs(cq, (0, 2)),
-    "enumerate_with_runs": lambda g, cq: list(
-        enumerate_with_runs(g, None, cq, 2, 3, frozenset({3}))
-    ),
+    "run_counter": lambda g, cq: run_counter(cq)((0, 2)),
 }
 
 

@@ -1,12 +1,23 @@
-"""Unit tests for run-count multiplicities (Section 5.3)."""
+"""Unit tests for run-count multiplicities (Section 5.3).
+
+Production weighs walks with one suffix-sharing counter
+(:func:`repro.core.multiplicity.run_counter`); every case holds it to
+the per-walk rerun of the automaton, :func:`count_accepting_runs` of
+:mod:`repro.baselines.runs`, and the brute-force cases below to a
+(word, run) count that uses neither.
+"""
+
+import inspect
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+from repro.api import Database
+from repro.baselines.runs import count_accepting_runs
 from repro.core.compile import compile_epsilon_free, compile_query
 from repro.core.engine import DistinctShortestWalks
-from repro.core.multiplicity import count_accepting_runs
-from repro.exceptions import QueryError
+from repro.core.multiplicity import run_counter
 from repro.workloads.fraud import (
     EXAMPLE9_EDGE_IDS,
     example9_automaton,
@@ -20,6 +31,25 @@ def _edges(*names):
     return tuple(EXAMPLE9_EDGE_IDS[n] for n in names)
 
 
+def _runs(cq, edges):
+    """The run count of one walk, by the reference and by a fresh
+    counter, which must agree."""
+    expected = count_accepting_runs(cq, edges)
+    assert run_counter(cq)(edges) == expected
+    return expected
+
+
+def _check_against_reference(engine, nfa):
+    """The engine's ``(walk, multiplicity)`` stream, each multiplicity
+    checked against the reference on the written automaton."""
+    cq = compile_epsilon_free(engine.graph, nfa)
+    pairs = [(w.edges, m) for w, m in engine.enumerate_with_multiplicity()]
+    assert [m for _, m in pairs] == [
+        count_accepting_runs(cq, edges) for edges, _ in pairs
+    ]
+    return pairs
+
+
 class TestExample9:
     """Example 9 discusses each walk's accepted label words; since the
     automaton is unambiguous, runs == accepted words."""
@@ -28,24 +58,24 @@ class TestExample9:
         graph = example9_graph()
         cq = compile_epsilon_free(graph, example9_automaton())
         # w4 = ⟨e2, e4, e8⟩ carries shh, hhs, shs — three runs.
-        assert count_accepting_runs(cq, _edges("e2", "e4", "e8")) == 3
+        assert _runs(cq, _edges("e2", "e4", "e8")) == 3
 
     def test_w1_w2_w3(self):
         graph = example9_graph()
         cq = compile_epsilon_free(graph, example9_automaton())
-        assert count_accepting_runs(cq, _edges("e1", "e5", "e8")) == 1
-        assert count_accepting_runs(cq, _edges("e1", "e6", "e8")) == 2
-        assert count_accepting_runs(cq, _edges("e2", "e3", "e7")) == 2
+        assert _runs(cq, _edges("e1", "e5", "e8")) == 1
+        assert _runs(cq, _edges("e1", "e6", "e8")) == 2
+        assert _runs(cq, _edges("e2", "e3", "e7")) == 2
 
     def test_non_matching_walk_has_zero(self):
         graph = example9_graph()
         cq = compile_epsilon_free(graph, example9_automaton())
-        assert count_accepting_runs(cq, _edges("e1", "e7")) == 0
+        assert _runs(cq, _edges("e1", "e7")) == 0
 
     def test_empty_walk(self):
         graph = example9_graph()
         cq = compile_epsilon_free(graph, example9_automaton())
-        assert count_accepting_runs(cq, ()) == 0  # ε ∉ L.
+        assert _runs(cq, ()) == 0  # ε ∉ L.
 
     def test_engine_integration(self):
         graph = example9_graph()
@@ -94,7 +124,7 @@ class TestAmbiguousCounting:
         nfa.set_initial(0)
         nfa.set_final(3)
         cq = compile_epsilon_free(graph, nfa)
-        assert count_accepting_runs(cq, (0, 1)) == 2
+        assert _runs(cq, (0, 1)) == 2
 
     def test_labels_multiply_runs(self):
         """Two labels firing the same transition give two runs."""
@@ -110,7 +140,7 @@ class TestAmbiguousCounting:
         nfa.set_initial(0)
         nfa.set_final(1)
         cq = compile_epsilon_free(graph, nfa)
-        assert count_accepting_runs(cq, (0,)) == 2
+        assert _runs(cq, (0,)) == 2
 
 
 class TestProperties:
@@ -141,7 +171,8 @@ class TestProperties:
 
 
 class TestTrackedRuns:
-    """The §5.3 'keep track along the recursive calls' variant."""
+    """The §5.3 'keep track along the recursive calls' counter — the
+    engine's only one — against the per-walk rerun."""
 
     def test_example9_tracked_matches_recompute(self):
         from repro.workloads.fraud import example9_automaton, example9_graph
@@ -149,28 +180,24 @@ class TestTrackedRuns:
         engine = DistinctShortestWalks(
             example9_graph(), example9_automaton(), "Alix", "Bob"
         )
-        recomputed = list(engine.enumerate_with_multiplicity())
-        tracked = list(
-            engine.enumerate_with_multiplicity(method="tracked")
-        )
-        assert [(w.edges, m) for w, m in tracked] == [
-            (w.edges, m) for w, m in recomputed
+        tracked = _check_against_reference(engine, example9_automaton())
+        assert [edges for edges, _ in tracked] == [
+            w.edges for w in engine.enumerate()
         ]
         # Example 9: w4 carries 3 suitable labels, w2/w3 carry 2, w1
         # carries 1 — runs coincide with labels for this automaton.
         assert sorted(m for _, m in tracked) == [1, 2, 2, 3]
 
     def test_bad_method_rejected(self):
-        import pytest
-
-        from repro.exceptions import QueryError
+        """There is one counter, so no method is accepted at all."""
         from repro.workloads.fraud import example9_automaton, example9_graph
 
         engine = DistinctShortestWalks(
             example9_graph(), example9_automaton(), "Alix", "Bob"
         )
-        with pytest.raises(QueryError, match="multiplicity method"):
-            list(engine.enumerate_with_multiplicity(method="bogus"))
+        for method in ("bogus", "tracked", "recompute"):
+            with pytest.raises(TypeError):
+                engine.enumerate_with_multiplicity(method=method)
 
     def test_lambda_zero_tracked(self):
         from repro.automata import NFA
@@ -183,7 +210,7 @@ class TestTrackedRuns:
         engine = DistinctShortestWalks(
             example9_graph(), nfa, "Alix", "Alix"
         )
-        tracked = list(engine.enumerate_with_multiplicity(method="tracked"))
+        tracked = list(engine.enumerate_with_multiplicity())
         assert len(tracked) == 1
         assert tracked[0][0].length == 0 and tracked[0][1] == 1
 
@@ -191,29 +218,125 @@ class TestTrackedRuns:
     @settings(max_examples=80, deadline=None)
     def test_tracked_matches_recompute_random(self, instance):
         graph, nfa, s, t = instance
-        engine = DistinctShortestWalks(graph, nfa, s, t)
-        recomputed = [
-            (w.edges, m) for w, m in engine.enumerate_with_multiplicity()
-        ]
-        tracked = [
-            (w.edges, m)
-            for w, m in engine.enumerate_with_multiplicity(method="tracked")
-        ]
-        assert tracked == recomputed
+        _check_against_reference(DistinctShortestWalks(graph, nfa, s, t), nfa)
 
     @given(small_instances(allow_epsilon=True))
     @settings(max_examples=40, deadline=None)
     def test_tracked_with_epsilon_queries(self, instance):
         graph, nfa, s, t = instance
+        _check_against_reference(DistinctShortestWalks(graph, nfa, s, t), nfa)
+
+
+class TestRunCounter:
+    """The counter needs only edge ids: any stream order, any lengths."""
+
+    def test_any_stream_order_and_repeats(self):
+        graph = example9_graph()
+        cq = compile_epsilon_free(graph, example9_automaton())
+        walks = [
+            _edges("e2", "e4", "e8"), _edges("e1", "e6", "e8"), (),
+            _edges("e1", "e6", "e8"), _edges("e6", "e8"),
+            _edges("e2", "e3", "e7"), _edges("e1", "e7"),
+            _edges("e1", "e5", "e8"), _edges("e8"), (),
+        ]
+        weigh = run_counter(cq)
+        assert [weigh(edges) for edges in walks] == [
+            count_accepting_runs(cq, edges) for edges in walks
+        ]
+
+    def test_empty_walk_weighs_initial_and_final_states(self):
+        """|I ∩ F|: two states both initial and final, one of each."""
+        from repro.automata import NFA
+
+        nfa = NFA(4)
+        for q in (0, 1, 2):
+            nfa.set_initial(q)
+        for q in (0, 1, 3):
+            nfa.set_final(q)
+        nfa.add_transition(2, "h", 3)
+        cq = compile_epsilon_free(example9_graph(), nfa)
+        assert run_counter(cq)(()) == count_accepting_runs(cq, ()) == 2
+
+
+def _rolled_edges(run):
+    """``(result of run(), edges the counter rolled)``: executions of
+    the first line of its per-edge loop — a count that repeats
+    exactly."""
+    lines, first = inspect.getsourcelines(run_counter)
+    (line,) = [
+        first + i for i, text in enumerate(lines)
+        if text.strip() == "labels = label_of[edges[i]]"
+    ]
+    (weigh,) = [
+        c for c in run_counter.__code__.co_consts
+        if inspect.iscode(c) and c.co_name == "weigh"
+    ]
+    rolled = 0
+
+    def tracer(frame, event, _arg):
+        nonlocal rolled
+        if frame.f_code is not weigh:
+            return None
+        if event == "line" and frame.f_lineno == line:
+            rolled += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, rolled
+
+
+class TestSharedSuffixes:
+    """``diamond_chain(12)`` under ``a*``: 2¹² walks of 12 edges, the
+    leaves of a binary backward-search tree with 2¹³ − 2 edges.  One
+    counter over the stream rolls each tree edge once: 8 190 edges,
+    where a rerun per walk rolls 4 096 × 12 = 49 152."""
+
+    def test_a_facade_page_rolls_each_tree_edge_once(self):
+        from repro.workloads.worstcase import diamond_chain
+
+        graph, _, s, t = diamond_chain(12)
+        query = Database(graph).query("a*").from_(s).to(t)
+        rows, rolled = _rolled_edges(
+            lambda: query.with_multiplicity().run().all()
+        )
+        assert len(rows) == 4096 and {r.multiplicity for r in rows} == {1}
+        assert rolled == 8190
+
+    def test_the_engine_stream_rolls_each_tree_edge_once(self):
+        from repro.workloads.worstcase import diamond_chain
+
+        graph, nfa, s, t = diamond_chain(12)
         engine = DistinctShortestWalks(graph, nfa, s, t)
-        recomputed = [
-            (w.edges, m) for w, m in engine.enumerate_with_multiplicity()
-        ]
-        tracked = [
-            (w.edges, m)
-            for w, m in engine.enumerate_with_multiplicity(method="tracked")
-        ]
-        assert tracked == recomputed
+        pairs, rolled = _rolled_edges(
+            lambda: list(engine.enumerate_with_multiplicity())
+        )
+        assert len(pairs) == 4096 and rolled == 8190
+
+    def test_cells_ending_at_one_target_share_suffixes(self):
+        """``from_any(S).to(t)``: y's cell starts with the edge into t
+        that x's last walk ended with, so its walk rolls one edge."""
+        from repro.graph.builder import GraphBuilder
+
+        builder = GraphBuilder()
+        builder.add_edge("x", "m", ["a"])
+        builder.add_edge("x", "m", ["a"])
+        builder.add_edge("y", "m", ["a"])
+        builder.add_edge("m", "t", ["a"])
+        query = Database(builder.build()).query("a a").from_any(
+            ["x", "y"]
+        ).to("t")
+        rows, rolled = _rolled_edges(
+            lambda: query.with_multiplicity().run().all()
+        )
+        assert [r.source for r in rows] == ["x", "x", "y"]
+        assert [r.multiplicity for r in rows] == [1, 1, 1]
+        # x: 2 + 1 edges; y: 1 — a counter per cell would roll 2 there.
+        assert rolled == 4
 
 
 def _brute_force_runs(graph, nfa, edges):
@@ -266,15 +389,11 @@ class TestAcrossTheMerge:
         merged = compile_query(graph, nfa).live_states
         assert merged[1] < merged[0]  # The merge does bite here.
         engine = DistinctShortestWalks(graph, nfa, s, t)
-        recomputed = list(engine.enumerate_with_multiplicity("recompute"))
-        tracked = list(engine.enumerate_with_multiplicity("tracked"))
-        assert [(w.edges, m) for w, m in tracked] == [
-            (w.edges, m) for w, m in recomputed
-        ]
+        tracked = _check_against_reference(engine, nfa)
         assert tracked
-        for walk, multiplicity in tracked:
+        for edges, multiplicity in tracked:
             assert multiplicity == runs
-            assert multiplicity == _brute_force_runs(graph, nfa, walk.edges)
+            assert multiplicity == _brute_force_runs(graph, nfa, edges)
         assert engine.count("dp") == engine.count("enumerate") == len(tracked)
 
     def test_wide_nfa_on_the_diamond_chain(self):
@@ -283,14 +402,11 @@ class TestAcrossTheMerge:
         graph, _, s, t = diamond_chain(4)
         nfa = wide_nfa(3, ("a",))
         engine = DistinctShortestWalks(graph, nfa, s, t)
-        tracked = list(engine.enumerate_with_multiplicity("tracked"))
+        tracked = _check_against_reference(engine, nfa)
         assert len(tracked) == engine.count("dp") == 2 ** 4
-        assert [m for _, m in tracked] == [
-            m for _, m in engine.enumerate_with_multiplicity("recompute")
-        ]
-        for walk, multiplicity in tracked:
+        for edges, multiplicity in tracked:
             assert multiplicity == 3 ** 4
-            assert multiplicity == _brute_force_runs(graph, nfa, walk.edges)
+            assert multiplicity == _brute_force_runs(graph, nfa, edges)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_facade_and_jsonl_request(self, name):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.walks import Walk
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, QueryError
 from repro.workloads.fraud import EXAMPLE9_EDGE_IDS, example9_graph
 
 
@@ -76,6 +76,21 @@ class TestLabels:
     def test_label_words_limit(self, graph):
         w = Walk(graph, _edges("e2", "e4", "e8"))
         assert len(list(w.label_words(limit=2))) == 2
+        assert list(w.label_words(limit=0)) == []
+
+    @pytest.mark.parametrize("limit", [True, False, 2.5, -1, "2"])
+    def test_label_words_refuses_bad_limits(self, graph, limit):
+        """``first(k)``'s rule: a ``bool``, non-``int`` or negative
+        limit is a QueryError, not one word or a bare ValueError."""
+        from repro.core.engine import DistinctShortestWalks
+        from repro.workloads.fraud import example9_automaton
+
+        engine = DistinctShortestWalks(
+            graph, example9_automaton(), "Alix", "Bob"
+        )
+        (first,) = engine.first(1)
+        with pytest.raises(QueryError, match="non-negative int limit"):
+            first.label_words(limit=limit)
 
 
 class TestConcatenation:

@@ -51,6 +51,70 @@ class TestDictRoundtrip:
         assert clone.vertex_count == 0
 
 
+def _edited(edit):
+    """Example 9's document with one field edited in place."""
+    doc = graph_to_dict(example9_graph())
+    edit(doc, doc["edges"][0])
+    return doc
+
+
+#: Documents that break an invariant ``Graph`` relies on, each with the
+#: edit that breaks it.  Before the one-pass check, most of them loaded
+#: and failed inside a query (IndexError, TypeError) or raised a bare
+#: KeyError / TypeError from the loader.
+MALFORMED = {
+    "label id out of range": lambda d, e: e.update(labels=[99]),
+    "label given by name": lambda d, e: e.update(labels=["h"]),
+    "empty label set": lambda d, e: e.update(labels=[]),
+    "duplicate label ids": lambda d, e: e.update(labels=[0, 0]),
+    "labels not a list": lambda d, e: e.update(labels=0),
+    "zero cost": lambda d, e: e.update(cost=0),
+    "negative cost": lambda d, e: e.update(cost=-2),
+    "float cost": lambda d, e: e.update(cost=1.5),
+    "bool cost": lambda d, e: e.update(cost=True),
+    "missing tgt": lambda d, e: e.pop("tgt"),
+    "source out of range": lambda d, e: e.update(src=len(d["vertices"])),
+    "negative target": lambda d, e: e.update(tgt=-1),
+    "endpoint by name": lambda d, e: e.update(src=d["vertices"][0]),
+    "edge not an object": lambda d, e: d["edges"].append([0, 1, [0]]),
+    "edges not a list": lambda d, e: d.update(edges=5),
+    "duplicate vertex names": lambda d, e: d["vertices"].append(
+        d["vertices"][0]
+    ),
+    "unhashable vertex name": lambda d, e: d["vertices"].append([1]),
+    "duplicate label names": lambda d, e: d["labels"].append(d["labels"][0]),
+    "missing labels": lambda d, e: d.pop("labels"),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_refused_with_graph_error(self, name):
+        with pytest.raises(GraphError):
+            graph_from_dict(_edited(MALFORMED[name]))
+
+    def test_a_valid_costed_document_round_trips(self, tmp_path):
+        b = GraphBuilder()
+        b.add_edge("x", "y", ["a", "b"], cost=3)
+        b.add_edge("y", "x", ["b"], cost=1)
+        b.add_edge("y", "y", ["a"], cost=7)
+        g = b.build()
+        path = tmp_path / "g.json"
+        save_json(g, path)
+        clone = load_json(path)
+        validate_graph(clone)
+        _assert_graphs_equal(g, clone)
+        assert graph_to_dict(clone) == graph_to_dict(g)
+
+    def test_refused_before_a_query_can_run(self, tmp_path):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_edited(MALFORMED["label given by name"])))
+        with pytest.raises(GraphError, match="edge 0"):
+            load_json(path)
+
+
 class TestJsonFiles:
     def test_roundtrip(self, tmp_path):
         g = example9_graph()

@@ -72,8 +72,11 @@ UNREACHED = {
     "repro.workloads.transport": _DATA,
     "repro.workloads.worstcase": _DATA,
     "repro.core.deltas": (
-        "Section 6 delta encoder; ROADMAP item 10 decides whether it "
-        "becomes native to the DFS or joins the oracles"
+        "Section 6 delta encoder; it finds the shared suffix by the run "
+        "counter's stream scan (walks.shared_suffix_length), since the "
+        "DFS does not expose its LCA depth: that scan also serves the "
+        "streams the DFS never sees (filter, fallback, any-walk, "
+        "multi-cell pages) within Theorem 2's delay"
     ),
 }
 
@@ -249,6 +252,35 @@ def _names(module: str):
         getattr(node, "name", None) or getattr(node, "id", None)
         for node in ast.walk(tree)
     }
+
+
+def test_multiplicity_has_one_implementation():
+    """One run counter: ``enumerate_with_multiplicity`` takes no
+    ``method``, ``enumerate_with_runs`` is gone, the per-walk rerun
+    ``count_accepting_runs`` is defined only among the oracles, and the
+    engine and the façade both import the one counter."""
+    definers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                definers.setdefault(node.name, []).append(
+                    str(path.relative_to(SRC))
+                )
+                if node.name == "enumerate_with_multiplicity":
+                    args = node.args
+                    assert [
+                        a.arg for a in args.posonlyargs + args.args
+                        + args.kwonlyargs
+                    ] == ["self"]
+                    assert not (args.vararg or args.kwarg)
+    assert definers["enumerate_with_multiplicity"] == ["core/engine.py"]
+    assert "enumerate_with_runs" not in definers
+    assert definers["count_accepting_runs"] == ["baselines/runs.py"]
+    assert definers["run_counter"] == ["core/multiplicity.py"]
+    for module in ("core/engine.py", "api/result.py"):
+        assert "repro.core.multiplicity.run_counter" in set(
+            _imported_modules(ast.parse((SRC / module).read_text()))
+        ), module
 
 
 def test_no_shared_cursor_structure_or_its_guard():
