@@ -60,7 +60,7 @@ from typing import (
 )
 
 from repro.api.rows import Cursor, Row
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, is_int
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.api.database import Database
@@ -296,9 +296,7 @@ class Query:
 
     def limit(self, n: Optional[int]) -> "Query":
         """Page size; ``None`` = all answers."""
-        if n is not None and (
-            isinstance(n, bool) or not isinstance(n, int) or n < 1
-        ):
+        if n is not None and (not is_int(n) or n < 1):
             raise QueryError("limit must be a positive integer or None")
         q = self._clone()
         q._limit = n
@@ -306,7 +304,7 @@ class Query:
 
     def offset(self, n: int) -> "Query":
         """Rows to skip before the page starts (O(offset) walk work)."""
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise QueryError("offset must be a non-negative integer")
         q = self._clone()
         q._offset = n

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.walks import Walk
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, is_int
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class Cursor:
 
     def validate_edges(self) -> "Cursor":
         if not all(
-            isinstance(e, int) and not isinstance(e, bool) and e >= 0
+            is_int(e) and e >= 0
             for e in self.edges
         ):
             raise QueryError(

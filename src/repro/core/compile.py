@@ -202,8 +202,12 @@ class CompiledQuery:
             for a, ts in d.items():
                 for p in ts:
                     into[p].setdefault(a, []).append(q)
+        # Equal Δ⁻¹ tuples are one object: Trim's cells hold them as
+        # they are, and a merge tells equal certificates apart by identity.
+        same: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.delta_inv: Tuple[Dict[int, Tuple[int, ...]], ...] = tuple(
-            {a: tuple(qs) for a, qs in d.items()} for d in into
+            {a: same.setdefault(tuple(qs), tuple(qs)) for a, qs in d.items()}
+            for d in into
         )
         self.level_costs: Optional[object] = None
 

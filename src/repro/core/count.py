@@ -90,7 +90,7 @@ def count_distinct_shortest(
     spans = cells.spans
     cell_ti = cells.cell_ti
     cell_edge = cells.cell_edge
-    cert = cells.cert
+    certs = cells.certs
 
     def children(u: int, states: Tuple[int, ...], remaining: int):
         """Child node keys, via the packed cells of ``states``."""
@@ -102,10 +102,10 @@ def count_distinct_shortest(
                 ti = cell_ti[c]
                 bucket = by_cell.get(ti)
                 if bucket is None:
-                    by_cell[ti] = set(cert(c))
+                    by_cell[ti] = set(certs[c])
                     edge_at[ti] = cell_edge[c]
                 else:
-                    bucket.update(cert(c))
+                    bucket.update(certs[c])
         return [
             (
                 src_arr[edge_at[ti]],
@@ -165,8 +165,8 @@ def _count_along_cells(
     cells = trim(cq.graph, annotation)
     n_states = cq.n_states
     src_arr = cq.graph.src_array
-    spans, cell_edge, cert = cells.spans, cells.cell_edge, cells.cert
-    indptr, ent_pred = cells.cell_pred_indptr, cells.ent_pred
+    spans, cell_edge = cells.spans, cells.cell_edge
+    certs, cell_entries = cells.certs, cells.cell_entries
     base = target * n_states
     levels = [[base + f for f in states]]
     seen = set(levels[0])
@@ -175,7 +175,7 @@ def _count_along_cells(
         for k in levels[-1]:
             for c in range(*spans[k]):
                 w_base = src_arr[cell_edge[c]] * n_states
-                for q in cert(c):
+                for q in certs[c]:
                     pred = w_base + q
                     if pred not in seen:
                         seen.add(pred)
@@ -189,9 +189,9 @@ def _count_along_cells(
             k_paths = k_runs = 0
             for c in range(*spans[k]):
                 w_base = src_arr[cell_edge[c]] * n_states
-                for q in cert(c):
+                for q in certs[c]:
                     k_paths += paths[w_base + q]
-                for q in ent_pred[indptr[c]:indptr[c + 1]]:
+                for q in cell_entries[c]:
                     k_runs += runs[w_base + q]
             paths[k] = k_paths
             runs[k] = k_runs

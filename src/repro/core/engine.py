@@ -50,7 +50,7 @@ from repro.core.multiplicity import run_counter
 from repro.core.trim import trim
 from repro.core.walks import Walk
 from repro.datastructures.packed import PackedCells
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, is_int
 from repro.graph.database import Graph
 from repro.obs.trace import add_span
 
@@ -375,7 +375,7 @@ class DistinctShortestWalks(PreparedWalks):
         """The first ``k`` answers in enumeration order (all of them
         when there are fewer); a negative, ``bool`` or non-``int`` ``k``
         is refused."""
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        if not is_int(k) or k < 0:
             raise QueryError(f"first() takes a non-negative int k, got {k!r}")
         with closing(self.enumerate()) as walks:
             return list(islice(walks, k))

@@ -20,9 +20,10 @@ flat cell arrays of the annotation's
 for the target it has ``Trim`` pull before the first output (one
 O(cells) build per target and store, a no-op once done): a node's cell
 span is one dict read, queue heads are integer cursor reads, and child
-certificates come from the per-cell cached tuples — the common
-single-queue-head case unions nothing and allocates nothing.  The
-per-edge cost callback fires only in cheapest mode.
+certificates are read from the ``certs`` column, which ``Trim`` wrote
+whole when it pulled each cell — the common single-queue-head case
+unions nothing and allocates nothing.  The per-edge cost callback
+fires only in cheapest mode.
 
 **Level columns.**  The stack is not a list of frame tuples but
 preallocated columns indexed by stack height — ``f_at``, ``f_end``,
@@ -60,10 +61,10 @@ The whole enumeration therefore costs one turn per leaf run, per
 descent step and per sibling taken from the stack (``diamond_chain``:
 1.5 turns per output; a frame per node, popped a turn after its last
 child, took 2.0).  A leaf never gets a frame: the step that lands on
-budget 0 outputs at once.  Nothing is written to the cells a reader
-uses (bar the benign certificate cache) — a build for another target
-only appends — so any number of enumerations — interleaved, abandoned
-mid-way, on other threads, toward any targets — run over one store.
+budget 0 outputs at once.  A reader writes nothing to the store, and
+a build for another target only appends to it, so any number of
+enumerations — interleaved, abandoned mid-way, on other threads,
+toward any targets — run over one store.
 
 **Outputs are snapshots.**  Under unit costs the edge chosen with
 ``left`` hops to go is written to slot ``left`` of one λ-slot list,
@@ -151,7 +152,7 @@ def enumerate_walks(
         plain ``int`` included — raises
         :class:`~repro.exceptions.QueryError`.
 
-    Certificates are the per-cell cached tuples — already sorted and
+    Certificates are the cells' stored tuples — already sorted and
     deduplicated — merged only when ``emin`` sits at more than one
     state's head.
     """
@@ -245,8 +246,6 @@ def enumerate_walks(
                 f_states[sp] = None
             lo = -1
             child_states = certs[emin_c]
-            if child_states is None:
-                child_states = cells.cert(emin_c)
         else:
             at = f_at[sp]
             r = f_rem[sp]
@@ -262,8 +261,6 @@ def enumerate_walks(
                     f_at[sp] = at + 1
                 emin_c = at
                 child_states = certs[at]
-                if child_states is None:
-                    child_states = cells.cert(at)
             else:
                 base = at * n_states
                 # Lines 48-53: queue heads are cursor reads; TgtIdx
@@ -280,7 +277,8 @@ def enumerate_walks(
                             emin_c, emin_ti = c, t
 
                 # Lines 58-65: consume emin at every head carrying it
-                # and union the (cached, sorted) certificates.  A frame
+                # and union the (stored, sorted) certificates — equal
+                # ones are one tuple, so an identity test skips them.  A frame
                 # none of whose queues has a cell left leaves the stack
                 # now: lines 54-57's return, one turn early.  (The paper
                 # restarts the queues there; re-entry does it instead.)
@@ -294,13 +292,11 @@ def enumerate_walks(
                     if c < end:
                         if cell_ti[c] == emin_ti:
                             cert = certs[c]
-                            if cert is None:
-                                cert = cells.cert(c)
                             if merged is not None:
                                 merged.update(cert)
                             elif single is None:
                                 single = cert
-                            elif single != cert:
+                            elif single is not cert:
                                 merged = set(single)
                                 merged.update(cert)
                             c += 1
@@ -383,7 +379,7 @@ def _seek(
     spans = cells.spans
     cell_ti = cells.cell_ti
     cell_edge = cells.cell_edge
-    cert_of = cells.cert
+    certs = cells.certs
     ti_arr = graph.tgt_idx_array
     src_arr = graph.src_array
     n_edges = len(ti_arr)
@@ -402,7 +398,7 @@ def _seek(
             if c < hi and cell_ti[c] == ti:
                 if cell_edge[c] != e:
                     raise _not_an_output()
-                child_states.update(cert_of(c))
+                child_states.update(certs[c])
                 c += 1
             cur[k] = c
             end_of[k] = hi

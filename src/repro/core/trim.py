@@ -19,9 +19,12 @@ queue from ``L`` — the live edges of ``In(u)`` in ``TgtIdx`` order
 whose source holds some ``q ∈ Δ⁻¹(p, a)`` one level down.  So the
 queues come out sorted with no sort, only the nodes on the target's
 shortest walks are built, and a later target appends what it adds to
-the same store.  The store is read-only to readers: queue cursors are
-private to each running :func:`~repro.core.enumerate.enumerate_walks`
-generator, and a seek is a binary search over a node's cell span.
+the same store.  Each cell is written whole when it is pulled — its
+edge, its raw entries and its certificate ``X``, both as tuples the
+store shares between equal cells — so the store is read-only to
+readers: they build nothing, queue cursors are private to each running
+:func:`~repro.core.enumerate.enumerate_walks` generator, and a seek is
+a binary search over a node's cell span.
 """
 
 from __future__ import annotations

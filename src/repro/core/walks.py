@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import islice, product
 from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import GraphError, QueryError
+from repro.exceptions import GraphError, QueryError, is_int
 from repro.graph.database import Graph
 
 
@@ -136,9 +136,7 @@ class Walk:
         generator and the optional ``limit``; a negative, ``bool`` or
         non-``int`` ``limit`` is refused, as ``first(k)`` refuses ``k``.
         """
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
-        ):
+        if limit is not None and (not is_int(limit) or limit < 0):
             raise QueryError(
                 f"label_words() takes a non-negative int limit, got {limit!r}"
             )

@@ -1,4 +1,4 @@
-"""The ``Trim`` cell store — Lemma 11's queues as flat, append-only arrays.
+"""The ``Trim`` cell store — Lemma 11's queues as flat, append-only columns.
 
 The paper's ``Annotate`` fills ``L`` and ``B`` (Lemma 10) and ``Trim``
 turns ``B_u[p]`` into the queue ``C_u[p]`` of pairs ``(e, X)``, sorted
@@ -11,6 +11,13 @@ label ``a`` of ``e``, keep each ``q ∈ Δ⁻¹(p, a)`` that ``w`` holds one
 level down (``dist[w, q] = ℓ − 1``; under edge costs ``dist[w, q] +
 cost(e) = ℓ``).  That is one entry per firing label, as Lemma 10(3)
 counts them, and the cells come out in Lemma 11's order with no sort.
+An in-edge costs one ``dist`` read per distinct candidate state.  A
+one-label edge reads ``Δ⁻¹(p, a)`` as it is (the compile makes equal
+``Δ⁻¹`` tuples one object); any other label tuple's candidates — raw
+and distinct — come from a per-build memo keyed by ``(p, labels)``, a
+tombstone's ``()`` mapping to none.  Only a partial match (some
+candidates one level down, not all) builds a filtered pair, memoized
+per build as well.  Each predecessor node is pushed once.
 
 :meth:`PackedCells.build` pulls only what an asked target's enumeration
 can read: the nodes backward-reachable from ``(t, f)``, ``f ∈ S_t``,
@@ -19,25 +26,26 @@ store serves an annotation for its lifetime; later targets append the
 nodes not yet built and nothing is rebuilt.  Records:
 
 * cell ``c`` — ``cell_ti[c]`` (its ``TgtIdx``, strictly increasing
-  within a node), ``cell_edge[c]`` (``In(u)[TgtIdx]``) and its entries
-  ``ent_pred[cell_pred_indptr[c] : cell_pred_indptr[c + 1]]`` (raw,
-  duplicates kept); ``certs[c]``, the sorted duplicate-free certificate
-  tuple, is built lazily on first use (``None`` until then);
+  within a node), ``cell_edge[c]`` (``In(u)[TgtIdx]``),
+  ``cell_entries[c]`` (its raw entries: pull order, duplicates kept)
+  and ``certs[c]`` (its certificate ``X``: the entries sorted and
+  duplicate-free).  Both are written when the cell is pulled, as
+  tuples shared by every cell of the store with the same content, so
+  a reader only reads them;
 * ``spans[k]`` — ``(first cell, end cell)`` of node ``k = u·|Q| + p``,
   for the built nodes only: a dict, so nothing is allocated per
   unreached or unasked node.
 
 Publishing: a build stages the spans of the nodes it pulls and stores
 them all in one ``dict.update`` once every cell of the closure is
-written, so a stored node's closure is stored: a reader that finds its
-roots stored never meets a node still being pulled.  A build that
-finds a root missing holds the store's lock until that update — single
-flight; a build whose roots are all stored takes no lock.  The arrays
-only grow, so enumerations keep reading a store that another target is
-extending, on any thread.  A
-node's pull reads ``dist`` only at levels below its own, which a
-deepening traversal never rewrites: cells built before a deepen stay
-valid after it.
+written whole, so a stored node's closure is stored: a reader that
+finds its roots stored never meets a node still being pulled.  A build
+that finds a root missing holds the store's lock until that update —
+single flight; a build whose roots are all stored takes no lock.  The
+columns only grow, so enumerations keep reading a store that another
+target is extending, on any thread.  A node's pull reads ``dist`` only
+at levels below its own, which a deepening traversal never rewrites:
+cells built before a deepen stay valid after it.
 
 Epochs: a pull runs lazily, at a target's first read, so the store
 captures the graph columns it reads (``In``, sources, live labels and,
@@ -62,6 +70,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 LengthMap = Dict[int, int]
 BackMap = Dict[int, Dict[int, List[int]]]
 
+#: A cell's raw entries or its certificate.
+States = Tuple[int, ...]
+
 
 class PackedCells:
     """One annotation's ``Trim`` cells, pulled per asked target.
@@ -77,8 +88,8 @@ class PackedCells:
 
     __slots__ = (
         "n", "n_states", "dist", "delta_inv", "columns", "spans",
-        "cell_ti", "cell_edge", "cell_pred_indptr", "ent_pred", "certs",
-        "_lock",
+        "cell_ti", "cell_edge", "cell_entries", "certs", "_n_entries",
+        "_tuples", "_lock",
     )
 
     def __init__(
@@ -103,9 +114,11 @@ class PackedCells:
         self.spans: Dict[int, Tuple[int, int]] = {}
         self.cell_ti = array("q")
         self.cell_edge = array("q")
-        self.cell_pred_indptr = array("q", [0])
-        self.ent_pred = array("q")
-        self.certs: List[Optional[Tuple[int, ...]]] = []
+        self.cell_entries: List[States] = []
+        self.certs: List[States] = []
+        self._n_entries = 0
+        #: Content → the one tuple every cell with that content holds.
+        self._tuples: Dict[States, States] = {}
         self._lock = threading.Lock()
 
     # -- building ----------------------------------------------------------
@@ -115,6 +128,18 @@ class PackedCells:
         final states ``states`` reads available (a no-op once built)."""
         base = target * self.n_states
         self._close([base + f for f in states])
+
+    def _share(self, raw: States) -> Tuple[States, States]:
+        """``raw`` and its certificate, as the store's shared tuples —
+        ``Δ⁻¹``'s own first, which one-label cells hold as they are."""
+        shared = self._tuples
+        if not shared:
+            for into in self.delta_inv:
+                for t in into.values():
+                    shared.setdefault(t, t)
+        raw = shared.setdefault(raw, raw)
+        cert = tuple(sorted(set(raw)))
+        return raw, shared.setdefault(cert, cert)
 
     def _close(self, roots: List[int]) -> None:
         """Pull ``roots`` and every node their cells name, under the
@@ -127,51 +152,99 @@ class PackedCells:
         with self._lock:
             staged: Dict[int, Tuple[int, int]] = {}
             stack = [k for k in roots if k not in spans]
+            seen = set(stack)
+            push = stack.append
+            mark = seen.add
             in_array, src_arr, live, costs = self.columns
             dist = self.dist
             delta_inv = self.delta_inv
             n_states = self.n_states
+            share = self._share
+            # Per state p: a label tuple of more (or fewer) than one
+            # label → the (raw, certificate) of the candidates Δ⁻¹(p, ·)
+            # names over it.
+            memos: List[Dict[States, Tuple[States, States]]] = [
+                {} for _ in range(n_states)
+            ]
+            # (raw, *the states that hold) → the filtered pair.
+            cut: Dict[tuple, Tuple[States, States]] = {}
             cell_ti = self.cell_ti
             ti_append = cell_ti.append
             edge_append = self.cell_edge.append
-            span_append = self.cell_pred_indptr.append
-            ent_pred = self.ent_pred
-            pred_append = ent_pred.append
+            cell_entries = self.cell_entries
+            first = len(cell_entries)
+            entries_append = cell_entries.append
             cert_append = self.certs.append
             while stack:
                 k = stack.pop()
-                if k in staged or k in spans:
+                if k in spans:
                     continue
                 lo = len(cell_ti)
                 level = dist[k]
                 if level > 0:
                     u, p = divmod(k, n_states)
                     into = delta_inv[p]
+                    memo = memos[p]
                     need = level - 1
-                    mark = len(ent_pred)
                     for ti, e in enumerate(in_array[u]):
                         labels = live[e]
-                        if not labels:
-                            continue  # A tombstone (or no label at all).
+                        if len(labels) == 1:
+                            raw = cert = into.get(labels[0])
+                            if raw is None:
+                                continue  # The label does not fire.
+                        else:
+                            got = memo.get(labels)
+                            if got is None:
+                                raw = ()
+                                fired = 0
+                                for a in labels:
+                                    qs = into.get(a)
+                                    if qs is not None:
+                                        raw += qs
+                                        fired += 1
+                                got = memo[labels] = (
+                                    share(raw) if fired > 1 else (raw, raw)
+                                )
+                            raw, cert = got
+                            if not raw:
+                                continue  # No label fires (or a tombstone).
                         if costs is not None:
                             need = level - costs[e]
                             if need < 0:
                                 continue
                         w_base = src_arr[e] * n_states
-                        for a in labels:
-                            for q in into.get(a, ()):
+                        if len(cert) == 1:
+                            pred = w_base + cert[0]
+                            if dist[pred] != need:
+                                continue
+                            if pred not in seen:
+                                mark(pred)
+                                push(pred)
+                        else:
+                            hit = []
+                            for q in cert:
                                 pred = w_base + q
                                 if dist[pred] == need:
-                                    pred_append(q)
-                                    if pred not in staged:
-                                        stack.append(pred)
-                        if len(ent_pred) > mark:
-                            mark = len(ent_pred)
-                            ti_append(ti)
-                            edge_append(e)
-                            span_append(mark)
-                            cert_append(None)
+                                    hit.append(q)
+                                    if pred not in seen:
+                                        mark(pred)
+                                        push(pred)
+                            if not hit:
+                                continue
+                            if len(hit) < len(cert):
+                                key = (raw, *hit)
+                                got = cut.get(key)
+                                if got is None:
+                                    got = cut[key] = share(
+                                        tuple(q for q in raw if q in hit)
+                                    )
+                                raw, cert = got
+                        ti_append(ti)
+                        edge_append(e)
+                        entries_append(raw)
+                        cert_append(cert)
                 staged[k] = (lo, len(cell_ti))
+            self._n_entries += sum(map(len, cell_entries[first:]))
             spans.update(staged)
 
     def build_reached(self, bound: Optional[int] = None) -> None:
@@ -185,14 +258,16 @@ class PackedCells:
 
     def publish(self, k: int, cells: Iterable[Tuple[int, int, Sequence[int]]]) -> None:
         """Store node ``k``'s ``(TgtIdx, edge, entries)`` cells, given in
-        ``TgtIdx`` order — for a store that pulls nothing."""
+        ``TgtIdx`` order, entries in their recorded order — for a store
+        that pulls nothing."""
         lo = len(self.cell_ti)
         for ti, e, preds in cells:
+            raw, cert = self._share(tuple(preds))
             self.cell_ti.append(ti)
             self.cell_edge.append(e)
-            self.ent_pred.extend(preds)
-            self.cell_pred_indptr.append(len(self.ent_pred))
-            self.certs.append(None)
+            self.cell_entries.append(raw)
+            self.certs.append(cert)
+            self._n_entries += len(raw)
         self.spans[k] = (lo, len(self.cell_ti))
 
     # -- queries ---------------------------------------------------------
@@ -208,32 +283,17 @@ class PackedCells:
     def entries(self) -> int:
         """Number of stored predecessor entries — Remark 17's quantity
         for what is kept, O(1)."""
-        return len(self.ent_pred)
+        return self._n_entries
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the four cell arrays plus three words (key, first
-        cell, end cell) per built node, O(1); the lazily built
-        certificate tuples are not counted."""
-        arrays = (self.cell_ti, self.cell_edge, self.cell_pred_indptr, self.ent_pred)
-        return sum(len(a) * a.itemsize for a in arrays) + 24 * len(self.spans)
+        """Bytes of the two cell arrays, the two tuple pointers of each
+        cell and three words (key, first cell, end cell) per built node
+        — 32 B per cell plus 24 B per node, O(1); the shared entry and
+        certificate tuples themselves are not counted."""
+        return 32 * len(self.cell_ti) + 24 * len(self.spans)
 
-    def cert(self, c: int) -> Tuple[int, ...]:
-        """The certificate tuple of cell ``c`` — sorted, deduplicated,
-        cached after the first call."""
-        t = self.certs[c]
-        if t is None:
-            indptr = self.cell_pred_indptr
-            lo, hi = indptr[c], indptr[c + 1]
-            preds = self.ent_pred
-            if hi == lo + 1:
-                t = (preds[lo],)
-            else:
-                t = tuple(sorted(set(preds[lo:hi])))
-            self.certs[c] = t
-        return t
-
-    def items(self, u: int, p: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    def items(self, u: int, p: int) -> List[Tuple[int, States]]:
         """The queue ``C_u[p]`` of Lemma 11 as ``(edge, predecessors)``
         pairs, ``TgtIdx``-ascending, predecessors in pull order with
         duplicates kept; ``[]`` for an empty queue.  Inspection only:
@@ -242,11 +302,7 @@ class PackedCells:
         if self.dist is not None and 0 <= k < len(self.dist) and self.dist[k] > 0:
             self._close([k])
         lo, hi = self.spans.get(k, (0, 0))
-        indptr, preds = self.cell_pred_indptr, self.ent_pred
-        return [
-            (self.cell_edge[c], tuple(preds[indptr[c]:indptr[c + 1]]))
-            for c in range(lo, hi)
-        ]
+        return list(zip(self.cell_edge[lo:hi], self.cell_entries[lo:hi]))
 
     def to_maps(self) -> List[BackMap]:
         """The paper's ``B[u][p][i]`` dict-of-dicts view of the built
@@ -254,12 +310,11 @@ class PackedCells:
         duplicates kept.  Read-only inspection: nothing is built from
         these maps."""
         B: List[BackMap] = [{} for _ in range(self.n)]
-        ti, indptr, preds = self.cell_ti, self.cell_pred_indptr, self.ent_pred
+        ti, entries = self.cell_ti, self.cell_entries
         n_states = self.n_states
         for k, (lo, hi) in self.spans.items():
             if lo < hi:
                 B[k // n_states][k % n_states] = {
-                    ti[c]: list(preds[indptr[c]:indptr[c + 1]])
-                    for c in range(lo, hi)
+                    ti[c]: list(entries[c]) for c in range(lo, hi)
                 }
         return B

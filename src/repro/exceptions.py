@@ -9,6 +9,12 @@ propagate.
 from __future__ import annotations
 
 
+def is_int(value: object) -> bool:
+    """``value`` is an ``int`` and not a ``bool`` (``True`` is an
+    ``int``, but no count, id or version)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ReproError(Exception):
     """Base class of all errors raised by the repro library."""
 

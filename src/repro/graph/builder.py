@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.exceptions import CostError, GraphError
+from repro.exceptions import CostError, GraphError, is_int
 from repro.graph.database import Graph
 
 
@@ -88,7 +88,7 @@ class GraphBuilder:
         if not label_ids:
             raise GraphError("an edge must carry at least one label")
         if cost is not None:
-            if isinstance(cost, bool) or not isinstance(cost, int):
+            if not is_int(cost):
                 raise CostError(f"edge cost must be an int, got {cost!r}")
             if cost <= 0:
                 raise CostError(f"edge cost must be positive, got {cost}")

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, Union
+from typing import Callable, Dict, Union
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, is_int
 from repro.graph.builder import GraphBuilder
 from repro.graph.database import Graph
 
@@ -36,11 +36,23 @@ _EDGE_RE = re.compile(
 
 
 def graph_to_dict(graph: Graph) -> Dict[str, object]:
-    """Serialize a graph to a JSON-compatible dictionary."""
+    """Serialize a graph to a JSON-compatible dictionary.
+
+    Vertex names are kept as they are, so a name must be a ``str`` or an
+    ``int`` (not a ``bool``) — what JSON reads back unchanged; any other
+    name is refused with :class:`~repro.exceptions.GraphError`.
+    """
+    vertices = [graph.vertex_name(v) for v in graph.vertices()]
+    for name in vertices:
+        if not _is_vertex_name(name):
+            raise GraphError(
+                f"vertex name {name!r} is not a str or an int: JSON would "
+                "not read it back as written"
+            )
     return {
         "format": "repro-graph",
         "version": 1,
-        "vertices": [str(graph.vertex_name(v)) for v in graph.vertices()],
+        "vertices": vertices,
         "labels": list(graph.alphabet),
         "edges": [
             {
@@ -58,7 +70,8 @@ def graph_from_dict(data: Dict[str, object]) -> Graph:
     """Inverse of :func:`graph_to_dict`.
 
     The document is checked in one pass for what :class:`Graph` assumes
-    of its input — unique string vertex and label names; per edge, an
+    of its input — unique vertex names, each a string or an ``int``, and
+    unique string label names; per edge, an
     object with in-range ``src``/``tgt`` vertex ids, a non-empty list of
     distinct in-range label ids and, when given, a positive ``int``
     cost — and refused with :class:`~repro.exceptions.GraphError`,
@@ -66,7 +79,8 @@ def graph_from_dict(data: Dict[str, object]) -> Graph:
     """
     if not isinstance(data, dict) or data.get("format") != "repro-graph":
         raise GraphError("not a repro-graph document")
-    vertices, labels = _names(data, "vertices"), _names(data, "labels")
+    vertices = _names(data, "vertices", _is_vertex_name, "strings or ints")
+    labels = _names(data, "labels", _is_label_name, "strings")
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list")
@@ -105,13 +119,24 @@ def graph_from_dict(data: Dict[str, object]) -> Graph:
     )
 
 
-def _names(data: Dict[str, object], key: str) -> list:
+def _is_vertex_name(name: object) -> bool:
+    return isinstance(name, str) or is_int(name)
+
+
+def _is_label_name(name: object) -> bool:
+    return isinstance(name, str)
+
+
+def _names(
+    data: Dict[str, object], key: str, ok: Callable[[object], bool], what: str
+) -> list:
     names = data.get(key)
     if not (
-        isinstance(names, list) and all(isinstance(x, str) for x in names)
+        isinstance(names, list)
+        and all(ok(x) for x in names)
         and len(set(names)) == len(names)
     ):
-        raise GraphError(f"{key!r} must be a list of distinct strings")
+        raise GraphError(f"{key!r} must be a list of distinct {what}")
     return names
 
 

@@ -61,7 +61,7 @@ from typing import (
     Union,
 )
 
-from repro.exceptions import InvalidDeltaError
+from repro.exceptions import InvalidDeltaError, is_int
 
 #: Version stamped into every :func:`op_to_dict` payload.  Bump it
 #: when the wire schema gains fields; readers at an older version
@@ -163,9 +163,7 @@ def op_from_dict(payload: Dict[str, Any]) -> Delta:
             f"mutation op must be an object, got {type(payload).__name__}"
         )
     version = payload.get("v", WIRE_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool) or (
-        version < 1
-    ):
+    if not is_int(version) or version < 1:
         raise InvalidDeltaError(
             f"op field 'v' must be a positive integer, got {version!r}"
         )
@@ -201,15 +199,9 @@ def op_from_dict(payload: Dict[str, Any]) -> Delta:
                 f"op {kind!r}: 'labels' must be a list of strings"
             )
         kwargs["labels"] = tuple(labels)
-    if "edge" in kwargs and (
-        not isinstance(kwargs["edge"], int)
-        or isinstance(kwargs["edge"], bool)
-    ):
+    if "edge" in kwargs and not is_int(kwargs["edge"]):
         raise InvalidDeltaError(f"op {kind!r}: 'edge' must be an edge id")
-    if "cost" in kwargs and (
-        not isinstance(kwargs["cost"], int)
-        or isinstance(kwargs["cost"], bool)
-    ):
+    if "cost" in kwargs and not is_int(kwargs["cost"]):
         raise InvalidDeltaError(
             f"op {kind!r}: 'cost' must be an integer"
         )

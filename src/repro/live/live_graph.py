@@ -62,6 +62,7 @@ from repro.exceptions import (
     UnknownEdgeError,
     UnknownLabelError,
     UnknownVertexError,
+    is_int,
 )
 from repro.graph.database import FlatAccessors, Graph, LabelIndex
 from repro.live.delta import (
@@ -669,9 +670,7 @@ class LiveGraph(FlatAccessors):
                             f"labels must be non-empty strings, got {name!r}"
                         )
                 if op.cost is not None:
-                    if isinstance(op.cost, bool) or not isinstance(
-                        op.cost, int
-                    ):
+                    if not is_int(op.cost):
                         raise CostError(
                             f"edge cost must be an int, got {op.cost!r}"
                         )
@@ -683,9 +682,7 @@ class LiveGraph(FlatAccessors):
                 continue
             if isinstance(op, (RemoveEdge, SetEdgeLabels)):
                 e = op.edge
-                if not isinstance(e, int) or isinstance(e, bool) or not (
-                    0 <= e < self.edge_count + pending_edges
-                ):
+                if not is_int(e) or not 0 <= e < self.edge_count + pending_edges:
                     raise UnknownEdgeError(e)
                 if e in self._removed or e in pending_removed:
                     raise GraphError(

@@ -52,16 +52,11 @@ from typing import (
 )
 
 from repro.api.query import CONSTRUCTIONS, MODES, RESTRICTIONS, is_budget
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, is_int
 
 
 class RequestError(ReproError):
     """A request is malformed (unknown field, bad type, bad value)."""
-
-
-def _is_int(value: Any) -> bool:
-    """An integer that is not a JSON boolean (``True`` is an ``int``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -131,14 +126,14 @@ class QueryRequest:
                 f"expected one of {RESTRICTIONS}"
             )
         if self.limit is not None and (
-            not _is_int(self.limit) or self.limit < 1
+            not is_int(self.limit) or self.limit < 1
         ):
             raise RequestError("'limit' must be a positive integer")
-        if not _is_int(self.offset) or self.offset < 0:
+        if not is_int(self.offset) or self.offset < 0:
             raise RequestError("'offset' must be a non-negative integer")
         if self.cursor is not None:
             if not isinstance(self.cursor, (list, tuple)) or not all(
-                _is_int(e) and e >= 0 for e in self.cursor
+                is_int(e) and e >= 0 for e in self.cursor
             ):
                 raise RequestError(
                     "'cursor' must be a list of non-negative edge ids"

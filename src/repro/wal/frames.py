@@ -37,7 +37,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.exceptions import WalError
+from repro.exceptions import WalError, is_int
 
 #: WAL record schema version (independent of the op wire version).
 RECORD_VERSION = 1
@@ -83,12 +83,10 @@ def _parse_frame(line: bytes) -> Dict[str, Any]:
     if not isinstance(record, dict):
         return None
     lsn = record.get("lsn")
-    if not isinstance(lsn, int) or isinstance(lsn, bool) or lsn < 1:
+    if not is_int(lsn) or lsn < 1:
         return None
     version = record.get("v")
-    if not isinstance(version, int) or isinstance(version, bool) or (
-        version < 1
-    ):
+    if not is_int(version) or version < 1:
         return None
     return record
 

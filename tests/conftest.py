@@ -276,10 +276,9 @@ def node_cells(annotation):
     pulls the ones no target asked for)."""
     annotation.B
     cells = annotation.packed
-    indptr, preds = cells.cell_pred_indptr, cells.ent_pred
     return {
         k: [
-            (cells.cell_ti[c], cells.cell_edge[c], tuple(preds[indptr[c]:indptr[c + 1]]))
+            (cells.cell_ti[c], cells.cell_edge[c], cells.cell_entries[c])
             for c in range(lo, hi)
         ]
         for k, (lo, hi) in cells.spans.items()

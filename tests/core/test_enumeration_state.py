@@ -322,11 +322,11 @@ class _ClosedIn:
 
     def __getitem__(self, u):
         cells = self.cells
-        spans, indptr = cells.spans, cells.cell_pred_indptr
+        spans = cells.spans
         for k, (lo, hi) in list(spans.items()):
             for c in range(lo, hi):
                 base = self.src[cells.cell_edge[c]] * cells.n_states
-                for q in cells.ent_pred[indptr[c]:indptr[c + 1]]:
+                for q in cells.cell_entries[c]:
                     assert base + q in spans, (k, c, q)
         self.reads += 1
         return self.in_array[u]

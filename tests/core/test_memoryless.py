@@ -43,7 +43,7 @@ def _example9():
 def _store_columns(cells):
     return (
         dict(cells.spans), cells.cell_ti.tolist(), cells.cell_edge.tolist(),
-        cells.cell_pred_indptr.tolist(), cells.ent_pred.tolist(),
+        list(cells.cell_entries), list(cells.certs), cells.entries(),
     )
 
 

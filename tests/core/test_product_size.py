@@ -71,9 +71,10 @@ def test_key_space_is_the_states_the_traversal_runs():
     (vertex, merged state) — 2 / 3 / 2 per vertex, not the 20 / 8 / 22
     states the Thompson automata are written with — and the entries and
     cells of every reached node are what they were before the ids were
-    renumbered.  ``nbytes`` is ``dist`` plus the cell store: its four
-    arrays' length × 8 and three words per built node — one per reached
-    node once the ``B`` view has pulled them all."""
+    renumbered.  ``nbytes`` is ``dist`` plus the cell store: four words
+    per cell (two array slots, two tuple pointers) and three words per
+    built node — one per reached node once the ``B`` view has pulled
+    them all."""
     graph = random_multilabel(
         600, 3000, alphabet=("a", "b", "c", "d"), max_labels_per_edge=2, seed=1
     )
@@ -92,13 +93,13 @@ def test_key_space_is_the_states_the_traversal_runs():
         annotation = annotate(cq, source, saturate=True)
         keys = n * states
         assert len(annotation.dist) == keys, expression
-        assert annotation.nbytes == 8 * (keys + 1)
+        assert annotation.nbytes == 8 * keys
         annotation.B
         assert annotation.annotation_entries() == entries, expression
         assert trim(graph, annotation).total_items() == items, expression
         assert nodes == sum(1 for level in annotation.dist if level >= 0)
         assert annotation.nbytes == 8 * (
-            keys + 1 + entries + 3 * items + 3 * nodes
+            keys + 4 * items + 3 * nodes
         ), expression
 
 
@@ -121,7 +122,51 @@ def test_a_stopped_pair_keeps_what_its_walks_need():
             annotation.annotation_entries(), len(cells),
             annotation.nbytes - 8 * len(annotation.dist),
         ))
-    assert kept == {(9, 5, 344)}
+    assert kept == {(9, 5, 304)}
+
+
+def test_a_pull_reads_dist_once_per_in_edge_and_state():
+    """``Trim``'s ``dist`` reads, counted by the step-counting array
+    swapped in for the store's ``dist``: a saturated double-labelled
+    chain (two parallel edges per hop, both on ``a`` and ``b``) trimmed
+    for its far end under ``(a|b)*`` — one merged state — reads each
+    node's level once and, per in-edge, its one candidate state once:
+    3k + 1 reads.  Reading per firing label took 5k + 1.  Each cell
+    keeps both firing labels' entries."""
+    for k in (10, 40):
+        graph = chain(k, ("a", "b"), parallel=2)
+        cq = compile_query(graph, regex_to_nfa("(a|b)*"))
+        annotation = annotate(cq, graph.resolve_vertex("v0"), saturate=True)
+        cells = annotation.packed
+        counter = {"steps": 0}
+        cells.dist = _counting_array(cells.dist, counter)
+        trim(graph, annotation, graph.resolve_vertex(f"v{k}"))
+        assert counter["steps"] == 3 * k + 1, k
+        assert (len(cells), cells.entries()) == (2 * k, 4 * k)
+
+
+def test_cells_are_written_whole_and_shared():
+    """After any build every cell holds its entries and certificate,
+    and equal entry tuples (and equal certificates) of one store are
+    one object: the pull shares them as it writes them."""
+    graph = random_multilabel(
+        200, 900, alphabet=("a", "b", "c"), max_labels_per_edge=2, seed=3
+    )
+    for expression in ("(a|b)* c (a|b|c)*", "(a|b|c)+", "a b* c"):
+        cq = compile_epsilon_free(graph, regex_to_nfa(expression))
+        annotation = annotate(cq, graph.resolve_vertex("v1"), saturate=True)
+        cells = annotation.packed
+        for t in (*graph.vertices()[:20], None):
+            if t is None:
+                annotation.B
+            else:
+                trim(graph, annotation, t)
+            assert None not in cells.certs
+            assert len(cells.certs) == len(cells.cell_entries) == len(cells)
+            first = {}
+            for x in (*cells.cell_entries, *cells.certs):
+                assert first.setdefault(x, x) is x
+        assert len(set(map(id, cells.certs))) < len(cells)
 
 
 def test_one_target_keeps_its_shortest_walk_graph():

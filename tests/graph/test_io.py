@@ -50,6 +50,28 @@ class TestDictRoundtrip:
         clone = graph_from_dict(graph_to_dict(GraphBuilder().build()))
         assert clone.vertex_count == 0
 
+    def test_int_and_str_vertex_names_round_trip(self, tmp_path):
+        """An ``int`` name reloads as that ``int``, beside a ``str``
+        that spells it: ``1`` and ``"1"`` stay two vertices."""
+        b = GraphBuilder()
+        b.add_edge(1, "1", ["a"])
+        b.add_edge("1", 2, ["a"])
+        g = b.build()
+        path = tmp_path / "g.json"
+        save_json(g, path)
+        clone = load_json(path)
+        names = [clone.vertex_name(v) for v in clone.vertices()]
+        assert names == [1, "1", 2]
+        assert clone.resolve_vertex(1) != clone.resolve_vertex("1")
+        assert graph_to_dict(clone) == graph_to_dict(g)
+
+    @pytest.mark.parametrize("name", [True, 1.5, ("a", 1), None])
+    def test_other_vertex_names_refused_at_save(self, name):
+        b = GraphBuilder()
+        b.add_edge(name, "x", ["a"])
+        with pytest.raises(GraphError, match="vertex name"):
+            graph_to_dict(b.build())
+
 
 def _edited(edit):
     """Example 9's document with one field edited in place."""
@@ -82,6 +104,9 @@ MALFORMED = {
         d["vertices"][0]
     ),
     "unhashable vertex name": lambda d, e: d["vertices"].append([1]),
+    "bool vertex name": lambda d, e: d["vertices"].append(True),
+    "float vertex name": lambda d, e: d["vertices"].append(1.5),
+    "int label name": lambda d, e: d["labels"].append(7),
     "duplicate label names": lambda d, e: d["labels"].append(d["labels"][0]),
     "missing labels": lambda d, e: d.pop("labels"),
 }

@@ -51,11 +51,13 @@ def _check_layout(cells: PackedCells, graph) -> None:
     for lo, hi in spans:
         assert lo == covered and lo <= hi
         covered = hi
-    assert covered == len(cells) == len(cells.cell_edge) == len(cells.certs)
-    indptr = cells.cell_pred_indptr
-    assert len(indptr) == len(cells) + 1 and indptr[0] == 0
-    assert all(indptr[c] < indptr[c + 1] for c in range(len(cells)))
-    assert indptr[-1] == cells.entries()
+    assert covered == len(cells) == len(cells.cell_edge)
+    assert len(cells.cell_entries) == len(cells.certs) == len(cells)
+    assert all(cells.cell_entries)
+    assert sum(map(len, cells.cell_entries)) == cells.entries()
+    for raw, cert in zip(cells.cell_entries, cells.certs):
+        assert cert == tuple(sorted(set(raw)))
+    _check_shared(cells)
     for k, (lo, hi) in cells.spans.items():
         tis = list(cells.cell_ti[lo:hi])
         assert tis == sorted(set(tis))
@@ -63,11 +65,19 @@ def _check_layout(cells: PackedCells, graph) -> None:
         assert [in_list[t] for t in tis] == list(cells.cell_edge[lo:hi])
 
 
+def _check_shared(cells: PackedCells) -> None:
+    """Every cell is written whole, and equal entry tuples and equal
+    certificates of the store are one object each."""
+    assert None not in cells.certs and None not in cells.cell_entries
+    shared = {}
+    for t in (*cells.cell_entries, *cells.certs):
+        assert shared.setdefault(t, t) is t
+
+
 def _cells(cells: PackedCells):
     """``{(key, TgtIdx): Counter(predecessors)}``."""
-    indptr = cells.cell_pred_indptr
     return {
-        (k, cells.cell_ti[c]): Counter(cells.ent_pred[indptr[c]:indptr[c + 1]])
+        (k, cells.cell_ti[c]): Counter(cells.cell_entries[c])
         for k, (lo, hi) in cells.spans.items()
         for c in range(lo, hi)
     }
@@ -76,10 +86,8 @@ def _cells(cells: PackedCells):
 def _stored(cells: PackedCells, k: int):
     """Node ``k``'s stored cells as ``(TgtIdx, edge, entries)``."""
     lo, hi = cells.spans[k]
-    indptr = cells.cell_pred_indptr
     return [
-        (cells.cell_ti[c], cells.cell_edge[c],
-         list(cells.ent_pred[indptr[c]:indptr[c + 1]]))
+        (cells.cell_ti[c], cells.cell_edge[c], list(cells.cell_entries[c]))
         for c in range(lo, hi)
     ]
 

@@ -731,3 +731,32 @@ def test_the_segment_layout_is_packed_in_one_module():
         "graph/segment.py": {"Struct", "pack_into", "unpack_from", "crc32"},
         "wal/frames.py": {"crc32"},
     }
+
+
+def test_an_int_that_is_not_a_bool_has_one_predicate():
+    """``repro.exceptions.is_int`` is the one spelling of "an ``int``
+    that is not a ``bool``": no ``and`` / ``or`` outside it tests
+    ``isinstance(x, int)`` beside ``isinstance(x, bool)`` by hand.  The
+    int-or-float checks (``isinstance(x, (int, float))``) are another
+    rule and keep their own."""
+
+    def isinstance_of(node, name):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and getattr(node.args[1], "id", None) == name
+        )
+
+    offenders = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "exceptions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BoolOp):
+                inner = [n for value in node.values for n in ast.walk(value)]
+                if any(isinstance_of(n, "int") for n in inner) and any(
+                    isinstance_of(n, "bool") for n in inner
+                ):
+                    offenders.add(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert sorted(offenders) == []
