@@ -68,7 +68,7 @@ from repro.core.restricted import (
     restricted_lam,
 )
 from repro.core.walks import Walk
-from repro.exceptions import QueryError
+from repro.exceptions import GraphError, QueryError
 from repro.graph.database import Graph
 from repro.live.delta import Delta, MutationBatch, ops_from_dicts
 from repro.live.live_graph import LiveGraph, query_label_footprint
@@ -182,7 +182,8 @@ class Database:
     ) -> None:
         #: Observability bundle.  ``None`` (the default for direct
         #: façade use) means fully off: no registry writes, no trace
-        #: activation — the uninstrumented baseline bench_obs measures.
+        #: activation — the uninstrumented baseline the spine's
+        #: ``obs.trace_overhead_frac`` row measures tracing against.
         self._obs = obs
         self._metrics = (
             obs.registry if (obs is not None and obs.enabled) else None
@@ -1323,7 +1324,10 @@ def _check_cursor_edges(
     for e in edges:
         if not 0 <= e < graph.edge_count:
             raise QueryError(f"cursor contains unknown edge id {e}")
-    walk = Walk(graph, edges)  # GraphError if edges do not concatenate.
+    try:
+        walk = Walk(graph, edges)
+    except GraphError as exc:  # The edges do not concatenate.
+        raise QueryError(str(exc)) from None
     if walk.tgt != target_id:
         raise QueryError("cursor walk does not end at the target")
 

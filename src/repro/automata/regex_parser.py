@@ -43,6 +43,12 @@ from repro.exceptions import RegexSyntaxError
 _PUNCT = {"|", "(", ")", "*", "+", "?", "{", "}", ",", "."}
 _EPSILON_TOKENS = {"ε", "<eps>"}
 
+#: Deepest ``( … )`` nesting a query may use.  Each group costs the
+#: recursive descent four frames, so the cap keeps a hostile query a
+#: :class:`~repro.exceptions.RegexSyntaxError` at the first group past
+#: it, far below Python's recursion limit.
+MAX_GROUP_DEPTH = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -115,6 +121,7 @@ class _Parser:
         self._source = source
         self._tokens = _tokenize(source)
         self._index = 0
+        self._depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -218,8 +225,14 @@ class _Parser:
         if token.kind == ".":
             return AnyAtom()
         if token.kind == "(":
+            if self._depth == MAX_GROUP_DEPTH:
+                raise RegexSyntaxError(
+                    f"groups nested deeper than {MAX_GROUP_DEPTH}", token.pos
+                )
+            self._depth += 1
             node = self._expr()
             self._expect(")")
+            self._depth -= 1
             return node
         raise RegexSyntaxError(f"unexpected {token.text!r}", token.pos)
 

@@ -107,6 +107,7 @@ from repro.exceptions import (
     UnknownEdgeError,
     UnknownLabelError,
     UnknownVertexError,
+    is_int,
 )
 
 
@@ -536,11 +537,16 @@ class Graph(FlatAccessors):
 
         Integer inputs are treated as ids only when no vertex is *named*
         by that integer, so graphs with integer vertex names behave
-        intuitively.
+        intuitively.  A ``bool`` is never an id, and names only a vertex
+        named by that very ``bool`` (``True == 1`` finds a vertex named
+        ``1`` otherwise).
         """
-        if vertex in self._vertex_ids:
-            return self._vertex_ids[vertex]
-        if isinstance(vertex, int) and 0 <= vertex < self.vertex_count:
+        v = self._vertex_ids.get(vertex)
+        if v is not None and (
+            type(vertex) is not bool or self._vertex_names[v] is vertex
+        ):
+            return v
+        if is_int(vertex) and 0 <= vertex < self.vertex_count:
             return vertex
         raise UnknownVertexError(vertex)
 

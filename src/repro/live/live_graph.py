@@ -264,8 +264,10 @@ class LiveGraph(FlatAccessors):
     def resolve_vertex(self, vertex: Hashable) -> int:
         """Name-or-id resolution, same semantics as :class:`Graph`."""
         if self.has_vertex(vertex):
-            return self.vertex_id(vertex)
-        if isinstance(vertex, int) and 0 <= vertex < self.vertex_count:
+            v = self.vertex_id(vertex)
+            if type(vertex) is not bool or self.vertex_name(v) is vertex:
+                return v
+        if is_int(vertex) and 0 <= vertex < self.vertex_count:
             return vertex
         raise UnknownVertexError(vertex)
 

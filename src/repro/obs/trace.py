@@ -13,10 +13,12 @@ through every signature::
 
 When no trace is active — the facade used directly with observability
 off — :func:`span` returns a shared null context manager and the cost
-is one ContextVar read, which is what keeps disabled-mode overhead
-within the bench_obs bar.  :func:`add_span` attaches an
-already-measured duration post hoc (used when a cache hit replaces the
-real work, so the tree still shows the phase with ``cached=True``).
+is one ContextVar read: a disabled bundle records nothing
+(``tests/obs/test_tracing.py``), and the benchmark spine's
+``obs.trace_overhead_frac`` row measures what tracing costs.
+:func:`add_span` attaches an already-measured duration post hoc (used
+when a cache hit replaces the real work, so the tree still shows the
+phase with ``cached=True``).
 
 Traces are deliberately per-thread: one request is prepared entirely on
 one thread, and the single-flight cache builder publishes its spans to

@@ -4,7 +4,12 @@ import pytest
 
 from repro.api import Database
 from repro.automata import regex_to_nfa
-from repro.exceptions import QueryError, ReproError
+from repro.exceptions import (
+    QueryError,
+    RegexSyntaxError,
+    ReproError,
+    UnknownVertexError,
+)
 from repro.graph.builder import GraphBuilder
 from repro.workloads.fraud import example9_graph
 
@@ -90,6 +95,29 @@ class TestCaching:
         fan = db.query(QUERY).from_("Alix").to_all().run()
         assert fan.stats["cached"]["annotation"] is True
 
+    def test_repeated_pair_and_to_all_mix_hits_both_caches(self, db):
+        """2 queries x 2 sources x 4 targets plus one ``to_all``, the
+        block 3 times: one plan per query text, one annotation per
+        (query, source) pair — the ``to_all`` deepens its pair's
+        entry — and every other query hits."""
+        queries, sources = [QUERY, "(h | s)+"], ["Alix", "Bob"]
+        n = 0
+        for _ in range(3):
+            for query in queries:
+                for source in sources:
+                    for target in ("Bob", "Cassie", "Dan", "Eve"):
+                        db.query(query).from_(source).to(target).limit(20) \
+                            .run().all()
+                        n += 1
+            db.query(QUERY).from_("Alix").to_all().limit(50).run().all()
+            n += 1
+        stats = db.stats()
+        assert (stats["plan_cache"]["misses"], stats["plan_cache"]["hits"]) \
+            == (2, n - 2)
+        annotations = stats["annotation_cache"]
+        assert (annotations["misses"], annotations["hits"]) == (4, n - 4)
+        assert annotations["evictions"] == 0
+
     def test_cheapest_and_shortest_do_not_share_annotations(self, db):
         db.query(QUERY).from_("Alix").to("Bob").run().all()
         cheap = db.query(QUERY).cheapest().from_("Alix").to("Bob").run()
@@ -142,3 +170,28 @@ class TestValidation:
     def test_unknown_vertex_propagates(self, db):
         with pytest.raises(ReproError, match="Nobody"):
             db.query(QUERY).from_("Nobody").to("Bob").run()
+
+    def test_bool_endpoint_is_no_vertex_id(self):
+        """``False == 0`` and ``True == 1``, but a ``bool`` names no id,
+        nor a vertex named ``1``: only a vertex named by that ``bool``."""
+        b = GraphBuilder()
+        b.add_edge("x", "y", ["a"])
+        b.add_edge("y", 1, ["a"])
+        db = Database(b.build())
+        for source, target in [(False, True), ("y", True), (False, "y")]:
+            with pytest.raises(UnknownVertexError):
+                db.query("a").from_(source).to(target).run().all()
+        (row,) = db.query("a").from_(0).to("y").run().all()
+        assert row.walk.edges == (0,)
+        named = GraphBuilder()
+        named.add_edge("x", True, ["a"])
+        (row,) = Database(named.build()).query("a").from_("x").to(True) \
+            .run().all()
+        assert row.target is True
+
+    def test_groups_nest_up_to_the_cap(self, db):
+        capped = "(" * 100 + "h" + ")" * 100
+        (row,) = db.query(capped).from_("Alix").to("Dan").run().all()
+        assert row.lam == 1
+        with pytest.raises(RegexSyntaxError, match="nested deeper"):
+            db.query("(" + capped + ")").from_("Alix").to("Dan").run()

@@ -96,6 +96,18 @@ class TestPairCursors:
                 .cursor([999999]).run().all()
             )
 
+    def test_unchained_edges_cursor_is_a_query_error(self):
+        """Edges that exist but do not concatenate are a cursor error,
+        not the walk constructor's ``GraphError``."""
+        from repro.graph.generators import chain
+
+        query = (
+            Database(chain(4, ("a", "b"), parallel=2))
+            .query("(a|b)*").from_("v0").to("v4")
+        )
+        with pytest.raises(QueryError, match="0 and 5 do not concatenate"):
+            query.cursor({"edges": [0, 5, 4, 6]}).run().all()
+
     def test_foreign_walk_cursor_rejected(self):
         # [1, 4, 6] is a real λ-length walk ending at Bob — it passes
         # every shape check — that is not an answer: in no mode and at

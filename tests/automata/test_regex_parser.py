@@ -13,7 +13,7 @@ from repro.automata.regex_ast import (
     Star,
     Union,
 )
-from repro.automata.regex_parser import parse_rpq
+from repro.automata.regex_parser import MAX_GROUP_DEPTH, parse_rpq
 from repro.exceptions import RegexSyntaxError
 
 
@@ -132,6 +132,22 @@ class TestErrors:
         with pytest.raises(RegexSyntaxError) as info:
             parse_rpq("a b ) c")
         assert info.value.position == 4
+
+
+class TestNestingCap:
+    def test_groups_up_to_the_cap_parse(self):
+        depth = MAX_GROUP_DEPTH
+        assert parse_rpq("(" * depth + "a" + ")" * depth) == Label("a")
+
+    @pytest.mark.parametrize("depth", [MAX_GROUP_DEPTH + 1, 250, 3000])
+    def test_first_group_past_the_cap_is_a_syntax_error(self, depth):
+        with pytest.raises(RegexSyntaxError, match="nested deeper") as info:
+            parse_rpq("(" * depth + "a" + ")" * depth)
+        assert info.value.position == MAX_GROUP_DEPTH
+
+    def test_the_cap_counts_open_groups_not_all_groups(self):
+        many = " ".join(["(a)"] * (2 * MAX_GROUP_DEPTH))
+        assert parse_rpq(many) == Concat((Label("a"),) * (2 * MAX_GROUP_DEPTH))
 
 
 class TestRoundTrip:

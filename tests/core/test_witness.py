@@ -14,8 +14,10 @@ from repro.automata import regex_to_nfa
 from repro.baselines.oracle import oracle_lam, oracle_walk_matches
 from repro.core.annotate import AnnotateBFS
 from repro.core.compile import compile_query
+from repro.datastructures.packed import PackedCells
 from repro.graph import GraphBuilder
 from repro.graph.generators import random_multilabel
+from repro.service import QueryRequest, QueryService
 from repro.workloads.fraud import example9_graph
 from repro.workloads.transport import TRANSPORT_QUERIES, transport_network
 from repro.workloads.worstcase import diamond_chain
@@ -180,3 +182,53 @@ def test_a_tombstoned_edge_is_never_picked():
     db.mutate([{"op": "remove_edge", "edge": 0}], compact=False)
     (row,) = pair.run().all()
     assert row.walk.edges == (1, 2)
+
+
+@pytest.fixture
+def trim_cells(monkeypatch):
+    """The number of Trim cells held by every cell store built while
+    the test runs, read when called."""
+    stores = []
+    init = PackedCells.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        stores.append(self)
+
+    monkeypatch.setattr(PackedCells, "__init__", recording)
+    return lambda: sum(map(len, stores))
+
+
+def _through_database(semantics):
+    db = Database(example9_graph())
+    query = db.query("h* s (h | s)*").from_("Alix").to("Bob")
+    rows = query.semantics(semantics).run().all()
+    entries = db.stats()["annotation_cache"]["entries"]
+    return rows[0].lam, [row.walk.edges for row in rows], entries
+
+
+def _through_service(semantics):
+    service = QueryService()
+    service.register_graph("fraud", example9_graph())
+    response = service.execute(
+        QueryRequest("h* s (h | s)*", "Alix", "Bob", semantics=semantics)
+    )
+    assert response.status == "ok"
+    walks = [tuple(w["edges"]) for w in response.walks]
+    entries = service.stats()["annotation_cache"]["entries"]
+    return response.lam, walks, entries
+
+
+@pytest.mark.parametrize("run", [_through_database, _through_service])
+def test_an_any_query_builds_no_trim_cell(run, trim_cells):
+    """``any`` answers off one BFS's ``dist``: at either tier it stores
+    no Trim cell and no annotation-cache entry, and its one witness has
+    the walks λ.  The walks query after it is the control: the same
+    counter sees its Trim."""
+    lam, witnesses, entries = run("any")
+    assert (trim_cells(), entries) == (0, 0)
+    assert len(witnesses) == 1 and len(witnesses[0]) == lam
+    walks_lam, walks, entries = run("walks")
+    assert trim_cells() > 0 and entries == 1
+    assert lam == walks_lam == 3
+    assert witnesses[0] in walks

@@ -236,8 +236,11 @@ class TestDisabledMode:
         assert snap["histograms"] == {}
 
     def test_disabled_overhead_is_noop_scale(self):
-        # The contract behind bench_obs's <=1% disabled bar: an event
-        # against a null instrument is one attribute-free method call.
+        # The disabled-bundle contract (test_tracing.py checks that a
+        # disabled service records nothing; the spine's
+        # obs.trace_overhead_frac row measures the cost when enabled):
+        # an event against a null instrument is one attribute-free
+        # method call.
         # Assert it stays within a small constant factor of an empty
         # function call rather than asserting wall-clock numbers.
         import timeit

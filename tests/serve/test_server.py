@@ -243,6 +243,46 @@ def test_affinity_routing_pins_query_source_pairs() -> None:
     asyncio.run(scenario())
 
 
+def test_affinity_shards_fit_the_per_worker_annotation_budget() -> None:
+    """The cache-fit behind affinity routing: 4 transport queries x 16
+    sources are 64 (query, source) pairs, more than one process's
+    24-entry annotation LRU holds, and 4 workers split them so that
+    each pair stays on one worker and no worker holds more than 24."""
+    from repro.workloads.transport import TRANSPORT_QUERIES
+
+    queries = [
+        TRANSPORT_QUERIES[name]
+        for name in ("ground_only", "fly_then_ground", "no_bus",
+                     "one_flight_max")
+    ]
+    budget = 24
+
+    async def scenario():
+        server = await _booted(workers=4, routing="affinity")
+        try:
+            homes = {
+                (query, s): {
+                    server._pick(
+                        {"query": query, "source": f"city{s}",
+                         "target": f"city{t}"}
+                    ).index
+                    for t in (90 - s, 50, 95)
+                }
+                for query in queries
+                for s in range(16)
+            }
+            assert all(len(home) == 1 for home in homes.values())
+            shares = [0] * 4
+            for (index,) in homes.values():
+                shares[index] += 1
+            assert len(homes) == 64 > budget
+            assert max(shares) <= budget
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
 def test_round_robin_spreads_across_workers() -> None:
     async def scenario():
         server = await _booted(workers=3)

@@ -92,6 +92,29 @@ class TestExecution:
         assert response.status == "error"
         assert "other" in response.error
 
+    def test_bool_endpoint_is_an_unknown_vertex(self):
+        """``false``/``true`` in a JSONL line are no vertex ids, though
+        ``False == 0`` and ``True == 1``."""
+        builder = GraphBuilder()
+        builder.add_edge("x", "y", ["a"])
+        svc = QueryService()
+        svc.register_graph("g", builder.build())
+        request = QueryRequest.from_dict(
+            json.loads('{"query": "a", "source": false, "target": true}')
+        )
+        response = svc.execute(request)
+        assert response.status == "error" and response.code is None
+        assert "unknown vertex" in response.error
+
+    def test_deep_nesting_is_an_input_error(self, service):
+        deep = "(" * 3000 + "h" + ")" * 3000
+        response = service.execute(QueryRequest(deep, "Alix", "Dan"))
+        assert response.status == "error" and response.code is None
+        assert "nested deeper" in response.error
+        capped = "(" * 100 + "h" + ")" * 100
+        response = service.execute(QueryRequest(capped, "Alix", "Dan"))
+        assert response.status == "ok" and response.lam == 1
+
     def test_request_id_echoed(self, service):
         response = service.execute(
             QueryRequest(QUERY, "Alix", "Bob", id="req-7")
@@ -247,6 +270,27 @@ class TestCachingAndInvalidation:
         # Different target, same (query, source): annotation cache hit.
         assert other_target.cached["annotation"] is True
         assert other_target.status == "ok"
+
+    def test_repeated_pair_mix_misses_once_per_plan_and_pair(self, service):
+        """A dashboard-like mix — 2 queries x 2 sources x 4 targets,
+        visited 3 times — builds one plan per query text and one
+        annotation per (query, source) pair; every other request hits."""
+        queries, sources = [QUERY, "(h | s)+"], ["Alix", "Bob"]
+        block = [
+            QueryRequest(query, source, target, limit=20)
+            for query in queries
+            for source in sources
+            for target in ("Bob", "Cassie", "Dan", "Eve")
+        ]
+        responses = service.execute_batch(block * 3)
+        assert all(r.status != "error" for r in responses)
+        stats = service.stats()
+        n = len(responses)
+        assert (stats["plan_cache"]["misses"], stats["plan_cache"]["hits"]) \
+            == (2, n - 2)
+        annotations = stats["annotation_cache"]
+        assert (annotations["misses"], annotations["hits"]) == (4, n - 4)
+        assert annotations["evictions"] == 0
 
     def test_reregistration_bumps_version_and_invalidates(self):
         svc = QueryService()

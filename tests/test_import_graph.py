@@ -50,7 +50,7 @@ ENTRY_POINTS = (
     "repro.api", "repro.service", "repro.serve", "repro.cli", "repro.__main__",
 )
 
-_BENCH = "benchmark harness shipped inside the library; leaves with ROADMAP item 6"
+_BENCH = "benchmark harness shipped inside the library; leaves with ROADMAP item 10"
 _DATA = (
     "data generators and worked examples that examples/, the docs and the "
     "frozen spine (benchmarks/spine/workloads.py) import by these paths"

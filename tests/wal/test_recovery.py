@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.live.live_graph import LiveGraph
 from repro.wal.frames import encode_frame
 from repro.wal.recovery import recover
 from repro.wal.snapshot import snapshot_name, write_snapshot
+from repro.wal import writer as wal_writer
 from repro.wal.writer import LOG_NAME, WalWriter
 
 
@@ -356,3 +359,31 @@ def test_writer_refuses_shrunken_log(tmp_path) -> None:
         writer.append_batch([AddVertex("a")])
     with pytest.raises(WalError, match="behind recovery"):
         WalWriter(str(tmp_path), start_lsn=5, start_offset=10_000)
+
+
+@pytest.mark.parametrize("sync, barriers", [("group", 1), ("always", 5)])
+def test_batches_inside_one_window_share_one_fsync(
+    tmp_path, monkeypatch, sync, barriers
+) -> None:
+    """Group commit, counted: with the writer's clock faked, five
+    batches inside one 50 ms window make one ``os.fsync`` under
+    ``"group"`` (the first batch, a window after the open) and five
+    under ``"always"``; closing syncs the group's pending four."""
+    clock = [0.0]
+    monkeypatch.setattr(
+        wal_writer,
+        "time",
+        SimpleNamespace(monotonic=lambda: clock[0],
+                        perf_counter=time.perf_counter),
+    )
+    writer = WalWriter(str(tmp_path), sync=sync, group_window_ms=50.0)
+    fsyncs = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fsync(fd)))
+    for i in range(5):
+        clock[0] = 0.050 + 0.009 * i  # [50 ms, 86 ms]: one window.
+        writer.append_batch([AddVertex(f"v{i}")])
+    assert len(fsyncs) == barriers
+    writer.close()
+    assert len(fsyncs) == barriers + 1
+    assert recover(str(tmp_path)).last_lsn == 5
