@@ -684,56 +684,59 @@ class Database:
 
     # -- cache plumbing ------------------------------------------------------
 
-    def _plan_for(
-        self, handle: _GraphHandle, q: Query
-    ) -> Tuple[_Plan, bool]:
+    def _plan(self, q: Query, handle: _GraphHandle) -> Tuple[_Plan, bool]:
+        """The query's cached plan, and whether it was a hit."""
+        if q._semantics == "cheapest" and q._restriction != "walks":
+            raise QueryError(
+                "cheapest semantics supports the unrestricted 'walks' "
+                f"form only, not {q._restriction!r} (cost-minimal trails/"
+                "simple paths are a different problem; any-walk is "
+                "length-based)"
+            )
         # The restriction rides at the END of the key (the eviction
         # predicates pattern-match on key[0]=name / key[1]=version): a
         # cached plan never serves a different semantics, per-semantics
         # entries hit independently, and every invalidation path —
         # re-register, unregister, footprint eviction — covers all
         # semantics of a graph unchanged.
-        construction = q._construction
-        key = (handle.name, handle.version, construction, q._expression,
+        key = (handle.name, handle.version, q._construction, q._expression,
                q._restriction)
-        hit = True
+        return self._plan_cache.fetch(key, self._build_plan, handle, q)
 
-        def build() -> _Plan:
-            nonlocal hit
-            hit = False
-            t0 = time.perf_counter()
-            with obs_trace.span("parse", construction=construction):
-                nfa = regex_to_nfa(q._expression, method=construction)
-            with obs_trace.span("compile") as compile_span:
-                cq = compile_query(handle.graph, nfa)
-                co_accessible, merged = cq.live_states
-                compile_span.tag(
-                    states=cq.automaton.n_states,
-                    co_accessible=co_accessible,
-                    merged=merged,
-                )
-            build_s = time.perf_counter() - t0
-            with self._build_lock:
-                self._plan_build_s += build_s
-            return _Plan(
-                automaton=nfa,
-                compiled=cq,
-                build_s=build_s,
-                footprint=query_label_footprint(nfa),
+    def _build_plan(self, handle: _GraphHandle, q: Query) -> _Plan:
+        """A plan-cache miss: parse and compile the query text."""
+        construction = q._construction
+        t0 = time.perf_counter()
+        with obs_trace.span("parse", construction=construction):
+            nfa = regex_to_nfa(q._expression, method=construction)
+        with obs_trace.span("compile") as compile_span:
+            cq = compile_query(handle.graph, nfa)
+            co_accessible, merged = cq.live_states
+            compile_span.tag(
+                states=cq.automaton.n_states,
+                co_accessible=co_accessible,
+                merged=merged,
             )
+        build_s = time.perf_counter() - t0
+        with self._build_lock:
+            self._plan_build_s += build_s
+        return _Plan(
+            automaton=nfa,
+            compiled=cq,
+            build_s=build_s,
+            footprint=query_label_footprint(nfa),
+        )
 
-        return self._plan_cache.get_or_create(key, build), hit
-
-    def _annotation_for(
+    def _build_annotation(
         self,
-        handle: _GraphHandle,
-        q: Query,
+        graph: Graph,
         plan: _Plan,
         source_id: int,
         only: Optional[int],
-    ) -> Tuple[MultiTargetShortestWalks, bool]:
-        """The prepared (query, source) object, cached — and whether
-        it was a hit.
+        cheapest: bool,
+    ) -> MultiTargetShortestWalks:
+        """An annotation-cache miss: the prepared (query, source)
+        object, annotated (and trimmed toward ``only``).
 
         The cached object carries the annotation's flat ``dist`` and
         its one trim cell store (see :mod:`repro.datastructures.packed`):
@@ -742,7 +745,7 @@ class Database:
         it is read, with no per-hit copy or dict materialization
         anywhere.
 
-        The restriction is *not* in the key (unlike :meth:`_plan_for`,
+        The restriction is *not* in the key (unlike :meth:`_plan`'s,
         whose plan text differs per semantics): ``walks``, ``trails``
         and ``simple`` of one (query, source) read the same
         unrestricted object — :meth:`_reach` applies the restricted
@@ -756,42 +759,25 @@ class Database:
         Dijkstra cannot deepen: its entry saturates when the cache can
         retain it and stops at ``only`` when it cannot (capacity 0).
         """
-        graph = handle.graph
-        cheapest = q._semantics == "cheapest"
-        key = (
-            handle.name,
-            handle.version,
-            q._construction,
-            q._expression,
-            source_id,
-            cheapest,
+        t0 = time.perf_counter()
+        stop = (
+            only
+            if cheapest and self._annotation_cache.capacity == 0
+            else None
         )
-        hit = True
-
-        def build() -> MultiTargetShortestWalks:
-            nonlocal hit
-            hit = False
-            t0 = time.perf_counter()
-            stop = (
-                only
-                if cheapest and self._annotation_cache.capacity == 0
-                else None
-            )
-            # Vertex *names*, not ids: the constructor resolves its
-            # designators itself, and on graphs with integer vertex
-            # names an id would resolve differently.
-            mt = MultiTargetShortestWalks(
-                graph,
-                plan.automaton,
-                graph.vertex_name(source_id),
-                cheapest=cheapest,
-                compiled=plan.compiled,
-                target=None if stop is None else graph.vertex_name(stop),
-            ).preprocess(only)
-            self._count_annotation_build(time.perf_counter() - t0)
-            return mt
-
-        return self._annotation_cache.get_or_create(key, build), hit
+        # Vertex *names*, not ids: the constructor resolves its
+        # designators itself, and on graphs with integer vertex names
+        # an id would resolve differently.
+        mt = MultiTargetShortestWalks(
+            graph,
+            plan.automaton,
+            graph.vertex_name(source_id),
+            cheapest=cheapest,
+            compiled=plan.compiled,
+            target=None if stop is None else graph.vertex_name(stop),
+        ).preprocess(only)
+        self._count_annotation_build(time.perf_counter() - t0)
+        return mt
 
     def _count_annotation_build(
         self, seconds: float, deepen: bool = False
@@ -882,54 +868,38 @@ class Database:
             else None
         )
         handle = self._handle(q._graph_name)
-        if self._metrics is None:
-            return self._prepare(q, handle, deadline)
         # One trace per request: preprocessing spans (parse, compile,
-        # annotate, trim) open against the contextvar inside _prepare;
-        # the enumerate span is attached post hoc by ResultSet when
+        # annotate, trim) open against the contextvar below; the
+        # enumerate span is attached post hoc by ResultSet when
         # pagination finishes (enumeration is lazy, so it happens after
         # this frame returns).
-        trace = Trace()
-        token = obs_trace.activate(trace)
+        trace = None if self._metrics is None else Trace()
+        if trace is not None:
+            token = obs_trace.activate(trace)
         try:
-            result = self._prepare(q, handle, deadline)
-        finally:
-            obs_trace.deactivate(token)
-        result.stats["trace"] = trace
-        return result
-
-    def _plan(self, q: Query, handle: _GraphHandle) -> Tuple[_Plan, bool]:
-        """The query's cached plan (and whether it was a hit)."""
-        if q._semantics == "cheapest" and q._restriction != "walks":
-            raise QueryError(
-                "cheapest semantics supports the unrestricted 'walks' "
-                f"form only, not {q._restriction!r} (cost-minimal trails/"
-                "simple paths are a different problem; any-walk is "
-                "length-based)"
+            shape = q._shape()
+            cursor = q._cursor
+            plan, stats, cells, lam = self._cells(q, handle, shape, cursor)
+            if trace is not None:
+                stats["trace"] = trace
+            graph = handle.graph
+            return ResultSet(
+                cells,
+                graph,
+                lam=lam,
+                stats=stats,
+                bucketed=shape[0] != "pair",
+                count_cq=(
+                    self._count_cq(plan, graph) if q._multiplicity else None
+                ),
+                limit=q._limit,
+                offset=q._offset,
+                deadline=deadline,
+                cursor=cursor,
             )
-        return self._plan_for(handle, q)
-
-    def _prepare(
-        self, q: Query, handle: _GraphHandle, deadline: Optional[float]
-    ) -> ResultSet:
-        shape = q._shape()
-        graph = handle.graph
-        plan, plan_hit = self._plan(q, handle)
-        stats = _fresh_stats(plan_hit)
-        count_cq = self._count_cq(plan, graph) if q._multiplicity else None
-        cells, lam = self._cells(q, handle, plan, shape, stats, q._cursor)
-        return ResultSet(
-            cells,
-            graph,
-            lam=lam,
-            stats=stats,
-            bucketed=shape[0] != "pair",
-            count_cq=count_cq,
-            limit=q._limit,
-            offset=q._offset,
-            deadline=deadline,
-            cursor=q._cursor,
-        )
+        finally:
+            if trace is not None:
+                obs_trace.deactivate(token)
 
     def _reach(
         self,
@@ -971,19 +941,23 @@ class Database:
         if any_walk:
             bfs = AnnotateBFS(compiled, source_id)
             bfs.run(only)
-            hit = False
+            hit = deepened = False
         else:
-            mt, hit = self._annotation_for(handle, q, plan, source_id, only)
-            t1 = time.perf_counter()
+            cheapest = q._semantics == "cheapest"
+            mt, hit = self._annotation_cache.fetch(
+                (handle.name, handle.version, q._construction,
+                 q._expression, source_id, cheapest),
+                self._build_annotation, graph, plan, source_id, only,
+                cheapest,
+            )
             deepened = hit and mt.settle(only)
-            if deepened:
-                self._count_annotation_build(
-                    time.perf_counter() - t1, deepen=True
-                )
         # From this query's perspective: build time on a miss,
         # single-flight wait time when another thread is building,
-        # deepen time on a hit that had to go further.
+        # deepen time (with the µs probe before it) on a hit that had
+        # to go further.
         dt = time.perf_counter() - t0
+        if deepened:
+            self._count_annotation_build(dt, deepen=True)
         timings = stats["timings"]
         timings["annotate"] = timings.get("annotate", 0.0) + dt
         stats["cached"]["annotation"] &= hit
@@ -1022,6 +996,7 @@ class Database:
         # them when there is none.  So each cell reads λ and S_t off
         # one published snapshot, and opens the DFS on it by id.
         annotation = mt.annotation
+        packed = annotation.packed
         cost_of = graph.cost_array.__getitem__ if mt.cheapest else None
 
         def cell(t: int) -> Optional[Tuple]:
@@ -1032,8 +1007,7 @@ class Database:
             # One DFS per page, positioned once by the cursor.
             def open_walks(resume=None):
                 return enumerate_walks(
-                    graph, annotation.packed, lam, t, states,
-                    cost_of=cost_of, resume_after=resume,
+                    graph, packed, lam, t, states, cost_of, resume
                 )
 
             if restriction == "walks":
@@ -1057,13 +1031,14 @@ class Database:
         self,
         q: Query,
         handle: _GraphHandle,
-        plan: _Plan,
         shape: Tuple,
-        stats: Dict[str, Any],
         cursor: Optional[Cursor] = None,
-    ) -> Tuple[Iterable[_Cell], Optional[int]]:
-        """The one shape combinator: ``(cells, λ)``.
+    ) -> Tuple[_Plan, Dict[str, Any], Iterable[_Cell], Optional[int]]:
+        """The one shape combinator: ``(plan, stats, cells, λ)``.
 
+        ``plan`` is the query's cached plan and ``stats`` the request's
+        ``{"cached": …, "timings": …}`` (:meth:`_reach` fills in the
+        annotation side, the result set the ``enumerate`` timing).
         ``cells`` is the query's ordered :data:`_Cell` stream and ``λ``
         its global answer length: the cell's own for a pair, the
         minimum over the sources for ``many_to_one`` (the virtual
@@ -1075,16 +1050,37 @@ class Database:
         pair's.  A cell whose pair admits no (restricted) walk is not
         in the stream.  With a resuming ``cursor`` the stream starts at
         the cursor's own cell, whose λ the cursor's budget must match.
+
+        A cache hit and a miss run the same code: the two cache probes
+        build nothing on a hit.
         """
+        plan, plan_hit = self._plan(q, handle)
+        stats: Dict[str, Any] = {
+            "cached": {"plan": plan_hit, "annotation": True},
+            "timings": {},
+        }
         graph = handle.graph
         kind = shape[0]
+        cheapest = q._semantics == "cheapest"
         only = (
             graph.resolve_vertex(shape[2])
             if kind in ("pair", "many_to_one")
             else None
         )
         at = None if cursor is None else _cursor_cell(graph, cursor, shape, only)
-        cheapest = q._semantics == "cheapest"
+        if kind == "pair":
+            source_id = graph.resolve_vertex(shape[1])
+            _, cell = self._reach(q, handle, plan, stats, source_id, only)
+            found = cell(only)
+            # An unmatched pair is empty, cursor or not.
+            if found is None:
+                return plan, stats, (), None
+            if cursor is not None:
+                # A pair is eager: like its restricted_lam, its
+                # cursor's budget check runs inside run(); the other
+                # shapes check as the stream is consumed.
+                _check_cursor_budget(graph, cursor, found[0], cheapest)
+            return plan, stats, ((source_id, only, *found),), found[0]
         if kind == "all_pairs":
             # Sources before the cursor's cell never contribute to a
             # resumed stream — skip them without building annotations.
@@ -1099,19 +1095,6 @@ class Database:
             (s, *self._reach(q, handle, plan, stats, s, only))
             for s in sources
         ]
-
-        if kind == "pair":
-            ((s, _, cell),) = reaches
-            found = cell(only)
-            # An unmatched pair is empty, cursor or not.
-            if found is None:
-                return (), None
-            if cursor is not None:
-                # A pair is eager: like its restricted_lam, its
-                # cursor's budget check runs inside run(); the other
-                # shapes check as the stream is consumed.
-                _check_cursor_budget(graph, cursor, found[0], cheapest)
-            return ((s, only, *found),), found[0]
 
         def minimal(t: int) -> List[_Cell]:
             """Target ``t``'s cells from the sources attaining its
@@ -1148,7 +1131,7 @@ class Database:
             )
         if cursor is not None:
             cells = _from_cursor(graph, cells, cursor, at, cheapest)
-        return cells, lam
+        return plan, stats, cells, lam
 
     # -- non-enumerating terminals -------------------------------------------
 
@@ -1170,10 +1153,7 @@ class Database:
         if method == "enumerate":
             return sum(1 for _ in base.run())
         handle = self._handle(base._graph_name)
-        plan, plan_hit = self._plan(base, handle)
-        cells, _ = self._cells(
-            base, handle, plan, base._shape(), _fresh_stats(plan_hit)
-        )
+        _, _, cells, _ = self._cells(base, handle, base._shape())
         name = handle.graph.vertex_name
         return sum(mt.count_to(name(t), "dp") for _, t, _, _, mt in cells)
 
@@ -1185,10 +1165,7 @@ class Database:
                 f"this query's shape is {shape[0]!r}"
             )
         handle = self._handle(q._graph_name)
-        plan, plan_hit = self._plan(q, handle)
-        cells, _ = self._cells(
-            q, handle, plan, shape, _fresh_stats(plan_hit)
-        )
+        _, _, cells, _ = self._cells(q, handle, shape)
         # A target's cells are adjacent and share its λ.
         lam_of = {t: lam for _, t, lam, _, _ in cells}
         return [
@@ -1198,7 +1175,7 @@ class Database:
     def _explain(self, q: Query) -> QueryPlan:
         handle = self._handle(q._graph_name)
         shape = q._shape()
-        plan, plan_hit = self._plan_for(handle, q)
+        plan, plan_hit = self._plan(q, handle)
         qp = analyze(handle.graph, plan.automaton)
         cq = plan.compiled
         qp.compiled = (cq.automaton.n_states, *cq.live_states, cq.delta_size)
@@ -1250,15 +1227,6 @@ class Database:
 
 
 # -- module helpers ----------------------------------------------------------
-
-
-def _fresh_stats(plan_hit: bool) -> Dict[str, Any]:
-    """A request's statistics; :meth:`Database._reach` fills in the
-    annotation side, the result set the ``enumerate`` timing."""
-    return {
-        "cached": {"plan": plan_hit, "annotation": True},
-        "timings": {},
-    }
 
 
 def _cursor_cell(

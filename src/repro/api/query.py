@@ -74,6 +74,7 @@ RESTRICTIONS = ("walks", "trails", "simple", "any")
 #: Mode names a request may still send; each selects nothing.
 MODES = ("iterative", "memoryless", "auto")
 _SEMANTICS = ("shortest", "cheapest")
+_new = object.__new__
 
 
 def is_budget(value: Any) -> bool:
@@ -93,39 +94,54 @@ class Query:
     :meth:`repro.api.Database.query`.
     """
 
+    # Every axis's default lives on the class, so an instance holds
+    # only what its builder calls set, and a copy-on-write step is
+    # one copy of that small ``__dict__``.
+    _graph_name: Optional[str] = None
+    _construction = "thompson"
+    _source: Optional[Hashable] = None
+    _sources: Optional[Tuple[Hashable, ...]] = None
+    _target: Optional[Hashable] = None
+    _to_all = False
+    _all_pairs = False
+    _semantics = "shortest"
+    _restriction = "walks"
+    _multiplicity = False
+    _mode = "auto"
+    _limit: Optional[int] = None
+    _offset = 0
+    _cursor: Optional[Cursor] = None
+    _timeout_ms: Optional[float] = None
+
     def __init__(self, db: "Database", expression: str) -> None:
         self._db = db
         self._expression = expression
-        self._graph_name: Optional[str] = None
-        self._construction = "thompson"
-        self._source: Optional[Hashable] = None
-        self._sources: Optional[Tuple[Hashable, ...]] = None
-        self._target: Optional[Hashable] = None
-        self._to_all = False
-        self._all_pairs = False
-        self._semantics = "shortest"
-        self._restriction = "walks"
-        self._multiplicity = False
-        self._mode = "auto"
-        self._limit: Optional[int] = None
-        self._offset = 0
-        self._cursor: Optional[Cursor] = None
-        self._timeout_ms: Optional[float] = None
 
-    def _clone(self) -> "Query":
-        # A plain __dict__ copy: copy.copy would go through the
-        # __reduce_ex__ protocol, a measurable cost per builder call.
-        q = object.__new__(Query)
-        q.__dict__.update(self.__dict__)
+    def _with(self, axis: str, value: Any) -> "Query":
+        """A copy of this query with attribute ``axis`` set to ``value``."""
+        fields = self.__dict__.copy()
+        fields[axis] = value
+        q = _new(Query)
+        q.__dict__ = fields
+        return q
+
+    @classmethod
+    def _of(cls, db: "Database", expression: str, **axes: Any) -> "Query":
+        """A query with every axis in ``axes`` set in one step — for a
+        caller that has checked each value as the builder methods do
+        (:class:`~repro.service.QueryService` and its validated
+        requests)."""
+        axes["_db"] = db
+        axes["_expression"] = expression
+        q = _new(cls)
+        q.__dict__ = axes
         return q
 
     # -- graph / plan axis ---------------------------------------------------
 
     def on(self, graph_name: Optional[str]) -> "Query":
         """Select a registered graph by name (``None`` = the sole one)."""
-        q = self._clone()
-        q._graph_name = graph_name
-        return q
+        return self._with("_graph_name", graph_name)
 
     def construction(self, method: str) -> "Query":
         """Regex→NFA construction (``thompson`` or ``glushkov``)."""
@@ -134,9 +150,7 @@ class Query:
                 f"unknown construction {method!r}; "
                 f"expected one of {CONSTRUCTIONS}"
             )
-        q = self._clone()
-        q._construction = method
-        return q
+        return self._with("_construction", method)
 
     # -- endpoint shape axis -------------------------------------------------
 
@@ -144,9 +158,7 @@ class Query:
         """Single source vertex (name or id)."""
         if self._sources is not None:
             raise QueryError("from_() conflicts with an earlier from_any()")
-        q = self._clone()
-        q._source = source
-        return q
+        return self._with("_source", source)
 
     def from_any(self, sources: Sequence[Hashable]) -> "Query":
         """Multi-source: a virtual super-source over ``sources``.
@@ -167,25 +179,19 @@ class Query:
             raise QueryError("from_any() needs at least one source")
         if self._source is not None:
             raise QueryError("from_any() conflicts with an earlier from_()")
-        q = self._clone()
-        q._sources = sources
-        return q
+        return self._with("_sources", sources)
 
     def to(self, target: Hashable) -> "Query":
         """Single target vertex (name or id)."""
         if self._to_all:
             raise QueryError("to() conflicts with an earlier to_all()")
-        q = self._clone()
-        q._target = target
-        return q
+        return self._with("_target", target)
 
     def to_all(self) -> "Query":
         """Every reachable target (ascending vertex-id order)."""
         if self._target is not None:
             raise QueryError("to_all() conflicts with an earlier to()")
-        q = self._clone()
-        q._to_all = True
-        return q
+        return self._with("_to_all", True)
 
     def all_pairs(self) -> "Query":
         """Every source × every reachable target, per-pair λ."""
@@ -199,29 +205,21 @@ class Query:
                 "all_pairs() replaces from_/from_any/to/to_all; "
                 "start from a fresh query"
             )
-        q = self._clone()
-        q._all_pairs = True
-        return q
+        return self._with("_all_pairs", True)
 
     # -- semantics axis ------------------------------------------------------
 
     def shortest(self) -> "Query":
         """Minimal edge count (the default)."""
-        q = self._clone()
-        q._semantics = "shortest"
-        return q
+        return self._with("_semantics", "shortest")
 
     def cheapest(self) -> "Query":
         """Minimal total edge cost (strictly positive integer costs)."""
-        q = self._clone()
-        q._semantics = "cheapest"
-        return q
+        return self._with("_semantics", "cheapest")
 
     def walks(self) -> "Query":
         """Back to the default walk semantics (no restriction)."""
-        q = self._clone()
-        q._restriction = "walks"
-        return q
+        return self._with("_restriction", "walks")
 
     def trails(self) -> "Query":
         """Restrict answers to trails: no edge repeated in a walk.
@@ -231,15 +229,11 @@ class Query:
         every shortest walk repeats an edge (the executor then falls
         back to a guided product-DFS; see :mod:`repro.core.restricted`).
         """
-        q = self._clone()
-        q._restriction = "trails"
-        return q
+        return self._with("_restriction", "trails")
 
     def simple_paths(self) -> "Query":
         """Restrict answers to simple paths: no vertex repeated."""
-        q = self._clone()
-        q._restriction = "simple"
-        return q
+        return self._with("_restriction", "simple")
 
     def any_walk(self) -> "Query":
         """One shortest witness walk per bucket (Cypher/GQL ``ANY``).
@@ -250,9 +244,7 @@ class Query:
         — honoring ``limit``/``offset``/``timeout_ms``/cursors at the
         row level.  The witness length equals the plain-walks λ.
         """
-        q = self._clone()
-        q._restriction = "any"
-        return q
+        return self._with("_restriction", "any")
 
     def semantics(self, which: str) -> "Query":
         """Select a semantics sub-axis by name.
@@ -270,15 +262,11 @@ class Query:
                 f"unknown semantics {which!r}; expected one of "
                 f"{_SEMANTICS + RESTRICTIONS}"
             )
-        q = self._clone()
-        q._restriction = which
-        return q
+        return self._with("_restriction", which)
 
     def with_multiplicity(self, enabled: bool = True) -> "Query":
         """Annotate each row with its number of accepting runs (§5.3)."""
-        q = self._clone()
-        q._multiplicity = enabled
-        return q
+        return self._with("_multiplicity", enabled)
 
     # -- execution axis ------------------------------------------------------
 
@@ -290,25 +278,19 @@ class Query:
             raise QueryError(
                 f"unknown mode {mode!r}; expected one of {MODES}"
             )
-        q = self._clone()
-        q._mode = mode
-        return q
+        return self._with("_mode", mode)
 
     def limit(self, n: Optional[int]) -> "Query":
         """Page size; ``None`` = all answers."""
         if n is not None and (not is_int(n) or n < 1):
             raise QueryError("limit must be a positive integer or None")
-        q = self._clone()
-        q._limit = n
-        return q
+        return self._with("_limit", n)
 
     def offset(self, n: int) -> "Query":
         """Rows to skip before the page starts (O(offset) walk work)."""
         if not is_int(n) or n < 0:
             raise QueryError("offset must be a non-negative integer")
-        q = self._clone()
-        q._offset = n
-        return q
+        return self._with("_offset", n)
 
     def cursor(
         self, token: Union[Cursor, Dict[str, Any], Sequence[int], None]
@@ -321,20 +303,17 @@ class Query:
         with nothing to seek in (the restricted fallback, an any-walk
         witness) replay.
         """
-        q = self._clone()
-        q._cursor = (
-            None if token is None else Cursor.coerce(token).validate_edges()
+        return self._with(
+            "_cursor",
+            None if token is None else Cursor.coerce(token).validate_edges(),
         )
-        return q
 
     def timeout_ms(self, budget: Optional[float]) -> "Query":
         """Wall-clock budget; on expiry the page is partial and
         resumable via ``next_cursor``."""
         if budget is not None and not is_budget(budget):
             raise QueryError("timeout_ms must be a finite non-negative number")
-        q = self._clone()
-        q._timeout_ms = budget
-        return q
+        return self._with("_timeout_ms", budget)
 
     # -- shape resolution ----------------------------------------------------
 

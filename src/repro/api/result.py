@@ -20,13 +20,18 @@ semantics of the batch service's paginator:
 * an exhausted stream leaves :attr:`next_cursor` as ``None``.
 
 A row passes through one generator frame between the engine's DFS and
-the caller, and the page's bookkeeping is paid per page, not per row:
-the last row consumed is kept and its :class:`Cursor` built only when
-the page stops early, the ``enumerate`` timing is summed in a local and
-written once, when the page ends, and a ``with_multiplicity()`` page
-weighs its rows with one :func:`~repro.core.multiplicity.run_counter`,
-so each row rolls only the edges it does not share with the row before
-it.
+the caller, and costs its walk plus a fixed few steps: one
+``tuple.__new__`` builds the :class:`Row` (no per-field constructor
+work), and the clock is read twice — when the caller asks for the row
+and when it is handed over — which is what keeping the caller's time
+out of the ``enumerate`` timing needs.  The page's bookkeeping is paid
+per page, not per row: the last walk consumed is kept and its
+:class:`Cursor` built only when the page stops early, the walk peeked
+past a full page never becomes a row, the ``enumerate`` timing is
+summed in a local and written once, when the page ends, and a
+``with_multiplicity()`` page weighs its emitted rows with one
+:func:`~repro.core.multiplicity.run_counter`, so each row rolls only
+the edges it does not share with the row before it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.api.rows import Cursor, Row
 from repro.core.multiplicity import run_counter
 from repro.core.walks import Walk
+
+_new_row = tuple.__new__
 
 
 class ResultSet:
@@ -107,9 +114,10 @@ class ResultSet:
         weigh = None if count_cq is None else run_counter(count_cq)
         resume = None if cursor is None else cursor.edges
         emitted = skipped = 0
-        #: The last row consumed (skipped or emitted) — the anchor a
-        #: resume token points at.
-        last: Optional[Row] = None
+        #: The last walk consumed (skipped or emitted) and its cell's
+        #: endpoint names — the anchor a resume token points at.
+        last: Optional[Walk] = None
+        last_at: Tuple = ()
         stopped = False
         spent = 0.0
         # Start of the running enumerate interval; None while the
@@ -117,26 +125,33 @@ class ResultSet:
         start: Optional[float] = clock()
         try:
             for source_id, target_id, lam, open_walks, _ in cells:
-                source, target = name(source_id), name(target_id)
+                at = source, target = name(source_id), name(target_id)
                 for walk in open_walks(resume):
-                    row = Row(
-                        source, target, walk, lam,
-                        None if weigh is None else weigh(walk.edges),
-                    )
                     if skipped < offset:
                         skipped += 1
-                    elif limit is None or emitted < limit:
-                        emitted += 1
-                        spent += clock() - start
-                        start = None
-                        yield row
-                        start = clock()
-                    else:
-                        # One row past the page: the enumeration has more.
+                        last, last_at = walk, at
+                        if deadline is not None and clock() > deadline:
+                            self.timed_out = stopped = True
+                            return
+                        continue
+                    if emitted == limit:
+                        # One walk past the page: the enumeration has
+                        # more.  It never becomes a row.
                         stopped = True
                         return
-                    last = row
-                    if deadline is not None and clock() > deadline:
+                    emitted += 1
+                    # A Row in one step: no per-row Python-level
+                    # constructor (Row(...) runs NamedTuple's __new__).
+                    row = _new_row(Row, (
+                        source, target, walk, lam,
+                        None if weigh is None else weigh(walk.edges),
+                    ))
+                    spent += clock() - start
+                    start = None
+                    yield row
+                    start = clock()
+                    last, last_at = walk, at
+                    if deadline is not None and start > deadline:
                         self.timed_out = stopped = True
                         return
                 resume = None
@@ -145,7 +160,9 @@ class ResultSet:
                 spent += clock() - start
             if stopped:
                 self.next_cursor = (
-                    cursor if last is None else last.cursor(bucketed)
+                    cursor if last is None
+                    else Cursor(last.edges, *last_at) if bucketed
+                    else Cursor(last.edges)
                 )
             self.skipped = skipped
             self.stats["timings"]["enumerate"] = spent

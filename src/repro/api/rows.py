@@ -15,8 +15,18 @@ and then to the right walk (one O(λ) seek inside the bucket).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.walks import Walk
 from repro.exceptions import QueryError, is_int
@@ -83,8 +93,7 @@ class Cursor:
         return self
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One answer of a façade query.
 
     ``source``/``target`` are vertex names, ``lam`` is the bucket's
@@ -92,6 +101,12 @@ class Row:
     for ``cheapest``), and ``multiplicity`` is the number of accepting
     runs — populated only when the query asked
     :meth:`~repro.api.query.Query.with_multiplicity`.
+
+    A row is an immutable record of those five fields, in that order:
+    rows compare and hash by them, and assigning to any attribute
+    raises :class:`~dataclasses.FrozenInstanceError`.  Being a tuple,
+    it is built in one step — the result set fills ``tuple.__new__``
+    directly, with no per-field work per row.
     """
 
     source: Hashable
@@ -99,6 +114,12 @@ class Row:
     walk: Walk
     lam: int
     multiplicity: Optional[int] = None
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def length(self) -> int:

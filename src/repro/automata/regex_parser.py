@@ -24,7 +24,7 @@ positions — a query front-end's error messages are user-facing.
 
 from __future__ import annotations
 
-from typing import List, Optional as Opt
+from typing import List, Optional as Opt, Tuple
 
 from repro.automata.regex_ast import (
     AnyAtom,
@@ -43,11 +43,31 @@ from repro.exceptions import RegexSyntaxError
 _PUNCT = {"|", "(", ")", "*", "+", "?", "{", "}", ",", "."}
 _EPSILON_TOKENS = {"ε", "<eps>"}
 
-#: Deepest ``( … )`` nesting a query may use.  Each group costs the
-#: recursive descent four frames, so the cap keeps a hostile query a
-#: :class:`~repro.exceptions.RegexSyntaxError` at the first group past
-#: it, far below Python's recursion limit.
+#: Deepest nesting a query may use: open ``( … )`` groups, plus
+#: postfix operators stacked on one another that do not fold (such as
+#: ``{m,n}{m,n}``).  Each group costs the recursive descent four frames
+#: and each level the automaton constructions one more, so the cap
+#: keeps a hostile query a :class:`~repro.exceptions.RegexSyntaxError`
+#: at the first group or operator past it, far below Python's
+#: recursion limit.
 MAX_GROUP_DEPTH = 100
+
+#: Largest count ``{m,n}`` may name (RE2's cap): ``a{k}`` expands to
+#: ``k`` copies of ``a``, so a larger count is a
+#: :class:`~repro.exceptions.RegexSyntaxError` at its ``{``.
+MAX_REPEAT_COUNT = 1000
+
+#: The postfix operators a chain folds: ``X**``, ``X*?``, ``X?*``,
+#: ``X+*``, ``X*+``, ``X+?`` and ``X?+`` all denote ``X*``; ``X++`` is
+#: ``X+`` and ``X??`` is ``X?``.  So an operator on a node that the
+#: previous operator of the chain built replaces it.
+_POSTFIX = {"*": Star, "+": Plus, "?": Optional}
+_FOLD = {
+    (Star, Star): Star, (Star, Optional): Star, (Optional, Star): Star,
+    (Plus, Star): Star, (Star, Plus): Star, (Plus, Optional): Star,
+    (Optional, Plus): Star, (Plus, Plus): Plus,
+    (Optional, Optional): Optional,
+}
 
 
 class _Token:
@@ -147,8 +167,12 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------------
 
+    # Each rule returns ``(node, nesting)``: the groups and stacked
+    # postfix operators the node holds on its deepest path, which the
+    # cap adds to the groups still open around it.
+
     def parse(self) -> RegexNode:
-        node = self._expr()
+        node, _ = self._expr()
         leftover = self._peek()
         if leftover is not None:
             raise RegexSyntaxError(
@@ -156,50 +180,66 @@ class _Parser:
             )
         return node
 
-    def _expr(self) -> RegexNode:
-        parts = [self._term()]
+    def _expr(self) -> Tuple[RegexNode, int]:
+        node, nesting = self._term()
+        parts = [node]
         while (token := self._peek()) is not None and token.kind == "|":
             self._next()
-            parts.append(self._term())
-        return parts[0] if len(parts) == 1 else Union(tuple(parts))
+            node, inner = self._term()
+            parts.append(node)
+            nesting = max(nesting, inner)
+        return (parts[0] if len(parts) == 1 else Union(tuple(parts))), nesting
 
     _ATOM_STARTERS = {"label", "quoted", "epsilon", ".", "("}
 
-    def _term(self) -> RegexNode:
-        parts = [self._factor()]
+    def _term(self) -> Tuple[RegexNode, int]:
+        node, nesting = self._factor()
+        parts = [node]
         while (token := self._peek()) is not None and (
             token.kind in self._ATOM_STARTERS
         ):
-            parts.append(self._factor())
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+            node, inner = self._factor()
+            parts.append(node)
+            nesting = max(nesting, inner)
+        return (parts[0] if len(parts) == 1 else Concat(tuple(parts))), nesting
 
-    def _factor(self) -> RegexNode:
-        node = self._atom()
+    def _factor(self) -> Tuple[RegexNode, int]:
+        node, nesting = self._atom()
+        chained = False  # Whether ``node`` is the chain's own result.
         while (token := self._peek()) is not None:
-            if token.kind == "*":
+            op = _POSTFIX.get(token.kind)
+            if op is None and token.kind != "{":
+                break
+            fold = _FOLD.get((type(node), op)) if chained else None
+            if fold is not None:
+                # X** is X*: the operator replaces the one before it.
                 self._next()
-                node = Star(node)
-            elif token.kind == "+":
-                self._next()
-                node = Plus(node)
-            elif token.kind == "?":
-                self._next()
-                node = Optional(node)
-            elif token.kind == "{":
+                node = fold(node.child)
+                continue
+            if chained:
+                nesting += 1
+                if self._depth + nesting > MAX_GROUP_DEPTH:
+                    raise RegexSyntaxError(
+                        "postfix operators stacked and groups nested "
+                        f"deeper than {MAX_GROUP_DEPTH}", token.pos,
+                    )
+            if op is None:
                 node = self._repeat(node)
             else:
-                break
-        return node
+                self._next()
+                node = op(node)
+            chained = True
+        return node, nesting
 
     def _repeat(self, node: RegexNode) -> RegexNode:
         open_token = self._expect("{")
-        lo = int(self._expect("int").text)
+        lo = self._count(self._expect("int"), open_token)
         hi: Opt[int] = lo
         token = self._next()
         if token.kind == ",":
             nxt = self._next()
             if nxt.kind == "int":
-                hi = int(nxt.text)
+                hi = self._count(nxt, open_token)
                 self._expect("}")
             elif nxt.kind == "}":
                 hi = None
@@ -216,24 +256,38 @@ class _Parser:
         except RegexSyntaxError as exc:
             raise RegexSyntaxError(str(exc).split(" (at")[0], open_token.pos)
 
-    def _atom(self) -> RegexNode:
+    @staticmethod
+    def _count(token: _Token, open_token: _Token) -> int:
+        """A ``{m,n}`` count, refused past :data:`MAX_REPEAT_COUNT` at
+        the ``{`` (read by length first: a count of thousands of digits
+        is never turned into an ``int``)."""
+        digits = token.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_REPEAT_COUNT)) or (
+            int(digits) > MAX_REPEAT_COUNT
+        ):
+            raise RegexSyntaxError(
+                f"repetition count exceeds {MAX_REPEAT_COUNT}", open_token.pos
+            )
+        return int(digits)
+
+    def _atom(self) -> Tuple[RegexNode, int]:
         token = self._next()
         if token.kind in ("label", "quoted"):
-            return Label(token.text)
+            return Label(token.text), 0
         if token.kind == "epsilon":
-            return EpsilonAtom()
+            return EpsilonAtom(), 0
         if token.kind == ".":
-            return AnyAtom()
+            return AnyAtom(), 0
         if token.kind == "(":
             if self._depth == MAX_GROUP_DEPTH:
                 raise RegexSyntaxError(
                     f"groups nested deeper than {MAX_GROUP_DEPTH}", token.pos
                 )
             self._depth += 1
-            node = self._expr()
+            node, nesting = self._expr()
             self._expect(")")
             self._depth -= 1
-            return node
+            return node, nesting + 1
         raise RegexSyntaxError(f"unexpected {token.text!r}", token.pos)
 
 

@@ -217,7 +217,10 @@ class PreparedWalks:
     @property
     def annotation(self) -> Annotation:
         """The published annotation (preprocesses on first access)."""
-        return self.preprocess()._annotation
+        annotation = self._annotation
+        if annotation is None:
+            annotation = self.preprocess()._annotation
+        return annotation
 
     @property
     def trimmed(self) -> PackedCells:

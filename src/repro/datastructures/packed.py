@@ -127,7 +127,11 @@ class PackedCells:
         """Make every cell an enumeration toward ``target`` from its
         final states ``states`` reads available (a no-op once built)."""
         base = target * self.n_states
-        self._close([base + f for f in states])
+        spans = self.spans
+        for f in states:
+            if base + f not in spans:
+                self._close([base + f for f in states])
+                return
 
     def _share(self, raw: States) -> Tuple[States, States]:
         """``raw`` and its certificate, as the store's shared tuples —

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.exceptions import CostError, GraphError, is_int
-from repro.graph.database import Graph
+from repro.graph.database import Graph, vertex_key
 
 
 class GraphBuilder:
@@ -45,10 +45,11 @@ class GraphBuilder:
 
     def add_vertex(self, name: Hashable) -> int:
         """Register a vertex (idempotent) and return its id."""
-        vid = self._vertex_ids.get(name)
+        key = name if type(name) is not bool else vertex_key(name)
+        vid = self._vertex_ids.get(key)
         if vid is None:
             vid = len(self._vertex_names)
-            self._vertex_ids[name] = vid
+            self._vertex_ids[key] = vid
             self._vertex_names.append(name)
         return vid
 

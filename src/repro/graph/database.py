@@ -412,6 +412,31 @@ class FlatAccessors:
         }
 
 
+#: The tag of a ``bool`` vertex name's key (see :func:`vertex_key`).
+_BOOL = object()
+
+
+def vertex_key(name: Hashable) -> Hashable:
+    """The key ``name`` is stored under in a name → id map.
+
+    That is the name itself, except for a ``bool``: ``True == 1`` and
+    both hash alike, so a bool name is keyed apart — a vertex named
+    ``True`` and one named ``1`` are two vertices, as the segment's
+    name rule (:func:`repro.graph.segment.check_vertex_name`) already
+    keeps them.
+    """
+    return (_BOOL, name) if type(name) is bool else name
+
+
+def vertex_ids(names: Sequence[Hashable]) -> Dict[Hashable, int]:
+    """The name → id map of ``names`` (ids are positions), keyed by
+    :func:`vertex_key` — one type test per name."""
+    return {
+        ((_BOOL, name) if type(name) is bool else name): i
+        for i, name in enumerate(names)
+    }
+
+
 class Graph(FlatAccessors):
     """Immutable multi-labeled multi-edge directed graph.
 
@@ -448,9 +473,7 @@ class Graph(FlatAccessors):
         costs: Optional[Sequence[int]] = None,
     ) -> None:
         self._vertex_names: Tuple[Hashable, ...] = tuple(vertex_names)
-        self._vertex_ids: Dict[Hashable, int] = {
-            name: i for i, name in enumerate(self._vertex_names)
-        }
+        self._vertex_ids: Dict[Hashable, int] = vertex_ids(self._vertex_names)
         self._label_names: Tuple[str, ...] = tuple(label_names)
         self._label_ids: Dict[str, int] = {
             name: i for i, name in enumerate(self._label_names)
@@ -518,33 +541,34 @@ class Graph(FlatAccessors):
     def vertex_id(self, name: Hashable) -> int:
         """Translate a vertex name to its internal id."""
         try:
-            return self._vertex_ids[name]
+            return self._vertex_ids[vertex_key(name)]
         except KeyError:
             raise UnknownVertexError(name) from None
 
     def vertex_name(self, v: int) -> Hashable:
         """Translate an internal vertex id to its name."""
-        if not 0 <= v < self.vertex_count:
+        names = self._vertex_names
+        if not 0 <= v < len(names):
             raise UnknownVertexError(v)
-        return self._vertex_names[v]
+        return names[v]
 
     def has_vertex(self, name: Hashable) -> bool:
         """True when a vertex called ``name`` exists."""
-        return name in self._vertex_ids
+        return vertex_key(name) in self._vertex_ids
 
     def resolve_vertex(self, vertex: Hashable) -> int:
         """Accept either a vertex name or a valid internal id.
 
         Integer inputs are treated as ids only when no vertex is *named*
         by that integer, so graphs with integer vertex names behave
-        intuitively.  A ``bool`` is never an id, and names only a vertex
-        named by that very ``bool`` (``True == 1`` finds a vertex named
-        ``1`` otherwise).
+        intuitively.  A ``bool`` is never an id and names only a vertex
+        named by that very ``bool``; an ``int`` never names one (see
+        :func:`vertex_key`).
         """
-        v = self._vertex_ids.get(vertex)
-        if v is not None and (
-            type(vertex) is not bool or self._vertex_names[v] is vertex
-        ):
+        v = self._vertex_ids.get(
+            (_BOOL, vertex) if type(vertex) is bool else vertex
+        )
+        if v is not None:
             return v
         if is_int(vertex) and 0 <= vertex < self.vertex_count:
             return vertex

@@ -64,6 +64,7 @@ from repro.graph.database import (
     LabelIndex,
     build_adjacency,
     check_endpoints,
+    vertex_ids,
 )
 
 MAGIC = b"RPQSHM01"
@@ -284,7 +285,7 @@ def _decode(graph: Graph, buf, views: Dict[str, memoryview]):
     check_endpoints(src, tgt, len(names))
 
     graph._vertex_names = names
-    graph._vertex_ids = {v: i for i, v in enumerate(names)}
+    graph._vertex_ids = vertex_ids(names)
     graph._label_names = labels
     graph._label_ids = {a: i for i, a in enumerate(labels)}
     graph._src, graph._tgt = src, tgt

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.exceptions import GraphError
-from repro.graph.database import Graph
+from repro.graph.database import Graph, vertex_key
 
 
 def validate_graph(graph: Graph) -> None:
@@ -63,7 +63,7 @@ def validate_graph(graph: Graph) -> None:
                 )
 
     names = [graph.vertex_name(v) for v in graph.vertices()]
-    if len(set(names)) != len(names):
+    if len(set(map(vertex_key, names))) != len(names):
         problems.append("duplicate vertex names")
     if len(set(graph.alphabet)) != len(graph.alphabet):
         problems.append("duplicate label names")

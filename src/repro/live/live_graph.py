@@ -64,7 +64,12 @@ from repro.exceptions import (
     UnknownVertexError,
     is_int,
 )
-from repro.graph.database import FlatAccessors, Graph, LabelIndex
+from repro.graph.database import (
+    FlatAccessors,
+    Graph,
+    LabelIndex,
+    vertex_key,
+)
 from repro.live.delta import (
     AddEdge,
     AddVertex,
@@ -239,37 +244,45 @@ class LiveGraph(FlatAccessors):
 
     def vertex_id(self, name: Hashable) -> int:
         """Translate a vertex name to its internal id."""
-        vid = self._base._vertex_ids.get(name)
-        if vid is None:
-            vid = self._new_vertex_ids.get(name)
+        vid = self._vertex_lookup(vertex_key(name))
         if vid is None:
             raise UnknownVertexError(name)
         return vid
 
+    def _vertex_lookup(self, key: Hashable) -> Optional[int]:
+        """The id stored under a :func:`vertex_key`, or ``None``."""
+        vid = self._base._vertex_ids.get(key)
+        if vid is None:
+            vid = self._new_vertex_ids.get(key)
+        return vid
+
     def vertex_name(self, v: int) -> Hashable:
         """Translate an internal vertex id to its name."""
-        base_n = self._base.vertex_count
-        if 0 <= v < base_n:
-            return self._base.vertex_name(v)
-        if base_n <= v < self.vertex_count:
-            return self._new_vertex_names[v - base_n]
+        names = self._base._vertex_names
+        if 0 <= v < len(names):
+            return names[v]
+        new = self._new_vertex_names
+        if 0 <= v - len(names) < len(new):
+            return new[v - len(names)]
         raise UnknownVertexError(v)
 
     def has_vertex(self, name: Hashable) -> bool:
         """True when a vertex called ``name`` exists."""
-        return (
-            name in self._base._vertex_ids or name in self._new_vertex_ids
-        )
+        return self._vertex_lookup(vertex_key(name)) is not None
 
     def resolve_vertex(self, vertex: Hashable) -> int:
-        """Name-or-id resolution, same semantics as :class:`Graph`."""
-        if self.has_vertex(vertex):
-            v = self.vertex_id(vertex)
-            if type(vertex) is not bool or self.vertex_name(v) is vertex:
-                return v
-        if is_int(vertex) and 0 <= vertex < self.vertex_count:
-            return vertex
-        raise UnknownVertexError(vertex)
+        """Name-or-id resolution, same semantics as :class:`Graph`:
+        one probe of each name map, and the id fallback only when
+        neither holds ``vertex``."""
+        key = vertex if type(vertex) is not bool else vertex_key(vertex)
+        v = self._base._vertex_ids.get(key)
+        if v is None:
+            v = self._new_vertex_ids.get(key)
+            if v is None:
+                if is_int(vertex) and 0 <= vertex < self.vertex_count:
+                    return vertex
+                raise UnknownVertexError(vertex)
+        return v
 
     # -- labels ---------------------------------------------------------------
 
@@ -707,12 +720,11 @@ class LiveGraph(FlatAccessors):
             raise GraphError(f"unknown mutation op: {op!r}")
 
     def _intern_vertex(self, name: Hashable) -> int:
-        vid = self._base._vertex_ids.get(name)
-        if vid is None:
-            vid = self._new_vertex_ids.get(name)
+        key = vertex_key(name)
+        vid = self._vertex_lookup(key)
         if vid is None:
             vid = self.vertex_count
-            self._new_vertex_ids[name] = vid
+            self._new_vertex_ids[key] = vid
             self._new_vertex_names.append(name)
         return vid
 

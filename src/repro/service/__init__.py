@@ -44,7 +44,7 @@ may share one service.  That rests on three guards:
 
 1. the caches are lock-protected with *single-flight* misses — racing
    threads build a given plan/annotation exactly once
-   (:meth:`~repro.service.cache.LRUCache.get_or_create`);
+   (:meth:`~repro.service.cache.LRUCache.fetch`);
 2. the graph's lazy CSR views and successor tuples are built once,
    under the lock of its :class:`~repro.graph.database.LabelIndex`,
    so concurrent first use is safe — and registration pre-warms them

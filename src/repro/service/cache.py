@@ -26,7 +26,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, Hashable, Optional, TypeVar
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generic,
+    Hashable,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -73,7 +82,7 @@ class LRUCache(Generic[K, V]):
     """A bounded mapping with LRU eviction and single-flight misses.
 
     All public methods are thread-safe.  Factories passed to
-    :meth:`get_or_create` run *outside* the cache lock, so a slow build
+    :meth:`fetch` run *outside* the cache lock, so a slow build
     never blocks hits on other keys — only duplicate builds of the same
     key are serialized (and collapsed into one).
     """
@@ -118,13 +127,24 @@ class LRUCache(Generic[K, V]):
             self.stats.evictions += 1
 
     def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
-        """Return the cached value, building it via ``factory`` on miss.
+        """Return the cached value, building it via ``factory`` on miss
+        (see :meth:`fetch`)."""
+        return self.fetch(key, factory)[0]
+
+    def fetch(
+        self, key: K, factory: Callable[..., V], *args: Any
+    ) -> Tuple[V, bool]:
+        """``(value, hit)``: the cached value, or ``factory(*args)``
+        built and stored on a miss; ``hit`` is false exactly when this
+        call ran the factory.  ``args`` go to the factory, so a caller
+        builds no closure per lookup; a hit runs no factory code at all.
 
         Concurrent misses on the same key run ``factory`` exactly once
         (single-flight); a factory exception is propagated to every
         waiter and nothing is cached.  Only the building thread counts
         as a miss — followers are neither hits nor misses, they are the
-        same logical build.
+        same logical build (and their ``hit`` is true: they built
+        nothing).
 
         A disabled cache (capacity 0) does not single-flight either:
         every call is an independent miss that runs ``factory`` itself,
@@ -133,29 +153,32 @@ class LRUCache(Generic[K, V]):
         if self.capacity == 0:
             with self._lock:
                 self.stats.misses += 1
-            return factory()
+            return factory(*args), False
+        data = self._data
         while True:
             with self._lock:
-                if key in self._data:
-                    self._data.move_to_end(key)
-                    self.stats.hits += 1
-                    return self._data[key]
-                pending = self._pending.get(key)
-                if pending is None:
-                    pending = self._pending[key] = _Pending()
-                    leader = True
-                    self.stats.misses += 1
+                try:
+                    data.move_to_end(key)
+                except KeyError:
+                    pending = self._pending.get(key)
+                    if pending is None:
+                        pending = self._pending[key] = _Pending()
+                        leader = True
+                        self.stats.misses += 1
+                    else:
+                        leader = False
                 else:
-                    leader = False
+                    self.stats.hits += 1
+                    return data[key], True
             if not leader:
                 pending.event.wait()
                 if pending.error is not None:
                     raise pending.error
                 # A drop_where/clear may race the publication; loop to
                 # re-check rather than hand out a possibly-stale value.
-                return pending.value  # type: ignore[return-value]
+                return pending.value, True  # type: ignore[return-value]
             try:
-                value = factory()
+                value = factory(*args)
             except BaseException as exc:
                 with self._lock:
                     self._pending.pop(key, None)
@@ -168,7 +191,7 @@ class LRUCache(Generic[K, V]):
                 self._pending.pop(key, None)
             pending.value = value
             pending.event.set()
-            return value
+            return value, False
 
     def drop_where(self, predicate: Callable[[K], bool]) -> int:
         """Remove every entry whose key satisfies ``predicate``.

@@ -29,6 +29,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.api.query import Query
+from repro.api.rows import Cursor
 from repro.exceptions import InvalidDeltaError, ReproError
 from repro.graph.database import Graph
 from repro.obs import Observability
@@ -359,21 +361,25 @@ class QueryService:
         # directly-constructed requests still need the pass.
         if not request.validated:
             request.validate()
-        query = (
-            self._db.query(request.query)
-            .on(request.graph)
-            .construction(request.construction)
-            .from_(request.source)
-            .to(request.target)
-            .semantics(request.semantics)
-            .mode(request.mode)
-            .limit(request.limit)
-            .offset(request.offset)
-            .timeout_ms(request.timeout_ms)
-        )
-        if request.cursor is not None:
-            query = query.cursor(list(request.cursor))
-        result = query.run()
+        # The request checked every value the builder methods check, so
+        # the query is built in one step.  ``semantics`` is a walk
+        # restriction (RESTRICTIONS); the objective stays "shortest".
+        result = Query._of(
+            self._db,
+            request.query,
+            _graph_name=request.graph,
+            _construction=request.construction,
+            _source=request.source,
+            _target=request.target,
+            _restriction=request.semantics,
+            _mode=request.mode,
+            _limit=request.limit,
+            _offset=request.offset,
+            _cursor=(
+                None if request.cursor is None else Cursor(request.cursor)
+            ),
+            _timeout_ms=request.timeout_ms,
+        ).run()
         if result.lam is None:
             response = QueryResponse(
                 status="empty",

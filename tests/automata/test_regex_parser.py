@@ -13,7 +13,11 @@ from repro.automata.regex_ast import (
     Star,
     Union,
 )
-from repro.automata.regex_parser import MAX_GROUP_DEPTH, parse_rpq
+from repro.automata.regex_parser import (
+    MAX_GROUP_DEPTH,
+    MAX_REPEAT_COUNT,
+    parse_rpq,
+)
 from repro.exceptions import RegexSyntaxError
 
 
@@ -63,7 +67,10 @@ class TestOperators:
         assert parse_rpq("a?") == Optional(Label("a"))
 
     def test_postfix_stacking(self):
-        assert parse_rpq("a*?") == Optional(Star(Label("a")))
+        # An idempotent pair folds (a*? denotes a*); any other stacks.
+        assert parse_rpq("a*?") == Star(Label("a"))
+        assert parse_rpq("a*{2}") == Repeat(Star(Label("a")), 2, 2)
+        assert parse_rpq("a{2}?") == Optional(Repeat(Label("a"), 2, 2))
 
     def test_postfix_binds_tightest(self):
         assert parse_rpq("a b*") == Concat((Label("a"), Star(Label("b"))))
@@ -150,6 +157,93 @@ class TestNestingCap:
         assert parse_rpq(many) == Concat((Label("a"),) * (2 * MAX_GROUP_DEPTH))
 
 
+class TestPostfixChains:
+    """Stacked postfix operators fold while parsing where they are
+    idempotent, and a chain that cannot fold nests against the cap."""
+
+    FOLDS = {
+        "**": Star, "*?": Star, "?*": Star, "+*": Star, "*+": Star,
+        "+?": Star, "?+": Star, "++": Plus, "??": Optional,
+    }
+
+    @pytest.mark.parametrize("pair", sorted(FOLDS))
+    def test_an_idempotent_pair_folds(self, pair):
+        assert parse_rpq("a" + pair) == self.FOLDS[pair](Label("a"))
+        grouped = parse_rpq("(a | b)" + pair)
+        assert grouped == self.FOLDS[pair](Union((Label("a"), Label("b"))))
+
+    @pytest.mark.parametrize("op, node", [("*", Star), ("?", Optional), ("+", Plus)])
+    def test_a_long_chain_folds_to_one_node(self, op, node):
+        assert parse_rpq("a" + op * 3000) == node(Label("a"))
+
+    def test_a_mixed_chain_folds_to_star(self):
+        assert parse_rpq("a+?+?*+") == Star(Label("a"))
+        assert parse_rpq("a" + "+?" * 1500) == Star(Label("a"))
+
+    def test_a_group_ends_the_chain(self):
+        """Only operators of one chain fold: ``(a*)*`` is written as
+        two nodes and parses so."""
+        assert parse_rpq("(a*)*") == Star(Star(Label("a")))
+
+    def test_operators_that_do_not_fold_stack(self):
+        assert parse_rpq("a{2}*") == Star(Repeat(Label("a"), 2, 2))
+        assert parse_rpq("a*{2}?") == Optional(Repeat(Star(Label("a")), 2, 2))
+
+    def test_a_chain_up_to_the_cap_parses(self):
+        # The first operator wraps the atom; each later one stacks.
+        text = "a" + "{1}" * (MAX_GROUP_DEPTH + 1)
+        node = parse_rpq(text)
+        for _ in range(MAX_GROUP_DEPTH + 1):
+            assert isinstance(node, Repeat)
+            node = node.child
+        assert node == Label("a")
+
+    @pytest.mark.parametrize("extra", [2, 50, 3000])
+    def test_a_chain_past_the_cap_is_a_syntax_error(self, extra):
+        text = "a" + "{1}" * (MAX_GROUP_DEPTH + extra)
+        with pytest.raises(RegexSyntaxError, match="stacked") as info:
+            parse_rpq(text)
+        # At the first operator past the cap: after the atom and
+        # MAX_GROUP_DEPTH + 1 operators of three characters.
+        assert info.value.position == 1 + 3 * (MAX_GROUP_DEPTH + 1)
+
+    def test_open_groups_count_against_a_chain(self):
+        inner = "a" + "{1}" * 52
+        ok = "(" * 49 + inner + ")" * 49
+        assert parse_rpq(ok)
+        with pytest.raises(RegexSyntaxError, match="stacked"):
+            parse_rpq("(" + ok + ")")
+        # Groups wrapped in a chain count too.
+        with pytest.raises(RegexSyntaxError, match="stacked"):
+            parse_rpq("(" * 60 + "a" + ")" * 60 + "{1}" * 42)
+        assert parse_rpq("(" * 60 + "a" + ")" * 60 + "{1}" * 41)
+
+
+class TestRepeatCap:
+    def test_counts_up_to_the_cap_parse(self):
+        assert parse_rpq(f"a{{{MAX_REPEAT_COUNT}}}") == Repeat(
+            Label("a"), MAX_REPEAT_COUNT, MAX_REPEAT_COUNT
+        )
+        assert parse_rpq("a{0,1000}") == Repeat(Label("a"), 0, 1000)
+        assert parse_rpq("a{0001}") == Repeat(Label("a"), 1, 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a{1001}", "a{1,100000}", "b a{5,1001}", "a{1001,}",
+         "a{" + "9" * 5000 + "}"],
+    )
+    def test_a_larger_count_is_a_syntax_error_at_the_brace(self, text):
+        with pytest.raises(RegexSyntaxError, match="exceeds 1000") as info:
+            parse_rpq(text)
+        assert info.value.position == text.index("{")
+
+    def test_the_existing_large_counts_stay_legal(self):
+        assert parse_rpq("a{400}") == Repeat(Label("a"), 400, 400)
+        assert parse_rpq("(a|b){300}") == Repeat(
+            Union((Label("a"), Label("b"))), 300, 300
+        )
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "expression",
@@ -173,3 +267,46 @@ class TestRoundTrip:
     def test_str_reparses_to_same_ast(self, expression):
         ast = parse_rpq(expression)
         assert parse_rpq(str(ast)) == ast
+
+
+class TestFoldedChainsCompile:
+    """A folded chain denotes what the operators stacked by hand do:
+    the same answers, row for row, and no larger compiled query —
+    the same tables where the compile's same-past merge already made
+    the stacked form minimal."""
+
+    SAME_TABLES = {"**", "*?", "?*", "*+", "??"}
+
+    @staticmethod
+    def _tables(graph, text, method):
+        from repro.automata import regex_to_nfa
+        from repro.core.compile import compile_query
+
+        cq = compile_query(graph, regex_to_nfa(text, method=method))
+        return (
+            cq.n_states, tuple(cq.initial), cq.final, cq.delta, cq.eps,
+            cq.delta_inv, cq.moves,
+        )
+
+    @pytest.mark.parametrize("method", ["thompson", "glushkov"])
+    @pytest.mark.parametrize("pair", sorted(TestPostfixChains.FOLDS))
+    def test_folded_and_stacked_forms_agree(self, pair, method):
+        from repro.api import Database
+        from repro.graph.generators import chain
+
+        graph = chain(3, ("a", "b"), parallel=2)
+        folded, stacked = "(a|b)" + pair, "((a|b)" + pair[0] + ")" + pair[1]
+        assert parse_rpq(stacked) != parse_rpq(folded)
+        mine = self._tables(graph, folded, method)
+        theirs = self._tables(graph, stacked, method)
+        if pair in self.SAME_TABLES:
+            assert mine == theirs
+        else:
+            assert mine[0] < theirs[0]
+        db = Database(graph)
+
+        def rows(text):
+            query = db.query(text).construction(method).from_("v0").to_all()
+            return [(row.target, row.walk.edges) for row in query.run()]
+
+        assert rows(folded) == rows(stacked) and rows(folded)

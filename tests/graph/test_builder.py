@@ -131,3 +131,93 @@ class TestBuild:
         g = b.build()
         assert g.in_edges(g.vertex_id("z")) == (0, 1, 2)
         assert [g.tgt_idx(e) for e in (0, 1, 2)] == [0, 1, 2]
+
+
+class TestBoolNames:
+    """``True == 1`` and ``False == 0``, but a vertex named by a
+    ``bool`` and one named by the equal ``int`` are two vertices — in
+    the builder, the graph's name map, a live graph's added vertices,
+    and through a segment (snapshot) and the WAL's JSON frames."""
+
+    @staticmethod
+    def _names(graph):
+        return [(graph.vertex_name(v), type(graph.vertex_name(v)))
+                for v in graph.vertices()]
+
+    @staticmethod
+    def _edges(graph):
+        # repr keeps 1 and True apart (a tuple compares them equal).
+        name = graph.vertex_name
+        return [
+            (repr(name(graph.src(e))), repr(name(graph.tgt(e))))
+            for e in graph.edges()
+        ]
+
+    def _check(self, graph):
+        assert graph.vertex_count == 3
+        assert self._names(graph) == [("y", str), (1, int), (True, bool)]
+        assert self._edges(graph) == [("'y'", "1"), ("1", "True")]
+        assert [graph.resolve_vertex(v) for v in ("y", 1, True)] == [0, 1, 2]
+        assert graph.vertex_id(1) == 1 and graph.vertex_id(True) == 2
+        assert graph.has_vertex(True) and not graph.has_vertex(False)
+
+    @staticmethod
+    def _build():
+        b = GraphBuilder()
+        b.add_edge("y", 1, ["a"])
+        b.add_edge(1, True, ["a"])
+        return b
+
+    def test_the_builder_keeps_true_apart_from_one(self):
+        b = self._build()
+        assert b.vertex_count == 3 and b.add_vertex(True) == 2
+        graph = b.build()
+        self._check(graph)
+        validate_graph(graph)
+
+    def test_an_int_never_resolves_a_vertex_named_by_a_bool(self):
+        from repro.exceptions import UnknownVertexError
+        from repro.graph.database import Graph
+
+        graph = Graph([True, "x", "y"], ["a"], [0], [1], [(0,)])
+        # No vertex is named 1, so 1 is the id of "x", not the name True.
+        assert graph.resolve_vertex(1) == 1 and graph.resolve_vertex(True) == 0
+        with pytest.raises(UnknownVertexError):
+            graph.vertex_id(1)
+        with pytest.raises(UnknownVertexError):
+            graph.resolve_vertex(False)
+
+    def test_a_live_graph_adds_true_beside_one(self):
+        from repro.live.delta import AddEdge
+        from repro.live.live_graph import LiveGraph
+
+        b = GraphBuilder()
+        b.add_edge("y", 1, ["a"])
+        live = LiveGraph(b.build())
+        live.apply([AddEdge(1, True, ("a",))])
+        self._check(live)
+        assert live.resolve_vertex(True) == 2
+        self._check(live.to_graph())
+
+    def test_a_segment_round_trip_keeps_both(self, tmp_path):
+        from repro.wal.snapshot import load_snapshot, write_snapshot
+
+        path = write_snapshot(str(tmp_path), self._build().build(), 7)
+        self._check(load_snapshot(path, 7))
+
+    def test_a_wal_json_round_trip_keeps_both(self, tmp_path):
+        from repro.api import Database
+
+        b = GraphBuilder()
+        b.add_vertex("y")
+        db = Database.open(str(tmp_path), graph=b.build(), sync="always")
+        db.mutate([
+            {"op": "add_edge", "src": "y", "tgt": 1, "labels": ["a"]},
+            {"op": "add_edge", "src": 1, "tgt": True, "labels": ["a"]},
+        ])
+        db.close()
+        recovered = Database.recover(str(tmp_path)).live()
+        self._check(recovered)
+        (row,) = Database(recovered.to_graph()).query("a a").from_("y") \
+            .to(True).run().all()
+        assert row.target is True and row.lam == 2

@@ -115,6 +115,39 @@ class TestExecution:
         response = service.execute(QueryRequest(capped, "Alix", "Dan"))
         assert response.status == "ok" and response.lam == 1
 
+    @pytest.mark.parametrize("op", ["*", "?", "+*", "?+"])
+    def test_stacked_postfix_operators_fold(self, op):
+        """3 000 stacked operators are one node, not a RecursionError
+        answered as ``code="internal"``."""
+        from repro.graph.generators import chain
+
+        service = QueryService()
+        service.register_graph("chain", chain(3, ("a", "b")))
+        stacked = "a" + op * (3000 // len(op))
+        response = service.execute(QueryRequest(stacked, "v0", "v3", limit=1))
+        folded = "a?" if op == "?" else "a*"
+        expected = service.execute(QueryRequest(folded, "v0", "v3", limit=1))
+        assert response.status == expected.status
+        assert (response.code, response.lam) == (None, expected.lam)
+        assert response.walks == expected.walks
+
+    @pytest.mark.parametrize(
+        "query, error",
+        [
+            ("a{1,100000}", "exceeds 1000"),
+            ("a" + "{1}" * 3000, "stacked"),
+        ],
+        ids=["count", "chain"],
+    )
+    def test_hostile_repetition_is_an_input_error(self, query, error):
+        from repro.graph.generators import chain
+
+        service = QueryService()
+        service.register_graph("chain", chain(3, ("a", "b")))
+        response = service.execute(QueryRequest(query, "v0", "v3", limit=1))
+        assert response.status == "error" and response.code is None
+        assert error in response.error
+
     def test_request_id_echoed(self, service):
         response = service.execute(
             QueryRequest(QUERY, "Alix", "Bob", id="req-7")
