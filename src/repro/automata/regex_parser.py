@@ -57,6 +57,13 @@ MAX_GROUP_DEPTH = 100
 #: :class:`~repro.exceptions.RegexSyntaxError` at its ``{``.
 MAX_REPEAT_COUNT = 1000
 
+#: Most atoms a repeat may expand to: ``X{m,n}`` is ``n`` copies of
+#: ``X`` (``X{m,}`` is ``m + 1``), so nested repeats multiply —
+#: ``a{1000}{1000}`` would be a million copies.  A repeat whose count
+#: times its operand's expanded size passes the cap is a
+#: :class:`~repro.exceptions.RegexSyntaxError` at its ``{``.
+MAX_EXPANDED_SIZE = 5000
+
 #: The postfix operators a chain folds: ``X**``, ``X*?``, ``X?*``,
 #: ``X+*``, ``X*+``, ``X+?`` and ``X?+`` all denote ``X*``; ``X++`` is
 #: ``X+`` and ``X??`` is ``X?``.  So an operator on a node that the
@@ -167,12 +174,13 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------------
 
-    # Each rule returns ``(node, nesting)``: the groups and stacked
-    # postfix operators the node holds on its deepest path, which the
-    # cap adds to the groups still open around it.
+    # Each rule returns ``(node, nesting, size)``: the groups and
+    # stacked postfix operators the node holds on its deepest path,
+    # which the cap adds to the groups still open around it, and the
+    # atoms the node expands to once its repeats are copied out.
 
     def parse(self) -> RegexNode:
-        node, _ = self._expr()
+        node, _, _ = self._expr()
         leftover = self._peek()
         if leftover is not None:
             raise RegexSyntaxError(
@@ -180,31 +188,33 @@ class _Parser:
             )
         return node
 
-    def _expr(self) -> Tuple[RegexNode, int]:
-        node, nesting = self._term()
+    def _expr(self) -> Tuple[RegexNode, int, int]:
+        node, nesting, size = self._term()
         parts = [node]
         while (token := self._peek()) is not None and token.kind == "|":
             self._next()
-            node, inner = self._term()
+            node, inner, more = self._term()
             parts.append(node)
             nesting = max(nesting, inner)
-        return (parts[0] if len(parts) == 1 else Union(tuple(parts))), nesting
+            size += more
+        return (parts[0] if len(parts) == 1 else Union(tuple(parts))), nesting, size
 
     _ATOM_STARTERS = {"label", "quoted", "epsilon", ".", "("}
 
-    def _term(self) -> Tuple[RegexNode, int]:
-        node, nesting = self._factor()
+    def _term(self) -> Tuple[RegexNode, int, int]:
+        node, nesting, size = self._factor()
         parts = [node]
         while (token := self._peek()) is not None and (
             token.kind in self._ATOM_STARTERS
         ):
-            node, inner = self._factor()
+            node, inner, more = self._factor()
             parts.append(node)
             nesting = max(nesting, inner)
-        return (parts[0] if len(parts) == 1 else Concat(tuple(parts))), nesting
+            size += more
+        return (parts[0] if len(parts) == 1 else Concat(tuple(parts))), nesting, size
 
-    def _factor(self) -> Tuple[RegexNode, int]:
-        node, nesting = self._atom()
+    def _factor(self) -> Tuple[RegexNode, int, int]:
+        node, nesting, size = self._atom()
         chained = False  # Whether ``node`` is the chain's own result.
         while (token := self._peek()) is not None:
             op = _POSTFIX.get(token.kind)
@@ -224,14 +234,14 @@ class _Parser:
                         f"deeper than {MAX_GROUP_DEPTH}", token.pos,
                     )
             if op is None:
-                node = self._repeat(node)
+                node, size = self._repeat(node, size)
             else:
                 self._next()
                 node = op(node)
             chained = True
-        return node, nesting
+        return node, nesting, size
 
-    def _repeat(self, node: RegexNode) -> RegexNode:
+    def _repeat(self, node: RegexNode, size: int) -> Tuple[RegexNode, int]:
         open_token = self._expect("{")
         lo = self._count(self._expect("int"), open_token)
         hi: Opt[int] = lo
@@ -252,9 +262,15 @@ class _Parser:
                 f"expected ',' or '}}', found {token.text!r}", token.pos
             )
         try:
-            return Repeat(node, lo, hi)
+            node = Repeat(node, lo, hi)
         except RegexSyntaxError as exc:
             raise RegexSyntaxError(str(exc).split(" (at")[0], open_token.pos)
+        size *= lo + 1 if hi is None else hi
+        if size > MAX_EXPANDED_SIZE:
+            raise RegexSyntaxError(
+                f"repetition expands past {MAX_EXPANDED_SIZE} atoms", open_token.pos
+            )
+        return node, size
 
     @staticmethod
     def _count(token: _Token, open_token: _Token) -> int:
@@ -270,24 +286,24 @@ class _Parser:
             )
         return int(digits)
 
-    def _atom(self) -> Tuple[RegexNode, int]:
+    def _atom(self) -> Tuple[RegexNode, int, int]:
         token = self._next()
         if token.kind in ("label", "quoted"):
-            return Label(token.text), 0
+            return Label(token.text), 0, 1
         if token.kind == "epsilon":
-            return EpsilonAtom(), 0
+            return EpsilonAtom(), 0, 1
         if token.kind == ".":
-            return AnyAtom(), 0
+            return AnyAtom(), 0, 1
         if token.kind == "(":
             if self._depth == MAX_GROUP_DEPTH:
                 raise RegexSyntaxError(
                     f"groups nested deeper than {MAX_GROUP_DEPTH}", token.pos
                 )
             self._depth += 1
-            node, nesting = self._expr()
+            node, nesting, size = self._expr()
             self._expect(")")
             self._depth -= 1
-            return node, nesting + 1
+            return node, nesting + 1, size
         raise RegexSyntaxError(f"unexpected {token.text!r}", token.pos)
 
 

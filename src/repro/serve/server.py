@@ -14,21 +14,25 @@ One :class:`ServeServer` owns
 
 Dispatch
 --------
-Dispatch is one callback path on the event loop — no reader thread,
-no task per request.  The connection handler parses a query line and
-sends it down its worker's pipe in the same call; the worker pipe is
-read by a ``loop.add_reader`` callback that resolves the response
-future the connection's in-order writer awaits.  The owner's end of
-each pipe is non-blocking both ways — a frame that does not fit waits
+Dispatch is callbacks on the event loop — no thread per worker, and
+no task per request or connection.  Each connection is one
+``asyncio.Protocol`` (:class:`_Connection`): ``data_received`` splits
+its lines and sends a query down its worker's pipe in the same call,
+and the line's future takes its place in the connection's order.  A
+``loop.add_reader`` callback reads each worker pipe, and every answer
+path (the worker's reply, the hard watchdog, a failed crash retry)
+ends in :meth:`_Call.resolve`, which sets the future and writes every
+finished head of that connection's order in the same callback.  The owner's
+pipe ends are non-blocking both ways — a frame that does not fit waits
 in a buffer a ``loop.add_writer`` callback flushes — so the loop never
-waits on a worker.  A line that is JSON but not an object is answered
-in place, like a line that is not JSON.  Each worker has at
-most ``max_inflight`` requests in its pipe; further requests wait in
-that worker's FIFO, and the reader callback sends the next one as
-each response frees a slot — a slow worker holds its own queue
-instead of flooding its pipe.  Workers answer with rendered JSON
-bytes, which the writer puts on the socket as they are.  Two routing
-policies pick the worker:
+waits on a worker.  A line that is not JSON, not an object, or longer
+than :data:`MAX_LINE` is answered in place.  Each worker has at most
+``max_inflight`` requests in its pipe; further requests wait in that
+worker's FIFO, and the reader callback sends the next one as each
+response frees a slot.  Workers answer with rendered JSON bytes, which
+go to the socket as they are.  A connection whose write buffer passes
+its high-water mark is not read until it drains, so a client that does
+not read stops feeding lines.  Two routing policies pick the worker:
 
 ``round_robin``
     next worker with a free slot (scan from a rotating start);
@@ -72,18 +76,20 @@ requests still waiting in the dead worker's FIFO are rerouted as
 they are.  A worker that stops responding past the request's
 ``timeout_ms`` plus a grace window (a ``loop.call_later`` watchdog)
 is killed and the request answered ``code="worker_timeout"``.
-``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting, let
-in-flight connections finish (bounded), stop workers, unlink the
-segment.
+``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting and
+reading, answer every line read (bounded), close the connections,
+stop workers, unlink the segment.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import multiprocessing as mp
 import os
 import pickle
+import shutil
 import struct
 import zlib
 from collections import deque
@@ -118,16 +124,26 @@ class _Call:
 
     ``payload`` is ``None`` for a stats snapshot, which takes no
     in-flight slot and is never retried.  ``attempts`` counts sends,
-    so a crash resubmits a query only once.
+    so a crash resubmits a query only once.  ``conn`` is the
+    connection whose order holds the future, or ``None`` for
+    :meth:`ServeServer.dispatch_query` and stats snapshots.
     """
 
-    __slots__ = ("payload", "future", "attempts", "timer")
+    __slots__ = ("payload", "future", "attempts", "timer", "conn")
 
-    def __init__(self, payload, future: asyncio.Future) -> None:
+    def __init__(self, payload, future: asyncio.Future, conn=None) -> None:
         self.payload = payload
         self.future = future
         self.attempts = 0
         self.timer: Optional[asyncio.TimerHandle] = None
+        self.conn = conn
+
+    def resolve(self, response: Response) -> None:
+        """Answer the call, then write the connection's finished heads."""
+        if not self.future.done():
+            self.future.set_result(response)
+            if self.conn is not None:
+                self.conn.flush()
 
 
 #: ``multiprocessing.Connection`` framing: a signed 4-byte big-endian
@@ -324,7 +340,9 @@ class ServeServer:
         self._started = False
         self._mutation_lock: Optional[asyncio.Lock] = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        #: Open connections (TCP and stdio), each until its write side
+        #: is gone.
+        self._conns: Set[_Connection] = set()
         self._stats = {
             "requests": 0,
             "mutations": 0,
@@ -411,9 +429,8 @@ class ServeServer:
                 worker.inflight -= 1
                 if call.timer is not None:
                     call.timer.cancel()
-            if not call.future.done():
-                call.future.set_result(msg[2])
-            self._fill_slots(worker)
+                self._fill_slots(worker)
+            call.resolve(msg[2])
         elif kind == "ready":
             worker.pid = msg[1]
             worker.ready.set()
@@ -458,19 +475,21 @@ class ServeServer:
         self._draining = True
         if self._tcp_server is not None:
             self._tcp_server.close()
-            await self._tcp_server.wait_closed()
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
             self._metrics_server = None
-        if self._conn_tasks:
-            done, pending = await asyncio.wait(
-                self._conn_tasks, timeout=drain_timeout_s
+        conns = list(self._conns)
+        for conn in conns:
+            conn.stop()
+        if conns:
+            await asyncio.wait(
+                [conn.closed for conn in conns], timeout=drain_timeout_s
             )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            for conn in conns:
+                conn.abort()
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
         if self._pool and self.obs.enabled:
             try:
                 self.final_stats = await self.collect_stats(timeout_s=2.0)
@@ -512,15 +531,22 @@ class ServeServer:
         return pool[start]
 
     def _submit(
-        self, payload, barrier: Optional[asyncio.Future] = None
+        self,
+        payload,
+        barrier: Optional[asyncio.Future] = None,
+        conn: Optional["_Connection"] = None,
     ) -> asyncio.Future:
         """Route one query payload; the future resolves to its response.
 
+        A connection's query takes its place in ``conn``'s order before
+        it is routed, so an answer made on the spot is written in turn.
         With a pending ``barrier`` the query joins a worker's FIFO from
         the barrier's done-callback instead of now.
         """
         self._stats["requests"] += 1
-        call = _Call(payload, self._loop.create_future())
+        call = _Call(payload, self._loop.create_future(), conn)
+        if conn is not None:
+            conn.order.append(call.future)
         if barrier is None or barrier.done():
             self._route(call)
         else:
@@ -590,21 +616,20 @@ class ServeServer:
         self._stats["hard_timeouts"] += 1
         if not worker.stopped:
             worker.process.kill()  # pipe EOF → respawn
-        if not call.future.done():
-            call.future.set_result(
-                _error_payload(
-                    f"worker unresponsive past timeout_ms + "
-                    f"{self.timeout_grace_s:.0f}s grace; worker killed",
-                    code="worker_timeout",
-                    rid=call.payload.get("id"),
-                )
+        call.resolve(
+            _error_payload(
+                f"worker unresponsive past timeout_ms + "
+                f"{self.timeout_grace_s:.0f}s grace; worker killed",
+                code="worker_timeout",
+                rid=call.payload.get("id"),
             )
+        )
 
     def _fail_crashed(self, call: _Call) -> None:
         if call.future.done():
             return
         self._stats["worker_errors"] += 1
-        call.future.set_result(
+        call.resolve(
             _error_payload(
                 "worker crashed while serving the request (retried once)",
                 code="worker_crashed",
@@ -694,70 +719,6 @@ class ServeServer:
 
     # -- connection handling ------------------------------------------------
 
-    async def handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """One JSONL client: concurrent execution, in-order responses."""
-        loop = self._loop
-        order: asyncio.Queue = asyncio.Queue()
-        writer_task = asyncio.create_task(self._write_in_order(order, writer))
-        # Every response future since the last mutation, and that
-        # mutation (which itself waited for everything before it).
-        prior: List[asyncio.Future] = []
-        barrier: Optional[asyncio.Future] = None
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                ):  # pragma: no cover - line past MAX_LINE
-                    fut = _resolved(
-                        loop, _error_payload("request line too long")
-                    )
-                    prior.append(fut)
-                    order.put_nowait(fut)
-                    continue
-                if not line:
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    payload = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    fut = _resolved(loop, _error_payload(f"bad JSON: {exc}"))
-                else:
-                    if not isinstance(payload, dict):
-                        fut = _resolved(loop, _NOT_AN_OBJECT)
-                    elif "mutate" in payload:
-                        fut = barrier = asyncio.create_task(
-                            self._mutation_after(prior, payload)
-                        )
-                        prior = []
-                    elif "stats" in payload:
-                        # Admin request: aggregate now, no barrier —
-                        # a stats read must not wait on (or block) the
-                        # query traffic around it.
-                        fut = asyncio.create_task(
-                            self._stats_request(payload)
-                        )
-                    else:
-                        fut = self._submit(payload, barrier)
-                prior.append(fut)
-                order.put_nowait(fut)
-        finally:
-            order.put_nowait(None)
-            await writer_task
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
     async def _mutation_after(
         self, prior: List[asyncio.Future], payload
     ) -> Dict[str, Any]:
@@ -765,76 +726,44 @@ class ServeServer:
             await asyncio.wait(prior)
         return await self.apply_mutation(payload)
 
-    async def _write_in_order(
-        self, order: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            fut = await order.get()
-            if fut is None:
-                return
-            try:
-                response = await fut
-            except Exception as exc:  # noqa: BLE001 — belt and braces.
-                response = _error_payload(
-                    f"internal error: {type(exc).__name__}: {exc}",
-                    code="internal",
-                )
-            if not isinstance(response, bytes):
-                response = json.dumps(response).encode()
-            try:
-                writer.write(response + b"\n")
-                await writer.drain()
-            except (ConnectionError, OSError):
-                return  # client went away; keep draining the queue
-
     # -- listeners ----------------------------------------------------------
 
     async def start_tcp(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> int:
         """Start the TCP listener; returns the bound port."""
-        self._tcp_server = await asyncio.start_server(
-            self._client_connected, host, port, limit=MAX_LINE
+        self._tcp_server = await self._loop.create_server(
+            lambda: _Connection(self), host, port
         )
         return self._tcp_server.sockets[0].getsockname()[1]
-
-    async def _client_connected(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            await self.handle_connection(reader, writer)
-        finally:
-            self._conn_tasks.discard(task)
 
     async def run_stdio(self) -> None:
         """Serve one connection over stdin/stdout (tests, pipelines).
 
         ``connect_read_pipe``/``connect_write_pipe`` only accept pipes,
         sockets and character devices; when either end is redirected to
-        a regular file (``repro serve --stdio < in.jsonl > out.jsonl``)
-        the corresponding side falls back to thread-pool blocking I/O.
+        a regular file (``repro serve --stdio < in.jsonl > out.jsonl``),
+        stdout is written through :class:`_FileSink` and stdin is copied
+        into a pipe by a thread.
         """
         import sys
+        import threading
 
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(limit=MAX_LINE)
+        loop = self._loop
+        conn = _Connection(self)
         try:
-            await loop.connect_read_pipe(
-                lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-            )
+            await loop.connect_write_pipe(lambda: conn, sys.stdout)
         except ValueError:
-            pump = asyncio.create_task(
-                _pump_file(reader, sys.stdin.buffer, loop)
-            )
-            pump.add_done_callback(lambda _t: None)
+            conn.connection_made(_FileSink(sys.stdout.buffer, conn, loop))
         try:
-            transport, protocol = await loop.connect_write_pipe(
-                lambda: _WritePipeProtocol(loop), sys.stdout
-            )
-            writer = asyncio.StreamWriter(transport, protocol, reader, loop)
+            await loop.connect_read_pipe(lambda: conn, sys.stdin)
         except ValueError:
-            writer = _BlockingWriter(sys.stdout.buffer, loop)
-        await self.handle_connection(reader, writer)
+            read_end, write_end = os.pipe()
+            threading.Thread(
+                target=_copy_into, args=(sys.stdin.buffer, write_end), daemon=True
+            ).start()
+            await loop.connect_read_pipe(lambda: conn, open(read_end, "rb", buffering=0))
+        await asyncio.shield(conn.closed)
 
     # -- introspection ------------------------------------------------------
 
@@ -998,80 +927,183 @@ class ServeServer:
                 pass
 
 
-def _resolved(loop, response: Response) -> asyncio.Future:
-    fut = loop.create_future()
-    fut.set_result(response)
-    return fut
+class _Connection(asyncio.Protocol):
+    """One JSONL client: concurrent execution, in-order responses.
 
-
-async def _pump_file(
-    reader: asyncio.StreamReader, fileobj, loop
-) -> None:
-    """Feed a regular-file stdin into ``reader`` from the thread pool."""
-    while True:
-        chunk = await loop.run_in_executor(None, fileobj.read, 1 << 16)
-        if not chunk:
-            reader.feed_eof()
-            return
-        reader.feed_data(chunk)
-
-
-class _WritePipeProtocol(asyncio.streams.FlowControlMixin):
-    """Write-side protocol for a stdout pipe: the mixin's flow control
-    plus the close waiter ``StreamWriter.wait_closed`` asks its
-    protocol for (the bare mixin raises ``NotImplementedError`` there),
-    resolved when the transport reports the connection lost."""
-
-    def __init__(self, loop) -> None:
-        super().__init__(loop=loop)
-        self._closed = loop.create_future()
-
-    def connection_lost(self, exc) -> None:
-        if not self._closed.done():
-            if exc is None:
-                self._closed.set_result(None)
-            else:
-                self._closed.set_exception(exc)
-        super().connection_lost(exc)
-
-    def _get_close_waiter(self, stream):
-        return self._closed
-
-
-class _BlockingWriter:
-    """``StreamWriter`` stand-in for a regular-file stdout.
-
-    Implements the subset ``handle_connection`` uses — ``write`` /
-    ``drain`` / ``close`` / ``wait_closed`` — with the actual writes
-    pushed to the thread pool so the event loop never blocks on disk.
-    The underlying file (the process's stdout) is flushed, not closed.
+    Every answered line takes a slot in :attr:`order`, a deque of
+    futures in request order; whatever finishes a slot (a call's
+    :meth:`~_Call.resolve`, a mutation or stats task's done-callback)
+    calls :meth:`flush`.  TCP gives one transport for both sides,
+    ``--stdio`` a read and a write transport.
     """
 
-    def __init__(self, fileobj, loop) -> None:
-        self._file = fileobj
-        self._loop = loop
-        self._buffer = bytearray()
+    def __init__(self, server: ServeServer) -> None:
+        self._server = server
+        self._reader: Any = None
+        self._writer: Any = None
+        self._attached = 0  # transports not yet lost
+        self._partial = b""  # the unfinished last line
+        self._skipping = False  # inside a line past MAX_LINE
+        self._eof = False  # no more lines: close once answered
+        self._barrier: Optional[asyncio.Future] = None
+        self.order: Deque[asyncio.Future] = deque()
+        self.closed = server._loop.create_future()
+
+    def connection_made(self, transport) -> None:
+        self._attached += 1
+        if isinstance(transport, asyncio.ReadTransport):
+            self._reader = transport
+        if isinstance(transport, asyncio.WriteTransport):
+            self._writer = transport
+            self._server._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._partial:
+            data = self._partial + data
+        start = 0
+        end = data.find(b"\n")
+        while end >= 0:
+            if self._skipping:
+                self._skipping = False
+            elif end - start > MAX_LINE:
+                self._answer(_error_payload("request line too long"))
+            else:
+                self._line(data[start:end])
+            start = end + 1
+            end = data.find(b"\n", start)
+        self._partial = b""
+        if len(data) - start > MAX_LINE and not self._skipping:
+            self._answer(_error_payload("request line too long"))
+            self._skipping = True
+        elif not self._skipping:
+            self._partial = data[start:]
+
+    def _line(self, raw: bytes) -> None:
+        text = raw.decode("utf-8", errors="replace").strip()
+        if not text or text.startswith("#"):
+            return
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # nested too deep
+            self._answer(_error_payload(f"bad JSON: {exc}"))
+            return
+        server = self._server
+        if not isinstance(payload, dict):
+            self._answer(_NOT_AN_OBJECT)
+        elif "mutate" in payload:
+            # A barrier: every line before it is answered first.
+            self._barrier = self._task(
+                server._mutation_after(list(self.order), payload)
+            )
+        elif "stats" in payload:
+            # Admin request: aggregate now, no barrier — a stats read
+            # must not wait on (or block) the query traffic around it.
+            self._task(server._stats_request(payload))
+        else:
+            server._submit(payload, self._barrier, self)
+
+    def _answer(self, response: Response) -> None:
+        future = self._server._loop.create_future()
+        future.set_result(response)
+        self.order.append(future)
+        self.flush()
+
+    def _task(self, coro) -> asyncio.Future:
+        task = self._server._loop.create_task(coro)
+        self.order.append(task)
+        task.add_done_callback(self.flush)
+        return task
+
+    def flush(self, _done=None) -> None:
+        """Write every finished head of the order, in one write."""
+        order = self.order
+        out = []
+        while order and order[0].done():
+            try:
+                response = order.popleft().result()
+            except (Exception, asyncio.CancelledError) as exc:  # noqa: BLE001
+                # Belt and braces: a task cancelled at loop teardown.
+                response = _error_payload(
+                    f"internal error: {type(exc).__name__}: {exc}", code="internal"
+                )
+            out.append(
+                response if isinstance(response, bytes) else json.dumps(response).encode()
+            )
+        writer = self._writer
+        if out and not writer.is_closing():
+            out.append(b"")
+            writer.write(b"\n".join(out))
+        if self._eof and not order:
+            writer.close()
+
+    def eof_received(self) -> bool:
+        if self._partial:  # a last line without its newline
+            self._line(self._partial)
+            self._partial = b""
+        self._eof = True
+        self.flush()
+        return True  # keep the socket open for the answers
+
+    def pause_writing(self) -> None:
+        self._reader.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self._eof:
+            self._reader.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self._attached -= 1
+        if not self._attached:
+            self._server._conns.discard(self)
+            if not self.closed.done():
+                self.closed.set_result(None)
+        elif not self._eof:  # one --stdio side is gone: end the other
+            self.stop()
+
+    def stop(self) -> None:
+        """Read no further; close once every line read is answered."""
+        reader = self._reader
+        if reader is self._writer:
+            reader.pause_reading()
+        elif reader is not None:
+            reader.close()
+        self._partial = b""
+        self._eof = True
+        self.flush()
+
+    def abort(self) -> None:
+        if not self.closed.done():
+            self._writer.abort()
+
+
+class _FileSink(asyncio.WriteTransport):
+    """The write side for a regular-file stdout: each write goes to the
+    file's page cache and is flushed; closing never closes stdout."""
+
+    def __init__(self, fileobj, protocol, loop) -> None:
+        super().__init__()
+        self._file, self._protocol, self._loop = fileobj, protocol, loop
+        self._closing = False
 
     def write(self, data: bytes) -> None:
-        self._buffer += data
-
-    async def drain(self) -> None:
-        if self._buffer:
-            data = bytes(self._buffer)
-            del self._buffer[:]
-            await self._loop.run_in_executor(None, self._flush, data)
-
-    def _flush(self, data: bytes) -> None:
         self._file.write(data)
         self._file.flush()
 
-    def close(self) -> None:
-        if self._buffer:
-            self._flush(bytes(self._buffer))
-            del self._buffer[:]
+    def is_closing(self) -> bool:
+        return self._closing
 
-    async def wait_closed(self) -> None:
-        return None
+    def close(self) -> None:
+        if not self._closing:
+            self._closing = True
+            self._loop.call_soon(self._protocol.connection_lost, None)
+
+    abort = close
+
+
+def _copy_into(source, fd: int) -> None:
+    """Copy a regular-file stdin into the pipe ``fd`` (run in a thread)."""
+    with open(fd, "wb", buffering=0) as sink, contextlib.suppress(OSError):
+        shutil.copyfileobj(source, sink)
 
 
 async def serve(

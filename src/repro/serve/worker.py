@@ -144,6 +144,7 @@ def worker_main(
 
     from repro.serve import shm
     from repro.service import QueryService
+    from repro.service.requests import encode_json
 
     def fresh_service(name: str):
         graph = shm.attach(name)
@@ -188,8 +189,7 @@ def worker_main(
         if kind == "req":
             rid, payload = msg[1], msg[2]
             try:
-                response = execute_payload(service, payload)
-                rendered = json.dumps(response).encode()
+                rendered = encode_json(execute_payload(service, payload)).encode()
             except Exception as exc:  # noqa: BLE001 — last-ditch guard.
                 rendered = json.dumps(
                     _error_payload(

@@ -54,6 +54,11 @@ from typing import (
 from repro.api.query import CONSTRUCTIONS, MODES, RESTRICTIONS, is_budget
 from repro.exceptions import ReproError, is_int
 
+#: ``json.dumps`` with its defaults, less the circular-reference check:
+#: the same bytes, and a response is acyclic by construction.  The
+#: serving worker renders its answers with it too.
+encode_json = json.JSONEncoder(check_circular=False).encode
+
 
 class RequestError(ReproError):
     """A request is malformed (unknown field, bad type, bad value)."""
@@ -297,7 +302,7 @@ class MutationResponse:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
+        return encode_json(self.to_dict())
 
 
 @dataclass
@@ -351,7 +356,7 @@ class QueryResponse:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
+        return encode_json(self.to_dict())
 
 
 def iter_jsonl(lines: Iterable[str]) -> Iterator[Tuple[int, Any]]:

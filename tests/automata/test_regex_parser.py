@@ -14,6 +14,7 @@ from repro.automata.regex_ast import (
     Union,
 )
 from repro.automata.regex_parser import (
+    MAX_EXPANDED_SIZE,
     MAX_GROUP_DEPTH,
     MAX_REPEAT_COUNT,
     parse_rpq,
@@ -242,6 +243,44 @@ class TestRepeatCap:
         assert parse_rpq("(a|b){300}") == Repeat(
             Union((Label("a"), Label("b"))), 300, 300
         )
+
+
+class TestExpandedSizeCap:
+    """Nested repeats multiply: the cap is on the atoms a repeat
+    expands to, not on each count alone."""
+
+    @pytest.mark.parametrize(
+        "text, brace",
+        [("a{200}{200}", 6), ("a{1000}{1000}", 7), ("(a{100}){51}", 8),
+         ("(a b c d e f){900}", 13), ("(a{50} b{50}){51}", 13),
+         ("(a{5,}){1000}", 7)],
+    )
+    def test_a_repeat_past_the_cap_is_a_syntax_error_at_its_brace(
+        self, text, brace
+    ):
+        with pytest.raises(
+            RegexSyntaxError, match=f"expands past {MAX_EXPANDED_SIZE}"
+        ) as info:
+            parse_rpq(text)
+        assert info.value.position == brace
+
+    def test_repeats_up_to_the_cap_parse(self):
+        assert parse_rpq("a{100}{50}") == Repeat(
+            Repeat(Label("a"), 100, 100), 50, 50
+        )
+        # ``X{m,}`` expands to m copies and a star: m + 1.
+        assert parse_rpq("(a{4,}){1000}") == Repeat(
+            Repeat(Label("a"), 4, None), 1000, 1000
+        )
+        # Side by side, repeats add instead of multiplying.
+        assert parse_rpq(" ".join(["a{1000}"] * 8))
+
+    def test_every_catalog_query_stays_legal(self):
+        from repro.workloads.queries import QUERY_CATALOG
+        from repro.workloads.transport import TRANSPORT_QUERIES
+
+        for text in [*QUERY_CATALOG.values(), *TRANSPORT_QUERIES.values()]:
+            assert parse_rpq(text)
 
 
 class TestRoundTrip:

@@ -787,3 +787,296 @@ def test_sigterm_leaves_no_process_in_the_session(tmp_path) -> None:
             pass
         if proc.poll() is None:  # pragma: no cover - failure path
             proc.wait(timeout=10)
+
+
+# -- the connection protocol: line limit, half-close, flow control ----------
+
+_PROBE = {"query": "h", "source": "Alix", "target": "Dan"}
+
+
+def _padded(size: int, **fields) -> bytes:
+    """A ``size``-byte request line (no newline): a query padded with
+    spaces, so any tail cut off it is a blank line."""
+    head = json.dumps(dict(_PROBE, **fields)).encode()
+    return head + b" " * (size - len(head))
+
+
+@pytest.mark.parametrize(
+    "extra, chunked",
+    [(0, False), (1, False), (1 << 16, False), (1 << 16, True)],
+    ids=["at-the-limit", "one-past-whole", "past-whole", "past-chunked"],
+)
+def test_a_line_past_max_line_is_answered_once_then_the_next(extra, chunked):
+    """A line longer than ``MAX_LINE`` gets one ``request line too
+    long`` answer in its place and the next line is served, whether it
+    arrives whole or in 64 KiB chunks; a line of exactly ``MAX_LINE``
+    bytes is served."""
+    from repro.serve.server import MAX_LINE
+
+    long_line = _padded(MAX_LINE + extra, id=0)
+    after = json.dumps(dict(_PROBE, id=1)).encode() + b"\n"
+
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                if chunked:
+                    for at in range(0, len(long_line), 1 << 16):
+                        writer.write(long_line[at:at + (1 << 16)])
+                        await writer.drain()
+                    writer.write(b"\n" + after)
+                else:
+                    writer.write(long_line + b"\n" + after)
+                await writer.drain()
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), 30)
+            finally:
+                writer.close()
+            return [json.loads(line) for line in raw.splitlines()], server.stats()
+        finally:
+            await server.shutdown()
+
+    (first, second), stats = asyncio.run(scenario())
+    if extra:
+        assert first == {"status": "error", "lam": None, "walks": [],
+                         "next_cursor": None,
+                         "error": "request line too long"}
+        assert stats["requests"] == 1
+    else:
+        assert first["status"] == "ok" and first["id"] == 0
+        assert stats["requests"] == 2
+    assert second["status"] == "ok" and second["id"] == 1
+
+
+def test_json_nested_past_the_recursion_limit_is_bad_json() -> None:
+    """A line of JSON nested deeper than the decoder recurses is
+    answered as bad JSON in its place; the connection keeps serving."""
+
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(b"[" * 100_000 + b"\n")
+                writer.write(json.dumps(dict(_PROBE, id=1)).encode() + b"\n")
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), 30)
+            finally:
+                writer.close()
+            return [json.loads(line) for line in raw.splitlines()]
+        finally:
+            await server.shutdown()
+
+    refused, served = asyncio.run(scenario())
+    assert refused["status"] == "error"
+    assert refused["error"].startswith("bad JSON: maximum recursion depth")
+    assert served["status"] == "ok" and served["id"] == 1
+
+
+def test_half_close_after_a_pipelined_burst_gets_every_answer_then_eof():
+    """``SHUT_WR`` right behind a pipelined burst: every line is still
+    answered, in order, and then the server closes its side."""
+
+    async def scenario():
+        server = await _booted(workers=2, max_inflight=4)
+        try:
+            port = await server.start_tcp()
+            lines, lams = _burst(32)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(
+                    b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+                )
+                await writer.drain()
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), 60)  # to EOF
+            finally:
+                writer.close()
+            responses = [json.loads(line) for line in raw.splitlines()]
+            assert [r["id"] for r in responses] == list(range(32))
+            for i, response in enumerate(responses):
+                assert response["status"] == "ok"
+                assert response["lam"] == lams[i % len(lams)]
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_an_answered_line_keeps_nothing_alive() -> None:
+    """Once a line is answered its future and bytes are free, however
+    long the connection stays open: no list of every future since the
+    last mutation grows with the requests served."""
+    import gc
+
+    def answered():
+        gc.collect()
+        return sum(
+            1 for o in gc.get_objects()
+            if isinstance(o, asyncio.Future) and o.done()
+            and not o.cancelled() and isinstance(o.result(), bytes)
+        )
+
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                lines, _lams = _burst(300)
+                writer.write(
+                    b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+                )
+                await writer.drain()
+                for _ in lines:
+                    assert await asyncio.wait_for(reader.readline(), 30)
+                return answered()
+            finally:
+                writer.close()
+        finally:
+            await server.shutdown()
+
+    assert asyncio.run(scenario()) == 0
+
+
+def test_an_open_connection_adds_no_task() -> None:
+    """A connection is a protocol driven by callbacks: serving one
+    starts no handler task and no writer task."""
+
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            before = asyncio.all_tasks()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(json.dumps(_PROBE).encode() + b"\n")
+                await writer.drain()
+                answer = json.loads(await asyncio.wait_for(reader.readline(), 30))
+                assert answer["status"] == "ok"
+                assert asyncio.all_tasks() - before == set()
+            finally:
+                writer.close()
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
+class _CountingLoop(asyncio.SelectorEventLoop):
+    """An event loop that counts the callbacks scheduled by ``call_soon``."""
+
+    soon = 0
+
+    def call_soon(self, callback, *args, **kwargs):
+        self.soon += 1
+        return super().call_soon(callback, *args, **kwargs)
+
+
+def test_a_pipelined_burst_is_answered_without_call_soon() -> None:
+    """32 pipelined lines on one worker: each answer is written by the
+    callback that reads it off the worker's pipe, so the whole burst —
+    lines read, routed, sent, answered and written — schedules not one
+    ``call_soon`` on the server's loop.  The client is a blocking socket
+    in a thread, so the count is the server's alone."""
+    import socket
+    import threading
+
+    loop = _CountingLoop()
+    lines, lams = _burst(32)
+    seen = {}
+
+    def client(port, done):
+        try:
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(json.dumps(_PROBE).encode() + b"\n")
+                stream.flush()
+                stream.readline()  # warm: the connection is open
+                start = loop.soon
+                stream.write(
+                    b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+                )
+                stream.flush()
+                seen["responses"] = [json.loads(stream.readline()) for _ in lines]
+                seen["soon"] = loop.soon - start
+        finally:
+            loop.call_soon_threadsafe(done.set_result, None)
+
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            done = loop.create_future()
+            thread = threading.Thread(target=client, args=(port, done))
+            thread.start()
+            await asyncio.wait_for(done, 60)
+            thread.join()
+        finally:
+            await server.shutdown()
+
+    try:
+        loop.run_until_complete(scenario())
+    finally:
+        loop.close()
+    responses = seen["responses"]
+    assert [r["id"] for r in responses] == list(range(32))
+    assert [r["lam"] for r in responses] == [lams[i % 4] for i in range(32)]
+    assert seen["soon"] == 0
+
+
+def test_a_client_that_does_not_read_stops_being_read() -> None:
+    """With a one-byte write high-water mark, small socket buffers and a
+    client that sends a long pipeline without reading, the server stops
+    reading the connection before it has read every line; once the
+    client reads, it resumes, and every line is answered in order."""
+    import socket
+
+    n = 2000
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        server = await _booted(workers=1)
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        try:
+            port = await server.start_tcp()
+            await loop.sock_connect(sock, ("127.0.0.1", port))
+            await loop.sock_sendall(sock, json.dumps(_PROBE).encode() + b"\n")
+            assert json.loads(await loop.sock_recv(sock, 4096))["status"] == "ok"
+            (conn,) = server._conns
+            transport = conn._writer
+            transport.set_write_buffer_limits(high=1)
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, option, 4096
+                )
+            burst = b"".join(
+                json.dumps(
+                    {"query": "h* s (h | s)*", "source": "Alix",
+                     "target": "Bob", "id": i}
+                ).encode() + b"\n"
+                for i in range(n)
+            )
+            sending = asyncio.ensure_future(loop.sock_sendall(sock, burst))
+            for _ in range(3000):
+                if not transport.is_reading():
+                    break
+                await asyncio.sleep(0.01)
+            assert not transport.is_reading()
+            assert server.stats()["requests"] <= n // 2
+            raw = b""
+            while raw.count(b"\n") < n:
+                raw += await asyncio.wait_for(loop.sock_recv(sock, 1 << 16), 60)
+            await asyncio.wait_for(sending, 60)
+            assert transport.is_reading()
+            return [json.loads(line)["id"] for line in raw.splitlines()]
+        finally:
+            sock.close()
+            await server.shutdown()
+
+    assert asyncio.run(scenario()) == list(range(2000))

@@ -136,8 +136,9 @@ class TestExecution:
         [
             ("a{1,100000}", "exceeds 1000"),
             ("a" + "{1}" * 3000, "stacked"),
+            ("a{200}{200}", "expands past 5000"),
         ],
-        ids=["count", "chain"],
+        ids=["count", "chain", "nested"],
     )
     def test_hostile_repetition_is_an_input_error(self, query, error):
         from repro.graph.generators import chain
