@@ -123,7 +123,7 @@ class MutationResult:
     #: True when this call promoted a plain ``Graph`` to a
     #: :class:`~repro.live.live_graph.LiveGraph` (full cache purge).
     promoted: bool = False
-    #: True when the overlay was compacted (full cache purge).
+    #: True when the live graph was compacted (full cache purge).
     compacted: bool = False
     #: Cache entries evicted by fine-grained label intersection.
     evicted_plans: int = 0
@@ -355,7 +355,7 @@ class Database:
                 raise WalError(
                     "bootstrap a durable entry from an immutable Graph "
                     "(LiveGraph.to_graph()), not a LiveGraph — the "
-                    "overlay's edge-id history is not reconstructible "
+                    "live graph's edge-id history is not reconstructible "
                     "from a snapshot"
                 )
             base = graph if graph is not None else Graph((), (), (), (), ())
@@ -565,7 +565,7 @@ class Database:
         invariant of :mod:`repro.live` is what makes the retained
         entries remain valid).
 
-        ``compact`` — ``"auto"`` (default) compacts the overlay when
+        ``compact`` — ``"auto"`` (default) compacts the live graph when
         its :attr:`~repro.live.live_graph.LiveGraph.delta_ratio`
         crosses the graph's threshold, ``True`` forces it, ``False``
         suppresses it.  Compaction renumbers edge ids, so it also

@@ -57,11 +57,13 @@ MAX_GROUP_DEPTH = 100
 #: :class:`~repro.exceptions.RegexSyntaxError` at its ``{``.
 MAX_REPEAT_COUNT = 1000
 
-#: Most atoms a repeat may expand to: ``X{m,n}`` is ``n`` copies of
-#: ``X`` (``X{m,}`` is ``m + 1``), so nested repeats multiply —
-#: ``a{1000}{1000}`` would be a million copies.  A repeat whose count
-#: times its operand's expanded size passes the cap is a
-#: :class:`~repro.exceptions.RegexSyntaxError` at its ``{``.
+#: Most atoms a repeat or a ``+`` may expand to: ``X{m,n}`` is ``n``
+#: copies of ``X`` (``X{m,}`` is ``m + 1``), so nested repeats
+#: multiply — ``a{1000}{1000}`` would be a million copies — and ``X+``
+#: is ``X X*``, two, so nested ``+`` groups double.  A repeat whose
+#: count times its operand's expanded size passes the cap is a
+#: :class:`~repro.exceptions.RegexSyntaxError` at its ``{``, a ``+``
+#: whose doubled operand does at the ``+``.
 MAX_EXPANDED_SIZE = 5000
 
 #: The postfix operators a chain folds: ``X**``, ``X*?``, ``X?*``,
@@ -216,6 +218,7 @@ class _Parser:
     def _factor(self) -> Tuple[RegexNode, int, int]:
         node, nesting, size = self._atom()
         chained = False  # Whether ``node`` is the chain's own result.
+        operand = size  # The expanded size of ``node.child`` once chained.
         while (token := self._peek()) is not None:
             op = _POSTFIX.get(token.kind)
             if op is None and token.kind != "{":
@@ -225,6 +228,7 @@ class _Parser:
                 # X** is X*: the operator replaces the one before it.
                 self._next()
                 node = fold(node.child)
+                size = self._postfix_size(fold, operand, token)
                 continue
             if chained:
                 nesting += 1
@@ -233,13 +237,29 @@ class _Parser:
                         "postfix operators stacked and groups nested "
                         f"deeper than {MAX_GROUP_DEPTH}", token.pos,
                     )
+            operand = size
             if op is None:
                 node, size = self._repeat(node, size)
             else:
                 self._next()
                 node = op(node)
+                size = self._postfix_size(op, size, token)
             chained = True
         return node, nesting, size
+
+    @staticmethod
+    def _postfix_size(op, size: int, token: _Token) -> int:
+        """The expanded size of ``op`` over an operand of ``size``:
+        ``X+`` is ``X X*``, two copies, so nested ``+`` groups double;
+        past :data:`MAX_EXPANDED_SIZE` it is a
+        :class:`~repro.exceptions.RegexSyntaxError` at the ``+``."""
+        if op is not Plus:
+            return size
+        if 2 * size > MAX_EXPANDED_SIZE:
+            raise RegexSyntaxError(
+                f"'+' expands past {MAX_EXPANDED_SIZE} atoms", token.pos
+            )
+        return 2 * size
 
     def _repeat(self, node: RegexNode, size: int) -> Tuple[RegexNode, int]:
         open_token = self._expect("{")

@@ -33,7 +33,7 @@ A batch line with a ``"mutate"`` key is a write barrier applied to the
 
 ``mutate`` applies a JSONL file of mutation ops (one op object per
 line, see :mod:`repro.live.delta`) to the graph as a single batch
-over a :class:`~repro.live.LiveGraph` overlay, prints the batch
+on a :class:`~repro.live.LiveGraph`, prints the batch
 receipt as JSON, and with ``--save`` writes the compacted result back
 to a graph JSON file.
 
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save",
         default=None,
         metavar="OUT.json",
-        help="compact the overlay and write the resulting graph JSON",
+        help="compact the mutated graph and write it as graph JSON",
     )
     mutate.add_argument(
         "--wal-dir",

@@ -187,8 +187,8 @@ class Walk:
 
         Contains the edge ids (stable within the graph), the vertex
         names, per-edge label sets, the length, and the total cost.
-        Every graph class renders it from its flat arrays (a live
-        overlay from its current epoch's views).
+        Every graph class renders it from its columns
+        (:meth:`~repro.graph.database.FlatAccessors.render_walk`).
         """
         return self._graph.render_walk(self._start, self._edges)
 

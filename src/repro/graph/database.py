@@ -23,10 +23,11 @@ Paper               Here
 ``|D|``             :meth:`Graph.size`
 ==================  =======================================
 
-The adjacency reads (``In``, ``Out``, the degrees, the label buckets
-below) and the walk render live once, in :class:`FlatAccessors`, over
-the flat arrays every graph class exposes; :class:`Graph`, the
-shared-memory :class:`~repro.serve.shm.SharedGraph` and the mutable
+Every read in that table, the name and label lookups, the label
+buckets below and the walk render live once, in
+:class:`FlatAccessors`, over the columns every graph class holds under
+the same names; :class:`Graph`, the shared-memory
+:class:`~repro.serve.shm.SharedGraph` and the mutable
 :class:`~repro.live.LiveGraph` all inherit them.  The builders of
 those arrays (:func:`build_adjacency`, and :func:`build_csr` and
 :func:`build_successors` behind :class:`LabelIndex`) and the endpoint
@@ -284,18 +285,161 @@ class LabelIndex:
 
 
 class FlatAccessors:
-    """The point accessors and the walk render, written once over the
-    flat-array contract.
+    """The point accessors and the walk render, written once over one
+    column contract.
 
-    A subclass supplies ``vertex_count``, ``label_count``, the flat
-    views (``out_array``, ``in_array``, ``tgt_array``),
-    ``_label_index()``, the :class:`LabelIndex` of its current edge set,
-    and ``_walk_columns()``, the columns a walk render reads in one
-    call.  Every read below is a range check plus an index into those
-    views.
+    A subclass holds its current state in whole columns under these
+    names: ``_vertex_names``/``_vertex_ids`` and
+    ``_label_names``/``_label_ids`` (the interning tables), the
+    edge-id-indexed ``_src``, ``_tgt``, ``_tgt_idx`` and ``_labels``,
+    and ``_costs`` (``None`` for unit costs).  A :class:`Graph`'s never
+    change, over ``array('q')`` buffers or ``'q'`` casts over a
+    segment; a :class:`~repro.live.LiveGraph`'s are written by its
+    ``apply``.  It also supplies the adjacency views (``out_array``,
+    ``in_array``, ``tgt_array``) and ``_label_index()``, the
+    :class:`LabelIndex` of its current edge set.  Every read below is a
+    range check plus an index into those columns or views.
     """
 
     __slots__ = ()
+
+    # -- counts and interning ---------------------------------------------
+
+    @property
+    def vertex_count(self) -> int:
+        """|V|."""
+        return len(self._vertex_names)
+
+    @property
+    def edge_count(self) -> int:
+        """Size of the edge-*id* space: |E|, and a
+        :class:`~repro.live.LiveGraph`'s removed edges too."""
+        return len(self._src)
+
+    @property
+    def label_count(self) -> int:
+        """|Σ| — the labels interned so far (never shrinks)."""
+        return len(self._label_names)
+
+    def vertices(self) -> range:
+        """All vertex ids."""
+        return range(self.vertex_count)
+
+    def edges(self) -> range:
+        """All edge ids (a :class:`~repro.live.LiveGraph`'s removed
+        ones included)."""
+        return range(self.edge_count)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.vertices())
+
+    def vertex_id(self, name: Hashable) -> int:
+        """Translate a vertex name to its internal id."""
+        try:
+            return self._vertex_ids[vertex_key(name)]
+        except KeyError:
+            raise UnknownVertexError(name) from None
+
+    def vertex_name(self, v: int) -> Hashable:
+        """Translate an internal vertex id to its name."""
+        names = self._vertex_names
+        if not 0 <= v < len(names):
+            raise UnknownVertexError(v)
+        return names[v]
+
+    def has_vertex(self, name: Hashable) -> bool:
+        """True when a vertex called ``name`` exists."""
+        return vertex_key(name) in self._vertex_ids
+
+    def resolve_vertex(self, vertex: Hashable) -> int:
+        """Accept either a vertex name or a valid internal id.
+
+        Integer inputs are treated as ids only when no vertex is *named*
+        by that integer, so graphs with integer vertex names behave
+        intuitively.  A ``bool`` is never an id and names only a vertex
+        named by that very ``bool``; an ``int`` never names one (see
+        :func:`vertex_key`).
+        """
+        v = self._vertex_ids.get(
+            (_BOOL, vertex) if type(vertex) is bool else vertex
+        )
+        if v is not None:
+            return v
+        if is_int(vertex) and 0 <= vertex < self.vertex_count:
+            return vertex
+        raise UnknownVertexError(vertex)
+
+    def label_id(self, name: str) -> int:
+        """Translate a label name to its internal id."""
+        try:
+            return self._label_ids[name]
+        except KeyError:
+            raise UnknownLabelError(name) from None
+
+    def label_name(self, a: int) -> str:
+        """Translate an internal label id to its name."""
+        if not 0 <= a < self.label_count:
+            raise UnknownLabelError(a)
+        return self._label_names[a]
+
+    def has_label(self, name: str) -> bool:
+        """True when ``name`` is in the label universe."""
+        return name in self._label_ids
+
+    @property
+    def alphabet(self) -> Tuple[str, ...]:
+        """All label names, indexed by label id."""
+        return tuple(self._label_names)
+
+    # -- per-edge reads (Src, Tgt, Lbl, TgtIdx) ----------------------------
+
+    def _check_edge(self, e: int) -> None:
+        if not 0 <= e < self.edge_count:
+            raise UnknownEdgeError(e)
+
+    def src(self, e: int) -> int:
+        """``Src(e)`` — source vertex id."""
+        self._check_edge(e)
+        return self._src[e]
+
+    def tgt(self, e: int) -> int:
+        """``Tgt(e)`` — target vertex id."""
+        self._check_edge(e)
+        return self._tgt[e]
+
+    def labels(self, e: int) -> Tuple[int, ...]:
+        """``Lbl(e)`` as a tuple of label ids (sorted, duplicate-free)."""
+        self._check_edge(e)
+        return self._labels[e]
+
+    def label_names_of(self, e: int) -> Tuple[str, ...]:
+        """``Lbl(e)`` as a tuple of label names."""
+        return tuple(self._label_names[a] for a in self.labels(e))
+
+    def tgt_idx(self, e: int) -> int:
+        """``TgtIdx(e)`` — position of ``e`` inside ``In(Tgt(e))``."""
+        self._check_edge(e)
+        return self._tgt_idx[e]
+
+    def cost(self, e: int) -> int:
+        """Cost of edge ``e`` (1 when the graph carries no costs)."""
+        self._check_edge(e)
+        return 1 if self._costs is None else self._costs[e]
+
+    @property
+    def has_costs(self) -> bool:
+        """True when some edge was given an explicit cost."""
+        return self._costs is not None
+
+    def edge_str(self, e: int) -> str:
+        """Human-readable rendering of one edge."""
+        lbls = ",".join(self.label_names_of(e))
+        return (
+            f"e{e}:{self.vertex_name(self.src(e))}"
+            f"-[{lbls}]->{self.vertex_name(self.tgt(e))}"
+        )
+
+    # -- adjacency (In, Out and the label buckets) --------------------------
 
     @property
     def out_csr(self) -> CsrIndex:
@@ -398,7 +542,8 @@ class FlatAccessors:
         """:meth:`~repro.core.walks.Walk.to_dict` straight off the flat
         arrays — no per-edge range check, since every ``Walk`` holds
         edges that were validated (or chosen) when it was built."""
-        names, tgt, labels, label_names, costs = self._walk_columns()
+        names, tgt, labels = self._vertex_names, self._tgt, self._labels
+        label_names, costs = self._label_names, self._costs
         vertices = [str(names[start])]
         vertices.extend([str(names[tgt[e]]) for e in edges])
         return {
@@ -511,144 +656,9 @@ class Graph(FlatAccessors):
         # against this (immutable) graph may read first, concurrently.
         self._lazy_lock = threading.Lock()
 
-    # -- global counts ----------------------------------------------------
-
-    @property
-    def vertex_count(self) -> int:
-        """|V|."""
-        return len(self._vertex_names)
-
-    @property
-    def edge_count(self) -> int:
-        """|E|."""
-        return len(self._src)
-
-    @property
-    def label_count(self) -> int:
-        """|Σ| — number of distinct labels used by the database."""
-        return len(self._label_names)
-
     def size(self) -> int:
         """The paper's ``|D| = |V| + |E| + Σ_e |Lbl(e)|``."""
         return self.vertex_count + self.edge_count + self.total_label_occurrences
-
-    # -- vertices -----------------------------------------------------------
-
-    def vertices(self) -> range:
-        """All vertex ids."""
-        return range(self.vertex_count)
-
-    def vertex_id(self, name: Hashable) -> int:
-        """Translate a vertex name to its internal id."""
-        try:
-            return self._vertex_ids[vertex_key(name)]
-        except KeyError:
-            raise UnknownVertexError(name) from None
-
-    def vertex_name(self, v: int) -> Hashable:
-        """Translate an internal vertex id to its name."""
-        names = self._vertex_names
-        if not 0 <= v < len(names):
-            raise UnknownVertexError(v)
-        return names[v]
-
-    def has_vertex(self, name: Hashable) -> bool:
-        """True when a vertex called ``name`` exists."""
-        return vertex_key(name) in self._vertex_ids
-
-    def resolve_vertex(self, vertex: Hashable) -> int:
-        """Accept either a vertex name or a valid internal id.
-
-        Integer inputs are treated as ids only when no vertex is *named*
-        by that integer, so graphs with integer vertex names behave
-        intuitively.  A ``bool`` is never an id and names only a vertex
-        named by that very ``bool``; an ``int`` never names one (see
-        :func:`vertex_key`).
-        """
-        v = self._vertex_ids.get(
-            (_BOOL, vertex) if type(vertex) is bool else vertex
-        )
-        if v is not None:
-            return v
-        if is_int(vertex) and 0 <= vertex < self.vertex_count:
-            return vertex
-        raise UnknownVertexError(vertex)
-
-    # -- labels ---------------------------------------------------------------
-
-    def label_id(self, name: str) -> int:
-        """Translate a label name to its internal id."""
-        try:
-            return self._label_ids[name]
-        except KeyError:
-            raise UnknownLabelError(name) from None
-
-    def label_name(self, a: int) -> str:
-        """Translate an internal label id to its name."""
-        if not 0 <= a < self.label_count:
-            raise UnknownLabelError(a)
-        return self._label_names[a]
-
-    def has_label(self, name: str) -> bool:
-        """True when some edge of the graph can carry ``name``."""
-        return name in self._label_ids
-
-    @property
-    def alphabet(self) -> Tuple[str, ...]:
-        """All label names, indexed by label id."""
-        return self._label_names
-
-    def _walk_columns(self) -> tuple:
-        """Vertex names, targets, label ids, label names and costs
-        (``None`` for unit costs): what :meth:`render_walk` reads."""
-        return (
-            self._vertex_names, self._tgt, self._labels, self._label_names,
-            self._costs,
-        )
-
-    # -- edges -----------------------------------------------------------------
-
-    def edges(self) -> range:
-        """All edge ids."""
-        return range(self.edge_count)
-
-    def _check_edge(self, e: int) -> None:
-        if not 0 <= e < self.edge_count:
-            raise UnknownEdgeError(e)
-
-    def src(self, e: int) -> int:
-        """``Src(e)`` — source vertex id."""
-        self._check_edge(e)
-        return self._src[e]
-
-    def tgt(self, e: int) -> int:
-        """``Tgt(e)`` — target vertex id."""
-        self._check_edge(e)
-        return self._tgt[e]
-
-    def labels(self, e: int) -> Tuple[int, ...]:
-        """``Lbl(e)`` as a tuple of label ids (sorted, duplicate-free)."""
-        self._check_edge(e)
-        return self._labels[e]
-
-    def label_names_of(self, e: int) -> Tuple[str, ...]:
-        """``Lbl(e)`` as a tuple of label names."""
-        return tuple(self._label_names[a] for a in self.labels(e))
-
-    def tgt_idx(self, e: int) -> int:
-        """``TgtIdx(e)`` — position of ``e`` inside ``In(Tgt(e))``."""
-        self._check_edge(e)
-        return self._tgt_idx[e]
-
-    def cost(self, e: int) -> int:
-        """Cost of edge ``e`` (1 when the graph carries no costs)."""
-        self._check_edge(e)
-        return 1 if self._costs is None else self._costs[e]
-
-    @property
-    def has_costs(self) -> bool:
-        """True when explicit edge costs were provided at build time."""
-        return self._costs is not None
 
     # -- label-indexed CSR adjacency -------------------------------------------
 
@@ -766,14 +776,6 @@ class Graph(FlatAccessors):
 
     # -- convenience ----------------------------------------------------------------
 
-    def edge_str(self, e: int) -> str:
-        """Human-readable rendering of one edge."""
-        lbls = ",".join(self.label_names_of(e))
-        return (
-            f"e{e}:{self.vertex_name(self.src(e))}"
-            f"-[{lbls}]->{self.vertex_name(self.tgt(e))}"
-        )
-
     def stats(self) -> Dict[str, int]:
         """Summary counters, handy for logging and benchmarks."""
         return {
@@ -784,9 +786,6 @@ class Graph(FlatAccessors):
             "size": self.size(),
             "max_in_degree": self.max_in_degree(),
         }
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices())
 
     def __repr__(self) -> str:
         return (

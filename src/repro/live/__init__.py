@@ -10,22 +10,24 @@ workload dimension without giving up the cached read path.
 Architecture
 ------------
 
-**Delta-overlay CSR** (:class:`~repro.live.live_graph.LiveGraph`).  A
-mutable overlay over an immutable CSR base: ``add_edge`` /
-``remove_edge`` / ``add_vertex`` / ``set_edge_labels`` are logged
-:mod:`~repro.live.delta` ops applied in atomic batches.  Adjacency
-reads have one path: the flat-array views (``out_array``,
-``tgt_idx_array`` …), built over the live edge set lazily, once per
+**Whole columns** (:class:`~repro.live.live_graph.LiveGraph`).  A
+mutable graph held as whole columns under the names an immutable
+:class:`~repro.graph.database.Graph` uses, loaded from one:
+``add_edge`` / ``remove_edge`` / ``add_vertex`` / ``set_edge_labels``
+are logged :mod:`~repro.live.delta` ops applied in atomic batches,
+which append to the columns or write a relabelled edge's slot.  The
+point reads (``src``, ``labels``, ``tgt_idx``, ``vertex_id`` …) are
+:class:`~repro.graph.database.FlatAccessors`' over those columns,
+written once and shared with ``Graph`` and the shared-memory graph.
+Adjacency reads have one path: the flat-array views (``out_array``,
+``tgt_idx_array`` …), copied from the columns lazily, once per
 mutation *epoch*, and the epoch's label index, which builds
 ``out_csr``, ``in_csr`` and ``succ`` each on its first read in the
-epoch, as an immutable graph's does.  The point accessors
-(``out_edges``, ``out_by_label`` …) and the walk render are :class:`~repro.graph.database.FlatAccessors`' over those
-views, shared with :class:`~repro.graph.database.Graph` and the
-shared-memory graph, so ``annotate``, ``cheapest_annotate``, the
-enumerators and the counting DP run on a ``LiveGraph`` unmodified (a
-shared contract test in ``tests/graph/test_accessor_contract.py``,
-with seeded random mutation histories among its graphs, keeps it that
-way).
+epoch, as an immutable graph's does.  So ``annotate``,
+``cheapest_annotate``, the enumerators and the counting DP run on a
+``LiveGraph`` unmodified (a shared contract test in
+``tests/graph/test_accessor_contract.py``, with seeded random mutation
+histories among its graphs, keeps it that way).
 
 **The no-reindexing invariant.**  Between compactions, vertex ids,
 label ids and edge ids are append-only and the ``TgtIdx`` of an
@@ -53,11 +55,12 @@ batch's ``touched_labels`` (plans: only ``new_labels`` — compilation
 drops transitions on labels absent from the alphabet it saw, and
 wildcards expand over that alphabet).
 
-**Epoch-based compaction.**  When the overlay's
-:attr:`~repro.live.live_graph.LiveGraph.delta_ratio` (overlay edges +
-tombstones + label overrides, relative to the base) crosses a
-threshold, :meth:`~repro.live.live_graph.LiveGraph.compact`
-counting-sort-merges the live edge set into a fresh immutable base.
+**Epoch-based compaction.**  When
+:attr:`~repro.live.live_graph.LiveGraph.delta_ratio` (edges added,
+tombstones and relabelled loaded edges, relative to the edges loaded)
+crosses a threshold, :meth:`~repro.live.live_graph.LiveGraph.compact`
+drops the tombstones into a fresh immutable graph and reloads the
+columns from it.
 Edge ids renumber as tombstone slots close up, so compaction is the
 one mutation that pairs with a full version bump (all cached
 artifacts and outstanding cursors of the graph drop); vertex and

@@ -1,4 +1,4 @@
-""":class:`LiveGraph` — a mutable delta overlay over an immutable CSR base.
+""":class:`LiveGraph` — a mutable graph held as whole columns.
 
 See :mod:`repro.live` for the architecture overview.  The class
 implements the full :class:`~repro.graph.database.Graph` accessor
@@ -8,19 +8,27 @@ flat-array views the product-BFS hot loops consume), so ``annotate``,
 ``cheapest_annotate``, the enumerators and the counting DP all run on
 a ``LiveGraph`` unmodified.
 
-There is one read path: the **epoch-lazy flat views** (``out_array``,
-``src_array``, ``tgt_idx_array`` …), built over the live edge set on
-first use after a mutation batch and cached for the rest of the epoch,
-and the epoch's :class:`~repro.graph.database.LabelIndex` over them,
-which builds ``out_csr``, ``in_csr`` and ``succ`` each on its own first
-read, as a :class:`Graph`'s does.  One read after a batch pays the
-O(|V| + |E|) view build, a CSR read O(|D|) more; every other read in
-the epoch indexes plain arrays at immutable-graph speed.  The
-adjacency point reads (``out_edges``, ``in_edges``, ``out_by_label``
-…) and the walk render are :class:`~repro.graph.database.FlatAccessors`'
-over those views.  The per-edge reads (``src``, ``tgt``, ``labels``,
-``tgt_idx``, ``cost``) answer from the overlay directly, without a
-view, because :meth:`apply` itself reads them.
+The current state is whole columns under the names a :class:`Graph`
+uses (``_src``, ``_tgt``, ``_tgt_idx``, ``_labels``, ``_costs`` and
+the interning tables), loaded from a :class:`Graph` at construction
+and after :meth:`compact`.  :meth:`apply` appends to them, and a
+relabel writes the edge's slot.  The per-edge and name reads (``src``,
+``labels``, ``tgt_idx``, ``vertex_id`` …) are
+:class:`~repro.graph.database.FlatAccessors`' over those columns,
+shared with :class:`Graph`; :meth:`apply` reads them too.
+
+The hot loops read something else: the **epoch-lazy flat views**
+(``out_array``, ``src_array``, ``tgt_idx_array`` …), copied from the
+columns on first use after a mutation batch and kept for the rest of
+the epoch, and the epoch's :class:`~repro.graph.database.LabelIndex`
+over them, which builds ``out_csr``, ``in_csr`` and ``succ`` each on
+its own first read, as a :class:`Graph`'s does.  A view is a copy, so
+a relabel written in place never reaches a view that an annotation or
+a stream still holds.  One read after a batch pays the O(|V| + |E|)
+copy, a CSR read O(|D|) more; every other read in the epoch indexes
+plain arrays at immutable-graph speed.  The adjacency point reads
+(``out_edges``, ``in_edges``, ``out_by_label`` …) are over those
+views.
 
 The **no-reindexing invariant** (load-bearing — see :mod:`repro.live`):
 between compactions, vertex ids, label ids and edge ids are
@@ -31,11 +39,12 @@ Cached annotations therefore remain *positionally* valid across
 batches, and fine-grained invalidation only has to reason about label
 footprints, never about renumbering.
 
-:meth:`compact` merges the overlay into a fresh immutable
-:class:`Graph` — edge ids are renumbered (tombstone slots close up),
-so compaction is the one operation after which every cached artifact
-and cursor of this graph must be dropped
-(:meth:`repro.api.Database.mutate` handles that with a version bump).
+:meth:`compact` drops the tombstones into a fresh immutable
+:class:`Graph` and reloads the columns from it — edge ids are
+renumbered (tombstone slots close up), so compaction is the one
+operation after which every cached artifact and cursor of this graph
+must be dropped (:meth:`repro.api.Database.mutate` handles that with a
+version bump).
 """
 
 from __future__ import annotations
@@ -60,8 +69,6 @@ from repro.exceptions import (
     CostError,
     GraphError,
     UnknownEdgeError,
-    UnknownLabelError,
-    UnknownVertexError,
     is_int,
 )
 from repro.graph.database import (
@@ -83,13 +90,21 @@ from repro.live.delta import (
 Subscriber = Callable[[MutationBatch], None]
 
 
-def _joined(column: Sequence[int], tail: Sequence[int]) -> array:
-    """A base column — an ``array('q')``, or a ``'q'`` cast over a
-    segment — followed by ``tail``, as one new ``array('q')``."""
-    joined = array("q")
-    joined.frombytes(memoryview(column).cast("B"))
-    joined.extend(tail)
-    return joined
+def _column(column: Sequence[int]) -> array:
+    """A writable ``array('q')`` copy of a ``'q'`` column — an
+    ``array('q')``, or a cast over a segment — in one buffer copy."""
+    copy = array("q")
+    copy.frombytes(memoryview(column).cast("B"))
+    return copy
+
+
+def _writable(adjacency: List[Sequence[int]], v: int) -> List[int]:
+    """``adjacency[v]`` as a list this graph may append to: a loaded
+    tuple is turned into one on its first write."""
+    edges = adjacency[v]
+    if type(edges) is not list:
+        edges = adjacency[v] = list(edges)
+    return edges
 
 
 class _View:
@@ -105,12 +120,12 @@ class _View:
         "in_array",
         "tgt_idx_array",
         "index",
-        "vertex_names",
     )
 
 
 class LiveGraph(FlatAccessors):
-    """A mutable multi-labeled multi-edge graph: immutable base + overlay.
+    """A mutable multi-labeled multi-edge graph, held as whole columns
+    loaded from ``graph`` (the empty graph when none is given).
 
     >>> from repro.graph import GraphBuilder
     >>> b = GraphBuilder()
@@ -126,59 +141,56 @@ class LiveGraph(FlatAccessors):
 
     def __init__(
         self,
-        base: Optional[Graph] = None,
+        graph: Optional[Graph] = None,
         *,
         compact_threshold: float = 0.5,
     ) -> None:
-        if base is None:
-            base = Graph(
+        if graph is None:
+            graph = Graph(
                 vertex_names=(), label_names=(), src=(), tgt=(), labels=()
             )
         if not 0.0 < compact_threshold:
             raise GraphError("compact_threshold must be positive")
-        self._base = base
         self.compact_threshold = compact_threshold
         self._lock = threading.RLock()
         self._epoch = 0
         self._compactions = 0
         self._subscribers: List[Subscriber] = []
         # Duck-typed durability hook (see attach_wal); survives
-        # compaction, unlike the per-epoch overlay state below.
+        # compaction, unlike the columns loaded below.
         self._wal_hook = None
         # Duck-typed metrics registry (see attach_metrics); also
         # survives compaction.
         self._metrics = None
-        self._reset_overlay()
+        self._load(graph)
 
-    def _reset_overlay(self) -> None:
-        base = self._base
-        # Interning overlays (append-only; base ids stay authoritative).
-        self._new_vertex_names: List[Hashable] = []
-        self._new_vertex_ids: Dict[Hashable, int] = {}
-        self._new_label_names: List[str] = []
-        self._new_label_ids: Dict[str, int] = {}
-        # Overlay edges occupy ids >= base.edge_count, in apply order.
-        self._o_src: List[int] = []
-        self._o_tgt: List[int] = []
-        self._o_labels: List[Tuple[int, ...]] = []
-        self._o_costs: List[int] = []
-        self._o_any_cost = False
-        self._o_tgt_idx: List[int] = []
-        # Tombstones and in-place label overrides (base or overlay ids).
+    def _load(self, graph: Graph) -> None:
+        """Take ``graph``'s columns as the current state, copied, since
+        :meth:`apply` writes them."""
+        self._vertex_names: List[Hashable] = list(graph._vertex_names)
+        self._vertex_ids: Dict[Hashable, int] = dict(graph._vertex_ids)
+        self._label_names: List[str] = list(graph._label_names)
+        self._label_ids: Dict[str, int] = dict(graph._label_ids)
+        self._src = _column(graph._src)
+        self._tgt = _column(graph._tgt)
+        self._tgt_idx = _column(graph._tgt_idx)
+        self._labels: List[Tuple[int, ...]] = list(graph._labels)
+        self._costs: Optional[array] = (
+            None if graph._costs is None else _column(graph._costs)
+        )
+        # Out and In per vertex, each the graph's tuple until a batch
+        # writes it (see _writable).  In keeps tombstones in place: a
+        # position is a TgtIdx; Out holds live edges only.
+        self._out: List[Sequence[int]] = list(graph._out)
+        self._in: List[Sequence[int]] = list(graph._in)
+        # The bookkeeping delta_ratio weighs against the loaded graph:
+        # its edge count, tombstones, and loaded edges relabelled.
+        self._loaded_edges = len(self._src)
         self._removed: Set[int] = set()
-        self._label_override: Dict[int, Tuple[int, ...]] = {}
-        # Per-vertex overlay adjacency, in apply order (incl. tombstoned
-        # overlay edges — In positions must never shift).
-        self._o_out: Dict[int, List[int]] = {}
-        self._o_in: Dict[int, List[int]] = {}
+        self._relabeled: Set[int] = set()
         self._view: Optional[_View] = None
 
-    # -- global counts ----------------------------------------------------
-
-    @property
-    def base(self) -> Graph:
-        """The current immutable base (replaced by :meth:`compact`)."""
-        return self._base
+    # -- counts ---------------------------------------------------------------
 
     @property
     def epoch(self) -> int:
@@ -191,29 +203,10 @@ class LiveGraph(FlatAccessors):
         return self._compactions
 
     @property
-    def vertex_count(self) -> int:
-        """|V| (base + overlay)."""
-        return self._base.vertex_count + len(self._new_vertex_names)
-
-    @property
-    def edge_count(self) -> int:
-        """Size of the edge-*id* space, tombstones included.
-
-        Edge ids are append-only between compactions, so this is
-        ``base.edge_count + overlay edges``; use
-        :attr:`live_edge_count` for the number of traversable edges.
-        """
-        return self._base.edge_count + len(self._o_src)
-
-    @property
     def live_edge_count(self) -> int:
-        """Number of non-tombstoned edges."""
+        """Number of non-tombstoned edges (:attr:`edge_count` counts
+        every id, since ids are append-only between compactions)."""
         return self.edge_count - len(self._removed)
-
-    @property
-    def label_count(self) -> int:
-        """|Σ| (base + overlay; labels are never removed)."""
-        return self._base.label_count + len(self._new_label_names)
 
     def size(self) -> int:
         """The paper's ``|D|`` over the *live* edge set."""
@@ -225,173 +218,34 @@ class LiveGraph(FlatAccessors):
 
     @property
     def delta_ratio(self) -> float:
-        """Overlay weight relative to the base: the compaction signal.
+        """Mutation weight since the last load: the compaction signal.
 
-        Counts overlay edges, tombstones and label overrides against
-        ``max(1, base.edge_count)``.  :meth:`repro.api.Database.mutate`
-        compacts when this crosses :attr:`compact_threshold`.
+        Counts edges added, tombstones and relabelled loaded edges
+        against ``max(1, edges loaded)``.
+        :meth:`repro.api.Database.mutate` compacts when this crosses
+        :attr:`compact_threshold`.
         """
         weight = (
-            len(self._o_src) + len(self._removed) + len(self._label_override)
+            self.edge_count - self._loaded_edges
+            + len(self._removed) + len(self._relabeled)
         )
-        return weight / max(1, self._base.edge_count)
+        return weight / max(1, self._loaded_edges)
 
-    # -- vertices -----------------------------------------------------------
-
-    def vertices(self) -> range:
-        """All vertex ids."""
-        return range(self.vertex_count)
-
-    def vertex_id(self, name: Hashable) -> int:
-        """Translate a vertex name to its internal id."""
-        vid = self._vertex_lookup(vertex_key(name))
-        if vid is None:
-            raise UnknownVertexError(name)
-        return vid
-
-    def _vertex_lookup(self, key: Hashable) -> Optional[int]:
-        """The id stored under a :func:`vertex_key`, or ``None``."""
-        vid = self._base._vertex_ids.get(key)
-        if vid is None:
-            vid = self._new_vertex_ids.get(key)
-        return vid
-
-    def vertex_name(self, v: int) -> Hashable:
-        """Translate an internal vertex id to its name."""
-        names = self._base._vertex_names
-        if 0 <= v < len(names):
-            return names[v]
-        new = self._new_vertex_names
-        if 0 <= v - len(names) < len(new):
-            return new[v - len(names)]
-        raise UnknownVertexError(v)
-
-    def has_vertex(self, name: Hashable) -> bool:
-        """True when a vertex called ``name`` exists."""
-        return self._vertex_lookup(vertex_key(name)) is not None
-
-    def resolve_vertex(self, vertex: Hashable) -> int:
-        """Name-or-id resolution, same semantics as :class:`Graph`:
-        one probe of each name map, and the id fallback only when
-        neither holds ``vertex``."""
-        key = vertex if type(vertex) is not bool else vertex_key(vertex)
-        v = self._base._vertex_ids.get(key)
-        if v is None:
-            v = self._new_vertex_ids.get(key)
-            if v is None:
-                if is_int(vertex) and 0 <= vertex < self.vertex_count:
-                    return vertex
-                raise UnknownVertexError(vertex)
-        return v
-
-    # -- labels ---------------------------------------------------------------
-
-    def label_id(self, name: str) -> int:
-        """Translate a label name to its internal id."""
-        lid = self._base._label_ids.get(name)
-        if lid is None:
-            lid = self._new_label_ids.get(name)
-        if lid is None:
-            raise UnknownLabelError(name)
-        return lid
-
-    def label_name(self, a: int) -> str:
-        """Translate an internal label id to its name."""
-        base_k = self._base.label_count
-        if 0 <= a < base_k:
-            return self._base.label_name(a)
-        if base_k <= a < self.label_count:
-            return self._new_label_names[a - base_k]
-        raise UnknownLabelError(a)
-
-    def has_label(self, name: str) -> bool:
-        """True when ``name`` is in the label universe (never shrinks)."""
-        return name in self._base._label_ids or name in self._new_label_ids
-
-    @property
-    def alphabet(self) -> Tuple[str, ...]:
-        """All label names, indexed by label id."""
-        return self._base.alphabet + tuple(self._new_label_names)
-
-    # -- edges -----------------------------------------------------------------
-
-    def edges(self) -> range:
-        """All edge *ids*, tombstones included (see :meth:`live_edges`)."""
-        return range(self.edge_count)
+    # -- liveness ---------------------------------------------------------------
 
     def live_edges(self) -> Iterator[int]:
         """Edge ids that are currently traversable."""
         removed = self._removed
-        if not removed:
-            yield from range(self.edge_count)
-            return
-        for e in range(self.edge_count):
-            if e not in removed:
-                yield e
+        return (e for e in range(self.edge_count) if e not in removed)
 
     def is_live(self, e: int) -> bool:
         """True when ``e`` exists and is not tombstoned."""
         return 0 <= e < self.edge_count and e not in self._removed
 
-    def _check_edge(self, e: int) -> None:
-        if not 0 <= e < self.edge_count:
-            raise UnknownEdgeError(e)
-
-    def src(self, e: int) -> int:
-        """``Src(e)`` (answers for tombstoned ids too — slots persist)."""
-        self._check_edge(e)
-        base_m = self._base.edge_count
-        return (
-            self._base._src[e] if e < base_m else self._o_src[e - base_m]
-        )
-
-    def tgt(self, e: int) -> int:
-        """``Tgt(e)``."""
-        self._check_edge(e)
-        base_m = self._base.edge_count
-        return (
-            self._base._tgt[e] if e < base_m else self._o_tgt[e - base_m]
-        )
-
-    def labels(self, e: int) -> Tuple[int, ...]:
-        """``Lbl(e)`` as sorted label ids (overrides applied)."""
-        self._check_edge(e)
-        override = self._label_override.get(e)
-        if override is not None:
-            return override
-        base_m = self._base.edge_count
-        return (
-            self._base._labels[e]
-            if e < base_m
-            else self._o_labels[e - base_m]
-        )
-
-    def label_names_of(self, e: int) -> Tuple[str, ...]:
-        """``Lbl(e)`` as label names."""
-        return tuple(self.label_name(a) for a in self.labels(e))
-
-    def tgt_idx(self, e: int) -> int:
-        """``TgtIdx(e)`` — stable for the lifetime of the overlay."""
-        self._check_edge(e)
-        base_m = self._base.edge_count
-        return (
-            self._base._tgt_idx[e]
-            if e < base_m
-            else self._o_tgt_idx[e - base_m]
-        )
-
-    def cost(self, e: int) -> int:
-        """Cost of edge ``e`` (1 when no cost was ever provided)."""
-        self._check_edge(e)
-        base_m = self._base.edge_count
-        return (
-            self._base.cost(e) if e < base_m else self._o_costs[e - base_m]
-        )
-
-    @property
-    def has_costs(self) -> bool:
-        """True when the base or any overlay edge carries a cost."""
-        return self._base.has_costs or self._o_any_cost
+    def edge_str(self, e: int) -> str:
+        """Human-readable rendering of one edge."""
+        dead = " (removed)" if e in self._removed else ""
+        return super().edge_str(e) + dead
 
     # -- epoch-lazy flat views (the hot-loop contract) -------------------------
 
@@ -413,63 +267,36 @@ class LiveGraph(FlatAccessors):
         return view
 
     def _build_view(self) -> _View:
-        base = self._base
-        n = self.vertex_count
-        base_n = base.vertex_count
-        base_m = base.edge_count
         view = _View()
-
-        view.vertex_names = base._vertex_names + tuple(
-            self._new_vertex_names
+        view.src_array = _column(self._src)
+        view.tgt_array = _column(self._tgt)
+        view.tgt_idx_array = _column(self._tgt_idx)
+        view.label_array = tuple(self._labels)
+        view.cost_array = (
+            array("q", [1]) * self.edge_count
+            if self._costs is None
+            else _column(self._costs)
         )
-        view.src_array = _joined(base._src, self._o_src)
-        view.tgt_array = _joined(base._tgt, self._o_tgt)
-        if self._label_override:
-            labels = list(base._labels) + self._o_labels
-            for e, ls in self._label_override.items():
-                labels[e] = ls
-            view.label_array = tuple(labels)
-        else:
-            view.label_array = base._labels + tuple(self._o_labels)
-        if self.has_costs:
-            view.cost_array = _joined(base.cost_array, self._o_costs)
-        else:
-            view.cost_array = array("q", [1]) * self.edge_count
-
-        removed = self._removed
-        out_lists: List[Tuple[int, ...]] = []
-        in_lists: List[Tuple[int, ...]] = []
-        for v in range(n):
-            base_out: Sequence[int] = base._out[v] if v < base_n else ()
-            base_in: Sequence[int] = base._in[v] if v < base_n else ()
-            if removed:
-                base_out = [e for e in base_out if e not in removed]
-                o_out = [
-                    e for e in self._o_out.get(v, ()) if e not in removed
-                ]
-            else:
-                o_out = self._o_out.get(v, [])
-            out_lists.append(tuple(base_out) + tuple(o_out))
-            # In-lists keep tombstones in place: position = TgtIdx.
-            in_lists.append(tuple(base_in) + tuple(self._o_in.get(v, ())))
-        view.out_array = tuple(out_lists)
-        view.in_array = tuple(in_lists)
-        view.tgt_idx_array = _joined(base._tgt_idx, self._o_tgt_idx)
+        # A tuple the columns still hold is shared; a written list is
+        # copied.
+        view.out_array = tuple(map(tuple, self._out))
+        view.in_array = tuple(map(tuple, self._in))
 
         # A tombstone carries no incidence, so no CSR bucket holds it.
         incidences: Sequence[Tuple[int, ...]] = view.label_array
-        if removed:
+        if self._removed:
             incidences = list(incidences)
-            for e in removed:
+            for e in self._removed:
                 incidences[e] = ()
         view.live_label_array = incidences
         view.index = LabelIndex(
-            view.src_array, view.tgt_array, incidences, n, self.label_count
+            view.src_array, view.tgt_array, incidences, self.vertex_count,
+            self.label_count,
         )
 
-        # Defensive self-check of the overlay bookkeeping: every live
-        # edge must sit at its recorded TgtIdx slot (cheap: O(overlay)).
-        for e in range(base_m, self.edge_count):
+        # Defensive self-check of the bookkeeping: every edge added
+        # since the load sits at its recorded TgtIdx slot.
+        for e in range(self._loaded_edges, self.edge_count):
             ti = view.tgt_idx_array[e]
             assert view.in_array[view.tgt_array[e]][ti] == e
         return view
@@ -478,15 +305,6 @@ class LiveGraph(FlatAccessors):
         """This epoch's index: its CSRs and ``succ`` are built on their
         first read in the epoch, not by :meth:`apply`."""
         return self._materialized().index
-
-    def _walk_columns(self) -> tuple:
-        """This epoch's columns for :meth:`render_walk` (see
-        :class:`~repro.graph.database.FlatAccessors`)."""
-        view = self._materialized()
-        return (
-            view.vertex_names, view.tgt_array, view.label_array,
-            self.alphabet, view.cost_array if self.has_costs else None,
-        )
 
     @property
     def src_array(self) -> Sequence[int]:
@@ -500,7 +318,7 @@ class LiveGraph(FlatAccessors):
 
     @property
     def label_array(self) -> Tuple[Tuple[int, ...], ...]:
-        """Edge-id-indexed label tuples, overrides applied."""
+        """Edge-id-indexed label tuples, relabels applied."""
         return self._materialized().label_array
 
     @property
@@ -721,21 +539,21 @@ class LiveGraph(FlatAccessors):
 
     def _intern_vertex(self, name: Hashable) -> int:
         key = vertex_key(name)
-        vid = self._vertex_lookup(key)
+        vid = self._vertex_ids.get(key)
         if vid is None:
-            vid = self.vertex_count
-            self._new_vertex_ids[key] = vid
-            self._new_vertex_names.append(name)
+            vid = len(self._vertex_names)
+            self._vertex_names.append(name)
+            self._out.append(())
+            self._in.append(())
+            self._vertex_ids[key] = vid
         return vid
 
     def _intern_label(self, name: str, new_names: Set[str]) -> int:
-        lid = self._base._label_ids.get(name)
+        lid = self._label_ids.get(name)
         if lid is None:
-            lid = self._new_label_ids.get(name)
-        if lid is None:
-            lid = self.label_count
-            self._new_label_ids[name] = lid
-            self._new_label_names.append(name)
+            lid = len(self._label_names)
+            self._label_names.append(name)
+            self._label_ids[name] = lid
             new_names.add(name)
         return lid
 
@@ -762,6 +580,13 @@ class LiveGraph(FlatAccessors):
             added_edges: List[int] = []
             removed_edges: List[int] = []
             relabeled_edges: List[int] = []
+
+            def label_ids(names: Sequence[str]) -> Tuple[int, ...]:
+                touched.update(names)
+                return tuple(sorted(
+                    {self._intern_label(name, new_labels) for name in names}
+                ))
+
             for op in ops:
                 if isinstance(op, AddVertex):
                     before = self.vertex_count
@@ -775,55 +600,31 @@ class LiveGraph(FlatAccessors):
                     added_vertices.extend(
                         range(before, self.vertex_count)
                     )
-                    label_ids = tuple(
-                        sorted(
-                            {
-                                self._intern_label(name, new_labels)
-                                for name in op.labels
-                            }
-                        )
-                    )
-                    touched.update(op.labels)
                     e = self.edge_count
-                    self._o_src.append(u)
-                    self._o_tgt.append(v)
-                    self._o_labels.append(label_ids)
-                    self._o_costs.append(
-                        op.cost if op.cost is not None else 1
-                    )
-                    if op.cost is not None:
-                        self._o_any_cost = True
-                    self._o_out.setdefault(u, []).append(e)
-                    in_list = self._o_in.setdefault(v, [])
-                    base_deg = (
-                        self._base.in_degree(v)
-                        if v < self._base.vertex_count
-                        else 0
-                    )
-                    self._o_tgt_idx.append(base_deg + len(in_list))
+                    self._src.append(u)
+                    self._tgt.append(v)
+                    self._labels.append(label_ids(op.labels))
+                    if op.cost is not None and self._costs is None:
+                        self._costs = array("q", [1]) * e
+                    if self._costs is not None:
+                        self._costs.append(1 if op.cost is None else op.cost)
+                    _writable(self._out, u).append(e)
+                    in_list = _writable(self._in, v)
+                    self._tgt_idx.append(len(in_list))
                     in_list.append(e)
                     added_edges.append(e)
                 elif isinstance(op, RemoveEdge):
                     e = op.edge
                     touched.update(self.label_names_of(e))
                     self._removed.add(e)
+                    _writable(self._out, self._src[e]).remove(e)
                     removed_edges.append(e)
                 else:  # SetEdgeLabels
                     e = op.edge
                     touched.update(self.label_names_of(e))
-                    new_ids = tuple(
-                        sorted(
-                            {
-                                self._intern_label(name, new_labels)
-                                for name in op.labels
-                            }
-                        )
-                    )
-                    touched.update(op.labels)
-                    if e < self._base.edge_count:
-                        self._label_override[e] = new_ids
-                    else:
-                        self._o_labels[e - self._base.edge_count] = new_ids
+                    self._labels[e] = label_ids(op.labels)
+                    if e < self._loaded_edges:
+                        self._relabeled.add(e)
                     relabeled_edges.append(e)
             self._epoch += 1
             self._view = None
@@ -840,7 +641,7 @@ class LiveGraph(FlatAccessors):
             if self._metrics is not None:
                 self._m_batches.inc()
                 self._m_ops.inc(len(ops))
-                self._m_overlay_edges.set(len(self._o_src))
+                self._m_overlay_edges.set(self.edge_count - self._loaded_edges)
                 self._m_tombstones.set(len(self._removed))
             subscribers = tuple(self._subscribers)
         for fn in subscribers:
@@ -850,13 +651,14 @@ class LiveGraph(FlatAccessors):
     # -- compaction ---------------------------------------------------------------
 
     def compact(self) -> Graph:
-        """Merge the overlay into a fresh immutable base; returns it.
+        """Drop the tombstones into a fresh immutable :class:`Graph`,
+        reload the columns from it, and return it.
 
-        The live edge set is counting-sort-merged into new CSR-backed
-        :class:`Graph` arrays.  Vertex and label interning is carried
-        over unchanged (ids stable); **edge ids are renumbered** in
-        ascending old-id order as tombstone slots close up.  The
-        overlay resets and the epoch counter keeps counting.
+        Vertex and label interning is carried over unchanged (ids
+        stable); **edge ids are renumbered** in ascending old-id order
+        as tombstone slots close up.  The bookkeeping
+        :attr:`delta_ratio` reads resets and the epoch counter keeps
+        counting.
 
         Subscribers are notified with a receipt whose ``compaction``
         flag is set (and no op/label details): every piece of
@@ -872,10 +674,9 @@ class LiveGraph(FlatAccessors):
             new_graph = self.to_graph()
             if self._wal_hook is not None:
                 # Logged before the swap: a hook failure leaves the
-                # overlay (and every edge id) exactly as it was.
+                # columns (and every edge id) exactly as they were.
                 self._wal_hook.log_compaction(new_graph)
-            self._base = new_graph
-            self._reset_overlay()
+            self._load(new_graph)
             self._epoch += 1
             self._compactions += 1
             receipt = MutationBatch(
@@ -895,35 +696,27 @@ class LiveGraph(FlatAccessors):
 
     def to_graph(self) -> Graph:
         """A fresh immutable :class:`Graph` equal to the current live
-        state, *without* mutating this overlay (unlike :meth:`compact`)."""
+        state, *without* mutating this graph (unlike :meth:`compact`)."""
         with self._lock:
-            live = list(self.live_edges())
+            removed = self._removed
+            live = [e for e in range(self.edge_count) if e not in removed]
+
+            def kept(column):
+                return [column[e] for e in live] if removed else column
+
             return Graph(
-                vertex_names=[
-                    self.vertex_name(v) for v in self.vertices()
-                ],
-                label_names=list(self.alphabet),
-                src=[self.src(e) for e in live],
-                tgt=[self.tgt(e) for e in live],
-                labels=[self.labels(e) for e in live],
-                costs=(
-                    [self.cost(e) for e in live] if self.has_costs else None
-                ),
+                vertex_names=self._vertex_names,
+                label_names=self._label_names,
+                src=kept(self._src),
+                tgt=kept(self._tgt),
+                labels=kept(self._labels),
+                costs=None if self._costs is None else kept(self._costs),
             )
 
     # -- convenience ----------------------------------------------------------------
 
-    def edge_str(self, e: int) -> str:
-        """Human-readable rendering of one edge."""
-        lbls = ",".join(self.label_names_of(e))
-        dead = " (removed)" if e in self._removed else ""
-        return (
-            f"e{e}:{self.vertex_name(self.src(e))}"
-            f"-[{lbls}]->{self.vertex_name(self.tgt(e))}{dead}"
-        )
-
     def stats(self) -> Dict[str, float]:
-        """Summary counters (live sizes + overlay bookkeeping)."""
+        """Summary counters (live sizes + mutation bookkeeping)."""
         return {
             "vertices": self.vertex_count,
             "edges": self.live_edge_count,
@@ -932,15 +725,12 @@ class LiveGraph(FlatAccessors):
             "size": self.size(),
             "max_in_degree": self.max_in_degree(),
             "epoch": self._epoch,
-            "overlay_edges": len(self._o_src),
+            "overlay_edges": self.edge_count - self._loaded_edges,
             "tombstones": len(self._removed),
-            "label_overrides": len(self._label_override),
+            "label_overrides": len(self._relabeled),
             "delta_ratio": round(self.delta_ratio, 4),
             "compactions": self._compactions,
         }
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vertices())
 
     def __repr__(self) -> str:
         return (

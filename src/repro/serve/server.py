@@ -311,7 +311,7 @@ class ServeServer:
             self._live = LiveGraph(graph)
         else:
             raise TypeError(f"cannot serve a {type(graph).__name__}")
-        #: Owner-side observability: the live graph's overlay gauges
+        #: Owner-side observability: the live graph's mutation gauges
         #: and compaction metrics land here; worker registries are
         #: merged in on :meth:`collect_stats`.  ``slow_ms`` is
         #: forwarded to every worker's slow-query log threshold.

@@ -2,10 +2,11 @@
 
 :class:`FollowerDatabase` recovers a WAL directory and then keeps
 **tailing** ``wal.log``: each :meth:`catch_up` reads the bytes past
-its position and applies every *complete* frame through the ordinary
-:meth:`LiveGraph.apply` / :meth:`LiveGraph.compact` — the same replay
-determinism recovery relies on, so the follower's edge ids match what
-the leader had at each LSN.  A partial frame at the tail (the leader
+its position and applies every *complete* frame through
+:func:`~repro.wal.recovery.replay_record`, as recovery does: the
+ordinary :meth:`LiveGraph.apply` / :meth:`LiveGraph.compact`, with the
+same replay determinism, so the follower's edge ids match what the
+leader had at each LSN.  A partial frame at the tail (the leader
 is mid-write, or mid-group-commit) is simply retried on the next
 poll: the read position only ever advances past valid frames, so a
 torn tail can delay the follower but never desynchronize it.
@@ -29,10 +30,8 @@ import time
 from typing import Any, Optional
 
 from repro.api.database import Database
-from repro.exceptions import WalError
-from repro.live.delta import ops_from_dicts
-from repro.wal.frames import KINDS, RECORD_VERSION, iter_frames
-from repro.wal.recovery import recover
+from repro.wal.frames import checked_frames
+from repro.wal.recovery import recover, replay_record
 from repro.wal.writer import LOG_NAME
 
 
@@ -87,8 +86,9 @@ class FollowerDatabase:
         leader may still be writing it, so it is retried on the next
         call rather than treated as corruption.  A complete frame with
         the wrong next LSN, however, raises
-        :class:`~repro.exceptions.WalError`: the log was rewritten
-        underneath the follower.
+        :class:`~repro.exceptions.WalError` (the log was rewritten
+        underneath the follower), and so does one that fails to replay,
+        with the message recovery gives it.
         """
         try:
             with open(self._path, "rb") as fh:
@@ -97,31 +97,10 @@ class FollowerDatabase:
         except FileNotFoundError:
             return 0
         applied = 0
-        base = self._offset  # iter_frames offsets are data-relative.
-        for record, end in iter_frames(data):
-            lsn = record["lsn"]
-            if lsn != self._lsn + 1:
-                raise WalError(
-                    f"follower at lsn {self._lsn} read record lsn "
-                    f"{lsn}; the log no longer continues this replica "
-                    f"(was the WAL directory replaced?)"
-                )
-            kind = record.get("kind")
-            if kind == "batch":
-                self._live.apply(ops_from_dicts(record.get("ops", [])))
-            elif kind == "compact":
-                self._live.compact()
-            elif record.get("v", 1) > RECORD_VERSION:
-                raise WalError(
-                    f"record lsn {lsn} has kind {kind!r} from a newer "
-                    f"WAL schema; upgrade this follower"
-                )
-            else:
-                raise WalError(
-                    f"record lsn {lsn} has unknown kind {kind!r}; "
-                    f"expected one of {', '.join(KINDS)}"
-                )
-            self._lsn = lsn
+        base = self._offset  # Frame offsets are data-relative.
+        for record, end in checked_frames(data, start_lsn=self._lsn):
+            replay_record(self._live, record)
+            self._lsn = record["lsn"]
             self._offset = base + end
             applied += 1
         return applied

@@ -19,9 +19,10 @@ Record payloads are dictionaries carrying
   unknown fields on records stamped with a newer version are ignored,
   mirroring the tolerant op reader of :mod:`repro.live.delta`;
 * ``lsn`` — the record's log sequence number (monotonic, gap-free,
-  starting at 1; contiguity is checked by the consumers — recovery
-  and the follower — because a valid-CRC frame with a hole in the LSN
-  sequence means log surgery, not a torn write, and must be loud);
+  starting at 1; contiguity is checked by :func:`checked_frames`,
+  which recovery and the follower both read through, because a
+  valid-CRC frame with a hole in the LSN sequence means log surgery,
+  not a torn write, and must be loud);
 * ``kind`` — ``"batch"`` (``ops`` holds the wire-form mutation ops of
   one atomic :class:`~repro.live.delta.Delta` batch) or ``"compact"``
   (the graph's edge ids renumbered at this point; replay must run
@@ -125,31 +126,28 @@ class WalScan:
     last_lsn: int
 
 
-def scan_bytes(
-    data: bytes, *, start_lsn: int = 0, keep_after: int = 0
-) -> WalScan:
-    """Scan a WAL byte string, checking LSN contiguity.
+def checked_frames(
+    data: bytes, start_lsn: int = 0
+) -> Iterator[Tuple[Dict[str, Any], int]]:
+    """:func:`iter_frames`, checked for replay.
 
     ``start_lsn`` is the LSN the log is expected to continue from
     (records at or below it would be duplicates).  The first record
     must carry ``start_lsn + 1`` and every later one the predecessor's
-    LSN + 1 — a valid frame out of sequence raises
-    :class:`~repro.exceptions.WalError` (CRC-valid frames do not
-    appear out of order by accident).
-
-    Every frame is validated, but only records with an LSN above
-    ``keep_after`` are kept: recovery keeps the replay tail past a
-    snapshot's watermark, not the whole log.
+    LSN + 1, and each must be of a kind in :data:`KINDS`.  A valid
+    frame out of sequence raises :class:`~repro.exceptions.WalError`
+    (CRC-valid frames do not appear out of order by accident), and so
+    does one this reader cannot replay — before it is yielded.
     """
-    records: List[Dict[str, Any]] = []
-    valid_offset = last_lsn = 0
     expected = start_lsn + 1
     for record, end in iter_frames(data):
         lsn = record["lsn"]
         if lsn != expected:
             raise WalError(
-                f"WAL record at byte {valid_offset} has lsn {lsn}, "
-                f"expected {expected} — log sequence is not contiguous"
+                f"WAL record lsn {lsn} where lsn {expected} was "
+                f"expected: the log no longer continues from lsn "
+                f"{expected - 1} (was it rewritten, or the WAL "
+                f"directory replaced?)"
             )
         kind = record.get("kind")
         if kind not in KINDS:
@@ -160,12 +158,28 @@ def scan_bytes(
                     f"cannot replay it"
                 )
             raise WalError(
-                f"WAL record lsn {lsn} has unknown kind {kind!r}"
+                f"WAL record lsn {lsn} has unknown kind {kind!r}; "
+                f"expected one of {', '.join(KINDS)}"
             )
-        if lsn > keep_after:
-            records.append(record)
-        valid_offset, last_lsn = end, lsn
+        yield record, end
         expected = lsn + 1
+
+
+def scan_bytes(
+    data: bytes, *, start_lsn: int = 0, keep_after: int = 0
+) -> WalScan:
+    """Scan a WAL byte string through :func:`checked_frames`.
+
+    Every frame is validated, but only records with an LSN above
+    ``keep_after`` are kept: recovery keeps the replay tail past a
+    snapshot's watermark, not the whole log.
+    """
+    records: List[Dict[str, Any]] = []
+    valid_offset = last_lsn = 0
+    for record, end in checked_frames(data, start_lsn):
+        if record["lsn"] > keep_after:
+            records.append(record)
+        valid_offset, last_lsn = end, record["lsn"]
     return WalScan(
         records=records,
         valid_offset=valid_offset,

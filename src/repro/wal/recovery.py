@@ -12,10 +12,11 @@
    log's last valid LSN is skipped: the log is the source of truth for
    what committed) — falling back to an older one, or to none,
    re-scans the log for the longer tail;
-3. replay the records after the watermark, in LSN order, through the
-   ordinary :meth:`LiveGraph.apply` / :meth:`LiveGraph.compact` — the
-   same code paths that produced them, so replay is deterministic down
-   to edge-id renumbering at compaction points.
+3. replay the records after the watermark, in LSN order, through
+   :func:`replay_record` — the ordinary :meth:`LiveGraph.apply` /
+   :meth:`LiveGraph.compact`, the same code paths that produced them,
+   so replay is deterministic down to edge-id renumbering at
+   compaction points.
 
 The watermark contiguity assert (step 3's precondition) is the guard
 against the silent double-apply hazard: the first replayed record
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError, WalError
 from repro.graph.database import Graph
@@ -57,7 +58,7 @@ class SnapshotLoad:
 class RecoveredState:
     """Outcome of :func:`recover` — a live graph plus log geometry."""
 
-    #: The recovered graph (base = snapshot, overlay = replayed tail).
+    #: The recovered graph: the snapshot, with the tail replayed onto it.
     graph: LiveGraph
     #: LSN of the last valid record (0 for an empty log, no snapshot).
     last_lsn: int
@@ -90,6 +91,29 @@ def _pick_snapshot(
         if graph is not None:
             return SnapshotLoad(graph=graph, lsn=lsn, path=path)
     return None
+
+
+def replay_record(live: LiveGraph, record: Dict[str, Any]) -> None:
+    """Apply one record that :func:`~repro.wal.frames.checked_frames`
+    passed to ``live``: a batch through :meth:`LiveGraph.apply`, a
+    compaction through :meth:`LiveGraph.compact`.
+
+    A record that fails to replay raises
+    :class:`~repro.exceptions.WalError` naming its LSN: a CRC-valid
+    record the log committed must replay, so its failure is damage,
+    whether recovery or a follower meets it.
+    """
+    try:
+        if record["kind"] == "batch":
+            live.apply(ops_from_dicts(record.get("ops", [])))
+        else:  # "compact" — checked_frames rejected every other kind.
+            live.compact()
+    except WalError:
+        raise
+    except ReproError as exc:
+        raise WalError(
+            f"WAL record lsn {record['lsn']} failed to replay: {exc}"
+        ) from exc
 
 
 def recover(wal_dir: str) -> RecoveredState:
@@ -139,27 +163,15 @@ def recover(wal_dir: str) -> RecoveredState:
             f"start at exactly {watermark + 1}"
         )
 
-    batches = compactions = 0
     for record in tail:
-        try:
-            if record["kind"] == "batch":
-                live.apply(ops_from_dicts(record.get("ops", [])))
-                batches += 1
-            else:  # "compact" — scan_bytes rejected every other kind.
-                live.compact()
-                compactions += 1
-        except WalError:
-            raise
-        except ReproError as exc:
-            raise WalError(
-                f"WAL record lsn {record['lsn']} failed to replay: {exc}"
-            ) from exc
+        replay_record(live, record)
+    compactions = sum(record["kind"] == "compact" for record in tail)
 
     return RecoveredState(
         graph=live,
         last_lsn=scan.last_lsn,
         snapshot_lsn=watermark,
-        replayed_batches=batches,
+        replayed_batches=len(tail) - compactions,
         replayed_compactions=compactions,
         valid_offset=scan.valid_offset,
         torn_tail=scan.torn,

@@ -275,6 +275,44 @@ class TestExpandedSizeCap:
         # Side by side, repeats add instead of multiplying.
         assert parse_rpq(" ".join(["a{1000}"] * 8))
 
+    @staticmethod
+    def _nested_plus(depth: int) -> str:
+        return "(" * depth + "a" + ")+" * depth
+
+    def test_a_plus_doubles_its_operand(self):
+        """``X+`` is ``X X*``: twelve nested ``+`` groups expand to
+        4 096 atoms and parse; the thirteenth ``+`` would make 8 192
+        and is the error."""
+        assert parse_rpq(self._nested_plus(12))
+        text = self._nested_plus(13)
+        with pytest.raises(
+            RegexSyntaxError, match=f"expands past {MAX_EXPANDED_SIZE}"
+        ) as info:
+            parse_rpq(text)
+        assert info.value.position == len(text) - 1
+
+    def test_a_plus_counts_against_a_repeat(self):
+        assert parse_rpq("(a{1000}{2})+") == Plus(
+            Repeat(Repeat(Label("a"), 1000, 1000), 2, 2)
+        )
+        with pytest.raises(RegexSyntaxError, match="expands past") as info:
+            parse_rpq("(a{1000}{3})+")
+        assert info.value.position == 12
+        # The doubled size rides into an enclosing repeat.
+        with pytest.raises(RegexSyntaxError, match="expands past") as info:
+            parse_rpq("(a{1000}+){3}")
+        assert info.value.position == 10
+
+    def test_a_folded_plus_does_not_double_again(self):
+        """``X++`` is ``X+`` and ``X+*`` is ``X*``: a fold takes the
+        size of the operator it leaves."""
+        assert parse_rpq("(a{1000}{2})++") == Plus(
+            Repeat(Repeat(Label("a"), 1000, 1000), 2, 2)
+        )
+        assert parse_rpq("((a{1000}{2})+*){2}") == Repeat(
+            Star(Repeat(Repeat(Label("a"), 1000, 1000), 2, 2)), 2, 2
+        )
+
     def test_every_catalog_query_stays_legal(self):
         from repro.workloads.queries import QUERY_CATALOG
         from repro.workloads.transport import TRANSPORT_QUERIES

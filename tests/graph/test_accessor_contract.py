@@ -12,15 +12,16 @@ vertices/labels), a just-compacted overlay, and seeded random
 mutation histories drawn from ``LIVE_DIFF_SEED_BASE`` (so each entry
 of the CI ``mutation-fuzz`` matrix checks different histories).
 
-Every graph class reads its adjacency through one path — the point
-accessors of :class:`~repro.graph.database.FlatAccessors` over the flat
-views — so two layers of checking remain:
+Every graph class reads through one set of accessors — those of
+:class:`~repro.graph.database.FlatAccessors`, over the columns and
+views every class holds under the same names — so two layers of
+checking remain:
 
 * **views vs per-edge accessors** — the flat views (``out_array``,
   ``out_csr``, ``tgt_idx_array`` …), and the point reads over them,
   must describe the edge set that the per-edge accessors (``src``,
   ``tgt``, ``labels``, ``is_live``), which a ``LiveGraph`` answers
-  from its overlay without a view, describe;
+  from its current columns without a view, describe;
 * **semantic equivalence** — a ``LiveGraph`` must describe the same
   labeled multigraph as the immutable ``Graph`` rebuilt from its live
   edge list (modulo edge-id renumbering).
@@ -33,6 +34,7 @@ import random
 import sys
 import tempfile
 import threading
+from typing import Optional
 
 import pytest
 
@@ -40,7 +42,7 @@ import repro.graph.database as graph_database
 from repro.api import Database
 from repro.exceptions import UnknownVertexError
 from repro.graph.builder import GraphBuilder
-from repro.graph.database import Graph
+from repro.graph.database import FlatAccessors, Graph
 from repro.live import LiveGraph
 from repro.wal.snapshot import load_snapshot, write_snapshot
 
@@ -79,14 +81,15 @@ def _compacted_live() -> LiveGraph:
     return live
 
 
-def _random_history(seed: int) -> LiveGraph:
+def _random_history(seed: int, counts: Optional[list] = None) -> LiveGraph:
     """A seeded history of one-op batches over a random base.
 
     Every history starts with an add and then holds each kind of step
     at least once, in a drawn order: adds (with new vertices and new
     labels), tombstones of a base and of an overlay edge, and a relabel
     of a base edge that drops one of its base labels and, a later
-    batch, re-adds it.
+    batch, re-adds it.  ``counts``, when given, receives the base's
+    edge, vertex and label counts, recorded before the first batch.
     """
     rng = random.Random(seed)
     alphabet = ["a", "b", "c"]
@@ -100,6 +103,8 @@ def _random_history(seed: int) -> LiveGraph:
         )
     live = LiveGraph(b.build())
     base_m = live.edge_count
+    if counts is not None:
+        counts.extend((base_m, live.vertex_count, live.label_count))
     fresh = iter(range(1_000))
 
     def add(new_vertex: bool, new_label: bool) -> None:
@@ -554,18 +559,35 @@ def test_concurrent_first_reads_of_an_epoch_build_each_csr_once(
     assert all(o is seen[0][0] and i is seen[0][1] for o, i in seen)
 
 
+POINT_ACCESSORS = (
+    "src", "tgt", "labels", "tgt_idx", "cost", "vertex_id", "vertex_name",
+    "has_vertex", "resolve_vertex", "label_id", "label_name", "has_label",
+)
+
+
+@pytest.mark.parametrize("name", POINT_ACCESSORS)
+def test_point_accessors_are_written_once(name: str) -> None:
+    """Every graph class reads one set of columns, so each point
+    accessor is defined once, on ``FlatAccessors``, and neither
+    ``Graph`` nor ``LiveGraph`` keeps a copy of its own."""
+    assert name in FlatAccessors.__dict__
+    assert name not in Graph.__dict__
+    assert name not in LiveGraph.__dict__
+
+
 def test_random_histories_hold_every_kind_of_step() -> None:
     """The drawn histories are not degenerate: overlay edges, new
     vertices and labels, base and overlay tombstones, and base label
     overrides all occur."""
     for i in range(N_RANDOM_HISTORIES):
-        live = _random_history(SEED_BASE + i)
-        base_m = live.base.edge_count
+        counts: list = []
+        live = _random_history(SEED_BASE + i, counts)
+        base_m, base_n, base_k = counts
         removed = set(live.edges()) - set(live.live_edges())
         context = f"seed={SEED_BASE + i}"
         assert live.edge_count > base_m, context
-        assert live.vertex_count > live.base.vertex_count, context
-        assert live.label_count > live.base.label_count, context
+        assert live.vertex_count > base_n, context
+        assert live.label_count > base_k, context
         assert any(e < base_m for e in removed), context
         assert any(e >= base_m for e in removed), context
         assert live.stats()["label_overrides"] > 0, context

@@ -251,6 +251,37 @@ class TestCompactionEquivalence:
         # Edge ids are dense again.
         assert live.edge_count == live.live_edge_count
 
+    def test_bookkeeping_counts_each_kind_of_step_exactly(self) -> None:
+        """One scripted history: an add, a loaded edge removed, one
+        loaded edge relabelled twice and an added edge relabelled.
+        The ``compact="auto"`` trigger reads ``delta_ratio``: one added
+        edge, one tombstone and one relabelled loaded edge over three
+        loaded edges.  Relabelling the same edge twice counts once,
+        and relabelling an added edge not at all."""
+        live = _chain()
+        e = live.add_edge("C", "D", ["h", "t"])
+        live.remove_edge(1)
+        live.set_edge_labels(0, ["s"])
+        live.set_edge_labels(0, ["s", "u"])
+        live.set_edge_labels(e, ["h"])
+        assert e == 3
+        assert live.delta_ratio == 1.0
+        assert live.live_edge_count == 3
+        assert live.stats() == {
+            "vertices": 4,
+            "edges": 3,
+            "labels": 4,
+            "label_occurrences": 4,
+            "size": 11,
+            "max_in_degree": 2,
+            "epoch": 5,
+            "overlay_edges": 1,
+            "tombstones": 1,
+            "label_overrides": 1,
+            "delta_ratio": 1.0,
+            "compactions": 0,
+        }
+
     def test_mutations_on_just_compacted_graph(self) -> None:
         live = _chain()
         self._mutate(live)

@@ -12,6 +12,7 @@ from repro.live.delta import AddEdge
 from repro.live.live_graph import LiveGraph
 from repro.wal.follower import FollowerDatabase
 from repro.wal.frames import encode_frame
+from repro.wal.recovery import recover
 from repro.wal.writer import LOG_NAME, WalWriter
 
 
@@ -127,6 +128,29 @@ def test_replaced_log_is_loud(tmp_path) -> None:
         fh.write(data + encode_frame({"v": 1, "lsn": 9, "kind": "batch"}))
     with pytest.raises(WalError, match="no longer continues"):
         follower.catch_up()
+
+
+def test_unreplayable_record_raises_as_recovery_does(tmp_path) -> None:
+    """A CRC-valid record that fails to replay is the same
+    :class:`WalError` at a follower as at recovery, and the follower
+    stays at the record before it."""
+    live, writer = _leader(tmp_path)
+    live.apply([AddEdge("a", "b", ("x",))])
+    writer.sync_now()
+    follower = FollowerDatabase(str(tmp_path))
+    writer.close()
+    offset_before = follower.offset
+    with open(os.path.join(str(tmp_path), LOG_NAME), "ab") as fh:
+        fh.write(encode_frame({
+            "v": 1, "lsn": 2, "kind": "batch",
+            "ops": [{"op": "remove_edge", "edge": 99}],
+        }))
+    with pytest.raises(WalError, match="lsn 2 failed to replay") as tailed:
+        follower.catch_up()
+    with pytest.raises(WalError) as recovered:
+        recover(str(tmp_path))
+    assert str(tailed.value) == str(recovered.value)
+    assert (follower.last_lsn, follower.offset) == (1, offset_before)
 
 
 def _rendered(graph, edges):
