@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import time
 
-from repro.automata import (
-    determinize,
-    glushkov_nfa,
-    minimize,
-    parse_rpq,
-    thompson_nfa,
-)
+from repro.automata import determinize, minimize, parse_rpq, thompson_nfa
+from repro.baselines import glushkov_nfa
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.generators import chain
 

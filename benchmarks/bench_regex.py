@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata import glushkov_nfa, thompson_nfa
+from repro.automata import thompson_nfa
 from repro.automata.regex_ast import ast_size
 from repro.automata.regex_parser import parse_rpq
+from repro.baselines import glushkov_nfa
 from repro.bench import loglog_slope, time_call
 from repro.core.compile import compile_query
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.generators import random_multilabel
+
+
+#: Production's construction and the baseline it is measured against.
+_CONSTRUCTIONS = {"thompson": thompson_nfa, "glushkov": glushkov_nfa}
 
 
 def _union_heavy(k: int) -> str:
@@ -77,10 +82,8 @@ def test_end_to_end_same_answers(benchmark, print_table):
         results = {}
         timings = {}
         states = {}
-        for method in ("thompson", "glushkov"):
-            from repro.automata import regex_to_nfa
-
-            nfa = regex_to_nfa(expression, method=method)
+        for method, construct in _CONSTRUCTIONS.items():
+            nfa = construct(parse_rpq(expression))
             states[method] = "{} → {}".format(
                 *compile_query(graph, nfa).live_states
             )
@@ -116,9 +119,7 @@ def test_pipeline_benchmark(benchmark, method):
         300, 3_000, alphabet=("a", "b"), seed=13,
         ensure_path=("src", "dst", 5),
     )
-    from repro.automata import regex_to_nfa
-
-    nfa = regex_to_nfa(_union_heavy(8), method=method)
+    nfa = _CONSTRUCTIONS[method](parse_rpq(_union_heavy(8)))
 
     def run():
         return DistinctShortestWalks(graph, nfa, "src", "dst").count()

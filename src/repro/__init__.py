@@ -40,7 +40,6 @@ from repro.automata import (
     EPSILON,
     NFA,
     equivalent,
-    glushkov_nfa,
     language_key,
     minimize,
     parse_rpq,
@@ -114,7 +113,6 @@ __all__ = [
     "count_shortest_product_paths",
     "count_total_multiplicity",
     "equivalent",
-    "glushkov_nfa",
     "language_key",
     "minimize",
     "parse_pattern",

@@ -97,7 +97,7 @@ class _GraphHandle:
 class _Plan:
     """A plan-cache value: the compiled form of one query text."""
 
-    automaton: NFA  # The query as written, in the query's construction.
+    automaton: NFA  # The query as written (Thompson's ε-NFA).
     compiled: Any  # CompiledQuery for the handle's graph.
     build_s: float
     #: ε-free compiled form for multiplicity counting, built lazily on
@@ -699,16 +699,14 @@ class Database:
         # entries hit independently, and every invalidation path —
         # re-register, unregister, footprint eviction — covers all
         # semantics of a graph unchanged.
-        key = (handle.name, handle.version, q._construction, q._expression,
-               q._restriction)
+        key = (handle.name, handle.version, q._expression, q._restriction)
         return self._plan_cache.fetch(key, self._build_plan, handle, q)
 
     def _build_plan(self, handle: _GraphHandle, q: Query) -> _Plan:
         """A plan-cache miss: parse and compile the query text."""
-        construction = q._construction
         t0 = time.perf_counter()
-        with obs_trace.span("parse", construction=construction):
-            nfa = regex_to_nfa(q._expression, method=construction)
+        with obs_trace.span("parse"):
+            nfa = regex_to_nfa(q._expression)
         with obs_trace.span("compile") as compile_span:
             cq = compile_query(handle.graph, nfa)
             co_accessible, merged = cq.live_states
@@ -945,8 +943,8 @@ class Database:
         else:
             cheapest = q._semantics == "cheapest"
             mt, hit = self._annotation_cache.fetch(
-                (handle.name, handle.version, q._construction,
-                 q._expression, source_id, cheapest),
+                (handle.name, handle.version, q._expression, source_id,
+                 cheapest),
                 self._build_annotation, graph, plan, source_id, only,
                 cheapest,
             )

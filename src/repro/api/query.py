@@ -21,8 +21,7 @@ a terminal call:
   modifier (annotate each row with its number of accepting runs) and
   the :meth:`Query.count` terminal;
 * **execution** — pagination (:meth:`Query.limit` /
-  :meth:`Query.offset` / :meth:`Query.cursor`), :meth:`Query.timeout_ms`,
-  :meth:`Query.construction`.
+  :meth:`Query.offset` / :meth:`Query.cursor`) and :meth:`Query.timeout_ms`.
 
 Builder methods return a *new* query (copy-on-write), so a base query
 can be forked freely::
@@ -67,9 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.api.result import ResultSet
     from repro.query.plan import QueryPlan
 
-#: Regex → NFA constructions and walk restrictions — the one spelling
-#: the service requests and the CLI import.
-CONSTRUCTIONS = ("thompson", "glushkov")
+#: Walk restrictions — the one spelling the service requests and the
+#: CLI import.
 RESTRICTIONS = ("walks", "trails", "simple", "any")
 #: Mode names a request may still send; each selects nothing.
 MODES = ("iterative", "memoryless", "auto")
@@ -98,7 +96,6 @@ class Query:
     # only what its builder calls set, and a copy-on-write step is
     # one copy of that small ``__dict__``.
     _graph_name: Optional[str] = None
-    _construction = "thompson"
     _source: Optional[Hashable] = None
     _sources: Optional[Tuple[Hashable, ...]] = None
     _target: Optional[Hashable] = None
@@ -142,15 +139,6 @@ class Query:
     def on(self, graph_name: Optional[str]) -> "Query":
         """Select a registered graph by name (``None`` = the sole one)."""
         return self._with("_graph_name", graph_name)
-
-    def construction(self, method: str) -> "Query":
-        """Regex→NFA construction (``thompson`` or ``glushkov``)."""
-        if method not in CONSTRUCTIONS:
-            raise QueryError(
-                f"unknown construction {method!r}; "
-                f"expected one of {CONSTRUCTIONS}"
-            )
-        return self._with("_construction", method)
 
     # -- endpoint shape axis -------------------------------------------------
 

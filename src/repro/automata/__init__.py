@@ -1,9 +1,12 @@
-"""Automata substrate: NFAs, ε-NFAs, and regex→NFA constructions.
+"""Automata substrate: NFAs, ε-NFAs, and the regex→NFA construction.
 
 The paper's queries (Definition 6) are nondeterministic finite automata
 over the database's label alphabet; Section 5 extends the algorithm to
 ε-transitions and to queries given as regular expressions, via the
-Thompson construction (Theorem 19) or the Glushkov construction.
+Thompson construction (Theorem 19) — the one construction production
+runs, since it keeps |A| linear in the query (Corollary 20).  The
+Glushkov construction the tests compare against lives beside the other
+oracles, in :mod:`repro.baselines.glushkov`.
 
 Public entry points:
 
@@ -11,8 +14,7 @@ Public entry points:
   :data:`ANY` label sentinels;
 * :func:`~repro.automata.regex_parser.parse_rpq` — regular path query
   expressions to ASTs;
-* :func:`~repro.automata.thompson.thompson_nfa` and
-  :func:`~repro.automata.glushkov.glushkov_nfa`;
+* :func:`~repro.automata.thompson.thompson_nfa`;
 * :func:`regex_to_nfa` — one-stop compilation helper;
 * :mod:`repro.automata.ops` — ε-elimination, reversal, trimming,
   product, unambiguity testing;
@@ -41,7 +43,6 @@ from repro.automata.equivalence import (
     is_subset,
     subset_counterexample,
 )
-from repro.automata.glushkov import glushkov_nfa
 from repro.automata.minimize import (
     language_key,
     minimize,
@@ -72,24 +73,16 @@ from repro.automata.regex_parser import parse_rpq
 from repro.automata.thompson import thompson_nfa
 
 
-def regex_to_nfa(expression, method: str = "thompson") -> NFA:
-    """Compile a regular path query to an :class:`NFA`.
+def regex_to_nfa(expression) -> NFA:
+    """Compile a regular path query to Thompson's ε-NFA (Theorem 19):
+    O(|R|) states and transitions, which keeps the paper's O(|R|·|D|)
+    preprocessing bound (Corollary 20).
 
     ``expression`` may be a string (parsed with :func:`parse_rpq`) or an
-    already-built AST node.  ``method`` selects the construction:
-
-    * ``"thompson"`` — ε-NFA with O(|R|) states and transitions
-      (Theorem 19); the default, as it preserves the paper's
-      O(|R|·|D|) preprocessing bound (Corollary 20);
-    * ``"glushkov"`` — ε-free NFA with |R|+1 states but up to O(|R|²)
-      transitions.
+    already-built AST node.
     """
     ast = parse_rpq(expression) if isinstance(expression, str) else expression
-    if method == "thompson":
-        return thompson_nfa(ast)
-    if method == "glushkov":
-        return glushkov_nfa(ast)
-    raise ValueError(f"unknown construction method: {method!r}")
+    return thompson_nfa(ast)
 
 
 __all__ = [
@@ -113,7 +106,6 @@ __all__ = [
     "determinize",
     "difference_nfa",
     "equivalent",
-    "glushkov_nfa",
     "intersect_nfa",
     "option_nfa",
     "plus_nfa",

@@ -1,7 +1,9 @@
 """Language equivalence and inclusion tests, with counterexamples.
 
-Used throughout the test suite to validate the regex→NFA pipelines
-(Thompson and Glushkov must agree on every expression) and available to
+Used throughout the test suite to validate the regex→NFA construction
+(production's Thompson must agree with its oracles — the flat
+:func:`~repro.automata.regex_ast.desugar` and
+:mod:`repro.baselines.glushkov` — on every expression) and available to
 library users for query rewriting ("is this cheaper automaton the same
 query?").
 

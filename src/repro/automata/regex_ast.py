@@ -2,9 +2,12 @@
 
 The surface syntax (see :mod:`repro.automata.regex_parser`) supports
 the usual operators plus RPQ conveniences; the AST mirrors it
-one-to-one.  Constructions that only understand the *core* operators
-(label / ε / wildcard / concatenation / union / star) first call
-:func:`desugar`, which expands ``+``, ``?`` and ``{m,n}``.
+one-to-one.  :func:`desugar` expands ``+``, ``?`` and ``{m,n}`` into
+the *core* operators (label / ε / wildcard / concatenation / union /
+star), writing ``X{m,n}`` flat, as ``n − m`` optionals ``(ε|X)``.
+Production's :func:`~repro.automata.thompson.thompson_nfa` compiles
+sugar itself and chains a bounded repeat linearly; the flat form is its
+test oracle, and what the Glushkov baseline reads.
 
 Nodes are immutable value objects: they compare and hash structurally
 and render back to parseable syntax via ``str()``.
@@ -132,8 +135,10 @@ class Repeat(RegexNode):
     """Bounded repetition ``e{lo,hi}``; ``hi=None`` means unbounded.
 
     ``e{3}`` abbreviates ``e{3,3}``; ``e{2,}`` abbreviates unbounded.
-    Expansion multiplies the expression size — the classic trade-off,
-    documented so users are not surprised by large automata.
+    The automaton holds ``hi`` copies of ``e`` (``lo + 1`` when
+    unbounded) and stays linear in them, since Thompson chains the
+    optional copies ``(e(e(…)?)?)?``; a counted repeat matches ``k``
+    copies of ``e`` in exactly one way.
     """
 
     child: RegexNode

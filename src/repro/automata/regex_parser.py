@@ -46,7 +46,8 @@ _EPSILON_TOKENS = {"ε", "<eps>"}
 #: Deepest nesting a query may use: open ``( … )`` groups, plus
 #: postfix operators stacked on one another that do not fold (such as
 #: ``{m,n}{m,n}``).  Each group costs the recursive descent four frames
-#: and each level the automaton constructions one more, so the cap
+#: and Thompson's build at most three (a ``?``, ``+`` or flat ``{m,n}``
+#: builds through its one-level expansion), so the cap
 #: keeps a hostile query a :class:`~repro.exceptions.RegexSyntaxError`
 #: at the first group or operator past it, far below Python's
 #: recursion limit.

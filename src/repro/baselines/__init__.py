@@ -8,6 +8,10 @@
   language in radix order (Theorem 21);
 * :mod:`repro.baselines.martens_trautner` — the Theorem 1 / Appendix A
   reduction of Distinct Shortest Walks to All Shortest Words;
+* :mod:`repro.baselines.glushkov` — the position construction
+  (ε-free, up to O(|R|²) transitions, Section 5.2): a second
+  regex → NFA construction the tests run the pipeline on beside
+  production's Thompson;
 * :mod:`repro.baselines.untrimmed` — the factor-``d`` ablation of
   Section 3.2: ``Enumerate`` reading the raw ``B`` maps with no
   ``Trim`` step;
@@ -35,6 +39,7 @@
 """
 
 from repro.baselines.all_shortest_words import all_shortest_words
+from repro.baselines.glushkov import glushkov_nfa
 from repro.baselines.martens_trautner import (
     ProductAutomaton,
     build_product_automaton,
@@ -64,6 +69,7 @@ __all__ = [
     "count_accepting_runs",
     "enumerate_untrimmed",
     "enumerate_walks_recursive",
+    "glushkov_nfa",
     "martens_trautner_walks",
     "naive_enumerate",
     "oracle_answer_set",

@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import Database
-from repro.api.query import CONSTRUCTIONS, MODES, RESTRICTIONS
+from repro.api.query import MODES, RESTRICTIONS
 from repro.automata import regex_to_nfa
 from repro.core.compile import compile_epsilon_free
 from repro.exceptions import ReproError
@@ -89,7 +89,6 @@ def _base_query(args: argparse.Namespace, db: Database):
     paged by ``--limit`` (``count`` ignores the page)."""
     query = (
         db.query(args.expression)
-        .construction(args.construction)
         .semantics(args.semantics)
         .limit(args.limit)
     )
@@ -217,10 +216,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     )
 
     graph = _load_graph(args.graph)
-    nfa = regex_to_nfa(args.expression, method=args.construction)
+    nfa = regex_to_nfa(args.expression)
     answers = (
         Database(graph, annotation_cache_size=0)  # One-shot, as above.
-        .query(args.expression).construction(args.construction)
+        .query(args.expression)
         .from_(args.source).to(args.target).count("dp")
     )
     if not answers:
@@ -473,7 +472,7 @@ def _stop_resource_tracker() -> None:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    nfa = regex_to_nfa(args.expression, method=args.construction)
+    nfa = regex_to_nfa(args.expression)
     print(analyze(graph, nfa).explain())
     return 0
 
@@ -516,12 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("expression", help="RPQ regular expression")
     query.add_argument("source", help="source vertex name")
     query.add_argument("target", nargs="?", help="target vertex name")
-    query.add_argument(
-        "--construction",
-        choices=CONSTRUCTIONS,
-        default="thompson",
-        help="regex→NFA construction (default: thompson)",
-    )
     query.add_argument(
         "--semantics",
         choices=RESTRICTIONS,
@@ -578,11 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("expression")
     count.add_argument("source")
     count.add_argument("target")
-    count.add_argument(
-        "--construction",
-        choices=CONSTRUCTIONS,
-        default="thompson",
-    )
     count.set_defaults(func=_cmd_count)
 
     batch = sub.add_parser(
@@ -784,11 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="explain the chosen algorithm")
     plan.add_argument("graph")
     plan.add_argument("expression")
-    plan.add_argument(
-        "--construction",
-        choices=CONSTRUCTIONS,
-        default="thompson",
-    )
     plan.set_defaults(func=_cmd_plan)
 
     stats = sub.add_parser(

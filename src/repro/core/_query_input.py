@@ -13,7 +13,7 @@ QueryLike = Union[NFA, RegexNode, str]
 def as_nfa(query: QueryLike) -> NFA:
     """Accept an NFA as-is; compile ASTs and strings via Thompson.
 
-    Thompson is the default construction because it preserves
+    Thompson is the one regex construction because it preserves
     Corollary 20's bounds (the compiled query is ε-closed afterwards,
     see :mod:`repro.core.compile`).
     """

@@ -11,17 +11,17 @@ Architecture
 
 **Plan cache** (LRU, default 256 entries).  Key::
 
-    (graph_name, graph_version, construction, query_text)
+    (graph_name, graph_version, query_text, restriction)
 
 Value: the query's automaton (:func:`repro.automata.regex_to_nfa`)
 plus the graph-specific :class:`~repro.core.compile.CompiledQuery` —
-i.e. the regex parse, Thompson/Glushkov construction, ε-elimination,
+i.e. the regex parse, Thompson construction, ε-elimination,
 label-id re-keying and the dense/firing-label layouts, all paid once
 per distinct query text per graph version.
 
 **Annotation cache** (LRU, default 128 entries).  Key::
 
-    (graph_name, graph_version, construction, query_text, source_id)
+    (graph_name, graph_version, query_text, source_id, cheapest)
 
 Value: a
 :class:`~repro.core.multi_target.MultiTargetShortestWalks` — the

@@ -51,7 +51,7 @@ from typing import (
     Union,
 )
 
-from repro.api.query import CONSTRUCTIONS, MODES, RESTRICTIONS, is_budget
+from repro.api.query import MODES, RESTRICTIONS, is_budget
 from repro.exceptions import ReproError, is_int
 
 #: ``json.dumps`` with its defaults, less the circular-reference check:
@@ -77,8 +77,6 @@ class QueryRequest:
     #: selects nothing — every request pages through one DFS (see
     #: :mod:`repro.api.query`).
     mode: str = "auto"
-    #: Regex → NFA construction for the plan.
-    construction: str = "thompson"
     #: Walk semantics: ``"walks"`` (distinct shortest walks, the
     #: default), ``"trails"`` / ``"simple"`` (no repeated edge /
     #: vertex), or ``"any"`` (one witness walk per pair).
@@ -119,11 +117,6 @@ class QueryRequest:
         if self.mode not in MODES:
             raise RequestError(
                 f"unknown mode {self.mode!r}; expected one of {MODES}"
-            )
-        if self.construction not in CONSTRUCTIONS:
-            raise RequestError(
-                f"unknown construction {self.construction!r}; "
-                f"expected one of {CONSTRUCTIONS}"
             )
         if self.semantics not in RESTRICTIONS:
             raise RequestError(
@@ -180,8 +173,6 @@ class QueryRequest:
             out["graph"] = self.graph
         if self.mode != "auto":
             out["mode"] = self.mode
-        if self.construction != "thompson":
-            out["construction"] = self.construction
         if self.semantics != "walks":
             out["semantics"] = self.semantics
         if self.limit is not None:

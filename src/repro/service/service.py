@@ -368,7 +368,6 @@ class QueryService:
             self._db,
             request.query,
             _graph_name=request.graph,
-            _construction=request.construction,
             _source=request.source,
             _target=request.target,
             _restriction=request.semantics,

@@ -72,8 +72,8 @@ class TestBuilderSemantics:
         q = db.query(QUERY)
         with pytest.raises(QueryError):
             q.mode("warp")
-        with pytest.raises(QueryError):
-            q.construction("brzozowski")
+        # Thompson is the one construction: there is no axis to set.
+        assert not hasattr(q, "construction")
         with pytest.raises(QueryError):
             q.limit(0)
         with pytest.raises(QueryError):

@@ -1,6 +1,6 @@
 """Unit tests for the Glushkov (position) construction."""
 
-from repro.automata import glushkov_nfa
+from repro.baselines import glushkov_nfa
 from repro.automata.regex_ast import desugar
 from repro.automata.regex_parser import parse_rpq
 

@@ -6,13 +6,13 @@ from repro.automata import (
     NFA,
     determinize,
     equivalent,
-    glushkov_nfa,
     is_deterministic,
     language_key,
     minimize,
     minimize_brzozowski,
     regex_to_nfa,
 )
+from repro.baselines import glushkov_nfa
 
 from tests.conftest import regex_asts, small_nfas
 
@@ -174,7 +174,7 @@ class TestPipelinesAgree:
     @settings(max_examples=80, deadline=None)
     def test_thompson_equals_glushkov(self, ast):
         """The two regex→NFA constructions define the same language."""
-        thompson = regex_to_nfa(ast, method="thompson")
+        thompson = regex_to_nfa(ast)
         glushkov = glushkov_nfa(ast)
         assert equivalent(thompson, glushkov)
 

@@ -355,11 +355,17 @@ class TestFoldedChainsCompile:
     SAME_TABLES = {"**", "*?", "?*", "*+", "??"}
 
     @staticmethod
-    def _tables(graph, text, method):
-        from repro.automata import regex_to_nfa
+    def _nfa(text, method):
+        from repro.automata import thompson_nfa
+        from repro.baselines import glushkov_nfa
+
+        construct = {"thompson": thompson_nfa, "glushkov": glushkov_nfa}
+        return construct[method](parse_rpq(text))
+
+    def _tables(self, graph, text, method):
         from repro.core.compile import compile_query
 
-        cq = compile_query(graph, regex_to_nfa(text, method=method))
+        cq = compile_query(graph, self._nfa(text, method))
         return (
             cq.n_states, tuple(cq.initial), cq.final, cq.delta, cq.eps,
             cq.delta_inv, cq.moves,
@@ -369,6 +375,8 @@ class TestFoldedChainsCompile:
     @pytest.mark.parametrize("pair", sorted(TestPostfixChains.FOLDS))
     def test_folded_and_stacked_forms_agree(self, pair, method):
         from repro.api import Database
+        from repro.core.compile import compile_query
+        from repro.core.multi_target import MultiTargetShortestWalks
         from repro.graph.generators import chain
 
         graph = chain(3, ("a", "b"), parallel=2)
@@ -383,7 +391,15 @@ class TestFoldedChainsCompile:
         db = Database(graph)
 
         def rows(text):
-            query = db.query(text).construction(method).from_("v0").to_all()
+            query = db.query(text).from_("v0").to_all()
             return [(row.target, row.walk.edges) for row in query.run()]
 
+        def engine_rows(text):
+            nfa = self._nfa(text, method)
+            engine = MultiTargetShortestWalks(
+                graph, nfa, "v0", compiled=compile_query(graph, nfa)
+            )
+            return [(t, walk.edges) for t, walk in engine.all_walks()]
+
         assert rows(folded) == rows(stacked) and rows(folded)
+        assert engine_rows(folded) == engine_rows(stacked) == rows(folded)

@@ -60,17 +60,21 @@ class TestModes:
     def test_auto_mode_is_iterative_in_the_simple_setting(self):
         """Single-labeled graph × DFA: the façade's ``auto`` is the
         engine's one DFS — same sequence, order included."""
-        from repro.automata import regex_to_nfa
+        from repro.automata import parse_rpq
+        from repro.baselines import glushkov_nfa
+        from repro.core.compile import compile_query
         from repro.graph.generators import grid
         from repro.query.plan import simple_eligible
 
         g = grid(3, 3)
         expression = "(r | d) (r | d) (r | d) (r | d)"
-        dfa = regex_to_nfa(expression, method="glushkov")
+        dfa = glushkov_nfa(parse_rpq(expression))
         assert simple_eligible(g, dfa)
-        engine = DistinctShortestWalks(g, dfa, "n0_0", "n2_2")
+        engine = DistinctShortestWalks(
+            g, dfa, "n0_0", "n2_2", compiled=compile_query(g, dfa)
+        )
         auto = (
-            Database(g).query(expression).construction("glushkov")
+            Database(g).query(expression)
             .from_("n0_0").to("n2_2").mode("auto").run()
         )
         assert auto.lam == engine.lam == 4
@@ -194,12 +198,13 @@ class TestLifecycle:
         assert sizes["trimmed_items"] > 0
 
     def test_auto_mode_exposes_annotation_and_trimmed(self):
-        from repro.automata import regex_to_nfa
+        from repro.automata import parse_rpq
+        from repro.baselines import glushkov_nfa
         from repro.graph.generators import grid
 
         engine = DistinctShortestWalks(
             grid(2, 2),
-            regex_to_nfa("r d", method="glushkov"),
+            glushkov_nfa(parse_rpq("r d")),
             "n0_0",
             "n1_1",
         )
@@ -213,8 +218,8 @@ class TestLifecycle:
         ids would swap vertices on a graph whose vertex *names* are
         integers (regression; also run against the simple-setting
         baseline, where it was first seen)."""
-        from repro.automata import regex_to_nfa
-        from repro.baselines import SimpleShortestWalks
+        from repro.automata import parse_rpq
+        from repro.baselines import SimpleShortestWalks, glushkov_nfa
         from repro.graph.builder import GraphBuilder
 
         builder = GraphBuilder()
@@ -222,7 +227,7 @@ class TestLifecycle:
         builder.add_vertex(0)
         builder.add_edge(1, 0, ["a"])
         graph = builder.build()
-        nfa = regex_to_nfa("a", method="glushkov")
+        nfa = glushkov_nfa(parse_rpq("a"))
         for engine in (
             SimpleShortestWalks(graph, nfa, 1, 0),
             DistinctShortestWalks(graph, nfa, 1, 0),

@@ -143,6 +143,43 @@ class TestAmbiguousCounting:
         assert _runs(cq, (0,)) == 2
 
 
+class TestCountedRepeats:
+    """A counted repeat matches ``k`` copies of its operand in exactly
+    one way: a walk's run count follows the regex, not the flat
+    desugar, whose ``n − m`` optionals ``(ε|X)`` weigh ``aa`` under
+    ``a{1,3}`` at 2 — one run per choice of optional copy."""
+
+    #: expression → (runs of ``aa``, runs on the flat desugar).
+    PINS = {
+        "a{1,3}": (1, 2),
+        "(a|b){0,4}": (1, 6),
+        "a{2,5}": (1, 1),
+        # One outer copy matching ``aa``, or two matching ``a``: the
+        # inner repeat's one way each.
+        "((a|b){1,3}){1,2}": (2, 3),
+    }
+
+    @pytest.mark.parametrize("expression", sorted(PINS))
+    def test_aa_weighs_as_the_regex(self, expression):
+        from repro.automata import parse_rpq, thompson_nfa
+        from repro.automata.regex_ast import desugar
+        from repro.graph.generators import chain
+
+        graph = chain(2, ("a",))
+        runs, flat_runs = self.PINS[expression]
+        rows = (
+            Database(graph).query(expression).from_("v0").to("v2")
+            .with_multiplicity().run().all()
+        )
+        assert [row.multiplicity for row in rows] == [runs]
+        edges = rows[0].walk.edges
+        ast = parse_rpq(expression)
+        nested = compile_epsilon_free(graph, thompson_nfa(ast))
+        flat = compile_epsilon_free(graph, thompson_nfa(desugar(ast)))
+        assert _runs(nested, edges) == runs
+        assert _runs(flat, edges) == flat_runs
+
+
 class TestProperties:
     @given(small_instances())
     @settings(max_examples=40, deadline=None)
@@ -371,12 +408,13 @@ class TestAcrossTheMerge:
 
     @staticmethod
     def _instance(name):
-        from repro.automata import regex_to_nfa
+        from repro.automata import parse_rpq
+        from repro.baselines import glushkov_nfa
         from repro.graph.generators import chain
         from repro.workloads.worstcase import diamond_chain
 
         expression, runs = TestAcrossTheMerge.CASES[name]
-        nfa = regex_to_nfa(expression, method="glushkov")
+        nfa = glushkov_nfa(parse_rpq(expression))
         assert not nfa.has_epsilon
         if name == "same-past finals":
             return chain(1, ("a",)), nfa, "v0", "v1", expression, runs
@@ -414,18 +452,24 @@ class TestAcrossTheMerge:
         from repro.service import QueryRequest, QueryService
 
         graph, nfa, s, t, expression, runs = self._instance(name)
-        query = Database(graph).query(expression).construction("glushkov")
-        query = query.from_(s).to(t)
+        query = Database(graph).query(expression).from_(s).to(t)
         rows = query.with_multiplicity().run().all()
         assert rows and all(row.multiplicity == runs for row in rows)
         assert query.count("dp") == query.count("enumerate") == len(rows)
+        # Glushkov's plan, which the merge does bite, gives the rows
+        # Thompson's does through the façade.
+        engine = DistinctShortestWalks(
+            graph, nfa, s, t, compiled=compile_query(graph, nfa)
+        )
+        assert [w.edges for w in engine.enumerate()] == [
+            row.walk.edges for row in rows
+        ]
         # The JSONL protocol carries no multiplicities: the request
         # must simply not notice the merge.
         service = QueryService()
         service.register_graph("g", graph)
         response = service.execute(QueryRequest.from_dict({
-            "query": expression, "construction": "glushkov",
-            "source": s, "target": t, "graph": "g",
+            "query": expression, "source": s, "target": t, "graph": "g",
         }))
         assert response.status == "ok", response.error
         assert [tuple(w["edges"]) for w in response.walks] == [

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata import NFA, regex_to_nfa
+from repro.automata import NFA, parse_rpq
 from repro.core.engine import DistinctShortestWalks
-from repro.baselines import SimpleShortestWalks
+from repro.baselines import SimpleShortestWalks, glushkov_nfa
 from repro.query.plan import graph_is_single_labeled, simple_eligible
 from repro.exceptions import QueryError
 from repro.graph import GraphBuilder
@@ -23,7 +23,7 @@ class TestEligibility:
 
     def test_single_label_dfa_accepted(self):
         g = grid(2, 2)
-        dfa = regex_to_nfa("r d", method="glushkov")
+        dfa = glushkov_nfa(parse_rpq("r d"))
         assert simple_eligible(g, dfa)
 
     def test_nondeterministic_rejected(self):
@@ -79,14 +79,14 @@ class TestCorrectness:
 
     def test_no_matching_walk(self):
         g = chain(3, labels=("a",))
-        dfa = regex_to_nfa("b", method="glushkov")
+        dfa = glushkov_nfa(parse_rpq("b"))
         engine = SimpleShortestWalks(g, dfa, "v0", "v3")
         assert engine.lam is None
         assert list(engine.enumerate()) == []
 
     def test_lambda_zero(self):
         g = chain(2, labels=("a",))
-        dfa = regex_to_nfa("a*", method="glushkov")
+        dfa = glushkov_nfa(parse_rpq("a*"))
         engine = SimpleShortestWalks(g, dfa, "v1", "v1")
         walks = list(engine.enumerate())
         assert engine.lam == 0
@@ -94,13 +94,13 @@ class TestCorrectness:
 
     def test_multi_edge_single_label(self):
         g = chain(2, labels=("a",), parallel=3)
-        dfa = regex_to_nfa("a a", method="glushkov")
+        dfa = glushkov_nfa(parse_rpq("a a"))
         engine = SimpleShortestWalks(g, dfa, "v0", "v2")
         assert sum(1 for _ in engine.enumerate()) == 9
 
     def test_iter_protocol(self):
         g = chain(1)
-        dfa = regex_to_nfa("a", method="glushkov")
+        dfa = glushkov_nfa(parse_rpq("a"))
         assert len(list(SimpleShortestWalks(g, dfa, "v0", "v1"))) == 1
 
 

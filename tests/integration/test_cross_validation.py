@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Database
-from repro.automata import regex_to_nfa
+from repro.automata import parse_rpq, regex_to_nfa
+from repro.baselines import glushkov_nfa
 from repro.baselines.martens_trautner import martens_trautner_walks
 from repro.baselines.naive import naive_enumerate
 from repro.baselines.oracle import oracle_answer_set
@@ -97,10 +98,11 @@ class TestRegexPipelines:
         s, t = rng.randrange(n), rng.randrange(n)
 
         pair = Database(graph).query(expression).from_(s).to(t)
-        thompson, glushkov = (
-            sorted(w.edges for w in pair.construction(m).run().walks())
-            for m in ("thompson", "glushkov")
+        thompson = sorted(w.edges for w in pair.run().walks())
+        engine = DistinctShortestWalks(
+            graph, glushkov_nfa(parse_rpq(expression)), s, t
         )
+        glushkov = sorted(w.edges for w in engine.enumerate())
         assert thompson == glushkov
 
 

@@ -44,8 +44,9 @@ from math import log2
 
 import pytest
 
-from repro.automata import ANY, EPSILON, NFA, regex_to_nfa
+from repro.automata import ANY, EPSILON, NFA, parse_rpq, regex_to_nfa
 from repro.automata.equivalence import equivalent
+from repro.baselines import glushkov_nfa
 from repro.baselines.oracle import costed_copy, random_graph, random_regex
 from repro.core import compile as compile_module
 from repro.core.compile import compile_epsilon_free, compile_query
@@ -83,8 +84,8 @@ def _draw_case(case: int):
     graph = random_graph(rng)
     expression = random_regex(rng, alphabet=_QUERY_ALPHABET)
     automata = {
-        "thompson": regex_to_nfa(expression, method="thompson"),
-        "glushkov": regex_to_nfa(expression, method="glushkov"),
+        "thompson": regex_to_nfa(expression),
+        "glushkov": glushkov_nfa(parse_rpq(expression)),
         "hand-built": _random_nfa(rng),
     }
     return seed, graph, expression, automata

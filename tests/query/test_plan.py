@@ -1,6 +1,7 @@
 """Unit tests for the query planner."""
 
-from repro.automata import NFA, regex_to_nfa
+from repro.automata import NFA, parse_rpq, regex_to_nfa
+from repro.baselines import glushkov_nfa
 from repro.graph.generators import chain, grid
 from repro.query.plan import analyze
 from repro.workloads.fraud import example9_automaton, example9_graph
@@ -9,7 +10,7 @@ from repro.workloads.fraud import example9_automaton, example9_graph
 class TestEngineSelection:
     def test_simple_setting_detected(self):
         g = grid(2, 2)
-        dfa = regex_to_nfa("r d", method="glushkov")
+        dfa = glushkov_nfa(parse_rpq("r d"))
         plan = analyze(g, dfa)
         assert plan.engine == "simple"
         assert plan.single_labeled and plan.deterministic
@@ -70,6 +71,6 @@ class TestExplain:
         assert "nondeterminism in the data" in text
 
     def test_explain_simple(self):
-        plan = analyze(grid(2, 2), regex_to_nfa("r d", method="glushkov"))
+        plan = analyze(grid(2, 2), glushkov_nfa(parse_rpq("r d")))
         assert "simple" in plan.explain()
         assert "O(λ)" in plan.explain()

@@ -6,6 +6,7 @@ import pytest
 from repro.api import Database
 from repro.automata import parse_rpq, regex_to_nfa
 from repro.automata.regex_ast import ast_size
+from repro.baselines import glushkov_nfa
 from repro.core.engine import DistinctShortestWalks
 from repro.exceptions import RegexSyntaxError
 from repro.graph import GraphBuilder
@@ -30,16 +31,18 @@ class TestCompilation:
         assert ast_size(parse_rpq(QUERY)) >= 5
 
     def test_method_selection(self):
+        # Thompson is the one construction production runs; Glushkov's
+        # ε-free automaton is a baseline, not an option.
         assert regex_to_nfa("a b | c").has_epsilon
-        assert not regex_to_nfa("a b | c", method="glushkov").has_epsilon
+        assert not glushkov_nfa(parse_rpq("a b | c")).has_epsilon
+        with pytest.raises(TypeError):
+            regex_to_nfa("a b | c", method="glushkov")
 
     def test_syntax_errors_propagate(self, db):
-        for construction in ("thompson", "glushkov"):
-            with pytest.raises(RegexSyntaxError):
-                regex_to_nfa("a |", method=construction)
-            pair = db.query("a |").construction(construction)
-            with pytest.raises(RegexSyntaxError):
-                pair.from_("Alix").to("Bob").run()
+        with pytest.raises(RegexSyntaxError):
+            regex_to_nfa("a |")
+        with pytest.raises(RegexSyntaxError):
+            db.query("a |").from_("Alix").to("Bob").run()
 
     def test_repr(self, db):
         assert "h* s" in repr(db.query("h* s"))

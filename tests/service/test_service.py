@@ -515,6 +515,19 @@ class TestRequestParsing:
                 {"query": "a", "source": 1, "target": 2, "walk_limit": 5}
             )
 
+    def test_construction_is_an_unknown_field(self):
+        """Thompson is the one regex construction, so a request that
+        still names one is malformed, whichever it names."""
+        for method in ("thompson", "glushkov"):
+            line = json.dumps({
+                "query": "a", "source": 1, "target": 2,
+                "construction": method,
+            })
+            with pytest.raises(
+                RequestError, match="unknown request field.*construction"
+            ):
+                list(read_requests_jsonl([line]))
+
     def test_missing_field_rejected(self):
         with pytest.raises(RequestError, match="target"):
             QueryRequest.from_dict({"query": "a", "source": 1})

@@ -583,6 +583,19 @@ def test_the_product_bfs_enumerator_lives_in_baselines_only():
     assert offenders == []
 
 
+def test_one_regex_construction_outside_baselines():
+    """Production compiles every query with Thompson: the Glushkov
+    construction is defined in ``repro.baselines`` alone (which
+    production never imports)."""
+    definers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "glushkov_nfa"
+    ]
+    assert definers == ["baselines/glushkov.py"]
+
+
 def test_no_second_entry_point_or_graph_registry():
     """``Database.query`` is the one way in: no module defines the
     per-graph database registry (``for_graph`` and its ``_shared``
@@ -640,7 +653,6 @@ def test_the_cli_imports_no_engine_class():
 
 _VOCABULARIES = {
     "MODES": ("repro.api.query", {"iterative", "memoryless", "auto"}),
-    "CONSTRUCTIONS": ("repro.api.query", {"thompson", "glushkov"}),
     "RESTRICTIONS": ("repro.api.query", {"walks", "trails", "simple", "any"}),
 }
 
@@ -661,7 +673,6 @@ def test_each_request_vocabulary_is_spelled_once():
                     spelled[name].append(str(path.relative_to(SRC)))
     assert spelled == {
         "MODES": ["api/query.py"],
-        "CONSTRUCTIONS": ["api/query.py"],
         "RESTRICTIONS": ["api/query.py"],
     }
     wanted = {

@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import random
 import shutil
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -144,7 +145,7 @@ def _rendered_walk(graph, edges):
 def _damage(rng: random.Random, wal_dir: str) -> None:
     """Inject one crash fault into a copied WAL directory."""
     path = os.path.join(wal_dir, LOG_NAME)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     roll = rng.random()
     if data:
         if roll < 0.45:  # Torn write / lost tail: truncate anywhere.
@@ -168,7 +169,7 @@ def _damage(rng: random.Random, wal_dir: str) -> None:
         # Damage the newest snapshot; an older one (at worst the lsn-0
         # bootstrap) still validates, so recovery must fall back.
         _, newest = snapshots[0]
-        blob = bytearray(open(newest, "rb").read())
+        blob = bytearray(Path(newest).read_bytes())
         if blob:
             blob[rng.randrange(len(blob))] ^= 0x5A
             with open(newest, "wb") as fh:
@@ -245,7 +246,7 @@ def test_crash_recovery(case: int, tmp_path) -> None:
         db.mutate(ops, compact=(True if i == compact_at else False))
     db.close()
 
-    pristine_log = open(os.path.join(pristine, LOG_NAME), "rb").read()
+    pristine_log = Path(os.path.join(pristine, LOG_NAME)).read_bytes()
     pristine_records = scan_bytes(pristine_log).records
 
     # -- phase 2: copy + damage + recover -----------------------------
@@ -253,7 +254,7 @@ def test_crash_recovery(case: int, tmp_path) -> None:
     shutil.copytree(pristine, damaged)
     _damage(rng, damaged)
 
-    damaged_log = open(os.path.join(damaged, LOG_NAME), "rb").read()
+    damaged_log = Path(os.path.join(damaged, LOG_NAME)).read_bytes()
     surviving = scan_bytes(damaged_log).records
     # The damaged log's valid prefix is a prefix of the pristine log.
     assert surviving == pristine_records[: len(surviving)], ctx
@@ -327,26 +328,26 @@ def test_damage_generator_is_not_degenerate(tmp_path) -> None:
         db.mutate([AddEdge("q", "p", ("b",))])
         db.close()
         log = os.path.join(wal_dir, LOG_NAME)
-        before = open(log, "rb").read()
+        before = Path(log).read_bytes()
         snaps_before = {
-            path: open(path, "rb").read()
+            path: Path(path).read_bytes()
             for _, path in list_snapshots(wal_dir)
         }
         _damage(random.Random(1000 + seed), wal_dir)
-        after = open(log, "rb").read()
+        after = Path(log).read_bytes()
         if len(after) < len(before):
             shrunk += 1
         elif after != before:
             flipped += 1
         damaged = [
             (path, blob) for path, blob in snaps_before.items()
-            if open(path, "rb").read() != blob
+            if Path(path).read_bytes() != blob
         ]
         if damaged:
             snapped += 1
             [(path, blob)] = damaged
             pos = next(
-                i for i, (a, b) in enumerate(zip(blob, open(path, "rb").read()))
+                i for i, (a, b) in enumerate(zip(blob, Path(path).read_bytes()))
                 if a != b
             )
             meta_end = HEADER.size + HEADER.unpack_from(blob, 0)[4]

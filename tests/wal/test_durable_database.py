@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -137,12 +138,12 @@ class TestOpenRecoverClose:
         log = os.path.join(str(tmp_path), LOG_NAME)
         try:
             db.mutate([AddEdge("a", "b", ("x",))])
-            before = open(log, "rb").read()
+            before = Path(log).read_bytes()
             with pytest.raises(WalError, match="vertex names"):
                 db.mutate([AddEdge(name, "b", ("x",))])
             with pytest.raises(WalError, match="vertex names"):
                 db.mutate([AddVertex(name)])
-            assert open(log, "rb").read() == before
+            assert Path(log).read_bytes() == before
         finally:
             db.close()
         # Recovery still resolves every name it logged.

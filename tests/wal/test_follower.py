@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_replaced_log_is_loud(tmp_path) -> None:
     # Rewrite the log with a different history: the follower's offset
     # now points into a stream whose next record is not last_lsn + 1.
     path = os.path.join(str(tmp_path), LOG_NAME)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(data + encode_frame({"v": 1, "lsn": 9, "kind": "batch"}))
     with pytest.raises(WalError, match="no longer continues"):

@@ -6,6 +6,7 @@ import json
 import os
 import time
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -127,7 +128,7 @@ def test_snapshot_ahead_of_truncated_log_is_skipped(tmp_path) -> None:
         live.compact()  # Snapshot at lsn 3.
     # Truncate the log below the snapshot watermark: the log is the
     # source of truth, so recovery must fall back to replaying it.
-    data = open(_log_path(tmp_path), "rb").read()
+    data = Path(_log_path(tmp_path)).read_bytes()
     first_end = data.index(b"\n") + 1
     with open(_log_path(tmp_path), "wb") as fh:
         fh.write(data[:first_end])
@@ -263,7 +264,7 @@ def test_log_surgery_is_loud(tmp_path) -> None:
         live.apply([AddEdge("b", "c", ("y",))])  # lsn 2
         live.apply([AddEdge("c", "d", ("x",))])  # lsn 3
     write_snapshot(str(tmp_path), live.to_graph(), 1)
-    data = open(_log_path(tmp_path), "rb").read()
+    data = Path(_log_path(tmp_path)).read_bytes()
     frames = data.splitlines(keepends=True)
     surgery = frames[0] + encode_frame(
         {"v": 1, "lsn": 3, "kind": "batch", "ops": []}
@@ -329,7 +330,7 @@ def test_stale_future_snapshot_is_discarded_on_reopen(tmp_path) -> None:
         live.apply([AddEdge("b", "c", ("y",))])  # lsn 2
         live.compact()                           # lsn 3 + snapshot-3
     # Fault: lose everything after the first record.
-    data = open(_log_path(tmp_path), "rb").read()
+    data = Path(_log_path(tmp_path)).read_bytes()
     with open(_log_path(tmp_path), "wb") as fh:
         fh.write(data[: data.index(b"\n") + 1])
     state = recover(str(tmp_path))

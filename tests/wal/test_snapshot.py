@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -159,7 +160,7 @@ def test_corrupt_newest_falls_back_to_older(tmp_path) -> None:
 def test_truncated_newest_falls_back(tmp_path) -> None:
     write_snapshot(str(tmp_path), _graph(), 1)
     newest = write_snapshot(str(tmp_path), _graph(), 4)
-    data = open(newest, "rb").read()
+    data = Path(newest).read_bytes()
     with open(newest, "wb") as fh:
         fh.write(data[: len(data) // 2])
     assert _pick(str(tmp_path)).lsn == 1
@@ -178,7 +179,7 @@ def test_crc_covers_body(tmp_path) -> None:
     """The watermark lives in the CRC'd meta: rewriting it in place
     (same length, still valid JSON) is refused at either value."""
     path = write_snapshot(str(tmp_path), _graph(), 3)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob.count(b'"lsn":3') == 1
     with open(path, "wb") as fh:
         fh.write(blob.replace(b'"lsn":3', b'"lsn":4'))
@@ -192,7 +193,7 @@ def test_bytes_outside_the_crcs_change_nothing(tmp_path) -> None:
     the same graph."""
     g = _graph(costs=[3, 1, 2])
     path = write_snapshot(str(tmp_path), g, 6)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     meta_end = HEADER.size + HEADER.unpack_from(blob, 0)[4]
     padding = list(range(meta_end, (meta_end + 7) & ~7))
     for pos in [16, 23, 12, 36, *padding]:  # epoch, flags, reserved.
