@@ -33,9 +33,9 @@ def test_dp_count_vs_enumeration(benchmark, print_table):
         engine.preprocess()
 
         t0 = time.perf_counter()
-        dp = engine.count(method="dp")
+        dp = engine.count()
         t1 = time.perf_counter()
-        full = engine.count(method="enumerate")
+        full = sum(1 for _ in engine.enumerate())
         t2 = time.perf_counter()
         assert dp == full == 2 ** k
         dp_times.append(t1 - t0)
@@ -49,7 +49,7 @@ def test_dp_count_vs_enumeration(benchmark, print_table):
             ]
         )
     benchmark.pedantic(
-        lambda: engine.count(method="dp"), rounds=3, iterations=1
+        engine.count, rounds=3, iterations=1
     )
     print_table(
         "EXP-COUNT (a): DP count vs enumeration — DP flat, enum ∝ answers",
@@ -72,7 +72,7 @@ def test_blowup_measures(benchmark, print_table):
         lam, paths = count_shortest_product_paths(cq, si, ti)
         _, mult = count_total_multiplicity(cq, si, ti)
         engine = DistinctShortestWalks(graph, nfa, s, t)
-        answers = engine.count(method="dp")
+        answers = engine.count()
         assert lam == k and answers == 1 and paths == m ** k
         ratios.append(paths / answers)
         rows.append([f"k={k}, m={m}", answers, paths, mult])

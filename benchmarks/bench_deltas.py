@@ -14,7 +14,7 @@ reproduces the exact stream.
 
 from __future__ import annotations
 
-from repro.core.deltas import delta_decode, delta_encode, stream_sizes
+from repro.baselines.deltas import delta_decode, delta_encode, stream_sizes
 from repro.core.engine import DistinctShortestWalks
 from repro.workloads.worstcase import diamond_chain
 

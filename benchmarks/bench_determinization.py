@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import time
 
-from repro.automata import determinize, minimize, parse_rpq, thompson_nfa
+from repro.automata import parse_rpq, thompson_nfa
 from repro.baselines import glushkov_nfa
+from repro.baselines.determinize import determinize
+from repro.baselines.minimize import minimize
 from repro.core.engine import DistinctShortestWalks
 from repro.graph.generators import chain
 

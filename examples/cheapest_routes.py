@@ -86,7 +86,7 @@ def main() -> None:
     print(f"\ngenerated network: {big} — {src} → {tgt}")
     for name, expr in sorted(TRANSPORT_QUERIES.items()):
         engine = DistinctCheapestWalks(big, regex_to_nfa(expr), src, tgt)
-        count = engine.count(method="dp")
+        count = engine.count()
         print(
             f"  {name:<15} cheapest {str(engine.cheapest_cost):>5}, "
             f"{count} tie(s)"

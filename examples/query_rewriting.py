@@ -3,26 +3,25 @@
 
 A query optimizer rewrites RPQs — simplifying unions, narrowing
 wildcards, merging alternatives — and must prove each rewrite safe.
-This example exercises the toolbox the library provides for that:
+This example exercises the language toolbox that ships beside the
+test oracles in :mod:`repro.baselines` (no production path runs it):
 
-* :func:`repro.equivalent` / ``counterexample`` — is the rewrite the
-  same query?  If not, which word separates them?
-* :func:`repro.minimize` / ``language_key`` — canonical forms for
-  caching per-query artifacts across syntactic variants;
+* :func:`~repro.baselines.equivalence.equivalent` /
+  ``counterexample`` — is the rewrite the same query?  If not, which
+  word separates them?
+* :func:`~repro.baselines.minimize.minimize` / ``language_key`` —
+  canonical forms for caching per-query artifacts across syntactic
+  variants;
 * closure combinators (``union_nfa``, ``difference_nfa``, ...) —
   compose queries algebraically, then run them on the database.
 
 Run:  python examples/query_rewriting.py
 """
 
-from repro import (
-    DistinctShortestWalks,
-    equivalent,
-    language_key,
-    minimize,
-    regex_to_nfa,
-)
-from repro.automata import counterexample, difference_nfa, is_subset, union_nfa
+from repro import DistinctShortestWalks, regex_to_nfa
+from repro.baselines.closure import difference_nfa, union_nfa
+from repro.baselines.equivalence import counterexample, equivalent, is_subset
+from repro.baselines.minimize import language_key, minimize
 from repro.workloads.fraud import example9_graph
 
 

@@ -39,9 +39,6 @@ from repro.automata import (
     ANY,
     EPSILON,
     NFA,
-    equivalent,
-    language_key,
-    minimize,
     parse_rpq,
     regex_to_nfa,
     thompson_nfa,
@@ -71,7 +68,7 @@ from repro.graph import (
     PropertyGraph,
     project,
 )
-from repro.live import LiveGraph, MutationBatch, StandingQuery
+from repro.live import LiveGraph, MutationBatch
 from repro.query import PathPattern, analyze, parse_pattern
 from repro.service import QueryRequest, QueryResponse, QueryService
 
@@ -106,15 +103,11 @@ __all__ = [
     "Row",
     "RegexSyntaxError",
     "ReproError",
-    "StandingQuery",
     "Walk",
     "analyze",
     "count_distinct_shortest",
     "count_shortest_product_paths",
     "count_total_multiplicity",
-    "equivalent",
-    "language_key",
-    "minimize",
     "parse_pattern",
     "parse_rpq",
     "project",

@@ -19,7 +19,7 @@ One ``Database`` owns
   one-cell case — produced by one per-source provider under one shape
   combinator, and the :class:`~repro.api.result.ResultSet` turns cells
   into rows (cursor resume, multiplicities, pagination).  ``run()``,
-  ``count("dp")`` and ``targets()`` all read that stream.
+  ``count()`` and ``targets()`` all read that stream.
 
 The batched :class:`~repro.service.QueryService`, the serve workers
 and the CLI all delegate here, so every entry point shares one
@@ -1133,27 +1133,14 @@ class Database:
 
     # -- non-enumerating terminals -------------------------------------------
 
-    def _count(self, q: Query, method: str) -> int:
-        if method not in ("enumerate", "dp"):
-            raise QueryError(
-                f"unknown count method {method!r}; "
-                "expected 'enumerate' or 'dp'"
-            )
-        if method == "dp" and q._restriction != "walks":
-            raise QueryError(
-                "count(method='dp') applies to the 'walks' semantics "
-                f"only, not {q._restriction!r}: Remark 17's memoized DP "
-                "counts distinct shortest walks; restricted/any answer "
-                "sets are counted by enumeration (method='enumerate')"
-            )
+    def _count(self, q: Query) -> int:
         base = q.limit(None).offset(0).cursor(None).timeout_ms(None)
         base = base.with_multiplicity(False)
-        if method == "enumerate":
+        if base._restriction != "walks":
             return sum(1 for _ in base.run())
         handle = self._handle(base._graph_name)
         _, _, cells, _ = self._cells(base, handle, base._shape())
-        name = handle.graph.vertex_name
-        return sum(mt.count_to(name(t), "dp") for _, t, _, _, mt in cells)
+        return sum(prepared._count(t) for _, t, _, _, prepared in cells)
 
     def _targets(self, q: Query) -> List[Tuple[Hashable, int]]:
         shape = q._shape()

@@ -337,21 +337,19 @@ class Query:
     def __iter__(self) -> Iterator[Row]:
         return iter(self.run())
 
-    def count(self, method: str = "enumerate") -> int:
+    def count(self) -> int:
         """Total number of answers (pagination knobs and
         :meth:`with_multiplicity` are ignored).
 
-        ``method="enumerate"`` counts by enumerating;
-        ``method="dp"`` uses the memoized backward-tree dynamic
-        program — exponentially faster on answer sets with many
-        shared suffixes.  The DP (and Remark 17's entry-count bound it
-        rests on) applies to the unrestricted **walks** semantics
-        only: trails/simple answer sets are not products of per-level
-        predecessor counts, and any-walk has no answer *set* — those
-        modes count by enumeration, and ``method="dp"`` raises
-        :class:`~repro.exceptions.QueryError` under them.
+        The restriction decides how: under the unrestricted **walks**
+        semantics (shortest or cheapest, every shape) the memoized
+        backward-tree dynamic program counts without enumerating —
+        exponentially faster on answer sets with many shared suffixes.
+        Trails/simple answer sets are not products of per-level
+        predecessor counts, and any-walk has no answer *set*: those
+        restrictions count by enumerating.
         """
-        return self._db._count(self, method)
+        return self._db._count(self)
 
     def explain(self) -> "QueryPlan":
         """The input-analysis plan, extended with façade routing."""

@@ -13,10 +13,11 @@ semantics of the batch service's paginator:
   :attr:`next_cursor` points at the last *emitted* row (resuming there
   yields the peeked row first) and the stream closes;
 * the deadline is checked between rows — by the paper's delay bound
-  the overshoot is O(λ×|A|); on expiry :attr:`timed_out` is set and
-  :attr:`next_cursor` resumes after the last row consumed (skipped or
-  emitted), falling back to the request's own cursor when nothing was
-  consumed yet;
+  the overshoot is O(λ×|A|); past it, the page stops once the next
+  walk has been pulled, so :attr:`timed_out` means the stream had
+  more: it is set and :attr:`next_cursor` resumes after the last row
+  consumed (skipped or emitted), falling back to the request's own
+  cursor when nothing was consumed yet;
 * an exhausted stream leaves :attr:`next_cursor` as ``None``.
 
 A row passes through one generator frame between the engine's DFS and
@@ -118,7 +119,7 @@ class ResultSet:
         #: endpoint names — the anchor a resume token points at.
         last: Optional[Walk] = None
         last_at: Tuple = ()
-        stopped = False
+        stopped = expired = False
         spent = 0.0
         # Start of the running enumerate interval; None while the
         # caller holds a row.
@@ -127,12 +128,16 @@ class ResultSet:
             for source_id, target_id, lam, open_walks, _ in cells:
                 at = source, target = name(source_id), name(target_id)
                 for walk in open_walks(resume):
+                    if expired:
+                        # The deadline passed and the stream has more:
+                        # this walk is left for the resume.
+                        self.timed_out = stopped = True
+                        return
                     if skipped < offset:
                         skipped += 1
                         last, last_at = walk, at
-                        if deadline is not None and clock() > deadline:
-                            self.timed_out = stopped = True
-                            return
+                        if deadline is not None:
+                            expired = clock() > deadline
                         continue
                     if emitted == limit:
                         # One walk past the page: the enumeration has
@@ -151,9 +156,8 @@ class ResultSet:
                     yield row
                     start = clock()
                     last, last_at = walk, at
-                    if deadline is not None and start > deadline:
-                        self.timed_out = stopped = True
-                        return
+                    if deadline is not None:
+                        expired = start > deadline
                 resume = None
         finally:
             if start is not None:

@@ -17,39 +17,18 @@ Public entry points:
 * :func:`~repro.automata.thompson.thompson_nfa`;
 * :func:`regex_to_nfa` — one-stop compilation helper;
 * :mod:`repro.automata.ops` — ε-elimination, reversal, trimming,
-  product, unambiguity testing;
-* :func:`~repro.automata.determinize.determinize` — subset
-  construction;
-* :mod:`repro.automata.minimize` — Hopcroft / Brzozowski minimization
-  and canonical language keys;
-* :mod:`repro.automata.equivalence` — language equivalence / inclusion
-  with shortest counterexamples.
+  product, determinism and unambiguity testing.
+
+The language toolbox the tests hold these to — closure combinators,
+subset construction, minimization and language equivalence — runs on
+no production path, so it lives among the oracles
+(:mod:`repro.baselines.closure`, :mod:`repro.baselines.determinize`,
+:mod:`repro.baselines.minimize`, :mod:`repro.baselines.equivalence`).
 """
 
-from repro.automata.closure import (
-    complement_nfa,
-    concat_nfa,
-    difference_nfa,
-    intersect_nfa,
-    option_nfa,
-    plus_nfa,
-    star_nfa,
-    union_nfa,
-)
-from repro.automata.determinize import determinize, is_deterministic
-from repro.automata.equivalence import (
-    counterexample,
-    equivalent,
-    is_subset,
-    subset_counterexample,
-)
-from repro.automata.minimize import (
-    language_key,
-    minimize,
-    minimize_brzozowski,
-)
 from repro.automata.nfa import ANY, EPSILON, NFA
 from repro.automata.ops import (
+    is_deterministic,
     is_unambiguous,
     product,
     remove_epsilon,
@@ -99,30 +78,14 @@ __all__ = [
     "Star",
     "Union",
     "ast_size",
-    "complement_nfa",
-    "concat_nfa",
-    "counterexample",
     "desugar",
-    "determinize",
-    "difference_nfa",
-    "equivalent",
-    "intersect_nfa",
-    "option_nfa",
-    "plus_nfa",
-    "star_nfa",
-    "union_nfa",
     "is_deterministic",
-    "is_subset",
     "is_unambiguous",
-    "language_key",
-    "minimize",
-    "minimize_brzozowski",
     "parse_rpq",
     "product",
     "regex_to_nfa",
     "remove_epsilon",
     "reverse",
-    "subset_counterexample",
     "thompson_nfa",
     "trim",
 ]

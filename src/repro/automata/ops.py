@@ -1,14 +1,16 @@
 """Automaton operations: ε-elimination, reversal, trimming, product,
-unambiguity testing.
+determinism and unambiguity testing.
 
 These are the standard constructions the paper leans on:
 
 * Section 5.1 handles ε-transitions on the fly, but multiplicity
   counting (Section 5.3) is defined on ε-free automata, so
   :func:`remove_epsilon` provides the canonical elimination;
-* related work ([11, 17] in the paper) assumes *unambiguous* automata —
-  :func:`is_unambiguous` implements the classical self-product test so
-  that the planner can detect that setting.
+* the paper's "simpler setting" (deterministic queries on
+  single-labeled data) and related work ([11, 17] in the paper), which
+  assumes *unambiguous* automata — :func:`is_deterministic` (a
+  linear-time check) and :func:`is_unambiguous` (the classical
+  self-product test) let the planner detect both.
 """
 
 from __future__ import annotations
@@ -140,6 +142,28 @@ def product(left: NFA, right: NFA) -> NFA:
         if q1 in left.final and q2 in right.final:
             result.set_final(s)
     return result
+
+
+def is_deterministic(nfa: NFA) -> bool:
+    """Linear-time determinism check.
+
+    Deterministic means: at most one initial state, no ε-transitions,
+    and for every state at most one successor per label.  A state
+    carrying both a wildcard transition and any other transition is
+    nondeterministic (the wildcard overlaps every label).
+    """
+    if len(nfa.initial) > 1:
+        return False
+    for q in nfa.states():
+        moves = dict(nfa.transitions_from(q))
+        if EPSILON in moves:
+            return False
+        if ANY in moves and (len(moves) > 1 or len(moves[ANY]) > 1):
+            return False
+        for targets in moves.values():
+            if len(targets) > 1:
+                return False
+    return True
 
 
 def is_unambiguous(nfa: NFA) -> bool:

@@ -33,7 +33,20 @@
   for the "simpler setting" (single-labeled database, deterministic
   automaton): a cross-check there, and EXP-SIMPLE's comparison row;
 * :mod:`repro.baselines.oracle` — exhaustive ground truth used only by
-  the test suite.
+  the test suite;
+* the language toolbox — :mod:`repro.baselines.closure` (the regular
+  operations on NFAs), :mod:`repro.baselines.determinize` (subset
+  construction), :mod:`repro.baselines.minimize` (Hopcroft /
+  Brzozowski minimization, canonical language keys) and
+  :mod:`repro.baselines.equivalence` (language equivalence and
+  inclusion with shortest counterexamples): the language oracles that
+  hold the regex constructions and the compile-time quotient to their
+  languages;
+* :mod:`repro.baselines.validate` — every structural invariant of a
+  built graph re-checked, the graph oracle for the builder, the
+  readers and the generators;
+* :mod:`repro.baselines.deltas` — Section 6's delta-encoded output
+  stream (a "perspectives" artefact, measured by EXP-DELTA).
 
 :mod:`repro.core` and the tiers above it never import this package.
 """

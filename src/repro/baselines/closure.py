@@ -4,10 +4,13 @@ Query rewriting over RPQs needs to *combine* automata: union two user
 queries, concatenate a prefix pattern with a suffix pattern, subtract
 an exclusion list.  These combinators complement the regex→NFA
 constructions (which build automata from syntax) by operating directly
-on automata — and they compose with everything else in
-:mod:`repro.automata`: the results can be minimized, compared with
-:func:`~repro.automata.equivalence.equivalent`, or handed straight to
-the shortest-walk engine.
+on automata — and they compose with the rest of the language toolbox
+beside them: the results can be minimized
+(:mod:`repro.baselines.minimize`), compared with
+:func:`~repro.baselines.equivalence.equivalent`, or handed straight to
+the shortest-walk engine.  No production path combines automata, so
+the toolbox lives among the oracles; :mod:`repro.automata` keeps what
+production compiles and plans with.
 
 Constructions are the standard ones: disjoint union with merged
 initial/final sets, ε-gluing for concatenation and star (the engine
@@ -24,9 +27,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Set
 
-from repro.automata.determinize import determinize
 from repro.automata.nfa import EPSILON, NFA
 from repro.automata.ops import product, remove_epsilon
+from repro.baselines.determinize import determinize
 from repro.exceptions import AutomatonError
 
 

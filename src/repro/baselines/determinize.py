@@ -1,46 +1,26 @@
-"""Subset construction and determinism testing.
+"""Subset construction.
 
 The paper's introduction contrasts the general algorithm with the
 "simpler setting" of deterministic queries on single-labeled data,
-where a product-BFS achieves O(λ) delay.  The planner
-(:mod:`repro.query.plan`) uses :func:`is_deterministic` — a linear-time
-check, as the paper notes — to detect that setting;
-:func:`determinize` exists for tests, examples and the ablation
-benchmarks that quantify the exponential price of determinization.
+where a product-BFS achieves O(λ) delay.  The planner detects that
+setting with the linear-time
+:func:`~repro.automata.ops.is_deterministic`; :func:`determinize` is
+the language toolbox's (:mod:`repro.baselines.closure`,
+:mod:`repro.baselines.minimize`) and the ablation benchmark's, which
+quantifies the exponential price of determinization.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List
 
-from repro.automata.nfa import ANY, EPSILON, NFA
+from repro.automata.nfa import NFA
 from repro.exceptions import AutomatonError
 
 
-def is_deterministic(nfa: NFA) -> bool:
-    """Linear-time determinism check.
-
-    Deterministic means: at most one initial state, no ε-transitions,
-    and for every state at most one successor per label.  A state
-    carrying both a wildcard transition and any other transition is
-    nondeterministic (the wildcard overlaps every label).
-    """
-    if len(nfa.initial) > 1:
-        return False
-    for q in nfa.states():
-        moves = dict(nfa.transitions_from(q))
-        if EPSILON in moves:
-            return False
-        if ANY in moves and (len(moves) > 1 or len(moves[ANY]) > 1):
-            return False
-        for targets in moves.values():
-            if len(targets) > 1:
-                return False
-    return True
-
-
 def determinize(nfa: NFA, max_states: int = 100_000) -> NFA:
-    """Subset construction; the result satisfies :func:`is_deterministic`.
+    """Subset construction; the result satisfies
+    :func:`~repro.automata.ops.is_deterministic`.
 
     Wildcard transitions are not supported here (expand them against a
     concrete alphabet first); ε-transitions are handled by closure.

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.automata.nfa import NFA
-from repro.automata.minimize import OTHER
+from repro.baselines.minimize import OTHER
 from repro.exceptions import AutomatonError
 
 _PairKey = Tuple[FrozenSet[int], FrozenSet[int]]
@@ -94,7 +94,7 @@ def counterexample(
 ) -> Optional[Tuple[str, ...]]:
     """The shortest word in ``L(a) Δ L(b)``, or ``None`` when equal.
 
-    A returned word may contain :data:`~repro.automata.minimize.OTHER`,
+    A returned word may contain :data:`~repro.baselines.minimize.OTHER`,
     which stands for any concrete label neither automaton mentions.
     """
     return _distinguish(a, b, accept_only_left=False, max_pairs=max_pairs)

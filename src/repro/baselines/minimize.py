@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.automata.determinize import determinize, is_deterministic
 from repro.automata.nfa import ANY, NFA
-from repro.automata.ops import reverse
+from repro.automata.ops import is_deterministic, reverse
+from repro.baselines.determinize import determinize
 
 #: The stand-in symbol for "any label not otherwise mentioned".
 OTHER = " other"

@@ -220,7 +220,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     answers = (
         Database(graph, annotation_cache_size=0)  # One-shot, as above.
         .query(args.expression)
-        .from_(args.source).to(args.target).count("dp")
+        .from_(args.source).to(args.target).count()
     )
     if not answers:
         print("no matching walk")

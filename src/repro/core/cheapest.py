@@ -200,10 +200,8 @@ class DistinctCheapestWalks(PreparedWalks):
     def __iter__(self) -> Iterator[Walk]:
         return self.enumerate()
 
-    def count(self, method: str = "enumerate") -> int:
-        """Number of distinct cheapest walks.
-
-        ``method="dp"`` counts via the backward-tree dynamic program
-        (cost-budgeted), without enumerating.
-        """
-        return self._count(self.target, method)
+    def count(self) -> int:
+        """Number of distinct cheapest walks, counted without
+        enumerating by the (cost-budgeted) backward-tree dynamic
+        program."""
+        return self._count(self.target)

@@ -272,20 +272,12 @@ class PreparedWalks:
     def _cost_of(self):
         return self.graph.cost_array.__getitem__ if self.cheapest else None
 
-    def _count(self, t: int, method: str) -> int:
-        if method == "dp":
-            annotation = self._settled(t)
-            lam_t, states = annotation.target_info(t)
-            return count_distinct_shortest(
-                self.graph, annotation, lam_t, t, states,
-                cost_of=self._cost_of,
-            )
-        if method != "enumerate":
-            raise QueryError(
-                f"unknown count method {method!r}; "
-                "expected 'enumerate' or 'dp'"
-            )
-        return sum(1 for _ in self._walks(t))
+    def _count(self, t: int) -> int:
+        annotation = self._settled(t)
+        lam_t, states = annotation.target_info(t)
+        return count_distinct_shortest(
+            self.graph, annotation, lam_t, t, states, cost_of=self._cost_of,
+        )
 
 
 class DistinctShortestWalks(PreparedWalks):
@@ -362,17 +354,13 @@ class DistinctShortestWalks(PreparedWalks):
 
     # -- conveniences ---------------------------------------------------------------------
 
-    def count(self, method: str = "enumerate") -> int:
-        """Number of answers.
-
-        ``method="enumerate"`` (default) runs a full enumeration —
-        O(answers × λ × |A|).  ``method="dp"`` counts without
-        enumerating, via the memoized dynamic program of
-        :func:`repro.core.count.count_distinct_shortest`; on answer
+    def count(self) -> int:
+        """Number of answers, counted without enumerating by the
+        memoized dynamic program of
+        :func:`repro.core.count.count_distinct_shortest` — on answer
         sets with many shared suffixes (or astronomically many
-        answers) it is exponentially faster.
-        """
-        return self._count(self.target, method)
+        answers) exponentially faster than enumerating them."""
+        return self._count(self.target)
 
     def first(self, k: int) -> List[Walk]:
         """The first ``k`` answers in enumeration order (all of them

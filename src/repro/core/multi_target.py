@@ -117,10 +117,10 @@ class MultiTargetShortestWalks(PreparedWalks):
             self.graph.resolve_vertex(target), resume_after=resume_after
         )
 
-    def count_to(self, target: Hashable, method: str = "enumerate") -> int:
-        """Number of distinct shortest matching walks to one target —
-        by enumeration, or (``method="dp"``) by the memoized DP."""
-        return self._count(self.graph.resolve_vertex(target), method)
+    def count_to(self, target: Hashable) -> int:
+        """Number of distinct shortest matching walks to one target,
+        counted by the memoized DP without enumerating."""
+        return self._count(self.graph.resolve_vertex(target))
 
     def all_walks(
         self, targets: Optional[List[Hashable]] = None

@@ -42,7 +42,6 @@ from repro.graph.property_graph import (
     project,
     type_is,
 )
-from repro.graph.validate import validate_graph
 
 __all__ = [
     "Graph",
@@ -62,5 +61,4 @@ __all__ = [
     "save_json",
     "save_property_graph_json",
     "type_is",
-    "validate_graph",
 ]

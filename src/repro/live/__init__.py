@@ -68,10 +68,11 @@ label interning carries over unchanged.
 
 **Change feed** (:meth:`~repro.live.live_graph.LiveGraph.subscribe`).
 Every applied batch notifies subscribers with its
-:class:`~repro.live.delta.MutationBatch` receipt;
-:class:`~repro.live.standing.StandingQuery` uses it to keep one query
-current while *skipping* refreshes for batches whose labels are
-disjoint from its footprint.
+:class:`~repro.live.delta.MutationBatch` receipt; the database's own
+eviction pass is one subscriber.  ``examples/standing_queries.py``
+builds a standing query on it from the public API alone: one query kept
+current, *skipping* refreshes for batches whose labels are disjoint
+from its footprint.
 
 Entry points: ``Database.mutate(ops)`` (the cached serving path), the
 JSONL ``{"mutate": [...]}`` request of :mod:`repro.service`, the CLI
@@ -91,7 +92,6 @@ from repro.live.delta import (
     ops_from_dicts,
 )
 from repro.live.live_graph import LiveGraph, query_label_footprint
-from repro.live.standing import StandingQuery
 
 __all__ = [
     "AddEdge",
@@ -101,7 +101,6 @@ __all__ = [
     "MutationBatch",
     "RemoveEdge",
     "SetEdgeLabels",
-    "StandingQuery",
     "op_from_dict",
     "op_to_dict",
     "ops_from_dicts",

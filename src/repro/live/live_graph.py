@@ -392,7 +392,7 @@ class LiveGraph(FlatAccessors):
         state); delivery is in subscription order.  Standing queries
         intersect a data receipt's ``touched_labels`` with their own
         footprint and skip refreshes for unrelated writes — see
-        :class:`~repro.live.standing.StandingQuery`.
+        ``examples/standing_queries.py``.
 
         ``front=True`` prepends instead of appending — the hook for
         *infrastructure* subscribers (the database's cache-eviction
@@ -663,11 +663,11 @@ class LiveGraph(FlatAccessors):
         Subscribers are notified with a receipt whose ``compaction``
         flag is set (and no op/label details): every piece of
         id-addressed state must be rebuilt — the database's eviction
-        subscriber answers with a full version-bump purge, and
-        :class:`~repro.live.standing.StandingQuery` re-runs
-        unconditionally (its held rows reference pre-compaction edge
-        ids).  Outstanding pagination *cursors* live client-side and
-        cannot be notified; they must be discarded.
+        subscriber answers with a full version-bump purge, and a
+        standing query re-runs unconditionally (its held rows
+        reference pre-compaction edge ids).  Outstanding pagination
+        *cursors* live client-side and cannot be notified; they must be
+        discarded.
         """
         t0 = time.perf_counter()
         with self._lock:  # RLock: to_graph re-enters safely.

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.automata.determinize import is_deterministic
 from repro.automata.nfa import NFA
-from repro.automata.ops import is_unambiguous
+from repro.automata.ops import is_deterministic, is_unambiguous
 from repro.graph.database import Graph
 
 

@@ -50,8 +50,11 @@ Consistency model (v1, documented trade-offs):
 
 * mutations are serialized through the owner; a mutation **republishes
   the whole compacted graph** and coarsely drops every worker's local
-  caches (label-footprint-precise cross-process invalidation is a
-  ROADMAP follow-on);
+  caches (label-footprint-precise cross-process invalidation is ROADMAP
+  item 19);
+* every batch is compacted, so a mutation's ``"compact"`` field may be
+  ``"auto"`` or ``"always"``: ``"never"`` is answered with an error
+  response, and the graph is left as it was;
 * per connection you get read-your-writes: a ``{"mutate": ...}`` line
   is a barrier, and the in-band reload marker reaches each worker pipe
   before any post-mutation query does;

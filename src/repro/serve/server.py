@@ -61,10 +61,13 @@ every worker pipe, and unlinks the old block (safe while still
 mapped).  Pipe FIFO ordering guarantees a worker processes every
 pre-mutation request against the old mapping before it reloads —
 coarse v1 invalidation: the whole per-worker cache state is dropped on
-reload; label-footprint-precise cross-process invalidation is a
-ROADMAP follow-on.  Edge ids are renumbered by compaction, so cursors
+reload; label-footprint-precise cross-process invalidation is ROADMAP
+item 19.  Edge ids are renumbered by compaction, so cursors
 obtained before a mutation are invalid after it (same contract as
-``Database.mutate`` with compaction).
+``Database.mutate`` with compaction).  Since every batch compacts, a
+mutation's ``"compact"`` field may be ``"auto"`` or ``"always"``;
+``"never"`` is answered with an error response that says so, and the
+graph is left as it was.
 
 Failure handling
 ----------------
@@ -655,6 +658,12 @@ class ServeServer:
                     raise RequestError(
                         f"unknown graph {request.graph!r}; this server "
                         f"serves {self.graph_name!r}"
+                    )
+                if request.compact == "never":
+                    raise RequestError(
+                        "'compact': 'never' is not supported by repro "
+                        "serve: every batch is compacted and the whole "
+                        "graph republished to the workers"
                     )
                 batch, snapshot = await asyncio.get_running_loop().run_in_executor(
                     None, self._apply_and_compact, request.parsed_ops

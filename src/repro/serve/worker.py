@@ -171,7 +171,7 @@ def worker_main(
             # Coarse v1 invalidation: drop the whole process-local
             # cache state with the old graph and re-attach the new
             # segment.  Fine-grained label-footprint eviction stays a
-            # follow-on (ROADMAP item 10).
+            # follow-on (ROADMAP item 19).
             segment_name = msg[1]
             old = graph
             graph, service = fresh_service(segment_name)

@@ -6,6 +6,7 @@ from repro.api import Database
 from repro.automata import regex_to_nfa
 from repro.core.cheapest import DistinctCheapestWalks
 from repro.core.engine import DistinctShortestWalks
+from repro.core.multi_target import MultiTargetShortestWalks
 from repro.exceptions import QueryError
 from repro.graph.builder import GraphBuilder
 from repro.workloads.fraud import example9_graph
@@ -159,15 +160,23 @@ class TestModesAndSemantics:
         rows = db.query(QUERY).from_("Alix").to("Bob").run().all()
         assert all(r.multiplicity is None for r in rows)
 
-    def test_count_methods_agree(self, db):
+    def test_count_methods_agree(self, db, graph):
+        """The restriction picks the method: ``walks`` counts by the DP,
+        which agrees with the rows enumerated on every shape, and no
+        ``method`` is accepted."""
         pair = db.query(QUERY).from_("Alix").to("Bob")
-        assert pair.count() == pair.count(method="dp") == 4
+        assert pair.count() == len(pair.run().all()) == 4
         fan = db.query(QUERY).from_("Alix").to_all()
-        assert fan.count() == fan.count(method="dp") == 8
+        assert fan.count() == len(fan.run().all()) == 8
         everything = db.query("h").all_pairs()
-        assert everything.count() == everything.count(method="dp") == 6
-        with pytest.raises(QueryError, match="count method"):
-            pair.count(method="guess")
+        assert everything.count() == len(everything.run().all()) == 6
+        for method in ("guess", "dp", "enumerate"):
+            with pytest.raises(TypeError):
+                pair.count(method=method)
+        engine = MultiTargetShortestWalks(graph, regex_to_nfa(QUERY), "Alix")
+        assert engine.count_to("Bob") == 4
+        with pytest.raises(TypeError):
+            engine.count_to("Bob", method="dp")
 
     def test_count_ignores_pagination(self, db):
         assert db.query(QUERY).from_("Alix").to("Bob").limit(1).count() == 4

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Cursor, Database
 from repro.exceptions import QueryError
+from repro.graph.generators import chain
 from repro.service import QueryService, read_requests_jsonl
 from repro.workloads.fraud import example9_graph
 from repro.workloads.worstcase import diamond_chain
@@ -99,8 +100,6 @@ class TestPairCursors:
     def test_unchained_edges_cursor_is_a_query_error(self):
         """Edges that exist but do not concatenate are a cursor error,
         not the walk constructor's ``GraphError``."""
-        from repro.graph.generators import chain
-
         query = (
             Database(chain(4, ("a", "b"), parallel=2))
             .query("(a|b)*").from_("v0").to("v4")
@@ -299,6 +298,21 @@ class TestPaginationEdges:
         rs = resumed.timeout_ms(0.0).run()
         assert rs.all() == [] and rs.timed_out and rs.skipped == 1
         assert rs.next_cursor.edges == full[10]
+
+    def test_a_spent_budget_on_an_exhausted_stream_is_no_timeout(self):
+        """``timed_out`` means the stream had more: a deadline that
+        passes at the last walk leaves no cursor to resume from."""
+        query = (
+            Database(chain(3, ("a", "b")))
+            .query("a a a").from_("v0").to("v3")
+        )
+        rs = query.timeout_ms(0.0).run()
+        assert len(rs.all()) == 1
+        assert not rs.timed_out and rs.next_cursor is None
+        # Past the deadline in the offset phase, at the last walk.
+        rs = query.offset(1).timeout_ms(0.0).run()
+        assert rs.all() == [] and rs.skipped == 1
+        assert not rs.timed_out and rs.next_cursor is None
 
     def test_an_offset_across_buckets_names_the_last_rows_bucket(self, db):
         query = db.query(QUERY).from_("Alix").to_all()

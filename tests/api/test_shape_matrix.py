@@ -15,7 +15,7 @@ the annotation cache on (128) and off (0),
   under ``any``), and ``ResultSet.lam`` is that minimum for
   ``from_any(S).to(t)``;
 * ``targets()`` is the distinct ``(target, λ)`` of the rows;
-* ``count("dp") == count("enumerate")`` on every shape (walks and
+* ``count()`` — the DP — equals the rows enumerated on every shape (walks and
   cheapest, where the DP applies);
 * every shape re-assembled from ``limit=1`` cursor pages equals its
   one-shot stream;
@@ -197,7 +197,7 @@ def test_shapes_compose_from_pair_cells(case: int) -> None:
                     assert query.targets() == distinct, f"{shape} {where}"
                 if semantics in ("walks", "cheapest"):
                     assert (
-                        query.count("dp") == query.count() == len(rows)
+                        query.count() == len(rows)
                     ), f"{shape} {where}"
                 assert _drain_pages(query) == rows, f"{shape} paged {where}"
 

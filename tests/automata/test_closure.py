@@ -3,20 +3,18 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.automata import (
-    NFA,
+from repro.automata import NFA, is_deterministic, regex_to_nfa
+from repro.baselines.closure import (
     complement_nfa,
     concat_nfa,
     difference_nfa,
-    equivalent,
     intersect_nfa,
-    is_deterministic,
     option_nfa,
     plus_nfa,
-    regex_to_nfa,
     star_nfa,
     union_nfa,
 )
+from repro.baselines.equivalence import equivalent
 from repro.automata.regex_ast import Concat, Optional, Plus, Star, Union
 from repro.exceptions import AutomatonError
 

@@ -7,10 +7,10 @@ from repro.automata import (
     ANY,
     EPSILON,
     NFA,
-    determinize,
     is_deterministic,
     thompson_nfa,
 )
+from repro.baselines.determinize import determinize
 from repro.automata.regex_parser import parse_rpq
 from repro.exceptions import AutomatonError
 

@@ -3,15 +3,14 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.automata import (
-    NFA,
+from repro.automata import NFA, regex_to_nfa
+from repro.baselines.equivalence import (
     counterexample,
     equivalent,
     is_subset,
-    minimize,
-    regex_to_nfa,
     subset_counterexample,
 )
+from repro.baselines.minimize import minimize
 from repro.exceptions import AutomatonError
 
 from tests.conftest import regex_asts, small_nfas
@@ -97,7 +96,7 @@ class TestProperties:
     @given(regex_asts(), regex_asts())
     @settings(max_examples=60, deadline=None)
     def test_equivalence_matches_language_keys(self, left_ast, right_ast):
-        from repro.automata import language_key
+        from repro.baselines.minimize import language_key
 
         left, right = regex_to_nfa(left_ast), regex_to_nfa(right_ast)
         assert equivalent(left, right) == (

@@ -2,17 +2,15 @@
 
 from hypothesis import given, settings
 
-from repro.automata import (
-    NFA,
-    determinize,
-    equivalent,
-    is_deterministic,
+from repro.automata import NFA, is_deterministic, regex_to_nfa
+from repro.baselines import glushkov_nfa
+from repro.baselines.determinize import determinize
+from repro.baselines.equivalence import equivalent
+from repro.baselines.minimize import (
     language_key,
     minimize,
     minimize_brzozowski,
-    regex_to_nfa,
 )
-from repro.baselines import glushkov_nfa
 
 from tests.conftest import regex_asts, small_nfas
 
@@ -72,7 +70,7 @@ class TestMinimize:
             assert dfa.accepts(list(word)) == expected
 
     def test_wildcard_handled(self):
-        from repro.automata.minimize import OTHER
+        from repro.baselines.minimize import OTHER
 
         dfa = minimize(_nfa_of(". a"))
         assert dfa.accepts(["a", "a"])
@@ -153,7 +151,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_minimal_is_no_larger_than_determinized(self, ast):
         nfa = regex_to_nfa(ast)
-        from repro.automata.minimize import _expand_wildcard
+        from repro.baselines.minimize import _expand_wildcard
 
         expanded = _expand_wildcard(nfa)
         assert (

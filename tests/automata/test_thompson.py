@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.automata import EPSILON, equivalent, thompson_nfa
+from repro.automata import EPSILON, thompson_nfa
 from repro.automata.regex_ast import (
     Concat,
     Optional,
@@ -15,6 +15,7 @@ from repro.automata.regex_ast import (
     desugar,
 )
 from repro.automata.regex_parser import parse_rpq
+from repro.baselines.equivalence import equivalent
 from repro.core.compile import compile_query
 from repro.graph.generators import chain
 

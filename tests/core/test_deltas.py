@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.deltas import (
+from repro.baselines.deltas import (
     WalkDelta,
     delta_decode,
     delta_encode,

@@ -210,7 +210,7 @@ class TestLifecycle:
         )
         assert engine.annotation.lam == 2
         assert engine.trimmed.total_items() > 0
-        assert engine.count("dp") == engine.count() == 1
+        assert engine.count() == len(list(engine.enumerate())) == 1
 
     def test_integer_vertex_names(self):
         """resolve_vertex prefers names over ids, so every engine must

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.baselines.validate import validate_graph
 from repro.exceptions import CostError, GraphError
-from repro.graph import GraphBuilder, validate_graph
+from repro.graph import GraphBuilder
 
 
 class TestVertices:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.baselines.validate import validate_graph
 from repro.exceptions import GraphError
-from repro.graph import validate_graph
 from repro.graph.generators import (
     chain,
     cycle,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.validate import validate_graph
 from repro.exceptions import GraphError
 from repro.graph import (
     GraphBuilder,
@@ -11,7 +12,6 @@ from repro.graph import (
     load_json,
     save_edge_list,
     save_json,
-    validate_graph,
 )
 from repro.workloads.fraud import example9_graph
 

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given
 
+from repro.baselines.validate import validate_graph
 from repro.exceptions import GraphError
-from repro.graph import Graph, validate_graph
+from repro.graph import Graph
 
 from tests.conftest import small_graphs
 

@@ -9,7 +9,7 @@ initial and final states, self-loops, ``ANY``, ε, absent labels) — the
 two compiles of each automaton are held to:
 
 * **language** — the NFAs rebuilt from ``delta`` / ``initial_closure``
-  / ``final`` are :func:`repro.automata.equivalence.equivalent`;
+  / ``final`` are :func:`repro.baselines.equivalence.equivalent`;
 * **the quotient, exactly** — a naive fixpoint (every signature, every
   round; nothing shared with the worklist in ``src``) computes the
   coarsest backward bisimulation of the as-written compile; it *is* one
@@ -45,7 +45,7 @@ from math import log2
 import pytest
 
 from repro.automata import ANY, EPSILON, NFA, parse_rpq, regex_to_nfa
-from repro.automata.equivalence import equivalent
+from repro.baselines.equivalence import equivalent
 from repro.baselines import glushkov_nfa
 from repro.baselines.oracle import costed_copy, random_graph, random_regex
 from repro.core import compile as compile_module

@@ -319,6 +319,37 @@ def test_invalid_mutation_is_structured_and_graph_survives() -> None:
     asyncio.run(scenario())
 
 
+def test_a_mutation_that_asks_never_to_compact_is_refused() -> None:
+    """Every batch the server applies is compacted and republished, so
+    ``"compact": "never"`` is answered with an error, not ``ok``."""
+    async def scenario():
+        server = await _booted(workers=1)
+        try:
+            port = await server.start_tcp()
+            edge = {"op": "add_edge", "src": "Bob", "tgt": "Alix",
+                    "labels": ["h"]}
+            probe = {"query": "h", "source": "Bob", "target": "Alix"}
+            responses = await _tcp_exchange(
+                port,
+                [
+                    {"mutate": [edge], "compact": "never", "id": 1},
+                    dict(probe, id=2),
+                    {"mutate": [edge], "compact": "always", "id": 3},
+                    dict(probe, id=4),
+                ],
+            )
+            assert responses[0]["status"] == "error"
+            assert "never" in responses[0]["error"]
+            assert responses[1]["status"] == "empty"  # nothing applied
+            assert responses[2]["status"] == "ok"
+            assert responses[3]["status"] == "ok"
+            assert server.epoch == 1  # only the second batch published
+        finally:
+            await server.shutdown()
+
+    asyncio.run(scenario())
+
+
 def test_constructor_validation() -> None:
     with pytest.raises(ValueError, match="at least one worker"):
         ServeServer(_demo_graph(), workers=0)

@@ -71,13 +71,6 @@ UNREACHED = {
     "repro.workloads.social": _DATA,
     "repro.workloads.transport": _DATA,
     "repro.workloads.worstcase": _DATA,
-    "repro.core.deltas": (
-        "Section 6 delta encoder; it finds the shared suffix by the run "
-        "counter's stream scan (walks.shared_suffix_length), since the "
-        "DFS does not expose its LCA depth: that scan also serves the "
-        "streams the DFS never sees (filter, fallback, any-walk, "
-        "multi-cell pages) within Theorem 2's delay"
-    ),
 }
 
 
@@ -96,25 +89,98 @@ def _is_oracle(module: str) -> bool:
     return module.startswith("repro.baselines")
 
 
-def test_production_holds_only_what_an_entry_point_reaches():
-    """Walk the imports the way Python executes them: importing
-    ``a.b.c`` runs ``a/__init__``, ``a/b/__init__`` and ``a/b/c``."""
+def _module_level_imports(tree: ast.Module):
+    """The import statements a module runs when it is imported (those
+    outside any function or class body)."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            pending += ast.iter_child_nodes(node)
+
+
+def _bindings(node):
+    """``(bound name, dotted target)`` of one import statement: the
+    module an ``import`` binds, or the ``module.name`` a ``from``
+    import binds."""
+    for alias in node.names:
+        if isinstance(node, ast.Import):
+            yield alias.asname or alias.name.split(".")[0], alias.name
+        elif node.module:
+            yield alias.asname or alias.name, f"{node.module}.{alias.name}"
+
+
+def _definer(name: str, modules, trees):
+    """The ``repro`` module that defines ``name`` — a dotted module, or
+    a name imported from one — following a package ``__init__``'s
+    re-exports to the module the name comes from; ``None`` outside the
+    package."""
+    while name not in modules:
+        package, _, attr = name.rpartition(".")
+        if package not in modules:
+            return None
+        if modules[package].name != "__init__.py":
+            return package
+        exported = {
+            bound: target
+            for node in _module_level_imports(trees[package])
+            for bound, target in _bindings(node)
+        }
+        if attr not in exported:
+            return package
+        name = exported[attr]
+    return name
+
+
+def _reach(name: str, tree: ast.Module, package: bool):
+    """What importing module ``name`` runs an import of.  A plain
+    module or an entry point (``repro.api``, ``repro.service`` and
+    ``repro.serve`` are packages) reaches every import it spells; any
+    other package ``__init__`` reaches a module-level import only where
+    its own code names what the import binds — a re-export alone is
+    not a use (``regex_to_nfa``'s body names ``thompson_nfa``, and a
+    name listed in ``__all__`` only is named by no code)."""
+    if not package or name in ENTRY_POINTS:
+        yield from _imported_modules(tree)
+        return
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    top = set(_module_level_imports(tree))
+    for node in ast.walk(tree):
+        if node in top:
+            yield from (t for bound, t in _bindings(node) if bound in used)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from _imported_modules(node)
+
+
+def _reached_modules():
+    """Every ``repro`` module an entry point reaches, importing ``a.b.c``
+    as Python does — it runs ``a/__init__``, ``a/b/__init__`` and
+    ``a/b/c`` — with a name imported through a package resolved to the
+    module that defines it."""
     modules = _modules()
+    trees = {name: ast.parse(path.read_text()) for name, path in modules.items()}
     reached, pending = set(), list(ENTRY_POINTS)
     while pending:
-        name = pending.pop()
-        # A trailing part that is no module is a name imported from one.
+        name = _definer(pending.pop(), modules, trees)
         while name and name not in reached:
-            if name in modules:
-                reached.add(name)
-                pending += _imported_modules(
-                    ast.parse(modules[name].read_text())
-                )
+            reached.add(name)
+            package = modules[name].name == "__init__.py"
+            pending += _reach(name, trees[name], package)
             name = name.rpartition(".")[0]
+    return modules, reached
+
+
+def test_production_holds_only_what_an_entry_point_reaches():
+    modules, reached = _reached_modules()
     unreached = {
         m for m in modules if m not in reached and not _is_oracle(m)
     }
-    assert unreached == set(UNREACHED)
+    assert sorted(unreached - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - unreached) == []
     assert all(UNREACHED.values())
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.automata import regex_to_nfa
+from repro.baselines.validate import validate_graph
 from repro.core.engine import DistinctShortestWalks
-from repro.graph import validate_graph
 from repro.workloads import (
     QUERY_CATALOG,
     diamond_chain,
